@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-diff examples lint-log live-smoke trace-smoke fleet-smoke policy-smoke soak clean
+.PHONY: all build vet test race check bench bench-diff examples lint-log lint-wire live-smoke trace-smoke fleet-smoke policy-smoke soak clean
 
 all: check
 
@@ -29,7 +29,7 @@ test: race
 race:
 	$(GO) test -race ./...
 
-check: build vet lint-log examples race trace-smoke fleet-smoke policy-smoke soak
+check: build vet lint-log lint-wire examples race trace-smoke fleet-smoke policy-smoke soak
 
 # Library code must never print: diagnostics go through the structured
 # event log (internal/telemetry/eventlog) or the telemetry registry, so
@@ -43,6 +43,20 @@ lint-log:
 		exit 1; \
 	fi
 	@echo "lint-log: ok"
+
+# One wire: the binary frame is the only transport encoding. The format
+# knobs, the hello negotiation and the byte-preserving trace switch were
+# deleted; this keeps the fork from growing back unnoticed. benchmark/
+# is excluded (its sources are frozen and mention the old names in
+# comments).
+lint-wire:
+	@bad=$$(grep -rnE 'SetWireFormat|helloFrame|peerBin|NoTracePropagation|SetTracePropagation' --include='*.go' --exclude-dir=benchmark --exclude-dir=.git --exclude-dir=.bench_build . || true); \
+	if [ -n "$$bad" ]; then \
+		echo "lint-wire: a deleted wire-format / trace-propagation switch is back:"; \
+		echo "$$bad"; \
+		exit 1; \
+	fi
+	@echo "lint-wire: ok"
 
 # The resilience gate: seeded chaos soaks — hundreds of violation
 # episodes under a randomized fault schedule on the sim Bus, plus the
@@ -93,11 +107,16 @@ fleet-smoke:
 
 # Perf trajectory: `make bench` runs the micro-benchmarks (hot-path
 # packages at a stable benchtime, macro scenario benchmarks once) and
-# records the next-numbered BENCH_<n>.json snapshot via cmd/benchfmt.
-# `make bench-diff` compares the two newest snapshots and fails on a
-# >20% ns/op or allocs/op regression in the gated hot-path benchmarks.
+# records the next-numbered BENCH_<n>.json snapshot via cmd/benchfmt,
+# which adds the non-test LOC per package. `make bench-diff` compares
+# the two newest snapshots, fails on a >20% ns/op or allocs/op
+# regression in the gated hot-path benchmarks, and prints gated
+# benchmarks that vanished and the LOC delta.
+# One P, like every committed snapshot: on a shared VM a second P times
+# the hypervisor's vCPU wake-ups (TCP round trips double), not the code.
 BENCHTIME ?= 200ms
 
+bench: export GOMAXPROCS = 1
 bench:
 	( $(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) \
 	      ./internal/msg ./internal/rules ./internal/telemetry \

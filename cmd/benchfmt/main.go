@@ -3,13 +3,16 @@
 // regressions.
 //
 // Snapshot mode (default) reads bench output on stdin and writes the
-// next-numbered BENCH_<n>.json in -dir:
+// next-numbered BENCH_<n>.json in -dir, together with a "loc" block:
+// non-test Go source lines per package under -dir (benchmark/ excluded),
+// so the size of the code has a trajectory beside its speed:
 //
 //	go test -bench=. -benchmem -run='^$' ./... | benchfmt -dir .
 //
 // Diff mode compares the two newest snapshots and exits non-zero when a
 // gated hot-path benchmark regressed by more than -threshold (default
-// 20%) in ns/op or allocs/op:
+// 20%) in ns/op or allocs/op. It also prints every gated benchmark the
+// newer snapshot no longer has, and the LOC delta:
 //
 //	benchfmt -diff -dir .
 //
@@ -20,9 +23,11 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -47,6 +52,47 @@ type Snapshot struct {
 	CPU        string   `json:"cpu,omitempty"`
 	Packages   []string `json:"packages,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
+	// LOC maps each package directory ("." is the root package) to its
+	// non-test Go source lines, plus their sum under "total".
+	LOC map[string]int `json:"loc,omitempty"`
+}
+
+// locTotal keys the repo-wide sum in Snapshot.LOC.
+const locTotal = "total"
+
+// countLOC counts newline-terminated lines of non-test .go files per
+// directory under root, skipping benchmark/ (the benchmark harness is
+// not the system under measurement), testdata and hidden directories.
+func countLOC(root string) (map[string]int, error) {
+	loc := map[string]int{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (name == "benchmark" || name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		n := bytes.Count(data, []byte{'\n'})
+		loc[filepath.ToSlash(rel)] += n
+		loc[locTotal] += n
+		return nil
+	})
+	return loc, err
 }
 
 // defaultGate names the hot-path benchmarks whose regression fails the
@@ -68,7 +114,9 @@ func main() {
 	os.Exit(record(*dir))
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+// The name group is lazy so the -GOMAXPROCS suffix go test appends on a
+// multi-core run is dropped and names stay comparable across machines.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
 
 // parseBench reads `go test -bench` output into a snapshot.
 func parseBench(in *bufio.Scanner) (*Snapshot, error) {
@@ -166,6 +214,10 @@ func record(dir string) int {
 		fmt.Fprintln(os.Stderr, "benchfmt:", err)
 		return 1
 	}
+	if snap.LOC, err = countLOC(dir); err != nil {
+		fmt.Fprintln(os.Stderr, "benchfmt:", err)
+		return 1
+	}
 	_, nums, err := snapshots(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchfmt:", err)
@@ -185,7 +237,8 @@ func record(dir string) int {
 		fmt.Fprintln(os.Stderr, "benchfmt:", err)
 		return 1
 	}
-	fmt.Printf("benchfmt: wrote %s (%d benchmarks)\n", out, len(snap.Benchmarks))
+	fmt.Printf("benchfmt: wrote %s (%d benchmarks, %d non-test lines)\n",
+		out, len(snap.Benchmarks), snap.LOC[locTotal])
 	return 0
 }
 
@@ -243,6 +296,7 @@ func runDiff(dir, gate string, threshold float64) int {
 		if !ok {
 			continue
 		}
+		delete(oldBy, nr.Name)
 		gated := gateRE.MatchString(nr.Name)
 		nsDelta := rel(or.NsPerOp, nr.NsPerOp)
 		allocDelta := rel(or.AllocsPerOp, nr.AllocsPerOp)
@@ -257,12 +311,46 @@ func runDiff(dir, gate string, threshold float64) int {
 			status, nr.Name, or.NsPerOp, nr.NsPerOp, 100*nsDelta,
 			or.AllocsPerOp, nr.AllocsPerOp, 100*allocDelta)
 	}
+	// What is left in oldBy has no counterpart in the newer snapshot: a
+	// gated benchmark that vanished is no longer watched, so say so.
+	for _, or := range oldSnap.Benchmarks {
+		if _, gone := oldBy[or.Name]; gone && gateRE.MatchString(or.Name) {
+			fmt.Printf("GONE %-55s ns/op %10.1f -> (not in newer snapshot)\n", or.Name, or.NsPerOp)
+		}
+	}
+	printLOCDelta(oldSnap.LOC, newSnap.LOC)
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "benchfmt: %d gated benchmark(s) regressed more than %.0f%%\n", failed, 100*threshold)
 		return 1
 	}
 	fmt.Println("benchfmt: no gated regressions")
 	return 0
+}
+
+// printLOCDelta prints the non-test line count of every package whose
+// count changed between two snapshots, and the total.
+func printLOCDelta(old, new map[string]int) {
+	if len(old) == 0 || len(new) == 0 {
+		fmt.Println("benchfmt: no LOC delta (a snapshot predates the loc block)")
+		return
+	}
+	var names []string
+	for p := range new {
+		names = append(names, p)
+	}
+	for p := range old {
+		if _, both := new[p]; !both {
+			names = append(names, p)
+		}
+	}
+	sort.Strings(names)
+	for _, p := range names {
+		if p != locTotal && old[p] != new[p] {
+			fmt.Printf("loc  %-55s %6d -> %6d (%+d)\n", p, old[p], new[p], new[p]-old[p])
+		}
+	}
+	fmt.Printf("loc  %-55s %6d -> %6d (%+d)\n", locTotal,
+		old[locTotal], new[locTotal], new[locTotal]-old[locTotal])
 }
 
 // rel is the relative change from old to new; 0 when old is 0 (a

@@ -497,15 +497,14 @@ func durMS(v float64) string {
 	return time.Duration(v).Round(time.Millisecond).String()
 }
 
-// wireExp compares the two management-plane wire codecs frame by frame:
-// the JSON lines format every node speaks, and the negotiated binary
-// format (see docs/WIRE.md). The table shows what a binary-capable
-// deployment saves per message type on the paper's management traffic.
+// wireExp sizes the management-plane wire frame (see docs/WIRE.md) per
+// message type on the paper's management traffic, next to the JSON debug
+// rendering of the same message for scale.
 func wireExp() {
-	fmt.Println("=== Wire codec: JSON lines vs negotiated binary framing ===")
-	fmt.Println("frame bytes per management message type (routed, trace-free);")
-	fmt.Println("mixed fleets negotiate down to JSON, so savings apply only")
-	fmt.Println("between binary-capable peers.")
+	fmt.Println("=== Wire: binary frame bytes per management message type ===")
+	fmt.Println("routed, trace-free frames exactly as every transport sends")
+	fmt.Println("them; the JSON column is the encode-only debug rendering of")
+	fmt.Println("the same message, which never travels.")
 	fmt.Println()
 	id := msg.Identity{Host: "client-host", PID: 4321, Executable: "mpeg_play",
 		Application: "VideoApplication", UserRole: "viewer"}
@@ -531,14 +530,14 @@ func wireExp() {
 		{"heartbeat", msg.Message{From: "/client-host/app/mpeg_play/4321", Body: msg.Heartbeat{ID: id, Seq: 93}}},
 	}
 	const to = "/client-host/QoSHostManager"
-	fmt.Printf("%-12s %12s %14s %8s\n", "type", "json bytes", "binary bytes", "ratio")
+	fmt.Printf("%-12s %12s %14s %8s\n", "type", "json bytes", "frame bytes", "ratio")
 	var jTotal, bTotal int
 	for _, tc := range cases {
 		jdata, err := msg.MarshalWire(msg.WireJSON, to, tc.m)
 		must(err)
 		bdata, err := msg.MarshalWire(msg.WireBinary, to, tc.m)
 		must(err)
-		jn, bn := len(jdata)+1, len(bdata) // JSON frames cost one newline on the wire
+		jn, bn := len(jdata), len(bdata)
 		jTotal += jn
 		bTotal += bn
 		fmt.Printf("%-12s %12d %14d %7.2fx\n", tc.name, jn, bn, float64(jn)/float64(bn))

@@ -88,10 +88,8 @@ type episode struct {
 	server serverRef
 	// ctx is the trace context localization spans chain under: initially
 	// the context the alarm carried (the client host manager's escalate
-	// span), advancing as local spans are recorded. alarmCtx keeps the
-	// original inbound context for propagation gating.
-	ctx      telemetry.TraceContext
-	alarmCtx telemetry.TraceContext
+	// span), advancing as local spans are recorded.
+	ctx telemetry.TraceContext
 	// Liveness bookkeeping (EnableLiveness): when the episode was opened
 	// or last retried, and whether its query has been retried already.
 	at      time.Duration
@@ -385,7 +383,7 @@ func (dm *DomainManager) registerCallbacks() {
 			fmt.Sprintf("boost_cpu %s %+g -> %s", ep.server.executable, amount, ep.server.hostMgrAddr))
 		return dm.send(ep.server.hostMgrAddr, msg.Message{
 			From:  dm.addr,
-			Trace: dm.propagated(ep, ctx),
+			Trace: ctx,
 			Body: msg.Directive{From: dm.addr, Action: "boost_cpu",
 				Target: ep.server.executable, Amount: amount},
 		})
@@ -408,7 +406,7 @@ func (dm *DomainManager) registerCallbacks() {
 			fmt.Sprintf("adjust_memory %s %+g pages -> %s", ep.server.executable, pages, ep.server.hostMgrAddr))
 		return dm.send(ep.server.hostMgrAddr, msg.Message{
 			From:  dm.addr,
-			Trace: dm.propagated(ep, ctx),
+			Trace: ctx,
 			Body: msg.Directive{From: dm.addr, Action: "adjust_memory",
 				Target: ep.server.executable, Amount: pages},
 		})
@@ -427,7 +425,7 @@ func (dm *DomainManager) registerCallbacks() {
 			fmt.Sprintf("restart_proc %s -> %s", ep.server.executable, ep.server.hostMgrAddr))
 		return dm.send(ep.server.hostMgrAddr, msg.Message{
 			From:  dm.addr,
-			Trace: dm.propagated(ep, ctx),
+			Trace: ctx,
 			Body: msg.Directive{From: dm.addr, Action: "restart_proc",
 				Target: ep.server.executable},
 		})
@@ -448,16 +446,6 @@ func (dm *DomainManager) registerCallbacks() {
 		}
 		return nil
 	})
-}
-
-// propagated returns the context to stamp on an outgoing message: ctx
-// when the episode's alarm itself carried one (so propagation stays off
-// end-to-end when the origin disabled it), the zero context otherwise.
-func (dm *DomainManager) propagated(ep *episode, ctx telemetry.TraceContext) telemetry.TraceContext {
-	if ep.alarmCtx.Valid() {
-		return ctx
-	}
-	return telemetry.TraceContext{}
 }
 
 func (dm *DomainManager) episodeArg(args []rules.Value, i int) (*episode, error) {
@@ -582,7 +570,7 @@ func (dm *DomainManager) handleAlarm(al msg.Alarm, tc telemetry.TraceContext) {
 	}
 	dm.nextRef++
 	ref := "e" + strconv.Itoa(dm.nextRef)
-	ep := &episode{alarm: al, server: server, ctx: tc, alarmCtx: tc}
+	ep := &episode{alarm: al, server: server, ctx: tc}
 	if dm.livenessClock != nil {
 		ep.at = dm.livenessClock()
 	}
@@ -654,7 +642,7 @@ func (dm *DomainManager) CheckLiveness() (retried, abandoned int) {
 				eventlog.Str("ref", ref), eventlog.Str("server", ep.server.hostMgrAddr))
 			_ = dm.send(ep.server.hostMgrAddr, msg.Message{
 				From:  dm.addr,
-				Trace: dm.propagated(ep, ep.ctx),
+				Trace: ep.ctx,
 				Body:  dm.episodeQuery(ep, ref),
 			})
 			retried++

@@ -200,7 +200,7 @@ func TestSummaryAggregatorCountersInRegistry(t *testing.T) {
 }
 
 // TestSummaryRoundTripThroughCodec: an exporter-shipped summary
-// round-trips the negotiated binary codec and merges into an aggregator
+// round-trips the wire codec and merges into an aggregator
 // with nothing lost — the full host→wire→domain path in miniature.
 func TestSummaryRoundTripThroughCodec(t *testing.T) {
 	s := sim.New(1)

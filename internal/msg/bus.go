@@ -29,12 +29,6 @@ type Bus struct {
 	localDelay  time.Duration
 	remoteDelay time.Duration
 
-	// wire selects the codec used for byte accounting (the Bus delivers
-	// Message values in-process, so the "wire" only exists as the
-	// modeled msg.bus.bytes cost). WireJSON is the default; the
-	// pre-existing determinism goldens pin its byte counts.
-	wire WireFormat
-
 	Sent           uint64
 	Delivered      uint64
 	Dropped        uint64 // destination not bound at delivery time
@@ -43,27 +37,14 @@ type Bus struct {
 	metrics *busMetrics
 }
 
-// busMetrics holds the bus transport's pre-resolved metric handles. The
-// invalid-drop counter is resolved lazily on the first drop so the
-// registered metric name set (and therefore deterministic snapshots) is
-// unchanged for runs where no malformed message ever flows.
+// busMetrics holds the bus transport's pre-resolved metric handles.
 type busMetrics struct {
-	reg       *telemetry.Registry
 	sent      *telemetry.Counter
 	delivered *telemetry.Counter
 	dropped   *telemetry.Counter
+	invalid   *telemetry.Counter
 	bytes     *telemetry.Counter
 	byType    map[string]*telemetry.Counter
-	invalid   *telemetry.Counter // lazy; see droppedInvalid
-}
-
-// droppedInvalid counts one validation drop (the Bus is driven by the
-// single-threaded simulator loop, so lazy resolution needs no lock).
-func (m *busMetrics) droppedInvalid() {
-	if m.invalid == nil {
-		m.invalid = m.reg.Counter("msg.bus.dropped_invalid")
-	}
-	m.invalid.Inc()
 }
 
 // NewBus creates a bus with the given IPC latencies: localDelay applies
@@ -78,25 +59,20 @@ func NewBus(s *sim.Simulator, localDelay, remoteDelay time.Duration) *Bus {
 	}
 }
 
-// SetWireFormat selects the codec the bus models for byte accounting
-// (msg.bus.bytes). Scenario runs that want the binary fast path's
-// modeled costs opt in; the default stays WireJSON so existing seeded
-// runs are unchanged.
-func (b *Bus) SetWireFormat(f WireFormat) { b.wire = f }
-
 // SetMetrics attaches the bus to a metrics registry: counters for
-// messages sent/delivered/dropped, wire bytes, and per-type message
-// counts under "msg.bus.*".
+// messages sent/delivered/dropped, wire bytes (the Bus delivers Message
+// values in-process, so the wire exists only as this modeled cost), and
+// per-type message counts under "msg.bus.*".
 func (b *Bus) SetMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		b.metrics = nil
 		return
 	}
 	m := &busMetrics{
-		reg:       reg,
 		sent:      reg.Counter("msg.bus.sent"),
 		delivered: reg.Counter("msg.bus.delivered"),
 		dropped:   reg.Counter("msg.bus.dropped"),
+		invalid:   reg.Counter("msg.bus.dropped_invalid"),
 		bytes:     reg.Counter("msg.bus.bytes"),
 		byType:    make(map[string]*telemetry.Counter, len(typeTags)),
 	}
@@ -134,7 +110,7 @@ func (b *Bus) Send(addr string, m Message) error {
 	if err := Validate(m); err != nil {
 		b.DroppedInvalid++
 		if b.metrics != nil {
-			b.metrics.droppedInvalid()
+			b.metrics.invalid.Inc()
 		}
 		return err
 	}
@@ -146,19 +122,12 @@ func (b *Bus) Send(addr string, m Message) error {
 				c.Inc()
 			}
 		}
-		// Byte accounting marshals without the trace context: tracing is
-		// out-of-band metadata and must not perturb the deterministic
-		// msg.bus.bytes counter pinned by the goldens. The encode goes
-		// through a pooled buffer — only the length is kept.
+		// Byte accounting encodes without the trace context: tracing is
+		// out-of-band metadata, so traced and untraced runs of one seed
+		// count the same msg.bus.bytes.
 		untraced := m
 		untraced.Trace = telemetry.TraceContext{}
-		buf := getWireBuf()
-		if data, err := appendWire(buf[:0], b.wire, "", untraced); err == nil {
-			b.metrics.bytes.Add(uint64(len(data)))
-			putWireBuf(data)
-		} else {
-			putWireBuf(buf)
-		}
+		b.metrics.bytes.Add(frameLen(untraced))
 	}
 	delay := b.remoteDelay
 	if from, to := b.hostOf[m.From], b.hostOf[addr]; from != "" && from == to {

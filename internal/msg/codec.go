@@ -7,39 +7,38 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 
 	"softqos/internal/telemetry"
 )
 
-// WireFormat selects how a transport encodes management frames. The
-// JSON-lines format is the compatibility default; the binary format is
-// the length-prefixed fast path negotiated between peers that both
-// support it (see docs/WIRE.md for the layout and negotiation rules).
+// WireFormat names an encoding MarshalWire can produce. Transports have
+// no format to select: Bus, Conn and NetTransport account, frame and
+// send WireBinary only (see docs/WIRE.md for the layout).
 type WireFormat int
 
 const (
-	// WireJSON is one JSON envelope per newline-terminated line — the
-	// original wire format, readable by every peer.
-	WireJSON WireFormat = iota
-	// WireBinary is the length-prefixed binary frame: magic byte,
-	// version byte, uvarint payload length, payload. A binary frame can
-	// never be confused with a JSON line because the magic byte is not
-	// valid leading JSON.
-	WireBinary
+	// WireBinary is the wire: the length-prefixed binary frame — magic
+	// byte, version byte, uvarint payload length, payload. It is the
+	// zero WireFormat.
+	WireBinary WireFormat = iota
+	// WireJSON is an encode-only debug rendering of a frame (one JSON
+	// envelope, no trailing newline) for tools that print messages. No
+	// transport sends it and UnmarshalWire rejects it.
+	WireJSON
 )
 
 func (f WireFormat) String() string {
-	if f == WireBinary {
-		return "binary"
+	if f == WireJSON {
+		return "json"
 	}
-	return "json"
+	return "binary"
 }
 
 const (
-	// binMagic opens every binary frame. 0xBF is not a valid first byte
-	// of UTF-8 JSON text, so receivers can sniff the format per frame.
+	// binMagic opens every frame. 0xBF is not a valid first byte of
+	// UTF-8 text, so a peer speaking anything else is detected on the
+	// first byte it sends.
 	binMagic = 0xBF
 	// binVersion is the current binary payload layout version.
 	binVersion = 1
@@ -127,99 +126,53 @@ var wireBufPool = sync.Pool{New: func() any { return make([]byte, 0, 512) }}
 func getWireBuf() []byte  { return wireBufPool.Get().([]byte) }
 func putWireBuf(b []byte) { wireBufPool.Put(b[:0]) } //nolint:staticcheck // slice header churn is fine here
 
+// frameLen returns the length of m's unrouted wire frame — what the
+// transports charge a message they deliver without a socket — or 0 for
+// a message that cannot be encoded (which Validate has ruled out).
+func frameLen(m Message) uint64 {
+	buf := getWireBuf()
+	data, err := appendBinaryFrame(buf[:0], "", m)
+	if err != nil {
+		putWireBuf(buf)
+		return 0
+	}
+	putWireBuf(data)
+	return uint64(len(data))
+}
+
 // keyPool recycles the scratch slices used to sort map keys during
 // binary encoding (binary maps are key-sorted so equal messages encode
 // to equal bytes on every node).
 var keyPool = sync.Pool{New: func() any { return make([]string, 0, 16) }}
 
-// MarshalWire encodes one routed frame in the given format. JSON frames
-// are the bare line (no trailing newline); binary frames include the
-// full magic/version/length header.
+// MarshalWire encodes one routed frame. WireBinary is the complete
+// frame exactly as a transport puts it on the socket (magic, version,
+// length, payload); WireJSON is the debug rendering.
 func MarshalWire(f WireFormat, to string, m Message) ([]byte, error) {
-	data, err := appendWire(nil, f, to, m)
-	if err != nil {
-		return nil, err
+	if f == WireJSON {
+		return marshalDebugJSON(to, m)
 	}
-	return data, nil
+	return appendBinaryFrame(nil, to, m)
 }
 
-// appendWire appends one encoded frame to dst and returns the extended
-// slice. It is the shared encoder behind both transports' send paths.
-func appendWire(dst []byte, f WireFormat, to string, m Message) ([]byte, error) {
-	if f == WireBinary {
-		return appendBinaryFrame(dst, to, m)
-	}
-	return appendJSONFrame(dst, to, m)
-}
-
-// UnmarshalWire decodes one complete frame of either format, sniffing
-// the format from the first byte. The buffer must contain exactly one
-// frame; binary frames with trailing bytes return ErrTrailingBytes.
-func UnmarshalWire(data []byte) (to string, m Message, err error) {
-	if len(data) > 0 && data[0] == binMagic {
-		return unmarshalBinaryFrame(data)
-	}
-	return unmarshalRouted(data)
-}
-
-// ---------------------------------------------------------------------------
-// JSON fast path
-//
-// The original encoder marshaled the body into a json.RawMessage and then
-// re-marshaled the whole envelope, paying a second reflection pass and a
-// compact-copy of the body bytes. appendJSONFrame hand-builds the envelope
-// around a single body marshal, byte-identical to the old output (the
-// determinism goldens pin msg.bus.bytes, so identity is load-bearing).
-
-// appendJSONFrame appends the JSON envelope for m to dst.
-func appendJSONFrame(dst []byte, to string, m Message) ([]byte, error) {
+// marshalDebugJSON renders a routed message as one JSON envelope with an
+// explicit type tag; To and Trace appear only when set.
+func marshalDebugJSON(to string, m Message) ([]byte, error) {
 	tag, err := typeTag(m.Body)
 	if err != nil {
 		return nil, err
 	}
-	body, err := json.Marshal(m.Body)
-	if err != nil {
-		return nil, err
-	}
-	dst = append(dst, `{"from":`...)
-	dst = appendJSONString(dst, m.From)
-	if to != "" {
-		dst = append(dst, `,"to":`...)
-		dst = appendJSONString(dst, to)
-	}
-	dst = append(dst, `,"type":`...)
-	dst = appendJSONString(dst, tag)
+	env := struct {
+		From  string                  `json:"from"`
+		To    string                  `json:"to,omitempty"`
+		Type  string                  `json:"type"`
+		Trace *telemetry.TraceContext `json:"trace,omitempty"`
+		Body  any                     `json:"body"`
+	}{From: m.From, To: to, Type: tag, Body: m.Body}
 	if m.Trace.Valid() {
-		dst = append(dst, `,"trace":{"trace_id":`...)
-		dst = appendJSONString(dst, m.Trace.TraceID)
-		dst = append(dst, `,"span":`...)
-		dst = strconv.AppendInt(dst, int64(m.Trace.Span), 10)
-		dst = append(dst, '}')
+		env.Trace = &m.Trace
 	}
-	dst = append(dst, `,"body":`...)
-	dst = append(dst, body...)
-	dst = append(dst, '}')
-	return dst, nil
-}
-
-// appendJSONString appends s as a JSON string. Plain ASCII (the
-// overwhelmingly common case for management addresses and type tags) is
-// copied directly; anything needing escapes falls back to json.Marshal
-// so the output matches encoding/json byte-for-byte in every case.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			enc, err := json.Marshal(s)
-			if err != nil { // cannot happen for a string
-				return append(append(dst, '"'), '"')
-			}
-			return append(dst, enc...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
+	return json.Marshal(env)
 }
 
 // ---------------------------------------------------------------------------
@@ -499,10 +452,11 @@ func appendBinTelemetrySummary(dst []byte, b *TelemetrySummary) []byte {
 // ---------------------------------------------------------------------------
 // Binary decode
 
-// unmarshalBinaryFrame decodes one complete framed buffer: header checks
-// first, then the payload. Every length is validated against the bytes
-// actually present before any allocation sized from it.
-func unmarshalBinaryFrame(data []byte) (string, Message, error) {
+// UnmarshalWire decodes a buffer holding exactly one frame: header
+// checks first, then the payload. Anything that does not open with the
+// frame magic is ErrNotBinary. Every length is validated against the
+// bytes actually present before any allocation sized from it.
+func UnmarshalWire(data []byte) (to string, m Message, err error) {
 	if len(data) == 0 || data[0] != binMagic {
 		return "", Message{}, ErrNotBinary
 	}

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -34,18 +35,18 @@ func TestMarshalRoundTripAllTypes(t *testing.T) {
 	}
 	for _, body := range bodies {
 		in := Message{From: "/test/sender", Body: body}
-		data, err := Marshal(in)
+		data, err := MarshalWire(WireBinary, "", in)
 		if err != nil {
 			t.Fatalf("marshal %T: %v", body, err)
 		}
-		out, err := Unmarshal(data)
+		_, out, err := UnmarshalWire(data)
 		if err != nil {
 			t.Fatalf("unmarshal %T: %v", body, err)
 		}
 		if out.From != in.From {
 			t.Errorf("%T: from = %q", body, out.From)
 		}
-		// Unmarshal yields a pointer to the concrete type.
+		// UnmarshalWire yields a pointer to the concrete type.
 		got := reflect.ValueOf(out.Body).Elem().Interface()
 		if !reflect.DeepEqual(got, body) {
 			t.Errorf("%T round trip:\n got %+v\nwant %+v", body, got, body)
@@ -54,19 +55,24 @@ func TestMarshalRoundTripAllTypes(t *testing.T) {
 }
 
 func TestMarshalUnknownTypeFails(t *testing.T) {
-	if _, err := Marshal(Message{Body: 42}); err == nil {
-		t.Fatal("marshalling unknown body type succeeded")
+	for _, f := range []WireFormat{WireBinary, WireJSON} {
+		if _, err := MarshalWire(f, "", Message{Body: 42}); err == nil {
+			t.Errorf("%v: marshalling unknown body type succeeded", f)
+		}
 	}
 }
 
+// TestUnmarshalErrors: text of any shape — including a well-formed JSON
+// envelope a pre-binary peer would have sent — is not a frame.
 func TestUnmarshalErrors(t *testing.T) {
 	for _, bad := range []string{
 		"not json",
 		`{"type":"nope","body":{}}`,
-		`{"type":"register","body":"not-an-object"}`,
+		`{"from":"/s","type":"ack","body":{"ref":"r","ok":true}}` + "\n",
+		`{"from":"n","type":"hello","body":{"v":1}}`,
 	} {
-		if _, err := Unmarshal([]byte(bad)); err == nil {
-			t.Errorf("Unmarshal(%q) succeeded", bad)
+		if _, _, err := UnmarshalWire([]byte(bad)); !errors.Is(err, ErrNotBinary) {
+			t.Errorf("UnmarshalWire(%q) = %v, want ErrNotBinary", bad, err)
 		}
 	}
 }

@@ -37,10 +37,8 @@ func newTCPMetrics(reg *telemetry.Registry) *tcpMetrics {
 }
 
 // Conn is a message connection over a net.Conn — the live-mode analogue
-// of the prototype's management sockets. Outbound frames use the
-// configured WireFormat (JSON lines by default); inbound frames are
-// format-sniffed per frame, so a connection can carry both formats (as
-// it does while wire negotiation is in flight).
+// of the prototype's management sockets. Every frame in either direction
+// is the binary frame of codec.go.
 type Conn struct {
 	nc net.Conn
 	r  *bufio.Reader
@@ -48,22 +46,10 @@ type Conn struct {
 	mu sync.Mutex // serializes writes
 	w  *bufio.Writer
 
-	rbuf []byte // reader-goroutine scratch for binary payloads
-
-	wfmt      atomic.Int32 // WireFormat for outbound frames
-	peerBin   atomic.Bool  // peer announced binary capability (hello seen)
-	helloSent atomic.Bool  // we announced ours on this conn
+	rbuf []byte // reader-goroutine scratch for frame payloads
 
 	metrics atomic.Pointer[tcpMetrics]
 }
-
-// SetWireFormat selects the outbound frame encoding for this
-// point-to-point connection. Both ends of a Conn are wired by the same
-// embedding code, so there is no negotiation here — NetTransport, which
-// talks to arbitrary peers, negotiates before upgrading (see wire.go).
-func (c *Conn) SetWireFormat(f WireFormat) { c.wfmt.Store(int32(f)) }
-
-func (c *Conn) wireFormat() WireFormat { return WireFormat(c.wfmt.Load()) }
 
 // SetMetrics attaches the connection to a metrics registry (counters
 // under "msg.tcp.*"). Safe to call concurrently with Send/Recv.
@@ -89,18 +75,18 @@ func Dial(addr string) (*Conn, error) {
 	return NewConn(nc), nil
 }
 
-// Send writes one message in the connection's wire format and flushes
-// it. The frame is encoded into a pooled buffer, so the steady-state
-// send path allocates only the body's JSON marshal (nothing at all on
-// the binary path).
+// Send writes one message as a frame and flushes it. The frame is
+// encoded into a pooled buffer, so the steady-state send path does not
+// allocate.
 func (c *Conn) Send(m Message) error {
 	buf := getWireBuf()
-	data, err := appendWire(buf[:0], c.wireFormat(), "", m)
+	data, err := appendBinaryFrame(buf[:0], "", m)
 	if err != nil {
 		putWireBuf(buf)
 		return err
 	}
-	wire, err := c.sendFrame(data, c.wireFormat())
+	wire := len(data)
+	err = c.sendFrame(data)
 	putWireBuf(data)
 	if err != nil {
 		return err
@@ -117,103 +103,76 @@ func (c *Conn) Send(m Message) error {
 	return nil
 }
 
-// Recv blocks for the next message, sniffing the frame format.
+// Recv blocks for the next message.
 func (c *Conn) Recv() (Message, error) {
-	frame, bin, err := c.recvFrame()
+	payload, wire, err := c.recvFrame()
 	if err != nil {
 		return Message{}, err
 	}
 	if tm := c.metrics.Load(); tm != nil {
 		tm.received.Inc()
-		tm.recvBytes.Add(uint64(frame.wire))
+		tm.recvBytes.Add(uint64(wire))
 	}
-	if bin {
-		_, m, err := unmarshalBinaryPayload(frame.data)
-		return m, err
-	}
-	return Unmarshal(frame.data)
+	_, m, err := unmarshalBinaryPayload(payload)
+	return m, err
 }
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.nc.Close() }
 
-// wireFrame is one frame read off the stream: the decodable bytes (a
-// JSON line, or a binary payload) plus the total wire bytes consumed
-// including framing overhead (for byte accounting).
-type wireFrame struct {
-	data []byte
-	wire int
-}
-
-// sendFrame writes one pre-encoded frame and flushes it, returning the
-// bytes put on the wire (JSON lines cost one extra newline byte).
-func (c *Conn) sendFrame(data []byte, f WireFormat) (int, error) {
+// sendFrame writes one pre-encoded frame and flushes it.
+func (c *Conn) sendFrame(data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, err := c.w.Write(data); err != nil {
-		return 0, err
+		return err
 	}
-	if f == WireJSON {
-		if err := c.w.WriteByte('\n'); err != nil {
-			return 0, err
-		}
-		if err := c.w.Flush(); err != nil {
-			return 0, err
-		}
-		return len(data) + 1, nil
-	}
-	if err := c.w.Flush(); err != nil {
-		return 0, err
-	}
-	return len(data), nil
+	return c.w.Flush()
 }
 
-// recvFrame blocks for the next frame of either format, sniffing the
-// first byte: the binary magic can never begin a JSON line. Binary
-// payloads are read into a per-connection scratch buffer reused across
+// recvFrame blocks for the next frame and returns its payload plus the
+// total wire bytes consumed including the header (for byte accounting).
+// The payload is read into a per-connection scratch buffer reused across
 // frames (the decoder copies everything it keeps), so the steady-state
-// binary receive path does not allocate per frame.
-func (c *Conn) recvFrame() (wireFrame, bool, error) {
+// receive path does not allocate per frame.
+//
+// ErrNotBinary, ErrBadVersion and ErrFrameTooBig mean the stream cannot
+// be framed — there is no length to skip by — so the caller must drop
+// the connection. Each is returned after reading at most the header:
+// nothing is buffered on behalf of a peer that does not speak the wire.
+func (c *Conn) recvFrame() (payload []byte, wire int, err error) {
 	first, err := c.r.Peek(1)
 	if err != nil {
-		return wireFrame{}, false, err
+		return nil, 0, err
 	}
 	if first[0] != binMagic {
-		line, err := c.r.ReadBytes('\n')
-		if err != nil {
-			return wireFrame{}, false, err
-		}
-		return wireFrame{data: line, wire: len(line)}, false, nil
+		return nil, 0, fmt.Errorf("%w: first byte %#x", ErrNotBinary, first[0])
 	}
 	if _, err := c.r.Discard(1); err != nil { // magic
-		return wireFrame{}, false, err
+		return nil, 0, err
 	}
 	version, err := c.r.ReadByte()
 	if err != nil {
-		return wireFrame{}, false, err
+		return nil, 0, err
 	}
 	if version != binVersion {
-		// Cannot know the unknown layout's length, so the stream is
-		// unrecoverable: surface the typed error and let the caller
-		// drop the connection.
-		return wireFrame{}, false, fmt.Errorf("%w: %d", ErrBadVersion, version)
+		return nil, 0, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
 	n, err := binary.ReadUvarint(c.r)
 	if err != nil {
-		return wireFrame{}, false, err
+		return nil, 0, err
 	}
 	if n > MaxFrameBytes {
-		return wireFrame{}, false, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
+		return nil, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
-	header := 2 + uvarintLen(n)
 	if uint64(cap(c.rbuf)) < n {
 		c.rbuf = make([]byte, n)
 	}
-	buf := c.rbuf[:n]
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		return wireFrame{}, false, err
+	payload = c.rbuf[:n]
+	if _, err := io.ReadFull(c.r, payload); err != nil {
+		return nil, 0, err
 	}
-	return wireFrame{data: buf, wire: header + int(n)}, true, nil
+	return payload, 2 + uvarintLen(n) + int(n), nil
 }
 
 // uvarintLen returns how many bytes binary.AppendUvarint uses for v.

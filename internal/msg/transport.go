@@ -36,35 +36,26 @@ var (
 // only ever flows live (the sim's pre-registered "msg.bus.*" name set is
 // unchanged, keeping determinism goldens stable).
 type netMetrics struct {
-	reg        *telemetry.Registry
 	sent       *telemetry.Counter
 	delivered  *telemetry.Counter
 	dropped    *telemetry.Counter
+	invalid    *telemetry.Counter
+	badFrame   *telemetry.Counter
 	bytes      *telemetry.Counter
 	retries    *telemetry.Counter
 	reconnects *telemetry.Counter
 	sendFailed *telemetry.Counter
 	byType     map[string]*telemetry.Counter
-
-	invalidOnce sync.Once
-	invalid     *telemetry.Counter // lazy: registered on the first invalid drop
-}
-
-// droppedInvalid counts one validation drop, resolving the counter on
-// first use so the metric only appears in registries that actually saw a
-// malformed message.
-func (m *netMetrics) droppedInvalid() {
-	m.invalidOnce.Do(func() { m.invalid = m.reg.Counter("msg.net.dropped_invalid") })
-	m.invalid.Inc()
 }
 
 func newNetMetrics(reg *telemetry.Registry) *netMetrics {
 	tags := append(append([]string(nil), typeTags...), "nack", "heartbeat", "alarmbatch")
 	m := &netMetrics{
-		reg:        reg,
 		sent:       reg.Counter("msg.net.sent"),
 		delivered:  reg.Counter("msg.net.delivered"),
 		dropped:    reg.Counter("msg.net.dropped"),
+		invalid:    reg.Counter("msg.net.dropped_invalid"),
+		badFrame:   reg.Counter("msg.net.bad_frame"),
 		bytes:      reg.Counter("msg.net.bytes"),
 		retries:    reg.Counter("msg.net.retries"),
 		reconnects: reg.Counter("msg.net.reconnects"),
@@ -81,7 +72,7 @@ func newNetMetrics(reg *telemetry.Registry) *netMetrics {
 // management session. Each process creates one NetTransport, binds its
 // local components' management addresses, and sends to any address —
 // local addresses are delivered in-process, remote ones travel as routed
-// JSON-line envelopes over TCP connections that are dialed on demand and
+// binary frames over TCP connections that are dialed on demand and
 // reused.
 //
 // Routing: a destination resolves, in order, to (1) a locally bound
@@ -132,28 +123,6 @@ type NetTransport struct {
 	evlog   atomic.Pointer[eventlog.Logger]
 	metrics atomic.Pointer[netMetrics]
 	retryP  atomic.Pointer[Backoff]
-	wire    atomic.Int32 // preferred WireFormat (negotiated per conn, see wire.go)
-}
-
-// SetWireFormat sets the node's preferred frame encoding. WireJSON (the
-// default) keeps every frame a JSON line. WireBinary announces binary
-// capability on each new connection and upgrades outbound data frames
-// once the peer has announced too; peers that never do keep receiving
-// JSON (see wire.go for the negotiation rules).
-func (t *NetTransport) SetWireFormat(f WireFormat) { t.wire.Store(int32(f)) }
-
-func (t *NetTransport) wireFormat() WireFormat { return WireFormat(t.wire.Load()) }
-
-// sendHello announces binary capability on a connection, once.
-func (t *NetTransport) sendHello(c *Conn) {
-	if c.helloSent.Swap(true) {
-		return
-	}
-	if _, err := c.sendFrame(helloFrame(t.host), WireJSON); err != nil {
-		t.logf("msg: %s: wire hello failed: %v", t.host, err)
-		t.evlog.Load().Event(eventlog.Warn, "msg", "wire_hello_failed",
-			eventlog.Str("node", t.host), eventlog.Str("error", err.Error()))
-	}
 }
 
 // NewNetTransport creates a live transport node named host. listen is
@@ -220,8 +189,8 @@ func (t *NetTransport) SetLogf(fn func(format string, args ...any)) {
 	t.logfFn.Store(&fn)
 }
 
-// SetEventLog routes the transport's diagnostics (invalid-frame drops,
-// hello failures, exhausted retries, reconnects) into the structured
+// SetEventLog routes the transport's diagnostics (invalid-message drops,
+// unframeable streams, exhausted retries, reconnects) into the structured
 // event log as component "msg" records. Pass nil to detach.
 func (t *NetTransport) SetEventLog(lg *eventlog.Logger) {
 	if lg == nil {
@@ -271,7 +240,7 @@ func (t *NetTransport) SetDropLogger(fn DropLogger) {
 func (t *NetTransport) dropInvalid(to string, m Message, err error) {
 	t.droppedInvalid.Add(1)
 	if nm := t.metrics.Load(); nm != nil {
-		nm.droppedInvalid()
+		nm.invalid.Inc()
 	}
 	kind := "?"
 	if tag, tagErr := typeTag(m.Body); tagErr == nil {
@@ -470,25 +439,17 @@ func (t *NetTransport) trySend(to string, m Message) error {
 			t.wg.Add(1)
 			go t.readLoop(c)
 			t.mu.Unlock()
-			if t.wireFormat() == WireBinary {
-				t.sendHello(c)
-			}
 		}
 	}
 
-	// Binary only after the peer announced it understands binary;
-	// otherwise (including always, for a WireJSON node) JSON lines.
-	format := WireJSON
-	if t.wireFormat() == WireBinary && c.peerBin.Load() {
-		format = WireBinary
-	}
 	buf := getWireBuf()
-	data, err := appendWire(buf[:0], format, to, m)
+	data, err := appendBinaryFrame(buf[:0], to, m)
 	if err != nil {
 		putWireBuf(buf)
 		return err
 	}
-	wire, err := c.sendFrame(data, format)
+	wire := len(data)
+	err = c.sendFrame(data)
 	putWireBuf(data)
 	if err != nil {
 		t.forgetConn(c)
@@ -532,14 +493,7 @@ func (t *NetTransport) countSent(m Message, local bool) {
 	}
 	if local {
 		// parity with Bus: local deliveries still account wire bytes
-		// (in the node's preferred format, through a pooled buffer)
-		buf := getWireBuf()
-		if data, err := appendWire(buf[:0], t.wireFormat(), "", m); err == nil {
-			nm.bytes.Add(uint64(len(data)))
-			putWireBuf(data)
-		} else {
-			putWireBuf(buf)
-		}
+		nm.bytes.Add(frameLen(m))
 	}
 }
 
@@ -564,9 +518,6 @@ func (t *NetTransport) acceptLoop() {
 		t.conns[c] = struct{}{}
 		t.wg.Add(1)
 		t.mu.Unlock()
-		if t.wireFormat() == WireBinary {
-			t.sendHello(c)
-		}
 		go t.readLoop(c)
 	}
 }
@@ -575,28 +526,13 @@ func (t *NetTransport) readLoop(c *Conn) {
 	defer t.wg.Done()
 	defer t.forgetConn(c)
 	for {
-		frame, bin, err := c.recvFrame()
+		payload, _, err := c.recvFrame()
 		if err != nil {
+			t.badFrame(c, err)
 			return
 		}
-		var to string
-		var m Message
-		if bin {
-			// A peer that speaks binary to us has negotiated already;
-			// note the capability in case we missed (or raced) its hello.
-			c.peerBin.Store(true)
-			to, m, err = unmarshalBinaryPayload(frame.data)
-		} else {
-			to, m, err = unmarshalRouted(frame.data)
-		}
+		to, m, err := unmarshalBinaryPayload(payload)
 		if err != nil {
-			if errors.Is(err, errHelloFrame) {
-				c.peerBin.Store(true)
-				if t.wireFormat() == WireBinary {
-					t.sendHello(c)
-				}
-				continue
-			}
 			t.dropped.Add(1)
 			if nm := t.metrics.Load(); nm != nil {
 				nm.dropped.Inc()
@@ -637,6 +573,32 @@ func (t *NetTransport) readLoop(c *Conn) {
 			h(m)
 		})
 	}
+}
+
+// badFrame reports why a read loop is giving up on its connection when
+// the cause is the peer's bytes rather than the socket: a stream that
+// does not open with the frame magic, names an unknown layout version,
+// or declares an oversize payload has no frame boundary to resume from,
+// so that one connection is dropped — counted and logged, never
+// silently. EOF and closed-connection errors are ordinary teardown.
+func (t *NetTransport) badFrame(c *Conn, err error) {
+	var class string
+	switch {
+	case errors.Is(err, ErrNotBinary):
+		class = "not_binary"
+	case errors.Is(err, ErrBadVersion):
+		class = "bad_version"
+	case errors.Is(err, ErrFrameTooBig):
+		class = "frame_too_big"
+	default:
+		return
+	}
+	if nm := t.metrics.Load(); nm != nil {
+		nm.badFrame.Inc()
+	}
+	t.evlog.Load().Event(eventlog.Warn, "msg", "wire_bad_frame",
+		eventlog.Str("node", t.host), eventlog.Str("peer", c.nc.RemoteAddr().String()),
+		eventlog.Str("class", class), eventlog.Str("error", err.Error()))
 }
 
 // forgetConn drops a dead connection from every table and closes it.

@@ -5,9 +5,9 @@ import "fmt"
 // Validate checks the semantic invariants a decoded management message
 // must satisfy before a handler may see it: a known body type and the
 // per-type fields the managers dereference unconditionally. Transports
-// call it after decoding (and on local fast paths) so a malformed-but-
-// well-formed-JSON frame is logged and dropped with a counter instead of
-// reaching a handler that would misbehave on it.
+// call it after decoding (and on local fast paths) so a well-framed but
+// semantically malformed message is logged and dropped with a counter
+// instead of reaching a handler that would misbehave on it.
 func Validate(m Message) error {
 	switch b := m.Body.(type) {
 	case Register, *Register, PolicySet, *PolicySet, Report, *Report,

@@ -88,11 +88,6 @@ type Config struct {
 	// BackupRoute adds a second network path and arms the domain
 	// manager's network-fault hook to reroute onto it.
 	BackupRoute bool
-	// NoTracePropagation keeps trace contexts off the wire: messages
-	// carry no trace envelope field and downstream spans lose their
-	// causal parents, exactly as before cross-process tracing existed.
-	// Local span recording is unaffected.
-	NoTracePropagation bool
 	// Faults, when non-nil, wraps the management bus in a fault-
 	// injecting transport driven by this plan, and arms the resilience
 	// machinery the faults exercise: manager liveness tracking with
@@ -396,9 +391,6 @@ func Build(cfg Config) *System {
 
 	sys.Coord = instrument.NewCoordinator(clientID, clock, send, AgentAddr, ClientHMAddr)
 	sys.Coord.SetTelemetry(sys.Metrics, sys.Tracer)
-	if cfg.NoTracePropagation {
-		sys.Coord.SetTracePropagation(false)
-	}
 	sys.Coord.SetNotifyInterval(cfg.NotifyInterval)
 	if cfg.PredictionHorizon > 0 {
 		sys.Coord.SetPredictionHorizon(cfg.PredictionHorizon)
