@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-diff examples lint-log lint-wire live-smoke trace-smoke fleet-smoke policy-smoke soak clean
+.PHONY: all build vet test race check bench bench-diff examples lint-log lint-wire lint-telemetry live-smoke trace-smoke fleet-smoke policy-smoke soak clean
 
 all: check
 
@@ -29,7 +29,7 @@ test: race
 race:
 	$(GO) test -race ./...
 
-check: build vet lint-log lint-wire examples race trace-smoke fleet-smoke policy-smoke soak
+check: build vet lint-log lint-wire lint-telemetry examples race trace-smoke fleet-smoke policy-smoke soak
 
 # Library code must never print: diagnostics go through the structured
 # event log (internal/telemetry/eventlog) or the telemetry registry, so
@@ -57,6 +57,23 @@ lint-wire:
 		exit 1; \
 	fi
 	@echo "lint-wire: ok"
+
+# One quantile type: telemetry.Sketch backs every histogram row. The
+# exact-sample Histogram, the fleet's LatencyRecorder fork over the two
+# and the never-set wall-clock profiling switch were deleted; this keeps
+# them from growing back. (LiveCoordinator.WallClock is the coordinator's
+# own clock accessor and is not matched.) The one allowed NewHistogram is
+# the shim the frozen benchmark/ sources still call. benchmark/ is
+# excluded for the same reason as in lint-wire.
+lint-telemetry:
+	@bad=$$(grep -rnE 'SetWallClock|LatencyRecorder|\.Histogram\(|NewHistogram\(|(reg|registry|Metrics)\.WallClock\(\)|Registry\) WallClock\(' --include='*.go' --exclude-dir=benchmark --exclude-dir=.git --exclude-dir=.bench_build . \
+		| grep -v 'internal/telemetry/sketch.go:.*func NewHistogram(Clock, time.Duration) \*Sketch { return NewSketch() }' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "lint-telemetry: a second quantile type or the wall-clock profiling switch is back:"; \
+		echo "$$bad"; \
+		exit 1; \
+	fi
+	@echo "lint-telemetry: ok"
 
 # The resilience gate: seeded chaos soaks — hundreds of violation
 # episodes under a randomized fault schedule on the sim Bus, plus the

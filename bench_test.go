@@ -120,15 +120,15 @@ func BenchmarkInstrumentationPass(b *testing.B) {
 	fps := coord.Sensor("fps_sensor").(*RateSensor)
 	jit := coord.Sensor("jitter_sensor").(*JitterSensor)
 
-	interval := 33333 * time.Microsecond // a compliant 30 fps stream
+	interval := 40 * time.Millisecond // 25 fps: inside Example 1's 25 ± 2 band
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += interval
 		fps.Tick()
 		jit.Tick()
 	}
-	if coord.Violations != 0 {
-		b.Fatalf("compliant stream produced %d violations", coord.Violations)
+	if coord.Violations != 0 || coord.Overshoots != 0 {
+		b.Fatalf("compliant stream produced %d violations, %d overshoots", coord.Violations, coord.Overshoots)
 	}
 }
 
@@ -144,7 +144,7 @@ func newBenchCoordinator(clock Clock, gauges bool, send func(string, msg.Message
 		coord.AddSensor(NewValueSensor("jitter_sensor", "jitter_rate", nil))
 	} else {
 		coord.AddSensor(NewRateSensor("fps_sensor", "frame_rate", clock, time.Second))
-		coord.AddSensor(NewJitterSensor("jitter_sensor", "jitter_rate", clock, 33333*time.Microsecond))
+		coord.AddSensor(NewJitterSensor("jitter_sensor", "jitter_rate", clock, 40*time.Millisecond))
 	}
 	coord.AddSensor(NewValueSensor("buffer_sensor", "buffer_size", nil))
 	spec, err := policy.Compile(mustParse(Example1Policy), map[string]string{

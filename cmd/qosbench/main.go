@@ -401,7 +401,7 @@ func traceExp() {
 			dir := filepath.Join(*exportTo, fmt.Sprintf("load%.0f", load))
 			must(export.DumpFiles(dir, sys.Metrics, sys.Tracer))
 		}
-		ttr := telemetry.NewHistogram(nil, 0)
+		ttr := telemetry.NewSketch()
 		spans, open := 0, 0
 		for _, tr := range sys.Tracer.Traces() {
 			spans += len(tr.Spans)

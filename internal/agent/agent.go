@@ -84,7 +84,6 @@ type PolicyAgent struct {
 
 	stats CacheStats
 
-	reg            *telemetry.Registry
 	mRegistrations *telemetry.Counter
 	mFailures      *telemetry.Counter
 	mCacheHits     *telemetry.Counter
@@ -92,9 +91,7 @@ type PolicyAgent struct {
 	mCacheRefresh  *telemetry.Counter
 	mCacheStale    *telemetry.Counter
 	mDeltasApplied *telemetry.Counter
-	// Registered lazily on the first failed re-pull, so deployments that
-	// never lose the repository keep their metric name set unchanged.
-	mRefreshFail *telemetry.Counter
+	mRefreshFail   *telemetry.Counter
 
 	// evlog, when set, records cache anomalies (stale deltas, generation
 	// gaps, failed re-pulls) as structured events (component "agent").
@@ -120,17 +117,15 @@ func (a *PolicyAgent) Addr() string { return a.addr }
 // "agent.registrations", "agent.failures" (failed repository lookups,
 // i.e. Nacks sent), the policy-cache counters "agent.cache.hits",
 // "agent.cache.misses", "agent.cache.refreshes" (gap-triggered full
-// re-pulls), "agent.cache.stale_deltas", and "agent.deltas_applied".
-// "agent.cache.refresh_failures" (re-pulls the repository refused) is
-// registered lazily on the first failure.
+// re-pulls), "agent.cache.refresh_failures" (re-pulls the repository
+// refused), "agent.cache.stale_deltas", and "agent.deltas_applied".
 func (a *PolicyAgent) SetTelemetry(reg *telemetry.Registry) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.reg = reg
-	a.mRefreshFail = nil
 	if reg == nil {
 		a.mRegistrations, a.mFailures = nil, nil
 		a.mCacheHits, a.mCacheMisses, a.mCacheRefresh, a.mCacheStale, a.mDeltasApplied = nil, nil, nil, nil, nil
+		a.mRefreshFail = nil
 		return
 	}
 	a.mRegistrations = reg.Counter("agent.registrations")
@@ -138,6 +133,7 @@ func (a *PolicyAgent) SetTelemetry(reg *telemetry.Registry) {
 	a.mCacheHits = reg.Counter("agent.cache.hits")
 	a.mCacheMisses = reg.Counter("agent.cache.misses")
 	a.mCacheRefresh = reg.Counter("agent.cache.refreshes")
+	a.mRefreshFail = reg.Counter("agent.cache.refresh_failures")
 	a.mCacheStale = reg.Counter("agent.cache.stale_deltas")
 	a.mDeltasApplied = reg.Counter("agent.deltas_applied")
 }
@@ -303,10 +299,7 @@ func (a *PolicyAgent) handleDelta(trace telemetry.TraceContext, d msg.PolicyDelt
 			// retrying the re-pull. Advancing would make the chain look
 			// converged on a stale baseline forever.
 			a.stats.RefreshFailures++
-			if a.reg != nil {
-				if a.mRefreshFail == nil {
-					a.mRefreshFail = a.reg.Counter("agent.cache.refresh_failures")
-				}
+			if a.mRefreshFail != nil {
 				a.mRefreshFail.Inc()
 			}
 			a.evlog.EventCtx(trace, eventlog.Error, "agent", "refresh_failure",

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"time"
 )
@@ -27,6 +28,11 @@ const (
 	KindCrash     = "crash"     // Target process down for [After, Until)
 	KindPartition = "partition" // Target host unreachable for [After, Until)
 )
+
+// kinds is the closed set of fault kinds: what Validate accepts and
+// what Transport.SetMetrics registers a counter for.
+var kinds = []string{KindDrop, KindDelay, KindDuplicate, KindReorder,
+	KindSever, KindCrash, KindPartition}
 
 // Duration is a time.Duration that marshals as a Go duration string
 // ("250ms") so plan files stay readable, while still accepting plain
@@ -117,10 +123,7 @@ type Plan struct {
 // Validate checks every rule names a known kind.
 func (p *Plan) Validate() error {
 	for i, r := range p.Rules {
-		switch r.Kind {
-		case KindDrop, KindDelay, KindDuplicate, KindReorder,
-			KindSever, KindCrash, KindPartition:
-		default:
+		if !slices.Contains(kinds, r.Kind) {
 			return fmt.Errorf("faults: rule %d (%s): unknown kind %q", i, r.Name, r.Kind)
 		}
 		if r.Kind == KindCrash || r.Kind == KindPartition {

@@ -47,8 +47,7 @@ type Transport struct {
 	held     *heldSend
 	disabled bool
 
-	reg      *telemetry.Registry
-	counters map[string]*telemetry.Counter
+	counters map[string]*telemetry.Counter // by kind; nil until SetMetrics
 	tracer   *telemetry.Tracer
 	evlog    *eventlog.Logger
 }
@@ -80,13 +79,19 @@ func New(inner msg.Transport, plan *Plan, clock telemetry.Clock, after func(time
 	}
 }
 
-// SetMetrics publishes per-kind injection counters as
-// "faults.injected.<kind>". Counters register lazily on the first
-// injection of each kind, so fault-free registries never see them.
+// SetMetrics registers the per-kind injection counters
+// "faults.injected.<kind>", one for every fault kind. A nil reg
+// detaches them.
 func (f *Transport) SetMetrics(reg *telemetry.Registry) {
+	var counters map[string]*telemetry.Counter
+	if reg != nil {
+		counters = make(map[string]*telemetry.Counter, len(kinds))
+		for _, k := range kinds {
+			counters[k] = reg.Counter("faults.injected." + k)
+		}
+	}
 	f.mu.Lock()
-	f.reg = reg
-	f.counters = make(map[string]*telemetry.Counter)
+	f.counters = counters
 	f.mu.Unlock()
 }
 
@@ -166,19 +171,12 @@ func (f *Transport) Unbind(addr string) { f.inner.Unbind(addr) }
 // Bound delegates to the wrapped transport.
 func (f *Transport) Bound(addr string) bool { return f.inner.Bound(addr) }
 
-// count records one injection of kind by rule, resolving its lazy
-// telemetry counter. Caller holds mu.
+// count records one injection of kind. Caller holds mu.
 func (f *Transport) count(kind string) {
 	f.counts[kind]++
-	if f.reg == nil {
-		return
+	if c := f.counters[kind]; c != nil {
+		c.Inc()
 	}
-	c, ok := f.counters[kind]
-	if !ok {
-		c = f.reg.Counter("faults.injected." + kind)
-		f.counters[kind] = c
-	}
-	c.Inc()
 }
 
 // annotate records one injection on the observability sinks: a

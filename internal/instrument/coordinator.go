@@ -135,8 +135,6 @@ type coordMetrics struct {
 	notifies   *telemetry.Counter
 	suppressed *telemetry.Counter
 	passes     *telemetry.Counter
-	passNS     *telemetry.Histogram
-	wall       telemetry.Clock
 }
 
 type condRef struct {
@@ -185,9 +183,7 @@ func (c *Coordinator) SetPredictionHorizon(d time.Duration) {
 }
 
 // SetTelemetry attaches the coordinator and its sensors to a metrics
-// registry and (optionally) a violation tracer. Pass-cost nanoseconds are
-// recorded only when the registry has a wall clock (SetWallClock), so
-// simulated runs stay byte-for-byte reproducible.
+// registry and (optionally) a violation tracer.
 func (c *Coordinator) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 	c.tracer = tracer
 	if reg == nil {
@@ -201,8 +197,6 @@ func (c *Coordinator) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tr
 		notifies:   reg.Counter("instrument.notifies"),
 		suppressed: reg.Counter("instrument.notifies_suppressed"),
 		passes:     reg.Counter("instrument.sensor_passes"),
-		passNS:     reg.Histogram("instrument.sensor_pass_ns", 0),
-		wall:       reg.WallClock(),
 	}
 	for _, s := range c.sensors {
 		c.attachSensorTelemetry(s)
@@ -213,10 +207,8 @@ func (c *Coordinator) attachSensorTelemetry(s Sensor) {
 	if c.metrics == nil {
 		return
 	}
-	if ts, ok := s.(interface {
-		setPassTelemetry(*telemetry.Counter, *telemetry.Histogram, telemetry.Clock)
-	}); ok {
-		ts.setPassTelemetry(c.metrics.passes, c.metrics.passNS, c.metrics.wall)
+	if ts, ok := s.(interface{ setPassTelemetry(*telemetry.Counter) }); ok {
+		ts.setPassTelemetry(c.metrics.passes)
 	}
 }
 

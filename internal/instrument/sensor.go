@@ -115,22 +115,14 @@ type baseSensor struct {
 	prevAt    time.Duration
 	haveTrend bool
 
-	// Telemetry hooks, installed by the owning coordinator. tWall, when
-	// non-nil, enables wall-clock cost profiling of each pass (left nil in
-	// simulation to keep snapshots deterministic).
+	// tPasses counts passes; installed by the owning coordinator.
 	tPasses *telemetry.Counter
-	tPassNS *telemetry.Histogram
-	tWall   telemetry.Clock
 }
 
 // setPassTelemetry wires per-pass accounting; the coordinator finds it
 // through an unexported interface assertion, so the Sensor interface is
 // unchanged.
-func (b *baseSensor) setPassTelemetry(passes *telemetry.Counter, passNS *telemetry.Histogram, wall telemetry.Clock) {
-	b.tPasses = passes
-	b.tPassNS = passNS
-	b.tWall = wall
-}
+func (b *baseSensor) setPassTelemetry(passes *telemetry.Counter) { b.tPasses = passes }
 
 func newBase(id, attr string, clock Clock) baseSensor {
 	return baseSensor{id: id, attr: attr, enabled: true, clockFn: clock}
@@ -210,10 +202,6 @@ func (b *baseSensor) produce(v float64) {
 	if b.tPasses != nil {
 		b.tPasses.Inc()
 	}
-	var passStart time.Duration
-	if b.tWall != nil {
-		passStart = b.tWall()
-	}
 	if b.clockFn != nil {
 		now := b.clockFn()
 		if b.valid && now > b.prevAt {
@@ -232,9 +220,6 @@ func (b *baseSensor) produce(v float64) {
 	b.value = v
 	b.valid = true
 	b.evaluate()
-	if b.tWall != nil {
-		b.tPassNS.ObserveDuration(b.tWall() - passStart)
-	}
 }
 
 func (b *baseSensor) evaluate() {

@@ -53,9 +53,7 @@ type AlarmCoalescer struct {
 	Coalesced uint64 // alarms merged into an existing entry
 	Forwarded uint64 // per-alarm passthroughs (zero-window mode)
 
-	// Lazy counters: registered on first use so a registry attached to a
-	// run that never batches keeps its pre-hierarchy metric name set.
-	reg      *telemetry.Registry
+	// Metric handles; nil until SetTelemetry.
 	flushes  *telemetry.Counter
 	batched  *telemetry.Counter
 	escFlush *telemetry.Counter
@@ -81,10 +79,17 @@ func NewAlarmCoalescer(tier, addr, parent string, send Send,
 	}
 }
 
-// SetTelemetry attaches the coalescer to a metrics registry. All of its
-// counters resolve lazily on first flush, so attaching never changes
-// the registered name set of runs that do not batch.
-func (c *AlarmCoalescer) SetTelemetry(reg *telemetry.Registry) { c.reg = reg }
+// SetTelemetry attaches the coalescer to a metrics registry,
+// registering its "batch.<tier>.*" counters. A nil reg detaches it.
+func (c *AlarmCoalescer) SetTelemetry(reg *telemetry.Registry) {
+	if reg == nil {
+		c.flushes, c.batched, c.escFlush = nil, nil, nil
+		return
+	}
+	c.flushes = reg.Counter("batch." + c.tier + ".flushes")
+	c.batched = reg.Counter("batch." + c.tier + ".alarms")
+	c.escFlush = reg.Counter("batch." + c.tier + ".escalation_flushes")
+}
 
 // SetEscalation arms flush-on-severity: an Add with severity >= sev
 // flushes the pending batch immediately. Zero disables escalation.
@@ -132,10 +137,7 @@ func (c *AlarmCoalescer) AddCtx(a msg.Alarm, severity int, tc telemetry.TraceCon
 		c.order = append(c.order, key)
 	}
 	if c.escalate > 0 && severity >= c.escalate {
-		if c.reg != nil {
-			if c.escFlush == nil {
-				c.escFlush = c.reg.Counter("batch." + c.tier + ".escalation_flushes")
-			}
+		if c.escFlush != nil {
 			c.escFlush.Inc()
 		}
 		c.evlog.EventCtx(tc, eventlog.Warn, "batch", "escalation_flush",
@@ -182,11 +184,7 @@ func (c *AlarmCoalescer) Flush() error {
 		return nil
 	}
 	c.Batches++
-	if c.reg != nil {
-		if c.flushes == nil {
-			c.flushes = c.reg.Counter("batch." + c.tier + ".flushes")
-			c.batched = c.reg.Counter("batch." + c.tier + ".alarms")
-		}
+	if c.flushes != nil {
 		c.flushes.Inc()
 		for _, e := range b.Alarms {
 			c.batched.Add(uint64(e.Count))

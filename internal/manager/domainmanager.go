@@ -205,56 +205,13 @@ type dmMetrics struct {
 	networkFaults *telemetry.Counter
 	restarts      *telemetry.Counter
 	ruleErrors    *telemetry.Counter
-	firings       *telemetry.Histogram
-	inferNS       *telemetry.Histogram
-	wall          telemetry.Clock
-
-	// Lazy counters (fault-injection and hierarchical runs only; see
-	// hmMetrics).
-	reg          *telemetry.Registry
-	queryRetries *telemetry.Counter
-	timeouts     *telemetry.Counter
-	fanouts      *telemetry.Counter
-	fanoutSubs   *telemetry.Counter
-	hostsEvicted *telemetry.Counter
-	policyRelays *telemetry.Counter
-}
-
-func (m *dmMetrics) countQueryRetry() {
-	if m.queryRetries == nil {
-		m.queryRetries = m.reg.Counter("domain.query_retries")
-	}
-	m.queryRetries.Inc()
-}
-
-func (m *dmMetrics) countTimeout() {
-	if m.timeouts == nil {
-		m.timeouts = m.reg.Counter("domain.episode_timeouts")
-	}
-	m.timeouts.Inc()
-}
-
-func (m *dmMetrics) countFanout(subQueries int) {
-	if m.fanouts == nil {
-		m.fanouts = m.reg.Counter("domain.fanouts")
-		m.fanoutSubs = m.reg.Counter("domain.fanout_queries")
-	}
-	m.fanouts.Inc()
-	m.fanoutSubs.Add(uint64(subQueries))
-}
-
-func (m *dmMetrics) countHostEvicted() {
-	if m.hostsEvicted == nil {
-		m.hostsEvicted = m.reg.Counter("domain.hosts_evicted")
-	}
-	m.hostsEvicted.Inc()
-}
-
-func (m *dmMetrics) countPolicyRelay(fanout int) {
-	if m.policyRelays == nil {
-		m.policyRelays = m.reg.Counter("domain.policy_deltas_relayed")
-	}
-	m.policyRelays.Add(uint64(fanout))
+	queryRetries  *telemetry.Counter
+	timeouts      *telemetry.Counter
+	fanouts       *telemetry.Counter
+	fanoutSubs    *telemetry.Counter
+	hostsEvicted  *telemetry.Counter
+	policyRelays  *telemetry.Counter
+	firings       *telemetry.Sketch
 }
 
 // NewDomainManager creates a domain manager bound to addr, loading the
@@ -293,16 +250,19 @@ func (dm *DomainManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry
 		return
 	}
 	dm.metrics = &dmMetrics{
-		reg:           reg,
 		alarms:        reg.Counter("domain.alarms"),
 		serverFaults:  reg.Counter("domain.server_faults"),
 		memoryFaults:  reg.Counter("domain.memory_faults"),
 		networkFaults: reg.Counter("domain.network_faults"),
 		restarts:      reg.Counter("domain.restarts"),
 		ruleErrors:    reg.Counter("domain.rule_errors"),
-		firings:       reg.Histogram("domain.rule_firings", 0),
-		inferNS:       reg.Histogram("domain.inference_ns", 0),
-		wall:          reg.WallClock(),
+		queryRetries:  reg.Counter("domain.query_retries"),
+		timeouts:      reg.Counter("domain.episode_timeouts"),
+		fanouts:       reg.Counter("domain.fanouts"),
+		fanoutSubs:    reg.Counter("domain.fanout_queries"),
+		hostsEvicted:  reg.Counter("domain.hosts_evicted"),
+		policyRelays:  reg.Counter("domain.policy_deltas_relayed"),
+		firings:       reg.Sketch("domain.rule_firings"),
 	}
 }
 
@@ -515,7 +475,7 @@ func (dm *DomainManager) relayDelta(m msg.Message) {
 	}
 	dm.PolicyDeltasRelayed += uint64(len(dm.policyAgents))
 	if dm.metrics != nil && len(dm.policyAgents) > 0 {
-		dm.metrics.countPolicyRelay(len(dm.policyAgents))
+		dm.metrics.policyRelays.Add(uint64(len(dm.policyAgents)))
 	}
 	if len(dm.policyAgents) > 0 {
 		dm.evlog.EventCtx(m.Trace, eventlog.Debug, "domainmanager", "policy_relay",
@@ -634,7 +594,7 @@ func (dm *DomainManager) CheckLiveness() (retried, abandoned int) {
 			ep.at = now
 			dm.QueryRetries++
 			if dm.metrics != nil {
-				dm.metrics.countQueryRetry()
+				dm.metrics.queryRetries.Inc()
 			}
 			dm.traceEvent(ep, telemetry.StageEscalate,
 				"re-query "+ep.server.hostMgrAddr+" (report timed out)")
@@ -650,7 +610,7 @@ func (dm *DomainManager) CheckLiveness() (retried, abandoned int) {
 		}
 		dm.EpisodeTimeouts++
 		if dm.metrics != nil {
-			dm.metrics.countTimeout()
+			dm.metrics.timeouts.Inc()
 		}
 		dm.traceEvent(ep, telemetry.StageAbandoned,
 			"localization abandoned: no report from "+ep.server.hostMgrAddr+" after retry")
@@ -689,17 +649,10 @@ func (dm *DomainManager) handleReport(r msg.Report) {
 	if procAlive {
 		dm.engine.AssertF("server-proc-alive", r.Ref)
 	}
-	var inferStart time.Duration
-	if dm.metrics != nil && dm.metrics.wall != nil {
-		inferStart = dm.metrics.wall()
-	}
 	dm.epCur = ep
 	fired, err := dm.engine.Run(100)
 	dm.epCur = nil
 	if dm.metrics != nil {
-		if dm.metrics.wall != nil {
-			dm.metrics.inferNS.ObserveDuration(dm.metrics.wall() - inferStart)
-		}
 		dm.metrics.firings.Observe(float64(fired))
 	}
 	if err != nil {

@@ -281,24 +281,8 @@ type hmMetrics struct {
 	directives  *telemetry.Counter
 	ruleErrors  *telemetry.Counter
 	restarts    *telemetry.Counter
-	firings     *telemetry.Histogram // rule firings per diagnosis episode
-	inferNS     *telemetry.Histogram // wall-clock inference cost (profiling only)
-	wall        telemetry.Clock
-
-	// Lazy counters: registered on first use so fault-free registries
-	// (and their determinism goldens) never see the names.
-	reg     *telemetry.Registry
-	prefix  string
-	evicted *telemetry.Counter
-}
-
-// countEvicted bumps "manager.<host>.agents_evicted", resolving the
-// counter on first eviction.
-func (m *hmMetrics) countEvicted() {
-	if m.evicted == nil {
-		m.evicted = m.reg.Counter(m.prefix + "agents_evicted")
-	}
-	m.evicted.Inc()
+	evicted     *telemetry.Counter
+	firings     *telemetry.Sketch // rule firings per diagnosis episode
 }
 
 // NewHostManager creates a host manager bound to addr on host, loading
@@ -330,8 +314,7 @@ func (hm *HostManager) Addr() string { return hm.addr }
 
 // SetTelemetry attaches the host manager to a metrics registry and
 // (optionally) a violation tracer. Metric names are scoped by host, e.g.
-// "manager.client-host.violations". Inference wall-cost is recorded only
-// when the registry has a wall clock.
+// "manager.client-host.violations".
 func (hm *HostManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 	hm.tracer = tracer
 	if tracer != nil {
@@ -345,8 +328,6 @@ func (hm *HostManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.T
 	}
 	prefix := "manager." + hm.host.Name() + "."
 	hm.metrics = &hmMetrics{
-		reg:         reg,
-		prefix:      prefix,
 		violations:  reg.Counter(prefix + "violations"),
 		overshoots:  reg.Counter(prefix + "overshoots"),
 		escalations: reg.Counter(prefix + "escalations"),
@@ -354,9 +335,8 @@ func (hm *HostManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.T
 		directives:  reg.Counter(prefix + "directives"),
 		ruleErrors:  reg.Counter(prefix + "rule_errors"),
 		restarts:    reg.Counter(prefix + "restarts"),
-		firings:     reg.Histogram(prefix+"rule_firings", 0),
-		inferNS:     reg.Histogram(prefix+"inference_ns", 0),
-		wall:        reg.WallClock(),
+		evicted:     reg.Counter(prefix + "agents_evicted"),
+		firings:     reg.Sketch(prefix + "rule_firings"),
 	}
 }
 
@@ -515,7 +495,7 @@ func (hm *HostManager) CheckLiveness() int {
 		hm.engine.AssertF("component-down", psym, mp.id.Executable)
 		hm.AgentsEvicted++
 		if hm.metrics != nil {
-			hm.metrics.countEvicted()
+			hm.metrics.evicted.Inc()
 		}
 		hm.evlog.Event(eventlog.Warn, "hostmanager", "agent_evicted",
 			eventlog.Str("subject", mp.id.Address()),
@@ -765,15 +745,8 @@ func (hm *HostManager) handleViolation(v msg.Violation, tc telemetry.TraceContex
 	}
 	hm.engine.AssertF("host-load", hm.host.LoadAvg())
 	hm.engine.AssertF("proc-boost", psym, float64(hm.procsByPID[v.ID.PID].proc.Boost()))
-	var inferStart time.Duration
-	if hm.metrics != nil && hm.metrics.wall != nil {
-		inferStart = hm.metrics.wall()
-	}
 	fired, err := hm.engine.Run(100)
 	if hm.metrics != nil {
-		if hm.metrics.wall != nil {
-			hm.metrics.inferNS.ObserveDuration(hm.metrics.wall() - inferStart)
-		}
 		hm.metrics.firings.Observe(float64(fired))
 	}
 	if err != nil {

@@ -30,29 +30,15 @@ type regionProbe struct {
 	retried bool
 }
 
-// rmMetrics holds the region manager's metric handles. The region only
-// exists in hierarchical runs, so eager registration cannot perturb
-// flat-topology snapshots.
+// rmMetrics holds the region manager's pre-resolved metric handles.
 type rmMetrics struct {
-	batches    *telemetry.Counter
-	alarms     *telemetry.Counter
-	probes     *telemetry.Counter
-	rebalances *telemetry.Counter
-	evicted    *telemetry.Counter
-	domains    *telemetry.Gauge
-
-	// Lazy counters (policy-distribution runs only): registered on first
-	// use so runs that never see a delta keep their metric namespace —
-	// and therefore their determinism goldens — unchanged.
-	reg          *telemetry.Registry
+	batches      *telemetry.Counter
+	alarms       *telemetry.Counter
+	probes       *telemetry.Counter
+	rebalances   *telemetry.Counter
+	evicted      *telemetry.Counter
 	policyRelays *telemetry.Counter
-}
-
-func (m *rmMetrics) countPolicyRelay(fanout int) {
-	if m.policyRelays == nil {
-		m.policyRelays = m.reg.Counter("region.policy_deltas_relayed")
-	}
-	m.policyRelays.Add(uint64(fanout))
+	domains      *telemetry.Gauge
 }
 
 // RegionManager is the third tier of the control plane: domain managers
@@ -134,13 +120,13 @@ func (rm *RegionManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry
 		return
 	}
 	rm.metrics = &rmMetrics{
-		reg:        reg,
-		batches:    reg.Counter("region.batches"),
-		alarms:     reg.Counter("region.alarms_batched"),
-		probes:     reg.Counter("region.probes"),
-		rebalances: reg.Counter("region.rebalances"),
-		evicted:    reg.Counter("region.domains_evicted"),
-		domains:    reg.Gauge("region.domains"),
+		batches:      reg.Counter("region.batches"),
+		alarms:       reg.Counter("region.alarms_batched"),
+		probes:       reg.Counter("region.probes"),
+		rebalances:   reg.Counter("region.rebalances"),
+		evicted:      reg.Counter("region.domains_evicted"),
+		policyRelays: reg.Counter("region.policy_deltas_relayed"),
+		domains:      reg.Gauge("region.domains"),
 	}
 }
 
@@ -208,7 +194,7 @@ func (rm *RegionManager) relayDelta(m msg.Message) {
 	}
 	rm.PolicyDeltasRelayed += uint64(len(rm.order))
 	if rm.metrics != nil && len(rm.order) > 0 {
-		rm.metrics.countPolicyRelay(len(rm.order))
+		rm.metrics.policyRelays.Add(uint64(len(rm.order)))
 	}
 }
 

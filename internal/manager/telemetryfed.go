@@ -123,9 +123,7 @@ type SummaryAggregator struct {
 	Flushes   uint64            // window flushes shipped upward
 	hostsSeen map[string]uint64 // source -> latest hosts (terminal tally)
 
-	// Eager counters: aggregators only exist in federated runs, so
-	// registering at attach time cannot perturb non-federated name sets.
-	reg        *telemetry.Registry
+	// Metric handles; nil until SetTelemetry.
 	cSummaries *telemetry.Counter
 	cFlushes   *telemetry.Counter
 }
@@ -163,7 +161,6 @@ func (g *SummaryAggregator) SetKeepChildren(keep bool) {
 // tier share the names deliberately: the counters measure the tier's
 // total federation traffic, not one aggregator's.
 func (g *SummaryAggregator) SetTelemetry(reg *telemetry.Registry) {
-	g.reg = reg
 	g.cSummaries = reg.Counter("telemetry.fed." + g.tier + ".summaries")
 	g.cFlushes = reg.Counter("telemetry.fed." + g.tier + ".flushes")
 }

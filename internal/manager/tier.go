@@ -143,7 +143,8 @@ func (dm *DomainManager) handleTierQuery(q msg.Query, tc telemetry.TraceContext)
 	}
 	dm.fanouts[iref] = f
 	if dm.metrics != nil {
-		dm.metrics.countFanout(f.asked)
+		dm.metrics.fanouts.Inc()
+		dm.metrics.fanoutSubs.Add(uint64(f.asked))
 	}
 	for _, name := range dm.hostOrder {
 		f.pending[name] = dm.hosts[name]
@@ -233,7 +234,7 @@ func (dm *DomainManager) checkFanouts(now time.Duration) (retried, abandoned int
 			f.at = now
 			dm.QueryRetries++
 			if dm.metrics != nil {
-				dm.metrics.countQueryRetry()
+				dm.metrics.queryRetries.Inc()
 			}
 			dm.evlog.EventCtx(f.ctx, eventlog.Info, "domainmanager", "fanout_retry",
 				eventlog.Str("ref", iref), eventlog.Int("pending", len(f.pending)))
@@ -246,7 +247,7 @@ func (dm *DomainManager) checkFanouts(now time.Duration) (retried, abandoned int
 		}
 		dm.EpisodeTimeouts++
 		if dm.metrics != nil {
-			dm.metrics.countTimeout()
+			dm.metrics.timeouts.Inc()
 		}
 		dm.evlog.EventCtx(f.ctx, eventlog.Warn, "domainmanager", "fanout_abandoned",
 			eventlog.Str("ref", iref), eventlog.Int("reported", f.reports),
@@ -283,7 +284,7 @@ func (dm *DomainManager) checkHosts(now time.Duration) int {
 		}
 		dm.HostsEvicted++
 		if dm.metrics != nil {
-			dm.metrics.countHostEvicted()
+			dm.metrics.hostsEvicted.Inc()
 		}
 		dm.evlog.Event(eventlog.Warn, "domainmanager", "host_evicted",
 			eventlog.Str("host", name),

@@ -33,8 +33,7 @@ var (
 
 // netMetrics holds the routed TCP transport's pre-resolved metric
 // handles under "msg.net.*". The per-type tag set includes "nack", which
-// only ever flows live (the sim's pre-registered "msg.bus.*" name set is
-// unchanged, keeping determinism goldens stable).
+// only ever flows live.
 type netMetrics struct {
 	sent       *telemetry.Counter
 	delivered  *telemetry.Counter

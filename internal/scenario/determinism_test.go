@@ -28,6 +28,24 @@ func snapshotRun(t *testing.T, cfg Config, warmup, measure time.Duration) (strin
 	return b.String(), traces
 }
 
+// dropRows removes the snapshot rows whose metric name starts with one
+// of the prefixes: the neutrality tests compare an observability
+// subsystem's run against a golden recorded without it, minus the rows
+// the subsystem itself registers.
+func dropRows(snapshot string, prefixes ...string) string {
+	var kept []string
+lines:
+	for _, ln := range strings.Split(snapshot, "\n") {
+		for _, p := range prefixes {
+			if strings.HasPrefix(ln, p) {
+				continue lines
+			}
+		}
+		kept = append(kept, ln)
+	}
+	return strings.Join(kept, "\n")
+}
+
 // goldenCases are the scenarios pinned by testdata goldens. The
 // overload-adapt case exercises every refactored runtime seam at once:
 // the transport (escalation + directives), the resource managers acting

@@ -341,17 +341,6 @@ type fleetDomain struct {
 	flushed uint64 // dm.Alarms already summarized in earlier flushes
 }
 
-// LatencyRecorder is the slice of histogram behaviour the fleet needs
-// for its detect→adapt latency metric. Both telemetry.Histogram (flat
-// runs: exact windowed quantiles) and telemetry.Sketch (federated runs:
-// mergeable, bounded-error) satisfy it.
-type LatencyRecorder interface {
-	Observe(v float64)
-	ObserveDuration(d time.Duration)
-	Count() uint64
-	Quantile(q float64) (float64, bool)
-}
-
 // FleetSystem is a fully wired three-tier fleet.
 type FleetSystem struct {
 	Cfg FleetConfig
@@ -366,9 +355,9 @@ type FleetSystem struct {
 	Tracer  *telemetry.Tracer
 
 	// DetectAdapt is the end-to-end detect→adapt latency metric
-	// (fleet.detect_adapt_ns): a windowless Histogram in flat runs, a
-	// mergeable Sketch in federated ones.
-	DetectAdapt LatencyRecorder
+	// (fleet.detect_adapt_ns). Being a mergeable sketch, the local
+	// aggregate and a region's federated one agree exactly.
+	DetectAdapt *telemetry.Sketch
 
 	// Federated telemetry plane (nil unless Cfg.Federate).
 	RegionAgg *manager.SummaryAggregator
@@ -435,13 +424,7 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 	}
 	sys.Bus = msg.NewBus(s, 100*time.Microsecond, 2*time.Millisecond)
 	sys.Bus.SetMetrics(sys.Metrics)
-	if cfg.Federate {
-		// Federated runs measure latency with a mergeable sketch, so the
-		// local aggregate and the region's federated one agree exactly.
-		sys.DetectAdapt = sys.Metrics.Sketch("fleet.detect_adapt_ns")
-	} else {
-		sys.DetectAdapt = sys.Metrics.Histogram("fleet.detect_adapt_ns", 0)
-	}
+	sys.DetectAdapt = sys.Metrics.Sketch("fleet.detect_adapt_ns")
 
 	send := msg.SendFunc(sys.Bus.Send)
 

@@ -95,7 +95,8 @@ func TestObserveDeterminismGolden(t *testing.T) {
 // TestObserveNeutrality proves arming the compliance subsystem does not
 // change what the system under test does: the standard telemetry
 // snapshot of an observe-enabled run equals the pre-existing single-host
-// golden once the subsystem's own loop.* histogram lines are dropped.
+// golden once the subsystem's own rows (the miner's loop.* histograms,
+// the flight recorder's telemetry.timeline.* counter) are dropped.
 // Sampling is read-only against the registry, and the miner only
 // populates its own metrics.
 func TestObserveNeutrality(t *testing.T) {
@@ -104,15 +105,7 @@ func TestObserveNeutrality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kept []string
-	for _, ln := range strings.Split(std, "\n") {
-		if strings.HasPrefix(ln, "loop.") {
-			continue
-		}
-		kept = append(kept, ln)
-	}
-	filtered := strings.Join(kept, "\n")
-	if filtered != string(want) {
-		t.Error("observe mode perturbed the simulation: snapshot (minus loop.* lines) differs from the single-host golden")
+	if dropRows(std, "loop.", "telemetry.timeline.") != string(want) {
+		t.Error("observe mode perturbed the simulation: snapshot (minus its own loop.* and telemetry.timeline.* rows) differs from the single-host golden")
 	}
 }

@@ -177,9 +177,8 @@ type core struct {
 	counts     map[sampleKey]uint64
 	sampledOut uint64
 
-	reg      *telemetry.Registry
-	evictedC *telemetry.Counter // telemetry.log.evicted, lazy
-	sampledC *telemetry.Counter // telemetry.log.sampled_out, lazy
+	evictedC *telemetry.Counter // telemetry.log.evicted; nil until SetMetrics
+	sampledC *telemetry.Counter // telemetry.log.sampled_out
 }
 
 // Logger is a view onto a shared record ring: Event appends, Records
@@ -211,18 +210,20 @@ func New(clock telemetry.Clock, capacity int) *Logger {
 	}}
 }
 
-// SetMetrics attaches the registry the ring's self-accounting counters
-// register on: "telemetry.log.evicted" and "telemetry.log.sampled_out".
-// Both register lazily on first increment, so an armed-but-quiet logger
-// adds no metric names to snapshots.
+// SetMetrics registers the ring's self-accounting counters on reg:
+// "telemetry.log.evicted" and "telemetry.log.sampled_out". A nil reg
+// detaches them.
 func (lg *Logger) SetMetrics(reg *telemetry.Registry) {
 	if lg == nil {
 		return
 	}
 	lg.c.mu.Lock()
 	defer lg.c.mu.Unlock()
-	lg.c.reg = reg
 	lg.c.evictedC, lg.c.sampledC = nil, nil
+	if reg != nil {
+		lg.c.evictedC = reg.Counter("telemetry.log.evicted")
+		lg.c.sampledC = reg.Counter("telemetry.log.sampled_out")
+	}
 }
 
 // SetSampling enables per-(component,code) rate sampling below Warn:
@@ -278,9 +279,6 @@ func (lg *Logger) append(ctx telemetry.TraceContext, level Level, component, cod
 		c.counts[k] = n + 1
 		if (n+samplePhase(component, code, c.seed, c.every))%uint64(c.every) != 0 {
 			c.sampledOut++
-			if c.sampledC == nil && c.reg != nil {
-				c.sampledC = c.reg.Counter("telemetry.log.sampled_out")
-			}
 			sc := c.sampledC
 			c.mu.Unlock()
 			if sc != nil {
@@ -310,9 +308,6 @@ func (lg *Logger) append(ctx telemetry.TraceContext, level Level, component, cod
 		c.ring[c.start] = rec
 		c.start = (c.start + 1) % len(c.ring)
 		c.evicted++
-		if c.evictedC == nil && c.reg != nil {
-			c.evictedC = c.reg.Counter("telemetry.log.evicted")
-		}
 		ec = c.evictedC
 	}
 	sink := lg.sink

@@ -69,14 +69,18 @@ func counterValue(reg *telemetry.Registry, name string) (uint64, bool) {
 	return 0, false
 }
 
-func TestEvictionCounterLazyRegistration(t *testing.T) {
+// The ring's self-accounting counters exist, at zero, from SetMetrics
+// on — not from the first eviction.
+func TestEvictionCounterRegisteredAtSetMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry(nil)
 	lg := New(nil, 2)
 	lg.SetMetrics(reg)
 	lg.Event(Info, "c", "a")
 	lg.Event(Info, "c", "b")
-	if _, ok := counterValue(reg, "telemetry.log.evicted"); ok {
-		t.Fatal("telemetry.log.evicted registered before any eviction")
+	for _, name := range []string{"telemetry.log.evicted", "telemetry.log.sampled_out"} {
+		if got, ok := counterValue(reg, name); !ok || got != 0 {
+			t.Fatalf("%s = (%d, %v) before any eviction, want registered at 0", name, got, ok)
+		}
 	}
 	lg.Event(Info, "c", "c")
 	if got, _ := counterValue(reg, "telemetry.log.evicted"); got != 1 {

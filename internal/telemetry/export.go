@@ -58,10 +58,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for n, fn := range r.gaugeFns {
 		gaugeFns[n] = fn
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
 	sketches := make(map[string]*Sketch, len(r.sketches))
 	for n, s := range r.sketches {
 		sketches[n] = s
@@ -77,14 +73,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for n, fn := range gaugeFns {
 		snap.Gauges = append(snap.Gauges, GaugeValue{Name: n, Value: fn()})
 	}
-	for n, h := range hists {
-		p50, p95, p99 := h.Quantiles()
-		snap.Histograms = append(snap.Histograms, HistogramValue{
-			Name: n, Count: h.Count(), Min: h.Min(), Mean: h.Mean(),
-			P50: p50, P95: p95, P99: p99, Max: h.Max(),
-		})
-	}
-	// Sketch-backed histograms export in the same shape as windowed ones.
 	for n, s := range sketches {
 		p50, p95, p99 := s.Quantiles()
 		snap.Histograms = append(snap.Histograms, HistogramValue{

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -22,7 +23,7 @@ func sampleTelemetry() (*telemetry.Registry, *telemetry.Tracer) {
 	reg.Counter("msg.bus.sent").Add(12)
 	reg.Counter("msg.bus.dropped_invalid").Inc()
 	reg.Gauge("host.h1.cpu_load").Set(1.75)
-	h := reg.Histogram("coordinator.eval_ns", 0)
+	h := reg.Sketch("coordinator.eval_ns")
 	for _, v := range []float64{100, 200, 300} {
 		h.Observe(v)
 	}
@@ -90,7 +91,6 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE softqos_host_h1_cpu_load gauge",
 		"softqos_host_h1_cpu_load 1.75",
 		"# TYPE softqos_coordinator_eval_ns summary",
-		`softqos_coordinator_eval_ns{quantile="0.5"} 200`,
 		"softqos_coordinator_eval_ns_sum 600",
 		"softqos_coordinator_eval_ns_count 3",
 		"softqos_coordinator_eval_ns_max 300",
@@ -98,6 +98,14 @@ func TestWritePrometheus(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	// Quantiles are the sketch's: within its relative error of the
+	// exact median, 200.
+	const p50 = `softqos_coordinator_eval_ns{quantile="0.5"} `
+	_, rest, ok := strings.Cut(out, p50)
+	line, _, _ := strings.Cut(rest, "\n")
+	if v, err := strconv.ParseFloat(line, 64); !ok || err != nil || math.Abs(v-200) > 200*telemetry.SketchRelativeError {
+		t.Errorf("p50 sample %q (found %v, err %v), want 200 within %.2f%%", line, ok, err, 100*telemetry.SketchRelativeError)
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// The sketch histogram is the fleet-telemetry replacement for raw
-// windowed quantile samples: a DDSketch-style fixed log-bucket layout
-// whose buckets are a pure function of the value, never of the data
-// seen so far. Because every sketch in the fleet shares the one layout,
+// The sketch histogram is the registry's one distribution type, from a
+// host's probe to the region's fleet view: a DDSketch-style fixed
+// log-bucket layout whose buckets are a pure function of the value,
+// never of the data seen so far. Because every sketch in the fleet shares the one layout,
 // merging is exact — bucket counts add — and therefore associative and
 // commutative: a host's summary merged up through any domain order
 // yields byte-identical fleet quantiles. Quantiles are approximate with
@@ -84,6 +84,11 @@ type Sketch struct {
 // NewSketch creates an empty sketch. Most callers use Registry.Sketch
 // or Summary.Sketch instead.
 func NewSketch() *Sketch { return &Sketch{} }
+
+// NewHistogram is a shim for the frozen benchmark/ sources, which still
+// construct the deleted windowed histogram by name. Delete with
+// telemetry.histogram_observe_ns in the next benchmark-only PR.
+func NewHistogram(Clock, time.Duration) *Sketch { return NewSketch() }
 
 // ensure grows the dense bucket range to include index i. Caller holds mu.
 func (s *Sketch) ensure(i int) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -111,50 +112,163 @@ func TestSketchMergeEqualsDirectObservation(t *testing.T) {
 	}
 }
 
-// TestSketchQuantileErrorBound: against randomized data, every reported
-// quantile stays within SketchRelativeError of the exact nearest-rank
-// value (zeros excluded from the relative comparison).
+// checkSketchAgainstExact observes vals into a fresh sketch and checks
+// it against the exact sorted sample set: every quantile within
+// SketchRelativeError of the nearest-rank value (zeros compared
+// exactly), count/min/max exact, sum exact up to float rounding.
+func checkSketchAgainstExact(t *testing.T, label string, vals []float64) {
+	t.Helper()
+	s := sketchOf(vals)
+	sorted := append([]float64(nil), vals...)
+	sort.Float64s(sorted)
+	for _, q := range []float64{0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1.0} {
+		got, ok := s.Quantile(q)
+		if !ok {
+			t.Fatalf("%s q=%v: no value", label, q)
+		}
+		rank := int(math.Ceil(q * float64(len(sorted))))
+		if rank < 1 {
+			rank = 1
+		}
+		exact := sorted[rank-1]
+		if exact == 0 {
+			if got != 0 {
+				t.Fatalf("%s q=%v: exact 0, sketch %v", label, q, got)
+			}
+			continue
+		}
+		if rel := math.Abs(got-exact) / exact; rel > SketchRelativeError+1e-9 {
+			t.Fatalf("%s q=%v: sketch %v vs exact %v, rel err %.4f > %.4f",
+				label, q, got, exact, rel, SketchRelativeError)
+		}
+	}
+	// Exact aggregates stay exact regardless of bucketing.
+	var sum float64
+	for _, v := range vals {
+		sum += v
+	}
+	if math.Abs(s.Sum()-sum) > math.Abs(sum)*1e-12 {
+		t.Fatalf("%s: sum %v, want %v", label, s.Sum(), sum)
+	}
+	if s.Count() != uint64(len(vals)) {
+		t.Fatalf("%s: count %d, want %d", label, s.Count(), len(vals))
+	}
+	if s.Min() != sorted[0] || s.Max() != sorted[len(sorted)-1] {
+		t.Fatalf("%s: min/max %v/%v, want %v/%v",
+			label, s.Min(), s.Max(), sorted[0], sorted[len(sorted)-1])
+	}
+}
+
+// seq returns the ramp 1, 2, …, n.
+func seq(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = float64(i + 1)
+	}
+	return out
+}
+
+// TestSketchQuantileErrorBound: against randomized data, and against
+// the value sets the exact-sample histogram used to be tested with
+// (small integers, ramps, a long cyclic stream, a heavy tail), every
+// reported quantile stays within SketchRelativeError of the exact
+// nearest-rank value while count, sum, min and max stay exact.
 func TestSketchQuantileErrorBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	quantiles := []float64{0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1.0}
 	for trial := 0; trial < 20; trial++ {
-		vals := randomValues(rng, 500+rng.Intn(2000))
-		s := sketchOf(vals)
-		sorted := append([]float64(nil), vals...)
-		sort.Float64s(sorted)
-		for _, q := range quantiles {
-			got, ok := s.Quantile(q)
-			if !ok {
-				t.Fatalf("trial %d q=%v: no value", trial, q)
-			}
-			rank := int(math.Ceil(q * float64(len(sorted))))
-			if rank < 1 {
-				rank = 1
-			}
-			exact := sorted[rank-1]
-			if exact == 0 {
-				if got != 0 {
-					t.Fatalf("trial %d q=%v: exact 0, sketch %v", trial, q, got)
-				}
-				continue
-			}
-			if rel := math.Abs(got-exact) / exact; rel > SketchRelativeError+1e-9 {
-				t.Fatalf("trial %d q=%v: sketch %v vs exact %v, rel err %.4f > %.4f",
-					trial, q, got, exact, rel, SketchRelativeError)
-			}
+		checkSketchAgainstExact(t, "trial "+strconv.Itoa(trial), randomValues(rng, 500+rng.Intn(2000)))
+	}
+	cyclic := make([]float64, 3*8192)
+	for i := range cyclic {
+		cyclic[i] = float64(i % 1000)
+	}
+	heavy := make([]float64, 2000)
+	for i := range heavy {
+		heavy[i] = 100 + rng.Float64() // ~100 µs body …
+		if i%100 == 0 {
+			heavy[i] = math.Exp(rng.Float64()*12 + 6) // … with a tail to ~65 M
 		}
-		// Exact aggregates stay exact regardless of bucketing.
-		var sum float64
-		for _, v := range vals {
-			sum += v
+	}
+	for _, in := range []struct {
+		label string
+		vals  []float64
+	}{
+		{"rule firings", []float64{2, 3, 2, 2, 5, 0, 3, 2, 1, 2}},
+		{"unordered small ints", []float64{4, 1, 3, 2}},
+		{"ramp 10 descending", []float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}},
+		{"ramp 100", seq(100)},
+		{"ramp 5000", seq(5000)},
+		{"cyclic 0..999", cyclic},
+		{"heavy tail", heavy},
+	} {
+		checkSketchAgainstExact(t, in.label, in.vals)
+	}
+
+	// A constant stream is exact at every quantile: clamping pins the
+	// bucket representative to min == max.
+	constant := NewSketch()
+	for i := 0; i < 1000; i++ {
+		constant.Observe(42)
+	}
+	for _, q := range []float64{0.01, 0.5, 0.95, 0.99, 1.0} {
+		if got, ok := constant.Quantile(q); !ok || got != 42 {
+			t.Fatalf("constant stream q=%v = (%v, %v), want exactly 42", q, got, ok)
 		}
-		if math.Abs(s.Sum()-sum) > math.Abs(sum)*1e-12 {
-			t.Fatalf("trial %d: sum %v, want %v", trial, s.Sum(), sum)
-		}
-		if s.Min() != sorted[0] || s.Max() != sorted[len(sorted)-1] {
-			t.Fatalf("trial %d: min/max %v/%v, want %v/%v",
-				trial, s.Min(), s.Max(), sorted[0], sorted[len(sorted)-1])
-		}
+	}
+	if constant.Mean() != 42 {
+		t.Fatalf("constant stream mean %v, want 42", constant.Mean())
+	}
+}
+
+// TestHistogramQuantileTable pins the nearest-rank semantics of the
+// registry's histogram kind (a Sketch): which sample a quantile names,
+// to within the sketch's error bound, and that an empty histogram or an
+// out-of-range q reports (0, false).
+func TestHistogramQuantileTable(t *testing.T) {
+	cases := []struct {
+		name    string
+		samples []float64
+		q       float64
+		want    float64
+		ok      bool
+	}{
+		{"empty window", nil, 0.5, 0, false},
+		{"single sample p50", []float64{42}, 0.5, 42, true},
+		{"single sample p99", []float64{42}, 0.99, 42, true},
+		{"two samples p50", []float64{1, 9}, 0.5, 1, true},
+		{"two samples p95", []float64{1, 9}, 0.95, 9, true},
+		{"four samples p50", []float64{4, 1, 3, 2}, 0.5, 2, true},
+		{"four samples p75", []float64{4, 1, 3, 2}, 0.75, 3, true},
+		{"ten samples p90", []float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, 0.9, 9, true},
+		{"hundred samples p99", seq(100), 0.99, 99, true},
+		{"hundred samples p100", seq(100), 1.0, 100, true},
+		{"invalid q zero", []float64{1, 2}, 0, 0, false},
+		{"invalid q above one", []float64{1, 2}, 1.5, 0, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, ok := sketchOf(tc.samples).Quantile(tc.q)
+			if ok != tc.ok || math.Abs(got-tc.want) > tc.want*SketchRelativeError+1e-9 {
+				t.Errorf("Quantile(%v) = (%v, %v), want (%v ± %.2f%%, %v)",
+					tc.q, got, ok, tc.want, 100*SketchRelativeError, tc.ok)
+			}
+		})
+	}
+}
+
+// TestHistogramCumulativeStats: count, min, max and mean are exact,
+// negative observations included; an empty histogram reads all zero.
+func TestHistogramCumulativeStats(t *testing.T) {
+	h := NewSketch()
+	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+		t.Errorf("empty histogram stats: count=%d mean=%v min=%v max=%v",
+			h.Count(), h.Mean(), h.Min(), h.Max())
+	}
+	for _, v := range []float64{3, -1, 10} {
+		h.Observe(v)
+	}
+	if h.Count() != 3 || h.Min() != -1 || h.Max() != 10 || h.Mean() != 4 {
+		t.Errorf("stats: count=%d min=%v max=%v mean=%v", h.Count(), h.Min(), h.Max(), h.Mean())
 	}
 }
 

@@ -137,17 +137,9 @@ type StageStats struct {
 	Max   float64 `json:"max_ms"`
 }
 
-func stageStats(h *Histogram) StageStats {
-	if h == nil {
-		return StageStats{}
-	}
-	s := StageStats{Count: h.Count(), Max: h.Max()}
-	s.P50, _ = h.Quantile(0.50)
-	s.P95, _ = h.Quantile(0.95)
-	if s.Count == 0 {
-		s.P50, s.P95 = 0, 0
-	}
-	return s
+func stageStats(h *Sketch) StageStats {
+	p50, p95, _ := h.Quantiles()
+	return StageStats{Count: h.Count(), P50: p50, P95: p95, Max: h.Max()}
 }
 
 // PolicyCompliance is one policy's soft-QoS health report.
@@ -304,9 +296,7 @@ func LoopStageDurations(t *Trace) (detect, locate, adapt time.Duration, okDetect
 // any registry — the pure-function counterpart of LoopMiner, used by
 // scrape handlers and reports that must not mutate shared state.
 func ComputeLoopStats(traces []*Trace) (detect, locate, adapt StageStats) {
-	hd := NewHistogram(nil, 0)
-	hl := NewHistogram(nil, 0)
-	ha := NewHistogram(nil, 0)
+	hd, hl, ha := NewSketch(), NewSketch(), NewSketch()
 	for _, t := range traces {
 		if !t.Recovered && !t.Abandoned {
 			continue
@@ -330,13 +320,17 @@ func ComputeLoopStats(traces []*Trace) (detect, locate, adapt StageStats) {
 // loop.locate_ms and loop.adapt_ms. Each trace is mined exactly once
 // (completed traces never gain spans), so Mine may be called repeatedly
 // — per flight-recorder sample, per HTTP scrape — without
-// double-counting. Safe for concurrent use.
+// double-counting, provided every call presents the tracer's full
+// retained set (Traces or TracesSnapshot). Safe for concurrent use.
 type LoopMiner struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// mined holds the IDs of the completed traces in the last slice
+	// presented — bounded by the tracer's retention cap, not by the
+	// number of episodes ever seen.
 	mined  map[string]struct{}
-	detect *Histogram
-	locate *Histogram
-	adapt  *Histogram
+	detect *Sketch
+	locate *Sketch
+	adapt  *Sketch
 }
 
 // NewLoopMiner creates a miner recording into reg's loop.* histograms
@@ -345,9 +339,9 @@ type LoopMiner struct {
 func NewLoopMiner(reg *Registry) *LoopMiner {
 	return &LoopMiner{
 		mined:  make(map[string]struct{}),
-		detect: reg.Histogram(MetricLoopDetectMs, 0),
-		locate: reg.Histogram(MetricLoopLocateMs, 0),
-		adapt:  reg.Histogram(MetricLoopAdaptMs, 0),
+		detect: reg.Sketch(MetricLoopDetectMs),
+		locate: reg.Sketch(MetricLoopLocateMs),
+		adapt:  reg.Sketch(MetricLoopAdaptMs),
 	}
 }
 
@@ -356,15 +350,19 @@ func NewLoopMiner(reg *Registry) *LoopMiner {
 func (m *LoopMiner) Mine(traces []*Trace) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// Rebuild the mined set from this slice alone: a trace the tracer
+	// has evicted can never be presented again, so forgetting its ID
+	// cannot double-count it.
+	seen := make(map[string]struct{}, len(m.mined))
 	n := 0
 	for _, t := range traces {
 		if !t.Recovered && !t.Abandoned {
 			continue
 		}
+		seen[t.ID] = struct{}{}
 		if _, done := m.mined[t.ID]; done {
 			continue
 		}
-		m.mined[t.ID] = struct{}{}
 		n++
 		d, l, a, okD, okL, okA := LoopStageDurations(t)
 		if okD {
@@ -377,6 +375,7 @@ func (m *LoopMiner) Mine(traces []*Trace) int {
 			m.adapt.Observe(float64(a) / 1e6)
 		}
 	}
+	m.mined = seen
 	return n
 }
 

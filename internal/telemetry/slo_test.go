@@ -189,3 +189,39 @@ func TestLoopMinerMinesOnce(t *testing.T) {
 		t.Errorf("resolved episode mined %d times, want 1", n)
 	}
 }
+
+// TestLoopMinerMinedSetBounded: the miner remembers only the completed
+// traces the tracer still retains. Three retention-caps' worth of
+// episodes, mined batch by batch the way the live sampler does, never
+// grow the mined set past the cap, and each distinct completed trace is
+// counted exactly once.
+func TestLoopMinerMinedSetBounded(t *testing.T) {
+	const retain, batches = 64, 3
+	var now time.Duration
+	reg := NewRegistry(func() time.Duration { return now })
+	tr := NewTracer(reg.Clock())
+	tr.SetRetention(retain)
+	m := NewLoopMiner(reg)
+
+	total := 0
+	for b := 0; b < batches; b++ {
+		for i := 0; i < retain; i++ {
+			start := time.Duration(b*retain+i) * time.Second
+			mkTrace(tr, &now, "/h/a/x/1", "P", start, start+500*time.Millisecond, true)
+		}
+		total += m.Mine(tr.TracesSnapshot())
+		if n := m.Mine(tr.TracesSnapshot()); n != 0 {
+			t.Fatalf("batch %d: re-mine consumed %d, want 0", b, n)
+		}
+		if len(m.mined) > retain {
+			t.Fatalf("batch %d: mined set holds %d IDs, want <= retention cap %d", b, len(m.mined), retain)
+		}
+	}
+	if tr.Evicted() != (batches-1)*retain {
+		t.Fatalf("tracer evicted %d, want %d", tr.Evicted(), (batches-1)*retain)
+	}
+	d, l, a := m.Stages()
+	if want := uint64(batches * retain); total != int(want) || d.Count != want || l.Count != want || a.Count != want {
+		t.Errorf("mined %d, loop.* counts %d/%d/%d, want %d each", total, d.Count, l.Count, a.Count, want)
+	}
+}

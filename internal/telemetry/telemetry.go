@@ -1,5 +1,5 @@
 // Package telemetry is the measurement substrate of the control loop: a
-// lock-cheap metrics registry (counters, gauges, windowed histograms) and
+// lock-cheap metrics registry (counters, gauges, sketch histograms) and
 // a causal trace log that stitches one QoS violation's lifecycle — sensor
 // alarm → coordinator violation → host-manager diagnosis → directive or
 // escalation → resource adaptation → recovery — into a single spanned
@@ -8,14 +8,15 @@
 // Everything runs on an injected clock, so the same code measures the
 // virtual clock of the simulation (deterministic: two runs with the same
 // seed produce byte-identical snapshots) and the wall clock in live mode.
-// Real-time cost profiling (nanoseconds spent inside an instrumentation
-// pass or an inference episode) is opt-in via SetWallClock; it is left
-// off in simulation so snapshots stay reproducible.
 //
-// Hot-path discipline: components resolve their Counter/Gauge/Histogram
-// handles once at attach time and then update them with a single atomic
-// operation (counters, gauges) or a short mutex (histograms). The
-// registry lock is only taken at registration and snapshot time.
+// Hot-path discipline: components resolve their Counter/Gauge/Sketch
+// handles once at attach time (SetTelemetry/SetMetrics/constructor) —
+// that call is the complete list of names the component will ever
+// write, each present at zero from then on — and update them with a
+// single atomic operation (counters, gauges) or a short mutex
+// (sketches). The registry lock is only taken at registration and
+// snapshot time. The one data-keyed family is the event log's
+// "log.<component>.<level>" error-class counters.
 package telemetry
 
 import (
@@ -64,13 +65,11 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // "netsim.sw-core.queued_bytes".
 type Registry struct {
 	clock Clock
-	wall  Clock // nil unless wall-cost profiling is enabled
 
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	gaugeFns map[string]func() float64
-	hists    map[string]*Histogram
 	sketches map[string]*Sketch
 }
 
@@ -84,30 +83,12 @@ func NewRegistry(clock Clock) *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		gaugeFns: make(map[string]func() float64),
-		hists:    make(map[string]*Histogram),
 		sketches: make(map[string]*Sketch),
 	}
 }
 
 // Clock returns the registry's primary clock.
 func (r *Registry) Clock() Clock { return r.clock }
-
-// SetWallClock enables real-time cost profiling: components that measure
-// the wall-clock cost of hot operations (instrumentation passes, rule
-// inference) record into their *_ns histograms only when this is set.
-// Leave it nil in simulation so snapshots stay deterministic.
-func (r *Registry) SetWallClock(fn Clock) {
-	r.mu.Lock()
-	r.wall = fn
-	r.mu.Unlock()
-}
-
-// WallClock returns the profiling clock, or nil when profiling is off.
-func (r *Registry) WallClock() Clock {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.wall
-}
 
 // Counter returns (registering on first use) the named counter.
 func (r *Registry) Counter(name string) *Counter {
@@ -142,27 +123,10 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.mu.Unlock()
 }
 
-// Histogram returns (registering on first use) the named histogram. A
-// positive window makes it a sliding-window histogram over roughly the
-// last two windows of observations; window 0 accumulates over the whole
-// run. The window of an already-registered histogram is not changed.
-func (r *Registry) Histogram(name string, window time.Duration) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram(r.clock, window)
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Sketch returns (registering on first use) the named mergeable sketch
-// histogram. Sketches render in snapshots exactly like histograms, so a
-// metric can be backed by either without its consumers changing; only
-// federated runs register any, which keeps flat-topology snapshot name
-// sets untouched. Do not register a sketch and a histogram under the
-// same name.
+// Sketch returns (registering on first use) the named sketch
+// histogram, the registry's one distribution kind: exact
+// count/sum/min/max/mean, quantiles within SketchRelativeError. It
+// exports as a HistogramValue in snapshots.
 func (r *Registry) Sketch(name string) *Sketch {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -133,7 +133,7 @@ type Timeline struct {
 	rollups   []*rollupTier
 	maxSeries int // 0 = unbounded
 	evicted   uint64
-	evictedC  *Counter // lazy: telemetry.timeline.evicted
+	evictedC  *Counter // telemetry.timeline.evicted; nil without a registry
 }
 
 // NewTimeline creates a flight recorder over reg retaining up to
@@ -142,7 +142,11 @@ func NewTimeline(reg *Registry, capacity int) *Timeline {
 	if capacity <= 0 {
 		capacity = DefaultTimelineCapacity
 	}
-	return &Timeline{reg: reg, cap: capacity, series: make(map[string]*tlSeries)}
+	tl := &Timeline{reg: reg, cap: capacity, series: make(map[string]*tlSeries)}
+	if reg != nil {
+		tl.evictedC = reg.Counter("telemetry.timeline.evicted")
+	}
+	return tl
 }
 
 // Capacity returns the per-series ring size.
@@ -176,11 +180,10 @@ func (tl *Timeline) EnableRollup(capacity int, resolutions ...time.Duration) {
 
 // SetMaxSeries caps how many distinct series the recorder tracks (0 =
 // unbounded, the default). Samples for series beyond the cap are not
-// recorded and are counted — in the registry's
-// "telemetry.timeline.evicted" counter, registered lazily so capped-
-// but-quiet recorders leave metric name sets alone. Live mode sets a
-// cap by default; a runaway metric-name cardinality then costs a
-// counter, not the process.
+// recorded and are counted in the registry's
+// "telemetry.timeline.evicted" counter. Live mode sets a cap by
+// default; a runaway metric-name cardinality then costs a counter, not
+// the process.
 func (tl *Timeline) SetMaxSeries(n int) {
 	tl.mu.Lock()
 	tl.maxSeries = n
@@ -206,10 +209,7 @@ func (tl *Timeline) record(name, kind string, p Point) {
 	if !ok {
 		if tl.maxSeries > 0 && len(tl.series) >= tl.maxSeries {
 			tl.evicted++
-			if tl.reg != nil {
-				if tl.evictedC == nil {
-					tl.evictedC = tl.reg.Counter("telemetry.timeline.evicted")
-				}
+			if tl.evictedC != nil {
 				tl.evictedC.Inc()
 			}
 			return

@@ -13,7 +13,7 @@ func TestTimelineRecordsAndRolls(t *testing.T) {
 	reg := NewRegistry(func() time.Duration { return now })
 	c := reg.Counter("a.count")
 	g := reg.Gauge("a.gauge")
-	h := reg.Histogram("a.hist", 0)
+	h := reg.Sketch("a.hist")
 
 	tl := NewTimeline(reg, 4)
 	for i := 1; i <= 6; i++ {
@@ -28,8 +28,8 @@ func TestTimelineRecordsAndRolls(t *testing.T) {
 	}
 
 	series := tl.Series()
-	// a.count, a.gauge, a.hist.p50, a.hist.p95 — name-sorted.
-	wantNames := []string{"a.count", "a.gauge", "a.hist.p50", "a.hist.p95"}
+	// Name-sorted; the last is the timeline's own eviction counter.
+	wantNames := []string{"a.count", "a.gauge", "a.hist.p50", "a.hist.p95", "telemetry.timeline.evicted"}
 	if len(series) != len(wantNames) {
 		t.Fatalf("series = %d, want %d", len(series), len(wantNames))
 	}
@@ -72,7 +72,7 @@ func TestTimelineDumpJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
 		t.Fatalf("dump does not round-trip: %v", err)
 	}
-	if d.Samples != 1 || len(d.Series) != 1 || d.Series[0].Name != "x" {
+	if d.Samples != 1 || len(d.Series) != 2 || d.Series[0].Name != "telemetry.timeline.evicted" || d.Series[1].Name != "x" {
 		t.Errorf("dump = %+v", d)
 	}
 

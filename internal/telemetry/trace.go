@@ -147,10 +147,10 @@ const DefaultMaxTraces = 4096
 type Tracer struct {
 	clock Clock
 
-	mu      sync.Mutex
-	seq     uint64
-	active  map[string]*Trace // traceKey(subject, policy) -> open trace
-	byID    map[string]*Trace // trace ID -> open trace (same values)
+	mu     sync.Mutex
+	seq    uint64
+	active map[string]*Trace // traceKey(subject, policy) -> open trace
+	byID   map[string]*Trace // trace ID -> open trace (same values)
 	// done holds retained completed traces. Below the retention cap it
 	// is a plain oldest-first slice; at the cap it becomes a ring with
 	// doneStart indexing the oldest episode, so eviction is one pointer
@@ -169,10 +169,7 @@ type Tracer struct {
 	sampledOut      uint64 // traces dropped by sampling
 	sampledOutSpans uint64 // spans those traces carried
 
-	// Lazy counters (telemetry.traces.evicted / .sampled_out), registered
-	// on first eviction or sample-out so quiet tracers never alter a
-	// registry's metric name set.
-	reg      *Registry
+	// Retention counters; nil until SetMetrics.
 	evictedC *Counter
 	sampledC *Counter
 }
@@ -213,13 +210,17 @@ func (tr *Tracer) SetSampling(n int, slow time.Duration) {
 	tr.mu.Unlock()
 }
 
-// SetMetrics attaches a registry for the tracer's retention counters
-// (telemetry.traces.evicted, telemetry.traces.sampled_out), registered
-// lazily on first use.
+// SetMetrics registers the tracer's retention counters
+// (telemetry.traces.evicted, telemetry.traces.sampled_out) on reg. A
+// nil reg detaches them.
 func (tr *Tracer) SetMetrics(reg *Registry) {
 	tr.mu.Lock()
-	tr.reg = reg
-	tr.mu.Unlock()
+	defer tr.mu.Unlock()
+	tr.evictedC, tr.sampledC = nil, nil
+	if reg != nil {
+		tr.evictedC = reg.Counter("telemetry.traces.evicted")
+		tr.sampledC = reg.Counter("telemetry.traces.sampled_out")
+	}
 }
 
 // doneAppend retains a completed trace, evicting the oldest retained
@@ -234,10 +235,7 @@ func (tr *Tracer) doneAppend(t *Trace) {
 			tr.doneStart = 0
 		}
 		tr.evicted++
-		if tr.reg != nil {
-			if tr.evictedC == nil {
-				tr.evictedC = tr.reg.Counter("telemetry.traces.evicted")
-			}
+		if tr.evictedC != nil {
 			tr.evictedC.Inc()
 		}
 		return
@@ -276,10 +274,7 @@ func (tr *Tracer) sampleOut(t *Trace) bool {
 	}
 	tr.sampledOut++
 	tr.sampledOutSpans += uint64(len(t.Spans))
-	if tr.reg != nil {
-		if tr.sampledC == nil {
-			tr.sampledC = tr.reg.Counter("telemetry.traces.sampled_out")
-		}
+	if tr.sampledC != nil {
 		tr.sampledC.Add(uint64(len(t.Spans)))
 	}
 	return true

@@ -103,19 +103,16 @@ func TestTracerRetentionUnbounded(t *testing.T) {
 }
 
 // TestTracerEvictionCounter: with a registry attached, evictions
-// surface as telemetry.traces.evicted — registered lazily, so a tracer
-// that never evicts leaves the registry's name set alone.
+// surface as telemetry.traces.evicted — registered by SetMetrics, so
+// the name is there at zero before the first eviction.
 func TestTracerEvictionCounter(t *testing.T) {
 	reg := NewRegistry(nil)
-	quiet := NewTracer(nil)
-	quiet.SetMetrics(reg)
-	resolveN(quiet, 5)
-	if n := len(reg.Snapshot().Counters); n != 0 {
-		t.Fatalf("quiet tracer registered %d counters", n)
-	}
-
 	tr := NewTracer(nil)
 	tr.SetMetrics(reg)
+	if snap := reg.Snapshot(); len(snap.Counters) != 2 || snap.Counters[0].Name != "telemetry.traces.evicted" ||
+		snap.Counters[1].Name != "telemetry.traces.sampled_out" || snap.Counters[0].Value != 0 {
+		t.Fatalf("SetMetrics registered %+v, want the two retention counters at 0", snap.Counters)
+	}
 	tr.SetRetention(2)
 	resolveN(tr, 5)
 	var got uint64

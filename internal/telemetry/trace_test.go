@@ -2,10 +2,16 @@ package telemetry
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
 )
+
+// fakeClock is a settable clock.
+type fakeClock struct{ now time.Duration }
+
+func (c *fakeClock) fn() Clock { return func() time.Duration { return c.now } }
 
 func TestTraceLifecycle(t *testing.T) {
 	clk := &fakeClock{now: 10 * time.Second}
@@ -106,7 +112,7 @@ func TestRegistrySnapshotSortedAndDeterministic(t *testing.T) {
 		r.Counter("a.count").Inc()
 		r.Gauge("m.gauge").Set(1.5)
 		r.GaugeFunc("f.gauge", func() float64 { return 2.25 })
-		h := r.Histogram("h.hist", 0)
+		h := r.Sketch("h.hist")
 		for _, v := range []float64{5, 1, 3} {
 			h.Observe(v)
 		}
@@ -126,8 +132,11 @@ func TestRegistrySnapshotSortedAndDeterministic(t *testing.T) {
 	if strings.Index(out, "a.count") > strings.Index(out, "z.count") {
 		t.Errorf("counters not sorted:\n%s", out)
 	}
-	if !strings.Contains(out, "p50=3") {
-		t.Errorf("histogram line missing quantiles:\n%s", out)
+	if !strings.Contains(out, "count=3 min=1 mean=3 p50=") || !strings.Contains(out, " max=5") {
+		t.Errorf("histogram line missing exact aggregates or quantiles:\n%s", out)
+	}
+	if h := build().Histograms[0]; math.Abs(h.P50-3) > 3*SketchRelativeError {
+		t.Errorf("p50 = %v, want 3 within %.2f%%", h.P50, 100*SketchRelativeError)
 	}
 
 	var csv bytes.Buffer
