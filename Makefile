@@ -123,7 +123,9 @@ fleet-smoke:
 	$(GO) run ./cmd/qosfleet -hosts 10000 -procs 10 -duration 2m -federate -eventlog -check
 
 # Perf trajectory: `make bench` runs the micro-benchmarks (hot-path
-# packages at a stable benchtime, macro scenario benchmarks once) and
+# packages and the root package's microsecond-scale benchmarks at a stable
+# benchtime — one iteration of a 2 µs episode times the clock, not the
+# code — and the macro scenario benchmarks once) and
 # records the next-numbered BENCH_<n>.json snapshot via cmd/benchfmt,
 # which adds the non-test LOC per package. `make bench-diff` compares
 # the two newest snapshots, fails on a >20% ns/op or allocs/op
@@ -132,6 +134,7 @@ fleet-smoke:
 # One P, like every committed snapshot: on a shared VM a second P times
 # the hypervisor's vCPU wake-ups (TCP round trips double), not the code.
 BENCHTIME ?= 200ms
+TIMED = PolicyEvaluate|InstrumentationPass|InferenceEpisode|InferenceLookupBaseline|RuleEngineAgenda
 
 bench: export GOMAXPROCS = 1
 bench:
@@ -140,9 +143,9 @@ bench:
 	      ./internal/telemetry/eventlog \
 	      ./internal/telemetry/export ./internal/netsim \
 	      ./internal/repository ./internal/agent ; \
-	  $(GO) test -run='^$$' -bench='^Benchmark(PolicyEvaluate|InstrumentationPass)$$' \
+	  $(GO) test -run='^$$' -bench='^Benchmark($(TIMED))$$' \
 	      -benchmem -benchtime=$(BENCHTIME) . ; \
-	  $(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x . ) | $(GO) run ./cmd/benchfmt -dir .
+	  $(GO) test -run='^$$' -bench=. -skip='^Benchmark($(TIMED))$$' -benchmem -benchtime=1x . ) | $(GO) run ./cmd/benchfmt -dir .
 
 bench-diff:
 	$(GO) run ./cmd/benchfmt -diff -dir .

@@ -21,6 +21,7 @@
 package agent
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -183,8 +184,7 @@ func (a *PolicyAgent) handleRegister(from string, reg msg.Register) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, known := a.roster[from]; !known {
-		a.order = append(a.order, from)
-		sort.Strings(a.order)
+		a.order = slices.Insert(a.order, sort.SearchStrings(a.order, from), from) // stays sorted
 	}
 	a.roster[from] = reg
 

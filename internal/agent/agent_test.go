@@ -2,6 +2,8 @@ package agent
 
 import (
 	"errors"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -517,5 +519,32 @@ func TestAgentPointerBody(t *testing.T) {
 	a.HandleMessage(msg.Message{From: id.Address(), Body: &reg})
 	if len(*sent) != 1 {
 		t.Fatalf("pointer-body register not handled")
+	}
+}
+
+// TestAgentRosterStaysSortedWithoutResort: registrants arriving in
+// scrambled order (and re-registering) land in a sorted, duplicate-free
+// roster by insertion, and a fleet delta still fans out in sorted address
+// order. Before, every new registrant re-sorted the whole roster.
+func TestAgentRosterStaysSortedWithoutResort(t *testing.T) {
+	a, sent, to := newAgent(t)
+	sensors := []string{"fps_sensor", "jitter_sensor", "buffer_sensor"}
+	var want []string
+	for i := 0; i < 200; i++ {
+		id := msg.Identity{Host: "h", PID: (i*7919)%200 + 1, Executable: "mpeg_play", Application: "VideoApplication"}
+		a.HandleMessage(register(id, sensors...))
+		if i%3 == 0 {
+			a.HandleMessage(register(id, sensors...)) // re-registration adds nothing
+		}
+		want = append(want, id.Address()+"/qosl_coordinator")
+	}
+	sort.Strings(want)
+	if !reflect.DeepEqual(a.order, want) {
+		t.Fatalf("roster order is not the sorted registrant set: %d entries, want %d", len(a.order), len(want))
+	}
+	*sent, *to = nil, nil
+	a.HandleMessage(delta(1, 0, "fleet", nil, tightSpec()))
+	if !reflect.DeepEqual(*to, want) {
+		t.Errorf("fleet delta fan-out order differs from sorted roster (%d sends)", len(*to))
 	}
 }

@@ -196,13 +196,12 @@ func (c *AlarmCoalescer) Flush() error {
 	return c.send(c.parent, msg.Message{From: c.addr, Body: b})
 }
 
-// sortedKeys is a small shared helper for deterministic map sweeps in
-// the tier managers.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys is the shared helper for deterministic map sweeps: the keys
+// of m appended to buf (nil, or a stack buffer on a hot path), sorted.
+func sortedKeys[V any](m map[string]V, buf []string) []string {
 	for k := range m {
-		keys = append(keys, k)
+		buf = append(buf, k)
 	}
-	sort.Strings(keys)
-	return keys
+	sort.Strings(buf)
+	return buf
 }

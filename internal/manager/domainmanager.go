@@ -84,8 +84,9 @@ type serverRef struct {
 // episode is one in-flight localization: an alarm awaiting the
 // server-side report.
 type episode struct {
-	alarm  msg.Alarm
-	server serverRef
+	alarm   msg.Alarm
+	subject string // alarm.ID.Address(): the trace subject, rendered once
+	server  serverRef
 	// ctx is the trace context localization spans chain under: initially
 	// the context the alarm carried (the client host manager's escalate
 	// span), advancing as local spans are recorded.
@@ -191,6 +192,7 @@ type DomainManager struct {
 	metrics *dmMetrics
 	tracer  *telemetry.Tracer
 	epCur   *episode // episode being diagnosed (explanation attribution)
+	epFacts []int    // ids of the facts asserted for it
 	// evlog, when set, records the decisions this manager otherwise makes
 	// silently (evictions, retries, timeouts) as structured events. Nil —
 	// the default — is free (eventlog methods are nil-safe).
@@ -278,7 +280,7 @@ func (dm *DomainManager) traceEvent(ep *episode, stage, detail string) telemetry
 	if dm.tracer == nil {
 		return telemetry.TraceContext{}
 	}
-	ctx := dm.tracer.EventCtxTier(ep.ctx, ep.alarm.ID.Address(), ep.alarm.Policy,
+	ctx := dm.tracer.EventCtxTier(ep.ctx, ep.subject, ep.alarm.Policy,
 		"domainmanager", stage, detail, dm.tier)
 	if ctx.Valid() {
 		ep.ctx = ctx
@@ -293,17 +295,7 @@ func (dm *DomainManager) explainFiring(f rules.Firing) {
 		return
 	}
 	ep := dm.epCur
-	dm.tracer.Explain(ep.ctx, ep.alarm.ID.Address(), ep.alarm.Policy, telemetry.Explanation{
-		Engine:    dm.addr,
-		Rule:      f.Rule,
-		RuleSet:   f.Origin,
-		Salience:  f.Salience,
-		Bindings:  f.Bindings,
-		Matched:   f.Matched,
-		Asserted:  f.Asserted,
-		Retracted: f.Retracted,
-		Called:    f.Called,
-	})
+	dm.tracer.Explain(ep.ctx, ep.subject, ep.alarm.Policy, explanation(dm.addr, f))
 }
 
 // Engine exposes the inference engine.
@@ -530,7 +522,7 @@ func (dm *DomainManager) handleAlarm(al msg.Alarm, tc telemetry.TraceContext) {
 	}
 	dm.nextRef++
 	ref := "e" + strconv.Itoa(dm.nextRef)
-	ep := &episode{alarm: al, server: server, ctx: tc}
+	ep := &episode{alarm: al, subject: al.ID.Address(), server: server, ctx: tc}
 	if dm.livenessClock != nil {
 		ep.at = dm.livenessClock()
 	}
@@ -637,20 +629,21 @@ func (dm *DomainManager) handleReport(r msg.Report) {
 		return
 	}
 	dm.hostContact(r.Host)
-	dm.engine.AssertF("episode", r.Ref, orUnknown(ep.alarm.ID.Application))
-	dm.engine.AssertF("server-exe", r.Ref, ep.server.executable)
-	procAlive := false
-	for k, v := range r.Values {
-		dm.engine.AssertF("server-report", r.Ref, k, v)
-		if k == "proc_cpu:"+ep.server.executable {
-			procAlive = true
-		}
+	// The episode's facts, statistics in key order (fact ids decide
+	// recency, hence which of two equal-salience rules fires first).
+	e, ref := dm.engine, rules.Sym(r.Ref)
+	ids := append(dm.epFacts[:0],
+		e.Assert(rules.Sym("episode"), ref, rules.Sym(orUnknown(ep.alarm.ID.Application))),
+		e.Assert(rules.Sym("server-exe"), ref, rules.Sym(ep.server.executable)))
+	var buf [8]string
+	for _, k := range sortedKeys(r.Values, buf[:0]) {
+		ids = append(ids, e.Assert(rules.Sym("server-report"), ref, rules.Sym(k), rules.Num(r.Values[k])))
 	}
-	if procAlive {
-		dm.engine.AssertF("server-proc-alive", r.Ref)
+	if _, alive := r.Values["proc_cpu:"+ep.server.executable]; alive {
+		ids = append(ids, e.Assert(rules.Sym("server-proc-alive"), ref))
 	}
 	dm.epCur = ep
-	fired, err := dm.engine.Run(100)
+	fired, err := e.Run(100)
 	dm.epCur = nil
 	if dm.metrics != nil {
 		dm.metrics.firings.Observe(float64(fired))
@@ -661,9 +654,9 @@ func (dm *DomainManager) handleReport(r msg.Report) {
 			dm.metrics.ruleErrors.Inc()
 		}
 	}
-	dm.engine.RetractMatching(rules.F("episode", r.Ref, "?")...)
-	dm.engine.RetractMatching(rules.F("server-exe", r.Ref, "?")...)
-	dm.engine.RetractMatching(rules.F("server-proc-alive", r.Ref)...)
-	dm.engine.RetractMatching(rules.F("server-report", r.Ref, "?", "?")...)
+	for _, id := range ids {
+		e.Retract(id)
+	}
+	dm.epFacts = ids
 	delete(dm.episodes, r.Ref)
 }

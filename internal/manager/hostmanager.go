@@ -206,6 +206,8 @@ const DifferentiatedHostRules = `
 type managedProc struct {
 	proc runtime.ProcHandle
 	id   msg.Identity
+	psym rules.Value // its fact symbol, "p<pid>"
+	addr string      // id.Address(), the trace subject
 }
 
 // HostManager is the per-host QoS manager: inference engine, rule base,
@@ -215,9 +217,10 @@ type managedProc struct {
 // the telemetry registry carries), so the same manager runs under the
 // virtual-clock simulator and in live wall-clock deployments.
 type HostManager struct {
-	addr string
-	host runtime.HostControl
-	send Send
+	addr           string
+	diagnoseDetail string // the diagnose span's detail, rendered once
+	host           runtime.HostControl
+	send           Send
 
 	engine *rules.Engine
 	cpu    *CPUManager
@@ -267,6 +270,7 @@ type HostManager struct {
 	epSubject string
 	epPolicy  string
 	epCtx     telemetry.TraceContext
+	epFacts   []int // ids of the facts asserted for the episode in progress
 	// evlog, when set, records evictions and re-adoptions as structured
 	// events (component "hostmanager"). Nil is free.
 	evlog *eventlog.Logger
@@ -290,15 +294,16 @@ type hmMetrics struct {
 // manager (escalations are then dropped and counted).
 func NewHostManager(addr string, host runtime.HostControl, send Send, domainAddr string) *HostManager {
 	hm := &HostManager{
-		addr:       addr,
-		host:       host,
-		send:       send,
-		domainAddr: domainAddr,
-		engine:     rules.NewEngine(),
-		cpu:        NewCPUManager(host),
-		mem:        NewMemoryManager(host),
-		procsByPID: make(map[int]*managedProc),
-		procsByExe: make(map[string]*managedProc),
+		addr:           addr,
+		diagnoseDetail: "inference episode on " + addr,
+		host:           host,
+		send:           send,
+		domainAddr:     domainAddr,
+		engine:         rules.NewEngine(),
+		cpu:            NewCPUManager(host),
+		mem:            NewMemoryManager(host),
+		procsByPID:     make(map[int]*managedProc),
+		procsByExe:     make(map[string]*managedProc),
 	}
 	hm.cpu.SetSpanFunc(func(stage, detail string) { hm.traceEvent("cpu-manager", stage, detail) })
 	hm.mem.SetSpanFunc(func(stage, detail string) { hm.traceEvent("memory-manager", stage, detail) })
@@ -363,17 +368,13 @@ func (hm *HostManager) explainFiring(f rules.Firing) {
 	if hm.tracer == nil || hm.epSubject == "" {
 		return
 	}
-	hm.tracer.Explain(hm.epCtx, hm.epSubject, hm.epPolicy, telemetry.Explanation{
-		Engine:    hm.addr,
-		Rule:      f.Rule,
-		RuleSet:   f.Origin,
-		Salience:  f.Salience,
-		Bindings:  f.Bindings,
-		Matched:   f.Matched,
-		Asserted:  f.Asserted,
-		Retracted: f.Retracted,
-		Called:    f.Called,
-	})
+	hm.tracer.Explain(hm.epCtx, hm.epSubject, hm.epPolicy, explanation(hm.addr, f))
+}
+
+// explanation is the trace-attached form of one rule firing on engine.
+func explanation(engine string, f rules.Firing) telemetry.Explanation {
+	return telemetry.Explanation{Engine: engine, Rule: f.Rule, RuleSet: f.Origin, Salience: f.Salience,
+		Bindings: f.Bindings, Matched: f.Matched, Asserted: f.Asserted, Retracted: f.Retracted, Called: f.Called}
 }
 
 // countAdaptation bumps the adaptation counter (resource-manager actions
@@ -409,15 +410,15 @@ func (hm *HostManager) LoadRules(src string) error { return hm.engine.LoadRules(
 // spawn. The process's role is asserted as a persistent fact so
 // administrative rules can differentiate allocations by user role.
 func (hm *HostManager) Track(p runtime.ProcHandle, id msg.Identity) {
-	mp := &managedProc{proc: p, id: id}
+	mp := &managedProc{proc: p, id: id, psym: rules.Sym(pidSym(id.PID)), addr: id.Address()}
 	hm.procsByPID[id.PID] = mp
 	hm.procsByExe[id.Executable] = mp
 	if id.UserRole != "" {
-		hm.engine.AssertF("proc-role", pidSym(id.PID), id.UserRole)
+		hm.engine.Assert(rules.Sym("proc-role"), mp.psym, rules.Sym(id.UserRole))
 	}
 	// A (re)tracked process is alive again: clear any down marker a
 	// previous eviction asserted and start its liveness clock fresh.
-	hm.engine.RetractMatching(rules.F("component-down", pidSym(id.PID), "?")...)
+	hm.engine.RetractMatching(rules.Sym("component-down"), mp.psym, rules.Sym("?"))
 	hm.noteContact(id.PID)
 }
 
@@ -482,7 +483,6 @@ func (hm *HostManager) CheckLiveness() int {
 	sort.Ints(stale)
 	for _, pid := range stale {
 		mp := hm.procsByPID[pid]
-		psym := pidSym(pid)
 		delete(hm.lastSeen, pid)
 		if mp == nil {
 			continue
@@ -491,17 +491,17 @@ func (hm *HostManager) CheckLiveness() int {
 		if hm.procsByExe[mp.id.Executable] == mp {
 			delete(hm.procsByExe, mp.id.Executable)
 		}
-		hm.engine.RetractMatching(rules.F("proc-role", psym, "?")...)
-		hm.engine.AssertF("component-down", psym, mp.id.Executable)
+		hm.engine.RetractMatching(rules.Sym("proc-role"), mp.psym, rules.Sym("?"))
+		hm.engine.Assert(rules.Sym("component-down"), mp.psym, rules.Sym(mp.id.Executable))
 		hm.AgentsEvicted++
 		if hm.metrics != nil {
 			hm.metrics.evicted.Inc()
 		}
 		hm.evlog.Event(eventlog.Warn, "hostmanager", "agent_evicted",
-			eventlog.Str("subject", mp.id.Address()),
+			eventlog.Str("subject", mp.addr),
 			eventlog.Str("executable", mp.id.Executable))
 		if hm.tracer != nil {
-			hm.tracer.AbandonSubject(mp.id.Address(), "hostmanager",
+			hm.tracer.AbandonSubject(mp.addr, "hostmanager",
 				"component_down: no contact from "+mp.id.Executable+" within liveness timeout")
 		}
 	}
@@ -527,7 +527,7 @@ func (hm *HostManager) registerCallbacks() {
 		}
 		hm.cpu.Boost(mp.proc, int(args[1].Num))
 		hm.countAdaptation()
-		hm.cpu.Emit(telemetry.StageAdapt, fmt.Sprintf("boost-cpu %+d -> boost %d", int(args[1].Num), mp.proc.Boost()))
+		hm.cpu.Emit(telemetry.StageAdapt, spanDetail("boost-cpu ", int(args[1].Num), true, " -> boost "+strconv.Itoa(mp.proc.Boost())))
 		return nil
 	})
 	hm.engine.RegisterFunc("reclaim-cpu", func(args []rules.Value) error {
@@ -540,7 +540,7 @@ func (hm *HostManager) registerCallbacks() {
 		}
 		hm.cpu.Boost(mp.proc, -int(args[1].Num))
 		hm.countAdaptation()
-		hm.cpu.Emit(telemetry.StageAdapt, fmt.Sprintf("reclaim-cpu %d", int(args[1].Num)))
+		hm.cpu.Emit(telemetry.StageAdapt, spanDetail("reclaim-cpu ", int(args[1].Num), false, ""))
 		return nil
 	})
 	hm.engine.RegisterFunc("grant-rt", func(args []rules.Value) error {
@@ -554,7 +554,7 @@ func (hm *HostManager) registerCallbacks() {
 		}
 		hm.cpu.GrantRealtime(mp.proc, prio)
 		hm.countAdaptation()
-		hm.cpu.Emit(telemetry.StageAdapt, fmt.Sprintf("grant-rt prio %d", prio))
+		hm.cpu.Emit(telemetry.StageAdapt, spanDetail("grant-rt prio ", prio, false, ""))
 		return nil
 	})
 	hm.engine.RegisterFunc("adjust-memory", func(args []rules.Value) error {
@@ -567,7 +567,7 @@ func (hm *HostManager) registerCallbacks() {
 		}
 		hm.mem.Adjust(mp.proc, int(args[1].Num))
 		hm.countAdaptation()
-		hm.mem.Emit(telemetry.StageAdapt, fmt.Sprintf("adjust-memory %+d pages", int(args[1].Num)))
+		hm.mem.Emit(telemetry.StageAdapt, spanDetail("adjust-memory ", int(args[1].Num), true, " pages"))
 		return nil
 	})
 	hm.engine.RegisterFunc("cap-boost", func(args []rules.Value) error {
@@ -581,7 +581,7 @@ func (hm *HostManager) registerCallbacks() {
 		if cap := int(args[1].Num); mp.proc.Boost() > cap {
 			hm.cpu.Boost(mp.proc, cap-mp.proc.Boost())
 			hm.countAdaptation()
-			hm.cpu.Emit(telemetry.StageAdapt, fmt.Sprintf("cap-boost at %d", cap))
+			hm.cpu.Emit(telemetry.StageAdapt, spanDetail("cap-boost at ", cap, false, ""))
 		}
 		return nil
 	})
@@ -592,7 +592,7 @@ func (hm *HostManager) registerCallbacks() {
 		}
 		hm.mem.Ensure(mp.proc, mp.proc.WorkingSet())
 		hm.countAdaptation()
-		hm.mem.Emit(telemetry.StageAdapt, fmt.Sprintf("restore-memory to %d pages", mp.proc.WorkingSet()))
+		hm.mem.Emit(telemetry.StageAdapt, spanDetail("restore-memory to ", mp.proc.WorkingSet(), false, " pages"))
 		return nil
 	})
 	hm.engine.RegisterFunc("request-adaptation", func(args []rules.Value) error {
@@ -614,7 +614,7 @@ func (hm *HostManager) registerCallbacks() {
 		if hm.epCtx.Valid() {
 			dm.Trace = ctx
 		}
-		return hm.send(mp.id.Address()+"/qosl_coordinator", dm)
+		return hm.send(mp.addr+"/qosl_coordinator", dm)
 	})
 	hm.engine.RegisterFunc("notify-domain", func(args []rules.Value) error {
 		mp, err := hm.procArg(args, 0)
@@ -634,7 +634,7 @@ func (hm *HostManager) registerCallbacks() {
 			return nil
 		}
 		ctx := hm.traceEvent("hostmanager", telemetry.StageEscalate, "alarm -> "+hm.domainAddr)
-		readings := hm.currentReadings(pidSym(mp.id.PID))
+		readings := hm.currentReadings(mp.psym)
 		am := msg.Message{
 			From: hm.addr,
 			Body: msg.Alarm{ID: mp.id, Policy: policy, Readings: readings, Suspect: "remote"},
@@ -663,9 +663,9 @@ func (hm *HostManager) procArg(args []rules.Value, i int) (*managedProc, error) 
 }
 
 // currentReadings extracts the episode's reading facts for escalation.
-func (hm *HostManager) currentReadings(psym string) map[string]float64 {
+func (hm *HostManager) currentReadings(psym rules.Value) map[string]float64 {
 	out := make(map[string]float64)
-	for _, f := range hm.engine.FactsMatching(rules.F("reading", psym, "?a", "?v")...) {
+	for _, f := range hm.engine.FactsMatching(rules.Sym("reading"), psym, rules.Sym("?a"), rules.Sym("?v")) {
 		if f.Len() == 4 && f.At(3).Kind == rules.NumberKind {
 			out[f.At(2).Sym] = f.At(3).Num
 		}
@@ -698,16 +698,15 @@ func (hm *HostManager) HandleMessage(m msg.Message) {
 // handleViolation is one diagnosis episode: assert the report as facts,
 // forward-chain, then retract the episode facts.
 func (hm *HostManager) handleViolation(v msg.Violation, tc telemetry.TraceContext) {
-	psym := pidSym(v.ID.PID)
 	hm.noteContact(v.ID.PID)
-	if _, known := hm.procsByPID[v.ID.PID]; !known {
-		if hm.OnUnknownProc != nil {
-			if p, ok := hm.OnUnknownProc(v.ID); ok {
-				hm.Track(p, v.ID)
-			}
+	mp := hm.procsByPID[v.ID.PID]
+	if mp == nil && hm.OnUnknownProc != nil {
+		if p, ok := hm.OnUnknownProc(v.ID); ok {
+			hm.Track(p, v.ID)
+			mp = hm.procsByPID[v.ID.PID]
 		}
 	}
-	if _, known := hm.procsByPID[v.ID.PID]; !known {
+	if mp == nil {
 		// A report for an untracked process cannot be acted upon.
 		hm.RuleErrors++
 		if hm.metrics != nil {
@@ -717,35 +716,42 @@ func (hm *HostManager) handleViolation(v msg.Violation, tc telemetry.TraceContex
 			eventlog.Str("subject", v.ID.Address()))
 		return
 	}
+	e, relation := hm.engine, "violation"
 	if v.Overshoot {
+		relation = "overshoot"
 		hm.OvershootsSeen++
 		if hm.metrics != nil {
 			hm.metrics.overshoots.Inc()
 		}
-		hm.engine.AssertF("overshoot", psym, orUnknown(v.Policy))
 	} else {
 		hm.ViolationsSeen++
 		if hm.metrics != nil {
 			hm.metrics.violations.Inc()
 		}
-		hm.engine.AssertF("violation", psym, orUnknown(v.Policy))
 		// Episode context: rule callbacks fired by Run attribute their
 		// adaptations and escalations to this violation's trace, parented
 		// under the diagnosis span (itself a child of the notify span the
 		// report carried in its trace context).
-		hm.epSubject, hm.epPolicy = v.ID.Address(), v.Policy
-		hm.epCtx = tc
+		hm.epSubject, hm.epPolicy, hm.epCtx = mp.addr, v.Policy, tc
+		if v.ID != mp.id {
+			hm.epSubject = v.ID.Address()
+		}
 		if hm.tracer != nil {
 			hm.epCtx = hm.tracer.EventCtx(tc, hm.epSubject, hm.epPolicy,
-				"hostmanager", telemetry.StageDiagnose, "inference episode on "+hm.addr)
+				"hostmanager", telemetry.StageDiagnose, hm.diagnoseDetail)
 		}
 	}
-	for attr, val := range v.Readings {
-		hm.engine.AssertF("reading", psym, attr, val)
+	// The episode's facts, in a fixed order (readings by attribute name):
+	// fact ids decide recency, and recency decides which of two rules of
+	// equal salience fires first.
+	ids := append(hm.epFacts[:0], e.Assert(rules.Sym(relation), mp.psym, rules.Sym(orUnknown(v.Policy))))
+	var buf [8]string
+	for _, attr := range sortedKeys(v.Readings, buf[:0]) {
+		ids = append(ids, e.Assert(rules.Sym("reading"), mp.psym, rules.Sym(attr), rules.Num(v.Readings[attr])))
 	}
-	hm.engine.AssertF("host-load", hm.host.LoadAvg())
-	hm.engine.AssertF("proc-boost", psym, float64(hm.procsByPID[v.ID.PID].proc.Boost()))
-	fired, err := hm.engine.Run(100)
+	ids = append(ids, e.Assert(rules.Sym("host-load"), rules.Num(hm.host.LoadAvg())),
+		e.Assert(rules.Sym("proc-boost"), mp.psym, rules.Num(float64(mp.proc.Boost()))))
+	fired, err := e.Run(100)
 	if hm.metrics != nil {
 		hm.metrics.firings.Observe(float64(fired))
 	}
@@ -756,13 +762,13 @@ func (hm *HostManager) handleViolation(v msg.Violation, tc telemetry.TraceContex
 		}
 	}
 	hm.epSubject, hm.epPolicy, hm.epCtx = "", "", telemetry.TraceContext{}
-	// Clear the episode; persistent facts (deffacts thresholds) remain.
-	hm.engine.RetractMatching(rules.F("violation", psym, "?")...)
-	hm.engine.RetractMatching(rules.F("overshoot", psym, "?")...)
-	hm.engine.RetractMatching(rules.F("reading", psym, "?", "?")...)
-	hm.engine.RetractMatching(rules.F("host-load", "?")...)
-	hm.engine.RetractMatching(rules.F("proc-boost", psym, "?")...)
-	hm.engine.RetractMatching(rules.F("diagnosis", psym, "?")...)
+	// Clear the episode — by id what was asserted above, by pattern what
+	// the rules concluded; persistent facts (deffacts thresholds) remain.
+	for _, id := range ids {
+		e.Retract(id)
+	}
+	e.RetractMatching(rules.Sym("diagnosis"), mp.psym, rules.Sym("?"))
+	hm.epFacts = ids
 }
 
 func orUnknown(s string) string {

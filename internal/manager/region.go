@@ -339,7 +339,7 @@ func (rm *RegionManager) CheckLiveness() (retried, abandoned int) {
 		return 0, 0
 	}
 	now := rm.livenessClock()
-	for _, ref := range sortedKeys(rm.probes) {
+	for _, ref := range sortedKeys(rm.probes, nil) {
 		p := rm.probes[ref]
 		if now-p.at <= rm.livenessTimeout {
 			continue
@@ -360,7 +360,7 @@ func (rm *RegionManager) CheckLiveness() (retried, abandoned int) {
 		delete(rm.probes, ref)
 		abandoned++
 	}
-	for _, addr := range sortedKeys(rm.domains) {
+	for _, addr := range sortedKeys(rm.domains, nil) {
 		ds := rm.domains[addr]
 		if now-ds.lastSeen <= rm.livenessTimeout {
 			continue

@@ -6,7 +6,7 @@
 package manager
 
 import (
-	"fmt"
+	"strconv"
 
 	"softqos/internal/runtime"
 )
@@ -121,4 +121,15 @@ func (m *MemoryManager) Ensure(p runtime.ProcHandle, pages int) int {
 	return p.SetResident(pages)
 }
 
-func pidSym(pid int) string { return fmt.Sprintf("p%d", pid) }
+func pidSym(pid int) string { return "p" + strconv.Itoa(pid) }
+
+// spanDetail renders "<head><n><tail>" for an adjustment span without
+// going through fmt; signed renders n as %+d.
+func spanDetail(head string, n int, signed bool, tail string) string {
+	var a [64]byte
+	b := append(a[:0], head...)
+	if signed && n >= 0 {
+		b = append(b, '+')
+	}
+	return string(append(strconv.AppendInt(b, int64(n), 10), tail...))
+}

@@ -279,7 +279,7 @@ func (g *SummaryAggregator) FleetView() telemetry.FederatedView {
 		Fleet:     g.total.View(),
 	}
 	v.Fleet.Hosts = v.Hosts
-	for _, name := range sortedKeys(g.children) {
+	for _, name := range sortedKeys(g.children, nil) {
 		c := g.children[name]
 		cv := telemetry.ChildView{
 			Name: name, Hosts: c.hosts, Summaries: c.summaries,

@@ -224,7 +224,7 @@ func (dm *DomainManager) checkFanouts(now time.Duration) (retried, abandoned int
 	if len(dm.fanouts) == 0 {
 		return 0, 0
 	}
-	for _, iref := range sortedKeys(dm.fanouts) {
+	for _, iref := range sortedKeys(dm.fanouts, nil) {
 		f := dm.fanouts[iref]
 		if now-f.at <= dm.livenessTimeout {
 			continue
@@ -238,7 +238,7 @@ func (dm *DomainManager) checkFanouts(now time.Duration) (retried, abandoned int
 			}
 			dm.evlog.EventCtx(f.ctx, eventlog.Info, "domainmanager", "fanout_retry",
 				eventlog.Str("ref", iref), eventlog.Int("pending", len(f.pending)))
-			for _, name := range sortedKeys(f.pending) {
+			for _, name := range sortedKeys(f.pending, nil) {
 				_ = dm.send(f.pending[name], msg.Message{From: dm.addr, Trace: f.ctx,
 					Body: msg.Query{From: dm.addr, Keys: f.keys, Ref: iref}})
 			}
@@ -269,7 +269,7 @@ func (dm *DomainManager) checkHosts(now time.Duration) int {
 		timeout = dm.livenessTimeout
 	}
 	evicted := 0
-	for _, name := range sortedKeys(dm.hosts) {
+	for _, name := range sortedKeys(dm.hosts, nil) {
 		silent := now - dm.hostSeen[name]
 		if silent <= timeout {
 			continue

@@ -111,22 +111,18 @@ func (e *Engine) prove(goal []Value, b *bindings, depth int, emit func(*bindings
 	g := substitute(goal, b)
 
 	// Ground case: facts.
-	stopped := false
-	e.forEachCandidate(g, func(id int, f *Fact) bool {
-		if nb, ok := unify(g, f, b); ok {
-			if !emit(nb) {
-				stopped = true
-				return false
-			}
+	for _, f := range e.candidates(g) {
+		if f.gone {
+			continue
 		}
-		return true
-	})
-	if stopped {
-		return false
+		if nb, ok := unify(g, f, b); ok && !emit(nb) {
+			return false
+		}
 	}
 
 	// Rule case: any Horn clause whose head unifies with the goal.
-	for _, r := range e.rs {
+	for _, p := range e.rs {
+		r := p.Rule
 		head := hornHead(r)
 		if head == nil || len(head) != len(g) {
 			continue

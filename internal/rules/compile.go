@@ -1,0 +1,246 @@
+package rules
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+)
+
+// prod is a Rule compiled for one engine: the immutable match program
+// (conds, actions) plus the rule's share of the conflict set.
+type prod struct {
+	*Rule
+	conds   []cond
+	npos    int      // positive patterns: an activation matched one fact for each
+	actions []action // RHS, in order
+	vars    []string // slot -> variable name, for firing records
+
+	dirty bool // a memory under conds changed since set was matched
+	set   conflictSet
+}
+
+// cond is one compiled condition element.
+type cond struct {
+	kind  ceKind
+	pos   int     // cePattern: which of the activation's matched facts this is
+	mem   *memory // facts to scan: the head's alpha memory, or all of working memory
+	terms []term  // one per pattern position
+	test  expr    // ceTest
+}
+
+// term is what one pattern position does to a candidate fact's atom.
+type term struct {
+	op   uint8
+	slot int   // tBind, tCheck
+	val  Value // tConst
+}
+
+const (
+	tAny   uint8 = iota // ? — or the constant head the memory already guarantees
+	tConst              // equal val
+	tBind               // first occurrence of a variable: store in slot
+	tCheck              // later occurrence: equal slot
+)
+
+// unify matches f against the pattern under frame, binding as it goes. A
+// slot bound by a failed attempt is simply overwritten by the next one.
+func (c *cond) unify(f *Fact, frame []Value) bool {
+	if len(f.items) != len(c.terms) {
+		return false
+	}
+	for i := range c.terms {
+		switch t := &c.terms[i]; t.op {
+		case tConst:
+			if !equal(&t.val, &f.items[i]) {
+				return false
+			}
+		case tBind:
+			frame[t.slot] = f.items[i]
+		case tCheck:
+			if !equal(&frame[t.slot], &f.items[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// pattern compiles one pattern under sc — the rule's variables so far, a
+// name's index being its frame slot — which gains the variables the
+// pattern binds, and registers p with the memory the pattern scans.
+func (e *Engine) pattern(p *prod, kind ceKind, pat []Value, sc *bindings) cond {
+	c := cond{kind: kind, mem: &e.all, terms: make([]term, len(pat))}
+	for i, v := range pat {
+		switch {
+		case !v.IsVariable():
+			c.terms[i] = term{op: tConst, val: v}
+		case v.Sym == "?":
+		case sc.slot(v.Sym) >= 0:
+			c.terms[i] = term{op: tCheck, slot: sc.slot(v.Sym)}
+		default:
+			c.terms[i] = term{op: tBind, slot: len(sc.names)}
+			sc.names = append(sc.names, v.Sym)
+		}
+	}
+	if pat[0].Kind == SymbolKind && !pat[0].IsVariable() {
+		c.mem, c.terms[0] = e.mem(pat[0].Sym, len(pat)), term{}
+	}
+	c.mem.deps = append(c.mem.deps, p)
+	return c
+}
+
+// compile turns a parsed rule into its match program: variables become
+// frame slots, tests and RHS expressions closures over them, and each
+// pattern is bound to the memory it scans.
+func (e *Engine) compile(r *Rule) *prod {
+	p := &prod{Rule: r, dirty: true}
+	sc := &bindings{}
+	factAddr := map[string]int{} // ?f <- (pattern): which matched fact ?f names
+	slots := 0
+	for _, ce := range r.ces {
+		switch ce.kind {
+		case cePattern:
+			if ce.bindVar != "" {
+				factAddr[ce.bindVar] = p.npos
+			}
+			c := e.pattern(p, cePattern, ce.pattern, sc)
+			c.pos = p.npos
+			p.npos++
+			p.conds = append(p.conds, c)
+		case ceNegated: // variables first seen under not stay local to it
+			local := &bindings{names: append([]string(nil), sc.names...)}
+			p.conds = append(p.conds, e.pattern(p, ceNegated, ce.pattern, local))
+			slots = max(slots, len(local.names))
+		case ceTest:
+			p.conds = append(p.conds, cond{kind: ceTest, test: compileExpr(ce.test, sc.slot)})
+		}
+	}
+	p.vars = sc.names
+	if slots = max(slots, len(p.vars)); slots > len(e.frame) {
+		e.frame = make([]Value, slots)
+	}
+	if p.npos > len(e.stack) {
+		e.stack = make([]*Fact, p.npos)
+	}
+	for _, act := range r.actions {
+		p.actions = append(p.actions, e.compileAction(act, sc.slot, factAddr))
+	}
+	return p
+}
+
+// action is one compiled RHS action; tuple is the firing activation's
+// matched facts and e.frame holds its bindings.
+type action func(e *Engine, tuple []*Fact) error
+
+// compileAction compiles one RHS form. A malformed action compiles to one
+// that fails when it runs, so the rule set still loads and its other rules
+// still fire.
+func (e *Engine) compileAction(act sexpr, slot func(string) int, factAddr map[string]int) action {
+	fail := func(err error) action { return func(*Engine, []*Fact) error { return err } }
+	exprs := func(forms []sexpr) []expr {
+		out := make([]expr, len(forms))
+		for i, f := range forms {
+			out[i] = compileExpr(f, slot)
+		}
+		return out
+	}
+	switch act.head() {
+	case "assert":
+		if len(act.list) != 2 || !act.list[1].isList() {
+			return fail(errors.New("assert takes one fact form"))
+		}
+		form := act.list[1]
+		items := exprs(form.list)
+		if t, ok := e.templates[form.head()]; ok && isSlotForm(form) {
+			var err error
+			if items, err = t.compileForm(form, slot); err != nil {
+				return fail(err)
+			}
+		}
+		return func(e *Engine, _ []*Fact) error {
+			var buf [8]Value
+			tuple, err := evalAll(items, e.frame, buf[:0])
+			if err != nil {
+				return err
+			}
+			e.Assert(tuple...)
+			if e.capturing {
+				e.cap.buf = appendTuple(e.cap.buf, tuple)
+				e.cap.mark(effAsserted)
+			}
+			return nil
+		}
+	case "retract":
+		return func(e *Engine, tuple []*Fact) error {
+			for _, item := range act.list[1:] {
+				if item.atom == nil || !item.atom.IsVariable() {
+					return fmt.Errorf("retract takes fact-address variables")
+				}
+				k, ok := factAddr[item.atom.Sym]
+				if !ok {
+					return fmt.Errorf("retract: %s is not a fact address", item.atom.Sym)
+				}
+				if e.capturing {
+					e.cap.buf = appendTuple(e.cap.buf, tuple[k].items)
+					e.cap.mark(effRetracted)
+				}
+				e.Retract(tuple[k].id)
+			}
+			return nil
+		}
+	case "call":
+		if len(act.list) < 2 || act.list[1].atom == nil || act.list[1].atom.Kind != SymbolKind {
+			return fail(errors.New("call needs a function name"))
+		}
+		name, items := act.list[1].atom.Sym, exprs(act.list[2:])
+		return func(e *Engine, _ []*Fact) error {
+			fn, ok := e.funcs[name]
+			if !ok {
+				return fmt.Errorf("call: unknown function %q", name)
+			}
+			args, err := evalAll(items, e.frame, e.args[:0])
+			if err != nil {
+				return err
+			}
+			e.args = args[:0]
+			if e.capturing {
+				e.cap.buf = append(e.cap.buf, name...)
+				for _, v := range args {
+					e.cap.buf = appendValue(append(e.cap.buf, ' '), v)
+				}
+				e.cap.mark(effCalled)
+			}
+			if err := fn(args); err != nil {
+				return fmt.Errorf("call %s: %w", name, err)
+			}
+			return nil
+		}
+	default: // "log": parseDefrule admits no other head
+		items := exprs(act.list[1:])
+		return func(e *Engine, _ []*Fact) error {
+			vals, err := evalAll(items, e.frame, nil)
+			parts := make([]string, len(vals))
+			for i, v := range vals {
+				if parts[i] = v.String(); v.Kind == StringKind {
+					parts[i] = v.Str
+				}
+			}
+			if err == nil {
+				e.logf("%s", strings.Join(parts, " "))
+			}
+			return err
+		}
+	}
+}
+
+// evalAll evaluates items under frame, appending the values to out.
+func evalAll(items []expr, frame, out []Value) ([]Value, error) {
+	for _, it := range items {
+		v, err := it(frame)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}

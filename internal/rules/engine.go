@@ -2,42 +2,46 @@ package rules
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"hash/maphash"
+	"math"
 )
 
-// Callback is a Go function the rule RHS can invoke with (call name args...).
+// Callback is a Go function the rule RHS can invoke with (call name
+// args...). args is only valid during the call: the engine reuses it.
 type Callback func(args []Value) error
 
 // Engine is the fact repository plus inference machinery of one manager.
 type Engine struct {
-	facts map[int]*Fact
-	// order holds fact ids in assertion order. Retraction tombstones
-	// (the id stays until compaction; liveness is the facts map) so a
-	// retract never scans all of working memory; iteration skips dead
-	// ids and the slice is compacted once half of it is tombstones.
-	order     []int
-	orderDead int
-	byKey     map[string]int
-	nextID    int
+	facts  map[int]*Fact    // live facts by id
+	byHash map[uint64]*Fact // live facts by tuple hash, colliding ones chained through Fact.next
+	seed   maphash.Seed
+	nextID int
 
-	// byRelation indexes live fact ids by (relation, arity) — the
-	// alpha-memory of a Rete network, enough to keep pattern matching
-	// linear in the relevant facts rather than all of working memory.
-	// Buckets tombstone on retract exactly like order.
-	byRelation map[relKey]*bucket
+	// all holds every live fact in assertion order; mems indexes them by
+	// (relation, arity) — the alpha memories of a Rete network, which keep
+	// matching linear in the relevant facts. A compiled pattern with a
+	// constant head points straight at its memory; any other scans all.
+	all  memory
+	mems map[relKey]*memory
 
-	// noIndex disables the alpha memories, forcing every pattern to
-	// scan all of working memory in assertion order. Test-only: the
-	// equivalence suite uses it as the reference matcher the indexed
-	// engine must agree with, firing for firing.
-	noIndex bool
-
-	rs        []*Rule
+	rs        []*prod
 	templates map[string]*template
 	funcs     map[string]Callback
-	fired     map[string]bool // refraction memory, keyed by rule + fact ids
+
+	// Match state, reused across episodes (agenda.go): stale — some rule
+	// needs re-matching; frame and stack — variable slots and matched
+	// facts of the match in progress; old/cur — the conflict set a
+	// re-match replaces; spare — the buffers the next re-match fills.
+	stale       bool
+	frame, args []Value
+	stack       []*Fact
+	old, spare  conflictSet
+	cur         int
+	capturing   bool // a Firing record is wanted: execute notes effects in cap
+	cap         capture
+	tracing     bool
+	trace       []Firing
+	origins     map[string]string // rule name -> rule-set provenance (see LoadRulesOrigin)
 
 	// Logf, if non-nil, receives (log ...) output and trace messages.
 	Logf func(format string, args ...any)
@@ -48,28 +52,17 @@ type Engine struct {
 	// explanations to the violation trace being diagnosed. It is invoked
 	// after the activation's RHS ran, independent of SetTracing.
 	OnFiring func(Firing)
-
-	// Firing trace (see trace.go).
-	tracing bool
-	trace   []Firing
-	capture *Firing // effect-capture target while an activation executes
-
-	// origins maps rule name -> rule-set provenance (see LoadRulesOrigin).
-	origins map[string]string
-
-	// Firings counts rule activations executed over the engine's life.
-	Firings uint64
 }
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
 	return &Engine{
-		facts:      make(map[int]*Fact),
-		byKey:      make(map[string]int),
-		byRelation: make(map[relKey]*bucket),
-		templates:  make(map[string]*template),
-		funcs:      make(map[string]Callback),
-		fired:      make(map[string]bool),
+		facts:     make(map[int]*Fact),
+		byHash:    make(map[uint64]*Fact),
+		seed:      maphash.MakeSeed(),
+		mems:      make(map[relKey]*memory),
+		templates: make(map[string]*template),
+		funcs:     make(map[string]Callback),
 	}
 }
 
@@ -88,14 +81,18 @@ func (e *Engine) LoadRulesOrigin(origin, src string) error {
 	if err != nil {
 		return err
 	}
-	e.rs = rs
 	e.templates = templates
-	e.fired = make(map[string]bool)
 	e.origins = make(map[string]string)
-	if origin != "" {
-		for _, r := range rs {
+	e.rs = nil
+	e.all.deps = nil
+	for _, m := range e.mems {
+		m.deps = nil
+	}
+	for _, r := range rs {
+		if origin != "" {
 			e.origins[r.Name] = origin
 		}
+		e.AddRule(r)
 	}
 	for _, f := range facts {
 		e.Assert(f...)
@@ -103,21 +100,18 @@ func (e *Engine) LoadRulesOrigin(origin, src string) error {
 	return nil
 }
 
-// Origin returns the provenance tag of a loaded rule ("" when the rule
-// was loaded without one).
-func (e *Engine) Origin(rule string) string { return e.origins[rule] }
-
-// AddRule appends a single parsed rule (used by tests and composition).
+// AddRule compiles and appends a single parsed rule (used by LoadRules,
+// tests and composition). Its conflict set starts empty and unmatched.
 func (e *Engine) AddRule(r *Rule) {
-	r.order = len(e.rs)
-	e.rs = append(e.rs, r)
+	e.rs = append(e.rs, e.compile(r))
+	e.stale = true
 }
 
 // Rules returns the loaded rule names in definition order.
 func (e *Engine) Rules() []string {
 	out := make([]string, len(e.rs))
-	for i, r := range e.rs {
-		out[i] = r.Name
+	for i, p := range e.rs {
+		out[i] = p.Name
 	}
 	return out
 }
@@ -125,321 +119,220 @@ func (e *Engine) Rules() []string {
 // RegisterFunc makes a Go callback available to (call name ...) actions.
 func (e *Engine) RegisterFunc(name string, fn Callback) { e.funcs[name] = fn }
 
-// Assert adds a fact tuple to working memory, returning its id. Asserting
-// a duplicate of a live fact is a no-op returning the existing id.
-func (e *Engine) Assert(items ...Value) int {
-	f := &Fact{items: append([]Value(nil), items...)}
-	key := f.key()
-	if id, ok := e.byKey[key]; ok {
-		return id
-	}
-	e.nextID++
-	f.id = e.nextID
-	e.facts[f.id] = f
-	e.byKey[key] = f.id
-	e.order = append(e.order, f.id)
-	k := relKey{f.Relation(), f.Len()}
-	b := e.byRelation[k]
-	if b == nil {
-		b = &bucket{}
-		e.byRelation[k] = b
-	}
-	b.ids = append(b.ids, f.id)
-	return f.id
-}
-
 // relKey identifies an alpha memory.
 type relKey struct {
 	rel   string
 	arity int
 }
 
-// bucket is one alpha memory: fact ids of a (relation, arity) in
-// assertion order, tombstoned on retract and compacted when half dead.
-type bucket struct {
-	ids  []int
-	dead int
+// memory is facts in assertion order — one alpha memory, or all of
+// working memory. Retraction tombstones (Fact.gone) so a retract never
+// searches; iteration skips dead facts and the slice is compacted, in
+// place, once half of it is dead. Nothing retracts while iterating.
+type memory struct {
+	facts []*Fact
+	dead  int
+	deps  []*prod // rules with a condition element over this memory
 }
 
-// compact rebuilds the bucket keeping only live ids. It allocates a
-// fresh slice so iterators holding the old one stay valid.
-func (b *bucket) compact(live map[int]*Fact) {
-	ids := make([]int, 0, len(b.ids)-b.dead)
-	for _, id := range b.ids {
-		if _, ok := live[id]; ok {
-			ids = append(ids, id)
+// changed marks every rule matching over m for re-matching.
+func (e *Engine) changed(m *memory) {
+	for _, p := range m.deps {
+		p.dirty = true
+		e.stale = true
+	}
+}
+
+func (m *memory) remove() {
+	m.dead++
+	if m.dead*2 <= len(m.facts) {
+		return
+	}
+	live := m.facts[:0]
+	for _, f := range m.facts {
+		if !f.gone {
+			live = append(live, f)
 		}
 	}
-	b.ids, b.dead = ids, 0
+	clear(m.facts[len(live):])
+	m.facts, m.dead = live, 0
 }
 
-// forEachCandidate calls yield with every live fact the pattern could
-// possibly match, in assertion order: the relation bucket when the
+// mem returns the alpha memory of (rel, arity), creating it when absent.
+func (e *Engine) mem(rel string, arity int) *memory {
+	k := relKey{rel, arity}
+	m := e.mems[k]
+	if m == nil {
+		m = &memory{}
+		e.mems[k] = m
+	}
+	return m
+}
+
+// candidates returns the facts a pattern could possibly match, in
+// assertion order, dead ones included: the relation's memory when the
 // pattern's head is a constant symbol, all of working memory otherwise.
-// yield returns false to stop early. Mutating the engine from yield is
-// safe with respect to this iteration (compaction allocates fresh
-// slices), but newly asserted facts may or may not be visited.
-func (e *Engine) forEachCandidate(pattern []Value, yield func(id int, f *Fact) bool) {
-	ids := e.order
-	if !e.noIndex && len(pattern) > 0 && pattern[0].Kind == SymbolKind && !pattern[0].IsVariable() {
-		b := e.byRelation[relKey{pattern[0].Sym, len(pattern)}]
-		if b == nil {
-			return
-		}
-		ids = b.ids
+func (e *Engine) candidates(pattern []Value) []*Fact {
+	if len(pattern) == 0 || pattern[0].Kind != SymbolKind || pattern[0].IsVariable() {
+		return e.all.facts
 	}
-	for _, id := range ids {
-		if f, ok := e.facts[id]; ok {
-			if !yield(id, f) {
-				return
-			}
+	if m := e.mems[relKey{pattern[0].Sym, len(pattern)}]; m != nil {
+		return m.facts
+	}
+	return nil
+}
+
+// hashTuple hashes a tuple for duplicate detection.
+func (e *Engine) hashTuple(items []Value) uint64 {
+	h := uint64(len(items))
+	for i := range items {
+		var x uint64
+		switch v := &items[i]; v.Kind {
+		case SymbolKind:
+			x = maphash.String(e.seed, v.Sym)
+		case NumberKind:
+			x = math.Float64bits(v.Num)
+		default:
+			x = ^maphash.String(e.seed, v.Str)
+		}
+		h = (h ^ x) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h
+}
+
+// Assert adds a fact tuple to working memory, returning its id. Asserting
+// a duplicate of a live fact is a no-op returning the existing id.
+func (e *Engine) Assert(items ...Value) int {
+	h := e.hashTuple(items)
+	for f := e.byHash[h]; f != nil; f = f.next {
+		if sameTuple(f.items, items) {
+			return f.id
 		}
 	}
+	e.nextID++
+	f := &Fact{id: e.nextID, hash: h, next: e.byHash[h]}
+	if len(items) <= len(f.inline) {
+		f.items = f.inline[:len(items)]
+	} else {
+		f.items = make([]Value, len(items))
+	}
+	copy(f.items, items)
+	e.facts[f.id] = f
+	e.byHash[h] = f
+	e.all.facts = append(e.all.facts, f)
+	m := e.mem(f.Relation(), len(items))
+	m.facts = append(m.facts, f)
+	e.changed(m)
+	e.changed(&e.all)
+	return f.id
 }
 
 // AssertF is Assert with Go-native items (see F).
 func (e *Engine) AssertF(items ...any) int { return e.Assert(F(items...)...) }
 
-// Retract removes a fact by id; it reports whether the fact existed.
-// The order and alpha-memory entries are tombstoned, not searched, so
-// retraction cost is independent of working-memory size.
+// Retract removes a fact by id; it reports whether the fact existed. Memory
+// entries are tombstoned, not searched: the cost is independent of memory size.
 func (e *Engine) Retract(id int) bool {
 	f, ok := e.facts[id]
 	if !ok {
 		return false
 	}
 	delete(e.facts, id)
-	delete(e.byKey, f.key())
-	e.orderDead++
-	if e.orderDead*2 > len(e.order) {
-		order := make([]int, 0, len(e.order)-e.orderDead)
-		for _, fid := range e.order {
-			if _, ok := e.facts[fid]; ok {
-				order = append(order, fid)
-			}
+	if head := e.byHash[f.hash]; head == f {
+		if f.next == nil {
+			delete(e.byHash, f.hash)
+		} else {
+			e.byHash[f.hash] = f.next
 		}
-		e.order, e.orderDead = order, 0
-	}
-	if b := e.byRelation[relKey{f.Relation(), f.Len()}]; b != nil {
-		b.dead++
-		if b.dead*2 > len(b.ids) {
-			b.compact(e.facts)
+	} else {
+		for ; head.next != f; head = head.next {
 		}
+		head.next = f.next
 	}
+	f.gone, f.next = true, nil
+	m := e.mems[relKey{f.Relation(), len(f.items)}]
+	m.remove()
+	e.all.remove()
+	e.changed(m)
+	e.changed(&e.all)
 	return true
 }
 
 // RetractMatching removes every fact unifying with the pattern (variables
-// allowed) and returns how many were removed. Managers use it to clear
-// per-process facts between diagnosis episodes.
+// allowed) and returns how many were removed.
 func (e *Engine) RetractMatching(pattern ...Value) int {
-	var ids []int
-	base := newBindings()
-	e.forEachCandidate(pattern, func(id int, f *Fact) bool {
-		if _, ok := unify(pattern, f, base); ok {
-			ids = append(ids, id)
-		}
-		return true
-	})
-	for _, id := range ids {
-		e.Retract(id)
+	var buf [8]*Fact // collected first: a retract may compact the memory being scanned
+	hits := e.appendMatching(buf[:0], pattern)
+	for _, f := range hits {
+		e.Retract(f.id)
 	}
-	return len(ids)
+	return len(hits)
 }
 
 // FactCount returns the number of live facts.
 func (e *Engine) FactCount() int { return len(e.facts) }
 
 // Facts returns live facts in assertion order.
-func (e *Engine) Facts() []*Fact {
-	out := make([]*Fact, 0, len(e.facts))
-	for _, id := range e.order {
-		if f, ok := e.facts[id]; ok {
-			out = append(out, f)
-		}
-	}
-	return out
-}
+func (e *Engine) Facts() []*Fact { return e.appendMatching(nil, nil) }
 
 // FactsMatching returns live facts unifying with the pattern.
-func (e *Engine) FactsMatching(pattern ...Value) []*Fact {
-	var out []*Fact
-	base := newBindings()
-	e.forEachCandidate(pattern, func(id int, f *Fact) bool {
-		if _, ok := unify(pattern, f, base); ok {
+func (e *Engine) FactsMatching(pattern ...Value) []*Fact { return e.appendMatching(nil, pattern) }
+
+// appendMatching appends the live facts unifying with the pattern (every
+// live fact for the empty pattern) to out, in assertion order.
+func (e *Engine) appendMatching(out []*Fact, pattern []Value) []*Fact {
+	var none bindings
+	for _, f := range e.candidates(pattern) {
+		if !f.gone && (len(pattern) == 0 || unifies(pattern, f, &none)) {
 			out = append(out, f)
 		}
-		return true
-	})
+	}
 	return out
 }
 
-// unify matches a pattern tuple against a fact, extending b. The returned
-// bindings share structure with b only on success. b is never mutated:
-// the match is verified first (collecting new variable bindings into a
-// stack scratch), and b is cloned only for successful matches — match
-// attempts vastly outnumber matches, so the failure path allocates
-// nothing.
+// unifies reports whether a pattern tuple matches a fact under b: constants
+// and variables b binds must equal the fact's atoms, ? matches anything,
+// and a variable b does not bind must see one atom wherever it repeats.
+// Match attempts vastly outnumber matches, so this allocates nothing.
+func unifies(pattern []Value, f *Fact, b *bindings) bool {
+	if len(pattern) != len(f.items) {
+		return false
+	}
+	for i := range pattern {
+		want := &pattern[i]
+		if name := want.Sym; want.IsVariable() {
+			if name == "?" {
+				continue
+			}
+			if j := b.slot(name); j >= 0 {
+				want = &b.vals[j]
+			} else { // the atom under the variable's first occurrence (at i, at the latest)
+				for j = 0; pattern[j].Kind != SymbolKind || pattern[j].Sym != name; j++ {
+				}
+				want = &f.items[j]
+			}
+		}
+		if !equal(want, &f.items[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// unify is unifies returning the extended environment — a copy of b plus
+// the variables the match binds — for the goal-directed paths.
 func unify(pattern []Value, f *Fact, b *bindings) (*bindings, bool) {
-	if len(pattern) != f.Len() {
+	if !unifies(pattern, f, b) {
 		return nil, false
 	}
-	var scratch [8]varBind
-	fresh := scratch[:0]
-	for i, pv := range pattern {
-		fv := f.At(i)
-		if pv.IsVariable() {
-			if pv.Sym == "?" { // anonymous wildcard
-				continue
-			}
-			if bound, ok := b.lookup(pv.Sym); ok {
-				if !bound.Equal(fv) {
-					return nil, false
-				}
-				continue
-			}
-			// A variable can repeat within one pattern: later
-			// occurrences must agree with the binding collected here.
-			dup := false
-			for _, nb := range fresh {
-				if nb.name == pv.Sym {
-					dup = true
-					if !nb.val.Equal(fv) {
-						return nil, false
-					}
-					break
-				}
-			}
-			if !dup {
-				fresh = append(fresh, varBind{pv.Sym, fv})
-			}
-			continue
-		}
-		if !pv.Equal(fv) {
-			return nil, false
-		}
-	}
 	nb := b.clone()
-	nb.vars = append(nb.vars, fresh...)
+	for i, pv := range pattern {
+		if pv.IsVariable() && pv.Sym != "?" {
+			nb.setVar(pv.Sym, f.items[i])
+		}
+	}
 	return nb, true
-}
-
-// activation is one (rule, match) pair eligible to fire.
-type activation struct {
-	rule    *Rule
-	binds   *bindings
-	factIDs []int
-	recency int
-}
-
-// appendKey renders the activation's dedup key ("name#id,id,...") into
-// buf. The agenda checks keys against the fired set after every firing,
-// so lookups go through appendKey with a stack buffer (map access with a
-// string([]byte) key does not allocate); key() materializes the string
-// only when an activation actually fires.
-func (a *activation) appendKey(buf []byte) []byte {
-	buf = append(buf, a.rule.Name...)
-	buf = append(buf, '#')
-	for i, id := range a.factIDs {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendInt(buf, int64(id), 10)
-	}
-	return buf
-}
-
-func (a *activation) key() string {
-	var scratch [64]byte
-	return string(a.appendKey(scratch[:0]))
-}
-
-// matchRule enumerates all complete matches for r.
-func (e *Engine) matchRule(r *Rule) []*activation {
-	var acts []*activation
-	var rec func(i int, b *bindings, ids []int)
-	rec = func(i int, b *bindings, ids []int) {
-		if i == len(r.ces) {
-			rc := 0
-			for _, id := range ids {
-				if id > rc {
-					rc = id
-				}
-			}
-			acts = append(acts, &activation{
-				rule: r, binds: b,
-				factIDs: append([]int(nil), ids...),
-				recency: rc,
-			})
-			return
-		}
-		ce := r.ces[i]
-		switch ce.kind {
-		case cePattern:
-			e.forEachCandidate(ce.pattern, func(id int, f *Fact) bool {
-				nb, ok := unify(ce.pattern, f, b)
-				if !ok {
-					return true
-				}
-				if ce.bindVar != "" {
-					nb.setFact(ce.bindVar, f)
-				}
-				rec(i+1, nb, append(ids, id))
-				return true
-			})
-		case ceNegated:
-			blocked := false
-			e.forEachCandidate(ce.pattern, func(id int, f *Fact) bool {
-				if _, ok := unify(ce.pattern, f, b); ok {
-					blocked = true
-					return false // a match exists: negation fails
-				}
-				return true
-			})
-			if blocked {
-				return
-			}
-			rec(i+1, b, ids)
-		case ceTest:
-			v, err := eval(ce.test, b)
-			if err != nil {
-				e.logf("rules: rule %s: test error: %v", r.Name, err)
-				return
-			}
-			if truthy(v) {
-				rec(i+1, b, ids)
-			}
-		}
-	}
-	// One scratch backing array serves every depth: recursion is
-	// depth-first and activations copy factIDs out, so siblings reusing
-	// a slot never observe each other's writes.
-	rec(0, newBindings(), make([]int, 0, len(r.ces)))
-	return acts
-}
-
-// agenda computes all unfired activations, ordered by salience (desc),
-// recency (desc), then rule definition order.
-func (e *Engine) agenda() []*activation {
-	var acts []*activation
-	var kbuf [64]byte
-	for _, r := range e.rs {
-		for _, a := range e.matchRule(r) {
-			if !e.fired[string(a.appendKey(kbuf[:0]))] {
-				acts = append(acts, a)
-			}
-		}
-	}
-	sort.SliceStable(acts, func(i, j int) bool {
-		if acts[i].rule.Salience != acts[j].rule.Salience {
-			return acts[i].rule.Salience > acts[j].rule.Salience
-		}
-		if acts[i].recency != acts[j].recency {
-			return acts[i].recency > acts[j].recency
-		}
-		return acts[i].rule.order < acts[j].rule.order
-	})
-	return acts
 }
 
 // Run forward-chains until quiescence or limit firings (limit <= 0 means
@@ -447,163 +340,40 @@ func (e *Engine) agenda() []*activation {
 func (e *Engine) Run(limit int) (int, error) {
 	fired := 0
 	for limit <= 0 || fired < limit {
-		agenda := e.agenda()
-		if len(agenda) == 0 {
-			return fired, nil
+		p, i := e.next()
+		if p == nil {
+			break
 		}
-		a := agenda[0]
-		e.fired[a.key()] = true
-		e.Firings++
+		p.set.acts[i].fired = true
 		fired++
-		var rec *Firing
-		if e.tracing || e.OnFiring != nil {
-			f := e.newFiring(a)
-			rec = &f
-			e.capture = rec
+		tuple := p.set.tuple(i, p.npos)
+		for j := range p.conds { // re-derive the bindings from the matched facts
+			if c := &p.conds[j]; c.kind == cePattern {
+				c.unify(tuple[c.pos], e.frame)
+			}
 		}
-		err := e.execute(a)
-		if rec != nil {
-			e.capture = nil
+		e.capturing = e.tracing || e.OnFiring != nil
+		e.cap.reset()
+		var err error
+		for _, act := range p.actions {
+			if err = act(e, tuple); err != nil {
+				break
+			}
+		}
+		if e.capturing {
+			rec := e.firing(p, tuple)
 			if e.tracing {
-				e.trace = append(e.trace, *rec)
+				e.trace = append(e.trace, rec)
 			}
 			if e.OnFiring != nil {
-				e.OnFiring(*rec)
+				e.OnFiring(rec)
 			}
 		}
 		if err != nil {
-			return fired, fmt.Errorf("rules: rule %s: %w", a.rule.Name, err)
+			return fired, fmt.Errorf("rules: rule %s: %w", p.Name, err)
 		}
 	}
 	return fired, nil
-}
-
-// execute runs an activation's RHS actions.
-func (e *Engine) execute(a *activation) error {
-	for _, act := range a.rule.actions {
-		switch act.head() {
-		case "assert":
-			if len(act.list) != 2 || !act.list[1].isList() {
-				return fmt.Errorf("assert takes one fact form")
-			}
-			form := act.list[1]
-			if t, ok := e.templates[form.head()]; ok && isSlotForm(form) {
-				tuple, err := e.assertTemplatedForm(t, form, a.binds)
-				if err != nil {
-					return err
-				}
-				e.Assert(tuple...)
-				e.noteAssert(tuple)
-				break
-			}
-			tuple := make([]Value, 0, len(form.list))
-			for _, item := range form.list {
-				v, err := eval(item, a.binds)
-				if err != nil {
-					return err
-				}
-				tuple = append(tuple, v)
-			}
-			e.Assert(tuple...)
-			e.noteAssert(tuple)
-		case "retract":
-			for _, item := range act.list[1:] {
-				if item.atom == nil || !item.atom.IsVariable() {
-					return fmt.Errorf("retract takes fact-address variables")
-				}
-				f, ok := a.binds.fact(item.atom.Sym)
-				if !ok {
-					return fmt.Errorf("retract: %s is not a fact address", item.atom.Sym)
-				}
-				if e.capture != nil {
-					e.capture.Retracted = append(e.capture.Retracted, f.String())
-				}
-				e.Retract(f.ID())
-			}
-		case "call":
-			if len(act.list) < 2 || act.list[1].atom == nil || act.list[1].atom.Kind != SymbolKind {
-				return fmt.Errorf("call needs a function name")
-			}
-			name := act.list[1].atom.Sym
-			fn, ok := e.funcs[name]
-			if !ok {
-				return fmt.Errorf("call: unknown function %q", name)
-			}
-			args := make([]Value, 0, len(act.list)-2)
-			for _, item := range act.list[2:] {
-				v, err := eval(item, a.binds)
-				if err != nil {
-					return err
-				}
-				args = append(args, v)
-			}
-			if e.capture != nil {
-				rendered := make([]string, 0, len(args)+1)
-				rendered = append(rendered, name)
-				for _, v := range args {
-					rendered = append(rendered, v.String())
-				}
-				e.capture.Called = append(e.capture.Called, strings.Join(rendered, " "))
-			}
-			if err := fn(args); err != nil {
-				return fmt.Errorf("call %s: %w", name, err)
-			}
-		case "log":
-			parts := make([]string, 0, len(act.list)-1)
-			for _, item := range act.list[1:] {
-				v, err := eval(item, a.binds)
-				if err != nil {
-					return err
-				}
-				if v.Kind == StringKind {
-					parts = append(parts, v.Str)
-				} else {
-					parts = append(parts, v.String())
-				}
-			}
-			e.logf("%s", strings.Join(parts, " "))
-		}
-	}
-	return nil
-}
-
-// assertTemplatedForm evaluates a templated RHS assert form, producing
-// the ordered tuple (slot values may be computed expressions).
-func (e *Engine) assertTemplatedForm(t *template, form sexpr, b *bindings) ([]Value, error) {
-	tuple := make([]Value, len(t.slots)+1)
-	tuple[0] = Sym(t.name)
-	seen := make([]bool, len(t.slots))
-	for _, c := range form.list[1:] {
-		slot := c.list[0].atom.Sym
-		i := t.slotIndex(slot)
-		if i < 0 {
-			return nil, fmt.Errorf("template %s has no slot %q", t.name, slot)
-		}
-		v, err := eval(c.list[1], b)
-		if err != nil {
-			return nil, err
-		}
-		tuple[i+1] = v
-		seen[i] = true
-	}
-	for i, s := range t.slots {
-		if !seen[i] {
-			if !s.hasD {
-				return nil, fmt.Errorf("template %s: slot %q omitted without default", t.name, s.name)
-			}
-			tuple[i+1] = s.def
-		}
-	}
-	return tuple, nil
-}
-
-// noteAssert records an asserted tuple on the capture target.
-func (e *Engine) noteAssert(tuple []Value) {
-	if e.capture == nil {
-		return
-	}
-	f := &Fact{items: tuple}
-	e.capture.Asserted = append(e.capture.Asserted, f.String())
 }
 
 func (e *Engine) logf(format string, args ...any) {

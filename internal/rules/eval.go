@@ -5,76 +5,47 @@ import (
 	"math"
 )
 
-// bindings is the variable environment built during a match: variable
-// names (including the leading '?') bound to values, and fact-address
-// variables bound to matched facts. Environments are tiny — a handful of
-// entries — so both live in small slices: lookup is a linear scan and
-// clone is a straight copy, which is far cheaper than per-clone map
-// allocation on the matcher's hot path.
+// bindings is a by-name variable environment: names (with the leading
+// '?') and, for the goal-directed paths (Prove, Explain), their values —
+// a name's index is its slot in the frame compiled code runs over.
+// Environments hold a handful of entries; lookup is a linear scan.
 type bindings struct {
-	vars  []varBind
-	facts []factBind
-}
-
-type varBind struct {
-	name string
-	val  Value
-}
-
-type factBind struct {
-	name string
-	fact *Fact
+	names []string
+	vals  []Value
 }
 
 func newBindings() *bindings { return &bindings{} }
 
-func (b *bindings) lookup(name string) (Value, bool) {
-	for i := range b.vars {
-		if b.vars[i].name == name {
-			return b.vars[i].val, true
+// slot returns the frame index of a variable, or -1 when unbound.
+func (b *bindings) slot(name string) int {
+	for i, n := range b.names {
+		if n == name {
+			return i
 		}
+	}
+	return -1
+}
+
+func (b *bindings) lookup(name string) (Value, bool) {
+	if i := b.slot(name); i >= 0 {
+		return b.vals[i], true
 	}
 	return Value{}, false
 }
 
 func (b *bindings) setVar(name string, v Value) {
-	for i := range b.vars {
-		if b.vars[i].name == name {
-			b.vars[i].val = v
-			return
-		}
+	if i := b.slot(name); i >= 0 {
+		b.vals[i] = v
+		return
 	}
-	b.vars = append(b.vars, varBind{name, v})
-}
-
-func (b *bindings) fact(name string) (*Fact, bool) {
-	for i := range b.facts {
-		if b.facts[i].name == name {
-			return b.facts[i].fact, true
-		}
-	}
-	return nil, false
-}
-
-func (b *bindings) setFact(name string, f *Fact) {
-	for i := range b.facts {
-		if b.facts[i].name == name {
-			b.facts[i].fact = f
-			return
-		}
-	}
-	b.facts = append(b.facts, factBind{name, f})
+	b.names, b.vals = append(b.names, name), append(b.vals, v)
 }
 
 func (b *bindings) clone() *bindings {
-	nb := &bindings{}
-	if len(b.vars) > 0 {
-		nb.vars = append(make([]varBind, 0, len(b.vars)+4), b.vars...)
+	return &bindings{
+		names: append(make([]string, 0, len(b.names)+4), b.names...),
+		vals:  append(make([]Value, 0, len(b.vals)+4), b.vals...),
 	}
-	if len(b.facts) > 0 {
-		nb.facts = append([]factBind(nil), b.facts...)
-	}
-	return nb
 }
 
 // truthy: everything except the symbol FALSE is true (CLIPS convention).
@@ -89,214 +60,167 @@ func boolVal(b bool) Value {
 	return Sym("FALSE")
 }
 
-// eval evaluates a test/action expression under bindings. Atoms evaluate
-// to themselves (variables to their bound value); lists apply a builtin.
-func eval(e sexpr, b *bindings) (Value, error) {
+// expr is a compiled test or right-hand-side expression: a closure over
+// frame slots. Evaluating one walks no s-expression, looks up no name
+// and allocates nothing on the success path.
+type expr func(frame []Value) (Value, error)
+
+// eval evaluates an expression under a by-name environment: compile
+// against its names, run over its values.
+func eval(e sexpr, b *bindings) (Value, error) { return compileExpr(e, b.slot)(b.vals) }
+
+func constant(v Value) expr { return func([]Value) (Value, error) { return v, nil } }
+
+// failing defers a compile-time finding to evaluation time: a rule set with
+// one bad expression loads; its test then never matches, its action aborts Run.
+func failing(format string, args ...any) expr {
+	err := fmt.Errorf(format, args...)
+	return func([]Value) (Value, error) { return Value{}, err }
+}
+
+// compileExpr compiles e with variables resolved to frame slots by slot
+// (negative: unbound). Atoms evaluate to themselves, variables to their
+// slot; lists apply a builtin.
+func compileExpr(e sexpr, slot func(name string) int) expr {
 	if e.atom != nil {
-		v := *e.atom
-		if v.IsVariable() {
-			bound, ok := b.lookup(v.Sym)
-			if !ok {
-				return Value{}, fmt.Errorf("unbound variable %s", v.Sym)
-			}
-			return bound, nil
+		if !e.atom.IsVariable() {
+			return constant(*e.atom)
 		}
-		return v, nil
+		i := slot(e.atom.Sym)
+		if i < 0 {
+			return failing("unbound variable %s", e.atom.Sym)
+		}
+		return func(frame []Value) (Value, error) { return frame[i], nil }
 	}
 	op := e.head()
 	if op == "" {
-		return Value{}, fmt.Errorf("cannot evaluate %s", e)
+		return failing("cannot evaluate %s", e)
 	}
-	args := e.list[1:]
-
-	// Short-circuit forms first.
+	args := make([]expr, len(e.list)-1)
+	for i, a := range e.list[1:] {
+		args[i] = compileExpr(a, slot)
+	}
 	switch op {
-	case "and":
-		for _, a := range args {
-			v, err := eval(a, b)
-			if err != nil {
-				return Value{}, err
+	case "and", "or": // short-circuit: stop at the first operand equal to stop
+		stop := op == "or"
+		return func(frame []Value) (Value, error) {
+			for _, a := range args {
+				v, err := a(frame)
+				if err != nil {
+					return Value{}, err
+				}
+				if truthy(v) == stop {
+					return boolVal(stop), nil
+				}
 			}
-			if !truthy(v) {
-				return boolVal(false), nil
-			}
+			return boolVal(!stop), nil
 		}
-		return boolVal(true), nil
-	case "or":
-		for _, a := range args {
-			v, err := eval(a, b)
-			if err != nil {
-				return Value{}, err
-			}
-			if truthy(v) {
-				return boolVal(true), nil
-			}
-		}
-		return boolVal(false), nil
 	case "not":
 		if len(args) != 1 {
-			return Value{}, fmt.Errorf("not takes one argument")
+			return failing("not takes one argument")
 		}
-		v, err := eval(args[0], b)
-		if err != nil {
-			return Value{}, err
+		return func(frame []Value) (Value, error) {
+			v, err := args[0](frame)
+			return boolVal(err == nil && !truthy(v)), err
 		}
-		return boolVal(!truthy(v)), nil
+	case "eq", "neq":
+		if len(args) < 2 || op == "neq" && len(args) != 2 {
+			return failing("%s: needs two arguments (eq: at least two)", op)
+		}
+		return func(frame []Value) (Value, error) {
+			first, err := args[0](frame)
+			same := true
+			for i := 1; i < len(args) && err == nil; i++ {
+				var v Value
+				v, err = args[i](frame)
+				same = same && equal(&first, &v)
+			}
+			return boolVal(same == (op == "eq")), err
+		}
+	case "abs":
+		if len(args) != 1 {
+			return failing("abs: takes one argument")
+		}
+		return func(frame []Value) (Value, error) {
+			x, err := number(op, args, 0, frame)
+			return Num(math.Abs(x)), err
+		}
 	}
-
-	vals := make([]Value, len(args))
-	for i, a := range args {
-		v, err := eval(a, b)
-		if err != nil {
-			return Value{}, err
+	if cmp, ok := comparisons[op]; ok {
+		if len(args) < 2 {
+			return failing("%s: needs at least two arguments", op)
 		}
-		vals[i] = v
+		return func(frame []Value) (Value, error) {
+			holds := true
+			prev, err := number(op, args, 0, frame)
+			for i := 1; i < len(args) && err == nil; i++ {
+				var x float64
+				x, err = number(op, args, i, frame)
+				holds, prev = holds && cmp(prev, x), x
+			}
+			return boolVal(holds), err
+		}
 	}
-	return applyBuiltin(op, vals)
+	a, ok := arithmetic[op]
+	if !ok {
+		return failing("unknown builtin %q", op)
+	}
+	if len(args) < a.min {
+		return failing("%s: needs at least %d argument(s)", op, a.min)
+	}
+	negate, divide := op == "-" && len(args) == 1, op == "/"
+	return func(frame []Value) (Value, error) {
+		acc := a.unit
+		for i := range args {
+			x, err := number(op, args, i, frame)
+			switch {
+			case err != nil:
+				return Value{}, err
+			case i == 0:
+				acc = x
+			case divide && x == 0:
+				return Value{}, fmt.Errorf("/: division by zero")
+			default:
+				acc = a.fold(acc, x)
+			}
+		}
+		if negate {
+			acc = -acc
+		}
+		return Num(acc), nil
+	}
 }
 
-func applyBuiltin(op string, vals []Value) (Value, error) {
-	nums := func() ([]float64, error) {
-		out := make([]float64, len(vals))
-		for i, v := range vals {
-			if v.Kind != NumberKind {
-				return nil, fmt.Errorf("%s: argument %d is not a number: %s", op, i+1, v)
-			}
-			out[i] = v.Num
-		}
-		return out, nil
+// number evaluates the i'th argument of op and requires a number.
+func number(op string, args []expr, i int, frame []Value) (float64, error) {
+	v, err := args[i](frame)
+	if err == nil && v.Kind != NumberKind {
+		err = fmt.Errorf("%s: argument %d is not a number: %s", op, i+1, v)
 	}
-	cmp := func(f func(a, b float64) bool) (Value, error) {
-		ns, err := nums()
-		if err != nil {
-			return Value{}, err
-		}
-		if len(ns) < 2 {
-			return Value{}, fmt.Errorf("%s: needs at least two arguments", op)
-		}
-		for i := 1; i < len(ns); i++ {
-			if !f(ns[i-1], ns[i]) {
-				return boolVal(false), nil
-			}
-		}
-		return boolVal(true), nil
-	}
-	switch op {
-	case "+":
-		ns, err := nums()
-		if err != nil {
-			return Value{}, err
-		}
-		s := 0.0
-		for _, n := range ns {
-			s += n
-		}
-		return Num(s), nil
-	case "-":
-		ns, err := nums()
-		if err != nil {
-			return Value{}, err
-		}
-		if len(ns) == 0 {
-			return Value{}, fmt.Errorf("-: needs arguments")
-		}
-		if len(ns) == 1 {
-			return Num(-ns[0]), nil
-		}
-		s := ns[0]
-		for _, n := range ns[1:] {
-			s -= n
-		}
-		return Num(s), nil
-	case "*":
-		ns, err := nums()
-		if err != nil {
-			return Value{}, err
-		}
-		s := 1.0
-		for _, n := range ns {
-			s *= n
-		}
-		return Num(s), nil
-	case "/":
-		ns, err := nums()
-		if err != nil {
-			return Value{}, err
-		}
-		if len(ns) < 2 {
-			return Value{}, fmt.Errorf("/: needs at least two arguments")
-		}
-		s := ns[0]
-		for _, n := range ns[1:] {
-			if n == 0 {
-				return Value{}, fmt.Errorf("/: division by zero")
-			}
-			s /= n
-		}
-		return Num(s), nil
-	case "min":
-		ns, err := nums()
-		if err != nil {
-			return Value{}, err
-		}
-		if len(ns) == 0 {
-			return Value{}, fmt.Errorf("min: needs arguments")
-		}
-		s := ns[0]
-		for _, n := range ns[1:] {
-			s = math.Min(s, n)
-		}
-		return Num(s), nil
-	case "max":
-		ns, err := nums()
-		if err != nil {
-			return Value{}, err
-		}
-		if len(ns) == 0 {
-			return Value{}, fmt.Errorf("max: needs arguments")
-		}
-		s := ns[0]
-		for _, n := range ns[1:] {
-			s = math.Max(s, n)
-		}
-		return Num(s), nil
-	case "abs":
-		ns, err := nums()
-		if err != nil {
-			return Value{}, err
-		}
-		if len(ns) != 1 {
-			return Value{}, fmt.Errorf("abs: takes one argument")
-		}
-		return Num(math.Abs(ns[0])), nil
-	case ">":
-		return cmp(func(a, b float64) bool { return a > b })
-	case ">=":
-		return cmp(func(a, b float64) bool { return a >= b })
-	case "<":
-		return cmp(func(a, b float64) bool { return a < b })
-	case "<=":
-		return cmp(func(a, b float64) bool { return a <= b })
-	case "=":
-		return cmp(func(a, b float64) bool { return a == b })
-	case "!=":
-		return cmp(func(a, b float64) bool { return a != b })
-	case "eq":
-		if len(vals) < 2 {
-			return Value{}, fmt.Errorf("eq: needs at least two arguments")
-		}
-		for i := 1; i < len(vals); i++ {
-			if !vals[0].Equal(vals[i]) {
-				return boolVal(false), nil
-			}
-		}
-		return boolVal(true), nil
-	case "neq":
-		if len(vals) != 2 {
-			return Value{}, fmt.Errorf("neq: takes two arguments")
-		}
-		return boolVal(!vals[0].Equal(vals[1])), nil
-	default:
-		return Value{}, fmt.Errorf("unknown builtin %q", op)
-	}
+	return v.Num, err
+}
+
+// arithmetic lists the folding numeric builtins: the fewest arguments
+// each accepts, its value on none, and the fold step.
+var arithmetic = map[string]struct {
+	min  int
+	unit float64
+	fold func(acc, x float64) float64
+}{
+	"+":   {0, 0, func(a, x float64) float64 { return a + x }},
+	"*":   {0, 1, func(a, x float64) float64 { return a * x }},
+	"-":   {1, 0, func(a, x float64) float64 { return a - x }},
+	"/":   {2, 0, func(a, x float64) float64 { return a / x }},
+	"min": {1, 0, math.Min},
+	"max": {1, 0, math.Max},
+}
+
+// comparisons lists the chained numeric predicates.
+var comparisons = map[string]func(a, b float64) bool{
+	">":  func(a, b float64) bool { return a > b },
+	">=": func(a, b float64) bool { return a >= b },
+	"<":  func(a, b float64) bool { return a < b },
+	"<=": func(a, b float64) bool { return a <= b },
+	"=":  func(a, b float64) bool { return a == b },
+	"!=": func(a, b float64) bool { return a != b },
 }

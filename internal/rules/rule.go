@@ -26,7 +26,6 @@ type Rule struct {
 	Salience int
 	ces      []condElem
 	actions  []sexpr
-	order    int // definition order, last-resort conflict resolution
 }
 
 // ParseRules parses rule-DSL source text containing (deftemplate ...),
@@ -68,7 +67,6 @@ func parseAll(src string) ([]*Rule, [][]Value, map[string]*template, error) {
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			r.order = len(rs)
 			rs = append(rs, r)
 		case "deffacts":
 			// (deffacts name (fact...) (fact...))

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -374,4 +375,43 @@ func TestFactString(t *testing.T) {
 
 func fmtSprintf(format string, args ...any) string {
 	return fmt.Sprintf(format, args...)
+}
+
+// TestRefractionMemoryBounded: refraction lives on the activation and
+// dies with its facts, so an engine running assert→Run→retract episodes
+// for ever retains nothing per episode (it used to keep one "rule#ids"
+// key per firing for life), while a re-asserted identical fact — a new
+// fact id — still fires again, exactly as before.
+func TestRefractionMemoryBounded(t *testing.T) {
+	e := mustLoad(t, `
+(defrule diagnose (violation ?p) (reading ?p ?v) (test (> ?v 1)) => (assert (diagnosis ?p)) (call count))
+(defrule quiet (violation ?p) (not (reading ?p ?)) => (call count))`)
+	fired := 0
+	e.RegisterFunc("count", func([]Value) error { fired++; return nil })
+	heapAfter := func(episodes int) uint64 {
+		for i := 0; i < episodes; i++ {
+			a, b := e.AssertF("violation", "p1"), e.AssertF("reading", "p1", 5)
+			if n := mustRun(t, e); n != 1 {
+				t.Fatalf("episode fired %d rules, want 1", n)
+			}
+			if mustRun(t, e) != 0 {
+				t.Fatal("second Run over the same facts fired again")
+			}
+			e.Retract(a)
+			e.Retract(b)
+			e.RetractMatching(F("diagnosis", "?")...)
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heapAfter(10000)
+	after := heapAfter(90000)
+	if fired != 100000 || e.FactCount() != 0 {
+		t.Errorf("fired %d of 100000 episodes, %d facts left", fired, e.FactCount())
+	}
+	if grown := int64(after) - int64(before); grown > 64<<10 {
+		t.Errorf("engine retained %d bytes over 90000 further episodes", grown)
+	}
 }

@@ -134,6 +134,29 @@ func (t *template) desugar(e sexpr, pattern bool) ([]Value, error) {
 	return tuple, nil
 }
 
+// compileForm compiles a templated RHS assert form to the item
+// expressions of the ordered tuple (slot values may be computed; omitted
+// slots take their default).
+func (t *template) compileForm(form sexpr, slot func(string) int) ([]expr, error) {
+	items := make([]expr, len(t.slots)+1)
+	items[0] = constant(Sym(t.name))
+	for _, c := range form.list[1:] {
+		i := t.slotIndex(c.list[0].atom.Sym)
+		if i < 0 {
+			return nil, fmt.Errorf("template %s has no slot %q", t.name, c.list[0].atom.Sym)
+		}
+		items[i+1] = compileExpr(c.list[1], slot)
+	}
+	for i, s := range t.slots {
+		if items[i+1] == nil && !s.hasD {
+			return nil, fmt.Errorf("template %s: slot %q omitted without default", t.name, s.name)
+		} else if items[i+1] == nil {
+			items[i+1] = constant(s.def)
+		}
+	}
+	return items, nil
+}
+
 // AssertTemplate asserts a templated fact from Go: slot name/value pairs;
 // omitted slots use their defaults.
 func (e *Engine) AssertTemplate(name string, slots map[string]Value) (int, error) {

@@ -58,24 +58,64 @@ func (e *Engine) Trace() []Firing { return append([]Firing(nil), e.trace...) }
 // ClearTrace drops recorded firings while keeping tracing enabled.
 func (e *Engine) ClearTrace() { e.trace = nil }
 
-// newFiring renders an activation into a Firing record (effects are
-// filled in by execute through the engine's capture target).
-func (e *Engine) newFiring(a *activation) Firing {
-	f := Firing{
-		Seq:      len(e.trace) + 1,
-		Rule:     a.rule.Name,
-		Origin:   e.origins[a.rule.Name],
-		Salience: a.rule.Salience,
-		Bindings: make(map[string]string, len(a.binds.vars)),
+// capture collects, in one buffer, the text a Firing record is cut
+// from: effects as the RHS executes, then bindings and matched facts.
+type capture struct {
+	buf   []byte
+	marks []mark // the pieces of buf, in rendering order
+}
+
+// mark ends one piece of capture.buf (it starts where the last ended).
+type mark struct {
+	kind byte
+	end  int
+}
+
+const (
+	effAsserted byte = iota
+	effRetracted
+	effCalled
+	capBinding
+	capMatched
+)
+
+func (c *capture) reset()         { c.buf, c.marks = c.buf[:0], c.marks[:0] }
+func (c *capture) mark(kind byte) { c.marks = append(c.marks, mark{kind, len(c.buf)}) }
+
+// firing renders the activation that just executed (bindings in e.frame,
+// effects in e.cap) into a Firing record: one string, cut into its pieces.
+func (e *Engine) firing(p *prod, tuple []*Fact) Firing {
+	c := &e.cap
+	for _, v := range e.frame[:len(p.vars)] {
+		c.buf = appendValue(c.buf, v)
+		c.mark(capBinding)
 	}
-	for _, vb := range a.binds.vars {
-		f.Bindings[vb.name] = vb.val.String()
+	for _, f := range tuple {
+		c.buf = appendTuple(c.buf, f.items)
+		c.mark(capMatched)
 	}
-	for _, id := range a.factIDs {
-		if fact, ok := e.facts[id]; ok {
-			f.Matched = append(f.Matched, fact.String())
+	text, pieces, n := string(c.buf), make([]string, len(c.marks)), 0
+	cut := func(kind byte) []string { // the pieces of one kind, in order
+		from, start := n, 0
+		for _, m := range c.marks {
+			if m.kind == kind {
+				pieces[n] = text[start:m.end]
+				n++
+			}
+			start = m.end
 		}
+		if from == n {
+			return nil
+		}
+		return pieces[from:n:n]
 	}
+	f := Firing{Seq: len(e.trace) + 1, Rule: p.Name, Origin: e.origins[p.Name], Salience: p.Salience,
+		Bindings: make(map[string]string, len(p.vars))}
+	for i, s := range cut(capBinding) {
+		f.Bindings[p.vars[i]] = s
+	}
+	f.Matched, f.Asserted = cut(capMatched), cut(effAsserted)
+	f.Retracted, f.Called = cut(effRetracted), cut(effCalled)
 	return f
 }
 
@@ -86,7 +126,7 @@ func (e *Engine) Explain(ruleName string) string {
 	var r *Rule
 	for _, cand := range e.rs {
 		if cand.Name == ruleName {
-			r = cand
+			r = cand.Rule
 			break
 		}
 	}
@@ -105,27 +145,18 @@ func (e *Engine) Explain(ruleName string) string {
 		desc := ""
 		switch ce.kind {
 		case cePattern:
-			desc = "(" + renderPattern(ce.pattern) + ")"
+			desc = string(appendTuple(nil, ce.pattern))
 			for _, st := range cur {
-				e.forEachCandidate(ce.pattern, func(id int, f *Fact) bool {
-					if nb, ok := unify(ce.pattern, f, st.b); ok {
+				for _, f := range e.candidates(ce.pattern) {
+					if nb, ok := unify(ce.pattern, f, st.b); ok && !f.gone {
 						next = append(next, state{nb})
 					}
-					return true
-				})
+				}
 			}
 		case ceNegated:
-			desc = "(not (" + renderPattern(ce.pattern) + "))"
+			desc = "(not " + string(appendTuple(nil, ce.pattern)) + ")"
 			for _, st := range cur {
-				blocked := false
-				e.forEachCandidate(ce.pattern, func(id int, f *Fact) bool {
-					if _, ok := unify(ce.pattern, f, st.b); ok {
-						blocked = true
-						return false
-					}
-					return true
-				})
-				if !blocked {
+				if len(e.appendMatching(nil, substitute(ce.pattern, st.b))) == 0 {
 					next = append(next, st)
 				}
 			}
@@ -147,12 +178,4 @@ func (e *Engine) Explain(ruleName string) string {
 	}
 	fmt.Fprintf(&sb, "  activatable: %d complete match(es)\n", len(cur))
 	return sb.String()
-}
-
-func renderPattern(p []Value) string {
-	parts := make([]string, len(p))
-	for i, v := range p {
-		parts[i] = v.String()
-	}
-	return strings.Join(parts, " ")
 }

@@ -12,15 +12,18 @@
 //	  (assert (diagnosis ?proc local-cpu))
 //	  (call boost-cpu ?proc))
 //
-// Facts are ordered tuples of symbols, numbers and strings; the engine
-// performs naive join matching with variable unification, salience-ordered
-// conflict resolution with refraction, and supports negated patterns,
-// arbitrary test expressions, fact retraction via pattern bindings
-// (?f <- (...)), and callbacks into registered Go functions.
+// Facts are ordered tuples of symbols, numbers and strings. A rule set is
+// compiled once when loaded (compile.go: variables to frame slots,
+// expressions to closures, patterns to their alpha memories) and the
+// conflict set is kept between firings (agenda.go), so a diagnosis episode
+// allocates its facts and little else. Conflict resolution is salience,
+// recency, definition order, with refraction; negated patterns, tests,
+// retraction via pattern bindings (?f <- (...)) and callbacks into
+// registered Go functions are supported.
 package rules
 
 import (
-	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 )
@@ -55,7 +58,10 @@ func Num(f float64) Value { return Value{Kind: NumberKind, Num: f} }
 func Str(s string) Value { return Value{Kind: StringKind, Str: s} }
 
 // Equal reports deep equality of two values.
-func (v Value) Equal(o Value) bool {
+func (v Value) Equal(o Value) bool { return equal(&v, &o) }
+
+// equal is Equal without copying the operands (the matcher's inner loop).
+func equal(v, o *Value) bool {
 	if v.Kind != o.Kind {
 		return false
 	}
@@ -76,14 +82,34 @@ func (v Value) IsVariable() bool {
 }
 
 func (v Value) String() string {
+	if v.Kind == SymbolKind {
+		return v.Sym
+	}
+	return string(appendValue(nil, v))
+}
+
+// appendValue renders v as String does, into buf.
+func appendValue(buf []byte, v Value) []byte {
 	switch v.Kind {
 	case SymbolKind:
-		return v.Sym
+		return append(buf, v.Sym...)
 	case NumberKind:
-		return strconv.FormatFloat(v.Num, 'g', -1, 64)
+		return strconv.AppendFloat(buf, v.Num, 'g', -1, 64)
 	default:
-		return strconv.Quote(v.Str)
+		return strconv.AppendQuote(buf, v.Str)
 	}
+}
+
+// appendTuple renders items as "(a b c)" into buf.
+func appendTuple(buf []byte, items []Value) []byte {
+	buf = append(buf, '(')
+	for i, v := range items {
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = appendValue(buf, v)
+	}
+	return append(buf, ')')
 }
 
 // Fact is an ordered tuple; the first element is conventionally the
@@ -91,6 +117,24 @@ func (v Value) String() string {
 type Fact struct {
 	id    int
 	items []Value
+	hash  uint64 // tuple hash (duplicate detection)
+	next  *Fact  // next live fact with the same hash
+	gone  bool   // retracted; memories skip it until they compact
+	// inline backs items of up to four atoms: a typical fact is one allocation.
+	inline [4]Value
+}
+
+// sameTuple reports whether two tuples hold equal atoms.
+func sameTuple(a, b []Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !equal(&a[i], &b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // ID returns the working-memory fact identifier.
@@ -113,39 +157,10 @@ func (f *Fact) Relation() string {
 	return ""
 }
 
-func (f *Fact) String() string {
-	parts := make([]string, len(f.items))
-	for i, v := range f.items {
-		parts[i] = v.String()
-	}
-	return "(" + strings.Join(parts, " ") + ")"
-}
-
-// key returns a canonical string for duplicate detection. Same rendering
-// as String, built in one pass through a stack buffer: Assert and Retract
-// compute it on every call, so it must not allocate per item.
-func (f *Fact) key() string {
-	var scratch [96]byte
-	buf := append(scratch[:0], '(')
-	for i, v := range f.items {
-		if i > 0 {
-			buf = append(buf, ' ')
-		}
-		switch v.Kind {
-		case SymbolKind:
-			buf = append(buf, v.Sym...)
-		case NumberKind:
-			buf = strconv.AppendFloat(buf, v.Num, 'g', -1, 64)
-		default:
-			buf = strconv.AppendQuote(buf, v.Str)
-		}
-	}
-	buf = append(buf, ')')
-	return string(buf)
-}
+func (f *Fact) String() string { return string(appendTuple(nil, f.items)) }
 
 // F builds a fact tuple from Go values: string → symbol, float64/int →
-// number, use Str(...) explicitly for strings.
+// number, use Str(...) explicitly for strings. The arguments do not escape.
 func F(items ...any) []Value {
 	out := make([]Value, len(items))
 	for i, it := range items {
@@ -159,7 +174,7 @@ func F(items ...any) []Value {
 		case Value:
 			out[i] = x
 		default:
-			panic(fmt.Sprintf("rules: unsupported fact item %T", it))
+			panic("rules: unsupported fact item " + reflect.TypeOf(it).String())
 		}
 	}
 	return out

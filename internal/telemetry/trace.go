@@ -35,6 +35,9 @@ const (
 	// with the reason in the span detail. Abandonment is the explicit
 	// alternative to a silent stall.
 	StageAbandoned = "abandoned"
+	// StageSuperseded closes a shell trace (see Trace.Remote): the
+	// subject's next episode arrived, so the remote tracer ended this one.
+	StageSuperseded = "superseded"
 )
 
 // TraceContext identifies a position in a violation trace: the trace and
@@ -110,6 +113,12 @@ type Trace struct {
 	// the subject died or management explicitly gave up. The closing
 	// "abandoned" span's detail records why.
 	Abandoned bool `json:"abandoned,omitempty"`
+	// Remote marks a shell trace: the local half of an episode that
+	// another process's tracer opened and will resolve. This tracer never
+	// sees that end; it closes the shell, neither recovered nor abandoned,
+	// with a "superseded" span when the same (subject, policy) arrives
+	// under a new trace ID.
+	Remote bool `json:"remote,omitempty"`
 
 	nextSpan int // last span ID handed out
 }
@@ -149,8 +158,8 @@ type Tracer struct {
 
 	mu     sync.Mutex
 	seq    uint64
-	active map[string]*Trace // traceKey(subject, policy) -> open trace
-	byID   map[string]*Trace // trace ID -> open trace (same values)
+	active map[traceKey]*Trace // (subject, policy) -> open trace
+	byID   map[string]*Trace   // trace ID -> open trace (same values)
 	// done holds retained completed traces. Below the retention cap it
 	// is a plain oldest-first slice; at the cap it becomes a ring with
 	// doneStart indexing the oldest episode, so eviction is one pointer
@@ -180,7 +189,7 @@ func NewTracer(clock Clock) *Tracer {
 		clock = func() time.Duration { return 0 }
 	}
 	return &Tracer{clock: clock, maxDone: DefaultMaxTraces,
-		active: make(map[string]*Trace), byID: make(map[string]*Trace)}
+		active: make(map[traceKey]*Trace), byID: make(map[string]*Trace)}
 }
 
 // SetRetention caps retained completed traces at n, evicting oldest
@@ -280,7 +289,8 @@ func (tr *Tracer) sampleOut(t *Trace) bool {
 	return true
 }
 
-func traceKey(subject, policy string) string { return subject + "|" + policy }
+// traceKey identifies the one trace that may be open per violation.
+type traceKey struct{ subject, policy string }
 
 // addSpan appends a span to t and returns its context. Caller holds mu.
 func (tr *Tracer) addSpan(t *Trace, parent int, src, stage, detail string, at time.Duration) TraceContext {
@@ -307,7 +317,7 @@ func (tr *Tracer) Begin(subject, policy, src, detail string) TraceContext {
 	now := tr.clock()
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	key := traceKey(subject, policy)
+	key := traceKey{subject, policy}
 	if t, open := tr.active[key]; open {
 		// Re-violation while the episode is open: a child of the opening
 		// violation span, not a new trace.
@@ -328,21 +338,33 @@ func (tr *Tracer) Begin(subject, policy, src, detail string) TraceContext {
 // lookup finds the open trace a context or (subject, policy) pair refers
 // to. When ctx names a trace this tracer has never seen — a violation
 // that originated in another process — a shell trace is opened so the
-// local spans still attach to the right trace ID. Caller holds mu.
+// local spans still attach to the right trace ID. A shell already open
+// for the pair belongs to an earlier episode, which the remote tracer
+// must have ended: it is closed into the retained ring first. Traces
+// opened by Begin are never displaced. Caller holds mu.
 func (tr *Tracer) lookup(ctx TraceContext, subject, policy string, at time.Duration) *Trace {
 	if ctx.Valid() {
 		if t, ok := tr.byID[ctx.TraceID]; ok {
 			return t
 		}
 	}
-	if t, ok := tr.active[traceKey(subject, policy)]; ok {
+	key := traceKey{subject, policy}
+	t, open := tr.active[key]
+	if open && !(t.Remote && ctx.Valid()) {
 		return t
 	}
 	if !ctx.Valid() {
 		return nil
 	}
-	t := &Trace{ID: ctx.TraceID, Subject: subject, Policy: policy, Start: at}
-	tr.active[traceKey(subject, policy)] = t
+	if open {
+		delete(tr.byID, t.ID)
+		tr.addSpan(t, 0, "", StageSuperseded, "a later episode arrived under a new trace ID", at)
+		t.End = at
+		tr.doneAppend(t)
+	}
+	t = &Trace{ID: ctx.TraceID, Subject: subject, Policy: policy, Start: at, Remote: true,
+		Spans: make([]Span, 0, 4)} // typically diagnose, one action, superseded
+	tr.active[key] = t
 	tr.byID[t.ID] = t
 	return t
 }
@@ -389,7 +411,7 @@ func (tr *Tracer) Event(subject, policy, stage, detail string) {
 func (tr *Tracer) Context(subject, policy string) TraceContext {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	t, open := tr.active[traceKey(subject, policy)]
+	t, open := tr.active[traceKey{subject, policy}]
 	if !open {
 		return TraceContext{}
 	}
@@ -423,7 +445,7 @@ func (tr *Tracer) Resolve(subject, policy string) {
 	now := tr.clock()
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	key := traceKey(subject, policy)
+	key := traceKey{subject, policy}
 	t, open := tr.active[key]
 	if !open {
 		return
@@ -441,7 +463,7 @@ func (tr *Tracer) Resolve(subject, policy string) {
 
 // closeLocked moves an open trace to done with a terminal span. Caller
 // holds mu.
-func (tr *Tracer) closeLocked(key string, t *Trace, stage, src, detail string, at time.Duration) {
+func (tr *Tracer) closeLocked(key traceKey, t *Trace, stage, src, detail string, at time.Duration) {
 	delete(tr.active, key)
 	delete(tr.byID, t.ID)
 	tr.addSpan(t, 1, src, stage, detail, at)
@@ -456,7 +478,7 @@ func (tr *Tracer) Abandon(subject, policy, src, reason string) bool {
 	now := tr.clock()
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	key := traceKey(subject, policy)
+	key := traceKey{subject, policy}
 	t, open := tr.active[key]
 	if !open {
 		return false
@@ -474,13 +496,13 @@ func (tr *Tracer) AbandonSubject(subject, src, reason string) int {
 	now := tr.clock()
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	keys := make([]string, 0, len(tr.active))
-	for k, t := range tr.active {
-		if t.Subject == subject {
+	keys := make([]traceKey, 0, len(tr.active))
+	for k := range tr.active {
+		if k.subject == subject {
 			keys = append(keys, k)
 		}
 	}
-	sort.Strings(keys)
+	sort.Slice(keys, func(i, j int) bool { return keys[i].policy < keys[j].policy })
 	for _, k := range keys {
 		t := tr.active[k]
 		t.Abandoned = true

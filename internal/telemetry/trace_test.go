@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -251,5 +252,60 @@ func TestTraceExplainAttachesToTrace(t *testing.T) {
 	}
 	if ex[0].Rule != "frame-rate-low" || ex[0].Span != diag.Span || ex[0].At != 3*time.Second {
 		t.Errorf("explanation = %+v", ex[0])
+	}
+}
+
+// TestTracerShellTracesCloseOnNextEpisode: a tracer that is not the
+// coordinator's sees every episode of a subject under a new propagated
+// trace ID and never sees it end. Each shell must hold exactly its own
+// episode and be closed, into the bounded ring, by the next one — before
+// this, the first shell per subject swallowed every later episode's spans
+// with Parent 0, forever.
+func TestTracerShellTracesCloseOnNextEpisode(t *testing.T) {
+	clk := &fakeClock{}
+	tr := NewTracer(clk.fn())
+	reg := NewRegistry(nil)
+	tr.SetMetrics(reg)
+	const subjects, episodes = 16, 10000
+	for ep := 0; ep < episodes; ep++ {
+		clk.now += time.Millisecond
+		subject := "/h/app/exe/" + strconv.Itoa(ep%subjects)
+		remote := TraceContext{TraceID: subject + "#" + strconv.Itoa(ep), Span: 2}
+		diag := tr.EventCtx(remote, subject, "P", "hostmanager", StageDiagnose, "episode")
+		tr.Explain(diag, subject, "P", Explanation{Rule: "r"})
+		tr.EventCtx(diag, subject, "P", "cpu-manager", StageAdapt, "boost")
+	}
+	if open := tr.Open(); open > subjects {
+		t.Errorf("%d shells open, want at most %d", open, subjects)
+	}
+	all := tr.Traces()
+	if done := len(all) - tr.Open(); done > DefaultMaxTraces {
+		t.Errorf("%d completed traces retained, cap %d", done, DefaultMaxTraces)
+	}
+	if want := uint64(episodes - subjects - DefaultMaxTraces); tr.Evicted() != want ||
+		reg.Counter("telemetry.traces.evicted").Value() != want {
+		t.Errorf("evicted %d, want %d", tr.Evicted(), want)
+	}
+	for _, tc := range all {
+		closed := tc.End != 0
+		wantSpans := 2
+		if closed {
+			wantSpans = 3
+		}
+		if !tc.Remote || tc.Recovered || tc.Abandoned || len(tc.Spans) != wantSpans || len(tc.Explanations) != 1 {
+			t.Fatalf("shell %s: %+v", tc.ID, tc)
+		}
+		if d, a := tc.Spans[0], tc.Spans[1]; d.Stage != StageDiagnose || d.Parent != 2 || a.Stage != StageAdapt || a.Parent != d.ID {
+			t.Fatalf("shell %s holds another episode's spans: %+v", tc.ID, tc.Spans)
+		}
+		if closed && tc.Spans[2].Stage != StageSuperseded {
+			t.Fatalf("shell %s closed by %+v", tc.ID, tc.Spans[2])
+		}
+	}
+	// A trace opened by Begin is never displaced by a foreign context.
+	own := tr.Begin("/h/app/exe/own", "P", "coordinator", "")
+	tr.EventCtx(TraceContext{TraceID: "elsewhere#1", Span: 1}, "/h/app/exe/own", "P", "hostmanager", StageDiagnose, "")
+	if got := tr.Context("/h/app/exe/own", "P"); got.TraceID != own.TraceID || got.Span != 2 {
+		t.Errorf("Begin-opened trace displaced: %+v", got)
 	}
 }
