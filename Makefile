@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-diff examples lint-log lint-wire lint-telemetry live-smoke trace-smoke fleet-smoke policy-smoke soak clean
+.PHONY: all build vet test race check bench bench-diff profile-episode examples lint-log lint-wire lint-telemetry live-smoke trace-smoke fleet-smoke policy-smoke soak clean
 
 all: check
 
@@ -134,7 +134,7 @@ fleet-smoke:
 # One P, like every committed snapshot: on a shared VM a second P times
 # the hypervisor's vCPU wake-ups (TCP round trips double), not the code.
 BENCHTIME ?= 200ms
-TIMED = PolicyEvaluate|InstrumentationPass|InferenceEpisode|InferenceLookupBaseline|RuleEngineAgenda
+TIMED = PolicyEvaluate|InstrumentationPass|InferenceEpisode|InferenceLookupBaseline|RuleEngineAgenda|LiveEscalateEpisode
 
 bench: export GOMAXPROCS = 1
 bench:
@@ -149,6 +149,21 @@ bench:
 
 bench-diff:
 	$(GO) run ./cmd/benchfmt -diff -dir .
+
+# Where one escalated live episode spends CPU and allocates: the
+# four-message, three-node episode of BenchmarkLiveEscalateEpisode over
+# loopback TCP on one P — the only driver of that path outside the frozen
+# benchmark/ — under the CPU and allocation profilers. Test binary and
+# profiles land in .bench_build/ (git-ignored); the top ten sites of each
+# are printed, and docs/WIRE.md carries the table they were read from.
+profile-episode: export GOMAXPROCS = 1
+profile-episode:
+	mkdir -p .bench_build
+	$(GO) test -run='^$$' -bench='^BenchmarkLiveEscalateEpisode$$' -benchtime=200000x -benchmem \
+	    -o .bench_build/episode.test -outputdir .bench_build \
+	    -cpuprofile episode.cpu -memprofile episode.mem .
+	$(GO) tool pprof -top -nodecount=10 .bench_build/episode.test .bench_build/episode.cpu
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=10 .bench_build/episode.test .bench_build/episode.mem
 
 clean:
 	$(GO) clean ./...

@@ -85,6 +85,11 @@ type Coordinator struct {
 
 	agentAddr   string
 	managerAddr string
+	// Rendered once: the process's hierarchical name (the trace subject),
+	// the coordinator's own management address, and the notify span's detail.
+	subject      string
+	addr         string
+	notifyDetail string
 
 	sensors   map[string]Sensor
 	actuators map[string]Actuator
@@ -146,18 +151,22 @@ type condRef struct {
 // agentAddr is the policy agent's address; managerAddr the QoS host
 // manager's.
 func NewCoordinator(id msg.Identity, clock Clock, send SendFunc, agentAddr, managerAddr string) *Coordinator {
+	subject := id.Address()
 	return &Coordinator{
-		id:          id,
-		clock:       clock,
-		send:        send,
-		agentAddr:   agentAddr,
-		managerAddr: managerAddr,
-		sensors:     make(map[string]Sensor),
-		actuators:   make(map[string]Actuator),
-		condOwner:   make(map[int][]condRef),
-		condSensor:  make(map[int]Sensor),
-		notifyEvery: 500 * time.Millisecond,
-		lastNotify:  make(map[string]time.Duration),
+		id:           id,
+		clock:        clock,
+		send:         send,
+		agentAddr:    agentAddr,
+		managerAddr:  managerAddr,
+		subject:      subject,
+		addr:         subject + "/qosl_coordinator",
+		notifyDetail: "report -> " + managerAddr,
+		sensors:      make(map[string]Sensor),
+		actuators:    make(map[string]Actuator),
+		condOwner:    make(map[int][]condRef),
+		condSensor:   make(map[int]Sensor),
+		notifyEvery:  500 * time.Millisecond,
+		lastNotify:   make(map[string]time.Duration),
 	}
 }
 
@@ -165,7 +174,7 @@ func NewCoordinator(id msg.Identity, clock Clock, send SendFunc, agentAddr, mana
 func (c *Coordinator) Identity() msg.Identity { return c.id }
 
 // Address returns the coordinator's management address.
-func (c *Coordinator) Address() string { return c.id.Address() + "/qosl_coordinator" }
+func (c *Coordinator) Address() string { return c.addr }
 
 // SetNotifyInterval adjusts violation-report pacing.
 func (c *Coordinator) SetNotifyInterval(d time.Duration) { c.notifyEvery = d }
@@ -240,7 +249,7 @@ func (c *Coordinator) SensorIDs() []string {
 // HandleMessage.
 func (c *Coordinator) Register() error {
 	return c.send(c.agentAddr, msg.Message{
-		From: c.Address(),
+		From: c.addr,
 		Body: msg.Register{ID: c.id, Sensors: c.SensorIDs()},
 	})
 }
@@ -257,7 +266,7 @@ func (c *Coordinator) Registered() bool { return c.registered }
 func (c *Coordinator) Heartbeat() error {
 	c.hbSeq++
 	return c.send(c.managerAddr, msg.Message{
-		From: c.Address(),
+		From: c.addr,
 		Body: msg.Heartbeat{ID: c.id, Seq: c.hbSeq},
 	})
 }
@@ -279,7 +288,7 @@ func (c *Coordinator) HandleMessage(m msg.Message) error {
 	case msg.Nack:
 		return c.handleNack(body)
 	default:
-		return fmt.Errorf("instrument: coordinator %s: unexpected message %T", c.id.Address(), m.Body)
+		return fmt.Errorf("instrument: coordinator %s: unexpected message %T", c.subject, m.Body)
 	}
 }
 
@@ -289,7 +298,7 @@ func (c *Coordinator) HandleMessage(m msg.Message) error {
 func (c *Coordinator) handleNack(n msg.Nack) error {
 	c.Nacks++
 	c.NackReason = n.Reason
-	return fmt.Errorf("instrument: coordinator %s: registration refused: %s", c.id.Address(), n.Reason)
+	return fmt.Errorf("instrument: coordinator %s: registration refused: %s", c.subject, n.Reason)
 }
 
 // handleDirective executes a management directive addressed to the
@@ -298,11 +307,11 @@ func (c *Coordinator) handleNack(n msg.Nack) error {
 // under overload).
 func (c *Coordinator) handleDirective(d msg.Directive) error {
 	if d.Action != "actuate" {
-		return fmt.Errorf("instrument: coordinator %s: unsupported directive %q", c.id.Address(), d.Action)
+		return fmt.Errorf("instrument: coordinator %s: unsupported directive %q", c.subject, d.Action)
 	}
 	act, ok := c.actuators[d.Target]
 	if !ok {
-		return fmt.Errorf("instrument: coordinator %s: no actuator %q", c.id.Address(), d.Target)
+		return fmt.Errorf("instrument: coordinator %s: no actuator %q", c.subject, d.Target)
 	}
 	return act.Apply(fmt.Sprintf("%g", d.Amount))
 }
@@ -396,7 +405,7 @@ func (c *Coordinator) evaluatePolicy(po *policyObj) {
 		// A transition back to compliance closes any open violation trace
 		// (overshoot-only episodes never open one).
 		if po.traced && c.tracer != nil {
-			c.tracer.Resolve(c.id.Address(), po.spec.Name)
+			c.tracer.Resolve(c.subject, po.spec.Name)
 		}
 		po.violated = false
 		po.traced = false
@@ -417,7 +426,7 @@ func (c *Coordinator) evaluatePolicy(po *policyObj) {
 		// Open the trace on the first real violation of the episode, even
 		// when the episode began as an overshoot.
 		if !po.traced && c.tracer != nil {
-			c.tracer.Begin(c.id.Address(), po.spec.Name, "coordinator", "policy expression false")
+			c.tracer.Begin(c.subject, po.spec.Name, "coordinator", "policy expression false")
 			po.traced = true
 		}
 	}
@@ -474,13 +483,12 @@ func (c *Coordinator) runActions(po *policyObj, overshoot bool) {
 			}
 			var tc telemetry.TraceContext
 			if !overshoot && c.tracer != nil {
-				subject := c.id.Address()
-				tc = c.tracer.EventCtx(c.tracer.Context(subject, po.spec.Name),
-					subject, po.spec.Name, "coordinator",
-					telemetry.StageNotify, "report -> "+c.managerAddr)
+				tc = c.tracer.EventCtx(c.tracer.Context(c.subject, po.spec.Name),
+					c.subject, po.spec.Name, "coordinator",
+					telemetry.StageNotify, c.notifyDetail)
 			}
 			_ = c.send(c.managerAddr, msg.Message{
-				From:  c.Address(),
+				From:  c.addr,
 				Trace: tc,
 				Body: msg.Violation{
 					ID:        c.id,

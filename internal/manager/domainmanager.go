@@ -3,7 +3,6 @@ package manager
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
 
 	"softqos/internal/msg"
@@ -79,7 +78,14 @@ const DefaultDomainRules = `
 type serverRef struct {
 	hostMgrAddr string
 	executable  string
+	// queryKeys is the key list of every localization query for this
+	// server, rendered once per executable and shared by every
+	// application it serves and every query sent; nothing writes to a
+	// message's slices. Its last key is the server process's CPU statistic.
+	queryKeys []string
 }
+
+func (s serverRef) procKey() string { return s.queryKeys[len(s.queryKeys)-1] }
 
 // episode is one in-flight localization: an alarm awaiting the
 // server-side report.
@@ -122,10 +128,12 @@ type DomainManager struct {
 	addr string
 	send Send
 
-	engine   *rules.Engine
-	servers  map[string]serverRef // application -> server side
-	episodes map[string]*episode  // ref -> pending episode
-	nextRef  int
+	engine  *rules.Engine
+	servers map[string]serverRef // application -> server side
+	// queryKeys holds one localization key list per server executable.
+	queryKeys map[string][]string
+	episodes  map[string]*episode // ref -> pending episode
+	nextRef   int
 
 	// Hierarchy state, empty in flat (2-tier) topologies. Hosts register
 	// with the domain exactly as coordinators register with the policy
@@ -220,11 +228,12 @@ type dmMetrics struct {
 // default rule set.
 func NewDomainManager(addr string, send Send) *DomainManager {
 	dm := &DomainManager{
-		addr:     addr,
-		send:     send,
-		engine:   rules.NewEngine(),
-		servers:  make(map[string]serverRef),
-		episodes: make(map[string]*episode),
+		addr:      addr,
+		send:      send,
+		engine:    rules.NewEngine(),
+		servers:   make(map[string]serverRef),
+		queryKeys: make(map[string][]string),
+		episodes:  make(map[string]*episode),
 	}
 	dm.registerCallbacks()
 	if err := dm.engine.LoadRulesOrigin("domain-default", DefaultDomainRules); err != nil {
@@ -313,7 +322,12 @@ func (dm *DomainManager) LoadNamedRules(name, src string) error {
 // RegisterAppServer tells the domain manager which host manager and
 // executable serve an application (its configuration knowledge).
 func (dm *DomainManager) RegisterAppServer(application, hostMgrAddr, executable string) {
-	dm.servers[application] = serverRef{hostMgrAddr: hostMgrAddr, executable: executable}
+	keys := dm.queryKeys[executable]
+	if keys == nil {
+		keys = []string{"cpu_load", "run_queue", "mem_usage", "proc_cpu:" + executable}
+		dm.queryKeys[executable] = keys
+	}
+	dm.servers[application] = serverRef{hostMgrAddr: hostMgrAddr, executable: executable, queryKeys: keys}
 }
 
 func (dm *DomainManager) registerCallbacks() {
@@ -521,7 +535,7 @@ func (dm *DomainManager) handleAlarm(al msg.Alarm, tc telemetry.TraceContext) {
 		return
 	}
 	dm.nextRef++
-	ref := "e" + strconv.Itoa(dm.nextRef)
+	ref := spanDetail("e", dm.nextRef, false, "")
 	ep := &episode{alarm: al, subject: al.ID.Address(), server: server, ctx: tc}
 	if dm.livenessClock != nil {
 		ep.at = dm.livenessClock()
@@ -536,11 +550,7 @@ func (dm *DomainManager) handleAlarm(al msg.Alarm, tc telemetry.TraceContext) {
 
 // episodeQuery builds the server-side statistics query for an episode.
 func (dm *DomainManager) episodeQuery(ep *episode, ref string) msg.Query {
-	return msg.Query{
-		From: dm.addr,
-		Keys: []string{"cpu_load", "run_queue", "mem_usage", "proc_cpu:" + ep.server.executable},
-		Ref:  ref,
-	}
+	return msg.Query{From: dm.addr, Keys: ep.server.queryKeys, Ref: ref}
 }
 
 // EnableLiveness arms episode timeouts: a localization whose server
@@ -639,7 +649,7 @@ func (dm *DomainManager) handleReport(r msg.Report) {
 	for _, k := range sortedKeys(r.Values, buf[:0]) {
 		ids = append(ids, e.Assert(rules.Sym("server-report"), ref, rules.Sym(k), rules.Num(r.Values[k])))
 	}
-	if _, alive := r.Values["proc_cpu:"+ep.server.executable]; alive {
+	if _, alive := r.Values[ep.server.procKey()]; alive {
 		ids = append(ids, e.Assert(rules.Sym("server-proc-alive"), ref))
 	}
 	dm.epCur = ep

@@ -218,7 +218,8 @@ type managedProc struct {
 // virtual-clock simulator and in live wall-clock deployments.
 type HostManager struct {
 	addr           string
-	diagnoseDetail string // the diagnose span's detail, rendered once
+	diagnoseDetail string // the diagnose and escalate spans' details, rendered once
+	escalateDetail string
 	host           runtime.HostControl
 	send           Send
 
@@ -296,6 +297,7 @@ func NewHostManager(addr string, host runtime.HostControl, send Send, domainAddr
 	hm := &HostManager{
 		addr:           addr,
 		diagnoseDetail: "inference episode on " + addr,
+		escalateDetail: "alarm -> " + domainAddr,
 		host:           host,
 		send:           send,
 		domainAddr:     domainAddr,
@@ -633,7 +635,7 @@ func (hm *HostManager) registerCallbacks() {
 			hm.traceEvent("hostmanager", telemetry.StageEscalate, "dropped (no domain manager)")
 			return nil
 		}
-		ctx := hm.traceEvent("hostmanager", telemetry.StageEscalate, "alarm -> "+hm.domainAddr)
+		ctx := hm.traceEvent("hostmanager", telemetry.StageEscalate, hm.escalateDetail)
 		readings := hm.currentReadings(mp.psym)
 		am := msg.Message{
 			From: hm.addr,
@@ -665,11 +667,12 @@ func (hm *HostManager) procArg(args []rules.Value, i int) (*managedProc, error) 
 // currentReadings extracts the episode's reading facts for escalation.
 func (hm *HostManager) currentReadings(psym rules.Value) map[string]float64 {
 	out := make(map[string]float64)
-	for _, f := range hm.engine.FactsMatching(rules.Sym("reading"), psym, rules.Sym("?a"), rules.Sym("?v")) {
-		if f.Len() == 4 && f.At(3).Kind == rules.NumberKind {
-			out[f.At(2).Sym] = f.At(3).Num
+	pattern := [...]rules.Value{rules.Sym("reading"), psym, rules.Sym("?a"), rules.Sym("?v")}
+	hm.engine.EachMatching(pattern[:], func(f *rules.Fact) {
+		if v := f.At(3); v.Kind == rules.NumberKind {
+			out[f.At(2).Sym] = v.Num
 		}
-	}
+	})
 	return out
 }
 

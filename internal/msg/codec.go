@@ -117,33 +117,49 @@ func binKind(body any) (byte, error) {
 	}
 }
 
-// wireBufPool recycles frame buffers between sends. Transports encode
-// into a pooled buffer, write it to the socket (or just read its length
-// for byte accounting) and return it, so the steady-state send path
-// allocates nothing for the envelope.
-var wireBufPool = sync.Pool{New: func() any { return make([]byte, 0, 512) }}
+// frameBuf is a pooled encode buffer: one per frame in flight, holding
+// the whole frame — header and payload — so a transport hands the
+// socket one slice. The pool holds pointers, so returning a buffer does
+// not box a slice header.
+type frameBuf struct{ b []byte }
 
-func getWireBuf() []byte  { return wireBufPool.Get().([]byte) }
-func putWireBuf(b []byte) { wireBufPool.Put(b[:0]) } //nolint:staticcheck // slice header churn is fine here
+var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 512)} }}
+
+func getFrameBuf() *frameBuf  { return framePool.Get().(*frameBuf) }
+func putFrameBuf(f *frameBuf) { framePool.Put(f) }
+
+// frameHeaderRoom is the space encode reserves ahead of the payload:
+// magic, version and the longest uvarint.
+const frameHeaderRoom = 2 + binary.MaxVarintLen64
+
+// encode renders m as one routed frame inside f and returns it. The
+// payload is encoded in place behind room reserved for the header, whose
+// length depends on the payload's; the header is then written
+// right-aligned against the payload. The frame aliases f and is valid
+// until f is encoded into again or returned to the pool.
+func (f *frameBuf) encode(to string, m Message) ([]byte, error) {
+	var room [frameHeaderRoom]byte
+	b, err := appendBinaryPayload(append(f.b[:0], room[:]...), to, m)
+	if err != nil {
+		return nil, err
+	}
+	f.b = b
+	n := uint64(len(b) - frameHeaderRoom)
+	start := frameHeaderRoom - 2 - uvarintLen(n)
+	b[start], b[start+1] = binMagic, binVersion
+	binary.PutUvarint(b[start+2:], n)
+	return b[start:], nil
+}
 
 // frameLen returns the length of m's unrouted wire frame — what the
 // transports charge a message they deliver without a socket — or 0 for
 // a message that cannot be encoded (which Validate has ruled out).
 func frameLen(m Message) uint64 {
-	buf := getWireBuf()
-	data, err := appendBinaryFrame(buf[:0], "", m)
-	if err != nil {
-		putWireBuf(buf)
-		return 0
-	}
-	putWireBuf(data)
-	return uint64(len(data))
+	f := getFrameBuf()
+	frame, _ := f.encode("", m)
+	putFrameBuf(f)
+	return uint64(len(frame))
 }
-
-// keyPool recycles the scratch slices used to sort map keys during
-// binary encoding (binary maps are key-sorted so equal messages encode
-// to equal bytes on every node).
-var keyPool = sync.Pool{New: func() any { return make([]string, 0, 16) }}
 
 // MarshalWire encodes one routed frame. WireBinary is the complete
 // frame exactly as a transport puts it on the socket (magic, version,
@@ -152,7 +168,15 @@ func MarshalWire(f WireFormat, to string, m Message) ([]byte, error) {
 	if f == WireJSON {
 		return marshalDebugJSON(to, m)
 	}
-	return appendBinaryFrame(nil, to, m)
+	fb := getFrameBuf()
+	frame, err := fb.encode(to, m)
+	var out []byte
+	if err == nil {
+		out = make([]byte, len(frame)) // the one allocation: exactly the frame
+		copy(out, frame)
+	}
+	putFrameBuf(fb)
+	return out, err
 }
 
 // marshalDebugJSON renders a routed message as one JSON envelope with an
@@ -177,21 +201,6 @@ func marshalDebugJSON(to string, m Message) ([]byte, error) {
 
 // ---------------------------------------------------------------------------
 // Binary encode
-
-// appendBinaryFrame appends the framed binary encoding of m to dst.
-func appendBinaryFrame(dst []byte, to string, m Message) ([]byte, error) {
-	payload := getWireBuf()
-	payload, err := appendBinaryPayload(payload[:0], to, m)
-	if err != nil {
-		putWireBuf(payload)
-		return nil, err
-	}
-	dst = append(dst, binMagic, binVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	putWireBuf(payload)
-	return dst, nil
-}
 
 func appendBinaryPayload(dst []byte, to string, m Message) ([]byte, error) {
 	kind, err := binKind(m.Body)
@@ -288,7 +297,8 @@ func appendBinMap(dst []byte, m map[string]float64) []byte {
 	if len(m) == 0 {
 		return dst
 	}
-	keys := keyPool.Get().([]string)[:0]
+	var buf [8]string // the maps of the live path hold 3 or 4 keys: sorted on the stack
+	keys := buf[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
@@ -297,7 +307,6 @@ func appendBinMap(dst []byte, m map[string]float64) []byte {
 		dst = appendBinString(dst, k)
 		dst = appendBinF64(dst, m[k])
 	}
-	keyPool.Put(keys[:0]) //nolint:staticcheck
 	return dst
 }
 
@@ -480,7 +489,46 @@ func UnmarshalWire(data []byte) (to string, m Message, err error) {
 	if uint64(len(payload)) > n {
 		return "", Message{}, fmt.Errorf("%w: %d extra", ErrTrailingBytes, uint64(len(payload))-n)
 	}
-	return unmarshalBinaryPayload(payload)
+	return unmarshalBinaryPayload(payload, nil)
+}
+
+const (
+	// internMaxEntries bounds one connection's intern table; internMaxLen
+	// is the longest string it keeps. Together they cap what a peer can
+	// make a node retain per connection at 64 KB of string bytes.
+	internMaxEntries = 512
+	internMaxLen     = 128
+)
+
+// internTable is one connection's memory of the strings that repeat on
+// it — management addresses, identity fields, policy, attribute, key and
+// action names — so decoding the thousandth frame of a connection
+// allocates none of them again. It belongs to the connection's reader
+// goroutine. Strings are immutable, so handing the same one to many
+// messages aliases nothing a handler could change. The table is bounded:
+// once full it stops learning and unknown strings are allocated per
+// frame, each such miss counted in missed until the transport collects it.
+type internTable struct {
+	m      map[string]string
+	missed uint64
+}
+
+func (t *internTable) get(b []byte) string {
+	if s, ok := t.m[string(b)]; ok { // the conversion in a map index does not allocate
+		return s
+	}
+	s := string(b)
+	switch {
+	case len(b) > internMaxLen:
+	case len(t.m) >= internMaxEntries:
+		t.missed++
+	default:
+		if t.m == nil {
+			t.m = make(map[string]string)
+		}
+		t.m[s] = s
+	}
+	return s
 }
 
 // binReader is a bounds-checked cursor over a binary payload. The first
@@ -490,6 +538,7 @@ type binReader struct {
 	buf []byte
 	pos int
 	err error
+	tab *internTable // nil: every string is allocated
 }
 
 func (r *binReader) fail(err error) {
@@ -537,18 +586,34 @@ func (r *binReader) varint() int64 {
 	return v
 }
 
-func (r *binReader) str() string {
+// strBytes reads one length-prefixed string as a view of the payload.
+func (r *binReader) strBytes() []byte {
 	n := r.uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(r.buf)-r.pos) {
 		r.fail(ErrTruncated)
-		return ""
+		return nil
 	}
-	s := string(r.buf[r.pos : r.pos+int(n)])
+	b := r.buf[r.pos : r.pos+int(n)]
 	r.pos += int(n)
-	return s
+	return b
+}
+
+// str reads a string that is unique to its message (a trace id, a
+// correlation ref, free text): always a fresh copy.
+func (r *binReader) str() string { return string(r.strBytes()) }
+
+// name reads a string that repeats from frame to frame (an address, an
+// identity field, a policy, attribute, key or action name): the
+// connection's canonical copy when there is a table, a fresh one otherwise.
+func (r *binReader) name() string {
+	b := r.strBytes()
+	if r.tab == nil || len(b) == 0 {
+		return string(b)
+	}
+	return r.tab.get(b)
 }
 
 func (r *binReader) f64() float64 {
@@ -579,7 +644,7 @@ func (r *binReader) f64map() map[string]float64 {
 	}
 	m := make(map[string]float64, n)
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		k := r.str()
+		k := r.name()
 		m[k] = r.f64()
 	}
 	if r.err != nil {
@@ -599,7 +664,7 @@ func (r *binReader) strs() []string {
 	}
 	ss := make([]string, 0, n)
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		ss = append(ss, r.str())
+		ss = append(ss, r.name())
 	}
 	if r.err != nil {
 		return nil
@@ -621,7 +686,7 @@ func (r *binReader) policies() []PolicySpec {
 	}
 	var policies []PolicySpec
 	for i := uint64(0); i < np && r.err == nil; i++ {
-		p := PolicySpec{Name: r.str(), Connective: r.str()}
+		p := PolicySpec{Name: r.name(), Connective: r.name()}
 		nc := r.uvarint()
 		if nc > uint64(len(r.buf)-r.pos)/11 { // >= 3 len bytes + 8 value bytes
 			r.fail(ErrTruncated)
@@ -629,7 +694,7 @@ func (r *binReader) policies() []PolicySpec {
 		}
 		for j := uint64(0); j < nc && r.err == nil; j++ {
 			p.Conditions = append(p.Conditions, CondSpec{
-				Attribute: r.str(), Sensor: r.str(), Op: r.str(), Value: r.f64()})
+				Attribute: r.name(), Sensor: r.name(), Op: r.name(), Value: r.f64()})
 		}
 		na := r.uvarint()
 		if na > uint64(len(r.buf)-r.pos)/3 { // >= 3 len bytes
@@ -638,7 +703,7 @@ func (r *binReader) policies() []PolicySpec {
 		}
 		for j := uint64(0); j < na && r.err == nil; j++ {
 			p.Actions = append(p.Actions, ActionSpec{
-				Target: r.str(), Op: r.str(), Args: r.strs()})
+				Target: r.name(), Op: r.name(), Args: r.strs()})
 		}
 		policies = append(policies, p)
 	}
@@ -650,19 +715,23 @@ func (r *binReader) policies() []PolicySpec {
 
 func (r *binReader) identity() Identity {
 	return Identity{
-		Host:        r.str(),
+		Host:        r.name(),
 		PID:         int(r.varint()),
-		Executable:  r.str(),
-		Application: r.str(),
-		UserRole:    r.str(),
+		Executable:  r.name(),
+		Application: r.name(),
+		UserRole:    r.name(),
 	}
 }
 
-func unmarshalBinaryPayload(payload []byte) (string, Message, error) {
-	r := &binReader{buf: payload}
+// unmarshalBinaryPayload decodes one frame's payload. With a table
+// (a connection's) the strings that repeat from frame to frame come out
+// of it; with nil every string is a fresh copy. Either way the message
+// shares no memory with payload.
+func unmarshalBinaryPayload(payload []byte, tab *internTable) (string, Message, error) {
+	r := &binReader{buf: payload, tab: tab}
 	kind := r.u8()
-	from := r.str()
-	to := r.str()
+	from := r.name()
+	to := r.name()
 	var tc telemetry.TraceContext
 	if r.boolean() {
 		tc.TraceID = r.str()
@@ -676,18 +745,18 @@ func unmarshalBinaryPayload(payload []byte) (string, Message, error) {
 		body = &PolicySet{ID: r.identity(), Policies: r.policies()}
 	case kindPolicyDelta:
 		body = &PolicyDelta{Generation: r.uvarint(), Prev: r.uvarint(),
-			Executable: r.str(), Scope: r.str(), Hosts: r.strs(),
+			Executable: r.name(), Scope: r.name(), Hosts: r.strs(),
 			Policies: r.policies(), Reason: r.str()}
 	case kindViolation:
-		body = &Violation{ID: r.identity(), Policy: r.str(), Readings: r.f64map(), Overshoot: r.boolean()}
+		body = &Violation{ID: r.identity(), Policy: r.name(), Readings: r.f64map(), Overshoot: r.boolean()}
 	case kindQuery:
-		body = &Query{From: r.str(), Keys: r.strs(), Ref: r.str()}
+		body = &Query{From: r.name(), Keys: r.strs(), Ref: r.str()}
 	case kindReport:
-		body = &Report{Host: r.str(), Values: r.f64map(), Ref: r.str()}
+		body = &Report{Host: r.name(), Values: r.f64map(), Ref: r.str()}
 	case kindAlarm:
-		body = &Alarm{ID: r.identity(), Policy: r.str(), Readings: r.f64map(), Suspect: r.str()}
+		body = &Alarm{ID: r.identity(), Policy: r.name(), Readings: r.f64map(), Suspect: r.name()}
 	case kindDirective:
-		body = &Directive{From: r.str(), Action: r.str(), Target: r.str(), Amount: r.f64()}
+		body = &Directive{From: r.name(), Action: r.name(), Target: r.name(), Amount: r.f64()}
 	case kindAck:
 		body = &Ack{Ref: r.str(), OK: r.boolean(), Err: r.str()}
 	case kindNack:
@@ -695,7 +764,7 @@ func unmarshalBinaryPayload(payload []byte) (string, Message, error) {
 	case kindHeartbeat:
 		body = &Heartbeat{ID: r.identity(), Seq: r.uvarint()}
 	case kindAlarmBatch:
-		ab := &AlarmBatch{Tier: r.str()}
+		ab := &AlarmBatch{Tier: r.name()}
 		na := r.uvarint()
 		// Each entry costs at least an identity (5 string lengths + pid),
 		// policy + readings + suspect lengths, and two varints: 11 bytes.
@@ -704,8 +773,8 @@ func unmarshalBinaryPayload(payload []byte) (string, Message, error) {
 		} else {
 			for i := uint64(0); i < na && r.err == nil; i++ {
 				ab.Alarms = append(ab.Alarms, BatchedAlarm{
-					Alarm: Alarm{ID: r.identity(), Policy: r.str(),
-						Readings: r.f64map(), Suspect: r.str()},
+					Alarm: Alarm{ID: r.identity(), Policy: r.name(),
+						Readings: r.f64map(), Suspect: r.name()},
 					Count:    int(r.varint()),
 					Severity: int(r.varint()),
 				})
@@ -714,7 +783,7 @@ func unmarshalBinaryPayload(payload []byte) (string, Message, error) {
 		ab.Summary = r.f64map()
 		body = ab
 	case kindTelemetrySummary:
-		ts := &TelemetrySummary{Tier: r.str(), Source: r.str(),
+		ts := &TelemetrySummary{Tier: r.name(), Source: r.name(),
 			Seq: r.uvarint(), Hosts: r.uvarint(),
 			Counters: r.f64map(), Maxima: r.f64map()}
 		ns := r.uvarint()
@@ -724,7 +793,7 @@ func unmarshalBinaryPayload(payload []byte) (string, Message, error) {
 			r.fail(ErrTruncated)
 		} else {
 			for i := uint64(0); i < ns && r.err == nil; i++ {
-				s := telemetry.NamedSketchSnapshot{Name: r.str()}
+				s := telemetry.NamedSketchSnapshot{Name: r.name()}
 				s.Sketch.Count = r.uvarint()
 				s.Sketch.Sum = r.f64()
 				s.Sketch.Min = r.f64()

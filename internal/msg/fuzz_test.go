@@ -2,15 +2,63 @@ package msg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"softqos/internal/telemetry"
 )
 
+// checkInternedDecode holds the connection's decoder to the plain one on
+// a buffer holding exactly one frame: through tab, twice — once possibly
+// learning, once hitting what it learned — the payload must fail with
+// the same error or decode to a message that encodes to the same bytes,
+// and that message must point nowhere into the buffer it was decoded
+// from (a read loop reuses it for the next frame).
+func checkInternedDecode(t *testing.T, tab *internTable, data []byte, wantTo string, want Message, wantErr error) {
+	t.Helper()
+	if len(data) < 3 || data[0] != binMagic || data[1] != binVersion {
+		return
+	}
+	n, used := binary.Uvarint(data[2:])
+	if used <= 0 || n > MaxFrameBytes || uint64(len(data)-2-used) != n {
+		return // the framing itself is at fault; no payload decoder ran
+	}
+	var canon []byte
+	if wantErr == nil {
+		var err error
+		if canon, err = MarshalWire(WireBinary, wantTo, want); err != nil {
+			t.Fatalf("re-marshal of the plainly decoded message: %v", err)
+		}
+	}
+	payload := append([]byte(nil), data[2+used:]...)
+	for pass := 0; pass < 2; pass++ {
+		to, m, err := unmarshalBinaryPayload(payload, tab)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("pass %d: interned decode returned %v, plain decode %v", pass, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		for i := range payload {
+			payload[i] ^= 0xFF
+		}
+		got, err := MarshalWire(WireBinary, to, m)
+		if err != nil || to != wantTo || !bytes.Equal(got, canon) {
+			t.Fatalf("pass %d: interned decode differs from plain decode (to %q/%q, err %v):\n%x\n%x", pass, to, wantTo, err, got, canon)
+		}
+		for i := range payload {
+			payload[i] ^= 0xFF
+		}
+	}
+}
+
 // FuzzUnmarshal feeds arbitrary bytes to UnmarshalWire. The invariants
 // are absolute: never panic, input that does not open with the frame
-// magic is ErrNotBinary, and whatever decodes re-encodes to a fixpoint.
+// magic is ErrNotBinary, whatever decodes re-encodes to a fixpoint, and a
+// connection's interning decoder agrees with the plain one on every
+// input (checkInternedDecode), with a fresh table and with one that has
+// seen every earlier input.
 // The seed corpus is every corpus message as a frame and as the JSON
 // debug rendering (what a pre-binary peer would have sent), plus every
 // deterministic malformation the unit tests pin.
@@ -30,10 +78,18 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{binMagic, 99, 1, kindAck})
 	f.Add(append([]byte{binMagic, binVersion}, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F))
 	f.Add([]byte{binMagic, binVersion, 4, 77, 0, 0, 0})
+	// Repeated structures of the two batch bodies claiming more entries
+	// than the payload could hold: alarm-batch entries, summary sketches,
+	// sketch buckets.
+	f.Add([]byte{binMagic, binVersion, 6, kindAlarmBatch, 0, 0, 0, 0, 0x7F})
+	f.Add([]byte{binMagic, binVersion, 11, kindTelemetrySummary, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x7F})
+	f.Add(append(append([]byte{binMagic, binVersion, 41, kindTelemetrySummary, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
+		make([]byte, 24)...), 0, 0, 0xFF, 0x7F))
 	f.Add([]byte(`{"type":"ack","body":{"ref":"r","ok":true}}`))
 	f.Add([]byte(`{"type":"nosuch","body":{}}`))
 	f.Add([]byte(`{"from":"fuzz","type":"hello","body":{"v":1}}`))
 
+	var conn internTable // one table across inputs, as across a connection's frames: it fills up
 	f.Fuzz(func(t *testing.T, data []byte) {
 		to, m, err := UnmarshalWire(data) // must not panic
 		if len(data) == 0 || data[0] != binMagic {
@@ -42,6 +98,8 @@ func FuzzUnmarshal(f *testing.F) {
 			}
 			return
 		}
+		checkInternedDecode(t, &conn, data, to, m, err)
+		checkInternedDecode(t, new(internTable), data, to, m, err)
 		if err != nil {
 			return
 		}
@@ -70,7 +128,8 @@ func FuzzUnmarshal(f *testing.F) {
 
 // FuzzBinaryTruncation: for any decodable binary frame, every strict
 // prefix must fail loudly with a typed error — the stream reader depends
-// on truncation never decoding as success.
+// on truncation never decoding as success — and the interning decoder
+// must fail on the truncated payload exactly as the plain one does.
 func FuzzBinaryTruncation(f *testing.F) {
 	for _, m := range codecCorpus() {
 		data, err := MarshalWire(WireBinary, "/d", m)
@@ -91,6 +150,15 @@ func FuzzBinaryTruncation(f *testing.F) {
 		}
 		cut %= len(data) // strict prefix: 0..len-1
 		_, _, err := UnmarshalWire(data[:cut])
+		// The same truncated payload behind a header that admits it: the
+		// connection's decoder must fail on it exactly as the plain one does.
+		if _, used := binary.Uvarint(data[2:]); cut > 2+used {
+			payload := data[2+used : cut]
+			reframed := binary.AppendUvarint([]byte{binMagic, binVersion}, uint64(len(payload)))
+			reframed = append(reframed, payload...)
+			to, m, perr := UnmarshalWire(reframed)
+			checkInternedDecode(t, new(internTable), reframed, to, m, perr)
+		}
 		if err == nil {
 			t.Fatalf("%d-byte prefix of a %d-byte frame decoded successfully", cut, len(data))
 		}
@@ -169,9 +237,12 @@ func FuzzPolicyDelta(f *testing.F) {
 	})
 }
 
-// FuzzCodecRoundTrip builds a message from fuzzed field values and
-// requires the codec to carry it losslessly (modulo the documented
-// nil/empty map normalization, checked via canonical re-encode).
+// FuzzCodecRoundTrip builds one message of each kind from fuzzed field
+// values — the two batch bodies, AlarmBatch and TelemetrySummary,
+// included — and requires the codec to carry it losslessly (modulo the
+// documented nil/empty map normalization, checked via canonical
+// re-encode), through the plain decoder and through one connection's
+// interning decoder.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add("/h/app/x/1", "/mgmt/agent", "frame_rate", 14.5, uint64(3), true, "trace#1")
 	f.Add("", "", "", -0.25, uint64(0), false, "")
@@ -185,10 +256,23 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			{From: from, Body: Heartbeat{ID: id, Seq: seq}},
 			{From: from, Body: Ack{Ref: attr, OK: flag, Err: to}},
 			{From: from, Body: Query{From: from, Keys: []string{attr, to}, Ref: attr}},
+			{From: from, Body: AlarmBatch{Tier: attr,
+				Alarms: []BatchedAlarm{
+					{Alarm: Alarm{ID: id, Policy: attr, Suspect: to, Readings: map[string]float64{attr: val}},
+						Count: int(seq % (1 << 20)), Severity: int(seq % 7)},
+					{Alarm: Alarm{ID: id, Policy: to}, Count: 1}},
+				Summary: map[string]float64{attr: val, to: -val}}},
+			{From: from, Body: TelemetrySummary{Tier: attr, Source: from, Seq: seq, Hosts: seq % (1 << 10),
+				Counters: map[string]float64{attr: val}, Maxima: map[string]float64{to: val},
+				Sketches: []telemetry.NamedSketchSnapshot{
+					{Name: attr, Sketch: telemetry.SketchSnapshot{Count: seq, Sum: val, Min: -val, Max: val,
+						Zero: seq % 3, Base: int(seq%2048) - 1024, Counts: []uint64{seq, 0, seq % 5}}},
+					{Name: to}}}},
 		}
 		if traceID != "" {
 			msgs[0].Trace = telemetry.TraceContext{TraceID: traceID, Span: int(seq % 1 << 20)}
 		}
+		var conn internTable
 		for i, m := range msgs {
 			want, err := MarshalWire(WireBinary, to, m)
 			if err != nil {
@@ -198,6 +282,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("message %d: unmarshal: %v", i, err)
 			}
+			checkInternedDecode(t, &conn, want, gotTo, got, nil)
 			if gotTo != to {
 				t.Fatalf("message %d: to = %q, want %q", i, gotTo, to)
 			}

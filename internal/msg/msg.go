@@ -9,6 +9,7 @@ package msg
 
 import (
 	"fmt"
+	"strconv"
 
 	"softqos/internal/telemetry"
 )
@@ -26,7 +27,12 @@ type Identity struct {
 // Address returns the canonical hierarchical name used in policy subjects,
 // e.g. "/video-client/VideoApplication/mpeg_play/1234".
 func (id Identity) Address() string {
-	return fmt.Sprintf("/%s/%s/%s/%d", id.Host, id.Application, id.Executable, id.PID)
+	var buf [96]byte // most addresses fit: rendered on the stack, copied once
+	b := append(buf[:0], '/')
+	b = append(append(b, id.Host...), '/')
+	b = append(append(b, id.Application...), '/')
+	b = append(append(b, id.Executable...), '/')
+	return string(strconv.AppendInt(b, int64(id.PID), 10))
 }
 
 // Register is sent by a starting process to the policy agent (§6.2 Policy

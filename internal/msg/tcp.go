@@ -43,10 +43,12 @@ type Conn struct {
 	nc net.Conn
 	r  *bufio.Reader
 
-	mu sync.Mutex // serializes writes
-	w  *bufio.Writer
+	mu sync.Mutex // serializes writes: one frame, one Write
 
-	rbuf []byte // reader-goroutine scratch for frame payloads
+	// Reader-goroutine state: scratch for frame payloads, and the strings
+	// this connection's frames keep repeating.
+	rbuf   []byte
+	intern internTable
 
 	metrics atomic.Pointer[tcpMetrics]
 }
@@ -63,7 +65,7 @@ func (c *Conn) SetMetrics(reg *telemetry.Registry) {
 
 // NewConn wraps an established network connection.
 func NewConn(nc net.Conn) *Conn {
-	return &Conn{nc: nc, r: bufio.NewReader(nc), w: bufio.NewWriter(nc)}
+	return &Conn{nc: nc, r: bufio.NewReader(nc)}
 }
 
 // Dial connects to a message server at addr ("host:port").
@@ -75,19 +77,16 @@ func Dial(addr string) (*Conn, error) {
 	return NewConn(nc), nil
 }
 
-// Send writes one message as a frame and flushes it. The frame is
-// encoded into a pooled buffer, so the steady-state send path does not
-// allocate.
+// Send writes one message as a frame. The frame is encoded into a
+// pooled buffer, so the steady-state send path does not allocate.
 func (c *Conn) Send(m Message) error {
-	buf := getWireBuf()
-	data, err := appendBinaryFrame(buf[:0], "", m)
-	if err != nil {
-		putWireBuf(buf)
-		return err
+	f := getFrameBuf()
+	frame, err := f.encode("", m)
+	wire := len(frame)
+	if err == nil {
+		err = c.writeFrame(frame)
 	}
-	wire := len(data)
-	err = c.sendFrame(data)
-	putWireBuf(data)
+	putFrameBuf(f)
 	if err != nil {
 		return err
 	}
@@ -113,21 +112,19 @@ func (c *Conn) Recv() (Message, error) {
 		tm.received.Inc()
 		tm.recvBytes.Add(uint64(wire))
 	}
-	_, m, err := unmarshalBinaryPayload(payload)
+	_, m, err := unmarshalBinaryPayload(payload, &c.intern)
 	return m, err
 }
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.nc.Close() }
 
-// sendFrame writes one pre-encoded frame and flushes it.
-func (c *Conn) sendFrame(data []byte) error {
+// writeFrame hands one encoded frame to the socket in a single Write.
+func (c *Conn) writeFrame(frame []byte) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := c.w.Write(data); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	_, err := c.nc.Write(frame)
+	c.mu.Unlock()
+	return err
 }
 
 // recvFrame blocks for the next frame and returns its payload plus the

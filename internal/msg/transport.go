@@ -44,6 +44,7 @@ type netMetrics struct {
 	retries    *telemetry.Counter
 	reconnects *telemetry.Counter
 	sendFailed *telemetry.Counter
+	internFull *telemetry.Counter
 	byType     map[string]*telemetry.Counter
 }
 
@@ -59,6 +60,7 @@ func newNetMetrics(reg *telemetry.Registry) *netMetrics {
 		retries:    reg.Counter("msg.net.retries"),
 		reconnects: reg.Counter("msg.net.reconnects"),
 		sendFailed: reg.Counter("msg.net.send_failed"),
+		internFull: reg.Counter("msg.net.intern_overflow"),
 		byType:     make(map[string]*telemetry.Counter, len(tags)),
 	}
 	for _, tag := range tags {
@@ -103,7 +105,7 @@ type NetTransport struct {
 
 	dmu   sync.Mutex
 	dcond *sync.Cond
-	queue []func()
+	inbox inbox
 	ddone bool
 	dexit chan struct{}
 
@@ -292,17 +294,14 @@ func (t *NetTransport) Route(mgmtAddr, tcpAddr string) {
 // Do runs fn on the dispatcher goroutine, after any queued deliveries.
 // It is how embedding code touches the (lock-free) managers safely.
 func (t *NetTransport) Do(fn func()) {
-	t.dispatch(fn)
+	t.dispatch(delivery{fn: fn})
 }
 
 // Sync runs fn on the dispatcher goroutine and waits for it to finish.
 // It must not be called from inside a handler (it would deadlock).
 func (t *NetTransport) Sync(fn func()) {
 	done := make(chan struct{})
-	t.dispatch(func() {
-		defer close(done)
-		fn()
-	})
+	t.dispatch(delivery{fn: fn, done: done})
 	<-done
 }
 
@@ -379,13 +378,7 @@ func (t *NetTransport) trySend(to string, m Message) error {
 	if h, ok := t.handlers[to]; ok {
 		t.mu.Unlock()
 		t.countSent(m, true)
-		t.dispatch(func() {
-			t.delivered.Add(1)
-			if nm := t.metrics.Load(); nm != nil {
-				nm.delivered.Inc()
-			}
-			h(m)
-		})
+		t.dispatch(delivery{h: h, m: m})
 		return nil
 	}
 	c := t.learned[to]
@@ -441,15 +434,15 @@ func (t *NetTransport) trySend(to string, m Message) error {
 		}
 	}
 
-	buf := getWireBuf()
-	data, err := appendBinaryFrame(buf[:0], to, m)
+	f := getFrameBuf()
+	frame, err := f.encode(to, m)
 	if err != nil {
-		putWireBuf(buf)
+		putFrameBuf(f)
 		return err
 	}
-	wire := len(data)
-	err = c.sendFrame(data)
-	putWireBuf(data)
+	wire := len(frame)
+	err = c.writeFrame(frame)
+	putFrameBuf(f)
 	if err != nil {
 		t.forgetConn(c)
 		return &SendError{To: to, Kind: ErrConnLost, Err: err}
@@ -530,7 +523,13 @@ func (t *NetTransport) readLoop(c *Conn) {
 			t.badFrame(c, err)
 			return
 		}
-		to, m, err := unmarshalBinaryPayload(payload)
+		to, m, err := unmarshalBinaryPayload(payload, &c.intern)
+		if n := c.intern.missed; n > 0 {
+			c.intern.missed = 0
+			if nm := t.metrics.Load(); nm != nil {
+				nm.internFull.Add(n)
+			}
+		}
 		if err != nil {
 			t.dropped.Add(1)
 			if nm := t.metrics.Load(); nm != nil {
@@ -547,7 +546,7 @@ func (t *NetTransport) readLoop(c *Conn) {
 			continue
 		}
 		t.mu.Lock()
-		if m.From != "" {
+		if m.From != "" && t.learned[m.From] != c {
 			t.learned[m.From] = c
 		}
 		h := t.handlers[to]
@@ -564,13 +563,7 @@ func (t *NetTransport) readLoop(c *Conn) {
 			}
 			continue
 		}
-		t.dispatch(func() {
-			t.delivered.Add(1)
-			if nm := t.metrics.Load(); nm != nil {
-				nm.delivered.Inc()
-			}
-			h(m)
-		})
+		t.dispatch(delivery{h: h, m: m})
 	}
 }
 
@@ -618,13 +611,51 @@ func (t *NetTransport) forgetConn(c *Conn) {
 	_ = c.Close()
 }
 
-func (t *NetTransport) dispatch(fn func()) {
+// delivery is one inbox entry: a message for the handler it resolved
+// to, or a function from Do/Sync (done, when set, is closed once fn has
+// returned).
+type delivery struct {
+	h    func(Message)
+	m    Message
+	fn   func()
+	done chan struct{}
+}
+
+// inbox is the dispatcher's queue: a ring of deliveries that grows by
+// doubling when full and zeroes each slot as it is popped, so a
+// delivered message is not kept reachable by the queue.
+type inbox struct {
+	buf     []delivery // len is zero or a power of two
+	head, n int
+}
+
+func (q *inbox) push(d delivery) {
+	if q.n == len(q.buf) {
+		grown := make([]delivery, max(16, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = d
+	q.n++
+}
+
+func (q *inbox) pop() delivery {
+	d := q.buf[q.head]
+	q.buf[q.head] = delivery{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return d
+}
+
+func (t *NetTransport) dispatch(d delivery) {
 	t.dmu.Lock()
 	if t.ddone {
 		t.dmu.Unlock()
 		return
 	}
-	t.queue = append(t.queue, fn)
+	t.inbox.push(d)
 	t.dcond.Signal()
 	t.dmu.Unlock()
 }
@@ -633,17 +664,27 @@ func (t *NetTransport) dispatchLoop() {
 	defer close(t.dexit)
 	for {
 		t.dmu.Lock()
-		for len(t.queue) == 0 && !t.ddone {
+		for t.inbox.n == 0 && !t.ddone {
 			t.dcond.Wait()
 		}
-		if len(t.queue) == 0 {
+		if t.inbox.n == 0 {
 			t.dmu.Unlock()
 			return
 		}
-		fn := t.queue[0]
-		t.queue = t.queue[1:]
+		d := t.inbox.pop()
 		t.dmu.Unlock()
-		fn()
+		if d.fn != nil {
+			d.fn()
+			if d.done != nil {
+				close(d.done)
+			}
+			continue
+		}
+		t.delivered.Add(1)
+		if nm := t.metrics.Load(); nm != nil {
+			nm.delivered.Inc()
+		}
+		d.h(d.m)
 	}
 }
 

@@ -149,12 +149,12 @@ func (d *Directory) Search(base DN, scope Scope, f Filter) []*Entry {
 			if dn != b {
 				continue
 			}
-		case ScopeOne:
-			if dn.Parent() != b {
+		case ScopeOne: // dn is a map key, b was normalised above
+			if parentOf(dn) != b {
 				continue
 			}
 		case ScopeSub:
-			if dn != b && !dn.IsDescendantOf(b) && b != "" {
+			if dn != b && !under(dn, b) && b != "" {
 				continue
 			}
 		}

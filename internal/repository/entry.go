@@ -36,13 +36,7 @@ func (d DN) Normalize() DN {
 }
 
 // Parent returns the DN with the leftmost RDN removed ("" at the root).
-func (d DN) Parent() DN {
-	s := string(d.Normalize())
-	if i := strings.Index(s, ","); i >= 0 {
-		return DN(s[i+1:])
-	}
-	return ""
-}
+func (d DN) Parent() DN { return parentOf(d.Normalize()) }
 
 // RDN returns the leftmost relative DN component.
 func (d DN) RDN() string {
@@ -54,9 +48,21 @@ func (d DN) RDN() string {
 }
 
 // IsDescendantOf reports whether d lies strictly under base.
-func (d DN) IsDescendantOf(base DN) bool {
-	ds, bs := string(d.Normalize()), string(base.Normalize())
-	return ds != bs && strings.HasSuffix(ds, ","+bs)
+func (d DN) IsDescendantOf(base DN) bool { return under(d.Normalize(), base.Normalize()) }
+
+// parentOf and under are Parent and IsDescendantOf for DNs already in
+// canonical form — the directory's map keys, a search base normalised
+// once — which a scan over every entry must not normalise again.
+func parentOf(n DN) DN {
+	if i := strings.IndexByte(string(n), ','); i >= 0 {
+		return n[i+1:]
+	}
+	return ""
+}
+
+func under(n, base DN) bool {
+	cut := len(n) - len(base) - 1
+	return cut > 0 && n[cut] == ',' && n[cut+1:] == base
 }
 
 // Entry is one directory object: a DN plus multi-valued attributes.

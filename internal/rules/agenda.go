@@ -39,6 +39,9 @@ func (e *Engine) next() (*prod, int) {
 		}
 		e.stale = false
 	}
+	if len(e.unlisted) > 0 {
+		e.reclaim()
+	}
 	var best *prod
 	at := 0
 	for _, p := range e.rs {

@@ -24,6 +24,11 @@ type Engine struct {
 	all  memory
 	mems map[relKey]*memory
 
+	// Retracted facts on their way back to Assert: unlisted holds the ones
+	// no memory lists any more, which a conflict set may still name until
+	// the next re-match (agenda.go) moves them to free.
+	unlisted, free []*Fact
+
 	rs        []*prod
 	templates map[string]*template
 	funcs     map[string]Callback
@@ -127,13 +132,20 @@ type relKey struct {
 
 // memory is facts in assertion order — one alpha memory, or all of
 // working memory. Retraction tombstones (Fact.gone) so a retract never
-// searches; iteration skips dead facts and the slice is compacted, in
-// place, once half of it is dead. Nothing retracts while iterating.
+// searches; iteration skips dead facts. Dead facts at the tail are
+// dropped at once — an episode's facts, asserted last, leave no
+// tombstone behind however large the memory — and the slice is
+// compacted, in place, once half of it is dead. Nothing retracts while
+// iterating.
 type memory struct {
 	facts []*Fact
 	dead  int
 	deps  []*prod // rules with a condition element over this memory
 }
+
+// maxSpareFacts bounds each of the engine's two lists of retracted facts
+// awaiting reuse; a fact retracted beyond it is left to the collector.
+const maxSpareFacts = 64
 
 // changed marks every rule matching over m for re-matching.
 func (e *Engine) changed(m *memory) {
@@ -143,19 +155,55 @@ func (e *Engine) changed(m *memory) {
 	}
 }
 
-func (m *memory) remove() {
+// removed accounts for one fact of m just retracted, and drops the dead
+// facts it can drop cheaply.
+func (e *Engine) removed(m *memory) {
 	m.dead++
-	if m.dead*2 <= len(m.facts) {
+	n := len(m.facts)
+	for n > 0 && m.facts[n-1].gone {
+		n--
+		e.unlist(m.facts[n])
+		m.facts[n] = nil
+		m.dead--
+	}
+	m.facts = m.facts[:n]
+	if m.dead*2 <= n {
 		return
 	}
 	live := m.facts[:0]
 	for _, f := range m.facts {
-		if !f.gone {
+		if f.gone {
+			e.unlist(f)
+		} else {
 			live = append(live, f)
 		}
 	}
 	clear(m.facts[len(live):])
 	m.facts, m.dead = live, 0
+}
+
+// unlist notes that one memory stopped listing retracted fact f. Once
+// none does, the engine's only remaining references to f are activation
+// tuples of rules over those memories, all of them marked for
+// re-matching by the retract: f waits in unlisted for that re-match.
+func (e *Engine) unlist(f *Fact) {
+	if f.listed--; f.listed == 0 && !f.shared && len(e.unlisted) < maxSpareFacts {
+		e.unlisted = append(e.unlisted, f)
+	}
+}
+
+// reclaim runs when every rule is freshly matched: no conflict set names
+// a retracted fact any more, so the unlisted ones are blanked for reuse.
+func (e *Engine) reclaim() {
+	for _, f := range e.unlisted {
+		if len(e.free) < maxSpareFacts {
+			*f = Fact{}
+			e.free = append(e.free, f)
+		}
+	}
+	clear(e.unlisted)
+	e.unlisted = e.unlisted[:0]
+	clear(e.stack) // the matcher's scratch may still name them
 }
 
 // mem returns the alpha memory of (rel, arity), creating it when absent.
@@ -211,7 +259,13 @@ func (e *Engine) Assert(items ...Value) int {
 		}
 	}
 	e.nextID++
-	f := &Fact{id: e.nextID, hash: h, next: e.byHash[h]}
+	var f *Fact
+	if n := len(e.free); n > 0 {
+		f, e.free[n-1], e.free = e.free[n-1], nil, e.free[:n-1]
+	} else {
+		f = new(Fact)
+	}
+	f.id, f.hash, f.next, f.listed = e.nextID, h, e.byHash[h], 2
 	if len(items) <= len(f.inline) {
 		f.items = f.inline[:len(items)]
 	} else {
@@ -252,8 +306,8 @@ func (e *Engine) Retract(id int) bool {
 	}
 	f.gone, f.next = true, nil
 	m := e.mems[relKey{f.Relation(), len(f.items)}]
-	m.remove()
-	e.all.remove()
+	e.removed(m)
+	e.removed(&e.all)
 	e.changed(m)
 	e.changed(&e.all)
 	return true
@@ -274,20 +328,35 @@ func (e *Engine) RetractMatching(pattern ...Value) int {
 func (e *Engine) FactCount() int { return len(e.facts) }
 
 // Facts returns live facts in assertion order.
-func (e *Engine) Facts() []*Fact { return e.appendMatching(nil, nil) }
+func (e *Engine) Facts() []*Fact { return e.FactsMatching() }
 
-// FactsMatching returns live facts unifying with the pattern.
-func (e *Engine) FactsMatching(pattern ...Value) []*Fact { return e.appendMatching(nil, pattern) }
+// FactsMatching returns live facts unifying with the pattern (every
+// live fact for the empty pattern). They stay valid and unchanged after
+// their retraction: a fact handed out is never reused.
+func (e *Engine) FactsMatching(pattern ...Value) []*Fact {
+	out := e.appendMatching(nil, pattern)
+	for _, f := range out {
+		f.shared = true
+	}
+	return out
+}
 
-// appendMatching appends the live facts unifying with the pattern (every
-// live fact for the empty pattern) to out, in assertion order.
-func (e *Engine) appendMatching(out []*Fact, pattern []Value) []*Fact {
+// EachMatching calls fn with every live fact unifying with the pattern,
+// in assertion order, without allocating. The fact is the engine's own:
+// fn must neither keep it nor assert or retract.
+func (e *Engine) EachMatching(pattern []Value, fn func(*Fact)) {
 	var none bindings
 	for _, f := range e.candidates(pattern) {
 		if !f.gone && (len(pattern) == 0 || unifies(pattern, f, &none)) {
-			out = append(out, f)
+			fn(f)
 		}
 	}
+}
+
+// appendMatching appends the engine's own live facts unifying with the
+// pattern to out.
+func (e *Engine) appendMatching(out []*Fact, pattern []Value) []*Fact {
+	e.EachMatching(pattern, func(f *Fact) { out = append(out, f) })
 	return out
 }
 

@@ -351,6 +351,7 @@ func checkEquivalent(t *testing.T, src string, ops []equivOp) {
 				fail("run(%d): fired %d err %v, reference %d err %v", op.limit, got, gerr, want, werr)
 			}
 		}
+		checkSpareFacts(t, e)
 		gt := e.Trace()
 		if len(gt) != len(ref.trace) {
 			fail("%d firings, reference %d", len(gt), len(ref.trace))

@@ -113,13 +113,18 @@ func appendTuple(buf []byte, items []Value) []byte {
 }
 
 // Fact is an ordered tuple; the first element is conventionally the
-// relation name. Facts are immutable once asserted.
+// relation name. Facts are immutable once asserted. The engine reuses
+// the storage of a retracted fact once nothing of its own refers to it
+// (see Engine.unlist) — unless a caller was handed the fact (Facts,
+// FactsMatching), which then stays as it is for good.
 type Fact struct {
-	id    int
-	items []Value
-	hash  uint64 // tuple hash (duplicate detection)
-	next  *Fact  // next live fact with the same hash
-	gone  bool   // retracted; memories skip it until they compact
+	id     int
+	items  []Value
+	hash   uint64 // tuple hash (duplicate detection)
+	next   *Fact  // next live fact with the same hash
+	gone   bool   // retracted; memories skip it until they drop it
+	shared bool   // handed to a caller: never reused
+	listed uint8  // memories still listing it: its relation's and all of working memory
 	// inline backs items of up to four atoms: a typical fact is one allocation.
 	inline [4]Value
 }

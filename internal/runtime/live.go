@@ -179,15 +179,39 @@ type LiveHost struct {
 }
 
 // NewLiveHost creates a live host named name. Load average defaults to
-// the OS loadavg (zero where unavailable); memory defaults to 1<<16
-// physical pages, all free.
+// the OS loadavg (zero where unavailable), read at most once per
+// loadAvgEvery; memory defaults to 1<<16 physical pages, all free.
 func NewLiveHost(name string) *LiveHost {
 	return &LiveHost{
 		name:      name,
 		procs:     make(map[int]*LiveProc),
-		loadFn:    OSLoadAvg,
+		loadFn:    sampled(OSLoadAvg, Wall(), loadAvgEvery),
 		physPages: 1 << 16,
 		freePages: 1 << 16,
+	}
+}
+
+// loadAvgEvery is how often the default load observer re-reads
+// /proc/loadavg. The kernel refreshes the figure every five seconds; a
+// host manager asks for it on every violation report and every query.
+const loadAvgEvery = time.Second
+
+// sampled returns an observer that calls read at most once per every on
+// clock and answers with the last reading in between. Safe for
+// concurrent use.
+func sampled(read func() float64, clock Clock, every time.Duration) func() float64 {
+	var (
+		mu   sync.Mutex
+		last float64
+		next time.Duration // clock time from which the reading is stale
+	)
+	return func() float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		if now := clock(); now >= next {
+			last, next = read(), now+every
+		}
+		return last
 	}
 }
 

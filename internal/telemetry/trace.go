@@ -121,6 +121,17 @@ type Trace struct {
 	Remote bool `json:"remote,omitempty"`
 
 	nextSpan int // last span ID handed out
+	// spans0 backs Spans for the usual episode — violation, notify,
+	// recovered at the coordinator; diagnose, one action, superseded at a
+	// manager — so a trace and its spans are one allocation.
+	spans0 [3]Span
+}
+
+// newTrace returns an open trace with room for the usual episode's spans.
+func newTrace(id, subject, policy string, start time.Duration) *Trace {
+	t := &Trace{ID: id, Subject: subject, Policy: policy, Start: start}
+	t.Spans = t.spans0[:0]
+	return t
 }
 
 // Clone returns a deep copy of the trace. Only safe to call where the
@@ -324,12 +335,9 @@ func (tr *Tracer) Begin(subject, policy, src, detail string) TraceContext {
 		return tr.addSpan(t, 1, src, StageViolation, detail, now)
 	}
 	tr.seq++
-	t := &Trace{
-		ID:      subject + "#" + strconv.FormatUint(tr.seq, 10),
-		Subject: subject,
-		Policy:  policy,
-		Start:   now,
-	}
+	var buf [128]byte // subject "#" sequence, rendered on the stack
+	id := strconv.AppendUint(append(append(buf[:0], subject...), '#'), tr.seq, 10)
+	t := newTrace(string(id), subject, policy, now)
 	tr.active[key] = t
 	tr.byID[t.ID] = t
 	return tr.addSpan(t, 0, src, StageViolation, detail, now)
@@ -362,8 +370,8 @@ func (tr *Tracer) lookup(ctx TraceContext, subject, policy string, at time.Durat
 		t.End = at
 		tr.doneAppend(t)
 	}
-	t = &Trace{ID: ctx.TraceID, Subject: subject, Policy: policy, Start: at, Remote: true,
-		Spans: make([]Span, 0, 4)} // typically diagnose, one action, superseded
+	t = newTrace(ctx.TraceID, subject, policy, at)
+	t.Remote = true
 	tr.active[key] = t
 	tr.byID[t.ID] = t
 	return t
