@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-diff profile-episode examples lint-log lint-wire lint-telemetry live-smoke trace-smoke fleet-smoke policy-smoke soak clean
+.PHONY: all build vet test race check bench bench-diff bench-smoke profile-episode examples lint-log lint-wire lint-telemetry live-smoke trace-smoke fleet-smoke policy-smoke soak clean
 
 all: check
 
@@ -29,7 +29,7 @@ test: race
 race:
 	$(GO) test -race ./...
 
-check: build vet lint-log lint-wire lint-telemetry examples race trace-smoke fleet-smoke policy-smoke soak
+check: build vet lint-log lint-wire lint-telemetry examples race trace-smoke fleet-smoke policy-smoke soak bench-smoke
 
 # Library code must never print: diagnostics go through the structured
 # event log (internal/telemetry/eventlog) or the telemetry registry, so
@@ -121,6 +121,23 @@ policy-smoke:
 fleet-smoke:
 	$(GO) run ./cmd/qosfleet -hosts 1000 -duration 2m -check
 	$(GO) run ./cmd/qosfleet -hosts 10000 -procs 10 -duration 2m -federate -eventlog -check
+
+# The benchmark gate: the benchmark/ harness (its own module, built
+# against this checkout) must still vet, pass its tests, and run every
+# workload it declares to a correct result — "correct":true and no failed
+# operation — on a short --quick pass. A change to the API the harness
+# calls, or to the behaviour its correctness gates check, fails here.
+BENCH_WORKLOADS = live_local live_escalate fleet_sim
+
+bench-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test .
+	@for w in $(BENCH_WORKLOADS); do \
+		out=$$(bash benchmark/run.sh --quick --seconds 3 --workload $$w) || { echo "$$out"; echo "bench-smoke: $$w exited non-zero"; exit 1; }; \
+		if ! echo "$$out" | grep -q '"correct":true' || ! echo "$$out" | grep -q ', failed 0$$'; then \
+			echo "$$out"; echo "bench-smoke: $$w failed its correctness gates"; exit 1; \
+		fi; \
+		echo "bench-smoke: $$w ok"; \
+	done
 
 # Perf trajectory: `make bench` runs the micro-benchmarks (hot-path
 # packages and the root package's microsecond-scale benchmarks at a stable

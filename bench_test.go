@@ -282,7 +282,7 @@ oblig Other {
 func BenchmarkInferenceEpisode(b *testing.B) {
 	s := sim.New(1)
 	host := sched.NewHost(s, "h")
-	hm := manager.NewHostManager("/h/QoSHostManager", host, func(string, msg.Message) error { return nil }, "")
+	hm := manager.NewHostManager("/h/QoSHostManager", host, func(string, msg.Message) error { return nil }, "", manager.Liveness{})
 	p := host.Spawn("mpeg_play", func(p *sched.Proc) {
 		p.Sleep(time.Hour, func() { p.Exit() })
 	})

@@ -123,7 +123,7 @@ func overhead() {
 			ID: id, Sensors: []string{"fps_sensor", "jitter_sensor", "buffer_sensor"}}}))
 		reply, err := c.Recv()
 		must(err)
-		if _, ok := reply.Body.(*msg.PolicySet); !ok {
+		if _, ok := reply.Body.(msg.PolicySet); !ok {
 			must(fmt.Errorf("unexpected reply %T", reply.Body))
 		}
 		_ = c.Close()
@@ -168,7 +168,7 @@ func (s *liveAgentSrv) Close()       { _ = s.srv.Close() }
 
 func serveLiveAgent(svc *repository.Service) (*liveAgentSrv, error) {
 	srv, err := msg.Serve("127.0.0.1:0", func(c *msg.Conn, m msg.Message) {
-		if reg, ok := m.Body.(*msg.Register); ok {
+		if reg, ok := m.Body.(msg.Register); ok {
 			specs, _ := svc.PoliciesFor(reg.ID)
 			_ = c.Send(msg.Message{From: "/agent", Body: msg.PolicySet{ID: reg.ID, Policies: specs}})
 		}

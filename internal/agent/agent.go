@@ -169,12 +169,8 @@ func (a *PolicyAgent) Generation(exe string) uint64 {
 // PolicyDelta).
 func (a *PolicyAgent) HandleMessage(m msg.Message) {
 	switch body := m.Body.(type) {
-	case *msg.Register:
-		a.handleRegister(m.From, *body)
 	case msg.Register:
 		a.handleRegister(m.From, body)
-	case *msg.PolicyDelta:
-		a.handleDelta(m.Trace, *body)
 	case msg.PolicyDelta:
 		a.handleDelta(m.Trace, body)
 	}

@@ -512,13 +512,22 @@ func TestAgentCacheCountersInRegistry(t *testing.T) {
 	}
 }
 
-func TestAgentPointerBody(t *testing.T) {
+// TestAgentDecodedBody: a registration as the TCP transport delivers it,
+// decoded from the wire, is handled.
+func TestAgentDecodedBody(t *testing.T) {
 	a, sent, _ := newAgent(t)
 	id := msg.Identity{Host: "h", PID: 9, Executable: "mpeg_play", Application: "VideoApplication"}
-	reg := msg.Register{ID: id, Sensors: []string{"fps_sensor", "jitter_sensor", "buffer_sensor"}}
-	a.HandleMessage(msg.Message{From: id.Address(), Body: &reg})
+	frame, err := msg.MarshalWire(msg.WireBinary, "/agent", register(id, "fps_sensor", "jitter_sensor", "buffer_sensor"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, m, err := msg.UnmarshalWire(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.HandleMessage(m)
 	if len(*sent) != 1 {
-		t.Fatalf("pointer-body register not handled")
+		t.Fatalf("decoded register not handled")
 	}
 }
 

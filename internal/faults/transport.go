@@ -204,11 +204,7 @@ func subjectOf(m msg.Message) (subject, policy string) {
 	switch b := m.Body.(type) {
 	case msg.Violation:
 		return b.ID.Address(), b.Policy
-	case *msg.Violation:
-		return b.ID.Address(), b.Policy
 	case msg.Alarm:
-		return b.ID.Address(), b.Policy
-	case *msg.Alarm:
 		return b.ID.Address(), b.Policy
 	}
 	return "", ""

@@ -275,16 +275,10 @@ func (c *Coordinator) Heartbeat() error {
 // reply from the agent).
 func (c *Coordinator) HandleMessage(m msg.Message) error {
 	switch body := m.Body.(type) {
-	case *msg.PolicySet:
-		return c.InstallPolicies(body.Policies)
 	case msg.PolicySet:
 		return c.InstallPolicies(body.Policies)
-	case *msg.Directive:
-		return c.handleDirective(*body)
 	case msg.Directive:
 		return c.handleDirective(body)
-	case *msg.Nack:
-		return c.handleNack(*body)
 	case msg.Nack:
 		return c.handleNack(body)
 	default:

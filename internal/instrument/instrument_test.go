@@ -393,7 +393,7 @@ func TestCoordinatorHandlePolicySetMessage(t *testing.T) {
 	h := newHarness(t)
 	err := h.coord.HandleMessage(msg.Message{
 		From: "/agent",
-		Body: &msg.PolicySet{ID: h.coord.Identity(), Policies: []msg.PolicySpec{example1Spec()}},
+		Body: msg.PolicySet{ID: h.coord.Identity(), Policies: []msg.PolicySpec{example1Spec()}},
 	})
 	if err != nil {
 		t.Fatal(err)

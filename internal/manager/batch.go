@@ -21,7 +21,7 @@ import (
 //   - a zero window disables batching entirely — Add forwards each alarm
 //     as a plain msg.Alarm, byte-identical to the unbatched protocol (the
 //     flat topology's degenerate case);
-//   - an alarm at or above the escalation severity flushes the buffer
+//   - an alarm at or above EscalationSeverity flushes the buffer
 //     immediately, so a window never delays a severe fault by more than
 //     the transport latency.
 //
@@ -34,9 +34,8 @@ type AlarmCoalescer struct {
 	parent string // destination one tier up
 	send   Send
 
-	window   time.Duration
-	after    func(time.Duration, func()) // injected timer (sim After or time.AfterFunc)
-	escalate int                         // severity >= escalate flushes immediately; 0 disables
+	window time.Duration
+	after  func(time.Duration, func()) // injected timer (sim After or time.AfterFunc)
 
 	// Summarize, when set, is invoked at flush time to attach aggregate
 	// facts to the outgoing batch (the per-tier summary that replaces
@@ -61,6 +60,10 @@ type AlarmCoalescer struct {
 	// evlog, when set, records flush decisions (component "batch").
 	evlog *eventlog.Logger
 }
+
+// EscalationSeverity is the alarm severity that flushes a coalescer's
+// pending batch at once instead of waiting out the window.
+const EscalationSeverity = 2
 
 // NewAlarmCoalescer creates a coalescer that batches alarms from tier
 // toward parent over the given window. after schedules the flush timer
@@ -90,10 +93,6 @@ func (c *AlarmCoalescer) SetTelemetry(reg *telemetry.Registry) {
 	c.batched = reg.Counter("batch." + c.tier + ".alarms")
 	c.escFlush = reg.Counter("batch." + c.tier + ".escalation_flushes")
 }
-
-// SetEscalation arms flush-on-severity: an Add with severity >= sev
-// flushes the pending batch immediately. Zero disables escalation.
-func (c *AlarmCoalescer) SetEscalation(sev int) { c.escalate = sev }
 
 // SetEventLog attaches the structured event log flush decisions are
 // recorded on (component "batch"). Nil detaches.
@@ -136,10 +135,8 @@ func (c *AlarmCoalescer) AddCtx(a msg.Alarm, severity int, tc telemetry.TraceCon
 		c.entries[key] = &msg.BatchedAlarm{Alarm: a, Count: 1, Severity: severity}
 		c.order = append(c.order, key)
 	}
-	if c.escalate > 0 && severity >= c.escalate {
-		if c.escFlush != nil {
-			c.escFlush.Inc()
-		}
+	if severity >= EscalationSeverity {
+		c.escFlush.Inc()
 		c.evlog.EventCtx(tc, eventlog.Warn, "batch", "escalation_flush",
 			eventlog.Str("tier", c.tier), eventlog.Str("subject", a.ID.Address()),
 			eventlog.Int("severity", severity), eventlog.Int("pending", len(c.entries)))
@@ -184,11 +181,9 @@ func (c *AlarmCoalescer) Flush() error {
 		return nil
 	}
 	c.Batches++
-	if c.flushes != nil {
-		c.flushes.Inc()
-		for _, e := range b.Alarms {
-			c.batched.Add(uint64(e.Count))
-		}
+	c.flushes.Inc()
+	for _, e := range b.Alarms {
+		c.batched.Add(uint64(e.Count))
 	}
 	c.evlog.Event(eventlog.Debug, "batch", "flush",
 		eventlog.Str("tier", c.tier), eventlog.Int("alarms", len(b.Alarms)),

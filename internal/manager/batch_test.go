@@ -97,7 +97,6 @@ func TestCoalescerEscalationFlushesImmediately(t *testing.T) {
 	reg := telemetry.NewRegistry(func() time.Duration { return s.Now().Duration() })
 	c := NewAlarmCoalescer("domain", "/d", "/region", send, 5*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) })
 	c.SetTelemetry(reg)
-	c.SetEscalation(2)
 
 	s.Schedule(sim.Time(0), func() { _ = c.Add(batchAlarm("h1", 7, 12), 1) })
 	s.Schedule(sim.Time(time.Second), func() { _ = c.Add(batchAlarm("h2", 3, 2), 2) }) // severe
@@ -125,16 +124,17 @@ func TestCoalescerEscalationFlushesImmediately(t *testing.T) {
 	}
 }
 
-// TestCoalescerSeverityMergesToMax: merging a severe repeat into an
-// existing entry keeps the maximum severity seen for that key.
+// TestCoalescerSeverityMergesToMax: merging a graver repeat into an
+// existing entry keeps the maximum severity seen for that key (both stay
+// below EscalationSeverity, so nothing flushes early).
 func TestCoalescerSeverityMergesToMax(t *testing.T) {
 	var fns []func()
 	c := NewAlarmCoalescer("domain", "/d", "/region",
 		func(string, msg.Message) error { return nil },
 		time.Second, func(d time.Duration, fn func()) { fns = append(fns, fn) })
-	_ = c.Add(batchAlarm("h1", 7, 12), 1)
-	_ = c.Add(batchAlarm("h1", 7, 3), 2)
-	_ = c.Add(batchAlarm("h1", 7, 10), 1)
+	_ = c.Add(batchAlarm("h1", 7, 12), 0)
+	_ = c.Add(batchAlarm("h1", 7, 3), 1)
+	_ = c.Add(batchAlarm("h1", 7, 10), 0)
 	if c.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", c.Pending())
 	}
@@ -144,8 +144,8 @@ func TestCoalescerSeverityMergesToMax(t *testing.T) {
 		return nil
 	}
 	_ = c.Flush()
-	if got.Alarms[0].Severity != 2 || got.Alarms[0].Count != 3 {
-		t.Errorf("merged entry severity=%d count=%d, want 2/3",
+	if got.Alarms[0].Severity != 1 || got.Alarms[0].Count != 3 {
+		t.Errorf("merged entry severity=%d count=%d, want 1/3",
 			got.Alarms[0].Severity, got.Alarms[0].Count)
 	}
 }

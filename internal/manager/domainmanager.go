@@ -2,7 +2,6 @@ package manager
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"softqos/internal/msg"
@@ -97,10 +96,6 @@ type episode struct {
 	// the context the alarm carried (the client host manager's escalate
 	// span), advancing as local spans are recorded.
 	ctx telemetry.TraceContext
-	// Liveness bookkeeping (EnableLiveness): when the episode was opened
-	// or last retried, and whether its query has been retried already.
-	at      time.Duration
-	retried bool
 }
 
 // fanout is one in-flight downward query: a parent tier asked this
@@ -118,46 +113,53 @@ type fanout struct {
 	hotLoad   float64
 	reports   int
 	ctx       telemetry.TraceContext
-	at        time.Duration
-	retried   bool
+}
+
+// DomainConfig is what a domain manager is configured with beyond its
+// address and transport. The zero value is the flat (2-tier) topology's
+// domain manager: nothing is swept, batched upward or relayed.
+type DomainConfig struct {
+	// Liveness arms episode and fan-out timeouts (a report that does not
+	// arrive within Timeout is asked for once more, then abandoned with
+	// the reason traced) and the eviction of silent hosts.
+	Liveness
+	// HostTimeout decouples host-roster eviction from the (typically much
+	// shorter) episode timeout: hosts heartbeat on a slow period and must
+	// not be evicted between beats. Zero uses Liveness.Timeout.
+	HostTimeout time.Duration
+	// Uplink batches this domain's alarm traffic toward its parent tier;
+	// a domain with an uplink traces its spans at TierDomain.
+	Uplink *AlarmCoalescer
+	// SummarySink receives inbound host telemetry summaries (typically a
+	// SummaryAggregator's Ingest); without one they are dropped.
+	SummarySink func(msg.TelemetrySummary)
+	// PolicyAgents receive the repository policy deltas this domain
+	// relays — the terminal hop of the hub → region → domain → agent
+	// distribution path. Without any, deltas are dropped.
+	PolicyAgents []string
 }
 
 // DomainManager locates sources of problems spanning hosts and issues
 // corrective directives to host managers.
 type DomainManager struct {
-	addr string
-	send Send
+	node
 
 	engine  *rules.Engine
 	servers map[string]serverRef // application -> server side
 	// queryKeys holds one localization key list per server executable.
 	queryKeys map[string][]string
-	episodes  map[string]*episode // ref -> pending episode
-	nextRef   int
+	episodes  requests[episode] // "e" refs
 
 	// Hierarchy state, empty in flat (2-tier) topologies. Hosts register
 	// with the domain exactly as coordinators register with the policy
 	// agent; the same heartbeat/liveness machinery then governs them.
-	hosts     map[string]string // host name -> host manager address
-	hostSeen  map[string]time.Duration
-	hostOrder []string // registration order, for deterministic sweeps
-	// hostTimeout governs host-roster eviction (SetHostTimeout); zero
-	// falls back to livenessTimeout.
-	hostTimeout time.Duration
-	fanouts     map[string]*fanout // ref -> pending downward fan-out
-	tier        int                // trace tier depth (0 = flat, 2 = domain under a region)
-	lastHot     string             // most recently implicated host manager address
-
-	// uplink, when set, batches this domain's alarm traffic toward the
-	// parent tier instead of (or in addition to) diagnosing locally.
-	uplink *AlarmCoalescer
-	// summarySink, when set, receives inbound host telemetry summaries
-	// (SetSummarySink wires a SummaryAggregator's Ingest here).
-	summarySink func(msg.TelemetrySummary)
-	// policyAgents, when set, receives relayed policy deltas
-	// (SetPolicyAgents names the per-domain policy agents the live
-	// distribution path terminates at).
+	hosts        roster[string, string] // host name -> host manager address
+	fanouts      requests[fanout]       // "f" refs
+	tier         int                    // trace tier depth (0 = flat, 2 = domain under a region)
+	lastHot      string                 // most recently implicated host manager address
+	uplink       *AlarmCoalescer
 	policyAgents []string
+
 	// SeverityFor, when set, grades an alarm for uplink escalation
 	// (default severity 1).
 	SeverityFor func(msg.Alarm) int
@@ -190,21 +192,10 @@ type DomainManager struct {
 	// agents (fan-out included).
 	PolicyDeltasRelayed uint64
 
-	// Liveness tracking (EnableLiveness): episodes whose server report
-	// never arrives are retried once, then abandoned with a traced
-	// reason instead of pending forever.
-	livenessClock   telemetry.Clock
-	livenessTimeout time.Duration
-
-	// Telemetry (optional; see SetTelemetry).
-	metrics *dmMetrics
-	tracer  *telemetry.Tracer
+	// Telemetry (optional; see SetTelemetry). Nil handles are no-ops.
+	metrics dmMetrics
 	epCur   *episode // episode being diagnosed (explanation attribution)
 	epFacts []int    // ids of the facts asserted for it
-	// evlog, when set, records the decisions this manager otherwise makes
-	// silently (evictions, retries, timeouts) as structured events. Nil —
-	// the default — is free (eventlog methods are nil-safe).
-	evlog *eventlog.Logger
 }
 
 // dmMetrics holds the domain manager's pre-resolved metric handles.
@@ -219,22 +210,40 @@ type dmMetrics struct {
 	timeouts      *telemetry.Counter
 	fanouts       *telemetry.Counter
 	fanoutSubs    *telemetry.Counter
-	hostsEvicted  *telemetry.Counter
 	policyRelays  *telemetry.Counter
 	firings       *telemetry.Sketch
 }
 
 // NewDomainManager creates a domain manager bound to addr, loading the
 // default rule set.
-func NewDomainManager(addr string, send Send) *DomainManager {
+func NewDomainManager(addr string, send Send, cfg DomainConfig) *DomainManager {
 	dm := &DomainManager{
-		addr:      addr,
-		send:      send,
-		engine:    rules.NewEngine(),
-		servers:   make(map[string]serverRef),
-		queryKeys: make(map[string][]string),
-		episodes:  make(map[string]*episode),
+		node: node{addr: addr, send: send, component: "domainmanager",
+			live: cfg.Liveness, sink: cfg.SummarySink},
+		engine:       rules.NewEngine(),
+		servers:      make(map[string]serverRef),
+		queryKeys:    make(map[string][]string),
+		episodes:     requests[episode]{},
+		fanouts:      requests[fanout]{},
+		uplink:       cfg.Uplink,
+		policyAgents: cfg.PolicyAgents,
 	}
+	if cfg.Uplink != nil {
+		dm.tier = TierDomain
+	}
+	if cfg.HostTimeout <= 0 {
+		cfg.HostTimeout = cfg.Timeout
+	}
+	dm.hosts = roster[string, string]{kind: "host", timeout: cfg.HostTimeout, evicted: &dm.HostsEvicted,
+		bind: func(_ string, addr *string, from string) { *addr = from },
+		describe: func(name string, _ *string, silent time.Duration) []eventlog.Field {
+			return []eventlog.Field{eventlog.Str("host", name), eventlog.Num("silent_ns", float64(silent))}
+		},
+		onEvict: func(name string, _ *string) {
+			if dm.OnHostEvicted != nil {
+				dm.OnHostEvicted(name)
+			}
+		}}
 	dm.registerCallbacks()
 	if err := dm.engine.LoadRulesOrigin("domain-default", DefaultDomainRules); err != nil {
 		panic("manager: default domain rules do not parse: " + err.Error())
@@ -242,25 +251,21 @@ func NewDomainManager(addr string, send Send) *DomainManager {
 	return dm
 }
 
-// Addr returns the manager's management address.
-func (dm *DomainManager) Addr() string { return dm.addr }
-
 // SetTelemetry attaches the domain manager to a metrics registry and
 // (optionally) a violation tracer. Localization outcomes and directives
 // are attributed to the originating client violation's trace through the
 // alarm identity carried by each episode.
 func (dm *DomainManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 	dm.tracer = tracer
+	dm.engine.OnFiring = nil
 	if tracer != nil {
 		dm.engine.OnFiring = dm.explainFiring
-	} else {
-		dm.engine.OnFiring = nil
 	}
+	dm.metrics, dm.hosts.metric = dmMetrics{}, nil
 	if reg == nil {
-		dm.metrics = nil
 		return
 	}
-	dm.metrics = &dmMetrics{
+	dm.metrics = dmMetrics{
 		alarms:        reg.Counter("domain.alarms"),
 		serverFaults:  reg.Counter("domain.server_faults"),
 		memoryFaults:  reg.Counter("domain.memory_faults"),
@@ -271,10 +276,10 @@ func (dm *DomainManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry
 		timeouts:      reg.Counter("domain.episode_timeouts"),
 		fanouts:       reg.Counter("domain.fanouts"),
 		fanoutSubs:    reg.Counter("domain.fanout_queries"),
-		hostsEvicted:  reg.Counter("domain.hosts_evicted"),
 		policyRelays:  reg.Counter("domain.policy_deltas_relayed"),
 		firings:       reg.Sketch("domain.rule_firings"),
 	}
+	dm.hosts.metric = reg.Counter("domain.hosts_evicted")
 }
 
 // SetEventLog attaches the structured event log this manager records
@@ -330,6 +335,10 @@ func (dm *DomainManager) RegisterAppServer(application, hostMgrAddr, executable 
 	dm.servers[application] = serverRef{hostMgrAddr: hostMgrAddr, executable: executable, queryKeys: keys}
 }
 
+// HostCount returns how many host managers are registered below this
+// domain manager.
+func (dm *DomainManager) HostCount() int { return dm.hosts.len() }
+
 func (dm *DomainManager) registerCallbacks() {
 	dm.engine.RegisterFunc("boost-server", func(args []rules.Value) error {
 		ep, err := dm.episodeArg(args, 0)
@@ -341,9 +350,7 @@ func (dm *DomainManager) registerCallbacks() {
 			amount = args[1].Num
 		}
 		dm.ServerFaults++
-		if dm.metrics != nil {
-			dm.metrics.serverFaults.Inc()
-		}
+		dm.metrics.serverFaults.Inc()
 		dm.traceEvent(ep, telemetry.StageLocate, "server CPU starved")
 		ctx := dm.traceEvent(ep, telemetry.StageDirective,
 			fmt.Sprintf("boost_cpu %s %+g -> %s", ep.server.executable, amount, ep.server.hostMgrAddr))
@@ -364,9 +371,7 @@ func (dm *DomainManager) registerCallbacks() {
 			pages = args[1].Num
 		}
 		dm.MemoryFaults++
-		if dm.metrics != nil {
-			dm.metrics.memoryFaults.Inc()
-		}
+		dm.metrics.memoryFaults.Inc()
 		dm.traceEvent(ep, telemetry.StageLocate, "server memory pressure")
 		ctx := dm.traceEvent(ep, telemetry.StageDirective,
 			fmt.Sprintf("adjust_memory %s %+g pages -> %s", ep.server.executable, pages, ep.server.hostMgrAddr))
@@ -383,9 +388,7 @@ func (dm *DomainManager) registerCallbacks() {
 			return err
 		}
 		dm.Restarts++
-		if dm.metrics != nil {
-			dm.metrics.restarts.Inc()
-		}
+		dm.metrics.restarts.Inc()
 		dm.traceEvent(ep, telemetry.StageLocate, "server process dead")
 		ctx := dm.traceEvent(ep, telemetry.StageDirective,
 			fmt.Sprintf("restart_proc %s -> %s", ep.server.executable, ep.server.hostMgrAddr))
@@ -402,9 +405,7 @@ func (dm *DomainManager) registerCallbacks() {
 			return err
 		}
 		dm.NetworkFaults++
-		if dm.metrics != nil {
-			dm.metrics.networkFaults.Inc()
-		}
+		dm.metrics.networkFaults.Inc()
 		dm.traceEvent(ep, telemetry.StageLocate, "network congestion")
 		if dm.OnNetworkFault != nil {
 			dm.traceEvent(ep, telemetry.StageDirective, "reroute around congested switch")
@@ -418,8 +419,8 @@ func (dm *DomainManager) episodeArg(args []rules.Value, i int) (*episode, error)
 	if len(args) <= i || args[i].Kind != rules.SymbolKind {
 		return nil, fmt.Errorf("argument %d: expected episode symbol", i)
 	}
-	ep, ok := dm.episodes[args[i].Sym]
-	if !ok {
+	ep := dm.episodes.get(args[i].Sym)
+	if ep == nil {
 		return nil, fmt.Errorf("unknown episode %s", args[i].Sym)
 	}
 	return ep, nil
@@ -428,79 +429,24 @@ func (dm *DomainManager) episodeArg(args []rules.Value, i int) (*episode, error)
 // HandleMessage processes one inbound management message.
 func (dm *DomainManager) HandleMessage(m msg.Message) {
 	switch body := m.Body.(type) {
-	case *msg.Alarm:
-		dm.handleAlarm(*body, m.Trace)
 	case msg.Alarm:
 		dm.handleAlarm(body, m.Trace)
-	case *msg.Report:
-		dm.handleReport(*body)
 	case msg.Report:
 		dm.handleReport(body)
-	case *msg.Register:
-		dm.handleHostRegister(*body, m.From)
 	case msg.Register:
-		dm.handleHostRegister(body, m.From)
-	case *msg.Heartbeat:
-		dm.handleHostHeartbeat(*body, m.From)
+		registerChild(&dm.node, &dm.hosts, body.ID, m.From)
 	case msg.Heartbeat:
-		dm.handleHostHeartbeat(body, m.From)
-	case *msg.Query:
-		dm.handleTierQuery(*body, m.Trace)
+		heartbeatChild(&dm.node, &dm.hosts, body, m.From)
 	case msg.Query:
 		dm.handleTierQuery(body, m.Trace)
-	case *msg.Directive:
-		dm.handleTierDirective(*body, m.Trace)
 	case msg.Directive:
 		dm.handleTierDirective(body, m.Trace)
-	case *msg.TelemetrySummary:
-		dm.handleSummary(*body)
 	case msg.TelemetrySummary:
-		dm.handleSummary(body)
-	case *msg.PolicyDelta:
-		dm.relayDelta(m)
+		dm.summary(body)
 	case msg.PolicyDelta:
-		dm.relayDelta(m)
-	case *msg.Ack, msg.Ack:
-		// Directive acknowledgements are informational.
-	}
-}
-
-// SetPolicyAgents names the policy agents this domain relays repository
-// policy deltas to — the terminal hop of the hub → region → domain →
-// agent distribution path. A domain with none configured drops deltas
-// (it is not part of a live-distribution deployment).
-func (dm *DomainManager) SetPolicyAgents(addrs ...string) {
-	dm.policyAgents = append([]string(nil), addrs...)
-}
-
-// relayDelta forwards a policy delta to this domain's policy agents,
-// trace context intact.
-func (dm *DomainManager) relayDelta(m msg.Message) {
-	for _, addr := range dm.policyAgents {
-		_ = dm.send(addr, msg.Message{From: dm.addr, Trace: m.Trace, Body: m.Body})
-	}
-	dm.PolicyDeltasRelayed += uint64(len(dm.policyAgents))
-	if dm.metrics != nil && len(dm.policyAgents) > 0 {
-		dm.metrics.policyRelays.Add(uint64(len(dm.policyAgents)))
-	}
-	if len(dm.policyAgents) > 0 {
-		dm.evlog.EventCtx(m.Trace, eventlog.Debug, "domainmanager", "policy_relay",
-			eventlog.Int("agents", len(dm.policyAgents)))
-	}
-}
-
-// SetSummarySink routes inbound host telemetry summaries to fn —
-// typically a SummaryAggregator's Ingest, which merges them and ships
-// one domain-tier summary per window up to the region. Summaries
-// arriving with no sink set are dropped (a non-federated domain has
-// nothing to do with them).
-func (dm *DomainManager) SetSummarySink(fn func(msg.TelemetrySummary)) {
-	dm.summarySink = fn
-}
-
-func (dm *DomainManager) handleSummary(ts msg.TelemetrySummary) {
-	if dm.summarySink != nil {
-		dm.summarySink(ts)
+		n := dm.relay(m, dm.policyAgents)
+		dm.PolicyDeltasRelayed += n
+		dm.metrics.policyRelays.Add(n)
 	}
 }
 
@@ -510,9 +456,7 @@ func (dm *DomainManager) handleSummary(ts msg.TelemetrySummary) {
 // load and memory usage").
 func (dm *DomainManager) handleAlarm(al msg.Alarm, tc telemetry.TraceContext) {
 	dm.Alarms++
-	if dm.metrics != nil {
-		dm.metrics.alarms.Inc()
-	}
+	dm.metrics.alarms.Inc()
 	// Hierarchical uplink: the domain's alarm activity coalesces upward
 	// regardless of whether local diagnosis succeeds, so the region tier
 	// sees aggregate pressure instead of per-host floods.
@@ -526,119 +470,78 @@ func (dm *DomainManager) handleAlarm(al msg.Alarm, tc telemetry.TraceContext) {
 	server, ok := dm.servers[al.ID.Application]
 	if !ok {
 		dm.RuleErrors++
-		if dm.metrics != nil {
-			dm.metrics.ruleErrors.Inc()
-		}
+		dm.metrics.ruleErrors.Inc()
 		dm.evlog.EventCtx(tc, eventlog.Warn, "domainmanager", "unknown_application",
 			eventlog.Str("application", al.ID.Application),
 			eventlog.Str("subject", al.ID.Address()))
 		return
 	}
-	dm.nextRef++
-	ref := spanDetail("e", dm.nextRef, false, "")
-	ep := &episode{alarm: al, subject: al.ID.Address(), server: server, ctx: tc}
-	if dm.livenessClock != nil {
-		ep.at = dm.livenessClock()
-	}
-	dm.episodes[ref] = ep
+	ref := dm.newRef("e")
+	dm.episodes.open(ref, episode{alarm: al, subject: al.ID.Address(), server: server, ctx: tc}, dm.now())
 	_ = dm.send(server.hostMgrAddr, msg.Message{
 		From:  dm.addr,
 		Trace: tc,
-		Body:  dm.episodeQuery(ep, ref),
+		Body:  msg.Query{From: dm.addr, Keys: server.queryKeys, Ref: ref},
 	})
 }
 
-// episodeQuery builds the server-side statistics query for an episode.
-func (dm *DomainManager) episodeQuery(ep *episode, ref string) msg.Query {
-	return msg.Query{From: dm.addr, Keys: ep.server.queryKeys, Ref: ref}
-}
-
-// EnableLiveness arms episode timeouts: a localization whose server
-// report does not arrive within timeout re-sends its query once, and is
-// abandoned (with the reason traced) if the retry also times out.
-// Disabled by default so fault-free simulations are unchanged.
-func (dm *DomainManager) EnableLiveness(clock telemetry.Clock, timeout time.Duration) {
-	if clock == nil {
-		clock = func() time.Duration { return 0 }
-	}
-	dm.livenessClock = clock
-	dm.livenessTimeout = timeout
-}
-
-// CheckLiveness sweeps pending episodes: expired ones are retried once
-// (the query may have been lost in flight), twice-expired ones are
-// closed with an "abandoned" span on the client violation's trace so no
-// episode pends forever on a dead host manager. Episode refs are swept
-// in sorted order for deterministic simulated runs.
+// CheckLiveness sweeps, in this order, pending fan-outs (retried with
+// the scope narrowed to the hosts that have not reported, then completed
+// with the partial aggregate), the host roster, and pending episodes
+// (re-queried once — the query may have been lost in flight — then
+// closed with an "abandoned" span on the client violation's trace, so no
+// episode pends forever on a dead host manager).
 func (dm *DomainManager) CheckLiveness() (retried, abandoned int) {
-	if dm.livenessClock == nil || dm.livenessTimeout <= 0 {
+	if !dm.sweeping() {
 		return 0, 0
 	}
-	now := dm.livenessClock()
-	// Hierarchy sweeps (no-ops in flat topologies): pending fan-outs are
-	// retried with the scope narrowed to the hosts that have not
-	// reported, and silent hosts are evicted.
-	fr, fa := dm.checkFanouts(now)
-	retried += fr
-	abandoned += fa
-	dm.checkHosts(now)
-	refs := make([]string, 0, len(dm.episodes))
-	for ref, ep := range dm.episodes {
-		if now-ep.at > dm.livenessTimeout {
-			refs = append(refs, ref)
-		}
-	}
-	sort.Strings(refs)
-	for _, ref := range refs {
-		ep := dm.episodes[ref]
-		if !ep.retried {
-			ep.retried = true
-			ep.at = now
-			dm.QueryRetries++
-			if dm.metrics != nil {
-				dm.metrics.queryRetries.Inc()
-			}
-			dm.traceEvent(ep, telemetry.StageEscalate,
-				"re-query "+ep.server.hostMgrAddr+" (report timed out)")
-			dm.evlog.EventCtx(ep.ctx, eventlog.Info, "domainmanager", "episode_retry",
-				eventlog.Str("ref", ref), eventlog.Str("server", ep.server.hostMgrAddr))
-			_ = dm.send(ep.server.hostMgrAddr, msg.Message{
-				From:  dm.addr,
-				Trace: ep.ctx,
-				Body:  dm.episodeQuery(ep, ref),
-			})
-			retried++
-			continue
-		}
-		dm.EpisodeTimeouts++
-		if dm.metrics != nil {
-			dm.metrics.timeouts.Inc()
-		}
-		dm.traceEvent(ep, telemetry.StageAbandoned,
-			"localization abandoned: no report from "+ep.server.hostMgrAddr+" after retry")
-		dm.evlog.EventCtx(ep.ctx, eventlog.Warn, "domainmanager", "episode_timeout",
-			eventlog.Str("ref", ref), eventlog.Str("server", ep.server.hostMgrAddr))
-		delete(dm.episodes, ref)
-		abandoned++
-	}
+	now := dm.now()
+	retried, abandoned = dm.fanouts.sweep(now, dm.live.Timeout, dm.retryFanout, dm.abandonFanout)
+	dm.hosts.sweep(&dm.node, now)
+	r, a := dm.episodes.sweep(now, dm.live.Timeout, dm.retryEpisode, dm.abandonEpisode)
+	retried, abandoned = retried+r, abandoned+a
+	dm.QueryRetries += uint64(retried)
+	dm.metrics.queryRetries.Add(uint64(retried))
+	dm.EpisodeTimeouts += uint64(abandoned)
+	dm.metrics.timeouts.Add(uint64(abandoned))
 	return retried, abandoned
+}
+
+func (dm *DomainManager) retryEpisode(ref string, ep *episode) {
+	dm.traceEvent(ep, telemetry.StageEscalate,
+		"re-query "+ep.server.hostMgrAddr+" (report timed out)")
+	dm.evlog.EventCtx(ep.ctx, eventlog.Info, "domainmanager", "episode_retry",
+		eventlog.Str("ref", ref), eventlog.Str("server", ep.server.hostMgrAddr))
+	_ = dm.send(ep.server.hostMgrAddr, msg.Message{
+		From:  dm.addr,
+		Trace: ep.ctx,
+		Body:  msg.Query{From: dm.addr, Keys: ep.server.queryKeys, Ref: ref},
+	})
+}
+
+func (dm *DomainManager) abandonEpisode(ref string, ep *episode) {
+	dm.traceEvent(ep, telemetry.StageAbandoned,
+		"localization abandoned: no report from "+ep.server.hostMgrAddr+" after retry")
+	dm.evlog.EventCtx(ep.ctx, eventlog.Warn, "domainmanager", "episode_timeout",
+		eventlog.Str("ref", ref), eventlog.Str("server", ep.server.hostMgrAddr))
 }
 
 // PendingEpisodes returns how many localizations await a server report.
 func (dm *DomainManager) PendingEpisodes() int { return len(dm.episodes) }
 
 // handleReport closes the episode: asserts the server statistics as
-// facts, forward-chains the diagnosis, and cleans up.
+// facts, forward-chains the diagnosis, and cleans up. A report answering
+// a fan-out folds into its aggregate instead.
 func (dm *DomainManager) handleReport(r msg.Report) {
-	if f, ok := dm.fanouts[r.Ref]; ok {
+	if f := dm.fanouts.get(r.Ref); f != nil {
 		dm.handleFanoutReport(r.Ref, f, r)
 		return
 	}
-	ep, ok := dm.episodes[r.Ref]
-	if !ok {
+	ep := dm.episodes.get(r.Ref)
+	if ep == nil {
 		return
 	}
-	dm.hostContact(r.Host)
+	dm.hosts.contact(r.Host, dm.now())
 	// The episode's facts, statistics in key order (fact ids decide
 	// recency, hence which of two equal-salience rules fires first).
 	e, ref := dm.engine, rules.Sym(r.Ref)
@@ -655,18 +558,125 @@ func (dm *DomainManager) handleReport(r msg.Report) {
 	dm.epCur = ep
 	fired, err := e.Run(100)
 	dm.epCur = nil
-	if dm.metrics != nil {
-		dm.metrics.firings.Observe(float64(fired))
-	}
+	dm.metrics.firings.Observe(float64(fired))
 	if err != nil {
 		dm.RuleErrors++
-		if dm.metrics != nil {
-			dm.metrics.ruleErrors.Inc()
-		}
+		dm.metrics.ruleErrors.Inc()
 	}
 	for _, id := range ids {
 		e.Retract(id)
 	}
 	dm.epFacts = ids
 	delete(dm.episodes, r.Ref)
+}
+
+// handleTierQuery answers a downward localization query from the parent
+// tier by fanning it out to this domain's hosts — and only them. The
+// per-host replies are aggregated (max per statistic) into one Report
+// back to the requester, so the parent never sees per-host traffic.
+func (dm *DomainManager) handleTierQuery(q msg.Query, tc telemetry.TraceContext) {
+	if q.From == "" {
+		return
+	}
+	dm.Fanouts++
+	if dm.hosts.len() == 0 {
+		_ = dm.send(q.From, msg.Message{From: dm.addr, Trace: tc, Body: msg.Report{
+			Host: dm.addr, Ref: q.Ref,
+			Values: map[string]float64{"hosts_asked": 0, "hosts_reporting": 0},
+		}})
+		return
+	}
+	iref := dm.newRef("f")
+	f := dm.fanouts.open(iref, fanout{
+		requester: q.From,
+		ref:       q.Ref,
+		keys:      q.Keys,
+		asked:     dm.hosts.len(),
+		pending:   make(map[string]string, dm.hosts.len()),
+		values:    make(map[string]float64, len(q.Keys)),
+		ctx:       tc,
+	}, dm.now())
+	dm.metrics.fanouts.Inc()
+	dm.metrics.fanoutSubs.Add(uint64(f.asked))
+	// Every host is pending before the first query goes out, so a reply
+	// delivered synchronously cannot complete the fan-out early.
+	for _, name := range dm.hosts.order {
+		f.pending[name] = *dm.hosts.get(name)
+	}
+	dm.FanoutQueries += uint64(f.asked)
+	for _, name := range dm.hosts.order {
+		_ = dm.send(*dm.hosts.get(name), msg.Message{From: dm.addr, Trace: tc,
+			Body: msg.Query{From: dm.addr, Keys: q.Keys, Ref: iref}})
+	}
+}
+
+// handleFanoutReport folds one host's reply into the fan-out aggregate
+// and completes the fan-out when every host (or every surviving host,
+// after retry/abandonment) has answered.
+func (dm *DomainManager) handleFanoutReport(iref string, f *fanout, r msg.Report) {
+	addr, waiting := f.pending[r.Host]
+	if !waiting {
+		return // duplicate or post-abandon straggler
+	}
+	delete(f.pending, r.Host)
+	f.reports++
+	dm.hosts.contact(r.Host, dm.now())
+	for k, v := range r.Values {
+		if cur, ok := f.values[k+"_max"]; !ok || v > cur {
+			f.values[k+"_max"] = v
+		}
+		if k == "cpu_load" && (f.hotHost == "" || v > f.hotLoad) {
+			f.hotHost, f.hotLoad = addr, v
+		}
+	}
+	if len(f.pending) == 0 {
+		dm.completeFanout(iref, f)
+	}
+}
+
+// completeFanout replies to the requester with the aggregate and closes
+// the fan-out. The domain remembers the hottest host so a subsequent
+// downward directive can be routed to it.
+func (dm *DomainManager) completeFanout(iref string, f *fanout) {
+	f.values["hosts_asked"] = float64(f.asked)
+	f.values["hosts_reporting"] = float64(f.reports)
+	if f.hotHost != "" {
+		dm.lastHot = f.hotHost
+	}
+	_ = dm.send(f.requester, msg.Message{From: dm.addr, Trace: f.ctx, Body: msg.Report{
+		Host: dm.addr, Values: f.values, Ref: f.ref,
+	}})
+	delete(dm.fanouts, iref)
+}
+
+// retryFanout re-queries ONLY the hosts that have not reported: the
+// hosts that did answer must not be asked again.
+func (dm *DomainManager) retryFanout(iref string, f *fanout) {
+	dm.evlog.EventCtx(f.ctx, eventlog.Info, "domainmanager", "fanout_retry",
+		eventlog.Str("ref", iref), eventlog.Int("pending", len(f.pending)))
+	for _, name := range sortedKeys(f.pending, nil) {
+		_ = dm.send(f.pending[name], msg.Message{From: dm.addr, Trace: f.ctx,
+			Body: msg.Query{From: dm.addr, Keys: f.keys, Ref: iref}})
+	}
+}
+
+// abandonFanout completes an expired fan-out with the partial aggregate
+// rather than leaving it pending forever.
+func (dm *DomainManager) abandonFanout(iref string, f *fanout) {
+	dm.evlog.EventCtx(f.ctx, eventlog.Warn, "domainmanager", "fanout_abandoned",
+		eventlog.Str("ref", iref), eventlog.Int("reported", f.reports),
+		eventlog.Int("asked", f.asked))
+	dm.completeFanout(iref, f)
+}
+
+// handleTierDirective routes a corrective directive from the parent
+// tier down to the host the last fan-out implicated. A directive with
+// no implicated host is dropped — the parent acted on stale aggregates.
+func (dm *DomainManager) handleTierDirective(d msg.Directive, tc telemetry.TraceContext) {
+	if dm.lastHot == "" {
+		return
+	}
+	dm.DirectivesRouted++
+	_ = dm.send(dm.lastHot, msg.Message{From: dm.addr, Trace: tc,
+		Body: msg.Directive{From: dm.addr, Action: d.Action, Target: d.Target, Amount: d.Amount}})
 }

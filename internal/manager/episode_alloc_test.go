@@ -26,7 +26,7 @@ func newLiveRig(domainAddr string) *liveRig {
 	host := runtime.NewLiveHost("live")
 	host.SetLoadFunc(func() float64 { return 0.5 }) // the default reads /proc/loadavg per report
 	r := &liveRig{id: msg.Identity{Host: "live", PID: 4242, Executable: "mpeg_play", Application: "VideoApplication"}}
-	r.hm = NewHostManager("/live/QoSHostManager", host, func(string, msg.Message) error { return nil }, domainAddr)
+	r.hm = NewHostManager("/live/QoSHostManager", host, func(string, msg.Message) error { return nil }, domainAddr, Liveness{})
 	r.hm.SetTelemetry(telemetry.NewRegistry(nil), telemetry.NewTracer(nil))
 	r.hm.Track(host.StartProc(r.id.PID), r.id)
 	// One propagated context per episode, as the coordinator's tracer
@@ -37,7 +37,9 @@ func newLiveRig(domainAddr string) *liveRig {
 	return r
 }
 
-func (r *liveRig) report(v *msg.Violation) {
+// report delivers one violation report. The body is boxed by the caller
+// once, as the decoder boxes it: the guard counts the manager, not the box.
+func (r *liveRig) report(v any) {
 	ctx := r.ctxs[r.next%len(r.ctxs)]
 	r.next++
 	r.hm.HandleMessage(msg.Message{Body: v, Trace: ctx})
@@ -50,16 +52,15 @@ func (r *liveRig) report(v *msg.Violation) {
 // matcher these measured 196 and 121.
 func TestEpisodeAllocationBudget(t *testing.T) {
 	r := newLiveRig("")
-	viol := violation(r.id, 22, 12, false)
-	over := violation(r.id, 30, 12, true)
+	var viol, over any = violation(r.id, 22, 12, false), violation(r.id, 30, 12, true)
 	for i := 0; i < 64; i++ { // let scratch buffers reach their steady size
-		r.report(&viol)
-		r.report(&over)
+		r.report(viol)
+		r.report(over)
 	}
-	if got := testing.AllocsPerRun(500, func() { r.report(&viol) }); got > 40 {
+	if got := testing.AllocsPerRun(500, func() { r.report(viol) }); got > 40 {
 		t.Errorf("host violation episode: %.0f allocs, budget 40", got)
 	}
-	if got := testing.AllocsPerRun(500, func() { r.report(&over) }); got > 25 {
+	if got := testing.AllocsPerRun(500, func() { r.report(over) }); got > 25 {
 		t.Errorf("host overshoot episode: %.0f allocs, budget 25", got)
 	}
 	if r.hm.RuleErrors != 0 || r.hm.Engine().FactCount() != 1 {
@@ -70,11 +71,11 @@ func TestEpisodeAllocationBudget(t *testing.T) {
 // BenchmarkHostViolationEpisode times the same traced violation report.
 func BenchmarkHostViolationEpisode(b *testing.B) {
 	r := newLiveRig("")
-	viol := violation(r.id, 22, 12, false)
+	var viol any = violation(r.id, 22, 12, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.report(&viol)
+		r.report(viol)
 	}
 }
 
@@ -83,21 +84,25 @@ func BenchmarkHostViolationEpisode(b *testing.B) {
 // two spans and explanation, retract — with registry and a foreign-context
 // tracer attached.
 func TestDomainEpisodeAllocationBudget(t *testing.T) {
-	dm := NewDomainManager("/domain/QoSDomainManager", func(string, msg.Message) error { return nil })
+	dm := NewDomainManager("/domain/QoSDomainManager", func(string, msg.Message) error { return nil }, DomainConfig{})
 	dm.SetTelemetry(telemetry.NewRegistry(nil), telemetry.NewTracer(nil))
 	dm.RegisterAppServer("VideoApplication", "/server/QoSHostManager", "mpeg_serve")
 	dm.OnNetworkFault = func(msg.Alarm) {}
 	r := newLiveRig("")
-	alarm := msg.Alarm{ID: r.id, Policy: "NotifyQoSViolation", Suspect: "remote",
+	var alarm any = msg.Alarm{ID: r.id, Policy: "NotifyQoSViolation", Suspect: "remote",
 		Readings: map[string]float64{"frame_rate": 12, "buffer_size": 1}}
-	report := msg.Report{Host: "server", Values: map[string]float64{
-		"cpu_load": 0.5, "run_queue": 1, "mem_usage": 0.5, "proc_cpu:mpeg_serve": 3}}
+	values := map[string]float64{"cpu_load": 0.5, "run_queue": 1, "mem_usage": 0.5, "proc_cpu:mpeg_serve": 3}
+	// One boxed report per ref the episodes will use, built up front like
+	// the contexts, so the guard counts the manager.
+	reports := make([]any, 0, 600)
+	for ref := 1; ref <= cap(reports); ref++ {
+		reports = append(reports, msg.Report{Host: "server", Values: values, Ref: "e" + strconv.Itoa(ref)})
+	}
 	episode := func() {
 		ctx := r.ctxs[r.next%len(r.ctxs)]
 		r.next++
-		dm.HandleMessage(msg.Message{Body: &alarm, Trace: ctx})
-		report.Ref = "e" + strconv.Itoa(dm.nextRef)
-		dm.HandleMessage(msg.Message{Body: &report})
+		dm.HandleMessage(msg.Message{Body: alarm, Trace: ctx})
+		dm.HandleMessage(msg.Message{Body: reports[dm.nextRef-1]})
 	}
 	for i := 0; i < 64; i++ {
 		episode()
@@ -125,7 +130,7 @@ func TestEpisodeFiringOrderStable(t *testing.T) {
 (defrule on-jitter-rate (violation ?p ?) (reading ?p jitter_rate ?v) => (call note jitter_rate))`); err != nil {
 		t.Fatal(err)
 	}
-	dm := NewDomainManager("/d", func(string, msg.Message) error { return nil })
+	dm := NewDomainManager("/d", func(string, msg.Message) error { return nil }, DomainConfig{})
 	dm.RegisterAppServer("VideoApplication", "/server/QoSHostManager", "mpeg_serve")
 	if err := dm.LoadRules(`
 (defrule on-load (episode ?e ?) (server-report ?e cpu_load ?v) => (call note cpu_load))
@@ -140,7 +145,7 @@ func TestEpisodeFiringOrderStable(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		order = order[:0]
 		v := violation(r.id, 22, 12, false) // a fresh map each report
-		r.hm.HandleMessage(msg.Message{Body: &v})
+		r.hm.HandleMessage(msg.Message{Body: v})
 		dm.HandleMessage(msg.Message{Body: msg.Alarm{ID: r.id, Policy: "P"}})
 		dm.HandleMessage(msg.Message{Body: msg.Report{Ref: "e" + strconv.Itoa(dm.nextRef), Values: map[string]float64{
 			"cpu_load": 0.5, "run_queue": 1, "mem_usage": 0.5, "proc_cpu:mpeg_serve": 3}}})

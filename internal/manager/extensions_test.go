@@ -43,16 +43,10 @@ func TestHostManagerDirectiveVariants(t *testing.T) {
 	if r.proc.Boost() != 6 {
 		t.Errorf("reclaim_cpu boost = %d, want 6", r.proc.Boost())
 	}
-	// Pointer-body variants flow through the same paths.
-	r.hm.HandleMessage(msg.Message{From: "/d", Body: &msg.Directive{
+	r.hm.HandleMessage(msg.Message{From: "/d", Body: msg.Directive{
 		Action: "boost_cpu", Target: "mpeg_play", Amount: 1}})
 	if r.proc.Boost() != 7 {
-		t.Errorf("pointer directive boost = %d, want 7", r.proc.Boost())
-	}
-	q := msg.Query{Keys: []string{"cpu_load"}, Ref: "p"}
-	r.hm.HandleMessage(msg.Message{From: "/d", Body: &q})
-	if len(r.sent) == 0 {
-		t.Fatal("pointer query got no reply")
+		t.Errorf("boost_cpu boost = %d, want 7", r.proc.Boost())
 	}
 }
 
@@ -109,7 +103,7 @@ func TestDifferentiatedRulesCapStudent(t *testing.T) {
 	hm := NewHostManager("/h/QoSHostManager", host, func(to string, m msg.Message) error {
 		sent = append(sent, m)
 		return nil
-	}, "")
+	}, "", Liveness{})
 	if err := hm.LoadRules(DifferentiatedHostRules); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +131,7 @@ func TestDifferentiatedRulesCapStudent(t *testing.T) {
 }
 
 func TestDomainManagerAccessors(t *testing.T) {
-	dm := NewDomainManager("/d", func(string, msg.Message) error { return nil })
+	dm := NewDomainManager("/d", func(string, msg.Message) error { return nil }, DomainConfig{})
 	if dm.Addr() != "/d" {
 		t.Errorf("Addr = %q", dm.Addr())
 	}
@@ -153,5 +147,4 @@ func TestDomainManagerAccessors(t *testing.T) {
 	}
 	// Ack bodies are ignored without effect.
 	dm.HandleMessage(msg.Message{Body: msg.Ack{Ref: "r", OK: true}})
-	dm.HandleMessage(msg.Message{Body: &msg.Ack{Ref: "r", OK: true}})
 }

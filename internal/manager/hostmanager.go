@@ -2,7 +2,6 @@ package manager
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -217,11 +216,10 @@ type managedProc struct {
 // the telemetry registry carries), so the same manager runs under the
 // virtual-clock simulator and in live wall-clock deployments.
 type HostManager struct {
-	addr           string
+	node
 	diagnoseDetail string // the diagnose and escalate spans' details, rendered once
 	escalateDetail string
 	host           runtime.HostControl
-	send           Send
 
 	engine *rules.Engine
 	cpu    *CPUManager
@@ -229,7 +227,9 @@ type HostManager struct {
 
 	domainAddr string
 
-	procsByPID map[int]*managedProc
+	// procs is the roster of managed processes by PID: any message from a
+	// process counts as contact, and CheckLiveness evicts the silent ones.
+	procs      roster[int, managedProc]
 	procsByExe map[string]*managedProc
 
 	// OnRestart, if set, re-spawns a failed executable (the paper's
@@ -255,16 +255,8 @@ type HostManager struct {
 	HeartbeatsSeen uint64
 	AgentsEvicted  uint64
 
-	// Liveness tracking (EnableLiveness): any message from a managed
-	// process counts as contact; CheckLiveness evicts processes silent
-	// for longer than the timeout.
-	livenessClock   telemetry.Clock
-	livenessTimeout time.Duration
-	lastSeen        map[int]time.Duration
-
-	// Telemetry (optional; see SetTelemetry).
-	metrics *hmMetrics
-	tracer  *telemetry.Tracer
+	// Telemetry (optional; see SetTelemetry). Nil handles are no-ops.
+	metrics hmMetrics
 	// Episode context for trace attribution: rule callbacks fire
 	// synchronously inside handleViolation's engine.Run, so the subject
 	// and policy of the report being diagnosed attribute their actions.
@@ -272,9 +264,6 @@ type HostManager struct {
 	epPolicy  string
 	epCtx     telemetry.TraceContext
 	epFacts   []int // ids of the facts asserted for the episode in progress
-	// evlog, when set, records evictions and re-adoptions as structured
-	// events (component "hostmanager"). Nil is free.
-	evlog *eventlog.Logger
 }
 
 // hmMetrics holds the host manager's pre-resolved metric handles.
@@ -286,29 +275,30 @@ type hmMetrics struct {
 	directives  *telemetry.Counter
 	ruleErrors  *telemetry.Counter
 	restarts    *telemetry.Counter
-	evicted     *telemetry.Counter
 	firings     *telemetry.Sketch // rule firings per diagnosis episode
 }
 
 // NewHostManager creates a host manager bound to addr on host, loading
 // the default rule set. Pass domainAddr="" for hosts without a domain
-// manager (escalations are then dropped and counted).
-func NewHostManager(addr string, host runtime.HostControl, send Send, domainAddr string) *HostManager {
+// manager (escalations are then dropped and counted). live arms the
+// eviction of processes that stop reporting; its zero value leaves it off.
+func NewHostManager(addr string, host runtime.HostControl, send Send, domainAddr string, live Liveness) *HostManager {
 	hm := &HostManager{
-		addr:           addr,
+		node:           node{addr: addr, send: send, component: "hostmanager", live: live},
 		diagnoseDetail: "inference episode on " + addr,
 		escalateDetail: "alarm -> " + domainAddr,
 		host:           host,
-		send:           send,
 		domainAddr:     domainAddr,
 		engine:         rules.NewEngine(),
 		cpu:            NewCPUManager(host),
 		mem:            NewMemoryManager(host),
-		procsByPID:     make(map[int]*managedProc),
 		procsByExe:     make(map[string]*managedProc),
 	}
-	hm.cpu.SetSpanFunc(func(stage, detail string) { hm.traceEvent("cpu-manager", stage, detail) })
-	hm.mem.SetSpanFunc(func(stage, detail string) { hm.traceEvent("memory-manager", stage, detail) })
+	hm.procs = roster[int, managedProc]{kind: "agent", timeout: live.Timeout, evicted: &hm.AgentsEvicted,
+		describe: func(_ int, mp *managedProc, _ time.Duration) []eventlog.Field {
+			return []eventlog.Field{eventlog.Str("subject", mp.addr), eventlog.Str("executable", mp.id.Executable)}
+		},
+		onEvict: hm.evict}
 	hm.registerCallbacks()
 	if err := hm.engine.LoadRulesOrigin("host-default", DefaultHostRules); err != nil {
 		panic("manager: default host rules do not parse: " + err.Error())
@@ -316,25 +306,21 @@ func NewHostManager(addr string, host runtime.HostControl, send Send, domainAddr
 	return hm
 }
 
-// Addr returns the manager's management address.
-func (hm *HostManager) Addr() string { return hm.addr }
-
 // SetTelemetry attaches the host manager to a metrics registry and
 // (optionally) a violation tracer. Metric names are scoped by host, e.g.
 // "manager.client-host.violations".
 func (hm *HostManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 	hm.tracer = tracer
+	hm.engine.OnFiring = nil
 	if tracer != nil {
 		hm.engine.OnFiring = hm.explainFiring
-	} else {
-		hm.engine.OnFiring = nil
 	}
+	hm.metrics, hm.procs.metric = hmMetrics{}, nil
 	if reg == nil {
-		hm.metrics = nil
 		return
 	}
 	prefix := "manager." + hm.host.Name() + "."
-	hm.metrics = &hmMetrics{
+	hm.metrics = hmMetrics{
 		violations:  reg.Counter(prefix + "violations"),
 		overshoots:  reg.Counter(prefix + "overshoots"),
 		escalations: reg.Counter(prefix + "escalations"),
@@ -342,9 +328,9 @@ func (hm *HostManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.T
 		directives:  reg.Counter(prefix + "directives"),
 		ruleErrors:  reg.Counter(prefix + "rule_errors"),
 		restarts:    reg.Counter(prefix + "restarts"),
-		evicted:     reg.Counter(prefix + "agents_evicted"),
 		firings:     reg.Sketch(prefix + "rule_firings"),
 	}
+	hm.procs.metric = reg.Counter(prefix + "agents_evicted")
 }
 
 // SetEventLog attaches the structured event log this manager records
@@ -379,14 +365,6 @@ func explanation(engine string, f rules.Firing) telemetry.Explanation {
 		Bindings: f.Bindings, Matched: f.Matched, Asserted: f.Asserted, Retracted: f.Retracted, Called: f.Called}
 }
 
-// countAdaptation bumps the adaptation counter (resource-manager actions
-// taken on behalf of a diagnosis).
-func (hm *HostManager) countAdaptation() {
-	if hm.metrics != nil {
-		hm.metrics.adaptations.Inc()
-	}
-}
-
 // CPU returns the CPU resource manager.
 func (hm *HostManager) CPU() *CPUManager { return hm.cpu }
 
@@ -412,107 +390,61 @@ func (hm *HostManager) LoadRules(src string) error { return hm.engine.LoadRules(
 // spawn. The process's role is asserted as a persistent fact so
 // administrative rules can differentiate allocations by user role.
 func (hm *HostManager) Track(p runtime.ProcHandle, id msg.Identity) {
-	mp := &managedProc{proc: p, id: id, psym: rules.Sym(pidSym(id.PID)), addr: id.Address()}
-	hm.procsByPID[id.PID] = mp
+	mp, _ := hm.procs.adopt(id.PID, hm.now())
+	*mp = managedProc{proc: p, id: id, psym: rules.Sym(pidSym(id.PID)), addr: id.Address()}
 	hm.procsByExe[id.Executable] = mp
 	if id.UserRole != "" {
 		hm.engine.Assert(rules.Sym("proc-role"), mp.psym, rules.Sym(id.UserRole))
 	}
 	// A (re)tracked process is alive again: clear any down marker a
-	// previous eviction asserted and start its liveness clock fresh.
+	// previous eviction asserted.
 	hm.engine.RetractMatching(rules.Sym("component-down"), mp.psym, rules.Sym("?"))
-	hm.noteContact(id.PID)
 }
 
-// EnableLiveness arms heartbeat-based failure detection: every message
-// from a managed process refreshes its last-contact time, and
-// CheckLiveness evicts processes silent for longer than timeout.
-// Disabled by default so fault-free simulations are unchanged.
-func (hm *HostManager) EnableLiveness(clock telemetry.Clock, timeout time.Duration) {
-	if clock == nil {
-		clock = func() time.Duration { return 0 }
+// readopt tracks a process the manager does not know through
+// OnUnknownProc — this manager restarted and lost its tracking tables, or
+// evicted a process that was merely partitioned — and returns it; nil
+// when it cannot.
+func (hm *HostManager) readopt(id msg.Identity) *managedProc {
+	if hm.OnUnknownProc == nil {
+		return nil
 	}
-	hm.livenessClock = clock
-	hm.livenessTimeout = timeout
-	hm.lastSeen = make(map[int]time.Duration, len(hm.procsByPID))
-	for pid := range hm.procsByPID {
-		hm.lastSeen[pid] = clock()
+	p, ok := hm.OnUnknownProc(id)
+	if !ok {
+		return nil
 	}
+	hm.Track(p, id)
+	return hm.procs.get(id.PID)
 }
 
-// noteContact refreshes a process's liveness deadline; a no-op when
-// liveness tracking is off.
-func (hm *HostManager) noteContact(pid int) {
-	if hm.lastSeen != nil {
-		hm.lastSeen[pid] = hm.livenessClock()
-	}
-}
-
-// handleHeartbeat processes a coordinator's liveness beacon. A beacon
-// from a process the manager does not know — this manager restarted and
-// lost its tracking tables — re-adopts it through OnUnknownProc, the
-// self-healing half of the heartbeat protocol.
-func (hm *HostManager) handleHeartbeat(hb msg.Heartbeat) {
-	hm.HeartbeatsSeen++
-	if _, known := hm.procsByPID[hb.ID.PID]; !known && hm.OnUnknownProc != nil {
-		if p, ok := hm.OnUnknownProc(hb.ID); ok {
-			hm.evlog.Event(eventlog.Info, "hostmanager", "proc_readopted",
-				eventlog.Str("subject", hb.ID.Address()))
-			hm.Track(p, hb.ID)
-		}
-	}
-	hm.noteContact(hb.ID.PID)
-}
-
-// CheckLiveness evicts every managed process whose last contact is
-// older than the liveness timeout: its tracking entries are dropped,
-// its persistent facts retracted, a component-down fact is asserted so
-// the rule base can reason about the dead component, and all of its
-// open violation episodes are abandoned with the reason traced. It
-// returns how many processes were evicted. PIDs are scanned in sorted
-// order so simulated runs stay deterministic.
+// CheckLiveness evicts every managed process silent for longer than the
+// liveness timeout and returns how many it evicted.
 func (hm *HostManager) CheckLiveness() int {
-	if hm.lastSeen == nil || hm.livenessTimeout <= 0 {
+	if !hm.sweeping() {
 		return 0
 	}
-	now := hm.livenessClock()
-	stale := make([]int, 0)
-	for pid, seen := range hm.lastSeen {
-		if now-seen > hm.livenessTimeout {
-			stale = append(stale, pid)
-		}
+	return hm.procs.sweep(&hm.node, hm.now())
+}
+
+// evict finishes a process's eviction: its tracking entries are dropped,
+// its persistent facts retracted, a component-down fact is asserted so
+// the rule base can reason about the dead component, and all of its open
+// violation episodes are abandoned with the reason traced.
+func (hm *HostManager) evict(_ int, mp *managedProc) {
+	if hm.procsByExe[mp.id.Executable] == mp {
+		delete(hm.procsByExe, mp.id.Executable)
 	}
-	sort.Ints(stale)
-	for _, pid := range stale {
-		mp := hm.procsByPID[pid]
-		delete(hm.lastSeen, pid)
-		if mp == nil {
-			continue
-		}
-		delete(hm.procsByPID, pid)
-		if hm.procsByExe[mp.id.Executable] == mp {
-			delete(hm.procsByExe, mp.id.Executable)
-		}
-		hm.engine.RetractMatching(rules.Sym("proc-role"), mp.psym, rules.Sym("?"))
-		hm.engine.Assert(rules.Sym("component-down"), mp.psym, rules.Sym(mp.id.Executable))
-		hm.AgentsEvicted++
-		if hm.metrics != nil {
-			hm.metrics.evicted.Inc()
-		}
-		hm.evlog.Event(eventlog.Warn, "hostmanager", "agent_evicted",
-			eventlog.Str("subject", mp.addr),
-			eventlog.Str("executable", mp.id.Executable))
-		if hm.tracer != nil {
-			hm.tracer.AbandonSubject(mp.addr, "hostmanager",
-				"component_down: no contact from "+mp.id.Executable+" within liveness timeout")
-		}
+	hm.engine.RetractMatching(rules.Sym("proc-role"), mp.psym, rules.Sym("?"))
+	hm.engine.Assert(rules.Sym("component-down"), mp.psym, rules.Sym(mp.id.Executable))
+	if hm.tracer != nil {
+		hm.tracer.AbandonSubject(mp.addr, "hostmanager",
+			"component_down: no contact from "+mp.id.Executable+" within liveness timeout")
 	}
-	return len(stale)
 }
 
 // Tracked returns the process registered for a PID, or nil.
 func (hm *HostManager) Tracked(pid int) runtime.ProcHandle {
-	if mp := hm.procsByPID[pid]; mp != nil {
+	if mp := hm.procs.get(pid); mp != nil {
 		return mp.proc
 	}
 	return nil
@@ -528,8 +460,8 @@ func (hm *HostManager) registerCallbacks() {
 			return fmt.Errorf("boost-cpu needs a numeric amount")
 		}
 		hm.cpu.Boost(mp.proc, int(args[1].Num))
-		hm.countAdaptation()
-		hm.cpu.Emit(telemetry.StageAdapt, spanDetail("boost-cpu ", int(args[1].Num), true, " -> boost "+strconv.Itoa(mp.proc.Boost())))
+		hm.metrics.adaptations.Inc()
+		hm.traceEvent("cpu-manager", telemetry.StageAdapt, spanDetail("boost-cpu ", int(args[1].Num), true, " -> boost "+strconv.Itoa(mp.proc.Boost())))
 		return nil
 	})
 	hm.engine.RegisterFunc("reclaim-cpu", func(args []rules.Value) error {
@@ -541,8 +473,8 @@ func (hm *HostManager) registerCallbacks() {
 			return fmt.Errorf("reclaim-cpu needs a numeric amount")
 		}
 		hm.cpu.Boost(mp.proc, -int(args[1].Num))
-		hm.countAdaptation()
-		hm.cpu.Emit(telemetry.StageAdapt, spanDetail("reclaim-cpu ", int(args[1].Num), false, ""))
+		hm.metrics.adaptations.Inc()
+		hm.traceEvent("cpu-manager", telemetry.StageAdapt, spanDetail("reclaim-cpu ", int(args[1].Num), false, ""))
 		return nil
 	})
 	hm.engine.RegisterFunc("grant-rt", func(args []rules.Value) error {
@@ -555,8 +487,8 @@ func (hm *HostManager) registerCallbacks() {
 			prio = int(args[1].Num)
 		}
 		hm.cpu.GrantRealtime(mp.proc, prio)
-		hm.countAdaptation()
-		hm.cpu.Emit(telemetry.StageAdapt, spanDetail("grant-rt prio ", prio, false, ""))
+		hm.metrics.adaptations.Inc()
+		hm.traceEvent("cpu-manager", telemetry.StageAdapt, spanDetail("grant-rt prio ", prio, false, ""))
 		return nil
 	})
 	hm.engine.RegisterFunc("adjust-memory", func(args []rules.Value) error {
@@ -568,8 +500,8 @@ func (hm *HostManager) registerCallbacks() {
 			return fmt.Errorf("adjust-memory needs a numeric page delta")
 		}
 		hm.mem.Adjust(mp.proc, int(args[1].Num))
-		hm.countAdaptation()
-		hm.mem.Emit(telemetry.StageAdapt, spanDetail("adjust-memory ", int(args[1].Num), true, " pages"))
+		hm.metrics.adaptations.Inc()
+		hm.traceEvent("memory-manager", telemetry.StageAdapt, spanDetail("adjust-memory ", int(args[1].Num), true, " pages"))
 		return nil
 	})
 	hm.engine.RegisterFunc("cap-boost", func(args []rules.Value) error {
@@ -582,8 +514,8 @@ func (hm *HostManager) registerCallbacks() {
 		}
 		if cap := int(args[1].Num); mp.proc.Boost() > cap {
 			hm.cpu.Boost(mp.proc, cap-mp.proc.Boost())
-			hm.countAdaptation()
-			hm.cpu.Emit(telemetry.StageAdapt, spanDetail("cap-boost at ", cap, false, ""))
+			hm.metrics.adaptations.Inc()
+			hm.traceEvent("cpu-manager", telemetry.StageAdapt, spanDetail("cap-boost at ", cap, false, ""))
 		}
 		return nil
 	})
@@ -593,8 +525,8 @@ func (hm *HostManager) registerCallbacks() {
 			return err
 		}
 		hm.mem.Ensure(mp.proc, mp.proc.WorkingSet())
-		hm.countAdaptation()
-		hm.mem.Emit(telemetry.StageAdapt, spanDetail("restore-memory to ", mp.proc.WorkingSet(), false, " pages"))
+		hm.metrics.adaptations.Inc()
+		hm.traceEvent("memory-manager", telemetry.StageAdapt, spanDetail("restore-memory to ", mp.proc.WorkingSet(), false, " pages"))
 		return nil
 	})
 	hm.engine.RegisterFunc("request-adaptation", func(args []rules.Value) error {
@@ -606,7 +538,7 @@ func (hm *HostManager) registerCallbacks() {
 			return fmt.Errorf("request-adaptation needs (process actuator amount)")
 		}
 		hm.Adaptations++
-		hm.countAdaptation()
+		hm.metrics.adaptations.Inc()
 		ctx := hm.traceEvent("hostmanager", telemetry.StageAdapt, fmt.Sprintf("request-adaptation %s %g", args[1].Sym, args[2].Num))
 		dm := msg.Message{
 			From: hm.addr,
@@ -628,9 +560,7 @@ func (hm *HostManager) registerCallbacks() {
 			policy = args[1].Sym
 		}
 		hm.Escalations++
-		if hm.metrics != nil {
-			hm.metrics.escalations.Inc()
-		}
+		hm.metrics.escalations.Inc()
 		if hm.domainAddr == "" {
 			hm.traceEvent("hostmanager", telemetry.StageEscalate, "dropped (no domain manager)")
 			return nil
@@ -657,8 +587,8 @@ func (hm *HostManager) procArg(args []rules.Value, i int) (*managedProc, error) 
 	if err != nil {
 		return nil, fmt.Errorf("argument %d: bad process symbol %q", i, args[i].Sym)
 	}
-	mp, ok := hm.procsByPID[pid]
-	if !ok {
+	mp := hm.procs.get(pid)
+	if mp == nil {
 		return nil, fmt.Errorf("unknown process %s", args[i].Sym)
 	}
 	return mp, nil
@@ -679,42 +609,32 @@ func (hm *HostManager) currentReadings(psym rules.Value) map[string]float64 {
 // HandleMessage processes one inbound management message.
 func (hm *HostManager) HandleMessage(m msg.Message) {
 	switch body := m.Body.(type) {
-	case *msg.Violation:
-		hm.handleViolation(*body, m.Trace)
 	case msg.Violation:
 		hm.handleViolation(body, m.Trace)
-	case *msg.Query:
-		hm.handleQuery(m.From, *body, m.Trace)
 	case msg.Query:
 		hm.handleQuery(m.From, body, m.Trace)
-	case *msg.Directive:
-		hm.handleDirective(m.From, *body)
 	case msg.Directive:
 		hm.handleDirective(m.From, body)
-	case *msg.Heartbeat:
-		hm.handleHeartbeat(*body)
 	case msg.Heartbeat:
-		hm.handleHeartbeat(body)
+		hm.HeartbeatsSeen++
+		if hm.procs.contact(body.ID.PID, hm.now()) == nil && hm.readopt(body.ID) != nil {
+			hm.evlog.Event(eventlog.Info, "hostmanager", "proc_readopted",
+				eventlog.Str("subject", body.ID.Address()))
+		}
 	}
 }
 
 // handleViolation is one diagnosis episode: assert the report as facts,
 // forward-chain, then retract the episode facts.
 func (hm *HostManager) handleViolation(v msg.Violation, tc telemetry.TraceContext) {
-	hm.noteContact(v.ID.PID)
-	mp := hm.procsByPID[v.ID.PID]
-	if mp == nil && hm.OnUnknownProc != nil {
-		if p, ok := hm.OnUnknownProc(v.ID); ok {
-			hm.Track(p, v.ID)
-			mp = hm.procsByPID[v.ID.PID]
-		}
+	mp := hm.procs.contact(v.ID.PID, hm.now())
+	if mp == nil {
+		mp = hm.readopt(v.ID)
 	}
 	if mp == nil {
 		// A report for an untracked process cannot be acted upon.
 		hm.RuleErrors++
-		if hm.metrics != nil {
-			hm.metrics.ruleErrors.Inc()
-		}
+		hm.metrics.ruleErrors.Inc()
 		hm.evlog.EventCtx(tc, eventlog.Warn, "hostmanager", "untracked_violation",
 			eventlog.Str("subject", v.ID.Address()))
 		return
@@ -723,14 +643,10 @@ func (hm *HostManager) handleViolation(v msg.Violation, tc telemetry.TraceContex
 	if v.Overshoot {
 		relation = "overshoot"
 		hm.OvershootsSeen++
-		if hm.metrics != nil {
-			hm.metrics.overshoots.Inc()
-		}
+		hm.metrics.overshoots.Inc()
 	} else {
 		hm.ViolationsSeen++
-		if hm.metrics != nil {
-			hm.metrics.violations.Inc()
-		}
+		hm.metrics.violations.Inc()
 		// Episode context: rule callbacks fired by Run attribute their
 		// adaptations and escalations to this violation's trace, parented
 		// under the diagnosis span (itself a child of the notify span the
@@ -755,14 +671,10 @@ func (hm *HostManager) handleViolation(v msg.Violation, tc telemetry.TraceContex
 	ids = append(ids, e.Assert(rules.Sym("host-load"), rules.Num(hm.host.LoadAvg())),
 		e.Assert(rules.Sym("proc-boost"), mp.psym, rules.Num(float64(mp.proc.Boost()))))
 	fired, err := e.Run(100)
-	if hm.metrics != nil {
-		hm.metrics.firings.Observe(float64(fired))
-	}
+	hm.metrics.firings.Observe(float64(fired))
 	if err != nil {
 		hm.RuleErrors++
-		if hm.metrics != nil {
-			hm.metrics.ruleErrors.Inc()
-		}
+		hm.metrics.ruleErrors.Inc()
 	}
 	hm.epSubject, hm.epPolicy, hm.epCtx = "", "", telemetry.TraceContext{}
 	// Clear the episode — by id what was asserted above, by pattern what
@@ -819,9 +731,7 @@ func (hm *HostManager) handleQuery(replyTo string, q msg.Query, tc telemetry.Tra
 // handleDirective executes a corrective action pushed by the domain
 // manager.
 func (hm *HostManager) handleDirective(replyTo string, d msg.Directive) {
-	if hm.metrics != nil {
-		hm.metrics.directives.Inc()
-	}
+	hm.metrics.directives.Inc()
 	var err error
 	mp, ok := hm.procsByExe[d.Target]
 	if !ok {
@@ -852,9 +762,7 @@ func (hm *HostManager) handleDirective(replyTo string, d msg.Directive) {
 			}
 			hm.Track(np, nid)
 			hm.Restarts++
-			if hm.metrics != nil {
-				hm.metrics.restarts.Inc()
-			}
+			hm.metrics.restarts.Inc()
 		default:
 			err = fmt.Errorf("manager: unknown directive %q", d.Action)
 		}

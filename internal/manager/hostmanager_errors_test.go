@@ -163,24 +163,34 @@ func TestHostManagerDirectiveUnknownTargetAndAction(t *testing.T) {
 	}
 }
 
-func TestHostManagerPointerBodiesDispatch(t *testing.T) {
-	// The TCP transport delivers pointer bodies; both envelope shapes must
-	// reach the same handlers.
+// TestHostManagerDecodedBodiesDispatch: bodies as the TCP transport
+// delivers them — decoded from the wire — reach the same handlers.
+func TestHostManagerDecodedBodiesDispatch(t *testing.T) {
 	r := newRig(t, "")
-	r.hm.HandleMessage(msg.Message{From: "/domain", Body: &msg.Directive{
-		Action: "boost_cpu", Target: "mpeg_play", Amount: 3}})
+	decoded := func(m msg.Message) msg.Message {
+		t.Helper()
+		frame, err := msg.MarshalWire(msg.WireBinary, r.hm.Addr(), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, out, err := msg.UnmarshalWire(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	r.hm.HandleMessage(decoded(directive("boost_cpu", "mpeg_play", 3)))
 	if r.proc.Boost() != 3 {
-		t.Errorf("boost via *Directive = %d, want 3", r.proc.Boost())
+		t.Errorf("boost via decoded Directive = %d, want 3", r.proc.Boost())
 	}
-	r.hm.HandleMessage(msg.Message{From: "/domain", Body: &msg.Query{
-		Keys: []string{"cpu_load"}, Ref: "qp"}})
+	r.hm.HandleMessage(decoded(msg.Message{From: "/domain", Body: msg.Query{
+		Keys: []string{"cpu_load"}, Ref: "qp"}}))
 	rep, ok := r.sent[len(r.sent)-1].Body.(msg.Report)
-	if !ok || rep.Ref != "qp" {
-		t.Errorf("query via *Query reply = %+v", r.sent[len(r.sent)-1].Body)
+	if !ok || rep.Ref != "qp" || r.to[len(r.to)-1] != "/domain" {
+		t.Errorf("decoded Query reply = %+v to %q", r.sent[len(r.sent)-1].Body, r.to[len(r.to)-1])
 	}
-	v := violation(r.id, 15, 12, false)
-	r.hm.HandleMessage(msg.Message{Body: &v})
+	r.hm.HandleMessage(decoded(msg.Message{Body: violation(r.id, 15, 12, false)}))
 	if r.hm.ViolationsSeen != 1 {
-		t.Errorf("violation via *Violation not handled: seen=%d", r.hm.ViolationsSeen)
+		t.Errorf("decoded Violation not handled: seen=%d", r.hm.ViolationsSeen)
 	}
 }

@@ -25,9 +25,8 @@ func heartbeat(id msg.Identity, seq uint64) msg.Message {
 // reports) refresh the liveness deadline, so a chatty agent is never
 // evicted no matter how much wall time passes.
 func TestHostManagerHeartbeatKeepsAgentAlive(t *testing.T) {
-	r := newRig(t, "")
 	clk := &manualClock{}
-	r.hm.EnableLiveness(clk.read, 3*time.Second)
+	r := newRigLive(t, "", Liveness{Clock: clk.read, Timeout: 3 * time.Second})
 
 	for i := 0; i < 5; i++ {
 		r.hm.HandleMessage(heartbeat(r.id, uint64(i+1)))
@@ -53,11 +52,10 @@ func TestHostManagerHeartbeatKeepsAgentAlive(t *testing.T) {
 // retracted, a component-down fact asserted for the rule base, and
 // every open violation episode abandoned with the reason traced.
 func TestHostManagerEvictsSilentAgent(t *testing.T) {
-	r := newRig(t, "")
 	clk := &manualClock{}
+	r := newRigLive(t, "", Liveness{Clock: clk.read, Timeout: 3 * time.Second})
 	tracer := telemetry.NewTracer(clk.read)
 	r.hm.SetTelemetry(nil, tracer)
-	r.hm.EnableLiveness(clk.read, 3*time.Second)
 
 	// An open violation episode for the soon-to-die agent.
 	tracer.Begin(r.id.Address(), "NotifyQoSViolation", "coordinator", "fps out of band")
@@ -101,9 +99,8 @@ func TestHostManagerEvictsSilentAgent(t *testing.T) {
 // a heartbeat from an unknown PID re-adopts the process through
 // OnUnknownProc, retracts its down marker, and reports flow again.
 func TestHostManagerHeartbeatReAdoptsUnknownAgent(t *testing.T) {
-	r := newRig(t, "")
 	clk := &manualClock{}
-	r.hm.EnableLiveness(clk.read, 3*time.Second)
+	r := newRigLive(t, "", Liveness{Clock: clk.read, Timeout: 3 * time.Second})
 	r.hm.OnUnknownProc = func(id msg.Identity) (runtime.ProcHandle, bool) {
 		if id.PID == r.proc.PID() {
 			return r.proc, true
@@ -137,6 +134,28 @@ func TestHostManagerHeartbeatReAdoptsUnknownAgent(t *testing.T) {
 	}
 }
 
+// TestHostManagerUnadoptableContactNotEvicted: heartbeats and reports
+// from a PID the manager does not track and cannot adopt leave no roster
+// entry behind, so the next sweep evicts nothing and counts nothing.
+func TestHostManagerUnadoptableContactNotEvicted(t *testing.T) {
+	clk := &manualClock{}
+	r := newRigLive(t, "", Liveness{Clock: clk.read, Timeout: 3 * time.Second})
+	r.hm.OnUnknownProc = func(msg.Identity) (runtime.ProcHandle, bool) { return nil, false }
+	ghost := r.id
+	ghost.PID = 9999
+	for i := 0; i < 3; i++ {
+		r.hm.HandleMessage(heartbeat(ghost, uint64(i+1)))
+	}
+	r.hm.HandleMessage(msg.Message{Body: violation(ghost, 10, 12, false)})
+	clk.now = 2 * time.Second
+	r.hm.HandleMessage(heartbeat(r.id, 1)) // the tracked agent stays alive
+	clk.now = 4 * time.Second
+	if n := r.hm.CheckLiveness(); n != 0 || r.hm.AgentsEvicted != 0 {
+		t.Fatalf("CheckLiveness = %d, AgentsEvicted = %d; want 0/0 (only the untracked PID went silent)",
+			n, r.hm.AgentsEvicted)
+	}
+}
+
 // TestDomainManagerRetriesThenAbandonsEpisode: a localization episode
 // whose server report never arrives is re-queried once, then closed
 // with an abandoned span — no episode pends forever on a dead host
@@ -149,11 +168,10 @@ func TestDomainManagerRetriesThenAbandonsEpisode(t *testing.T) {
 		sentTo = append(sentTo, to)
 		sent = append(sent, m)
 		return nil // queries vanish: the server host manager is dead
-	})
+	}, DomainConfig{Liveness: Liveness{Clock: clk.read, Timeout: 2 * time.Second}})
 	dm.RegisterAppServer("VideoApplication", "/server-host/QoSHostManager", "mpeg_serve")
 	tracer := telemetry.NewTracer(clk.read)
 	dm.SetTelemetry(nil, tracer)
-	dm.EnableLiveness(clk.read, 2*time.Second)
 
 	id := msg.Identity{Host: "client-host", PID: 7, Executable: "mpeg_play",
 		Application: "VideoApplication"}

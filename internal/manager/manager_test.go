@@ -23,13 +23,19 @@ type rig struct {
 
 func newRig(t *testing.T, domainAddr string) *rig {
 	t.Helper()
+	return newRigLive(t, domainAddr, Liveness{})
+}
+
+// newRigLive is newRig with the host manager's liveness sweep armed.
+func newRigLive(t *testing.T, domainAddr string, live Liveness) *rig {
+	t.Helper()
 	r := &rig{sim: sim.New(1)}
 	r.host = sched.NewHost(r.sim, "client-host", sched.WithMemory(10000))
 	r.hm = NewHostManager("/client-host/QoSHostManager", r.host, func(to string, m msg.Message) error {
 		r.to = append(r.to, to)
 		r.sent = append(r.sent, m)
 		return nil
-	}, domainAddr)
+	}, domainAddr, live)
 	// A CPU-bound process standing in for the video client.
 	r.proc = r.host.Spawn("mpeg_play", func(p *sched.Proc) {
 		var loop func()
@@ -278,9 +284,9 @@ func newDomainRig(t *testing.T) *domainRig {
 	}
 	r.clientHost = sched.NewHost(r.sim, "client-host")
 	r.serverHost = sched.NewHost(r.sim, "server-host", sched.WithMemory(10000))
-	r.clientHM = NewHostManager("/client-host/QoSHostManager", r.clientHost, route, "/domain/QoSDomainManager")
-	r.serverHM = NewHostManager("/server-host/QoSHostManager", r.serverHost, route, "")
-	r.dm = NewDomainManager("/domain/QoSDomainManager", route)
+	r.clientHM = NewHostManager("/client-host/QoSHostManager", r.clientHost, route, "/domain/QoSDomainManager", Liveness{})
+	r.serverHM = NewHostManager("/server-host/QoSHostManager", r.serverHost, route, "", Liveness{})
+	r.dm = NewDomainManager("/domain/QoSDomainManager", route, DomainConfig{})
 	r.dm.RegisterAppServer("VideoApplication", "/server-host/QoSHostManager", "mpeg_serve")
 
 	r.serverProc = r.serverHost.Spawn("mpeg_serve", func(p *sched.Proc) {

@@ -28,28 +28,10 @@ type CPUManager struct {
 
 	// Adjustments counts boost changes applied (for experiment reports).
 	Adjustments int
-
-	span SpanFunc
 }
-
-// SpanFunc receives an observability span emitted by a resource manager:
-// one adjustment applied on behalf of a diagnosis, attributed to the
-// violation episode being corrected.
-type SpanFunc func(stage, detail string)
 
 // NewCPUManager creates the CPU resource manager for a host.
 func NewCPUManager(h runtime.HostControl) *CPUManager { return &CPUManager{host: h} }
-
-// SetSpanFunc installs the manager's span sink (the host manager routes
-// it onto the violation tracer with this manager as the span source).
-func (m *CPUManager) SetSpanFunc(fn SpanFunc) { m.span = fn }
-
-// Emit records an adjustment span; a no-op without a span sink.
-func (m *CPUManager) Emit(stage, detail string) {
-	if m.span != nil {
-		m.span(stage, detail)
-	}
-}
 
 // Boost shifts the process's management priority offset by delta,
 // clamped, returning the resulting offset.
@@ -88,22 +70,10 @@ type MemoryManager struct {
 
 	// Adjustments counts resident-set changes applied.
 	Adjustments int
-
-	span SpanFunc
 }
 
 // NewMemoryManager creates the memory resource manager for a host.
 func NewMemoryManager(h runtime.HostControl) *MemoryManager { return &MemoryManager{host: h} }
-
-// SetSpanFunc installs the manager's span sink.
-func (m *MemoryManager) SetSpanFunc(fn SpanFunc) { m.span = fn }
-
-// Emit records an adjustment span; a no-op without a span sink.
-func (m *MemoryManager) Emit(stage, detail string) {
-	if m.span != nil {
-		m.span(stage, detail)
-	}
-}
 
 // Adjust grows or shrinks the process's resident set by deltaPages,
 // bounded by physical memory, returning the resulting resident size.

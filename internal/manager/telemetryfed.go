@@ -83,7 +83,7 @@ func (e *SummaryExporter) FlushNow() error {
 }
 
 // childAgg is one direct child's cumulative aggregate, kept only by
-// terminal aggregators asked to break the fleet down per child.
+// terminal aggregators, which break the fleet down per child.
 type childAgg struct {
 	sum       *telemetry.Summary
 	hosts     uint64 // latest Hosts figure the child reported
@@ -96,10 +96,10 @@ type childAgg struct {
 // upward as one domain-tier summary per window — so the region's
 // telemetry fan-in is the domain count, not the host count. The region
 // runs a terminal one (parent ""): everything merges into a cumulative
-// fleet summary, optionally broken down per direct child, and is never
-// re-shipped. All merges are exact (sketch bucket addition, counter
-// addition, max-merge), so the fleet aggregate is independent of
-// arrival order and of how hosts are spread across domains.
+// fleet summary, broken down per direct child, and is never re-shipped.
+// All merges are exact (sketch bucket addition, counter addition,
+// max-merge), so the fleet aggregate is independent of arrival order and
+// of how hosts are spread across domains.
 type SummaryAggregator struct {
 	tier   string
 	addr   string
@@ -115,8 +115,7 @@ type SummaryAggregator struct {
 	winHosts map[string]uint64  // source -> hosts covered, this window
 	seq      uint64
 
-	keepChildren bool
-	children     map[string]*childAgg
+	children map[string]*childAgg // terminal aggregators only
 
 	// Statistics.
 	Ingested  uint64            // summaries absorbed
@@ -130,30 +129,26 @@ type SummaryAggregator struct {
 
 // NewSummaryAggregator creates an aggregator for tier at addr. With a
 // parent it re-exports each window's merged aggregate upward; with
-// parent "" it is terminal and only accumulates. window defaults to
-// DefaultTelemetryWindow when <= 0.
+// parent "" it is terminal: it only accumulates, keeping one cumulative
+// aggregate per direct child (the region keeps per-domain breakdowns;
+// domains keep nothing per host — that is the point of federation).
+// window defaults to DefaultTelemetryWindow when <= 0.
 func NewSummaryAggregator(tier, addr, parent string, send Send,
 	window time.Duration, after func(time.Duration, func())) *SummaryAggregator {
 	if window <= 0 {
 		window = DefaultTelemetryWindow
 	}
-	return &SummaryAggregator{
+	g := &SummaryAggregator{
 		tier: tier, addr: addr, parent: parent, send: send,
 		window: window, after: after,
 		win: telemetry.NewSummary(), total: telemetry.NewSummary(),
 		winHosts:  make(map[string]uint64),
 		hostsSeen: make(map[string]uint64),
 	}
-}
-
-// SetKeepChildren makes the aggregator keep one cumulative aggregate
-// per direct child (the region keeps per-domain breakdowns; domains
-// keep nothing per host — that is the point of federation).
-func (g *SummaryAggregator) SetKeepChildren(keep bool) {
-	g.keepChildren = keep
-	if keep && g.children == nil {
+	if parent == "" {
 		g.children = make(map[string]*childAgg)
 	}
+	return g
 }
 
 // SetTelemetry attaches aggregate flow counters
@@ -169,26 +164,18 @@ func (g *SummaryAggregator) SetTelemetry(reg *telemetry.Registry) {
 // it into the current window and arm the flush timer, coalescer-style.
 func (g *SummaryAggregator) Ingest(ts msg.TelemetrySummary) {
 	g.Ingested++
-	if g.cSummaries != nil {
-		g.cSummaries.Inc()
-	}
+	g.cSummaries.Inc()
 	hosts := ts.Hosts
 	if hosts == 0 {
 		hosts = 1
 	}
 	g.hostsSeen[ts.Source] = hosts
 	g.total.Absorb(ts.Counters, ts.Maxima, ts.Sketches)
-	if g.keepChildren {
-		c, ok := g.children[ts.Source]
-		if !ok {
-			c = &childAgg{sum: telemetry.NewSummary()}
-			g.children[ts.Source] = c
-		}
+	if g.parent == "" {
+		c := g.child(ts.Source)
 		c.sum.Absorb(ts.Counters, ts.Maxima, ts.Sketches)
 		c.hosts = hosts
 		c.summaries++
-	}
-	if g.parent == "" {
 		return
 	}
 	g.win.Absorb(ts.Counters, ts.Maxima, ts.Sketches)
@@ -207,15 +194,8 @@ func (g *SummaryAggregator) Ingest(ts msg.TelemetrySummary) {
 // not inflate the window's host coverage.
 func (g *SummaryAggregator) AddLocal(name string, delta float64) {
 	g.total.AddCounter(name, delta)
-	if g.keepChildren {
-		c, ok := g.children[g.addr]
-		if !ok {
-			c = &childAgg{sum: telemetry.NewSummary()}
-			g.children[g.addr] = c
-		}
-		c.sum.AddCounter(name, delta)
-	}
 	if g.parent == "" {
+		g.child(g.addr).sum.AddCounter(name, delta)
 		return
 	}
 	g.win.AddCounter(name, delta)
@@ -223,6 +203,16 @@ func (g *SummaryAggregator) AddLocal(name string, delta float64) {
 		g.armed = true
 		g.after(g.window, g.timerFlush)
 	}
+}
+
+// child returns the cumulative aggregate of one direct child, creating it.
+func (g *SummaryAggregator) child(source string) *childAgg {
+	c, ok := g.children[source]
+	if !ok {
+		c = &childAgg{sum: telemetry.NewSummary()}
+		g.children[source] = c
+	}
+	return c
 }
 
 func (g *SummaryAggregator) timerFlush() {
@@ -246,9 +236,7 @@ func (g *SummaryAggregator) flush() error {
 	counters, maxima, sketches := g.win.Export()
 	g.win.Reset()
 	g.Flushes++
-	if g.cFlushes != nil {
-		g.cFlushes.Inc()
-	}
+	g.cFlushes.Inc()
 	return g.send(g.parent, msg.Message{From: g.addr, Body: msg.TelemetrySummary{
 		Tier: g.tier, Source: g.addr, Seq: g.seq, Hosts: hosts,
 		Counters: counters, Maxima: maxima, Sketches: sketches,
@@ -270,7 +258,7 @@ func (g *SummaryAggregator) Total() *telemetry.Summary { return g.total }
 
 // FleetView renders the aggregator's cumulative state as the federated
 // observability document: the merged fleet summary plus (for terminal
-// aggregators keeping children) one name-sorted entry per direct child.
+// aggregators) one name-sorted entry per direct child.
 func (g *SummaryAggregator) FleetView() telemetry.FederatedView {
 	v := telemetry.FederatedView{
 		Tier:      g.tier,

@@ -132,13 +132,12 @@ func TestSummaryAggregatorForwardsMergedWindow(t *testing.T) {
 
 // TestSummaryAggregatorTerminal: a region-tier aggregator (parent "")
 // only accumulates — it never re-ships, counts host coverage by latest
-// report per source, and keeps per-child breakdowns when asked.
+// report per source, and keeps per-child breakdowns.
 func TestSummaryAggregatorTerminal(t *testing.T) {
 	s := sim.New(1)
 	sums, _, send := fedSink(s)
 	g := NewSummaryAggregator("region", "/r", "", send,
 		10*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) })
-	g.SetKeepChildren(true)
 
 	domainSummary := func(src string, hosts uint64, samples float64) msg.TelemetrySummary {
 		return msg.TelemetrySummary{
@@ -214,7 +213,7 @@ func TestSummaryRoundTripThroughCodec(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		relayed = append(relayed, *rt.Body.(*msg.TelemetrySummary))
+		relayed = append(relayed, rt.Body.(msg.TelemetrySummary))
 		return nil
 	}
 	e := NewSummaryExporter("host", "/h1", "/parent", relay,

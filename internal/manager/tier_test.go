@@ -17,16 +17,14 @@ type tierRig struct {
 	sent   []msg.Message
 }
 
-func newTierRig(t *testing.T) *tierRig {
+func newTierRig(t *testing.T, policyAgents ...string) *tierRig {
 	t.Helper()
 	r := &tierRig{clk: &manualClock{}}
 	r.dm = NewDomainManager("/domain/QoSDomainManager", func(to string, m msg.Message) error {
 		r.sentTo = append(r.sentTo, to)
 		r.sent = append(r.sent, m)
 		return nil
-	})
-	r.dm.SetTier(TierDomain)
-	r.dm.EnableLiveness(r.clk.read, 2*time.Second)
+	}, DomainConfig{Liveness: Liveness{Clock: r.clk.read, Timeout: 2 * time.Second}, PolicyAgents: policyAgents})
 	for _, h := range []string{"host-a", "host-b", "host-c"} {
 		r.dm.HandleMessage(msg.Message{From: "/" + h + "/QoSHostManager",
 			Body: msg.Register{ID: msg.Identity{Host: h}}})
@@ -34,6 +32,16 @@ func newTierRig(t *testing.T) *tierRig {
 	// Drop the three registration acks from the recording.
 	r.sentTo, r.sent = nil, nil
 	return r
+}
+
+// hostAddrs returns the registered host manager addresses in
+// registration order.
+func (r *tierRig) hostAddrs() []string {
+	var addrs []string
+	for _, name := range r.dm.hosts.order {
+		addrs = append(addrs, *r.dm.hosts.get(name))
+	}
+	return addrs
 }
 
 // queries returns the (to, Query) pairs recorded since the last reset.
@@ -53,7 +61,7 @@ func TestDomainManagerRegistersHosts(t *testing.T) {
 		t.Fatalf("HostCount = %d, want 3", r.dm.HostCount())
 	}
 	want := []string{"/host-a/QoSHostManager", "/host-b/QoSHostManager", "/host-c/QoSHostManager"}
-	for i, a := range r.dm.HostAddrs() {
+	for i, a := range r.hostAddrs() {
 		if a != want[i] {
 			t.Errorf("HostAddrs[%d] = %q, want %q", i, a, want[i])
 		}
@@ -64,7 +72,7 @@ func TestDomainManagerRegistersHosts(t *testing.T) {
 	if r.dm.HostCount() != 3 {
 		t.Fatalf("HostCount after re-register = %d, want 3", r.dm.HostCount())
 	}
-	if addrs := r.dm.HostAddrs(); addrs[1] != "/host-b2/QoSHostManager" {
+	if addrs := r.hostAddrs(); addrs[1] != "/host-b2/QoSHostManager" {
 		t.Errorf("re-register did not rebind: %v", addrs)
 	}
 }
@@ -234,8 +242,7 @@ func TestRegionManagerProbesSaturatedDomain(t *testing.T) {
 		sentTo = append(sentTo, to)
 		sent = append(sent, m)
 		return nil
-	})
-	rm.EnableLiveness(clk.read, 10*time.Second)
+	}, RegionConfig{Liveness: Liveness{Clock: clk.read, Timeout: 10 * time.Second}})
 	for _, d := range []string{"domain-0", "domain-1"} {
 		rm.HandleMessage(msg.Message{From: "/" + d + "/QoSDomainManager",
 			Body: msg.Register{ID: msg.Identity{Host: d}}})
@@ -309,8 +316,7 @@ func TestRegionManagerProbeRetryAndDomainEviction(t *testing.T) {
 	rm := NewRegionManager("/region/QoSRegionManager", func(to string, m msg.Message) error {
 		sentTo = append(sentTo, to)
 		return nil
-	})
-	rm.EnableLiveness(clk.read, 2*time.Second)
+	}, RegionConfig{Liveness: Liveness{Clock: clk.read, Timeout: 2 * time.Second}})
 	rm.HandleMessage(msg.Message{From: "/domain-0/QoSDomainManager",
 		Body: msg.Register{ID: msg.Identity{Host: "domain-0"}}})
 	rm.HandleMessage(msg.Message{From: "/domain-0/QoSDomainManager",
@@ -353,11 +359,11 @@ func TestDomainManagerUplinkBatchesAlarms(t *testing.T) {
 		up = append(up, m)
 		return nil
 	}
-	dm := NewDomainManager("/domain/QoSDomainManager", func(string, msg.Message) error { return nil })
-	dm.RegisterAppServer("VideoApplication", "/server-host/QoSHostManager", "mpeg_serve")
 	co := NewAlarmCoalescer("domain", "/domain/QoSDomainManager",
 		"/region/QoSRegionManager", upSend, 2*time.Second, after)
-	dm.SetUplink(co)
+	dm := NewDomainManager("/domain/QoSDomainManager", func(string, msg.Message) error { return nil },
+		DomainConfig{Uplink: co})
+	dm.RegisterAppServer("VideoApplication", "/server-host/QoSHostManager", "mpeg_serve")
 	dm.SeverityFor = func(a msg.Alarm) int {
 		if a.Readings["fps"] < 5 {
 			return 2
@@ -427,7 +433,7 @@ func TestPolicyDeltaRelay(t *testing.T) {
 		regionTo = append(regionTo, to)
 		regionSent = append(regionSent, m)
 		return nil
-	})
+	}, RegionConfig{})
 	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
 	rm.SetTelemetry(reg, nil)
 	for _, d := range []string{"d-1", "d-2"} {
@@ -439,7 +445,7 @@ func TestPolicyDeltaRelay(t *testing.T) {
 	trace := telemetry.TraceContext{TraceID: "rollout#1", Span: 2}
 	delta := msg.PolicyDelta{Generation: 3, Prev: 2, Executable: "mpeg_play",
 		Scope: "fleet", Reason: "promoted"}
-	rm.HandleMessage(msg.Message{From: "/repo/hub", Trace: trace, Body: &delta})
+	rm.HandleMessage(msg.Message{From: "/repo/hub", Trace: trace, Body: delta})
 	if len(regionSent) != 2 ||
 		regionTo[0] != "/d-1/QoSDomainManager" || regionTo[1] != "/d-2/QoSDomainManager" {
 		t.Fatalf("region relayed to %v", regionTo)
@@ -448,7 +454,7 @@ func TestPolicyDeltaRelay(t *testing.T) {
 		if m.Trace != trace {
 			t.Errorf("relay %d lost trace context: %+v", i, m.Trace)
 		}
-		if d, ok := m.Body.(*msg.PolicyDelta); !ok || d.Generation != 3 {
+		if d, ok := m.Body.(msg.PolicyDelta); !ok || d.Generation != 3 {
 			t.Errorf("relay %d body = %+v", i, m.Body)
 		}
 		if m.From != "/region/QoSRegionManager" {
@@ -468,7 +474,7 @@ func TestPolicyDeltaRelay(t *testing.T) {
 	if len(r.sent) != 0 {
 		t.Fatalf("domain with no policy agents relayed %d messages", len(r.sent))
 	}
-	r.dm.SetPolicyAgents("/mgmt/PolicyAgent", "/mgmt/PolicyAgent2")
+	r = newTierRig(t, "/mgmt/PolicyAgent", "/mgmt/PolicyAgent2")
 	r.dm.HandleMessage(msg.Message{From: "/region", Trace: trace, Body: delta})
 	if len(r.sent) != 2 || r.sentTo[0] != "/mgmt/PolicyAgent" || r.sentTo[1] != "/mgmt/PolicyAgent2" {
 		t.Fatalf("domain relayed to %v", r.sentTo)

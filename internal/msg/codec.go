@@ -86,31 +86,31 @@ const (
 
 func binKind(body any) (byte, error) {
 	switch body.(type) {
-	case Register, *Register:
+	case Register:
 		return kindRegister, nil
-	case PolicySet, *PolicySet:
+	case PolicySet:
 		return kindPolicySet, nil
-	case Violation, *Violation:
+	case Violation:
 		return kindViolation, nil
-	case Query, *Query:
+	case Query:
 		return kindQuery, nil
-	case Report, *Report:
+	case Report:
 		return kindReport, nil
-	case Alarm, *Alarm:
+	case Alarm:
 		return kindAlarm, nil
-	case Directive, *Directive:
+	case Directive:
 		return kindDirective, nil
-	case Ack, *Ack:
+	case Ack:
 		return kindAck, nil
-	case Nack, *Nack:
+	case Nack:
 		return kindNack, nil
-	case Heartbeat, *Heartbeat:
+	case Heartbeat:
 		return kindHeartbeat, nil
-	case AlarmBatch, *AlarmBatch:
+	case AlarmBatch:
 		return kindAlarmBatch, nil
-	case TelemetrySummary, *TelemetrySummary:
+	case TelemetrySummary:
 		return kindTelemetrySummary, nil
-	case PolicyDelta, *PolicyDelta:
+	case PolicyDelta:
 		return kindPolicyDelta, nil
 	default:
 		return 0, fmt.Errorf("msg: unknown body type %T", body)
@@ -220,56 +220,30 @@ func appendBinaryPayload(dst []byte, to string, m Message) ([]byte, error) {
 	switch b := m.Body.(type) {
 	case Register:
 		return appendBinRegister(dst, &b), nil
-	case *Register:
-		return appendBinRegister(dst, b), nil
 	case PolicySet:
 		return appendBinPolicySet(dst, &b), nil
-	case *PolicySet:
-		return appendBinPolicySet(dst, b), nil
 	case Violation:
 		return appendBinViolation(dst, &b), nil
-	case *Violation:
-		return appendBinViolation(dst, b), nil
 	case Query:
 		return appendBinQuery(dst, &b), nil
-	case *Query:
-		return appendBinQuery(dst, b), nil
 	case Report:
 		return appendBinReport(dst, &b), nil
-	case *Report:
-		return appendBinReport(dst, b), nil
 	case Alarm:
 		return appendBinAlarm(dst, &b), nil
-	case *Alarm:
-		return appendBinAlarm(dst, b), nil
 	case Directive:
 		return appendBinDirective(dst, &b), nil
-	case *Directive:
-		return appendBinDirective(dst, b), nil
 	case Ack:
 		return appendBinAck(dst, &b), nil
-	case *Ack:
-		return appendBinAck(dst, b), nil
 	case Nack:
 		return appendBinNack(dst, &b), nil
-	case *Nack:
-		return appendBinNack(dst, b), nil
 	case Heartbeat:
 		return appendBinHeartbeat(dst, &b), nil
-	case *Heartbeat:
-		return appendBinHeartbeat(dst, b), nil
 	case AlarmBatch:
 		return appendBinAlarmBatch(dst, &b), nil
-	case *AlarmBatch:
-		return appendBinAlarmBatch(dst, b), nil
 	case TelemetrySummary:
 		return appendBinTelemetrySummary(dst, &b), nil
-	case *TelemetrySummary:
-		return appendBinTelemetrySummary(dst, b), nil
 	case PolicyDelta:
 		return appendBinPolicyDelta(dst, &b), nil
-	case *PolicyDelta:
-		return appendBinPolicyDelta(dst, b), nil
 	}
 	return nil, fmt.Errorf("msg: unknown body type %T", m.Body)
 }
@@ -740,31 +714,31 @@ func unmarshalBinaryPayload(payload []byte, tab *internTable) (string, Message, 
 	var body any
 	switch kind {
 	case kindRegister:
-		body = &Register{ID: r.identity(), Sensors: r.strs()}
+		body = Register{ID: r.identity(), Sensors: r.strs()}
 	case kindPolicySet:
-		body = &PolicySet{ID: r.identity(), Policies: r.policies()}
+		body = PolicySet{ID: r.identity(), Policies: r.policies()}
 	case kindPolicyDelta:
-		body = &PolicyDelta{Generation: r.uvarint(), Prev: r.uvarint(),
+		body = PolicyDelta{Generation: r.uvarint(), Prev: r.uvarint(),
 			Executable: r.name(), Scope: r.name(), Hosts: r.strs(),
 			Policies: r.policies(), Reason: r.str()}
 	case kindViolation:
-		body = &Violation{ID: r.identity(), Policy: r.name(), Readings: r.f64map(), Overshoot: r.boolean()}
+		body = Violation{ID: r.identity(), Policy: r.name(), Readings: r.f64map(), Overshoot: r.boolean()}
 	case kindQuery:
-		body = &Query{From: r.name(), Keys: r.strs(), Ref: r.str()}
+		body = Query{From: r.name(), Keys: r.strs(), Ref: r.str()}
 	case kindReport:
-		body = &Report{Host: r.name(), Values: r.f64map(), Ref: r.str()}
+		body = Report{Host: r.name(), Values: r.f64map(), Ref: r.str()}
 	case kindAlarm:
-		body = &Alarm{ID: r.identity(), Policy: r.name(), Readings: r.f64map(), Suspect: r.name()}
+		body = Alarm{ID: r.identity(), Policy: r.name(), Readings: r.f64map(), Suspect: r.name()}
 	case kindDirective:
-		body = &Directive{From: r.name(), Action: r.name(), Target: r.name(), Amount: r.f64()}
+		body = Directive{From: r.name(), Action: r.name(), Target: r.name(), Amount: r.f64()}
 	case kindAck:
-		body = &Ack{Ref: r.str(), OK: r.boolean(), Err: r.str()}
+		body = Ack{Ref: r.str(), OK: r.boolean(), Err: r.str()}
 	case kindNack:
-		body = &Nack{ID: r.identity(), Ref: r.str(), Reason: r.str()}
+		body = Nack{ID: r.identity(), Ref: r.str(), Reason: r.str()}
 	case kindHeartbeat:
-		body = &Heartbeat{ID: r.identity(), Seq: r.uvarint()}
+		body = Heartbeat{ID: r.identity(), Seq: r.uvarint()}
 	case kindAlarmBatch:
-		ab := &AlarmBatch{Tier: r.name()}
+		ab := AlarmBatch{Tier: r.name()}
 		na := r.uvarint()
 		// Each entry costs at least an identity (5 string lengths + pid),
 		// policy + readings + suspect lengths, and two varints: 11 bytes.
@@ -783,7 +757,7 @@ func unmarshalBinaryPayload(payload []byte, tab *internTable) (string, Message, 
 		ab.Summary = r.f64map()
 		body = ab
 	case kindTelemetrySummary:
-		ts := &TelemetrySummary{Tier: r.name(), Source: r.name(),
+		ts := TelemetrySummary{Tier: r.name(), Source: r.name(),
 			Seq: r.uvarint(), Hosts: r.uvarint(),
 			Counters: r.f64map(), Maxima: r.f64map()}
 		ns := r.uvarint()

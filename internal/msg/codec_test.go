@@ -129,9 +129,9 @@ func TestJSONDebugRendering(t *testing.T) {
 }
 
 // assertSameMessage compares a decoded message against the original.
-// The decoder returns pointer bodies and normalizes empty omitted
-// maps/slices to nil, so the comparison normalizes the original the same
-// way: an encoding/json round-trip of the body into a fresh pointer.
+// The decoder normalizes empty omitted maps/slices to nil, so the
+// comparison normalizes the original the same way: an encoding/json
+// round-trip of the body into a fresh value.
 func assertSameMessage(t *testing.T, i int, want, got Message) {
 	t.Helper()
 	if got.From != want.From {
@@ -145,12 +145,8 @@ func assertSameMessage(t *testing.T, i int, want, got Message) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bodyType := reflect.TypeOf(want.Body)
-	if bodyType.Kind() == reflect.Pointer {
-		bodyType = bodyType.Elem()
-	}
-	norm := reflect.New(bodyType).Interface()
-	if err := json.Unmarshal(ref, norm); err != nil {
+	norm := reflect.New(reflect.TypeOf(want.Body))
+	if err := json.Unmarshal(ref, norm.Interface()); err != nil {
 		t.Fatal(err)
 	}
 	gotTag, err := typeTag(got.Body)
@@ -160,8 +156,8 @@ func assertSameMessage(t *testing.T, i int, want, got Message) {
 	if gotTag != wantTag {
 		t.Fatalf("message %d: type %q, want %q", i, gotTag, wantTag)
 	}
-	if !reflect.DeepEqual(got.Body, norm) {
-		t.Errorf("message %d: body = %#v, want %#v", i, got.Body, norm)
+	if want := norm.Elem().Interface(); !reflect.DeepEqual(got.Body, want) {
+		t.Errorf("message %d: body = %#v, want %#v", i, got.Body, want)
 	}
 }
 

@@ -176,6 +176,7 @@ func TestTransportConformance(t *testing.T) {
 					{From: "/h/src", Body: Alarm{ID: Identity{PID: 4}}},     // no policy
 					{From: "/h/src", Body: Query{From: "/h/src", Ref: "q"}}, // no keys
 					{From: "/h/src", Body: Directive{Target: "frame_skip"}}, // no action
+					{From: "/h/src", Body: &Ack{}},                          // bodies are values
 				}
 				for i, m := range bad {
 					if err := tr.Send("/conf/sink", m); err == nil {

@@ -205,10 +205,11 @@ type PolicyDelta struct {
 	Reason     string       `json:"reason,omitempty"`
 }
 
-// Message is the envelope union: exactly one well-known body type. Trace
-// is out-of-band observability metadata — the violation-trace context the
-// message extends, propagated identically by both transports; an unset
-// context costs one flag byte on the wire.
+// Message is the envelope union: exactly one well-known body type, held
+// by value on every path (the decoder produces values too; a pointer body
+// fails Validate). Trace is out-of-band observability metadata — the
+// violation-trace context the message extends, propagated identically by
+// both transports; an unset context costs one flag byte on the wire.
 type Message struct {
 	From  string                 `json:"from"`
 	Trace telemetry.TraceContext `json:"-"`
@@ -222,31 +223,31 @@ func TypeTag(body any) (string, error) { return typeTag(body) }
 
 func typeTag(body any) (string, error) {
 	switch body.(type) {
-	case Register, *Register:
+	case Register:
 		return "register", nil
-	case PolicySet, *PolicySet:
+	case PolicySet:
 		return "policyset", nil
-	case Violation, *Violation:
+	case Violation:
 		return "violation", nil
-	case Query, *Query:
+	case Query:
 		return "query", nil
-	case Report, *Report:
+	case Report:
 		return "report", nil
-	case Alarm, *Alarm:
+	case Alarm:
 		return "alarm", nil
-	case Directive, *Directive:
+	case Directive:
 		return "directive", nil
-	case Ack, *Ack:
+	case Ack:
 		return "ack", nil
-	case Nack, *Nack:
+	case Nack:
 		return "nack", nil
-	case Heartbeat, *Heartbeat:
+	case Heartbeat:
 		return "heartbeat", nil
-	case AlarmBatch, *AlarmBatch:
+	case AlarmBatch:
 		return "alarmbatch", nil
-	case TelemetrySummary, *TelemetrySummary:
+	case TelemetrySummary:
 		return "telemetrysummary", nil
-	case PolicyDelta, *PolicyDelta:
+	case PolicyDelta:
 		return "policydelta", nil
 	default:
 		return "", fmt.Errorf("msg: unknown body type %T", body)

@@ -46,10 +46,8 @@ func TestMarshalRoundTripAllTypes(t *testing.T) {
 		if out.From != in.From {
 			t.Errorf("%T: from = %q", body, out.From)
 		}
-		// UnmarshalWire yields a pointer to the concrete type.
-		got := reflect.ValueOf(out.Body).Elem().Interface()
-		if !reflect.DeepEqual(got, body) {
-			t.Errorf("%T round trip:\n got %+v\nwant %+v", body, got, body)
+		if !reflect.DeepEqual(out.Body, body) {
+			t.Errorf("%T round trip:\n got %+v\nwant %+v", body, out.Body, body)
 		}
 	}
 }
@@ -149,7 +147,7 @@ func TestBusRebindReplacesHandler(t *testing.T) {
 
 func TestTCPTransportRoundTrip(t *testing.T) {
 	echo := func(c *Conn, m Message) {
-		if q, ok := m.Body.(*Query); ok {
+		if q, ok := m.Body.(Query); ok {
 			_ = c.Send(Message{From: "/server", Body: Report{
 				Host: "server-host", Values: map[string]float64{"cpu_load": 3.5}, Ref: q.Ref}})
 		}
@@ -172,7 +170,7 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, ok := reply.Body.(*Report)
+	rep, ok := reply.Body.(Report)
 	if !ok {
 		t.Fatalf("reply body %T", reply.Body)
 	}
@@ -203,8 +201,8 @@ func TestTCPMultipleMessagesOneConn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Body.(*Ack).Ref != ref {
-			t.Fatalf("echo %d: got %q want %q", i, got.Body.(*Ack).Ref, ref)
+		if got.Body.(Ack).Ref != ref {
+			t.Fatalf("echo %d: got %q want %q", i, got.Body.(Ack).Ref, ref)
 		}
 	}
 }
@@ -236,8 +234,8 @@ func TestTCPConcurrentClients(t *testing.T) {
 					errs <- err
 					return
 				}
-				if got.Body.(*Ack).Ref != ref {
-					errs <- fmt.Errorf("cross-talk: got %q want %q", got.Body.(*Ack).Ref, ref)
+				if got.Body.(Ack).Ref != ref {
+					errs <- fmt.Errorf("cross-talk: got %q want %q", got.Body.(Ack).Ref, ref)
 					return
 				}
 			}

@@ -132,7 +132,7 @@ func TestInboxRing(t *testing.T) {
 	next, want := 0, 0
 	push := func(n int) {
 		for i := 0; i < n; i++ {
-			q.push(delivery{m: Message{From: fmt.Sprint(next), Body: &Ack{Ref: "r"}}})
+			q.push(delivery{m: Message{From: fmt.Sprint(next), Body: Ack{Ref: "r"}}})
 			next++
 		}
 	}

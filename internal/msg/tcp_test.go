@@ -59,9 +59,8 @@ func TestTCPLoopbackAllMessageTypes(t *testing.T) {
 		if out.From != in.From {
 			t.Errorf("%T: from = %q", body, out.From)
 		}
-		got := reflect.ValueOf(out.Body).Elem().Interface()
-		if !reflect.DeepEqual(got, body) {
-			t.Errorf("%T loopback:\n got %+v\nwant %+v", body, got, body)
+		if !reflect.DeepEqual(out.Body, body) {
+			t.Errorf("%T loopback:\n got %+v\nwant %+v", body, out.Body, body)
 		}
 	}
 }
@@ -70,7 +69,7 @@ func TestTCPConcurrentSendersOneConn(t *testing.T) {
 	const senders, perSender = 8, 25
 	received := make(chan string, senders*perSender)
 	srv, err := Serve("127.0.0.1:0", func(_ *Conn, m Message) {
-		a, ok := m.Body.(*Ack)
+		a, ok := m.Body.(Ack)
 		if !ok {
 			received <- fmt.Sprintf("corrupt body %T", m.Body)
 			return

@@ -10,41 +10,24 @@ import "fmt"
 // instead of reaching a handler that would misbehave on it.
 func Validate(m Message) error {
 	switch b := m.Body.(type) {
-	case Register, *Register, PolicySet, *PolicySet, Report, *Report,
-		Ack, *Ack, Nack, *Nack:
+	case Register, PolicySet, Report, Ack, Nack:
 		return nil
 	case Violation:
 		return validateViolation(b)
-	case *Violation:
-		return validateViolation(*b)
 	case Alarm:
 		return validateAlarm(b)
-	case *Alarm:
-		return validateAlarm(*b)
 	case Query:
 		return validateQuery(b)
-	case *Query:
-		return validateQuery(*b)
 	case Directive:
 		return validateDirective(b)
-	case *Directive:
-		return validateDirective(*b)
 	case Heartbeat:
 		return validateHeartbeat(b)
-	case *Heartbeat:
-		return validateHeartbeat(*b)
 	case AlarmBatch:
 		return validateAlarmBatch(b)
-	case *AlarmBatch:
-		return validateAlarmBatch(*b)
 	case TelemetrySummary:
 		return validateTelemetrySummary(b)
-	case *TelemetrySummary:
-		return validateTelemetrySummary(*b)
 	case PolicyDelta:
 		return validatePolicyDelta(b)
-	case *PolicyDelta:
-		return validatePolicyDelta(*b)
 	default:
 		return fmt.Errorf("msg: unknown body type %T", m.Body)
 	}

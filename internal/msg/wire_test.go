@@ -140,7 +140,7 @@ func TestNetTransportBadFrame(t *testing.T) {
 			}
 			select {
 			case m := <-delivered:
-				if a, ok := m.Body.(*Ack); !ok || a.Ref != "still-served" {
+				if a, ok := m.Body.(Ack); !ok || a.Ref != "still-served" {
 					t.Errorf("delivered %+v", m)
 				}
 			case <-time.After(5 * time.Second):

@@ -62,8 +62,8 @@ func newRolloutHarnessStore(t *testing.T, wrap func(Store) Store) *rolloutHarnes
 	h.svc = newTestService(t, store)
 	storeExample1(t, h.svc, "")
 	h.hub = NewHub("/repo/hub", func(to string, m msg.Message) error {
-		if d, ok := m.Body.(*msg.PolicyDelta); ok {
-			h.deltas = append(h.deltas, *d)
+		if d, ok := m.Body.(msg.PolicyDelta); ok {
+			h.deltas = append(h.deltas, d)
 		}
 		return nil
 	})

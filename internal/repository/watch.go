@@ -136,7 +136,8 @@ func (h *Hub) Generation(exe string) uint64 {
 func (h *Hub) Announce(exe, scope string, hosts []string, specs []msg.PolicySpec,
 	reason string, trace telemetry.TraceContext) (uint64, error) {
 	h.mu.Lock()
-	d := &msg.PolicyDelta{
+	// One message, its body boxed once, goes to every subscriber.
+	m := msg.Message{From: h.addr, Trace: trace, Body: msg.PolicyDelta{
 		Generation: h.gen + 1,
 		Prev:       h.exeGen[exe],
 		Executable: exe,
@@ -144,8 +145,8 @@ func (h *Hub) Announce(exe, scope string, hosts []string, specs []msg.PolicySpec
 		Hosts:      hosts,
 		Policies:   specs,
 		Reason:     reason,
-	}
-	if err := msg.Validate(msg.Message{Body: d}); err != nil {
+	}}
+	if err := msg.Validate(m); err != nil {
 		h.mu.Unlock()
 		return 0, err
 	}
@@ -165,7 +166,7 @@ func (h *Hub) Announce(exe, scope string, hosts []string, specs []msg.PolicySpec
 	var firstErr error
 	failed := 0
 	for _, sub := range subs {
-		err := h.send(sub, msg.Message{From: h.addr, Trace: trace, Body: d})
+		err := h.send(sub, m)
 		if err != nil {
 			failed++
 			if firstErr == nil {

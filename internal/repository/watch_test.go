@@ -17,11 +17,11 @@ func TestHubGenerationChain(t *testing.T) {
 		d  msg.PolicyDelta
 	}
 	hub := NewHub("/repo/hub", func(to string, m msg.Message) error {
-		d := m.Body.(*msg.PolicyDelta)
+		d := m.Body.(msg.PolicyDelta)
 		sent = append(sent, struct {
 			to string
 			d  msg.PolicyDelta
-		}{to, *d})
+		}{to, d})
 		return nil
 	})
 	hub.Subscribe("/z/sub", "/a/sub", "/a/sub") // duplicate is a no-op

@@ -154,7 +154,7 @@ func TestManagerFailover(t *testing.T) {
 	// A replacement manager binds the same address and picks up where the
 	// old one left off (tracking state is re-established).
 	nhm := manager.NewHostManager("/client-host/QoSHostManager", sys.ClientHost,
-		sys.Bus.Send, DomainAddr)
+		sys.Bus.Send, DomainAddr, manager.Liveness{})
 	nhm.Track(sys.Client.Proc, sys.Coord.Identity())
 	sys.Bus.Bind("/client-host/QoSHostManager", "client-host", func(m msg.Message) {
 		nhm.HandleMessage(m)

@@ -256,13 +256,8 @@ func (h *fleetHost) handle(m msg.Message) {
 	switch body := m.Body.(type) {
 	case msg.Query:
 		h.answer(body, m.Trace)
-	case *msg.Query:
-		h.answer(*body, m.Trace)
 	case msg.Directive:
 		h.directive(body)
-	case *msg.Directive:
-		h.directive(*body)
-	case msg.Ack, *msg.Ack:
 	}
 }
 
@@ -340,6 +335,10 @@ type fleetDomain struct {
 	hosts   int
 	flushed uint64 // dm.Alarms already summarized in earlier flushes
 }
+
+// agentAddr is the address of the domain's policy agent (policy
+// distribution runs only).
+func (fd *fleetDomain) agentAddr() string { return "/" + fd.name + "/PolicyAgent" }
 
 // FleetSystem is a fully wired three-tier fleet.
 type FleetSystem struct {
@@ -437,25 +436,25 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 	}
 
 	// Tier 3: the region manager.
-	sys.Region = manager.NewRegionManager(RegionAddr, send)
-	sys.Region.SaturationThreshold = cfg.SaturationThreshold
-	sys.Region.LoadThreshold = cfg.LoadThreshold
-	sys.Region.SetTelemetry(sys.Metrics, sys.Tracer)
-	sys.Region.EnableLiveness(sys.Metrics.Clock(), 2*cfg.HeartbeatEvery)
-	sys.Bus.Bind(RegionAddr, "mgmt", func(m msg.Message) { sys.Region.HandleMessage(m) })
+	regionCfg := manager.RegionConfig{
+		Liveness: manager.Liveness{Clock: sys.Metrics.Clock(), Timeout: 2 * cfg.HeartbeatEvery}}
 	if cfg.Federate {
 		// The region's terminal aggregator holds the fleet view with
 		// per-domain breakdowns; it never re-ships.
 		sys.RegionAgg = manager.NewSummaryAggregator("region", RegionAddr, "",
 			send, cfg.TelemetryWindow, func(d time.Duration, fn func()) { s.After(d, fn) })
-		sys.RegionAgg.SetKeepChildren(true)
 		sys.RegionAgg.SetTelemetry(sys.Metrics)
-		sys.Region.SetSummarySink(sys.RegionAgg.Ingest)
+		regionCfg.SummarySink = sys.RegionAgg.Ingest
 		// Flight recorder with downsampling tiers: the raw ring plus
 		// 5m/1h roll-ups, all sampled from the same registry.
 		sys.Flight = telemetry.NewTimeline(sys.Metrics, 0)
 		sys.Flight.EnableRollup(0)
 	}
+	sys.Region = manager.NewRegionManager(RegionAddr, send, regionCfg)
+	sys.Region.SaturationThreshold = cfg.SaturationThreshold
+	sys.Region.LoadThreshold = cfg.LoadThreshold
+	sys.Region.SetTelemetry(sys.Metrics, sys.Tracer)
+	sys.Bus.Bind(RegionAddr, "mgmt", func(m msg.Message) { sys.Region.HandleMessage(m) })
 
 	// Tier 2: domain managers with coalescing uplinks.
 	window := cfg.BatchWindow
@@ -466,22 +465,9 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 		name := fmt.Sprintf("domain-%d", j)
 		addr := fmt.Sprintf("/%s/QoSDomainManager", name)
 		fd := &fleetDomain{name: name, addr: addr}
-		fd.dm = manager.NewDomainManager(addr, send)
-		fd.dm.SetTier(manager.TierDomain)
-		fd.dm.SetTelemetry(sys.Metrics, sys.Tracer)
-		fd.dm.EnableLiveness(sys.Metrics.Clock(), cfg.LivenessTimeout)
-		// Hosts beat slowly; their roster tolerates two missed beats.
-		fd.dm.SetHostTimeout(2*cfg.HeartbeatEvery + time.Second)
-		fd.dm.SeverityFor = func(a msg.Alarm) int {
-			if a.Readings["cpu_load"] >= cfg.SevereLoad {
-				return 2
-			}
-			return 1
-		}
 		co := manager.NewAlarmCoalescer("domain", addr, RegionAddr, send,
 			window, func(d time.Duration, fn func()) { s.After(d, fn) })
 		co.SetTelemetry(sys.Metrics)
-		co.SetEscalation(2)
 		co.Summarize = func() map[string]float64 {
 			delta := fd.dm.Alarms - fd.flushed
 			fd.flushed = fd.dm.Alarms
@@ -495,26 +481,11 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 			}
 		}
 		fd.uplink = co
-		fd.dm.SetUplink(co)
-		if sys.Log != nil {
-			// The domain tier writes through a view of the shared ring; in
-			// federated runs its sink folds per-(component,level) counts
-			// into the domain's own aggregate, which the next window flush
-			// carries to the region — log federation rides telemetry
-			// federation. fd.agg is wired below, so resolve it at record
-			// time rather than at view-construction time.
-			dlog := sys.Log
-			if cfg.Federate {
-				fdl := fd
-				dlog = sys.Log.WithSink(func(level eventlog.Level, component, _ string) {
-					if fdl.agg != nil {
-						fdl.agg.AddLocal(eventlog.CounterName(level, component), 1)
-					}
-				})
-			}
-			fd.evlog = dlog
-			fd.dm.SetEventLog(dlog)
-			fd.uplink.SetEventLog(dlog)
+		dcfg := manager.DomainConfig{
+			Liveness: manager.Liveness{Clock: sys.Metrics.Clock(), Timeout: cfg.LivenessTimeout},
+			// Hosts beat slowly; their roster tolerates two missed beats.
+			HostTimeout: 2*cfg.HeartbeatEvery + time.Second,
+			Uplink:      co,
 		}
 		if cfg.Federate {
 			// The domain's forwarding aggregator merges its hosts' window
@@ -523,7 +494,34 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 			fd.agg = manager.NewSummaryAggregator("domain", addr, RegionAddr,
 				send, cfg.TelemetryWindow, func(d time.Duration, fn func()) { s.After(d, fn) })
 			fd.agg.SetTelemetry(sys.Metrics)
-			fd.dm.SetSummarySink(fd.agg.Ingest)
+			dcfg.SummarySink = fd.agg.Ingest
+		}
+		if cfg.PolicyGens > 0 {
+			dcfg.PolicyAgents = []string{fd.agentAddr()}
+		}
+		fd.dm = manager.NewDomainManager(addr, send, dcfg)
+		fd.dm.SetTelemetry(sys.Metrics, sys.Tracer)
+		fd.dm.SeverityFor = func(a msg.Alarm) int {
+			if a.Readings["cpu_load"] >= cfg.SevereLoad {
+				return manager.EscalationSeverity
+			}
+			return 1
+		}
+		if sys.Log != nil {
+			// The domain tier writes through a view of the shared ring; in
+			// federated runs its sink folds per-(component,level) counts
+			// into the domain's own aggregate, which the next window flush
+			// carries to the region — log federation rides telemetry
+			// federation.
+			dlog := sys.Log
+			if cfg.Federate {
+				dlog = sys.Log.WithSink(func(level eventlog.Level, component, _ string) {
+					fd.agg.AddLocal(eventlog.CounterName(level, component), 1)
+				})
+			}
+			fd.evlog = dlog
+			fd.dm.SetEventLog(dlog)
+			fd.uplink.SetEventLog(dlog)
 		}
 		sys.Domains = append(sys.Domains, fd)
 		sys.Bus.Bind(addr, name, func(m msg.Message) { fd.dm.HandleMessage(m) })
@@ -594,13 +592,12 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 		}
 		sys.Hub.Subscribe(RegionAddr)
 		for _, fd := range sys.Domains {
-			pa := agent.New(fmt.Sprintf("/%s/PolicyAgent", fd.name), svc, send)
+			pa := agent.New(fd.agentAddr(), svc, send)
 			pa.SetTelemetry(sys.Metrics)
 			if fd.evlog != nil {
 				pa.SetEventLog(fd.evlog)
 			}
 			sys.Bus.Bind(pa.Addr(), fd.name+"-agent", pa.HandleMessage)
-			fd.dm.SetPolicyAgents(pa.Addr())
 			sys.policyAgents = append(sys.policyAgents, pa)
 		}
 		for i := 0; i < cfg.PolicyGens; i++ {

@@ -78,7 +78,7 @@ func MultiApp(cfg MultiAppConfig, warmup, measure time.Duration) MultiAppResult 
 	pa := agent.New(AgentAddr, svc, bus.Send)
 	bus.Bind(AgentAddr, "mgmt", func(m msg.Message) { pa.HandleMessage(m) })
 
-	hm := manager.NewHostManager(ClientHMAddr, clientHost, bus.Send, "")
+	hm := manager.NewHostManager(ClientHMAddr, clientHost, bus.Send, "", manager.Liveness{})
 	if cfg.Differentiated {
 		mustNil(hm.LoadRules(manager.DifferentiatedHostRules))
 	}

@@ -87,7 +87,7 @@ func Scale(cfg ScaleConfig, warmup, measure time.Duration) ScaleResult {
 
 	pa := agent.New(AgentAddr, svc, bus.Send)
 	bus.Bind(AgentAddr, "mgmt", func(m msg.Message) { pa.HandleMessage(m) })
-	dm := manager.NewDomainManager(DomainAddr, bus.Send)
+	dm := manager.NewDomainManager(DomainAddr, bus.Send, manager.DomainConfig{})
 	bus.Bind(DomainAddr, "mgmt", func(m msg.Message) { dm.HandleMessage(m) })
 
 	// Size the server host so the send side is not the bottleneck (the
@@ -101,7 +101,7 @@ func Scale(cfg ScaleConfig, warmup, measure time.Duration) ScaleResult {
 	// A fat core switch: the scale experiment stresses management, not
 	// the network.
 	sw := net.AddSwitch("sw-core", 64<<20, 8<<20)
-	serverHM := manager.NewHostManager(ServerHMAddr, serverHost, bus.Send, "")
+	serverHM := manager.NewHostManager(ServerHMAddr, serverHost, bus.Send, "", manager.Liveness{})
 	bus.Bind(ServerHMAddr, "server-host", func(m msg.Message) { serverHM.HandleMessage(m) })
 	dm.RegisterAppServer("VideoApplication", ServerHMAddr, "mpeg_serve")
 
@@ -119,7 +119,7 @@ func Scale(cfg ScaleConfig, warmup, measure time.Duration) ScaleResult {
 		hostName := fmt.Sprintf("client-%02d", hIdx)
 		host := sched.NewHost(s, hostName)
 		hmAddr := "/" + hostName + "/QoSHostManager"
-		hm := manager.NewHostManager(hmAddr, host, bus.Send, DomainAddr)
+		hm := manager.NewHostManager(hmAddr, host, bus.Send, DomainAddr, manager.Liveness{})
 		bus.Bind(hmAddr, hostName, func(m msg.Message) { hm.HandleMessage(m) })
 		hms = append(hms, hm)
 

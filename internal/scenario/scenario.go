@@ -324,13 +324,29 @@ func Build(cfg Config) *System {
 	sys.Agent = agent.New(AgentAddr, sys.Svc, send)
 	sys.Bus.Bind(AgentAddr, "mgmt", func(m msg.Message) { sys.Agent.HandleMessage(m) })
 
-	// Managers.
-	sys.ClientHM = manager.NewHostManager(ClientHMAddr, sys.ClientHost, send, DomainAddr)
+	// Managers. Liveness tracking is armed only under fault injection, so
+	// fault-free simulations schedule exactly the same events, and only
+	// where agents actually heartbeat: the client host manager (fed by the
+	// client coordinator) and the domain manager's episode timeouts. The
+	// server host manager has no heartbeating agent in this scenario, so
+	// its tracking would only produce false evictions.
+	var live manager.Liveness
+	if cfg.Faults != nil {
+		live = manager.Liveness{Clock: sys.Metrics.Clock(), Timeout: cfg.LivenessTimeout}
+		if live.Timeout <= 0 {
+			live.Timeout = 3500 * time.Millisecond
+		}
+	}
+	dmCfg := manager.DomainConfig{Liveness: live}
+	if cfg.PolicyChurn != nil {
+		dmCfg.PolicyAgents = []string{AgentAddr} // see the hub wiring below
+	}
+	sys.ClientHM = manager.NewHostManager(ClientHMAddr, sys.ClientHost, send, DomainAddr, live)
 	if cfg.HostRules != "" {
 		mustNil(sys.ClientHM.LoadRules(cfg.HostRules))
 	}
-	sys.ServerHM = manager.NewHostManager(ServerHMAddr, sys.ServerHost, send, "")
-	sys.DM = manager.NewDomainManager(DomainAddr, send)
+	sys.ServerHM = manager.NewHostManager(ServerHMAddr, sys.ServerHost, send, "", manager.Liveness{})
+	sys.DM = manager.NewDomainManager(DomainAddr, send, dmCfg)
 	sys.DM.RegisterAppServer("VideoApplication", ServerHMAddr, "mpeg_serve")
 	sys.ClientHM.SetTelemetry(sys.Metrics, sys.Tracer)
 	sys.ServerHM.SetTelemetry(sys.Metrics, sys.Tracer)
@@ -457,18 +473,6 @@ func Build(cfg Config) *System {
 		if hbEvery <= 0 {
 			hbEvery = time.Second
 		}
-		lto := cfg.LivenessTimeout
-		if lto <= 0 {
-			lto = 3500 * time.Millisecond
-		}
-		clk := sys.Metrics.Clock()
-		// Liveness tracking runs where agents actually heartbeat: the
-		// client host manager (fed by the client coordinator) and the
-		// domain manager's episode timeouts. The server host manager has
-		// no heartbeating agent in this scenario, so its tracking would
-		// only produce false evictions.
-		sys.ClientHM.EnableLiveness(clk, lto)
-		sys.DM.EnableLiveness(clk, lto)
 		// Self-healing re-adoption: a manager that evicted (or lost) a
 		// process re-tracks it from the next heartbeat or violation.
 		sys.ClientHM.OnUnknownProc = func(id msg.Identity) (runtime.ProcHandle, bool) {
@@ -483,7 +487,7 @@ func Build(cfg Config) *System {
 			}
 			return nil, false
 		}
-		s.Every(lto/2, func() {
+		s.Every(live.Timeout/2, func() {
 			sys.ClientHM.CheckLiveness()
 			sys.DM.CheckLiveness()
 		})
@@ -509,7 +513,6 @@ func Build(cfg Config) *System {
 		// Deltas travel the management hierarchy: hub -> domain manager
 		// -> policy agent -> registered coordinators.
 		sys.Hub.Subscribe(DomainAddr)
-		sys.DM.SetPolicyAgents(AgentAddr)
 		sys.Agent.SetTelemetry(sys.Metrics)
 		ctl := repository.NewController(sys.Hub, sys.Svc, repository.RolloutConfig{
 			CanaryFraction: churn.CanaryFraction, Bake: churn.Bake})

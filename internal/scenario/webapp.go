@@ -60,7 +60,7 @@ func WebScenario(seed int64, load float64, managed bool, warmup, measure time.Du
 
 	pa := agent.New(AgentAddr, svc, bus.Send)
 	bus.Bind(AgentAddr, "mgmt", func(m msg.Message) { pa.HandleMessage(m) })
-	hm := manager.NewHostManager("/web-host/QoSHostManager", host, bus.Send, "")
+	hm := manager.NewHostManager("/web-host/QoSHostManager", host, bus.Send, "", manager.Liveness{})
 	bus.Bind("/web-host/QoSHostManager", "web-host", func(m msg.Message) { hm.HandleMessage(m) })
 
 	srv := webapp.Start(host, webapp.Config{ArrivalRate: 60, ServiceCost: 12 * time.Millisecond})

@@ -22,7 +22,6 @@ func sampleFleetView(hosts, domains int) telemetry.FederatedView {
 	noSend := func(string, msg.Message) error { return nil }
 	noAfter := func(time.Duration, func()) {}
 	region := manager.NewSummaryAggregator("region", "/r", "", noSend, 0, noAfter)
-	region.SetKeepChildren(true)
 	rng := rand.New(rand.NewSource(5))
 	for d := 0; d < domains; d++ {
 		win := telemetry.NewSummary()

@@ -111,8 +111,11 @@ func (s *Sketch) ensure(i int) {
 	}
 }
 
-// Observe records one value.
+// Observe records one value; on a nil *Sketch it does nothing.
 func (s *Sketch) Observe(v float64) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.count == 0 || v < s.min {

@@ -34,23 +34,37 @@ import (
 type Clock = runtime.Clock
 
 // Counter is a monotonically increasing count. Safe for concurrent use.
+// Inc and Add on a nil *Counter do nothing, so a component whose metrics
+// are not attached needs no guard.
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is a last-value-wins instantaneous measurement. Safe for
-// concurrent use.
+// concurrent use. Set on a nil *Gauge does nothing.
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set records the current value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add shifts the gauge by delta (not atomic against concurrent Set; the
 // management plane mutates each gauge from one goroutine).

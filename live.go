@@ -149,14 +149,14 @@ func NewLiveCollector(addr string) (*LiveCollector, error) {
 		return nil, err
 	}
 	nt.Bind("/live/Collector", "live-collector", func(m msg.Message) {
-		if v, ok := m.Body.(*msg.Violation); ok {
+		if v, ok := m.Body.(msg.Violation); ok {
 			if v.Overshoot {
 				lc.overshoots.Add(1)
 			} else {
 				lc.violations.Add(1)
 			}
 			lc.mu.Lock()
-			lc.last = *v
+			lc.last = v
 			lc.mu.Unlock()
 		}
 	})
@@ -320,13 +320,13 @@ func (lc *LiveCoordinator) SetOnDirective(fn func(Directive)) {
 // handle processes inbound management messages on the dispatcher.
 func (lc *LiveCoordinator) handle(m msg.Message) {
 	switch b := m.Body.(type) {
-	case *msg.PolicySet, *msg.Nack:
+	case msg.PolicySet, msg.Nack:
 		err := lc.Coordinator.HandleMessage(m)
 		select {
 		case lc.regDone <- err:
 		default:
 		}
-	case *msg.Directive:
+	case msg.Directive:
 		if b.Action == "actuate" {
 			_ = lc.Coordinator.HandleMessage(m)
 			return
@@ -335,7 +335,7 @@ func (lc *LiveCoordinator) handle(m msg.Message) {
 		hook := lc.onDirective
 		lc.mu.Unlock()
 		if hook != nil {
-			hook(*b)
+			hook(b)
 		}
 	}
 }

@@ -55,7 +55,7 @@ func NewLiveHostManagerDomain(addr, rulesSrc, domainTCP string) (*LiveHostManage
 	}
 	lhost := runtime.NewLiveHost("live")
 	lm := &LiveHostManager{nt: nt, host: lhost}
-	hm := manager.NewHostManager(LiveHostManagerAddr, lhost, nt.Send, domainAddr)
+	hm := manager.NewHostManager(LiveHostManagerAddr, lhost, nt.Send, domainAddr, manager.Liveness{})
 	if rulesSrc != "" && rulesSrc != manager.DefaultHostRules {
 		if err := hm.LoadRules(rulesSrc); err != nil {
 			_ = nt.Close()
@@ -78,7 +78,7 @@ func NewLiveHostManagerDomain(addr, rulesSrc, domainTCP string) (*LiveHostManage
 	})
 	lm.hm = hm
 	nt.Bind(LiveHostManagerAddr, "live", func(m msg.Message) {
-		if v, ok := m.Body.(*msg.Violation); ok {
+		if v, ok := m.Body.(msg.Violation); ok {
 			if v.Overshoot {
 				lm.overshoots.Add(1)
 			} else {
@@ -160,7 +160,7 @@ func NewLiveDomainManager(addr string) (*LiveDomainManager, error) {
 	if err != nil {
 		return nil, err
 	}
-	dm := manager.NewDomainManager(LiveDomainManagerAddr, nt.Send)
+	dm := manager.NewDomainManager(LiveDomainManagerAddr, nt.Send, manager.DomainConfig{})
 	nt.Bind(LiveDomainManagerAddr, "live-domain", dm.HandleMessage)
 	return &LiveDomainManager{nt: nt, dm: dm}, nil
 }
