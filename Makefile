@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-diff bench-smoke profile-episode examples lint-log lint-wire lint-telemetry live-smoke trace-smoke fleet-smoke policy-smoke soak clean
+.PHONY: all build vet test race check bench bench-diff bench-smoke profile-episode profile-fleet examples lint-log lint-wire lint-telemetry live-smoke trace-smoke fleet-smoke policy-smoke soak clean
 
 all: check
 
@@ -159,7 +159,7 @@ bench:
 	      ./internal/msg ./internal/rules ./internal/telemetry \
 	      ./internal/telemetry/eventlog \
 	      ./internal/telemetry/export ./internal/netsim \
-	      ./internal/repository ./internal/agent ; \
+	      ./internal/repository ./internal/agent ./internal/sim ; \
 	  $(GO) test -run='^$$' -bench='^Benchmark($(TIMED))$$' \
 	      -benchmem -benchtime=$(BENCHTIME) . ; \
 	  $(GO) test -run='^$$' -bench=. -skip='^Benchmark($(TIMED))$$' -benchmem -benchtime=1x . ) | $(GO) run ./cmd/benchfmt -dir .
@@ -181,6 +181,22 @@ profile-episode:
 	    -cpuprofile episode.cpu -memprofile episode.mem .
 	$(GO) tool pprof -top -nodecount=10 .bench_build/episode.test .bench_build/episode.cpu
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=10 .bench_build/episode.test .bench_build/episode.mem
+
+# Where a fleet run spends CPU and allocates: BenchmarkFleetSim, the exact
+# configuration of the benchmark's fleet_sim workload (10 000 hosts,
+# federated telemetry, event log, three policy generations, two virtual
+# minutes), on one P under the CPU and allocation profilers. Test binary
+# and profiles land in .bench_build/; the top ten CPU sites and the top
+# ten allocation sites by object count are printed, and docs/FLEET.md
+# carries the table they were read from.
+profile-fleet: export GOMAXPROCS = 1
+profile-fleet:
+	mkdir -p .bench_build
+	$(GO) test -run='^$$' -bench='^BenchmarkFleetSim$$' -benchtime=3x -benchmem \
+	    -o .bench_build/fleet.test -outputdir .bench_build \
+	    -cpuprofile fleet.cpu -memprofile fleet.mem .
+	$(GO) tool pprof -top -nodecount=10 .bench_build/fleet.test .bench_build/fleet.cpu
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=10 .bench_build/fleet.test .bench_build/fleet.mem
 
 clean:
 	$(GO) clean ./...

@@ -35,3 +35,23 @@ func BenchmarkFleetDetectAdapt(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFleetSim is one iteration of the benchmark's fleet_sim
+// workload: the 10 000-host fleet with federated telemetry, the event log
+// and three policy generations, two minutes of virtual time. It is the
+// configuration `make profile-fleet` profiles.
+func BenchmarkFleetSim(b *testing.B) {
+	var res scenario.FleetResult
+	for i := 0; i < b.N; i++ {
+		sys := scenario.BuildFleet(scenario.FleetConfig{
+			Seed: 1, Hosts: 10000, ProcsPerHost: 10,
+			Federate: true, EventLog: true, PolicyGens: 3,
+		})
+		res = sys.Run(2 * time.Minute)
+		if res.Adapted == 0 {
+			b.Fatal("fleet loop never closed")
+		}
+	}
+	b.ReportMetric(float64(res.Events), "events")
+	b.ReportMetric(float64(res.Adaptations), "adaptations")
+}

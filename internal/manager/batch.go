@@ -34,8 +34,9 @@ type AlarmCoalescer struct {
 	parent string // destination one tier up
 	send   Send
 
-	window time.Duration
-	after  func(time.Duration, func()) // injected timer (sim After or time.AfterFunc)
+	window  time.Duration
+	after   func(time.Duration, func()) // injected timer (sim After or time.AfterFunc)
+	onTimer func()                      // c.timerFlush, bound once so arming allocates nothing
 
 	// Summarize, when set, is invoked at flush time to attach aggregate
 	// facts to the outgoing batch (the per-tier summary that replaces
@@ -71,7 +72,7 @@ const EscalationSeverity = 2
 // passthrough and never schedules anything.
 func NewAlarmCoalescer(tier, addr, parent string, send Send,
 	window time.Duration, after func(time.Duration, func())) *AlarmCoalescer {
-	return &AlarmCoalescer{
+	c := &AlarmCoalescer{
 		tier:    tier,
 		addr:    addr,
 		parent:  parent,
@@ -80,6 +81,8 @@ func NewAlarmCoalescer(tier, addr, parent string, send Send,
 		after:   after,
 		entries: make(map[string]*msg.BatchedAlarm),
 	}
+	c.onTimer = c.timerFlush
+	return c
 }
 
 // SetTelemetry attaches the coalescer to a metrics registry,
@@ -144,7 +147,7 @@ func (c *AlarmCoalescer) AddCtx(a msg.Alarm, severity int, tc telemetry.TraceCon
 	}
 	if !c.armed {
 		c.armed = true
-		c.after(c.window, c.timerFlush)
+		c.after(c.window, c.onTimer)
 	}
 	return nil
 }

@@ -27,8 +27,9 @@ type SummaryExporter struct {
 	parent string
 	send   Send
 
-	window time.Duration
-	after  func(time.Duration, func())
+	window  time.Duration
+	after   func(time.Duration, func())
+	onTimer func() // e.tick, bound once so re-arming allocates nothing
 
 	sum *telemetry.Summary
 	seq uint64
@@ -45,10 +46,12 @@ func NewSummaryExporter(tier, addr, parent string, send Send,
 	if window <= 0 {
 		window = DefaultTelemetryWindow
 	}
-	return &SummaryExporter{
+	e := &SummaryExporter{
 		tier: tier, addr: addr, parent: parent, send: send,
 		window: window, after: after, sum: telemetry.NewSummary(),
 	}
+	e.onTimer = e.tick
+	return e
 }
 
 // Summary returns the accumulator observers record into. Handles
@@ -57,11 +60,11 @@ func (e *SummaryExporter) Summary() *telemetry.Summary { return e.sum }
 
 // Start arms the periodic flush timer. Call once, after the owning
 // component is wired to its transport.
-func (e *SummaryExporter) Start() { e.after(e.window, e.tick) }
+func (e *SummaryExporter) Start() { e.after(e.window, e.onTimer) }
 
 func (e *SummaryExporter) tick() {
 	_ = e.FlushNow()
-	e.after(e.window, e.tick)
+	e.after(e.window, e.onTimer)
 }
 
 // FlushNow closes the current window immediately: an empty window ships
@@ -106,9 +109,10 @@ type SummaryAggregator struct {
 	parent string // "" = terminal: aggregate only, never forward
 	send   Send
 
-	window time.Duration
-	after  func(time.Duration, func())
-	armed  bool
+	window  time.Duration
+	after   func(time.Duration, func())
+	onTimer func() // g.timerFlush, bound once so arming allocates nothing
+	armed   bool
 
 	win      *telemetry.Summary // current window (forwarding aggregators)
 	total    *telemetry.Summary // cumulative since start
@@ -145,6 +149,7 @@ func NewSummaryAggregator(tier, addr, parent string, send Send,
 		winHosts:  make(map[string]uint64),
 		hostsSeen: make(map[string]uint64),
 	}
+	g.onTimer = g.timerFlush
 	if parent == "" {
 		g.children = make(map[string]*childAgg)
 	}
@@ -182,7 +187,7 @@ func (g *SummaryAggregator) Ingest(ts msg.TelemetrySummary) {
 	g.winHosts[ts.Source] = hosts
 	if !g.armed {
 		g.armed = true
-		g.after(g.window, g.timerFlush)
+		g.after(g.window, g.onTimer)
 	}
 }
 
@@ -201,7 +206,7 @@ func (g *SummaryAggregator) AddLocal(name string, delta float64) {
 	g.win.AddCounter(name, delta)
 	if !g.armed {
 		g.armed = true
-		g.after(g.window, g.timerFlush)
+		g.after(g.window, g.onTimer)
 	}
 }
 

@@ -7,10 +7,15 @@
 // which keeps runs reproducible. All simulated components must derive any
 // randomness they need from the Simulator's seeded RNG rather than from
 // package math/rand globals.
+//
+// The queue is a d-ary min-heap of pointer-free (at, seq, slot) keys, so a
+// sift compares contiguous memory and runs no GC write barrier; callbacks
+// live in a slab of reusable slots, so steady-state scheduling allocates
+// nothing. An EventID names a slot and the generation it was issued for,
+// which makes a handle to a fired event inert even once its slot is reused.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -32,65 +37,63 @@ func (t Time) String() string { return time.Duration(t).String() }
 // At returns the Time corresponding to a duration from simulation start.
 func At(d time.Duration) Time { return Time(d) }
 
-// event is one pending callback.
-type event struct {
+// entry is one queued event's ordering key. It holds no pointer, so the
+// heap is a flat array the garbage collector never scans.
+type entry struct {
 	at   Time
 	seq  uint64 // tie-break: FIFO among equal timestamps
-	fn   func()
-	dead bool // cancelled
-	idx  int  // heap index, -1 once popped
+	slot int32  // index of the callback in Simulator.slab
 }
 
-// EventID identifies a scheduled event so it can be cancelled.
-type EventID struct{ ev *event }
+func (e entry) before(o entry) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
+
+// arity is the heap's fan-out, chosen by measurement: on
+// BenchmarkSimSchedulePop (50 000 resident events, fleet-like delays) a
+// binary heap is about 5 % faster than a 4-ary and 15 % faster than an
+// 8-ary one, and in the 10k-host fleet's profile 2 and 4 tie.
+const arity = 2
+
+// event is one callback slot. gen counts the slot's releases, so an
+// EventID issued for an earlier occupant no longer matches.
+type event struct {
+	fn   func()
+	gen  uint32
+	dead bool // cancelled, not yet reaped
+}
+
+// EventID identifies a scheduled event so it can be cancelled. The zero
+// EventID names no event.
+type EventID struct {
+	s    *Simulator
+	slot int32
+	gen  uint32
+}
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op. It reports whether the event was
 // still pending.
 func (id EventID) Cancel() bool {
-	if id.ev == nil || id.ev.dead || id.ev.idx < 0 {
+	if !id.Pending() {
 		return false
 	}
-	id.ev.dead = true
+	id.s.slab[id.slot].dead = true
 	return true
 }
 
 // Pending reports whether the event has neither fired nor been cancelled.
-func (id EventID) Pending() bool { return id.ev != nil && !id.ev.dead && id.ev.idx >= 0 }
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*h = old[:n-1]
-	return ev
+func (id EventID) Pending() bool {
+	return id.s != nil && id.s.slab[id.slot].gen == id.gen && !id.s.slab[id.slot].dead
 }
 
 // Simulator is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; simulated concurrency is expressed as events.
 type Simulator struct {
 	now     Time
-	queue   eventHeap
+	queue   []entry // arity-ary min-heap on (at, seq)
+	slab    []event
+	free    []int32 // released slab slots
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -122,10 +125,18 @@ func (s *Simulator) Schedule(at Time, fn func()) EventID {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
 	}
-	ev := &event{at: at, seq: s.seq, fn: fn}
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		slot = int32(len(s.slab))
+		s.slab = append(s.slab, event{})
+	}
+	s.slab[slot].fn = fn
+	s.push(entry{at: at, seq: s.seq, slot: slot})
 	s.seq++
-	heap.Push(&s.queue, ev)
-	return EventID{ev}
+	return EventID{s: s, slot: slot, gen: s.slab[slot].gen}
 }
 
 // After runs fn after duration d from the current time.
@@ -143,6 +154,7 @@ func (s *Simulator) Every(interval time.Duration, fn func()) *Ticker {
 		panic(fmt.Sprintf("sim: non-positive interval %v", interval))
 	}
 	t := &Ticker{sim: s, interval: interval, fn: fn}
+	t.tick = t.fire
 	t.arm()
 	return t
 }
@@ -152,20 +164,21 @@ type Ticker struct {
 	sim      *Simulator
 	interval time.Duration
 	fn       func()
+	tick     func() // t.fire, bound once so a re-arm allocates nothing
 	id       EventID
 	stopped  bool
 }
 
-func (t *Ticker) arm() {
-	t.id = t.sim.After(t.interval, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped { // fn may have stopped the ticker
-			t.arm()
-		}
-	})
+func (t *Ticker) arm() { t.id = t.sim.After(t.interval, t.tick) }
+
+func (t *Ticker) fire() {
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped { // fn may have stopped the ticker
+		t.arm()
+	}
 }
 
 // Stop cancels future firings.
@@ -184,13 +197,14 @@ func (s *Simulator) Stop() { s.stopped = true }
 // reports false when no events remain.
 func (s *Simulator) Step() bool {
 	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.dead {
+		e := s.pop()
+		fn, dead := s.release(e.slot)
+		if dead {
 			continue
 		}
-		s.now = ev.at
+		s.now = e.at
 		s.fired++
-		ev.fn()
+		fn()
 		return true
 	}
 	return false
@@ -205,7 +219,9 @@ func (s *Simulator) Run() {
 
 // RunUntil executes events with timestamps <= deadline, then sets the clock
 // to deadline (so a subsequent After is relative to the deadline even when
-// the queue drained early).
+// the queue drained early). A run ended by Stop leaves the clock at the
+// last fired event: events before the deadline may still be queued, and
+// the clock must not pass them.
 func (s *Simulator) RunUntil(deadline Time) {
 	s.stopped = false
 	for !s.stopped {
@@ -215,7 +231,7 @@ func (s *Simulator) RunUntil(deadline Time) {
 		}
 		s.Step()
 	}
-	if s.now < deadline {
+	if !s.stopped && s.now < deadline {
 		s.now = deadline
 	}
 }
@@ -225,11 +241,66 @@ func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now + Time(d)) }
 
 func (s *Simulator) peek() (Time, bool) {
 	for len(s.queue) > 0 {
-		if s.queue[0].dead {
-			heap.Pop(&s.queue)
-			continue
+		e := s.queue[0]
+		if !s.slab[e.slot].dead {
+			return e.at, true
 		}
-		return s.queue[0].at, true
+		s.pop()
+		s.release(e.slot)
 	}
 	return 0, false
+}
+
+// release frees a popped event's slot, bumping its generation so every
+// EventID issued for it goes stale, and returns what the slot held. It
+// runs before the callback, which may then reuse the slot.
+func (s *Simulator) release(slot int32) (fn func(), dead bool) {
+	ev := &s.slab[slot]
+	fn, dead = ev.fn, ev.dead
+	*ev = event{gen: ev.gen + 1}
+	s.free = append(s.free, slot)
+	return fn, dead
+}
+
+func (s *Simulator) push(e entry) {
+	s.queue = append(s.queue, e)
+	q := s.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / arity
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+}
+
+// pop removes and returns the earliest entry; the queue must be non-empty.
+func (s *Simulator) pop() entry {
+	q := s.queue
+	top, n := q[0], len(q)-1
+	last := q[n]
+	q = q[:n]
+	s.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for c := 1; c < n; c = i*arity + 1 {
+		m := c
+		for j := c + 1; j < c+arity && j < n; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(last) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = last
+	return top
 }

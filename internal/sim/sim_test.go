@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"container/heap"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -248,5 +251,540 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if At(2*time.Second).String() != "2s" {
 		t.Errorf("String = %q", At(2*time.Second).String())
+	}
+}
+
+func TestRunUntilStopKeepsClockMonotone(t *testing.T) {
+	s := New(1)
+	var seen []Time
+	s.Schedule(At(time.Millisecond), func() { seen = append(seen, s.Now()); s.Stop() })
+	s.Schedule(At(2*time.Millisecond), func() { seen = append(seen, s.Now()) })
+	s.RunUntil(At(time.Second))
+	if s.Now() != At(time.Millisecond) {
+		t.Fatalf("RunUntil ended by Stop left clock at %v, want 1ms (an event at 2ms is still queued)", s.Now())
+	}
+	before := s.Now()
+	s.Run()
+	if s.Now() < before || s.Now() != At(2*time.Millisecond) {
+		t.Fatalf("clock went %v -> %v after Run, want 1ms -> 2ms", before, s.Now())
+	}
+	if len(seen) != 2 || seen[0] != At(time.Millisecond) || seen[1] != At(2*time.Millisecond) {
+		t.Fatalf("events fired at %v, want [1ms 2ms]", seen)
+	}
+}
+
+func TestStaleEventIDAfterSlotReuse(t *testing.T) {
+	s := New(1)
+	a := s.After(time.Millisecond, func() {})
+	s.Step()
+	bFired := false
+	b := s.After(time.Millisecond, func() { bFired = true })
+	if b.slot != a.slot {
+		t.Fatalf("B got slot %d, want A's released slot %d", b.slot, a.slot)
+	}
+	if a.Cancel() {
+		t.Fatal("Cancel on a fired event whose slot was reused returned true")
+	}
+	if a.Pending() {
+		t.Fatal("Pending on a fired event whose slot was reused returned true")
+	}
+	if !b.Pending() {
+		t.Fatal("stale Cancel touched the slot's new occupant")
+	}
+	s.Run()
+	if !bFired {
+		t.Fatal("B did not fire after a stale Cancel on its slot")
+	}
+	var zero EventID
+	if zero.Pending() || zero.Cancel() {
+		t.Fatal("the zero EventID must name no event")
+	}
+}
+
+func TestTickerRearmAllocatesNothing(t *testing.T) {
+	s := New(1)
+	s.Every(time.Millisecond, func() {})
+	s.RunFor(10 * time.Millisecond) // warm-up: slab, free list and queue at size
+	if n := testing.AllocsPerRun(1000, func() { s.Step() }); n != 0 {
+		t.Fatalf("ticker re-arm allocates %v times per tick, want 0", n)
+	}
+}
+
+func TestScheduleStepAllocatesNothing(t *testing.T) {
+	s := New(1)
+	fn := func() {}
+	s.After(0, fn)
+	s.Step()
+	if n := testing.AllocsPerRun(1000, func() {
+		s.After(time.Millisecond, fn)
+		s.Step()
+	}); n != 0 {
+		t.Fatalf("Schedule+Step of a pre-built callback allocates %v times, want 0", n)
+	}
+}
+
+func TestReapedSlotsAreReused(t *testing.T) {
+	s := New(1)
+	fn := func() {}
+	for i := 0; i < 1000; i++ {
+		s.After(time.Millisecond, fn).Cancel()
+		s.After(2*time.Millisecond, fn)
+		s.RunFor(2 * time.Millisecond)
+	}
+	if len(s.slab) > 2 {
+		t.Fatalf("slab grew to %d slots for at most 2 live events: fired or reaped slots are not reused", len(s.slab))
+	}
+}
+
+// BenchmarkSimSchedulePop times one Schedule plus one Step against a queue
+// holding about as many events as the 10k-host fleet keeps resident. The
+// delays mix like the fleet's: half are message deliveries of a few
+// milliseconds, half are heartbeat and flush timers of 1–100 s. The
+// callback is pre-built, so the figure is the queue's cost alone.
+func BenchmarkSimSchedulePop(b *testing.B) {
+	const resident = 50000
+	r := rand.New(rand.NewSource(1))
+	delays := make([]time.Duration, 4096)
+	for i := range delays {
+		span := 10 * time.Millisecond
+		switch r.Intn(4) {
+		case 0:
+			span = 10 * time.Second
+		case 1:
+			span = 100 * time.Second
+		}
+		delays[i] = time.Duration(r.Int63n(int64(span)))
+	}
+	s := New(1)
+	fn := func() {}
+	for i := 0; i < resident; i++ {
+		s.After(delays[i%len(delays)], fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.After(delays[i%len(delays)], fn)
+		s.Step()
+	}
+}
+
+// --- reference queue ---------------------------------------------------
+
+// refSim is the container/heap simulator the pointer-free queue replaced:
+// one heap object and one closure per event, a handle that is a pointer
+// to the event. It differs from the original only in carrying the
+// RunUntil clock fix, so TestQueueMatchesReference compares queues, not
+// that bug.
+type refSim struct {
+	now     Time
+	queue   refHeap
+	seq     uint64
+	stopped bool
+	fired   uint64
+}
+
+type refEvent struct {
+	at   Time
+	seq  uint64
+	fn   func()
+	dead bool
+	idx  int
+}
+
+type refID struct{ ev *refEvent }
+
+func (id refID) Cancel() bool {
+	if id.ev == nil || id.ev.dead || id.ev.idx < 0 {
+		return false
+	}
+	id.ev.dead = true
+	return true
+}
+
+func (id refID) Pending() bool { return id.ev != nil && !id.ev.dead && id.ev.idx >= 0 }
+
+type refHeap []*refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
+}
+func (h *refHeap) Push(x any) {
+	ev := x.(*refEvent)
+	ev.idx = len(*h)
+	*h = append(*h, ev)
+}
+func (h *refHeap) Pop() any {
+	old := *h
+	n := len(old)
+	ev := old[n-1]
+	old[n-1] = nil
+	ev.idx = -1
+	*h = old[:n-1]
+	return ev
+}
+
+func (s *refSim) Schedule(at Time, fn func()) refID {
+	if at < s.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
+	}
+	ev := &refEvent{at: at, seq: s.seq, fn: fn}
+	s.seq++
+	heap.Push(&s.queue, ev)
+	return refID{ev}
+}
+
+func (s *refSim) After(d time.Duration, fn func()) refID { return s.Schedule(s.now+Time(d), fn) }
+
+type refTicker struct {
+	sim      *refSim
+	interval time.Duration
+	fn       func()
+	id       refID
+	stopped  bool
+}
+
+func (s *refSim) Every(interval time.Duration, fn func()) *refTicker {
+	t := &refTicker{sim: s, interval: interval, fn: fn}
+	t.arm()
+	return t
+}
+
+func (t *refTicker) arm() {
+	t.id = t.sim.After(t.interval, func() {
+		if t.stopped {
+			return
+		}
+		t.fn()
+		if !t.stopped {
+			t.arm()
+		}
+	})
+}
+
+func (t *refTicker) Stop() {
+	if t.stopped {
+		return
+	}
+	t.stopped = true
+	t.id.Cancel()
+}
+
+func (s *refSim) Stop() { s.stopped = true }
+
+func (s *refSim) Step() bool {
+	for len(s.queue) > 0 {
+		ev := heap.Pop(&s.queue).(*refEvent)
+		if ev.dead {
+			continue
+		}
+		s.now = ev.at
+		s.fired++
+		ev.fn()
+		return true
+	}
+	return false
+}
+
+func (s *refSim) RunUntil(deadline Time) {
+	s.stopped = false
+	for !s.stopped {
+		next, ok := s.peek()
+		if !ok || next > deadline {
+			break
+		}
+		s.Step()
+	}
+	if !s.stopped && s.now < deadline {
+		s.now = deadline
+	}
+}
+
+func (s *refSim) peek() (Time, bool) {
+	for len(s.queue) > 0 {
+		if s.queue[0].dead {
+			heap.Pop(&s.queue)
+			continue
+		}
+		return s.queue[0].at, true
+	}
+	return 0, false
+}
+
+// --- differential check -------------------------------------------------
+
+// driven is the surface the differential test drives, over the Simulator
+// or the reference. Events and tickers are named by creation index.
+type driven interface {
+	now() Time
+	fired() uint64
+	queued() int
+	schedule(at Time, fn func())
+	after(d time.Duration, fn func())
+	every(d time.Duration, fn func())
+	stopTicker(i int)
+	cancel(h int) bool
+	pending(h int) bool
+	step() bool
+	runUntil(t Time)
+	stop()
+}
+
+type simSide struct {
+	s   *Simulator
+	ids []EventID
+	tks []*Ticker
+}
+
+func (d *simSide) now() Time                         { return d.s.Now() }
+func (d *simSide) fired() uint64                     { return d.s.Fired() }
+func (d *simSide) queued() int                       { return d.s.Pending() }
+func (d *simSide) schedule(at Time, fn func())       { d.ids = append(d.ids, d.s.Schedule(at, fn)) }
+func (d *simSide) after(dl time.Duration, fn func()) { d.ids = append(d.ids, d.s.After(dl, fn)) }
+func (d *simSide) every(dl time.Duration, fn func()) { d.tks = append(d.tks, d.s.Every(dl, fn)) }
+func (d *simSide) stopTicker(i int)                  { d.tks[i].Stop() }
+func (d *simSide) cancel(h int) bool                 { return d.ids[h].Cancel() }
+func (d *simSide) pending(h int) bool                { return d.ids[h].Pending() }
+func (d *simSide) step() bool                        { return d.s.Step() }
+func (d *simSide) runUntil(t Time)                   { d.s.RunUntil(t) }
+func (d *simSide) stop()                             { d.s.Stop() }
+
+type refSide struct {
+	s   *refSim
+	ids []refID
+	tks []*refTicker
+}
+
+func (d *refSide) now() Time                         { return d.s.now }
+func (d *refSide) fired() uint64                     { return d.s.fired }
+func (d *refSide) queued() int                       { return len(d.s.queue) }
+func (d *refSide) schedule(at Time, fn func())       { d.ids = append(d.ids, d.s.Schedule(at, fn)) }
+func (d *refSide) after(dl time.Duration, fn func()) { d.ids = append(d.ids, d.s.After(dl, fn)) }
+func (d *refSide) every(dl time.Duration, fn func()) { d.tks = append(d.tks, d.s.Every(dl, fn)) }
+func (d *refSide) stopTicker(i int)                  { d.tks[i].Stop() }
+func (d *refSide) cancel(h int) bool                 { return d.ids[h].Cancel() }
+func (d *refSide) pending(h int) bool                { return d.ids[h].Pending() }
+func (d *refSide) step() bool                        { return d.s.Step() }
+func (d *refSide) runUntil(t Time)                   { d.s.RunUntil(t) }
+func (d *refSide) stop()                             { d.s.Stop() }
+
+// action is what a callback does when it fires, drawn once at scheduling
+// time so both sides run the same one.
+type action struct {
+	kind int // actNone, actSchedule, actCancel, actStopTicker or actStop
+	arg  int // delay in ms, handle or ticker index
+	tick int // for ticker callbacks: the tick on which to act
+}
+
+const (
+	actNone = iota
+	actSchedule
+	actCancel
+	actStopTicker
+	actStop
+)
+
+// world is one side of the differential run plus the log of everything
+// observable its callbacks did.
+type world struct {
+	d       driven
+	handles int
+	tickers int
+	label   int
+	log     []string
+}
+
+func (w *world) add(at Time, a action, viaAfter bool) {
+	label := w.label
+	w.label++
+	fn := func() {
+		w.log = append(w.log, fmt.Sprintf("fire %d at %v", label, w.d.now()))
+		w.do(a)
+	}
+	if viaAfter {
+		w.d.after(time.Duration(at-w.d.now()), fn)
+	} else {
+		w.d.schedule(at, fn)
+	}
+	w.handles++
+}
+
+func (w *world) addTicker(interval time.Duration, a action) {
+	label, n := w.label, 0
+	w.label++
+	w.d.every(interval, func() {
+		n++
+		w.log = append(w.log, fmt.Sprintf("tick %d #%d at %v", label, n, w.d.now()))
+		if n == a.tick {
+			w.do(a)
+		}
+	})
+	w.tickers++
+}
+
+func (w *world) do(a action) {
+	switch a.kind {
+	case actSchedule:
+		w.add(w.d.now()+Time(a.arg)*Time(time.Millisecond), action{}, false)
+	case actCancel:
+		w.log = append(w.log, fmt.Sprintf("cancel %d -> %v", a.arg, w.d.cancel(a.arg)))
+	case actStopTicker:
+		w.d.stopTicker(a.arg)
+	case actStop:
+		w.d.stop()
+	}
+}
+
+func drawAction(r *rand.Rand, handles, tickers int) action {
+	switch r.Intn(10) {
+	case 0, 1:
+		return action{kind: actSchedule, arg: r.Intn(4)}
+	case 2, 3:
+		if handles > 0 {
+			return action{kind: actCancel, arg: r.Intn(handles)}
+		}
+	case 4:
+		if tickers > 0 {
+			return action{kind: actStopTicker, arg: r.Intn(tickers)}
+		}
+	case 5:
+		return action{kind: actStop}
+	}
+	return action{}
+}
+
+// TestQueueMatchesReference drives the Simulator and the container/heap
+// reference through the same seeded random operations — bursts of equal
+// timestamps, After, Every, Ticker.Stop, Cancel on live, fired and stale
+// handles, Step, RunUntil and Stop, many of them from inside callbacks —
+// and requires the same firing sequence and the same observable state
+// after every operation.
+func TestQueueMatchesReference(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 4} {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			got := &world{d: &simSide{s: New(seed)}}
+			want := &world{d: &refSide{s: &refSim{}}}
+			both := []*world{got, want}
+			ms := Time(time.Millisecond)
+			for op := 0; op < 3000; op++ {
+				var what string
+				switch k := r.Intn(100); {
+				case k < 25:
+					at := got.d.now() + Time(r.Intn(6))*ms
+					a := drawAction(r, got.handles, got.tickers)
+					what = fmt.Sprintf("Schedule(%v, %+v)", at, a)
+					for _, w := range both {
+						w.add(at, a, false)
+					}
+				case k < 35:
+					at := got.d.now() + Time(r.Intn(6))*ms
+					a := drawAction(r, got.handles, got.tickers)
+					what = fmt.Sprintf("After(%v, %+v)", at, a)
+					for _, w := range both {
+						w.add(at, a, true)
+					}
+				case k < 40:
+					interval := time.Duration(1+r.Intn(4)) * time.Millisecond
+					a := drawAction(r, got.handles, got.tickers)
+					if r.Intn(3) == 0 {
+						a = action{kind: actStopTicker, arg: got.tickers} // stops itself
+					}
+					a.tick = 1 + r.Intn(5)
+					what = fmt.Sprintf("Every(%v, %+v)", interval, a)
+					for _, w := range both {
+						w.addTicker(interval, a)
+					}
+				case k < 45:
+					if got.tickers == 0 {
+						continue
+					}
+					i := r.Intn(got.tickers)
+					what = fmt.Sprintf("Ticker(%d).Stop", i)
+					for _, w := range both {
+						w.d.stopTicker(i)
+					}
+				case k < 55:
+					if got.handles == 0 {
+						continue
+					}
+					h := r.Intn(got.handles)
+					what = fmt.Sprintf("Cancel(%d)", h)
+					if g, w := got.d.cancel(h), want.d.cancel(h); g != w {
+						t.Fatalf("op %d %s: Cancel = %v, reference %v", op, what, g, w)
+					}
+				case k < 80:
+					what = "Step"
+					if g, w := got.d.step(), want.d.step(); g != w {
+						t.Fatalf("op %d %s: Step = %v, reference %v", op, what, g, w)
+					}
+				case k < 97:
+					deadline := got.d.now() + Time(r.Intn(12))*ms
+					what = fmt.Sprintf("RunUntil(%v)", deadline)
+					for _, w := range both {
+						w.d.runUntil(deadline)
+					}
+				default:
+					what = "Stop"
+					for _, w := range both {
+						w.d.stop()
+					}
+				}
+				compareWorlds(t, op, what, got, want, op%64 == 0, r)
+			}
+			if got.d.fired() < 1000 {
+				t.Fatalf("only %d events fired: the operation mix is too thin", got.d.fired())
+			}
+		})
+	}
+}
+
+// compareWorlds fails unless both sides logged the same callbacks and
+// agree on the clock, the counters and, for a sample of handles (all of
+// them when full is set), Pending.
+func compareWorlds(t *testing.T, op int, what string, got, want *world, full bool, r *rand.Rand) {
+	t.Helper()
+	if len(got.log) != len(want.log) {
+		t.Fatalf("op %d %s: %d callback records, reference %d", op, what, len(got.log), len(want.log))
+	}
+	for i := range got.log {
+		if got.log[i] != want.log[i] {
+			t.Fatalf("op %d %s: record %d is %q, reference %q", op, what, i, got.log[i], want.log[i])
+		}
+	}
+	got.log, want.log = got.log[:0], want.log[:0]
+	if g, w := got.d.now(), want.d.now(); g != w {
+		t.Fatalf("op %d %s: Now = %v, reference %v", op, what, g, w)
+	}
+	if g, w := got.d.fired(), want.d.fired(); g != w {
+		t.Fatalf("op %d %s: Fired = %d, reference %d", op, what, g, w)
+	}
+	if g, w := got.d.queued(), want.d.queued(); g != w {
+		t.Fatalf("op %d %s: Pending = %d, reference %d", op, what, g, w)
+	}
+	if got.handles != want.handles || got.tickers != want.tickers {
+		t.Fatalf("op %d %s: %d handles / %d tickers, reference %d / %d",
+			op, what, got.handles, got.tickers, want.handles, want.tickers)
+	}
+	check := func(h int) {
+		if g, w := got.d.pending(h), want.d.pending(h); g != w {
+			t.Fatalf("op %d %s: handle %d Pending = %v, reference %v", op, what, h, g, w)
+		}
+	}
+	switch {
+	case full:
+		for h := 0; h < got.handles; h++ {
+			check(h)
+		}
+	case got.handles > 0:
+		check(r.Intn(got.handles))
+		check(got.handles - 1)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync"
@@ -234,4 +235,47 @@ func TestParseLogsQueryDefaults(t *testing.T) {
 	if q.Limit != maxLogRecords || q.MinLevel != eventlog.Debug || q.Component != "" || q.Since != 0 {
 		t.Fatalf("unexpected defaults: %+v", q)
 	}
+}
+
+// FuzzParseLogsQuery feeds raw query strings through url.ParseQuery,
+// ParseLogsQuery and the /debug/qos/logs handler: nothing may panic, an
+// accepted query must carry a limit in [1, maxLogRecords] and a defined
+// level, and the handler answers 200 exactly when the query parses and 400
+// otherwise.
+func FuzzParseLogsQuery(f *testing.F) {
+	for _, q := range []string{
+		"", "level=verbose", "since_ns=soon", "limit=-3", "limit=many",
+		"level=warn&component=agent", "since_ns=3000000", "limit=1", "limit=5000", "limit=0",
+	} {
+		f.Add(q)
+	}
+	lg := eventlog.New(tickClock(), 8)
+	lg.Event(eventlog.Warn, "agent", "refresh_failure", eventlog.Str("error", "gone"))
+	h := Handler(nil, nil, WithEventLog(lg))
+	f.Fuzz(func(t *testing.T, raw string) {
+		v, _ := url.ParseQuery(raw) // as r.URL.Query() does: keep what parsed
+		q, err := ParseLogsQuery(v)
+		if err == nil {
+			if q.Limit < 1 || q.Limit > maxLogRecords {
+				t.Fatalf("%q: limit %d outside [1, %d]", raw, q.Limit, maxLogRecords)
+			}
+			if q.MinLevel < eventlog.Debug || q.MinLevel > eventlog.Error {
+				t.Fatalf("%q: undefined level %d", raw, q.MinLevel)
+			}
+		}
+		req := httptest.NewRequest(http.MethodGet, "/debug/qos/logs", nil)
+		req.URL.RawQuery = raw
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch {
+		case err == nil && rec.Code == http.StatusOK:
+			var doc logsDoc
+			if jerr := json.Unmarshal(rec.Body.Bytes(), &doc); jerr != nil || doc.Returned > q.Limit {
+				t.Fatalf("%q: bad document (returned %d, limit %d, err %v): %s", raw, doc.Returned, q.Limit, jerr, rec.Body.Bytes())
+			}
+		case err != nil && rec.Code == http.StatusBadRequest:
+		default:
+			t.Fatalf("%q: status %d, parse error %v", raw, rec.Code, err)
+		}
+	})
 }
