@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-diff bench-smoke profile-episode profile-fleet examples lint-log lint-wire lint-telemetry live-smoke trace-smoke fleet-smoke policy-smoke soak clean
+.PHONY: all build vet test race check bench bench-diff bench-smoke profile-episode profile-fleet examples lint-log lint-api live-smoke trace-smoke fleet-smoke policy-smoke soak clean
 
 all: check
 
@@ -29,7 +29,7 @@ test: race
 race:
 	$(GO) test -race ./...
 
-check: build vet lint-log lint-wire lint-telemetry examples race trace-smoke fleet-smoke policy-smoke soak bench-smoke
+check: build vet lint-log lint-api examples race trace-smoke fleet-smoke policy-smoke soak bench-smoke
 
 # Library code must never print: diagnostics go through the structured
 # event log (internal/telemetry/eventlog) or the telemetry registry, so
@@ -44,36 +44,38 @@ lint-log:
 	fi
 	@echo "lint-log: ok"
 
-# One wire: the binary frame is the only transport encoding. The format
-# knobs, the hello negotiation and the byte-preserving trace switch were
-# deleted; this keeps the fork from growing back unnoticed. benchmark/
-# is excluded (its sources are frozen and mention the old names in
-# comments).
-lint-wire:
-	@bad=$$(grep -rnE 'SetWireFormat|helloFrame|peerBin|NoTracePropagation|SetTracePropagation' --include='*.go' --exclude-dir=benchmark --exclude-dir=.git --exclude-dir=.bench_build . || true); \
-	if [ -n "$$bad" ]; then \
-		echo "lint-wire: a deleted wire-format / trace-propagation switch is back:"; \
-		echo "$$bad"; \
-		exit 1; \
-	fi
-	@echo "lint-wire: ok"
-
-# One quantile type: telemetry.Sketch backs every histogram row. The
-# exact-sample Histogram, the fleet's LatencyRecorder fork over the two
-# and the never-set wall-clock profiling switch were deleted; this keeps
-# them from growing back. (LiveCoordinator.WallClock is the coordinator's
-# own clock accessor and is not matched.) The one allowed NewHistogram is
-# the shim the frozen benchmark/ sources still call. benchmark/ is
-# excluded for the same reason as in lint-wire.
-lint-telemetry:
-	@bad=$$(grep -rnE 'SetWallClock|LatencyRecorder|\.Histogram\(|NewHistogram\(|(reg|registry|Metrics)\.WallClock\(\)|Registry\) WallClock\(' --include='*.go' --exclude-dir=benchmark --exclude-dir=.git --exclude-dir=.bench_build . \
+# One API, without the switches and hooks that were deleted so they
+# cannot grow back unnoticed: the wire-format knobs, hello negotiation
+# and byte-preserving trace switch (one wire); the exact-sample
+# Histogram, the fleet's LatencyRecorder fork and the wall-clock
+# profiling switch (one quantile type — LiveCoordinator.WallClock is the
+# coordinator's own clock accessor and is not matched); the telemetry
+# opt-outs (trace retention, timeline series cap), the transport's
+# drop/log hooks, the second TCP server, and the knobs no caller set
+# (one value, one constant). The one allowed NewHistogram is the shim
+# the frozen benchmark/ sources still call; benchmark/ is excluded
+# (its sources are frozen and mention old names in comments).
+#
+# It also pins the count of exported Set*/Enable* methods outside
+# benchmark/ at API_SETTERS_MAX: a new post-construction setter must
+# replace one, or be configuration at construction instead.
+API_SETTERS_MAX = 70
+API_DELETED = SetWireFormat|helloFrame|peerBin|NoTracePropagation|SetTracePropagation|SetWallClock|LatencyRecorder|\.Histogram\(|NewHistogram\(|(reg|registry|Metrics)\.WallClock\(\)|Registry\) WallClock\(|SetDropLogger|SetLogf|DropInfo|SetRetention|SetMaxSeries|SetOnDirective|SetCPUTimeFunc|SeverityFor|NoBatching|MaxFastBurn|unbounded-telemetry|msg\.Serve\(
+lint-api:
+	@bad=$$(grep -rnE '$(API_DELETED)' --include='*.go' --exclude-dir=benchmark --exclude-dir=.git --exclude-dir=.bench_build . \
 		| grep -v 'internal/telemetry/sketch.go:.*func NewHistogram(Clock, time.Duration) \*Sketch { return NewSketch() }' || true); \
 	if [ -n "$$bad" ]; then \
-		echo "lint-telemetry: a second quantile type or the wall-clock profiling switch is back:"; \
+		echo "lint-api: a deleted switch, hook or fork is back:"; \
 		echo "$$bad"; \
 		exit 1; \
 	fi
-	@echo "lint-telemetry: ok"
+	@n=$$(grep -rhE '^func \([^)]*\) (Set|Enable)[A-Z]' --include='*.go' --exclude='*_test.go' \
+		--exclude-dir=benchmark --exclude-dir=.git --exclude-dir=.bench_build . | wc -l); \
+	if [ "$$n" -gt $(API_SETTERS_MAX) ]; then \
+		echo "lint-api: $$n exported Set*/Enable* methods outside benchmark/, ceiling $(API_SETTERS_MAX)"; \
+		exit 1; \
+	fi; \
+	echo "lint-api: ok ($$n exported Set*/Enable* methods, ceiling $(API_SETTERS_MAX))"
 
 # The resilience gate: seeded chaos soaks — hundreds of violation
 # episodes under a randomized fault schedule on the sim Bus, plus the

@@ -57,19 +57,7 @@ var (
 	policyTCP = flag.String("policy-server", "",
 		"serve the policy repository on this address: policyctl push/status/rollback plus live delta distribution to the agent (agent and all roles)")
 	bake = flag.Duration("bake", 15*time.Second, "canary bake period for live policy rollouts (-policy-server)")
-
-	unboundedTel = flag.Bool("unbounded-telemetry", false,
-		"opt out of live-mode retention caps: keep every completed trace and every timeline series")
-	traceSample = flag.Int("trace-sample", 1,
-		"tail-sample fast recoveries: keep 1 in N (1 keeps all; abandoned and slow episodes are always kept)")
-	traceSlow = flag.Duration("trace-slow", 2*time.Second,
-		"recoveries at or above this time-to-recovery bypass -trace-sample")
 )
-
-// liveMaxTimelineSeries caps flight-recorder series cardinality in live
-// mode: a runaway metric-name set costs an eviction counter, not the
-// process. -unbounded-telemetry lifts it.
-const liveMaxTimelineSeries = 512
 
 // serveExport starts the opt-in observability listener for a live role.
 // Returns a closer (no-op when -http is unset). Live mode gets the full
@@ -83,25 +71,14 @@ func serveExport(reg *telemetry.Registry, tracer *telemetry.Tracer, extra ...exp
 	var opts []export.Option
 	stopSampler := func() {}
 	if tracer != nil {
-		// Live processes run indefinitely, so retention is bounded by
-		// default (evict-oldest at telemetry.DefaultMaxTraces, surfaced as
-		// telemetry.traces.evicted); -unbounded-telemetry opts back in to
-		// keeping every episode.
+		// Live processes run indefinitely; the tracer evicts oldest at
+		// telemetry.DefaultMaxTraces, surfaced as telemetry.traces.evicted.
 		tracer.SetMetrics(reg)
-		if *unboundedTel {
-			tracer.SetRetention(0)
-		}
-		if *traceSample > 1 {
-			tracer.SetSampling(*traceSample, *traceSlow)
-		}
 	}
 	if reg != nil {
 		export.RegisterRuntimeGauges(reg)
-		tl := telemetry.NewTimeline(reg, 0)
-		tl.EnableRollup(0)
-		if !*unboundedTel {
-			tl.SetMaxSeries(liveMaxTimelineSeries)
-		}
+		tl := telemetry.NewTimeline(reg)
+		tl.EnableRollup()
 		var miner *telemetry.LoopMiner
 		if tracer != nil {
 			miner = telemetry.NewLoopMiner(reg)

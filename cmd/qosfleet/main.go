@@ -5,7 +5,7 @@
 // Usage:
 //
 //	qosfleet [-hosts 10000] [-procs 10] [-domains 0 (auto)]
-//	         [-duration 2m] [-window 2s] [-nobatch] [-seed 1]
+//	         [-duration 2m] [-window 2s] [-seed 1]
 //	         [-federate] [-telemetry-window 10s]
 //	         [-policy-gens 0] [-policy-every 30s]
 //	         [-http addr] [-host-budget 0 (auto)] [-payload-cap 262144]
@@ -48,7 +48,6 @@ var (
 	domains  = flag.Int("domains", 0, "domain managers (0 = one per 100 hosts)")
 	duration = flag.Duration("duration", 2*time.Minute, "virtual time to simulate")
 	window   = flag.Duration("window", 2*time.Second, "alarm coalescing window on domain uplinks")
-	nobatch  = flag.Bool("nobatch", false, "disable alarm batching (per-alarm uplink, the flat degenerate case)")
 	seed     = flag.Int64("seed", 1, "simulation seed")
 	check    = flag.Bool("check", false, "smoke-gate mode: exit non-zero on an unhealthy run")
 
@@ -79,7 +78,6 @@ func main() {
 		ProcsPerHost:    *procs,
 		Domains:         *domains,
 		BatchWindow:     *window,
-		NoBatching:      *nobatch,
 		Federate:        *federate,
 		TelemetryWindow: *telWindow,
 		EventLog:        *eventLog,
@@ -97,11 +95,7 @@ func main() {
 	perHost := float64(after-before) / float64(sys.HostCount())
 	fmt.Printf("fleet: %d hosts x %d procs, %d domains, seed %d\n",
 		sys.HostCount(), cfg.ProcsPerHost, len(sys.Domains), res.Cfg.Seed)
-	mode := fmt.Sprintf("batched (window %v)", res.Cfg.BatchWindow)
-	if res.Cfg.NoBatching {
-		mode = "unbatched (per-alarm uplink)"
-	}
-	fmt.Printf("uplink: %s\n", mode)
+	fmt.Printf("uplink: batched (window %v)\n", res.Cfg.BatchWindow)
 	if *federate {
 		fmt.Printf("telemetry: federated (window %v)\n", cfg.TelemetryWindow)
 	}

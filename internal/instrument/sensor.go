@@ -270,14 +270,6 @@ func NewRateSensor(id, attr string, clock Clock, window time.Duration) *RateSens
 	}
 }
 
-// SetWindow adjusts the reporting interval at run time (§5.1: "reporting
-// intervals can be adjusted").
-func (s *RateSensor) SetWindow(w time.Duration) {
-	if w > 0 {
-		s.window = w
-	}
-}
-
 // Tick is the probe entry point: call once per event (e.g. per displayed
 // frame). When a window elapses, the rate is folded into the smoothed
 // estimate and thresholds are evaluated.

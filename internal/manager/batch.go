@@ -14,16 +14,9 @@ import (
 // merged per (subject, policy, suspect) key over a flush window on the
 // injected clock and shipped as one msg.AlarmBatch, together with
 // summary aggregates (e.g. "domain_saturation") the parent tier keeps
-// instead of per-host state.
-//
-// Two escape hatches keep the semantics honest:
-//
-//   - a zero window disables batching entirely — Add forwards each alarm
-//     as a plain msg.Alarm, byte-identical to the unbatched protocol (the
-//     flat topology's degenerate case);
-//   - an alarm at or above EscalationSeverity flushes the buffer
-//     immediately, so a window never delays a severe fault by more than
-//     the transport latency.
+// instead of per-host state. An alarm at or above EscalationSeverity
+// flushes the buffer immediately, so a window never delays a severe
+// fault by more than the transport latency.
 //
 // The coalescer is driven by the single-threaded simulation loop (or a
 // serialized live dispatcher) like the managers that own it; it is not
@@ -51,7 +44,6 @@ type AlarmCoalescer struct {
 	Batches   uint64 // batches flushed
 	Added     uint64 // alarms accepted into the coalescer
 	Coalesced uint64 // alarms merged into an existing entry
-	Forwarded uint64 // per-alarm passthroughs (zero-window mode)
 
 	// Metric handles; nil until SetTelemetry.
 	flushes  *telemetry.Counter
@@ -66,12 +58,18 @@ type AlarmCoalescer struct {
 // pending batch at once instead of waiting out the window.
 const EscalationSeverity = 2
 
+// DefaultBatchWindow is the coalescing window of an uplink built with a
+// window <= 0.
+const DefaultBatchWindow = 2 * time.Second
+
 // NewAlarmCoalescer creates a coalescer that batches alarms from tier
-// toward parent over the given window. after schedules the flush timer
-// on the owning runtime's clock; a zero window makes Add a per-alarm
-// passthrough and never schedules anything.
+// toward parent over the given window (DefaultBatchWindow when <= 0).
+// after schedules the flush timer on the owning runtime's clock.
 func NewAlarmCoalescer(tier, addr, parent string, send Send,
 	window time.Duration, after func(time.Duration, func())) *AlarmCoalescer {
+	if window <= 0 {
+		window = DefaultBatchWindow
+	}
 	c := &AlarmCoalescer{
 		tier:    tier,
 		addr:    addr,
@@ -108,24 +106,18 @@ func alarmKey(a msg.Alarm) string {
 	return a.ID.Address() + "|" + a.Policy + "|" + a.Suspect
 }
 
-// Add accepts one alarm with its severity. With a zero window the alarm
-// is forwarded to the parent unchanged (the unbatched wire protocol);
-// otherwise it is merged into the current window's batch, which flushes
-// when the window timer fires — or immediately, when severity reaches
-// the escalation threshold.
+// Add accepts one alarm with its severity: it is merged into the current
+// window's batch, which flushes when the window timer fires — or
+// immediately, when severity reaches the escalation threshold.
 func (c *AlarmCoalescer) Add(a msg.Alarm, severity int) error {
 	return c.AddCtx(a, severity, telemetry.TraceContext{})
 }
 
-// AddCtx is Add with a trace context. Zero-window passthroughs carry it
-// on the forwarded alarm so causal traces survive the degenerate case;
-// batched alarms drop it (a batch aggregates many causes).
+// AddCtx is Add with a trace context, which only the escalation-flush
+// record carries: a batch aggregates many causes, so it travels without
+// one.
 func (c *AlarmCoalescer) AddCtx(a msg.Alarm, severity int, tc telemetry.TraceContext) error {
 	c.Added++
-	if c.window <= 0 {
-		c.Forwarded++
-		return c.send(c.parent, msg.Message{From: c.addr, Trace: tc, Body: a})
-	}
 	key := alarmKey(a)
 	if e, ok := c.entries[key]; ok {
 		c.Coalesced++

@@ -1,7 +1,6 @@
 package manager
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -150,55 +149,31 @@ func TestCoalescerSeverityMergesToMax(t *testing.T) {
 	}
 }
 
-// TestCoalescerZeroWindowIsByteIdenticalPassthrough is the degenerate
-// case the flat topology relies on: with no window, every Add forwards
-// the alarm as a plain msg.Alarm whose wire bytes equal the unbatched
-// protocol's — on both wire formats.
-func TestCoalescerZeroWindowIsByteIdenticalPassthrough(t *testing.T) {
-	var forwarded []msg.Message
-	c := NewAlarmCoalescer("domain", "/d", "/region",
-		func(to string, m msg.Message) error {
-			if to != "/region" {
-				t.Fatalf("passthrough sent to %q", to)
-			}
-			forwarded = append(forwarded, m)
-			return nil
-		},
-		0, func(time.Duration, func()) {
-			t.Fatal("zero-window coalescer armed a timer")
-		})
+// TestCoalescerZeroWindowMeansDefault: a window <= 0 is
+// DefaultBatchWindow — alarms merge and ship as one batch when it
+// elapses.
+func TestCoalescerZeroWindowMeansDefault(t *testing.T) {
+	s := sim.New(1)
+	var at []time.Duration
+	var batches []msg.AlarmBatch
+	send := func(to string, m msg.Message) error {
+		at = append(at, s.Now().Duration())
+		batches = append(batches, m.Body.(msg.AlarmBatch))
+		return nil
+	}
+	c := NewAlarmCoalescer("domain", "/d", "/region", send, 0, func(d time.Duration, fn func()) { s.After(d, fn) })
+	s.Schedule(sim.Time(0), func() {
+		_ = c.Add(batchAlarm("h1", 7, 12), 1)
+		_ = c.Add(batchAlarm("h1", 7, 9), 1)
+		_ = c.Add(batchAlarm("h2", 3, 11), 1)
+	})
+	s.RunFor(10 * time.Second)
 
-	alarms := []msg.Alarm{
-		batchAlarm("h1", 7, 12),
-		batchAlarm("h1", 7, 9), // same key: must NOT merge in passthrough mode
-		batchAlarm("h2", 3, 11),
+	if len(batches) != 1 || at[0] != DefaultBatchWindow {
+		t.Fatalf("flushes at %v, want one at the %v default window", at, DefaultBatchWindow)
 	}
-	for _, a := range alarms {
-		if err := c.Add(a, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(forwarded) != len(alarms) {
-		t.Fatalf("forwarded %d messages, want %d (one per alarm)", len(forwarded), len(alarms))
-	}
-	if c.Forwarded != 3 || c.Batches != 0 || c.Pending() != 0 {
-		t.Fatalf("stats Forwarded=%d Batches=%d Pending=%d, want 3/0/0",
-			c.Forwarded, c.Batches, c.Pending())
-	}
-	for i, a := range alarms {
-		// The old per-alarm protocol: the manager sends the alarm itself.
-		want := msg.Message{From: "/d", Body: a}
-		wb, err := msg.MarshalWire(msg.WireBinary, "/region", want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gb, err := msg.MarshalWire(msg.WireBinary, "/region", forwarded[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wb, gb) {
-			t.Errorf("alarm %d: passthrough bytes differ from unbatched protocol", i)
-		}
+	if len(batches[0].Alarms) != 2 || batches[0].Alarms[0].Count != 2 {
+		t.Errorf("batch = %+v, want h1 (count 2) and h2", batches[0])
 	}
 }
 

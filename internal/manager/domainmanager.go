@@ -73,6 +73,19 @@ const DefaultDomainRules = `
   (call network-fault ?e))
 `
 
+// Load levels the hierarchy judges host cpu_load by.
+const (
+	// LoadThreshold equals DefaultDomainRules' cpu-load-threshold fact:
+	// the load at which a fleet host raises an alarm and the domain rules
+	// indict a server, and the worst-host load at which the region orders
+	// a shed.
+	LoadThreshold = 2.0
+	// SevereLoad grades an alarm for the uplink: one whose cpu_load
+	// reading reaches it is coalesced at EscalationSeverity and flushes
+	// the pending batch at once; every other alarm has severity 1.
+	SevereLoad = 4.0
+)
+
 // serverRef locates the server side of a managed application.
 type serverRef struct {
 	hostMgrAddr string
@@ -159,10 +172,6 @@ type DomainManager struct {
 	lastHot      string                 // most recently implicated host manager address
 	uplink       *AlarmCoalescer
 	policyAgents []string
-
-	// SeverityFor, when set, grades an alarm for uplink escalation
-	// (default severity 1).
-	SeverityFor func(msg.Alarm) int
 
 	// OnNetworkFault, if set, is invoked when an episode is diagnosed as
 	// a network problem (scenarios hook rerouting here: "rerouting
@@ -462,8 +471,8 @@ func (dm *DomainManager) handleAlarm(al msg.Alarm, tc telemetry.TraceContext) {
 	// sees aggregate pressure instead of per-host floods.
 	if dm.uplink != nil {
 		sev := 1
-		if dm.SeverityFor != nil {
-			sev = dm.SeverityFor(al)
+		if al.Readings["cpu_load"] >= SevereLoad {
+			sev = EscalationSeverity
 		}
 		_ = dm.uplink.AddCtx(al, sev, tc)
 	}

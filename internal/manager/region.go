@@ -31,6 +31,12 @@ type rmMetrics struct {
 // probeKeys are the statistics a region probe asks a domain for.
 var probeKeys = []string{"cpu_load", "mem_usage"}
 
+// SaturationThreshold gates downward probes: a batch whose
+// domain_saturation (alarms per host per window) reaches it implicates
+// the domain. A probed domain whose aggregated cpu_load_max reaches
+// LoadThreshold gets a shed_load directive.
+const SaturationThreshold = 0.02
+
 // RegionConfig is what a region manager is configured with beyond its
 // address and transport.
 type RegionConfig struct {
@@ -55,14 +61,6 @@ type RegionManager struct {
 	byAddr  map[string]string           // domain manager address -> name
 	probes  requests[string]            // "r" refs -> probed domain's name
 
-	// SaturationThreshold gates downward probes: a batch whose
-	// domain_saturation reaches it implicates the domain (default 0.02).
-	SaturationThreshold float64
-	// LoadThreshold gates rebalance directives: a probed domain whose
-	// aggregated cpu_load_max reaches it gets a shed_load directive
-	// (default 2.0, matching the domain rule set's CPU threshold).
-	LoadThreshold float64
-
 	metrics rmMetrics
 
 	// Statistics.
@@ -84,10 +82,8 @@ func NewRegionManager(addr string, send Send, cfg RegionConfig) *RegionManager {
 	rm := &RegionManager{
 		node: node{addr: addr, send: send, component: "regionmanager",
 			live: cfg.Liveness, sink: cfg.SummarySink},
-		byAddr:              make(map[string]string),
-		probes:              requests[string]{},
-		SaturationThreshold: 0.02,
-		LoadThreshold:       2.0,
+		byAddr: make(map[string]string),
+		probes: requests[string]{},
 	}
 	rm.domains = roster[string, domainState]{kind: "domain", timeout: cfg.Timeout, evicted: &rm.DomainsEvicted,
 		bind: rm.bind,
@@ -132,12 +128,6 @@ func (rm *RegionManager) HandleMessage(m msg.Message) {
 		heartbeatChild(&rm.node, &rm.domains, body, m.From)
 	case msg.AlarmBatch:
 		rm.handleBatch(body, m.From)
-	case msg.Alarm:
-		// An unbatched alarm from a domain running in the no-batching
-		// degenerate mode folds into the same aggregates as a one-entry
-		// batch.
-		rm.handleBatch(msg.AlarmBatch{Tier: "domain",
-			Alarms: []msg.BatchedAlarm{{Alarm: body, Count: 1, Severity: 1}}}, m.From)
 	case msg.Report:
 		rm.handleReport(body)
 	case msg.TelemetrySummary:
@@ -187,7 +177,7 @@ func (rm *RegionManager) handleBatch(b msg.AlarmBatch, from string) {
 	}
 	rm.metrics.batches.Inc()
 	rm.metrics.alarms.Add(n)
-	if ds.saturation >= rm.SaturationThreshold && !ds.probing {
+	if ds.saturation >= SaturationThreshold && !ds.probing {
 		rm.probe(name, ds)
 	}
 }
@@ -222,7 +212,7 @@ func (rm *RegionManager) handleReport(r msg.Report) {
 		return
 	}
 	ds.probing = false
-	if r.Values["cpu_load_max"] >= rm.LoadThreshold {
+	if r.Values["cpu_load_max"] >= LoadThreshold {
 		rm.Rebalances++
 		rm.metrics.rebalances.Inc()
 		if rm.tracer != nil {

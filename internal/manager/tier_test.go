@@ -364,12 +364,6 @@ func TestDomainManagerUplinkBatchesAlarms(t *testing.T) {
 	dm := NewDomainManager("/domain/QoSDomainManager", func(string, msg.Message) error { return nil },
 		DomainConfig{Uplink: co})
 	dm.RegisterAppServer("VideoApplication", "/server-host/QoSHostManager", "mpeg_serve")
-	dm.SeverityFor = func(a msg.Alarm) int {
-		if a.Readings["fps"] < 5 {
-			return 2
-		}
-		return 1
-	}
 
 	id := msg.Identity{Host: "client-host", PID: 7, Executable: "mpeg_play",
 		Application: "VideoApplication"}
@@ -397,6 +391,37 @@ func TestDomainManagerUplinkBatchesAlarms(t *testing.T) {
 	}
 	if dm.Alarms != 3 {
 		t.Errorf("Alarms = %d, want 3 (uplink must not eat the episode path)", dm.Alarms)
+	}
+}
+
+// TestDomainManagerSevereLoadFlushesUplink: an alarm whose cpu_load
+// reaches SevereLoad is graded EscalationSeverity and ships at once; one
+// just below it waits for the window.
+func TestDomainManagerSevereLoadFlushesUplink(t *testing.T) {
+	var up []msg.AlarmBatch
+	co := NewAlarmCoalescer("domain", "/domain/QoSDomainManager", "/region/QoSRegionManager",
+		func(_ string, m msg.Message) error { up = append(up, m.Body.(msg.AlarmBatch)); return nil },
+		time.Second, func(time.Duration, func()) {})
+	dm := NewDomainManager("/domain/QoSDomainManager", func(string, msg.Message) error { return nil },
+		DomainConfig{Uplink: co})
+	alarm := func(host string, load float64) {
+		dm.HandleMessage(msg.Message{From: "/" + host + "/QoSHostManager", Body: msg.Alarm{
+			ID: msg.Identity{Host: host, PID: 1, Application: "app-" + host}, Policy: "FleetLoadPolicy",
+			Readings: map[string]float64{"cpu_load": load}}})
+	}
+	alarm("h1", SevereLoad-0.01)
+	if len(up) != 0 {
+		t.Fatalf("alarm below SevereLoad flushed the uplink: %+v", up)
+	}
+	alarm("h2", SevereLoad)
+	if len(up) != 1 || len(up[0].Alarms) != 2 {
+		t.Fatalf("severe alarm shipped %+v, want one batch of both alarms", up)
+	}
+	if sev := up[0].Alarms[1].Severity; sev != EscalationSeverity {
+		t.Errorf("severe alarm severity = %d, want %d", sev, EscalationSeverity)
+	}
+	if sev := up[0].Alarms[0].Severity; sev != 1 {
+		t.Errorf("ordinary alarm severity = %d, want 1", sev)
 	}
 }
 

@@ -14,8 +14,7 @@ type Backoff struct {
 	Jitter   float64       // fraction of the delay randomized, in [0, 1]
 }
 
-// DefaultBackoff is the schedule NetTransport retries with unless
-// overridden: 4 tries, 2ms/4ms/8ms nominal delays, capped at 50ms,
+// DefaultBackoff is the schedule NetTransport retries with: 4 tries, 2ms/4ms/8ms nominal delays, capped at 50ms,
 // half-width jitter. Worst case a Send blocks the caller ~15ms — short
 // enough for the serializing dispatcher, long enough to ride out a
 // manager restart on loopback.

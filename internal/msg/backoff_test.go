@@ -134,7 +134,6 @@ func TestNetTransportRetriesThroughRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	cli.SetRetryPolicy(Backoff{Base: 100 * time.Microsecond, Factor: 2, Cap: time.Millisecond, Attempts: 3, Jitter: 0.5})
 	cli.Route("/srv/sink", addr)
 
 	ok := Message{From: "/cli/src", Body: Ack{Ref: "r"}}
@@ -143,8 +142,8 @@ func TestNetTransportRetriesThroughRestart(t *testing.T) {
 	}
 
 	// Peer dies and the established connection goes with it: the send
-	// redials, retries Attempts times against the closed port, then
-	// surfaces a typed, retryable error. (Severing the cached
+	// redials, tries DefaultBackoff.Attempts times against the closed
+	// port, then surfaces a typed, retryable error. (Severing the cached
 	// connection makes the failure deterministic — a write into a
 	// half-closed TCP buffer could otherwise "succeed".)
 	if err := srv.Close(); err != nil {
@@ -163,8 +162,8 @@ func TestNetTransportRetriesThroughRestart(t *testing.T) {
 		t.Errorf("error kind %s not retryable — callers cannot ride out a restart", se.Kind)
 	}
 	retries, _, sendFailed := cli.Resilience()
-	if retries != 2 {
-		t.Errorf("retries = %d, want 2 (3 attempts)", retries)
+	if want := uint64(DefaultBackoff.Attempts - 1); retries != want {
+		t.Errorf("retries = %d, want %d (%d attempts)", retries, want, DefaultBackoff.Attempts)
 	}
 	if sendFailed != 1 {
 		t.Errorf("send_failed = %d, want 1", sendFailed)

@@ -151,6 +151,16 @@ func (f *frameBuf) encode(to string, m Message) ([]byte, error) {
 	return b[start:], nil
 }
 
+// uvarintLen returns how many bytes binary.AppendUvarint uses for v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
 // frameLen returns the length of m's unrouted wire frame — what the
 // transports charge a message they deliver without a socket — or 0 for
 // a message that cannot be encoded (which Validate has ruled out).

@@ -146,23 +146,13 @@ func TestBusRebindReplacesHandler(t *testing.T) {
 }
 
 func TestTCPTransportRoundTrip(t *testing.T) {
-	echo := func(c *Conn, m Message) {
+	srv := serveNode(t, func(nt *NetTransport, m Message) {
 		if q, ok := m.Body.(Query); ok {
-			_ = c.Send(Message{From: "/server", Body: Report{
+			_ = nt.Send(m.From, Message{From: "/server", Body: Report{
 				Host: "server-host", Values: map[string]float64{"cpu_load": 3.5}, Ref: q.Ref}})
 		}
-	}
-	srv, err := Serve("127.0.0.1:0", echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	})
+	c := dialNode(t, srv)
 	if err := c.Send(Message{From: "/client", Body: Query{Keys: []string{"cpu_load"}, Ref: "r7"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -180,18 +170,7 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 }
 
 func TestTCPMultipleMessagesOneConn(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", func(c *Conn, m Message) {
-		_ = c.Send(m) // echo verbatim
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	_, c := echoServer(t)
 	for i := 0; i < 50; i++ {
 		ref := string(rune('a' + i%26))
 		if err := c.Send(Message{From: "/c", Body: Ack{Ref: ref, OK: true}}); err != nil {
@@ -208,11 +187,7 @@ func TestTCPMultipleMessagesOneConn(t *testing.T) {
 }
 
 func TestTCPConcurrentClients(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", func(c *Conn, m Message) { _ = c.Send(m) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv, _ := echoServer(t)
 	const clients = 8
 	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {
@@ -225,7 +200,9 @@ func TestTCPConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for j := 0; j < 20; j++ {
-				if err := c.Send(Message{From: "/c", Body: Ack{Ref: ref, OK: true}}); err != nil {
+				// Each client has its own address: the node routes the echo
+				// back over the connection it learned that address from.
+				if err := c.Send(Message{From: "/c/" + ref, Body: Ack{Ref: ref, OK: true}}); err != nil {
 					errs <- err
 					return
 				}
@@ -250,15 +227,15 @@ func TestTCPConcurrentClients(t *testing.T) {
 }
 
 func TestTCPServerCloseUnblocksClients(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", func(*Conn, Message) {})
-	if err != nil {
+	received := make(chan struct{}, 1)
+	srv := serveNode(t, func(*NetTransport, Message) { received <- struct{}{} })
+	c := dialNode(t, srv)
+	// One delivered message proves the node accepted the connection, so
+	// Close has it to close.
+	if err := c.Send(Message{From: "/c", Body: Ack{Ref: "hello"}}); err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	<-received
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Recv()

@@ -6,24 +6,40 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"softqos/internal/telemetry"
 )
 
-// echoServer starts a loopback server that echoes every message verbatim.
-func echoServer(t *testing.T) (*Server, *Conn) {
+// serveNode starts a loopback NetTransport node with one handler, h.
+// Frames a raw Conn sends carry no destination, so the node's sole
+// handler takes them; h replies with nt.Send to the sender's address,
+// which the node learned from the inbound frame.
+func serveNode(t *testing.T, h func(nt *NetTransport, m Message)) *NetTransport {
 	t.Helper()
-	srv, err := Serve("127.0.0.1:0", func(c *Conn, m Message) { _ = c.Send(m) })
+	nt, err := NewNetTransport("srv", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = srv.Close() })
-	c, err := Dial(srv.Addr())
+	nt.Bind("/srv", "srv", func(m Message) { h(nt, m) })
+	t.Cleanup(func() { _ = nt.Close() })
+	return nt
+}
+
+// dialNode connects a raw Conn client to a node.
+func dialNode(t *testing.T, nt *NetTransport) *Conn {
+	t.Helper()
+	c, err := Dial(nt.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
-	return srv, c
+	return c
+}
+
+// echoServer starts a node that sends every message back to its sender
+// verbatim, and a client connected to it.
+func echoServer(t *testing.T) (*NetTransport, *Conn) {
+	t.Helper()
+	srv := serveNode(t, func(nt *NetTransport, m Message) { _ = nt.Send(m.From, m) })
+	return srv, dialNode(t, srv)
 }
 
 func TestTCPLoopbackAllMessageTypes(t *testing.T) {
@@ -68,7 +84,7 @@ func TestTCPLoopbackAllMessageTypes(t *testing.T) {
 func TestTCPConcurrentSendersOneConn(t *testing.T) {
 	const senders, perSender = 8, 25
 	received := make(chan string, senders*perSender)
-	srv, err := Serve("127.0.0.1:0", func(_ *Conn, m Message) {
+	srv := serveNode(t, func(_ *NetTransport, m Message) {
 		a, ok := m.Body.(Ack)
 		if !ok {
 			received <- fmt.Sprintf("corrupt body %T", m.Body)
@@ -76,15 +92,7 @@ func TestTCPConcurrentSendersOneConn(t *testing.T) {
 		}
 		received <- a.Ref
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialNode(t, srv)
 
 	var wg sync.WaitGroup
 	for i := 0; i < senders; i++ {
@@ -131,16 +139,8 @@ func firstKey(m map[string]bool) string {
 func TestTCPRecvErrorOnPeerClose(t *testing.T) {
 	// Server hangs up as soon as the first message arrives; the client's
 	// blocked Recv must fail rather than hang.
-	srv, err := Serve("127.0.0.1:0", func(c *Conn, _ Message) { _ = c.Close() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	srv := serveNode(t, func(nt *NetTransport, _ Message) { nt.SeverConns() })
+	c := dialNode(t, srv)
 	if err := c.Send(Message{From: "/c", Body: Ack{Ref: "bye"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -156,32 +156,5 @@ func TestTCPRecvErrorOnPeerClose(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Recv not unblocked by peer close")
-	}
-}
-
-func TestTCPConnMetricsCountTraffic(t *testing.T) {
-	_, c := echoServer(t)
-	reg := telemetry.NewRegistry(nil)
-	c.SetMetrics(reg)
-	const n = 5
-	for i := 0; i < n; i++ {
-		if err := c.Send(Message{From: "/c", Body: Query{Ref: fmt.Sprintf("q%d", i)}}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Recv(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := reg.Counter("msg.tcp.sent").Value(); got != n {
-		t.Errorf("msg.tcp.sent = %d, want %d", got, n)
-	}
-	if got := reg.Counter("msg.tcp.received").Value(); got != n {
-		t.Errorf("msg.tcp.received = %d, want %d", got, n)
-	}
-	if got := reg.Counter("msg.tcp.sent.query").Value(); got != n {
-		t.Errorf("msg.tcp.sent.query = %d, want %d", got, n)
-	}
-	if reg.Counter("msg.tcp.sent_bytes").Value() == 0 || reg.Counter("msg.tcp.recv_bytes").Value() == 0 {
-		t.Error("byte counters did not advance")
 	}
 }

@@ -119,11 +119,8 @@ type NetTransport struct {
 	reconnects     atomic.Uint64
 	sendFailed     atomic.Uint64
 
-	logfFn  atomic.Pointer[func(string, ...any)]
-	dropFn  atomic.Pointer[DropLogger]
 	evlog   atomic.Pointer[eventlog.Logger]
 	metrics atomic.Pointer[netMetrics]
-	retryP  atomic.Pointer[Backoff]
 }
 
 // NewNetTransport creates a live transport node named host. listen is
@@ -183,13 +180,6 @@ func (t *NetTransport) Stats() (sent, delivered, dropped uint64) {
 // were logged and dropped instead of dispatched.
 func (t *NetTransport) DroppedInvalid() uint64 { return t.droppedInvalid.Load() }
 
-// SetLogf routes the transport's textual diagnostics to fn. Without a
-// hook the text is discarded: the transport never writes unstructured
-// stderr — structured reporting goes through SetEventLog/SetDropLogger.
-func (t *NetTransport) SetLogf(fn func(format string, args ...any)) {
-	t.logfFn.Store(&fn)
-}
-
 // SetEventLog routes the transport's diagnostics (invalid-message drops,
 // unframeable streams, exhausted retries, reconnects) into the structured
 // event log as component "msg" records. Pass nil to detach.
@@ -201,43 +191,10 @@ func (t *NetTransport) SetEventLog(lg *eventlog.Logger) {
 	t.evlog.Store(lg)
 }
 
-func (t *NetTransport) logf(format string, args ...any) {
-	if p := t.logfFn.Load(); p != nil {
-		(*p)(format, args...)
-	}
-}
-
-// DropInfo describes one message the transport refused to dispatch: who
-// was talking to whom, what kind of message it was, and why validation
-// rejected it.
-type DropInfo struct {
-	Node string // transport host observing the drop
-	From string // sender management address (may be empty on outbound)
-	To   string // destination management address
-	Kind string // envelope type tag, "?" when the body type is unknown
-	Err  error  // the Validate error
-}
-
-// DropLogger receives every invalid-envelope drop. It runs on the
-// transport's send or read path, so it must be cheap and must not call
-// back into the transport.
-type DropLogger func(DropInfo)
-
-// SetDropLogger routes structured drop reports to fn. When set it
-// replaces the event-log record (counters still increment); pass nil to
-// restore event-log reporting.
-func (t *NetTransport) SetDropLogger(fn DropLogger) {
-	if fn == nil {
-		t.dropFn.Store(nil)
-		return
-	}
-	t.dropFn.Store(&fn)
-}
-
 // dropInvalid reports and counts a message that decoded but failed
-// Validate: through the DropInfo hook when one is set, as a structured
-// "msg"/"invalid_drop" event-log record otherwise. The legacy textual
-// line only exists behind an explicit SetLogf hook.
+// Validate: a structured "msg"/"invalid_drop" event-log record naming
+// the node, both endpoints, the envelope kind ("?" when the body type is
+// unknown) and the Validate error.
 func (t *NetTransport) dropInvalid(to string, m Message, err error) {
 	t.droppedInvalid.Add(1)
 	if nm := t.metrics.Load(); nm != nil {
@@ -247,15 +204,10 @@ func (t *NetTransport) dropInvalid(to string, m Message, err error) {
 	if tag, tagErr := typeTag(m.Body); tagErr == nil {
 		kind = tag
 	}
-	if p := t.dropFn.Load(); p != nil {
-		(*p)(DropInfo{Node: t.host, From: m.From, To: to, Kind: kind, Err: err})
-		return
-	}
 	t.evlog.Load().EventCtx(m.Trace, eventlog.Warn, "msg", "invalid_drop",
 		eventlog.Str("node", t.host), eventlog.Str("from", m.From),
 		eventlog.Str("to", to), eventlog.Str("kind", kind),
 		eventlog.Str("error", err.Error()))
-	t.logf("msg: %s: dropping invalid %s message %s -> %s: %v", t.host, kind, m.From, to, err)
 }
 
 // Bind attaches a handler to a local management address. The host label
@@ -305,20 +257,6 @@ func (t *NetTransport) Sync(fn func()) {
 	<-done
 }
 
-// SetRetryPolicy overrides the transport's send retry schedule (the
-// default is DefaultBackoff). A Backoff with Attempts 1 disables
-// retries entirely.
-func (t *NetTransport) SetRetryPolicy(b Backoff) {
-	t.retryP.Store(&b)
-}
-
-func (t *NetTransport) retryPolicy() Backoff {
-	if p := t.retryP.Load(); p != nil {
-		return *p
-	}
-	return DefaultBackoff
-}
-
 // Resilience returns how many sends were retried, how many redials of a
 // previously connected peer succeeded, and how many sends failed after
 // the retry schedule was exhausted.
@@ -329,8 +267,8 @@ func (t *NetTransport) Resilience() (retries, reconnects, sendFailed uint64) {
 // Send delivers m to a management address: in-process when the address
 // is bound locally, over TCP otherwise (see NetTransport's routing
 // order). Transient connection failures — the peer restarting, a conn
-// dropped mid-send — are retried with jittered exponential backoff
-// (SetRetryPolicy); the peer is redialed between tries. The returned
+// dropped mid-send — are retried on the DefaultBackoff schedule; the
+// peer is redialed between tries. The returned
 // error is a *SendError classifying the final failure: routing and
 // validation errors return immediately without retrying.
 func (t *NetTransport) Send(to string, m Message) error {
@@ -338,7 +276,6 @@ func (t *NetTransport) Send(to string, m Message) error {
 		t.dropInvalid(to, m, err)
 		return &SendError{To: to, Kind: ErrInvalid, Err: err}
 	}
-	policy := t.retryPolicy()
 	for try := 0; ; try++ {
 		if try > 0 {
 			t.retries.Add(1)
@@ -347,14 +284,14 @@ func (t *NetTransport) Send(to string, m Message) error {
 			}
 			t.evlog.Load().EventCtx(m.Trace, eventlog.Debug, "msg", "send_retry",
 				eventlog.Str("to", to), eventlog.Int("try", try))
-			time.Sleep(policy.Delay(try, rand.Float64()))
+			time.Sleep(DefaultBackoff.Delay(try, rand.Float64()))
 		}
 		err := t.trySend(to, m)
 		if err == nil {
 			return nil
 		}
 		var se *SendError
-		if !errors.As(err, &se) || !se.Retryable() || policy.Exhausted(try+1) {
+		if !errors.As(err, &se) || !se.Retryable() || DefaultBackoff.Exhausted(try+1) {
 			t.sendFailed.Add(1)
 			if nm := t.metrics.Load(); nm != nil {
 				nm.sendFailed.Inc()
@@ -518,7 +455,7 @@ func (t *NetTransport) readLoop(c *Conn) {
 	defer t.wg.Done()
 	defer t.forgetConn(c)
 	for {
-		payload, _, err := c.recvFrame()
+		payload, err := c.recvFrame()
 		if err != nil {
 			t.badFrame(c, err)
 			return

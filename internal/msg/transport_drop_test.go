@@ -2,26 +2,22 @@ package msg
 
 import (
 	"errors"
-	"strings"
 	"testing"
+
+	"softqos/internal/telemetry/eventlog"
 )
 
 // TestDropLoggerStructuredReport verifies the invalid-envelope drop path
-// reports src/dest/kind through the pluggable hook instead of (not in
-// addition to) the textual log line.
+// reports node, src, dest, kind and cause as one structured event-log
+// record, and counts it.
 func TestDropLoggerStructuredReport(t *testing.T) {
 	nt, err := NewNetTransport("h1", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nt.Close()
-
-	var lines []string
-	nt.SetLogf(func(format string, args ...any) {
-		lines = append(lines, format)
-	})
-	var drops []DropInfo
-	nt.SetDropLogger(func(d DropInfo) { drops = append(drops, d) })
+	lg := eventlog.New(nil, 0)
+	nt.SetEventLog(lg)
 
 	// A directive without an action decodes fine but fails Validate.
 	bad := Message{From: "/h1/coord", Body: Directive{Target: "frame_skip"}}
@@ -31,38 +27,26 @@ func TestDropLoggerStructuredReport(t *testing.T) {
 		t.Fatalf("send error = %v, want ErrInvalid SendError", err)
 	}
 
-	if len(drops) != 1 {
-		t.Fatalf("drop reports = %d, want 1", len(drops))
+	drops := lg.Records(eventlog.Query{Component: "msg"})
+	if len(drops) != 1 || drops[0].Code != "invalid_drop" || drops[0].Level != eventlog.Warn {
+		t.Fatalf("drop records = %+v, want one warn invalid_drop", drops)
 	}
 	d := drops[0]
-	if d.Node != "h1" || d.From != "/h1/coord" || d.To != "/h1/agent" || d.Kind != "directive" {
-		t.Errorf("DropInfo = %+v, want node h1, /h1/coord -> /h1/agent, kind directive", d)
+	if d.FieldString("node") != "h1" || d.FieldString("from") != "/h1/coord" ||
+		d.FieldString("to") != "/h1/agent" || d.FieldString("kind") != "directive" {
+		t.Errorf("drop record fields = %+v, want node h1, /h1/coord -> /h1/agent, kind directive", d.Fields)
 	}
-	if d.Err == nil {
-		t.Error("DropInfo.Err is nil")
+	if d.FieldString("error") == "" {
+		t.Error("drop record carries no error")
 	}
 	if nt.DroppedInvalid() != 1 {
 		t.Errorf("DroppedInvalid = %d, want 1", nt.DroppedInvalid())
 	}
-	if len(lines) != 0 {
-		t.Errorf("structured hook set, but textual log fired: %q", lines)
-	}
-
-	// Clearing the hook restores the textual line, which names the
-	// endpoints and kind.
-	nt.SetDropLogger(nil)
-	_ = nt.Send("/h1/agent", bad)
-	if len(drops) != 1 {
-		t.Fatalf("cleared hook still fired: %d reports", len(drops))
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "%s -> %s") {
-		t.Errorf("fallback log line = %q, want src -> dest format", lines)
-	}
 
 	// A body type the envelope codec does not know reports kind "?".
-	nt.SetDropLogger(func(d DropInfo) { drops = append(drops, d) })
 	_ = nt.Send("/h1/agent", Message{From: "/h1/coord", Body: struct{ X int }{1}})
-	if len(drops) != 2 || drops[1].Kind != "?" {
+	drops = lg.Records(eventlog.Query{Component: "msg"})
+	if len(drops) != 2 || drops[1].FieldString("kind") != "?" {
 		t.Fatalf("unknown body kind = %+v, want ?", drops)
 	}
 }

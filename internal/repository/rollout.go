@@ -20,29 +20,29 @@ const (
 	RolloutRolledBack = "rolled-back"
 )
 
+// The canary state machine's fixed thresholds.
+const (
+	// canaryFraction is the fraction of known hosts put in the canary
+	// cohort (at least one host).
+	canaryFraction = 0.2
+	// maxFastBurn is the fast-window burn rate above which the bake
+	// decision is rollback even if the slow window still looks healthy:
+	// burning the error budget exactly at the allowed rate.
+	maxFastBurn = 1.0
+)
+
 // RolloutConfig tunes the canary state machine.
 type RolloutConfig struct {
-	// CanaryFraction is the fraction of known hosts put in the canary
-	// cohort (at least one host). 0 means 0.2.
-	CanaryFraction float64
 	// Bake is how long the canary generation runs before the
-	// promote/rollback decision. 0 means 30s.
+	// promote/rollback decision. 0 means 30s. The cohort is the first
+	// ceil(0.2*N) of N hosts, and a fast-window burn above 1.0 at bake
+	// end rolls back.
 	Bake time.Duration
-	// MaxFastBurn is the fast-window burn rate above which the bake
-	// decision is rollback even if the slow window still looks healthy.
-	// 0 means 1.0 (burning the error budget exactly at the allowed rate).
-	MaxFastBurn float64
 }
 
 func (c RolloutConfig) withDefaults() RolloutConfig {
-	if c.CanaryFraction <= 0 || c.CanaryFraction > 1 {
-		c.CanaryFraction = 0.2
-	}
 	if c.Bake <= 0 {
 		c.Bake = 30 * time.Second
-	}
-	if c.MaxFastBurn <= 0 {
-		c.MaxFastBurn = 1
 	}
 	return c
 }
@@ -184,12 +184,12 @@ func (c *Controller) SetEventLog(lg *eventlog.Logger) {
 const rolloutTracePolicy = "rollout"
 
 // canaryCohort picks the deterministic canary subset: hosts sorted by
-// name, first ceil(fraction*N), at least one.
-func canaryCohort(hosts []string, fraction float64) []string {
+// name, first ceil(canaryFraction*N), at least one.
+func canaryCohort(hosts []string) []string {
 	sorted := make([]string, len(hosts))
 	copy(sorted, hosts)
 	sort.Strings(sorted)
-	n := int(float64(len(sorted))*fraction + 0.999999)
+	n := int(float64(len(sorted))*canaryFraction + 0.999999)
 	if n < 1 {
 		n = 1
 	}
@@ -257,7 +257,7 @@ func (c *Controller) Push(text string, meta PolicyMeta) (RolloutStatus, error) {
 	if len(fleet) == 0 {
 		return RolloutStatus{}, fmt.Errorf("repository: no hosts known to the rollout controller")
 	}
-	cohort := canaryCohort(fleet, c.cfg.CanaryFraction)
+	cohort := canaryCohort(fleet)
 
 	baseline, err := c.svc.PoliciesFor(msg.Identity{Executable: meta.Executable})
 	if err != nil {
@@ -348,9 +348,9 @@ func (c *Controller) bakeExpired(gen uint64) {
 	case pc.Breaching():
 		c.rollbackLocked(fmt.Sprintf("burn-rate breach at bake end: fast %.2f slow %.2f",
 			pc.FastBurn, pc.SlowBurn), "rollback-on-burn")
-	case pc.FastBurn > c.cfg.MaxFastBurn:
+	case pc.FastBurn > maxFastBurn:
 		c.rollbackLocked(fmt.Sprintf("fast burn %.2f over limit %.2f at bake end",
-			pc.FastBurn, c.cfg.MaxFastBurn), "rollback-on-burn")
+			pc.FastBurn, maxFastBurn), "rollback-on-burn")
 	default:
 		c.promoteLocked(fmt.Sprintf("bake window compliant (fast burn %.2f, fast compliance %.2f)",
 			pc.FastBurn, complianceOrPerfect(pc)))

@@ -70,7 +70,7 @@ func newRolloutHarnessStore(t *testing.T, wrap func(Store) Store) *rolloutHarnes
 	h.hub.Subscribe("/test/sub")
 	clock := func() time.Duration { return h.clock }
 	h.tracer = telemetry.NewTracer(clock)
-	h.ctl = NewController(h.hub, h.svc, RolloutConfig{CanaryFraction: 0.2, Bake: 30 * time.Second})
+	h.ctl = NewController(h.hub, h.svc, RolloutConfig{Bake: 30 * time.Second})
 	h.ctl.SetClock(clock, func(d time.Duration, fn func()) {
 		h.timers = append(h.timers, timer{h.clock + d, fn})
 	})

@@ -3,10 +3,20 @@ package repository
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
+
+	"softqos/internal/msg"
 )
+
+// maxRequestLine bounds one JSON request line, as msg.MaxFrameBytes
+// bounds a management frame: a client that never sends a newline costs
+// at most this much buffering before its connection is closed.
+const maxRequestLine = msg.MaxFrameBytes
+
+var errRequestTooLong = errors.New("repository: request line over the size limit")
 
 // wireEntry is the JSON form of an Entry.
 type wireEntry struct {
@@ -71,6 +81,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	closed  bool
+	conns   map[net.Conn]struct{}
 	rollout *Controller
 }
 
@@ -81,7 +92,7 @@ func ServeDirectory(dir *Directory, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repository: listen %s: %w", addr, err)
 	}
-	s := &Server{dir: dir, ln: ln}
+	s := &Server{dir: dir, ln: ln, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -105,12 +116,21 @@ func (s *Server) rolloutController() *Controller {
 	return s.rollout
 }
 
-// Close stops the server and waits for connection goroutines.
+// Close stops accepting, closes every live connection — a connected
+// client's pending read must not hold it open — and waits for the
+// connection goroutines.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
+	conns := make([]net.Conn, 0, len(s.conns))
+	for nc := range s.conns {
+		conns = append(conns, nc)
+	}
 	s.mu.Unlock()
 	err := s.ln.Close()
+	for _, nc := range conns {
+		_ = nc.Close()
+	}
 	s.wg.Wait()
 	return err
 }
@@ -122,21 +142,36 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			_ = nc.Close()
+			return
+		}
+		s.conns[nc] = struct{}{}
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go s.serveConn(nc)
 	}
 }
 
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
-	defer nc.Close()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, nc)
+		s.mu.Unlock()
+		_ = nc.Close()
+	}()
 	r := bufio.NewReader(nc)
 	w := bufio.NewWriter(nc)
 	enc := json.NewEncoder(w)
+	var line []byte
 	for {
-		line, err := r.ReadBytes('\n')
+		var err error
+		line, err = readLine(r, line[:0])
 		if err != nil {
-			return
+			return // EOF, a closed connection, or an over-long request
 		}
 		var req request
 		resp := response{OK: true}
@@ -150,6 +185,21 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		if err := w.Flush(); err != nil {
 			return
+		}
+	}
+}
+
+// readLine appends the next newline-terminated line from r to buf,
+// failing with errRequestTooLong once it passes maxRequestLine bytes.
+func readLine(r *bufio.Reader, buf []byte) ([]byte, error) {
+	for {
+		frag, err := r.ReadSlice('\n')
+		if len(buf)+len(frag) > maxRequestLine {
+			return nil, errRequestTooLong
+		}
+		buf = append(buf, frag...)
+		if err != bufio.ErrBufferFull {
+			return buf, err
 		}
 	}
 }

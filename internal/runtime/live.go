@@ -22,8 +22,8 @@ type Adjustment struct {
 // LiveProc is a ProcHandle for a real OS process. The resource managers
 // act on it exactly as they act on a simulated process; every change is
 // recorded and reported through the host's OnAdjust hook instead of being
-// applied to a simulator. CPU time and liveness may be wired to real
-// observations via SetCPUTimeFunc/SetExited.
+// applied to a simulator. Liveness may be wired to a real observation
+// via SetExited; CPU time is not observed and reads zero.
 type LiveProc struct {
 	pid int
 
@@ -34,7 +34,6 @@ type LiveProc struct {
 	prio       int
 	workingSet int
 	resident   int
-	cpuTimeFn  func() time.Duration
 	onAdjust   func(Adjustment)
 }
 
@@ -55,24 +54,8 @@ func (p *LiveProc) SetExited() {
 	p.mu.Unlock()
 }
 
-// SetCPUTimeFunc wires the handle to a real CPU-time observation (e.g.
-// parsed from /proc/<pid>/stat by the embedding daemon).
-func (p *LiveProc) SetCPUTimeFunc(fn func() time.Duration) {
-	p.mu.Lock()
-	p.cpuTimeFn = fn
-	p.mu.Unlock()
-}
-
-// CPUTime returns the observed CPU time, or zero when unwired.
-func (p *LiveProc) CPUTime() time.Duration {
-	p.mu.Lock()
-	fn := p.cpuTimeFn
-	p.mu.Unlock()
-	if fn == nil {
-		return 0
-	}
-	return fn()
-}
+// CPUTime returns zero: a live process's CPU time is not observed.
+func (p *LiveProc) CPUTime() time.Duration { return 0 }
 
 // Boost returns the management-set priority offset.
 func (p *LiveProc) Boost() int {

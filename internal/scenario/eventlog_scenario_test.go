@@ -109,28 +109,3 @@ func TestEventLogObservabilityNeutral(t *testing.T) {
 		})
 	}
 }
-
-// TestEventLogSamplingBoundsVolume: with LogEvery armed, sub-Warn
-// chatter is rate-sampled (seeded, so still deterministic) while every
-// Warn+ record survives — the ring cannot be washed by a chatty code.
-func TestEventLogSamplingBoundsVolume(t *testing.T) {
-	base := Config{Seed: 7, ClientLoad: 5, Managed: true,
-		Faults: faultsGoldenPlan(), EventLog: true}
-	sampled := base
-	sampled.LogEvery = 4
-	_, full := eventLogRun(t, base, 30*time.Second, 2*time.Minute)
-	sysA, a := eventLogRun(t, sampled, 30*time.Second, 2*time.Minute)
-	_, b := eventLogRun(t, sampled, 30*time.Second, 2*time.Minute)
-	if a != b {
-		t.Fatal("seeded sampling is not deterministic across runs")
-	}
-	if sysA.Log.SampledOut() == 0 {
-		t.Error("LogEvery=4 sampled nothing out")
-	}
-	countWarnPlus := func(s string) int {
-		return strings.Count(s, `"level":"warn"`) + strings.Count(s, `"level":"error"`)
-	}
-	if got, want := countWarnPlus(a), countWarnPlus(full); got != want {
-		t.Errorf("sampling dropped Warn+ records: %d with sampling, %d without", got, want)
-	}
-}

@@ -28,6 +28,19 @@ import (
 // RegionAddr is the region manager's management address in fleet runs.
 const RegionAddr = "/mgmt/QoSRegionManager"
 
+// Fixed cadences of every fleet run. The load thresholds a host alarms
+// at and the tiers judge by are the manager package's LoadThreshold,
+// SevereLoad and SaturationThreshold.
+const (
+	// fleetSampleEvery paces each host's load sampling and the flight
+	// recorder.
+	fleetSampleEvery = 5 * time.Second
+	// fleetHeartbeatEvery paces host and domain heartbeats.
+	fleetHeartbeatEvery = 15 * time.Second
+	// fleetLivenessTimeout arms the domain and region liveness sweeps.
+	fleetLivenessTimeout = 10 * time.Second
+)
+
 // FleetConfig parameterizes a fleet run.
 type FleetConfig struct {
 	// Seed drives all randomness (default 1).
@@ -40,29 +53,11 @@ type FleetConfig struct {
 	// Domains is the number of domain managers (default ceil(Hosts/100)).
 	Domains int
 	// BatchWindow is the alarm-coalescing window on each domain's uplink
-	// (default 2s). NoBatching forwards every alarm per-message instead —
-	// the flat protocol's degenerate case.
+	// (default manager.DefaultBatchWindow).
 	BatchWindow time.Duration
-	NoBatching  bool
-	// SampleEvery paces each host's load sampling (default 5s).
-	SampleEvery time.Duration
-	// HeartbeatEvery paces host and domain heartbeats (default 15s).
-	HeartbeatEvery time.Duration
 	// SpikeProb is the per-sample probability a calm host spikes
 	// (default 0.02).
 	SpikeProb float64
-	// LoadThreshold is the cpu_load at which a host raises an alarm and
-	// the domain rules indict the host (default 2.0, matching
-	// manager.DefaultDomainRules' cpu-load-threshold).
-	LoadThreshold float64
-	// SevereLoad marks a spike severe: its alarm flushes the uplink batch
-	// immediately instead of waiting out the window (default 4.0).
-	SevereLoad float64
-	// SaturationThreshold is the region's probe trigger on a domain's
-	// alarms-per-host-per-window summary (default 0.02).
-	SaturationThreshold float64
-	// LivenessTimeout arms per-tier liveness sweeps (default 10s).
-	LivenessTimeout time.Duration
 	// Trace attaches a tracer (small fleets only: traces are capped and
 	// 10k hosts would just churn the ring).
 	Trace bool
@@ -77,20 +72,15 @@ type FleetConfig struct {
 	// at 10s).
 	PolicyEvery time.Duration
 	// EventLog arms the structured event log on the fleet's control
-	// plane. ONE bounded ring is shared by every tier (its memory
-	// amortizes across the whole fleet rather than multiplying by host
-	// count); tiers write through per-tier views of it. Under Federate
-	// the views carry counter sinks, so per-(component,level) error-class
-	// counts ("log.<component>.<level>") ride the existing telemetry
-	// window flushes host→domain→region instead of adding messages.
-	// Off by default; disabled, every record site is a nil no-op.
+	// plane. ONE bounded ring (eventlog.DefaultCapacity records) is
+	// shared by every tier (its memory amortizes across the whole fleet
+	// rather than multiplying by host count); tiers write through
+	// per-tier views of it. Under Federate the views carry counter sinks,
+	// so per-(component,level) error-class counts
+	// ("log.<component>.<level>") ride the existing telemetry window
+	// flushes host→domain→region instead of adding messages. Off by
+	// default; disabled, every record site is a nil no-op.
 	EventLog bool
-	// LogCapacity bounds the shared ring under EventLog (default
-	// eventlog.DefaultCapacity).
-	LogCapacity int
-	// LogEvery keeps 1-in-LogEvery sub-warning records per (component,
-	// code) under EventLog, seeded from Seed. 0 or 1 keeps everything.
-	LogEvery int
 	// Federate arms the federated telemetry plane: each host ships a
 	// per-window msg.TelemetrySummary to its domain, each domain merges
 	// and re-ships one per window to the region, and the region holds
@@ -119,28 +109,10 @@ func (c FleetConfig) withDefaults() FleetConfig {
 		c.Domains = c.Hosts
 	}
 	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Second
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 5 * time.Second
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 15 * time.Second
+		c.BatchWindow = manager.DefaultBatchWindow
 	}
 	if c.SpikeProb <= 0 {
 		c.SpikeProb = 0.02
-	}
-	if c.LoadThreshold <= 0 {
-		c.LoadThreshold = 2.0
-	}
-	if c.SevereLoad <= 0 {
-		c.SevereLoad = 4.0
-	}
-	if c.SaturationThreshold <= 0 {
-		c.SaturationThreshold = 0.02
-	}
-	if c.LivenessTimeout <= 0 {
-		c.LivenessTimeout = 10 * time.Second
 	}
 	if c.TelemetryWindow <= 0 {
 		c.TelemetryWindow = manager.DefaultTelemetryWindow
@@ -219,7 +191,7 @@ func (h *fleetHost) sample() {
 		h.load = h.baseline + rng.Float64()*0.4 - 0.2
 		if rng.Float64() < h.sys.Cfg.SpikeProb {
 			h.spiked = true
-			h.load = h.sys.Cfg.LoadThreshold + 0.5 + rng.Float64()*(h.sys.Cfg.SevereLoad-h.sys.Cfg.LoadThreshold)
+			h.load = manager.LoadThreshold + 0.5 + rng.Float64()*(manager.SevereLoad-manager.LoadThreshold)
 		}
 	}
 	for i := range h.procCPU {
@@ -270,7 +242,7 @@ func (h *fleetHost) answer(q msg.Query, tc telemetry.TraceContext) {
 		case "cpu_load", "run_queue":
 			values[k] = h.load
 		case "mem_usage":
-			values[k] = 0.4 + 0.1*h.load/h.sys.Cfg.LoadThreshold
+			values[k] = 0.4 + 0.1*h.load/manager.LoadThreshold
 		default:
 			const p = "proc_cpu:"
 			if len(k) > len(p) && k[:len(p)] == p {
@@ -428,16 +400,13 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 	send := msg.SendFunc(sys.Bus.Send)
 
 	if cfg.EventLog {
-		sys.Log = eventlog.New(sys.Metrics.Clock(), cfg.LogCapacity)
+		sys.Log = eventlog.New(sys.Metrics.Clock(), 0)
 		sys.Log.SetMetrics(sys.Metrics)
-		if cfg.LogEvery > 1 {
-			sys.Log.SetSampling(cfg.LogEvery, cfg.Seed)
-		}
 	}
 
 	// Tier 3: the region manager.
 	regionCfg := manager.RegionConfig{
-		Liveness: manager.Liveness{Clock: sys.Metrics.Clock(), Timeout: 2 * cfg.HeartbeatEvery}}
+		Liveness: manager.Liveness{Clock: sys.Metrics.Clock(), Timeout: 2 * fleetHeartbeatEvery}}
 	if cfg.Federate {
 		// The region's terminal aggregator holds the fleet view with
 		// per-domain breakdowns; it never re-ships.
@@ -447,26 +416,20 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 		regionCfg.SummarySink = sys.RegionAgg.Ingest
 		// Flight recorder with downsampling tiers: the raw ring plus
 		// 5m/1h roll-ups, all sampled from the same registry.
-		sys.Flight = telemetry.NewTimeline(sys.Metrics, 0)
-		sys.Flight.EnableRollup(0)
+		sys.Flight = telemetry.NewTimeline(sys.Metrics)
+		sys.Flight.EnableRollup()
 	}
 	sys.Region = manager.NewRegionManager(RegionAddr, send, regionCfg)
-	sys.Region.SaturationThreshold = cfg.SaturationThreshold
-	sys.Region.LoadThreshold = cfg.LoadThreshold
 	sys.Region.SetTelemetry(sys.Metrics, sys.Tracer)
 	sys.Bus.Bind(RegionAddr, "mgmt", func(m msg.Message) { sys.Region.HandleMessage(m) })
 
 	// Tier 2: domain managers with coalescing uplinks.
-	window := cfg.BatchWindow
-	if cfg.NoBatching {
-		window = 0
-	}
 	for j := 0; j < cfg.Domains; j++ {
 		name := fmt.Sprintf("domain-%d", j)
 		addr := fmt.Sprintf("/%s/QoSDomainManager", name)
 		fd := &fleetDomain{name: name, addr: addr}
 		co := manager.NewAlarmCoalescer("domain", addr, RegionAddr, send,
-			window, func(d time.Duration, fn func()) { s.After(d, fn) })
+			cfg.BatchWindow, func(d time.Duration, fn func()) { s.After(d, fn) })
 		co.SetTelemetry(sys.Metrics)
 		co.Summarize = func() map[string]float64 {
 			delta := fd.dm.Alarms - fd.flushed
@@ -482,9 +445,9 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 		}
 		fd.uplink = co
 		dcfg := manager.DomainConfig{
-			Liveness: manager.Liveness{Clock: sys.Metrics.Clock(), Timeout: cfg.LivenessTimeout},
+			Liveness: manager.Liveness{Clock: sys.Metrics.Clock(), Timeout: fleetLivenessTimeout},
 			// Hosts beat slowly; their roster tolerates two missed beats.
-			HostTimeout: 2*cfg.HeartbeatEvery + time.Second,
+			HostTimeout: 2*fleetHeartbeatEvery + time.Second,
 			Uplink:      co,
 		}
 		if cfg.Federate {
@@ -501,12 +464,6 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 		}
 		fd.dm = manager.NewDomainManager(addr, send, dcfg)
 		fd.dm.SetTelemetry(sys.Metrics, sys.Tracer)
-		fd.dm.SeverityFor = func(a msg.Alarm) int {
-			if a.Readings["cpu_load"] >= cfg.SevereLoad {
-				return manager.EscalationSeverity
-			}
-			return 1
-		}
 		if sys.Log != nil {
 			// The domain tier writes through a view of the shared ring; in
 			// federated runs its sink folds per-(component,level) counts
@@ -615,7 +572,6 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 // heartbeats, load sampling, and per-tier liveness sweeps. Offsets are
 // index-staggered so 10k hosts do not fire on the same instant.
 func (sys *FleetSystem) Start() {
-	cfg := sys.Cfg
 	s := sys.Sim
 	for _, fd := range sys.Domains {
 		fd := fd
@@ -623,17 +579,17 @@ func (sys *FleetSystem) Start() {
 			_ = sys.Bus.Send(RegionAddr, msg.Message{From: fd.addr,
 				Body: msg.Register{ID: msg.Identity{Host: fd.name}}})
 		})
-		s.Every(cfg.LivenessTimeout/2, func() { fd.dm.CheckLiveness() })
+		s.Every(fleetLivenessTimeout/2, func() { fd.dm.CheckLiveness() })
 		seq := uint64(0)
-		s.Every(cfg.HeartbeatEvery, func() {
+		s.Every(fleetHeartbeatEvery, func() {
 			seq++
 			_ = sys.Bus.Send(RegionAddr, msg.Message{From: fd.addr,
 				Body: msg.Heartbeat{ID: msg.Identity{Host: fd.name, PID: 1}, Seq: seq}})
 		})
 	}
-	s.Every(cfg.LivenessTimeout/2, func() { sys.Region.CheckLiveness() })
+	s.Every(fleetLivenessTimeout/2, func() { sys.Region.CheckLiveness() })
 	if sys.Flight != nil {
-		s.Every(cfg.SampleEvery, sys.Flight.Sample)
+		s.Every(fleetSampleEvery, sys.Flight.Sample)
 	}
 	for _, h := range sys.hosts {
 		h := h
@@ -644,12 +600,12 @@ func (sys *FleetSystem) Start() {
 			if h.tel != nil {
 				h.tel.Start()
 			}
-			sampleOff := time.Duration(h.index*37) % cfg.SampleEvery
-			s.After(sampleOff, func() { s.Every(cfg.SampleEvery, h.sample) })
-			hbOff := time.Duration(h.index*53) % cfg.HeartbeatEvery
+			sampleOff := time.Duration(h.index*37) % fleetSampleEvery
+			s.After(sampleOff, func() { s.Every(fleetSampleEvery, h.sample) })
+			hbOff := time.Duration(h.index*53) % fleetHeartbeatEvery
 			seq := uint64(0)
 			s.After(hbOff, func() {
-				s.Every(cfg.HeartbeatEvery, func() { seq++; h.heartbeat(seq) })
+				s.Every(fleetHeartbeatEvery, func() { seq++; h.heartbeat(seq) })
 			})
 		})
 	}

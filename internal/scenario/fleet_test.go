@@ -6,6 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"softqos/internal/manager"
+	"softqos/internal/rules"
+	"softqos/internal/sim"
 	"softqos/internal/telemetry"
 	"softqos/internal/telemetry/export"
 )
@@ -194,41 +197,59 @@ func TestFleetFederatedDeterminismGolden(t *testing.T) {
 	}
 }
 
-// TestFleetBatchingReducesUplinkMessages compares a batched fleet
-// against the NoBatching degenerate case on the same seed: batching
-// must deliver the same alarm count to the region in strictly fewer
-// envelopes, and the degenerate case must behave like the flat
-// per-alarm protocol (one region ingest per alarm).
+// TestFleetBatchingReducesUplinkMessages: every alarm the hosts raise
+// reaches the region, in strictly fewer envelopes than one per alarm.
 func TestFleetBatchingReducesUplinkMessages(t *testing.T) {
-	base := FleetConfig{Seed: 11, Hosts: 120, Domains: 2, SpikeProb: 0.15}
+	_, res := fleetSnapshot(t, FleetConfig{Seed: 11, Hosts: 120, Domains: 2, SpikeProb: 0.15}, 2*time.Minute)
 
-	batched := base
-	_, rb := fleetSnapshot(t, batched, 2*time.Minute)
-
-	degenerate := base
-	degenerate.NoBatching = true
-	_, rd := fleetSnapshot(t, degenerate, 2*time.Minute)
-
-	if rb.AlarmsRaised == 0 {
-		t.Fatal("batched run raised no alarms")
+	if res.AlarmsRaised == 0 {
+		t.Fatal("run raised no alarms")
 	}
-	// Every alarm the domains saw reaches the region in both modes.
-	if rb.BatchedAlarms != rb.AlarmsRaised {
-		t.Errorf("batched mode: region saw %d alarms, hosts raised %d",
-			rb.BatchedAlarms, rb.AlarmsRaised)
+	if res.BatchedAlarms != res.AlarmsRaised {
+		t.Errorf("region saw %d alarms, hosts raised %d", res.BatchedAlarms, res.AlarmsRaised)
 	}
-	if rd.BatchedAlarms != rd.AlarmsRaised {
-		t.Errorf("degenerate mode: region saw %d alarms, hosts raised %d",
-			rd.BatchedAlarms, rd.AlarmsRaised)
-	}
-	// Degenerate mode ships one envelope per alarm; batching ships fewer.
-	if rd.Batches != rd.AlarmsRaised {
-		t.Errorf("degenerate mode: %d region ingests for %d alarms, want 1:1",
-			rd.Batches, rd.AlarmsRaised)
-	}
-	if rb.Batches >= rb.AlarmsRaised {
+	if res.Batches >= res.AlarmsRaised {
 		t.Errorf("batching did not coalesce: %d batches for %d alarms",
-			rb.Batches, rb.AlarmsRaised)
+			res.Batches, res.AlarmsRaised)
+	}
+}
+
+// TestFleetThresholdsMatchDomainRules: the load threshold lives twice —
+// as the cpu-load-threshold fact of DefaultDomainRules and as
+// manager.LoadThreshold, which the region's shed decision and the fleet
+// hosts' alarms use. They must not drift apart: a host alarms exactly
+// when its load is over the rules' threshold.
+func TestFleetThresholdsMatchDomainRules(t *testing.T) {
+	e := rules.NewEngine()
+	if err := e.LoadRules(manager.DefaultDomainRules); err != nil {
+		t.Fatal(err)
+	}
+	facts := e.FactsMatching(rules.F("cpu-load-threshold", "?")...)
+	if len(facts) != 1 || facts[0].At(1).Kind != rules.NumberKind {
+		t.Fatalf("DefaultDomainRules cpu-load-threshold facts = %v, want one number", facts)
+	}
+	threshold := facts[0].At(1).Num
+	if threshold != manager.LoadThreshold {
+		t.Fatalf("rules threshold %v != manager.LoadThreshold %v", threshold, manager.LoadThreshold)
+	}
+
+	// Checked after every event: an alarm is answered within milliseconds.
+	sys := BuildFleet(FleetConfig{Seed: 7, Hosts: 60, Domains: 3, SpikeProb: 0.10})
+	sys.Start()
+	alarmed := 0
+	for end := sys.Sim.Now() + sim.Time(time.Minute); sys.Sim.Now() < end && sys.Sim.Step(); {
+		for _, h := range sys.hosts {
+			if h.alarmed != (h.load >= threshold) {
+				t.Fatalf("%s at load %.2f: alarmed=%v against the rules' threshold %v",
+					h.name, h.load, h.alarmed, threshold)
+			}
+			if h.alarmed {
+				alarmed++
+			}
+		}
+	}
+	if alarmed == 0 {
+		t.Fatal("no host alarmed: the check saw only calm hosts")
 	}
 }
 

@@ -51,6 +51,19 @@ const (
 	DomainAddr   = "/mgmt/QoSDomainManager"
 )
 
+// Fixed parameters of every scenario.
+const (
+	// userRole is the role under which the video processes register.
+	userRole = "viewer"
+	// heartbeatEvery paces coordinator heartbeats in fault mode.
+	heartbeatEvery = time.Second
+	// livenessTimeout is how long a manager tolerates silence from a
+	// managed process or a queried peer in fault mode.
+	livenessTimeout = 3500 * time.Millisecond
+	// sampleEvery paces flight-recorder sampling under Observe.
+	sampleEvery = time.Second
+)
+
 // Config parameterizes a scenario.
 type Config struct {
 	// Seed drives all randomness (default 1).
@@ -67,12 +80,8 @@ type Config struct {
 	// the application runs under normal scheduling, unobserved — the
 	// paper's baseline.
 	Managed bool
-	// UserRole is the role under which the client registers.
-	UserRole string
 	// PolicySrc overrides the QoS policy (default Example1Policy).
 	PolicySrc string
-	// NotifyInterval paces coordinator violation reports (default 500ms).
-	NotifyInterval time.Duration
 	// RTLoad, when positive, runs a real-time-class process consuming
 	// this fraction of the client CPU — load the CPU manager cannot
 	// preempt with time-sharing priorities (overload experiments).
@@ -95,40 +104,21 @@ type Config struct {
 	// injection and all of its wiring are fully absent when nil, so
 	// fault-free runs (and their determinism goldens) are unchanged.
 	Faults *faults.Plan
-	// HeartbeatInterval paces coordinator heartbeats in fault mode
-	// (default 1s).
-	HeartbeatInterval time.Duration
-	// LivenessTimeout is how long a manager tolerates silence from a
-	// managed process or a queried peer in fault mode (default 3.5s).
-	LivenessTimeout time.Duration
 	// Observe arms the compliance subsystem: a flight recorder samples
 	// the registry on the virtual clock and a loop miner feeds the
 	// loop.* stage histograms. Off by default — the miner registers new
 	// metric names and sampling schedules extra events, either of which
 	// would perturb the pre-existing determinism goldens.
 	Observe bool
-	// SampleEvery paces flight-recorder sampling under Observe
-	// (default 1s).
-	SampleEvery time.Duration
-	// FlightCapacity bounds retained samples per series under Observe
-	// (default telemetry.DefaultTimelineCapacity).
-	FlightCapacity int
 	// EventLog arms the structured event log: manager decisions (host
 	// eviction, episode retry/timeout, re-adoption), agent cache
 	// anomalies, rollout decisions and fault injections are recorded in
-	// a bounded in-memory ring on the virtual clock, trace-correlated
-	// with the violation traces. Off by default — disabled, every record
-	// site is a nil-receiver no-op and runs (and their determinism
-	// goldens) are byte-identical to a build without the log.
+	// a bounded in-memory ring (eventlog.DefaultCapacity records) on the
+	// virtual clock, trace-correlated with the violation traces. Off by
+	// default — disabled, every record site is a nil-receiver no-op and
+	// runs (and their determinism goldens) are byte-identical to a build
+	// without the log.
 	EventLog bool
-	// LogCapacity bounds retained records under EventLog (default
-	// eventlog.DefaultCapacity); oldest records are evicted and counted.
-	LogCapacity int
-	// LogEvery keeps 1-in-LogEvery sub-warning records per (component,
-	// code) under EventLog, seeded from Seed so sampling is
-	// deterministic. 0 or 1 keeps everything; Warn and Error always
-	// pass.
-	LogEvery int
 	// PolicyChurn, when non-nil, arms live policy distribution: a
 	// repository hub notifies the domain manager of policy deltas, the
 	// domain manager relays them to the policy agent, the agent folds
@@ -155,11 +145,9 @@ type ChurnConfig struct {
 	Bake time.Duration
 	// BadEvery makes every BadEvery-th push an unattainable policy (the
 	// canary cohort violates it immediately, so the bake decision must
-	// roll it back). 0 = never.
+	// roll it back). 0 = never. The cohort is one host of the two, always
+	// the client host.
 	BadEvery int
-	// CanaryFraction is the rollout cohort fraction (default 0.2 — one
-	// host in the two-host scenario, always the client host).
-	CanaryFraction float64
 }
 
 func (c ChurnConfig) withDefaults() ChurnConfig {
@@ -182,17 +170,8 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.NotifyInterval <= 0 {
-		c.NotifyInterval = 500 * time.Millisecond
-	}
 	if c.PolicySrc == "" {
 		c.PolicySrc = Example1Policy
-	}
-	if c.UserRole == "" {
-		c.UserRole = "viewer"
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = time.Second
 	}
 	return c
 }
@@ -309,7 +288,7 @@ func Build(cfg Config) *System {
 		"buffer_sensor": {"buffer_size"},
 	}))
 	mustNil(sys.Svc.DefineExecutable("mpeg_serve", map[string][]string{}))
-	mustNil(sys.Svc.DefineRole(cfg.UserRole))
+	mustNil(sys.Svc.DefineRole(userRole))
 	mustNil(sys.Admin.AddPolicy(cfg.PolicySrc, repository.PolicyMeta{
 		Application: "VideoApplication", Executable: "mpeg_play"}))
 
@@ -332,10 +311,7 @@ func Build(cfg Config) *System {
 	// its tracking would only produce false evictions.
 	var live manager.Liveness
 	if cfg.Faults != nil {
-		live = manager.Liveness{Clock: sys.Metrics.Clock(), Timeout: cfg.LivenessTimeout}
-		if live.Timeout <= 0 {
-			live.Timeout = 3500 * time.Millisecond
-		}
+		live = manager.Liveness{Clock: sys.Metrics.Clock(), Timeout: livenessTimeout}
 	}
 	dmCfg := manager.DomainConfig{Liveness: live}
 	if cfg.PolicyChurn != nil {
@@ -367,9 +343,9 @@ func Build(cfg Config) *System {
 	stream := sys.Client.Config()
 
 	serverID := msg.Identity{Host: "server-host", PID: sys.Server.Proc.PID(),
-		Executable: "mpeg_serve", Application: "VideoApplication", UserRole: cfg.UserRole}
+		Executable: "mpeg_serve", Application: "VideoApplication", UserRole: userRole}
 	clientID := msg.Identity{Host: "client-host", PID: sys.Client.Proc.PID(),
-		Executable: "mpeg_play", Application: "VideoApplication", UserRole: cfg.UserRole}
+		Executable: "mpeg_play", Application: "VideoApplication", UserRole: userRole}
 	sys.ServerHM.Track(sys.Server.Proc, serverID)
 	sys.ClientHM.Track(sys.Client.Proc, clientID)
 
@@ -407,7 +383,6 @@ func Build(cfg Config) *System {
 
 	sys.Coord = instrument.NewCoordinator(clientID, clock, send, AgentAddr, ClientHMAddr)
 	sys.Coord.SetTelemetry(sys.Metrics, sys.Tracer)
-	sys.Coord.SetNotifyInterval(cfg.NotifyInterval)
 	if cfg.PredictionHorizon > 0 {
 		sys.Coord.SetPredictionHorizon(cfg.PredictionHorizon)
 	}
@@ -469,10 +444,6 @@ func Build(cfg Config) *System {
 	// Resilience wiring, armed only under fault injection so fault-free
 	// simulations schedule exactly the same events as before.
 	if cfg.Faults != nil {
-		hbEvery := cfg.HeartbeatInterval
-		if hbEvery <= 0 {
-			hbEvery = time.Second
-		}
 		// Self-healing re-adoption: a manager that evicted (or lost) a
 		// process re-tracks it from the next heartbeat or violation.
 		sys.ClientHM.OnUnknownProc = func(id msg.Identity) (runtime.ProcHandle, bool) {
@@ -492,10 +463,10 @@ func Build(cfg Config) *System {
 			sys.DM.CheckLiveness()
 		})
 		if cfg.Managed {
-			s.Every(hbEvery, func() { _ = sys.Coord.Heartbeat() })
+			s.Every(heartbeatEvery, func() { _ = sys.Coord.Heartbeat() })
 			// Re-register until a PolicySet lands (registration or its
 			// reply may have been lost to a fault).
-			s.Every(2*hbEvery, func() {
+			s.Every(2*heartbeatEvery, func() {
 				if !sys.Coord.Registered() {
 					_ = sys.Coord.Register()
 				}
@@ -514,8 +485,7 @@ func Build(cfg Config) *System {
 		// -> policy agent -> registered coordinators.
 		sys.Hub.Subscribe(DomainAddr)
 		sys.Agent.SetTelemetry(sys.Metrics)
-		ctl := repository.NewController(sys.Hub, sys.Svc, repository.RolloutConfig{
-			CanaryFraction: churn.CanaryFraction, Bake: churn.Bake})
+		ctl := repository.NewController(sys.Hub, sys.Svc, repository.RolloutConfig{Bake: churn.Bake})
 		ctl.SetClock(func() time.Duration { return s.Now().Duration() },
 			func(d time.Duration, fn func()) { s.After(d, fn) })
 		ctl.SetComplianceSource(func() []telemetry.PolicyCompliance {
@@ -565,11 +535,8 @@ func Build(cfg Config) *System {
 	// every record site in the components below is a nil-receiver no-op,
 	// so log-free runs (and their determinism goldens) are unchanged.
 	if cfg.EventLog {
-		sys.Log = eventlog.New(sys.Metrics.Clock(), cfg.LogCapacity)
+		sys.Log = eventlog.New(sys.Metrics.Clock(), 0)
 		sys.Log.SetMetrics(sys.Metrics)
-		if cfg.LogEvery > 1 {
-			sys.Log.SetSampling(cfg.LogEvery, cfg.Seed)
-		}
 		sys.DM.SetEventLog(sys.Log)
 		sys.ClientHM.SetEventLog(sys.Log)
 		sys.ServerHM.SetEventLog(sys.Log)
@@ -588,9 +555,9 @@ func Build(cfg Config) *System {
 	// Compliance observability, fully absent unless requested so that
 	// fault-free goldens see the same metric names and event schedule.
 	if cfg.Observe {
-		sys.Flight = telemetry.NewTimeline(sys.Metrics, cfg.FlightCapacity)
+		sys.Flight = telemetry.NewTimeline(sys.Metrics)
 		sys.Miner = telemetry.NewLoopMiner(sys.Metrics)
-		s.Every(cfg.SampleEvery, func() {
+		s.Every(sampleEvery, func() {
 			sys.Miner.Mine(sys.Tracer.Traces())
 			sys.Flight.Sample()
 		})

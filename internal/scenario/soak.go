@@ -10,6 +10,13 @@ import (
 	"softqos/internal/sched"
 )
 
+// Load pulses force the soak's violation episodes: every
+// soakPulseEvery, soakPulseLoad spinners run for 60% of the period.
+const (
+	soakPulseEvery = 4 * time.Second
+	soakPulseLoad  = 6
+)
+
 // SoakConfig parameterizes a randomized resilience soak: a managed
 // scenario driven through hundreds of violation episodes while a
 // seeded fault schedule batters the management plane.
@@ -25,11 +32,6 @@ type SoakConfig struct {
 	// Plan overrides the fault schedule (default
 	// faults.RandomPlan(Seed, FaultRate, MaxVirtual)).
 	Plan *faults.Plan
-	// PulseEvery is the load-pulse period forcing violation episodes
-	// (default 4s); each pulse spawns spinners for 60% of the period.
-	PulseEvery time.Duration
-	// PulseLoad is how many spinners each pulse spawns (default 6).
-	PulseLoad int
 	// MaxVirtual caps the chaos phase's virtual time (default 45m); it
 	// is also the horizon the randomized plan spreads faults over.
 	MaxVirtual time.Duration
@@ -44,12 +46,6 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	}
 	if c.FaultRate <= 0 {
 		c.FaultRate = 0.15
-	}
-	if c.PulseEvery <= 0 {
-		c.PulseEvery = 4 * time.Second
-	}
-	if c.PulseLoad <= 0 {
-		c.PulseLoad = 6
 	}
 	if c.MaxVirtual <= 0 {
 		c.MaxVirtual = 45 * time.Minute
@@ -96,14 +92,14 @@ func Soak(cfg SoakConfig) SoakResult {
 	// slamming the stream out of its band and letting it back.
 	var live []*sched.Proc
 	pulse := 0
-	tk := s.Every(cfg.PulseEvery, func() {
+	tk := s.Every(soakPulseEvery, func() {
 		pulse++
-		procs := make([]*sched.Proc, 0, cfg.PulseLoad)
-		for i := 0; i < cfg.PulseLoad; i++ {
+		procs := make([]*sched.Proc, 0, soakPulseLoad)
+		for i := 0; i < soakPulseLoad; i++ {
 			procs = append(procs, loadgen.Spin(sys.ClientHost, spinName(pulse, i)))
 		}
 		live = append(live, procs...)
-		s.After(cfg.PulseEvery*3/5, func() {
+		s.After(soakPulseEvery*3/5, func() {
 			for _, p := range procs {
 				p.Exit()
 			}

@@ -27,18 +27,6 @@ func BenchmarkEventAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkEventSampledOut measures the sampled-out path: a chatty
-// sub-Warn code that sampling discards without touching the ring.
-func BenchmarkEventSampledOut(b *testing.B) {
-	lg := New(func() time.Duration { return 0 }, 1024)
-	lg.SetSampling(1 << 30, 7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lg.Event(Debug, "msg", "retry", Int("try", i))
-	}
-}
-
 // TestEventDisabledZeroAllocs pins the disabled-path guarantee in the
 // regular test suite, independent of the bench trajectory.
 func TestEventDisabledZeroAllocs(t *testing.T) {

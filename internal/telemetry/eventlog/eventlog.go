@@ -8,9 +8,7 @@
 // first, counted on "telemetry.log.evicted"), run on the injected clock
 // so simulation runs stay byte-deterministic, and carry the active
 // telemetry.TraceContext so every record links back to the violation
-// trace that caused it. High-volume (component, code) pairs are rate
-// sampled with a seeded phase — levels Warn and above are always kept —
-// so a chatty code cannot wash the ring.
+// trace that caused it.
 //
 // The disabled path is free: a nil *Logger accepts every call and
 // allocates nothing, so components thread an optional logger without
@@ -19,7 +17,6 @@ package eventlog
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strconv"
 	"strings"
@@ -29,8 +26,7 @@ import (
 	"softqos/internal/telemetry"
 )
 
-// Level classifies a record's severity. Debug and Info are subject to
-// sampling; Warn and Error are always kept.
+// Level classifies a record's severity.
 type Level int8
 
 // Levels, least to most severe.
@@ -158,10 +154,8 @@ func (r *Record) FieldString(key string) string {
 // the existing TelemetrySummary path. Sinks run outside the ring lock.
 type Sink func(level Level, component, code string)
 
-type sampleKey struct{ component, code string }
-
 // core is the shared state behind every Logger view: one ring, one
-// sampler, one eviction count, however many sinks are scoped onto it.
+// eviction count, however many sinks are scoped onto it.
 type core struct {
 	clock telemetry.Clock
 
@@ -172,13 +166,7 @@ type core struct {
 	seq     uint64
 	evicted uint64
 
-	every      int // keep 1 in every per (component, code); <=1 keeps all
-	seed       int64
-	counts     map[sampleKey]uint64
-	sampledOut uint64
-
 	evictedC *telemetry.Counter // telemetry.log.evicted; nil until SetMetrics
-	sampledC *telemetry.Counter // telemetry.log.sampled_out
 }
 
 // Logger is a view onto a shared record ring: Event appends, Records
@@ -204,40 +192,23 @@ func New(clock telemetry.Clock, capacity int) *Logger {
 		capacity = DefaultCapacity
 	}
 	return &Logger{c: &core{
-		clock:  clock,
-		ring:   make([]Record, 0, capacity),
-		counts: make(map[sampleKey]uint64),
+		clock: clock,
+		ring:  make([]Record, 0, capacity),
 	}}
 }
 
-// SetMetrics registers the ring's self-accounting counters on reg:
-// "telemetry.log.evicted" and "telemetry.log.sampled_out". A nil reg
-// detaches them.
+// SetMetrics registers the ring's self-accounting counter
+// "telemetry.log.evicted" on reg. A nil reg detaches it.
 func (lg *Logger) SetMetrics(reg *telemetry.Registry) {
 	if lg == nil {
 		return
 	}
 	lg.c.mu.Lock()
 	defer lg.c.mu.Unlock()
-	lg.c.evictedC, lg.c.sampledC = nil, nil
+	lg.c.evictedC = nil
 	if reg != nil {
 		lg.c.evictedC = reg.Counter("telemetry.log.evicted")
-		lg.c.sampledC = reg.Counter("telemetry.log.sampled_out")
 	}
-}
-
-// SetSampling enables per-(component,code) rate sampling below Warn:
-// 1 in every records is kept, with a phase derived from the pair and the
-// seed so two seeded runs sample identically but distinct codes are not
-// phase-aligned. every <= 1 disables sampling.
-func (lg *Logger) SetSampling(every int, seed int64) {
-	if lg == nil {
-		return
-	}
-	lg.c.mu.Lock()
-	defer lg.c.mu.Unlock()
-	lg.c.every = every
-	lg.c.seed = seed
 }
 
 // WithSink returns a view sharing this logger's ring whose kept records
@@ -273,20 +244,6 @@ func (lg *Logger) append(ctx telemetry.TraceContext, level Level, component, cod
 	c := lg.c
 	at := c.clock()
 	c.mu.Lock()
-	if level < Warn && c.every > 1 {
-		k := sampleKey{component, code}
-		n := c.counts[k]
-		c.counts[k] = n + 1
-		if (n+samplePhase(component, code, c.seed, c.every))%uint64(c.every) != 0 {
-			c.sampledOut++
-			sc := c.sampledC
-			c.mu.Unlock()
-			if sc != nil {
-				sc.Inc()
-			}
-			return
-		}
-	}
 	c.seq++
 	rec := Record{
 		Seq:       c.seq,
@@ -312,28 +269,10 @@ func (lg *Logger) append(ctx telemetry.TraceContext, level Level, component, cod
 	}
 	sink := lg.sink
 	c.mu.Unlock()
-	if ec != nil {
-		ec.Inc()
-	}
+	ec.Inc()
 	if sink != nil {
 		sink(level, component, code)
 	}
-}
-
-// samplePhase spreads distinct (component, code) pairs across the
-// sampling window so their kept records do not phase-align, while
-// keeping the offset a pure function of the pair and the seed.
-func samplePhase(component, code string, seed int64, every int) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, component)
-	h.Write([]byte{0})
-	io.WriteString(h, code)
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(seed >> (8 * i))
-	}
-	h.Write(b[:])
-	return h.Sum64() % uint64(every)
 }
 
 // Query filters a Records or WriteNDJSON read. The zero value matches
@@ -404,16 +343,6 @@ func (lg *Logger) Evicted() uint64 {
 	lg.c.mu.Lock()
 	defer lg.c.mu.Unlock()
 	return lg.c.evicted
-}
-
-// SampledOut returns how many sub-Warn records sampling discarded.
-func (lg *Logger) SampledOut() uint64 {
-	if lg == nil {
-		return 0
-	}
-	lg.c.mu.Lock()
-	defer lg.c.mu.Unlock()
-	return lg.c.sampledOut
 }
 
 // WriteNDJSON writes matching records as newline-delimited JSON, one

@@ -21,7 +21,6 @@ func TestNilLoggerIsInert(t *testing.T) {
 	lg.Event(Error, "c", "code", Str("k", "v"))
 	lg.EventCtx(telemetry.TraceContext{TraceID: "t"}, Warn, "c", "code")
 	lg.SetMetrics(nil)
-	lg.SetSampling(10, 1)
 	if got := lg.WithSink(func(Level, string, string) {}); got != nil {
 		t.Fatalf("WithSink on nil logger = %v, want nil", got)
 	}
@@ -69,7 +68,7 @@ func counterValue(reg *telemetry.Registry, name string) (uint64, bool) {
 	return 0, false
 }
 
-// The ring's self-accounting counters exist, at zero, from SetMetrics
+// The ring's self-accounting counter exists, at zero, from SetMetrics
 // on — not from the first eviction.
 func TestEvictionCounterRegisteredAtSetMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry(nil)
@@ -77,67 +76,12 @@ func TestEvictionCounterRegisteredAtSetMetrics(t *testing.T) {
 	lg.SetMetrics(reg)
 	lg.Event(Info, "c", "a")
 	lg.Event(Info, "c", "b")
-	for _, name := range []string{"telemetry.log.evicted", "telemetry.log.sampled_out"} {
-		if got, ok := counterValue(reg, name); !ok || got != 0 {
-			t.Fatalf("%s = (%d, %v) before any eviction, want registered at 0", name, got, ok)
-		}
+	if got, ok := counterValue(reg, "telemetry.log.evicted"); !ok || got != 0 {
+		t.Fatalf("telemetry.log.evicted = (%d, %v) before any eviction, want registered at 0", got, ok)
 	}
 	lg.Event(Info, "c", "c")
 	if got, _ := counterValue(reg, "telemetry.log.evicted"); got != 1 {
 		t.Fatalf("telemetry.log.evicted = %d, want 1", got)
-	}
-}
-
-func TestSamplingKeepsOneInNAndAllWarnings(t *testing.T) {
-	lg := New(nil, 1024)
-	lg.SetSampling(10, 42)
-	for i := 0; i < 100; i++ {
-		lg.Event(Debug, "chatty", "tick")
-		lg.Event(Warn, "chatty", "bad")
-	}
-	recs := lg.Records(Query{})
-	var debugs, warns int
-	for _, r := range recs {
-		switch r.Level {
-		case Debug:
-			debugs++
-		case Warn:
-			warns++
-		}
-	}
-	if debugs != 10 {
-		t.Errorf("kept %d debug records of 100 at 1-in-10, want 10", debugs)
-	}
-	if warns != 100 {
-		t.Errorf("kept %d warn records, want all 100", warns)
-	}
-	if lg.SampledOut() != 90 {
-		t.Errorf("SampledOut = %d, want 90", lg.SampledOut())
-	}
-}
-
-func TestSamplingDeterministicAcrossRuns(t *testing.T) {
-	run := func() []uint64 {
-		lg := New(nil, 1024)
-		lg.SetSampling(7, 99)
-		for i := 0; i < 50; i++ {
-			lg.Event(Info, "a", "x")
-			lg.Event(Info, "b", "y")
-		}
-		var seqs []uint64
-		for _, r := range lg.Records(Query{}) {
-			seqs = append(seqs, r.Seq)
-		}
-		return seqs
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("run lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("seq %d differs: %d vs %d", i, a[i], b[i])
-		}
 	}
 }
 
@@ -242,7 +186,6 @@ func TestWithSinkSharesRingAndRoutesCounters(t *testing.T) {
 func TestConcurrentAppendAndRead(t *testing.T) {
 	lg := New(nil, 128)
 	lg.SetMetrics(telemetry.NewRegistry(nil))
-	lg.SetSampling(3, 1)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

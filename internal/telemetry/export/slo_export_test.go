@@ -100,7 +100,7 @@ func TestBuildSLOPayload(t *testing.T) {
 
 func TestHandlerNewEndpoints(t *testing.T) {
 	reg, tr, _ := sloTelemetry()
-	tl := telemetry.NewTimeline(reg, 32)
+	tl := telemetry.NewTimeline(reg)
 	tl.Sample()
 	h := Handler(reg, tr,
 		WithTimeline(tl),
@@ -217,7 +217,7 @@ func TestHandlerEmptyRegistry(t *testing.T) {
 // live export server depends on.
 func TestConcurrentScrape(t *testing.T) {
 	reg, tr, clk := sloTelemetry()
-	tl := telemetry.NewTimeline(reg, 32)
+	tl := telemetry.NewTimeline(reg)
 	srv, err := Serve("127.0.0.1:0", reg, tr,
 		WithTimeline(tl), WithSLOTargets([]telemetry.SLOTarget{{Policy: "FrameRate"}}))
 	if err != nil {
@@ -280,7 +280,7 @@ func TestConcurrentScrape(t *testing.T) {
 
 func TestComplianceReportRendering(t *testing.T) {
 	reg, tr, _ := sloTelemetry()
-	tl := telemetry.NewTimeline(reg, 16)
+	tl := telemetry.NewTimeline(reg)
 	tl.Sample()
 	r := BuildComplianceReport("seed 7", reg, tr, tl,
 		[]telemetry.SLOTarget{{Policy: "FrameRate", Objective: "frame_rate in 23..27"}})
@@ -358,7 +358,7 @@ func TestRegisterRuntimeGauges(t *testing.T) {
 
 func TestStartSamplerStops(t *testing.T) {
 	reg, tr, _ := sloTelemetry()
-	tl := telemetry.NewTimeline(reg, 16)
+	tl := telemetry.NewTimeline(reg)
 	miner := telemetry.NewLoopMiner(reg)
 	stop := StartSampler(5*time.Millisecond, tl, miner, tr)
 	time.Sleep(25 * time.Millisecond)

@@ -1,55 +1,59 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
 
-// rollupFixture samples a counter and a gauge once per second for d,
-// with rollup tiers armed at the given resolutions.
-func rollupFixture(d time.Duration, capacity int, resolutions ...time.Duration) *Timeline {
+// rollupFixture samples a counter and a gauge n times, every step, with
+// the rollup tiers armed. Sample i (from 1) lands at i*step with the
+// counter and the gauge both at i.
+func rollupFixture(n int, step time.Duration) *Timeline {
 	var now time.Duration
 	reg := NewRegistry(func() time.Duration { return now })
 	c := reg.Counter("r.count")
 	g := reg.Gauge("r.gauge")
-	tl := NewTimeline(reg, 64)
-	tl.EnableRollup(capacity, resolutions...)
-	for now = time.Second; now <= d; now += time.Second {
+	tl := NewTimeline(reg)
+	tl.EnableRollup()
+	for i := 1; i <= n; i++ {
+		now = time.Duration(i) * step
 		c.Inc()
-		g.Set(float64(now / time.Second))
+		g.Set(float64(i))
 		tl.Sample()
 	}
 	return tl
 }
 
-// TestTimelineRollupBuckets: raw 1s samples roll into 10s buckets —
+// TestTimelineRollupBuckets: raw 30s samples roll into 5m buckets —
 // counters keep the bucket's last (cumulative) value, gauges the bucket
 // mean, and only completed buckets export.
 func TestTimelineRollupBuckets(t *testing.T) {
-	tl := rollupFixture(35*time.Second, 0, 10*time.Second)
+	tl := rollupFixture(35, 30*time.Second)
 	dumps := tl.Dump().Rollups
-	if len(dumps) != 1 {
-		t.Fatalf("rollup tiers = %d, want 1", len(dumps))
+	if len(dumps) != 2 {
+		t.Fatalf("rollup tiers = %d, want 2", len(dumps))
 	}
 	rd := dumps[0]
-	if rd.Resolution != 10*time.Second {
-		t.Fatalf("resolution = %v, want 10s", rd.Resolution)
+	if rd.Resolution != 5*time.Minute {
+		t.Fatalf("resolution = %v, want 5m", rd.Resolution)
 	}
 	byName := map[string]Series{}
 	for _, s := range rd.Series {
 		byName[s.Name] = s
 	}
 
-	// Samples at 1s..35s: bucket [0,10) closes when 10s lands, [10,20)
-	// when 20s lands, [20,30) when 30s lands; [30,40) is still open.
+	// Samples 1..35 at 30s..17m30s: bucket [0,5m) closes when sample 10
+	// lands at 5m, [5m,10m) at sample 20, [10m,15m) at sample 30;
+	// [15m,20m) is still open.
 	cnt := byName["r.count"]
 	if len(cnt.Points) != 3 {
 		t.Fatalf("r.count rollup points = %d, want 3", len(cnt.Points))
 	}
 	// Counter keeps the last cumulative value of each bucket (9, 19, 29 —
-	// the value sampled at 9s, 19s, 29s).
-	wantCnt := []Point{{0, 9}, {10 * time.Second, 19}, {20 * time.Second, 29}}
+	// the value of samples 9, 19 and 29).
+	wantCnt := []Point{{0, 9}, {5 * time.Minute, 19}, {10 * time.Minute, 29}}
 	for i, p := range cnt.Points {
 		if p != wantCnt[i] {
 			t.Errorf("r.count point %d = %+v, want %+v", i, p, wantCnt[i])
@@ -62,7 +66,7 @@ func TestTimelineRollupBuckets(t *testing.T) {
 		if p.V != wantGau[i] {
 			t.Errorf("r.gauge point %d = %v, want %v", i, p.V, wantGau[i])
 		}
-		if p.At%(10*time.Second) != 0 {
+		if p.At%(5*time.Minute) != 0 {
 			t.Errorf("bucket start %v not aligned to resolution", p.At)
 		}
 	}
@@ -72,16 +76,16 @@ func TestTimelineRollupBuckets(t *testing.T) {
 // from the same raw stream independently; a short run leaves the coarse
 // tier empty rather than approximated.
 func TestTimelineRollupTiersIndependent(t *testing.T) {
-	tl := rollupFixture(25*time.Second, 0, 10*time.Second, time.Minute)
+	tl := rollupFixture(25, 30*time.Second)
 	dumps := tl.Dump().Rollups
 	if len(dumps) != 2 {
 		t.Fatalf("tiers = %d, want 2", len(dumps))
 	}
 	if got := len(dumps[0].Series); got == 0 {
-		t.Error("10s tier has no completed buckets after 25s")
+		t.Error("5m tier has no completed buckets after 12m30s")
 	}
 	if got := len(dumps[1].Series); got != 0 {
-		t.Errorf("1m tier exported %d series before any bucket completed", got)
+		t.Errorf("1h tier exported %d series before any bucket completed", got)
 	}
 }
 
@@ -89,14 +93,15 @@ func TestTimelineRollupTiersIndependent(t *testing.T) {
 // oldest buckets once capacity is reached — retention at every tier is
 // bounded by construction.
 func TestTimelineRollupRingBounded(t *testing.T) {
-	tl := rollupFixture(100*time.Second, 4, 10*time.Second)
+	// One sample per 5m bucket: every sample closes the previous bucket.
+	tl := rollupFixture(DefaultTimelineCapacity+8, 5*time.Minute)
 	rd := tl.Dump().Rollups[0]
-	if rd.Capacity != 4 {
-		t.Fatalf("capacity = %d, want 4", rd.Capacity)
+	if rd.Capacity != DefaultTimelineCapacity {
+		t.Fatalf("capacity = %d, want %d", rd.Capacity, DefaultTimelineCapacity)
 	}
 	for _, s := range rd.Series {
-		if len(s.Points) != 4 {
-			t.Fatalf("%s retained %d buckets, want 4", s.Name, len(s.Points))
+		if len(s.Points) != DefaultTimelineCapacity {
+			t.Fatalf("%s retained %d buckets, want %d", s.Name, len(s.Points), DefaultTimelineCapacity)
 		}
 		// The newest completed buckets survive, in chronological order.
 		for i := 1; i < len(s.Points); i++ {
@@ -107,11 +112,10 @@ func TestTimelineRollupRingBounded(t *testing.T) {
 	}
 }
 
-// TestTimelineRollupDefaults: EnableRollup() with no resolutions arms
-// the 5m and 1h tiers.
+// TestTimelineRollupDefaults: EnableRollup arms the 5m and 1h tiers.
 func TestTimelineRollupDefaults(t *testing.T) {
-	tl := NewTimeline(NewRegistry(nil), 8)
-	tl.EnableRollup(0)
+	tl := NewTimeline(NewRegistry(nil))
+	tl.EnableRollup()
 	tl.Sample()
 	dumps := tl.Dump().Rollups
 	if len(dumps) != 2 || dumps[0].Resolution != 5*time.Minute || dumps[1].Resolution != time.Hour {
@@ -125,7 +129,7 @@ func TestTimelineRollupDefaults(t *testing.T) {
 func TestTimelineDumpOmitsRollupsWhenDisabled(t *testing.T) {
 	reg := NewRegistry(nil)
 	reg.Counter("x").Inc()
-	tl := NewTimeline(reg, 4)
+	tl := NewTimeline(reg)
 	tl.Sample()
 	var b strings.Builder
 	if err := tl.Dump().WriteJSON(&b); err != nil {
@@ -136,22 +140,21 @@ func TestTimelineDumpOmitsRollupsWhenDisabled(t *testing.T) {
 	}
 }
 
-// TestTimelineSeriesCap: with SetMaxSeries, series beyond the cap are
-// refused and counted — both on the recorder and in the registry's
+// TestTimelineSeriesCap: series beyond MaxTimelineSeries are refused
+// and counted — both on the recorder and in the registry's
 // telemetry.timeline.evicted counter.
 func TestTimelineSeriesCap(t *testing.T) {
 	var now time.Duration
 	reg := NewRegistry(func() time.Duration { return now })
-	reg.Counter("a")
-	reg.Counter("b")
-	reg.Counter("c")
-	tl := NewTimeline(reg, 4)
-	tl.SetMaxSeries(2)
+	for i := 0; i < MaxTimelineSeries+3; i++ {
+		reg.Counter(fmt.Sprintf("c%04d", i))
+	}
+	tl := NewTimeline(reg)
 
 	now = time.Second
 	tl.Sample()
-	if got := len(tl.Series()); got != 2 {
-		t.Fatalf("tracked %d series, want cap 2", got)
+	if got := len(tl.Series()); got != MaxTimelineSeries {
+		t.Fatalf("tracked %d series, want cap %d", got, MaxTimelineSeries)
 	}
 	if tl.Evicted() == 0 {
 		t.Fatal("series cap refused samples without counting them")
@@ -174,26 +177,8 @@ func TestTimelineSeriesCap(t *testing.T) {
 	// Existing series keep recording under the cap.
 	now = 2 * time.Second
 	tl.Sample()
-	s, ok := tl.SeriesByName("a")
+	s, ok := tl.SeriesByName("c0000")
 	if !ok || len(s.Points) != 2 {
 		t.Fatalf("capped recorder stopped recording tracked series: %+v", s)
-	}
-}
-
-// TestTimelineUncappedByDefault: a fresh recorder tracks every series
-// (simulation mode must stay byte-identical to the pre-cap behavior).
-func TestTimelineUncappedByDefault(t *testing.T) {
-	reg := NewRegistry(nil)
-	for _, n := range []string{"a", "b", "c", "d", "e"} {
-		reg.Counter(n)
-	}
-	tl := NewTimeline(reg, 4)
-	tl.Sample()
-	// The five counters plus the recorder's own telemetry.timeline.evicted.
-	if got := len(tl.Series()); got != 6 {
-		t.Fatalf("tracked %d series, want all 6", got)
-	}
-	if tl.Evicted() != 0 {
-		t.Fatal("uncapped recorder evicted")
 	}
 }

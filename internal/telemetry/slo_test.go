@@ -196,11 +196,10 @@ func TestLoopMinerMinesOnce(t *testing.T) {
 // grow the mined set past the cap, and each distinct completed trace is
 // counted exactly once.
 func TestLoopMinerMinedSetBounded(t *testing.T) {
-	const retain, batches = 64, 3
+	const retain, batches = DefaultMaxTraces, 3
 	var now time.Duration
 	reg := NewRegistry(func() time.Duration { return now })
 	tr := NewTracer(reg.Clock())
-	tr.SetRetention(retain)
 	m := NewLoopMiner(reg)
 
 	total := 0

@@ -8,10 +8,18 @@ import (
 	"time"
 )
 
-// DefaultTimelineCapacity bounds retained samples per series when the
-// caller does not choose one. At the default 1-second cadence this keeps
-// ~8.5 minutes of history per metric.
-const DefaultTimelineCapacity = 512
+// Every timeline is bounded by construction.
+const (
+	// DefaultTimelineCapacity bounds retained samples per series, raw
+	// and per rollup tier. At a 1-second cadence this keeps ~8.5 minutes
+	// of raw history per metric.
+	DefaultTimelineCapacity = 512
+	// MaxTimelineSeries caps how many distinct series a recorder tracks.
+	// Samples for series beyond it are not recorded and are counted in
+	// the registry's "telemetry.timeline.evicted" counter: a runaway
+	// metric-name cardinality costs a counter, not the process.
+	MaxTimelineSeries = 512
+)
 
 // Point is one flight-recorder observation of one metric.
 type Point struct {
@@ -38,9 +46,6 @@ type tlSeries struct {
 }
 
 func (s *tlSeries) push(p Point) {
-	if len(s.buf) == 0 {
-		return
-	}
 	s.buf[s.head] = p
 	s.head = (s.head + 1) % len(s.buf)
 	if s.n < len(s.buf) {
@@ -79,7 +84,6 @@ type rollupSeries struct {
 // recorded series.
 type rollupTier struct {
 	res    time.Duration
-	cap    int
 	series map[string]*rollupSeries
 }
 
@@ -87,7 +91,7 @@ type rollupTier struct {
 func (rt *rollupTier) roll(name, kind string, p Point) {
 	rs, ok := rt.series[name]
 	if !ok {
-		rs = &rollupSeries{ring: tlSeries{kind: kind, buf: make([]Point, rt.cap)}}
+		rs = &rollupSeries{ring: tlSeries{kind: kind, buf: make([]Point, DefaultTimelineCapacity)}}
 		rt.series[name] = rs
 	}
 	b := p.At - (p.At % rt.res)
@@ -106,14 +110,14 @@ func (rt *rollupTier) roll(name, kind string, p Point) {
 	rs.last = p.V
 }
 
-// DefaultRollupResolutions are the downsampling tiers EnableRollup arms
-// when the caller names none: raw samples roll up into 5-minute
-// buckets, and those (independently, from the same raw stream) into
-// 1-hour buckets.
+// DefaultRollupResolutions are the downsampling tiers EnableRollup arms:
+// raw samples roll up into 5-minute buckets, and (independently, from
+// the same raw stream) into 1-hour buckets.
 var DefaultRollupResolutions = []time.Duration{5 * time.Minute, time.Hour}
 
 // Timeline is the flight recorder: a fixed-capacity ring-buffer
-// time-series store fed by periodically sampling a Registry on its own
+// time-series store (MaxTimelineSeries series of DefaultTimelineCapacity
+// samples each) fed by periodically sampling a Registry on its own
 // clock. Each counter and gauge becomes one series; each histogram
 // contributes p50 and p95 series ("<name>.p50", "<name>.p95"). When a
 // ring fills, the oldest sample is overwritten — the recorder always
@@ -125,69 +129,37 @@ var DefaultRollupResolutions = []time.Duration{5 * time.Minute, time.Hour}
 // concurrent use (live mode samples from a ticker goroutine while HTTP
 // scrapes read).
 type Timeline struct {
-	mu        sync.Mutex
-	reg       *Registry
-	cap       int
-	series    map[string]*tlSeries
-	samples   uint64
-	rollups   []*rollupTier
-	maxSeries int // 0 = unbounded
-	evicted   uint64
-	evictedC  *Counter // telemetry.timeline.evicted; nil without a registry
+	mu       sync.Mutex
+	reg      *Registry
+	series   map[string]*tlSeries
+	samples  uint64
+	rollups  []*rollupTier
+	evicted  uint64
+	evictedC *Counter // telemetry.timeline.evicted; nil without a registry
 }
 
-// NewTimeline creates a flight recorder over reg retaining up to
-// capacity samples per series (DefaultTimelineCapacity when <= 0).
-func NewTimeline(reg *Registry, capacity int) *Timeline {
-	if capacity <= 0 {
-		capacity = DefaultTimelineCapacity
-	}
-	tl := &Timeline{reg: reg, cap: capacity, series: make(map[string]*tlSeries)}
+// NewTimeline creates a flight recorder over reg.
+func NewTimeline(reg *Registry) *Timeline {
+	tl := &Timeline{reg: reg, series: make(map[string]*tlSeries)}
 	if reg != nil {
 		tl.evictedC = reg.Counter("telemetry.timeline.evicted")
 	}
 	return tl
 }
 
-// Capacity returns the per-series ring size.
-func (tl *Timeline) Capacity() int { return tl.cap }
-
-// EnableRollup arms time-based downsampling: every raw sample also
-// feeds one accumulator per resolution tier, and each completed bucket
-// (a sample landed past its end) pushes one aggregated point onto that
-// tier's own ring of up to capacity points (the raw ring's capacity
-// when <= 0). With no resolutions given the 5m/1h defaults apply.
-// Bucket boundaries are pure functions of the sample clock, so rolled-
-// up timelines are as deterministic as raw ones. Call before sampling
-// starts; the bucket still accumulating is not exported.
-func (tl *Timeline) EnableRollup(capacity int, resolutions ...time.Duration) {
-	if capacity <= 0 {
-		capacity = tl.cap
-	}
-	if len(resolutions) == 0 {
-		resolutions = DefaultRollupResolutions
-	}
+// EnableRollup arms time-based downsampling at DefaultRollupResolutions:
+// every raw sample also feeds one accumulator per resolution tier, and
+// each completed bucket (a sample landed past its end) pushes one
+// aggregated point onto that tier's own ring of DefaultTimelineCapacity
+// points. Bucket boundaries are pure functions of the sample clock, so
+// rolled-up timelines are as deterministic as raw ones. Call before
+// sampling starts; the bucket still accumulating is not exported.
+func (tl *Timeline) EnableRollup() {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	for _, res := range resolutions {
-		if res <= 0 {
-			continue
-		}
-		tl.rollups = append(tl.rollups, &rollupTier{
-			res: res, cap: capacity, series: make(map[string]*rollupSeries)})
+	for _, res := range DefaultRollupResolutions {
+		tl.rollups = append(tl.rollups, &rollupTier{res: res, series: make(map[string]*rollupSeries)})
 	}
-}
-
-// SetMaxSeries caps how many distinct series the recorder tracks (0 =
-// unbounded, the default). Samples for series beyond the cap are not
-// recorded and are counted in the registry's
-// "telemetry.timeline.evicted" counter. Live mode sets a cap by
-// default; a runaway metric-name cardinality then costs a counter, not
-// the process.
-func (tl *Timeline) SetMaxSeries(n int) {
-	tl.mu.Lock()
-	tl.maxSeries = n
-	tl.mu.Unlock()
 }
 
 // Evicted returns how many samples were refused by the series cap.
@@ -207,14 +179,12 @@ func (tl *Timeline) Samples() uint64 {
 func (tl *Timeline) record(name, kind string, p Point) {
 	s, ok := tl.series[name]
 	if !ok {
-		if tl.maxSeries > 0 && len(tl.series) >= tl.maxSeries {
+		if len(tl.series) >= MaxTimelineSeries {
 			tl.evicted++
-			if tl.evictedC != nil {
-				tl.evictedC.Inc()
-			}
+			tl.evictedC.Inc()
 			return
 		}
-		s = &tlSeries{kind: kind, buf: make([]Point, tl.cap)}
+		s = &tlSeries{kind: kind, buf: make([]Point, DefaultTimelineCapacity)}
 		tl.series[name] = s
 	}
 	s.push(p)
@@ -310,7 +280,7 @@ func (tl *Timeline) Dump() TimelineDump {
 		d.At = tl.reg.Clock()()
 	}
 	d.Samples = tl.Samples()
-	d.Capacity = tl.cap
+	d.Capacity = DefaultTimelineCapacity
 	d.Series = tl.Series()
 	d.Rollups = tl.rollupDumps()
 	return d
@@ -323,7 +293,7 @@ func (tl *Timeline) rollupDumps() []RollupDump {
 	defer tl.mu.Unlock()
 	var out []RollupDump
 	for _, rt := range tl.rollups {
-		rd := RollupDump{Resolution: rt.res, Capacity: rt.cap, Series: []Series{}}
+		rd := RollupDump{Resolution: rt.res, Capacity: DefaultTimelineCapacity, Series: []Series{}}
 		names := make([]string, 0, len(rt.series))
 		for n, rs := range rt.series {
 			if rs.ring.n > 0 {

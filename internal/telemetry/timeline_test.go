@@ -15,16 +15,17 @@ func TestTimelineRecordsAndRolls(t *testing.T) {
 	g := reg.Gauge("a.gauge")
 	h := reg.Sketch("a.hist")
 
-	tl := NewTimeline(reg, 4)
-	for i := 1; i <= 6; i++ {
+	tl := NewTimeline(reg)
+	const n = DefaultTimelineCapacity + 2
+	for i := 1; i <= n; i++ {
 		now = time.Duration(i) * time.Second
 		c.Inc()
 		g.Set(float64(i))
 		h.Observe(float64(i))
 		tl.Sample()
 	}
-	if got := tl.Samples(); got != 6 {
-		t.Fatalf("samples = %d, want 6", got)
+	if got := tl.Samples(); got != n {
+		t.Fatalf("samples = %d, want %d", got, n)
 	}
 
 	series := tl.Series()
@@ -37,8 +38,8 @@ func TestTimelineRecordsAndRolls(t *testing.T) {
 		if s.Name != wantNames[i] {
 			t.Errorf("series[%d] = %q, want %q", i, s.Name, wantNames[i])
 		}
-		if len(s.Points) != 4 {
-			t.Errorf("%s retained %d points, want capacity 4", s.Name, len(s.Points))
+		if len(s.Points) != DefaultTimelineCapacity {
+			t.Errorf("%s retained %d points, want capacity %d", s.Name, len(s.Points), DefaultTimelineCapacity)
 		}
 	}
 
@@ -58,10 +59,7 @@ func TestTimelineRecordsAndRolls(t *testing.T) {
 func TestTimelineDumpJSON(t *testing.T) {
 	reg := NewRegistry(nil)
 	reg.Counter("x").Add(3)
-	tl := NewTimeline(reg, 0)
-	if tl.Capacity() != DefaultTimelineCapacity {
-		t.Fatalf("capacity = %d, want default %d", tl.Capacity(), DefaultTimelineCapacity)
-	}
+	tl := NewTimeline(reg)
 	tl.Sample()
 
 	var buf bytes.Buffer
@@ -72,7 +70,7 @@ func TestTimelineDumpJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
 		t.Fatalf("dump does not round-trip: %v", err)
 	}
-	if d.Samples != 1 || len(d.Series) != 2 || d.Series[0].Name != "telemetry.timeline.evicted" || d.Series[1].Name != "x" {
+	if d.Samples != 1 || d.Capacity != DefaultTimelineCapacity || len(d.Series) != 2 || d.Series[0].Name != "telemetry.timeline.evicted" || d.Series[1].Name != "x" {
 		t.Errorf("dump = %+v", d)
 	}
 
@@ -96,7 +94,7 @@ func TestTimelineDumpJSON(t *testing.T) {
 func TestTimelineConcurrent(t *testing.T) {
 	reg := NewRegistry(nil)
 	c := reg.Counter("n")
-	tl := NewTimeline(reg, 16)
+	tl := NewTimeline(reg)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

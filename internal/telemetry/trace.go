@@ -153,11 +153,10 @@ func (t *Trace) TimeToRecovery() (time.Duration, bool) {
 	return t.End - t.Start, true
 }
 
-// DefaultMaxTraces bounds retained completed traces unless SetRetention
-// chooses otherwise. Past the cap the OLDEST completed episode is
-// evicted — a long-lived live process keeps its most recent history,
-// which is the history an operator debugging it needs — and the
-// eviction is counted.
+// DefaultMaxTraces bounds retained completed traces. Past the cap the
+// OLDEST completed episode is evicted — a long-lived live process keeps
+// its most recent history, which is the history an operator debugging it
+// needs — and the eviction is counted.
 const DefaultMaxTraces = 4096
 
 // Tracer assembles violation traces. One violation per (subject, policy)
@@ -171,27 +170,16 @@ type Tracer struct {
 	seq    uint64
 	active map[traceKey]*Trace // (subject, policy) -> open trace
 	byID   map[string]*Trace   // trace ID -> open trace (same values)
-	// done holds retained completed traces. Below the retention cap it
-	// is a plain oldest-first slice; at the cap it becomes a ring with
+	// done holds retained completed traces. Below DefaultMaxTraces it is
+	// a plain oldest-first slice; at the cap it becomes a ring with
 	// doneStart indexing the oldest episode, so eviction is one pointer
 	// store instead of shifting the whole slice per completion.
 	done      []*Trace
 	doneStart int
-	maxDone   int // retention cap on done; 0 = unbounded
 	evicted   uint64
 
-	// Tail-based sampling (off unless SetSampling arms it): recoveries
-	// faster than slowTTR are kept one in sampleEvery; abandoned episodes
-	// and slow recoveries are always kept.
-	sampleEvery     int
-	slowTTR         time.Duration
-	fastSeen        uint64
-	sampledOut      uint64 // traces dropped by sampling
-	sampledOutSpans uint64 // spans those traces carried
-
-	// Retention counters; nil until SetMetrics.
+	// evictedC counts evictions; nil until SetMetrics.
 	evictedC *Counter
-	sampledC *Counter
 }
 
 // NewTracer creates a tracer on the given clock.
@@ -199,54 +187,25 @@ func NewTracer(clock Clock) *Tracer {
 	if clock == nil {
 		clock = func() time.Duration { return 0 }
 	}
-	return &Tracer{clock: clock, maxDone: DefaultMaxTraces,
+	return &Tracer{clock: clock,
 		active: make(map[traceKey]*Trace), byID: make(map[string]*Trace)}
 }
 
-// SetRetention caps retained completed traces at n, evicting oldest
-// first; n <= 0 opts in to unbounded retention (every completed episode
-// kept for the life of the process).
-func (tr *Tracer) SetRetention(n int) {
-	tr.mu.Lock()
-	if n < 0 {
-		n = 0
-	}
-	tr.maxDone = n
-	tr.unrollLocked() // future appends assume a flat oldest-first slice
-	tr.mu.Unlock()
-}
-
-// SetSampling arms tail-based trace sampling: a recovery with
-// time-to-recovery under slow is kept one in every n completions (the
-// rest are dropped whole and their spans counted in
-// telemetry.traces.sampled_out). Episodes that end abandoned, and
-// recoveries at or above slow, are ALWAYS kept — the violations worth
-// debugging are never sampled away. n <= 1 keeps everything; slow <= 0
-// subjects every recovery to sampling.
-func (tr *Tracer) SetSampling(n int, slow time.Duration) {
-	tr.mu.Lock()
-	tr.sampleEvery = n
-	tr.slowTTR = slow
-	tr.mu.Unlock()
-}
-
-// SetMetrics registers the tracer's retention counters
-// (telemetry.traces.evicted, telemetry.traces.sampled_out) on reg. A
-// nil reg detaches them.
+// SetMetrics registers the tracer's retention counter
+// (telemetry.traces.evicted) on reg. A nil reg detaches it.
 func (tr *Tracer) SetMetrics(reg *Registry) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	tr.evictedC, tr.sampledC = nil, nil
+	tr.evictedC = nil
 	if reg != nil {
 		tr.evictedC = reg.Counter("telemetry.traces.evicted")
-		tr.sampledC = reg.Counter("telemetry.traces.sampled_out")
 	}
 }
 
 // doneAppend retains a completed trace, evicting the oldest retained
 // episode when the cap is reached. Caller holds mu.
 func (tr *Tracer) doneAppend(t *Trace) {
-	if tr.maxDone > 0 && len(tr.done) >= tr.maxDone {
+	if len(tr.done) >= DefaultMaxTraces {
 		// Ring overwrite: done[doneStart] is the oldest retained
 		// episode; replace it and advance the start.
 		tr.done[tr.doneStart] = t
@@ -255,49 +214,10 @@ func (tr *Tracer) doneAppend(t *Trace) {
 			tr.doneStart = 0
 		}
 		tr.evicted++
-		if tr.evictedC != nil {
-			tr.evictedC.Inc()
-		}
+		tr.evictedC.Inc()
 		return
 	}
 	tr.done = append(tr.done, t)
-}
-
-// unrollLocked rotates the completed-trace ring back to a flat
-// oldest-first slice. Only a retention change needs it — the ring can
-// only be wrapped while pinned at the cap, and appends only happen
-// below it. Caller holds mu.
-func (tr *Tracer) unrollLocked() {
-	if tr.doneStart == 0 {
-		return
-	}
-	flat := make([]*Trace, 0, len(tr.done))
-	flat = append(flat, tr.done[tr.doneStart:]...)
-	flat = append(flat, tr.done[:tr.doneStart]...)
-	tr.done = flat
-	tr.doneStart = 0
-}
-
-// sampleOut reports whether a just-recovered trace should be dropped by
-// the sampling policy, doing the bookkeeping when it is. Caller holds mu.
-func (tr *Tracer) sampleOut(t *Trace) bool {
-	if tr.sampleEvery <= 1 {
-		return false
-	}
-	if tr.slowTTR > 0 && t.End-t.Start >= tr.slowTTR {
-		return false // slow recovery: always kept
-	}
-	seq := tr.fastSeen
-	tr.fastSeen++
-	if seq%uint64(tr.sampleEvery) == 0 {
-		return false // the kept representative of this sampling stride
-	}
-	tr.sampledOut++
-	tr.sampledOutSpans += uint64(len(t.Spans))
-	if tr.sampledC != nil {
-		tr.sampledC.Add(uint64(len(t.Spans)))
-	}
-	return true
 }
 
 // traceKey identifies the one trace that may be open per violation.
@@ -463,9 +383,6 @@ func (tr *Tracer) Resolve(subject, policy string) {
 	tr.addSpan(t, 1, "", StageRecovered, "", now)
 	t.End = now
 	t.Recovered = true
-	if tr.sampleOut(t) {
-		return
-	}
 	tr.doneAppend(t)
 }
 
@@ -607,11 +524,3 @@ func (tr *Tracer) Evicted() uint64 {
 
 // Dropped is a legacy alias for Evicted.
 func (tr *Tracer) Dropped() uint64 { return tr.Evicted() }
-
-// SampledOut returns how many completed traces the sampling policy
-// discarded.
-func (tr *Tracer) SampledOut() uint64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.sampledOut
-}

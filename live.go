@@ -198,9 +198,6 @@ type LiveCoordinator struct {
 	faults  *faults.Transport // nil unless built with a fault plan
 	start   time.Time
 	regDone chan error
-
-	mu          sync.Mutex
-	onDirective func(Directive)
 }
 
 // NewLiveCoordinator creates a live coordinator for the identified
@@ -285,9 +282,6 @@ func (lc *LiveCoordinator) ClearFaults() {
 	}
 }
 
-// SetRetryPolicy overrides the transport's send retry/backoff schedule.
-func (lc *LiveCoordinator) SetRetryPolicy(b msg.Backoff) { lc.nt.SetRetryPolicy(b) }
-
 // Resilience reports the transport's self-healing counters: retried
 // sends, re-established connections, and sends that failed after
 // exhausting retries.
@@ -309,15 +303,9 @@ func (lc *LiveCoordinator) Route(mgmtAddr, tcpAddr string) { lc.nt.Route(mgmtAdd
 // (Tick/Set/Flush) inside Sync so the coordinator stays single-threaded.
 func (lc *LiveCoordinator) Sync(fn func()) { lc.nt.Sync(fn) }
 
-// SetOnDirective installs a hook for directives other than "actuate"
-// (which is handled by the coordinator's actuator registry).
-func (lc *LiveCoordinator) SetOnDirective(fn func(Directive)) {
-	lc.mu.Lock()
-	lc.onDirective = fn
-	lc.mu.Unlock()
-}
-
-// handle processes inbound management messages on the dispatcher.
+// handle processes inbound management messages on the dispatcher: the
+// registration reply, and "actuate" directives for the coordinator's
+// actuator registry. Other directives are not addressed to a process.
 func (lc *LiveCoordinator) handle(m msg.Message) {
 	switch b := m.Body.(type) {
 	case msg.PolicySet, msg.Nack:
@@ -329,13 +317,6 @@ func (lc *LiveCoordinator) handle(m msg.Message) {
 	case msg.Directive:
 		if b.Action == "actuate" {
 			_ = lc.Coordinator.HandleMessage(m)
-			return
-		}
-		lc.mu.Lock()
-		hook := lc.onDirective
-		lc.mu.Unlock()
-		if hook != nil {
-			hook(b)
 		}
 	}
 }

@@ -96,9 +96,10 @@ func TestLivePolicyRollout(t *testing.T) {
 
 	// The live policy server: repository TCP endpoint + delta hub +
 	// canary controller. A short bake and a 5s fast window keep the
-	// promote/rollback decisions inside test time.
+	// promote/rollback decisions inside test time; with one host the
+	// canary cohort is that host.
 	lps, err := ServeLivePolicy("127.0.0.1:0", dir, svc, RolloutConfig{
-		CanaryFraction: 1.0, Bake: 1500 * time.Millisecond})
+		Bake: 1500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestLiveSLOCompliance(t *testing.T) {
 
 	// The full live surface: flight recorder + miner sampled on the wall
 	// clock, SLO windows short enough for a test to move them.
-	tl := telemetry.NewTimeline(reg, 64)
+	tl := telemetry.NewTimeline(reg)
 	miner := telemetry.NewLoopMiner(reg)
 	stopSampler := export.StartSampler(100*time.Millisecond, tl, miner, tracer)
 	defer stopSampler()

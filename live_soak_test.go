@@ -7,7 +7,6 @@ import (
 	"softqos/internal/faults"
 	"softqos/internal/instrument"
 	"softqos/internal/manager"
-	"softqos/internal/msg"
 	"softqos/internal/telemetry"
 )
 
@@ -69,12 +68,6 @@ func TestLiveSoak(t *testing.T) {
 		Application: "VideoApplication", UserRole: "viewer",
 	}, agent.Addr(), mgrAddr, liveSoakPlan())
 	defer coord.Close()
-	// Fast backoff so the manager-down window costs milliseconds, not
-	// the default schedule's patience.
-	coord.SetRetryPolicy(msg.Backoff{
-		Base: 200 * time.Microsecond, Factor: 2, Cap: 2 * time.Millisecond,
-		Attempts: 3, Jitter: 0.5,
-	})
 	reg := telemetry.NewRegistry(coord.WallClock())
 	tracer := telemetry.NewTracer(coord.WallClock())
 	coord.SetTelemetry(reg, tracer)

@@ -10,8 +10,8 @@ import (
 
 // Rollout API (re-exported from the repository layer).
 type (
-	// RolloutConfig tunes the canary state machine (cohort fraction,
-	// bake period, burn-rate limit).
+	// RolloutConfig tunes the canary state machine's bake period; its
+	// cohort fraction (0.2) and burn-rate limit (1.0) are fixed.
 	RolloutConfig = repository.RolloutConfig
 	// RolloutStatus is one rollout's externally visible state — what
 	// policyctl status prints and /debug/qos exports.
