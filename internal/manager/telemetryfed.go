@@ -68,16 +68,14 @@ func (e *SummaryExporter) tick() {
 }
 
 // FlushNow closes the current window immediately: an empty window ships
-// nothing (and counts as skipped), anything else ships one summary and
-// resets the accumulator.
+// nothing (and counts as skipped), anything else ships one summary.
 func (e *SummaryExporter) FlushNow() error {
-	if e.sum.Empty() {
+	counters, maxima, sketches, ok := e.sum.Drain()
+	if !ok {
 		e.Skipped++
 		return nil
 	}
 	e.seq++
-	counters, maxima, sketches := e.sum.Export()
-	e.sum.Reset()
 	e.Exported++
 	return e.send(e.parent, msg.Message{From: e.addr, Body: msg.TelemetrySummary{
 		Tier: e.tier, Source: e.addr, Seq: e.seq, Hosts: 1,
@@ -220,29 +218,25 @@ func (g *SummaryAggregator) child(source string) *childAgg {
 	return c
 }
 
+// timerFlush ships the window's merged aggregate one tier up as a single
+// summary covering every host whose telemetry it merged; an empty window
+// ships nothing.
 func (g *SummaryAggregator) timerFlush() {
 	g.armed = false
-	if !g.win.Empty() {
-		_ = g.flush()
+	counters, maxima, sketches, ok := g.win.Drain()
+	if !ok {
+		return
 	}
-}
-
-// flush ships the window's merged aggregate one tier up as a single
-// summary covering every host whose telemetry it merged.
-func (g *SummaryAggregator) flush() error {
 	var hosts uint64
 	for _, n := range g.winHosts {
 		hosts += n
 	}
-	for k := range g.winHosts {
-		delete(g.winHosts, k)
-	}
+	clear(g.winHosts)
 	g.seq++
-	counters, maxima, sketches := g.win.Export()
-	g.win.Reset()
 	g.Flushes++
 	g.cFlushes.Inc()
-	return g.send(g.parent, msg.Message{From: g.addr, Body: msg.TelemetrySummary{
+	// A timer callback has no caller to hand a send error to.
+	_ = g.send(g.parent, msg.Message{From: g.addr, Body: msg.TelemetrySummary{
 		Tier: g.tier, Source: g.addr, Seq: g.seq, Hosts: hosts,
 		Counters: counters, Maxima: maxima, Sketches: sketches,
 	}})

@@ -53,8 +53,8 @@ func TestSummaryExporterPeriodicFlush(t *testing.T) {
 	if first.Tier != "host" || first.Source != "/h1" || first.Seq != 1 || first.Hosts != 1 {
 		t.Fatalf("first summary header wrong: %+v", first)
 	}
-	if first.Counters["fleet.samples"] != 1 || len(first.Sketches) != 1 ||
-		first.Sketches[0].Sketch.Count != 1 {
+	if len(first.Counters) != 1 || first.Counters[0] != (telemetry.NamedValue{Name: "fleet.samples", Value: 1}) ||
+		len(first.Sketches) != 1 || first.Sketches[0].Sketch.Count != 1 {
 		t.Fatalf("first summary payload wrong: %+v", first)
 	}
 	// The second shipped window contains only the second observation —
@@ -92,8 +92,8 @@ func TestSummaryAggregatorForwardsMergedWindow(t *testing.T) {
 		}
 		return msg.TelemetrySummary{
 			Tier: "host", Source: src, Seq: 1, Hosts: 1,
-			Counters: map[string]float64{"fleet.samples": samples},
-			Maxima:   map[string]float64{"fleet.cpu_load_max": load[0]},
+			Counters: []telemetry.NamedValue{{Name: "fleet.samples", Value: samples}},
+			Maxima:   []telemetry.NamedValue{{Name: "fleet.cpu_load_max", Value: load[0]}},
 			Sketches: []telemetry.NamedSketchSnapshot{{Name: "fleet.load", Sketch: sk.Snapshot()}},
 		}
 	}
@@ -112,11 +112,11 @@ func TestSummaryAggregatorForwardsMergedWindow(t *testing.T) {
 	if up.Tier != "domain" || up.Source != "/d1" || up.Hosts != 2 {
 		t.Fatalf("upward summary header: %+v", up)
 	}
-	if up.Counters["fleet.samples"] != 5 {
-		t.Errorf("merged counter = %v, want 5", up.Counters["fleet.samples"])
+	if len(up.Counters) != 1 || up.Counters[0] != (telemetry.NamedValue{Name: "fleet.samples", Value: 5}) {
+		t.Errorf("merged counters = %v, want fleet.samples 5", up.Counters)
 	}
-	if up.Maxima["fleet.cpu_load_max"] != 3.0 {
-		t.Errorf("merged max = %v, want 3.0", up.Maxima["fleet.cpu_load_max"])
+	if len(up.Maxima) != 1 || up.Maxima[0] != (telemetry.NamedValue{Name: "fleet.cpu_load_max", Value: 3}) {
+		t.Errorf("merged maxima = %v, want fleet.cpu_load_max 3", up.Maxima)
 	}
 	if len(up.Sketches) != 1 || up.Sketches[0].Sketch.Count != 5 {
 		t.Errorf("merged sketch: %+v", up.Sketches)
@@ -142,7 +142,7 @@ func TestSummaryAggregatorTerminal(t *testing.T) {
 	domainSummary := func(src string, hosts uint64, samples float64) msg.TelemetrySummary {
 		return msg.TelemetrySummary{
 			Tier: "domain", Source: src, Seq: 1, Hosts: hosts,
-			Counters: map[string]float64{"fleet.samples": samples},
+			Counters: []telemetry.NamedValue{{Name: "fleet.samples", Value: samples}},
 		}
 	}
 	s.Schedule(sim.Time(1*time.Second), func() { g.Ingest(domainSummary("/d1", 20, 100)) })
@@ -185,7 +185,7 @@ func TestSummaryAggregatorCountersInRegistry(t *testing.T) {
 	g.SetTelemetry(reg)
 	s.Schedule(sim.Time(0), func() {
 		g.Ingest(msg.TelemetrySummary{Tier: "host", Source: "/h", Seq: 1,
-			Counters: map[string]float64{"c": 1}})
+			Counters: []telemetry.NamedValue{{Name: "c", Value: 1}}})
 	})
 	s.RunFor(30 * time.Second)
 
@@ -243,4 +243,36 @@ func TestSummaryRoundTripThroughCodec(t *testing.T) {
 	if p50, ok := merged.Quantile(0.5); !ok || p50 <= 0 {
 		t.Fatalf("round-tripped sketch has no quantiles (p50=%v)", p50)
 	}
+}
+
+// TestSummaryExporterFlushAllocations pins the per-window cost of a host
+// exporter: filling a window of 10 samples (3 counters, 1 maximum, 2
+// sketches) allocates nothing once its names are known, and the flush
+// allocates only the shipped message — its exact-size lists, one bucket
+// array per live sketch and the boxed body.
+func TestSummaryExporterFlushAllocations(t *testing.T) {
+	send := func(string, msg.Message) error { return nil }
+	e := NewSummaryExporter("host", "/h1", "/parent", send, 0, func(time.Duration, func()) {})
+	sum := e.Summary()
+	load, lat := sum.Sketch("fleet.load"), sum.Sketch("fleet.detect_adapt_ns")
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 10; i++ {
+			v := 0.4 + float64(i)*0.3
+			load.Observe(v)
+			sum.SetMax("fleet.cpu_load_max", v)
+			sum.AddCounter("fleet.samples", 1)
+			if i%5 == 0 {
+				sum.AddCounter("fleet.alarms_raised", 1)
+				sum.AddCounter("fleet.adaptations", 1)
+				lat.ObserveDuration(time.Duration(i+1) * time.Millisecond)
+			}
+		}
+		if err := e.FlushNow(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 7 {
+		t.Fatalf("fill + FlushNow allocated %v times per window, want <= 7", allocs)
+	}
+	t.Logf("fill + FlushNow: %v allocations per window", allocs)
 }

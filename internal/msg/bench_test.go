@@ -68,9 +68,10 @@ func benchSummary() Message {
 	}
 	return Message{From: "/h042/QoSHostManager", Body: TelemetrySummary{
 		Tier: "host", Source: "/h042/QoSHostManager", Seq: 73, Hosts: 1,
-		Counters: map[string]float64{
-			"fleet.alarms_raised": 3, "fleet.adaptations": 2, "fleet.samples": 200},
-		Maxima: map[string]float64{"fleet.cpu_load_max": 8.4},
+		Counters: []telemetry.NamedValue{
+			{Name: "fleet.adaptations", Value: 2}, {Name: "fleet.alarms_raised", Value: 3},
+			{Name: "fleet.samples", Value: 200}},
+		Maxima: []telemetry.NamedValue{{Name: "fleet.cpu_load_max", Value: 8.4}},
 		Sketches: []telemetry.NamedSketchSnapshot{
 			{Name: "fleet.load", Sketch: sk.Snapshot()},
 			{Name: "fleet.detect_adapt_ns", Sketch: lat.Snapshot()},

@@ -22,9 +22,8 @@ type BusHandler = func(Message)
 // address pair. It models the prototype's message queues (same host) and
 // management sockets (cross host).
 type Bus struct {
-	sim      *sim.Simulator
-	handlers map[string]BusHandler
-	hostOf   map[string]string // address -> host, for latency selection
+	sim       *sim.Simulator
+	endpoints map[string]*busEndpoint
 
 	localDelay  time.Duration
 	remoteDelay time.Duration
@@ -35,6 +34,14 @@ type Bus struct {
 	DroppedInvalid uint64 // decoded but failed Validate
 
 	metrics *busMetrics
+}
+
+// busEndpoint is one address of the bus. Unbind clears it but keeps it
+// in place, so a message in flight to the address reaches whatever
+// handler is bound there when it arrives.
+type busEndpoint struct {
+	h    BusHandler // nil while unbound
+	host string     // for latency selection; "" while unbound
 }
 
 // busMetrics holds the bus transport's pre-resolved metric handles.
@@ -52,8 +59,7 @@ type busMetrics struct {
 func NewBus(s *sim.Simulator, localDelay, remoteDelay time.Duration) *Bus {
 	return &Bus{
 		sim:         s,
-		handlers:    make(map[string]BusHandler),
-		hostOf:      make(map[string]string),
+		endpoints:   make(map[string]*busEndpoint),
 		localDelay:  localDelay,
 		remoteDelay: remoteDelay,
 	}
@@ -85,26 +91,31 @@ func (b *Bus) SetMetrics(reg *telemetry.Registry) {
 // Bind attaches a handler to an address located on host. Rebinding an
 // address replaces the handler (used when a manager restarts).
 func (b *Bus) Bind(addr, host string, h BusHandler) {
-	b.handlers[addr] = h
-	b.hostOf[addr] = host
+	if ep := b.endpoints[addr]; ep != nil {
+		ep.h, ep.host = h, host
+		return
+	}
+	b.endpoints[addr] = &busEndpoint{h: h, host: host}
 }
 
-// Unbind removes an address; in-flight messages to it are dropped at
-// delivery time.
+// Unbind removes an address's handler; in-flight messages to it are
+// dropped at delivery time unless the address is bound again first.
 func (b *Bus) Unbind(addr string) {
-	delete(b.handlers, addr)
-	delete(b.hostOf, addr)
+	if ep := b.endpoints[addr]; ep != nil {
+		*ep = busEndpoint{}
+	}
 }
 
 // Bound reports whether an address has a handler.
-func (b *Bus) Bound(addr string) bool { _, ok := b.handlers[addr]; return ok }
+func (b *Bus) Bound(addr string) bool { ep := b.endpoints[addr]; return ep != nil && ep.h != nil }
 
 // Send delivers m to addr after the transport latency. It returns an
 // error if the destination is not currently bound (so callers can detect
 // dead managers), but a destination that unbinds while the message is in
 // flight just drops it.
 func (b *Bus) Send(addr string, m Message) error {
-	if _, ok := b.handlers[addr]; !ok {
+	to := b.endpoints[addr]
+	if to == nil || to.h == nil {
 		return fmt.Errorf("msg: no handler bound at %q", addr)
 	}
 	if err := Validate(m); err != nil {
@@ -130,12 +141,12 @@ func (b *Bus) Send(addr string, m Message) error {
 		b.metrics.bytes.Add(frameLen(untraced))
 	}
 	delay := b.remoteDelay
-	if from, to := b.hostOf[m.From], b.hostOf[addr]; from != "" && from == to {
+	if from := b.endpoints[m.From]; from != nil && from.host != "" && from.host == to.host {
 		delay = b.localDelay
 	}
 	b.sim.After(delay, func() {
-		h, ok := b.handlers[addr]
-		if !ok {
+		h := to.h
+		if h == nil {
 			b.Dropped++
 			if b.metrics != nil {
 				b.metrics.dropped.Inc()

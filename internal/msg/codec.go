@@ -6,7 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"softqos/internal/telemetry"
@@ -277,19 +278,22 @@ func appendBinBool(dst []byte, v bool) []byte {
 // appendBinMap encodes a string→float64 map with keys sorted, so the
 // encoding is a pure function of the map's contents.
 func appendBinMap(dst []byte, m map[string]float64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(m)))
-	if len(m) == 0 {
-		return dst
+	var buf [8]telemetry.NamedValue // the maps of the live path hold 3 or 4 keys: sorted on the stack
+	vs := buf[:0]
+	for k, v := range m {
+		vs = append(vs, telemetry.NamedValue{Name: k, Value: v})
 	}
-	var buf [8]string // the maps of the live path hold 3 or 4 keys: sorted on the stack
-	keys := buf[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		dst = appendBinString(dst, k)
-		dst = appendBinF64(dst, m[k])
+	slices.SortFunc(vs, func(a, b telemetry.NamedValue) int { return strings.Compare(a.Name, b.Name) })
+	return appendBinValues(dst, vs)
+}
+
+// appendBinValues encodes a name/value list in its order; appendBinMap
+// writes a map as its name-sorted list.
+func appendBinValues(dst []byte, vs []telemetry.NamedValue) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(vs)))
+	for _, v := range vs {
+		dst = appendBinString(dst, v.Name)
+		dst = appendBinF64(dst, v.Value)
 	}
 	return dst
 }
@@ -422,8 +426,8 @@ func appendBinTelemetrySummary(dst []byte, b *TelemetrySummary) []byte {
 	dst = appendBinString(dst, b.Source)
 	dst = binary.AppendUvarint(dst, b.Seq)
 	dst = binary.AppendUvarint(dst, b.Hosts)
-	dst = appendBinMap(dst, b.Counters)
-	dst = appendBinMap(dst, b.Maxima)
+	dst = appendBinValues(dst, b.Counters)
+	dst = appendBinValues(dst, b.Maxima)
 	dst = binary.AppendUvarint(dst, uint64(len(b.Sketches)))
 	for i := range b.Sketches {
 		s := &b.Sketches[i]
@@ -615,15 +619,23 @@ func (r *binReader) f64() float64 {
 
 func (r *binReader) boolean() bool { return r.u8() != 0 }
 
-func (r *binReader) f64map() map[string]float64 {
+// count reads the length of a repeated structure whose entries cost at
+// least minBytes bytes each: a length the remaining bytes cannot hold is
+// corrupt, not a big allocation. It returns 0 once decoding has failed.
+func (r *binReader) count(minBytes int) uint64 {
 	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	// Each entry costs at least 1 (key length) + 8 (value) bytes, so a
-	// count the remaining bytes cannot hold is corrupt, not a big alloc.
-	if n > uint64(len(r.buf)-r.pos)/9 {
+	if r.err == nil && n > uint64((len(r.buf)-r.pos)/minBytes) {
 		r.fail(ErrTruncated)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
+func (r *binReader) f64map() map[string]float64 {
+	n := r.count(9) // >= 1 key length byte + 8 value bytes
+	if n == 0 {
 		return nil
 	}
 	m := make(map[string]float64, n)
@@ -637,13 +649,26 @@ func (r *binReader) f64map() map[string]float64 {
 	return m
 }
 
-func (r *binReader) strs() []string {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
+// values reads a name/value list in the order it was written; Validate
+// rejects one that is not sorted by name or repeats a name.
+func (r *binReader) values() []telemetry.NamedValue {
+	n := r.count(9) // >= 1 name length byte + 8 value bytes
+	if n == 0 {
 		return nil
 	}
-	if n > uint64(len(r.buf)-r.pos) { // each entry costs >= 1 byte
-		r.fail(ErrTruncated)
+	vs := make([]telemetry.NamedValue, 0, n)
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		vs = append(vs, telemetry.NamedValue{Name: r.name(), Value: r.f64()})
+	}
+	if r.err != nil {
+		return nil
+	}
+	return vs
+}
+
+func (r *binReader) strs() []string {
+	n := r.count(1)
+	if n == 0 {
 		return nil
 	}
 	ss := make([]string, 0, n)
@@ -660,31 +685,16 @@ func (r *binReader) strs() []string {
 // PolicyDelta payloads, with the same per-entry minimum-byte-cost
 // bounds checks as every other repeated structure.
 func (r *binReader) policies() []PolicySpec {
-	np := r.uvarint()
-	if r.err != nil || np == 0 {
-		return nil
-	}
-	if np > uint64(len(r.buf)-r.pos) { // each policy costs >= 1 byte
-		r.fail(ErrTruncated)
-		return nil
-	}
+	np := r.count(1)
 	var policies []PolicySpec
 	for i := uint64(0); i < np && r.err == nil; i++ {
 		p := PolicySpec{Name: r.name(), Connective: r.name()}
-		nc := r.uvarint()
-		if nc > uint64(len(r.buf)-r.pos)/11 { // >= 3 len bytes + 8 value bytes
-			r.fail(ErrTruncated)
-			break
-		}
+		nc := r.count(11) // >= 3 len bytes + 8 value bytes
 		for j := uint64(0); j < nc && r.err == nil; j++ {
 			p.Conditions = append(p.Conditions, CondSpec{
 				Attribute: r.name(), Sensor: r.name(), Op: r.name(), Value: r.f64()})
 		}
-		na := r.uvarint()
-		if na > uint64(len(r.buf)-r.pos)/3 { // >= 3 len bytes
-			r.fail(ErrTruncated)
-			break
-		}
+		na := r.count(3) // >= 3 len bytes
 		for j := uint64(0); j < na && r.err == nil; j++ {
 			p.Actions = append(p.Actions, ActionSpec{
 				Target: r.name(), Op: r.name(), Args: r.strs()})
@@ -749,54 +759,41 @@ func unmarshalBinaryPayload(payload []byte, tab *internTable) (string, Message, 
 		body = Heartbeat{ID: r.identity(), Seq: r.uvarint()}
 	case kindAlarmBatch:
 		ab := AlarmBatch{Tier: r.name()}
-		na := r.uvarint()
 		// Each entry costs at least an identity (5 string lengths + pid),
 		// policy + readings + suspect lengths, and two varints: 11 bytes.
-		if na > uint64(len(r.buf)-r.pos)/11 {
-			r.fail(ErrTruncated)
-		} else {
-			for i := uint64(0); i < na && r.err == nil; i++ {
-				ab.Alarms = append(ab.Alarms, BatchedAlarm{
-					Alarm: Alarm{ID: r.identity(), Policy: r.name(),
-						Readings: r.f64map(), Suspect: r.name()},
-					Count:    int(r.varint()),
-					Severity: int(r.varint()),
-				})
-			}
+		na := r.count(11)
+		for i := uint64(0); i < na && r.err == nil; i++ {
+			ab.Alarms = append(ab.Alarms, BatchedAlarm{
+				Alarm: Alarm{ID: r.identity(), Policy: r.name(),
+					Readings: r.f64map(), Suspect: r.name()},
+				Count:    int(r.varint()),
+				Severity: int(r.varint()),
+			})
 		}
 		ab.Summary = r.f64map()
 		body = ab
 	case kindTelemetrySummary:
 		ts := TelemetrySummary{Tier: r.name(), Source: r.name(),
 			Seq: r.uvarint(), Hosts: r.uvarint(),
-			Counters: r.f64map(), Maxima: r.f64map()}
-		ns := r.uvarint()
+			Counters: r.values(), Maxima: r.values()}
 		// Each sketch costs at least a name length, a count, three f64s
 		// (sum/min/max), zero, base and a bucket count: 29 bytes.
-		if ns > uint64(len(r.buf)-r.pos)/29 {
-			r.fail(ErrTruncated)
-		} else {
-			for i := uint64(0); i < ns && r.err == nil; i++ {
-				s := telemetry.NamedSketchSnapshot{Name: r.name()}
-				s.Sketch.Count = r.uvarint()
-				s.Sketch.Sum = r.f64()
-				s.Sketch.Min = r.f64()
-				s.Sketch.Max = r.f64()
-				s.Sketch.Zero = r.uvarint()
-				s.Sketch.Base = int(r.varint())
-				nc := r.uvarint()
-				if nc > uint64(len(r.buf)-r.pos) { // each bucket costs >= 1 byte
-					r.fail(ErrTruncated)
-					break
+		ns := r.count(29)
+		for i := uint64(0); i < ns && r.err == nil; i++ {
+			s := telemetry.NamedSketchSnapshot{Name: r.name()}
+			s.Sketch.Count = r.uvarint()
+			s.Sketch.Sum = r.f64()
+			s.Sketch.Min = r.f64()
+			s.Sketch.Max = r.f64()
+			s.Sketch.Zero = r.uvarint()
+			s.Sketch.Base = int(r.varint())
+			if nc := r.count(1); nc > 0 { // each bucket costs >= 1 byte
+				s.Sketch.Counts = make([]uint64, 0, nc)
+				for j := uint64(0); j < nc && r.err == nil; j++ {
+					s.Sketch.Counts = append(s.Sketch.Counts, r.uvarint())
 				}
-				if nc > 0 {
-					s.Sketch.Counts = make([]uint64, 0, nc)
-					for j := uint64(0); j < nc && r.err == nil; j++ {
-						s.Sketch.Counts = append(s.Sketch.Counts, r.uvarint())
-					}
-				}
-				ts.Sketches = append(ts.Sketches, s)
 			}
+			ts.Sketches = append(ts.Sketches, s)
 		}
 		body = ts
 	default:

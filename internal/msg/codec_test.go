@@ -2,6 +2,7 @@ package msg
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -51,8 +52,9 @@ func codecCorpus() []Message {
 			Summary: map[string]float64{"domain_saturation": 0}}},
 		{From: "/h/hm-3", Trace: telemetry.TraceContext{TraceID: "/h/app/x/1#9", Span: 2},
 			Body: TelemetrySummary{Tier: "host", Source: "/h/hm-3", Seq: 12, Hosts: 1,
-				Counters: map[string]float64{"fleet.alarms_raised": 3, "ünïcode": -0.5},
-				Maxima:   map[string]float64{"fleet.cpu_load_max": 7.25},
+				Counters: []telemetry.NamedValue{
+					{Name: "fleet.alarms_raised", Value: 3}, {Name: "ünïcode", Value: -0.5}},
+				Maxima: []telemetry.NamedValue{{Name: "fleet.cpu_load_max", Value: 7.25}},
 				Sketches: []telemetry.NamedSketchSnapshot{
 					{Name: "fleet.load", Sketch: telemetry.SketchSnapshot{
 						Count: 7, Sum: 21.5, Min: 0, Max: 9.5, Zero: 2,
@@ -230,4 +232,28 @@ func TestBinaryEncodingDeterministic(t *testing.T) {
 			t.Fatalf("iteration %d: encoding varied:\n%x\n%x", i, first, again)
 		}
 	}
+}
+
+// summaryFrameHex is the corpus's traced host summary (Seq 12) as a frame
+// to "/dest/addr", recorded when Counters and Maxima were maps encoded in
+// sorted key order: the name-sorted lists must write the same bytes.
+const summaryFrameHex = "bf01dd010c072f682f686d2d330a2f646573742f61646472010c2f682f6170702f782f3123390404686f7374072f682f686d2d330c010213666c6565742e616c61726d735f726169736564000000000000084009c3bc6ec3af636f6465000000000000e0bf0112666c6565742e6370755f6c6f61645f6d61780000000000001d40020a666c6565742e6c6f6164070000000000803540000000000000000000000000000023400205040100030115666c6565742e6465746563745f61646170745f6e730100000000d012534100000000d012534100000000d012534100fa040101"
+
+// TestTelemetrySummaryFramePinned: the summary frame is byte-identical to
+// the one the map-based body encoded.
+func TestTelemetrySummaryFramePinned(t *testing.T) {
+	for _, m := range codecCorpus() {
+		if ts, ok := m.Body.(TelemetrySummary); !ok || ts.Seq != 12 {
+			continue
+		}
+		data, err := MarshalWire(WireBinary, "/dest/addr", m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(data); got != summaryFrameHex {
+			t.Fatalf("summary frame changed:\n got %s\nwant %s", got, summaryFrameHex)
+		}
+		return
+	}
+	t.Fatal("corpus lost its host summary")
 }

@@ -70,7 +70,7 @@ func oneOfEach() []Message {
 		{From: "/h/src", Body: AlarmBatch{Tier: "host",
 			Alarms: []BatchedAlarm{{Alarm: Alarm{ID: id, Policy: "P"}, Count: 2}}}},
 		{From: "/h/src", Body: TelemetrySummary{Tier: "host", Source: "/h/src", Seq: 1,
-			Counters: map[string]float64{"fleet.alarms_raised": 1}}},
+			Counters: []telemetry.NamedValue{{Name: "fleet.alarms_raised", Value: 1}}}},
 		{From: "/h/src", Body: PolicyDelta{Generation: 2, Prev: 1,
 			Executable: "x", Scope: "fleet"}},
 	}
@@ -177,6 +177,15 @@ func TestTransportConformance(t *testing.T) {
 					{From: "/h/src", Body: Query{From: "/h/src", Ref: "q"}}, // no keys
 					{From: "/h/src", Body: Directive{Target: "frame_skip"}}, // no action
 					{From: "/h/src", Body: &Ack{}},                          // bodies are values
+					// Summary names must strictly increase.
+					{From: "/h/src", Body: TelemetrySummary{Tier: "host", Source: "/h/src",
+						Counters: []telemetry.NamedValue{{Name: "b", Value: 1}, {Name: "a", Value: 2}}}},
+					{From: "/h/src", Body: TelemetrySummary{Tier: "host", Source: "/h/src",
+						Counters: []telemetry.NamedValue{{Name: "a", Value: 1}, {Name: "c", Value: 1}, {Name: "c", Value: 2}}}},
+					{From: "/h/src", Body: TelemetrySummary{Tier: "host", Source: "/h/src",
+						Maxima: []telemetry.NamedValue{{Name: "a", Value: 1}, {Name: "c", Value: 2}, {Name: "b", Value: 3}}}},
+					{From: "/h/src", Body: TelemetrySummary{Tier: "host", Source: "/h/src",
+						Maxima: []telemetry.NamedValue{{Name: "x", Value: 1}, {Name: "x", Value: 2}}}},
 				}
 				for i, m := range bad {
 					if err := tr.Send("/conf/sink", m); err == nil {

@@ -85,6 +85,15 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{binMagic, binVersion, 11, kindTelemetrySummary, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x7F})
 	f.Add(append(append([]byte{binMagic, binVersion, 41, kindTelemetrySummary, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
 		make([]byte, 24)...), 0, 0, 0xFF, 0x7F))
+	// A summary repeating a counter name: it decodes as written (Validate,
+	// not the decoder, refuses it), so it must re-encode byte-stably.
+	dup, err := MarshalWire(WireBinary, "/d", Message{From: "/h", Body: TelemetrySummary{
+		Tier: "host", Source: "/h", Seq: 1, Hosts: 1,
+		Counters: []telemetry.NamedValue{{Name: "n", Value: 1}, {Name: "n", Value: 2}}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dup)
 	f.Add([]byte(`{"type":"ack","body":{"ref":"r","ok":true}}`))
 	f.Add([]byte(`{"type":"nosuch","body":{}}`))
 	f.Add([]byte(`{"from":"fuzz","type":"hello","body":{"v":1}}`))
@@ -263,7 +272,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 					{Alarm: Alarm{ID: id, Policy: to}, Count: 1}},
 				Summary: map[string]float64{attr: val, to: -val}}},
 			{From: from, Body: TelemetrySummary{Tier: attr, Source: from, Seq: seq, Hosts: seq % (1 << 10),
-				Counters: map[string]float64{attr: val}, Maxima: map[string]float64{to: val},
+				Counters: []telemetry.NamedValue{{Name: attr, Value: val}, {Name: to, Value: -val}},
+				Maxima:   []telemetry.NamedValue{{Name: to, Value: val}},
 				Sketches: []telemetry.NamedSketchSnapshot{
 					{Name: attr, Sketch: telemetry.SketchSnapshot{Count: seq, Sum: val, Min: -val, Max: val,
 						Zero: seq % 3, Base: int(seq%2048) - 1024, Counts: []uint64{seq, 0, seq % 5}}},

@@ -173,14 +173,15 @@ type AlarmBatch struct {
 // without ever holding per-host state. Tier names the emitting tier
 // ("host", "domain"), Source the emitting management address, Seq the
 // sender's window sequence number, and Hosts how many hosts the
-// summary's window covers (1 for a host's own export).
+// summary's window covers (1 for a host's own export). Counters and
+// Maxima are sorted by name with no name repeated (Validate enforces it).
 type TelemetrySummary struct {
 	Tier     string                          `json:"tier"`
 	Source   string                          `json:"source"`
 	Seq      uint64                          `json:"seq"`
 	Hosts    uint64                          `json:"hosts,omitempty"`
-	Counters map[string]float64              `json:"counters,omitempty"`
-	Maxima   map[string]float64              `json:"maxima,omitempty"`
+	Counters []telemetry.NamedValue          `json:"counters,omitempty"`
+	Maxima   []telemetry.NamedValue          `json:"maxima,omitempty"`
 	Sketches []telemetry.NamedSketchSnapshot `json:"sketches,omitempty"`
 }
 

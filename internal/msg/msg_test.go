@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"softqos/internal/sim"
+	"softqos/internal/telemetry"
 )
 
 func TestMarshalRoundTripAllTypes(t *testing.T) {
@@ -142,6 +143,74 @@ func TestBusRebindReplacesHandler(t *testing.T) {
 	s.Run()
 	if got != "new" {
 		t.Errorf("handler = %q, want new", got)
+	}
+}
+
+// TestBusEndpointLifecycle: a message in flight is delivered to whatever
+// handler its address holds on arrival — a rebound one included — and is
+// dropped and counted if none; the local delay needs both ends bound on
+// one host at send time.
+func TestBusEndpointLifecycle(t *testing.T) {
+	s := sim.New(1)
+	b := NewBus(s, time.Millisecond, 5*time.Millisecond)
+	reg := telemetry.NewRegistry(nil)
+	b.SetMetrics(reg)
+	var got []string
+	b.Bind("/h1/src", "h1", func(Message) {})
+	b.Bind("/h1/mgr", "h1", func(Message) { got = append(got, "old") })
+	ack := Message{From: "/h1/src", Body: Ack{Ref: "x", OK: true}}
+
+	// Unbound and rebound while in flight: the new handler receives it.
+	if err := b.Send("/h1/mgr", ack); err != nil {
+		t.Fatal(err)
+	}
+	b.Unbind("/h1/mgr")
+	if b.Bound("/h1/mgr") {
+		t.Fatal("address still bound after Unbind")
+	}
+	b.Bind("/h1/mgr", "h1", func(Message) { got = append(got, "new") })
+	s.Run()
+	if len(got) != 1 || got[0] != "new" {
+		t.Fatalf("in-flight message reached %v, want [new]", got)
+	}
+
+	// Unbound for good while in flight: dropped and counted.
+	if err := b.Send("/h1/mgr", ack); err != nil {
+		t.Fatal(err)
+	}
+	b.Unbind("/h1/mgr")
+	s.Run()
+	if len(got) != 1 || b.Dropped != 1 || reg.Counter("msg.bus.dropped").Value() != 1 {
+		t.Fatalf("delivered %v, Dropped %d, msg.bus.dropped %d; want one drop",
+			got, b.Dropped, reg.Counter("msg.bus.dropped").Value())
+	}
+	if err := b.Send("/h1/mgr", ack); err == nil {
+		t.Fatal("send to an unbound address succeeded")
+	}
+
+	// Local delay only between two bound addresses on one host.
+	var at sim.Time
+	b.Bind("/h1/mgr", "h1", func(Message) { at = s.Now() })
+	nop := func(Message) {}
+	for _, tc := range []struct {
+		step  string
+		setup func()
+		delay time.Duration
+	}{
+		{"same host", func() {}, time.Millisecond},
+		{"source unbound", func() { b.Unbind("/h1/src") }, 5 * time.Millisecond},
+		{"source rebound on another host", func() { b.Bind("/h1/src", "h2", nop) }, 5 * time.Millisecond},
+		{"source rebound on the same host", func() { b.Bind("/h1/src", "h1", nop) }, time.Millisecond},
+	} {
+		tc.setup()
+		sent := s.Now()
+		if err := b.Send("/h1/mgr", ack); err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		if d := at.Duration() - sent.Duration(); d != tc.delay {
+			t.Errorf("%s: delivered after %v, want %v", tc.step, d, tc.delay)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package msg
 
-import "fmt"
+import (
+	"fmt"
+
+	"softqos/internal/telemetry"
+)
 
 // Validate checks the semantic invariants a decoded management message
 // must satisfy before a handler may see it: a known body type and the
@@ -117,6 +121,16 @@ func validateTelemetrySummary(t TelemetrySummary) error {
 	}
 	if t.Source == "" {
 		return fmt.Errorf("msg: telemetry summary without a source")
+	}
+	// Names strictly increase: the only order a summary's encoder has ever
+	// written, so a summary has one encoding.
+	for _, vs := range [][]telemetry.NamedValue{t.Counters, t.Maxima} {
+		for i := 1; i < len(vs); i++ {
+			if vs[i-1].Name >= vs[i].Name {
+				return fmt.Errorf("msg: summary value %q after %q: names unsorted or repeated",
+					vs[i].Name, vs[i-1].Name)
+			}
+		}
 	}
 	for i, s := range t.Sketches {
 		if s.Name == "" {

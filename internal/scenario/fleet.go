@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"softqos/internal/agent"
@@ -135,6 +136,7 @@ type fleetHost struct {
 	name   string
 	addr   string
 	domain string // domain manager address
+	app    string // the application this host's lead process serves
 	id     msg.Identity
 
 	baseline float64
@@ -161,12 +163,6 @@ type fleetHost struct {
 	adaptations int
 	sheds       int
 }
-
-func (h *fleetHost) exe(i int) string { return fmt.Sprintf("svc%d", i) }
-
-// appName is the application this host's lead process serves; the
-// domain's episode machinery queries the host through it.
-func (h *fleetHost) appName() string { return "app-" + h.name }
 
 func (h *fleetHost) send(to string, m msg.Message) {
 	_ = h.sys.Bus.Send(to, m)
@@ -246,11 +242,8 @@ func (h *fleetHost) answer(q msg.Query, tc telemetry.TraceContext) {
 		default:
 			const p = "proc_cpu:"
 			if len(k) > len(p) && k[:len(p)] == p {
-				exe := k[len(p):]
-				for i := range h.procCPU {
-					if h.exe(i) == exe {
-						values[k] = h.procCPU[i]
-					}
+				if i := slices.Index(h.sys.exes, k[len(p):]); i >= 0 {
+					values[k] = h.procCPU[i]
 				}
 			}
 		}
@@ -321,6 +314,7 @@ type FleetSystem struct {
 	Region  *manager.RegionManager
 	Domains []*fleetDomain
 	hosts   []*fleetHost
+	exes    []string // every host's process names: svc0, svc1, ...
 
 	Metrics *telemetry.Registry
 	Tracer  *telemetry.Tracer
@@ -386,6 +380,9 @@ type FleetResult struct {
 func BuildFleet(cfg FleetConfig) *FleetSystem {
 	cfg = cfg.withDefaults()
 	sys := &FleetSystem{Cfg: cfg}
+	for i := 0; i < cfg.ProcsPerHost; i++ {
+		sys.exes = append(sys.exes, fmt.Sprintf("svc%d", i))
+	}
 	s := sim.New(cfg.Seed)
 	sys.Sim = s
 
@@ -495,11 +492,12 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 			name:     name,
 			addr:     fmt.Sprintf("/%s/QoSHostManager", name),
 			domain:   fd.addr,
+			app:      "app-" + name,
 			baseline: 0.4 + 0.8*float64(i%7)/7,
 			procCPU:  make([]float64, cfg.ProcsPerHost),
 		}
-		h.id = msg.Identity{Host: name, PID: i + 1, Executable: h.exe(0),
-			Application: h.appName()}
+		h.id = msg.Identity{Host: name, PID: i + 1, Executable: sys.exes[0],
+			Application: h.app}
 		h.load = h.baseline
 		if cfg.Federate {
 			h.tel = manager.NewSummaryExporter("host", h.addr, fd.addr,
@@ -517,7 +515,7 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 		// The host is the server of its own application, so the domain's
 		// episode machinery (query, report, rule diagnosis, boost
 		// directive) runs unchanged against fleet hosts.
-		fd.dm.RegisterAppServer(h.appName(), h.addr, h.exe(0))
+		fd.dm.RegisterAppServer(h.app, h.addr, sys.exes[0])
 		sys.hosts = append(sys.hosts, h)
 		sys.Bus.Bind(h.addr, name, h.handle)
 	}

@@ -175,10 +175,10 @@ func TestWithSinkSharesRingAndRoutesCounters(t *testing.T) {
 	}
 	ca, _, _ := sumA.Export()
 	cb, _, _ := sumB.Export()
-	if ca["log.manager.warn"] != 1 {
+	if len(ca) != 1 || ca[0] != (telemetry.NamedValue{Name: "log.manager.warn", Value: 1}) {
 		t.Errorf("sink A counters = %v, want log.manager.warn=1", ca)
 	}
-	if cb["log.agent.error"] != 2 {
+	if len(cb) != 1 || cb[0] != (telemetry.NamedValue{Name: "log.agent.error", Value: 2}) {
 		t.Errorf("sink B counters = %v, want log.agent.error=2", cb)
 	}
 }

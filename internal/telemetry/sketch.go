@@ -183,6 +183,10 @@ func (s *Sketch) MergeSnapshot(sn SketchSnapshot) {
 func (s *Sketch) Snapshot() SketchSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.snapshotLocked()
+}
+
+func (s *Sketch) snapshotLocked() SketchSnapshot {
 	sn := SketchSnapshot{Count: s.count, Sum: s.sum, Min: s.min, Max: s.max, Zero: s.zero}
 	lo, hi := 0, len(s.counts)
 	for lo < hi && s.counts[lo] == 0 {
@@ -198,16 +202,16 @@ func (s *Sketch) Snapshot() SketchSnapshot {
 	return sn
 }
 
-// Reset empties the sketch in place, keeping its bucket storage (and
-// the handle every observer holds) intact — the per-window reset of a
-// summary exporter.
-func (s *Sketch) Reset() {
+// drain snapshots the sketch and empties it under one lock, keeping its
+// bucket storage (and the handle every observer holds) intact — a
+// summary window's close.
+func (s *Sketch) drain() SketchSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	sn := s.snapshotLocked()
 	s.zero, s.count, s.sum, s.min, s.max = 0, 0, 0, 0, 0
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
+	clear(s.counts)
+	return sn
 }
 
 // Count returns the total number of observations.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
@@ -284,8 +285,9 @@ func TestSketchQuantileClampedToObservedRange(t *testing.T) {
 	}
 }
 
-// TestSketchEmptyAndReset covers the degenerate states: empty sketch
-// reports nothing, Reset keeps storage but drops every observation.
+// TestSketchEmptyAndReset covers the degenerate states: an empty sketch
+// reports nothing and drains nothing; a drain returns every observation
+// and resets the sketch, keeping its storage.
 func TestSketchEmptyAndReset(t *testing.T) {
 	s := NewSketch()
 	if _, ok := s.Quantile(0.5); ok {
@@ -294,23 +296,29 @@ func TestSketchEmptyAndReset(t *testing.T) {
 	if sn := s.Snapshot(); sn.Count != 0 || sn.Counts != nil {
 		t.Errorf("empty snapshot not empty: %+v", sn)
 	}
+	if sn := s.drain(); sn.Count != 0 || sn.Counts != nil {
+		t.Errorf("empty sketch drained %+v", sn)
+	}
 	for i := 0; i < 100; i++ {
 		s.Observe(float64(i))
 	}
 	buckets := s.Buckets()
-	s.Reset()
+	want := s.Snapshot()
+	if sn := s.drain(); !reflect.DeepEqual(sn, want) {
+		t.Errorf("drain returned %+v, want %+v", sn, want)
+	}
 	if s.Count() != 0 || s.Sum() != 0 {
-		t.Error("reset left observations behind")
+		t.Error("drain left observations behind")
 	}
 	if s.Buckets() != buckets {
-		t.Error("reset should keep bucket storage for reuse")
+		t.Error("drain should keep bucket storage for reuse")
 	}
 	if sn := s.Snapshot(); sn.Counts != nil {
-		t.Errorf("post-reset snapshot still carries counts: %+v", sn)
+		t.Errorf("post-drain snapshot still carries counts: %+v", sn)
 	}
 	s.Observe(3)
 	if s.Count() != 1 {
-		t.Error("sketch unusable after reset")
+		t.Error("sketch unusable after drain")
 	}
 }
 
@@ -320,7 +328,7 @@ func TestSketchSnapshotTrims(t *testing.T) {
 	s := NewSketch()
 	s.Observe(1000) // forces a wide dense range...
 	s.Observe(0.001)
-	s.Reset()
+	s.drain()
 	s.Observe(2) // ...but only one bucket is live now
 	sn := s.Snapshot()
 	if len(sn.Counts) != 1 || sn.Counts[0] != 1 {
@@ -364,30 +372,112 @@ func TestSummaryAbsorbMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestSummaryEmptyAndReset: freshly created and freshly reset summaries
-// ship nothing (the exporter's skip path), and sketch handles survive
-// the reset.
+// TestSummaryEmptyAndReset: freshly created and freshly drained
+// summaries ship nothing (the exporter's skip path), and sketch handles
+// survive the drain.
 func TestSummaryEmptyAndReset(t *testing.T) {
 	s := NewSummary()
-	if !s.Empty() {
+	if _, _, _, ok := s.Drain(); ok {
 		t.Error("new summary not empty")
 	}
 	sk := s.Sketch("lat")
-	if !s.Empty() {
+	if _, _, _, ok := s.Drain(); ok {
 		t.Error("registering an unused sketch should not make the summary shippable")
 	}
 	sk.Observe(1)
 	s.AddCounter("c", 1)
-	if s.Empty() {
-		t.Error("populated summary reports empty")
+	c, m, sks, ok := s.Drain()
+	if !ok || len(c) != 1 || m != nil || len(sks) != 1 || sks[0].Sketch.Count != 1 {
+		t.Errorf("populated summary drained %v %v %+v (ok %v)", c, m, sks, ok)
 	}
-	s.Reset()
-	if !s.Empty() {
-		t.Error("reset summary not empty")
+	if _, _, _, ok := s.Drain(); ok {
+		t.Error("drained summary not empty")
 	}
-	sk.Observe(2) // handle resolved before Reset must still feed the summary
+	sk.Observe(2) // handle resolved before Drain must still feed the summary
 	if s.Sketch("lat").Count() != 1 {
-		t.Error("sketch handle did not survive Reset")
+		t.Error("sketch handle did not survive Drain")
+	}
+}
+
+// TestSummaryDrainLosesNothing: updates racing a stream of drains each
+// land in exactly one drained window — what the windows shipped plus the
+// final drain equals what was added, for counters and sketch counts.
+func TestSummaryDrainLosesNothing(t *testing.T) {
+	const writers, perWriter = 4, 20000
+	s := NewSummary()
+	sk := s.Sketch("lat")
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				s.AddCounter("n", 1)
+				s.SetMax("max", float64(w*perWriter+i))
+				sk.Observe(float64(i))
+			}
+		}(w)
+	}
+	var shipped, observed float64
+	top := -1.0
+	drain := func() {
+		c, m, sks, _ := s.Drain()
+		for _, v := range c {
+			shipped += v.Value
+		}
+		for _, v := range m {
+			top = max(top, v.Value)
+		}
+		for _, ns := range sks {
+			observed += float64(ns.Sketch.Count)
+		}
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			drain()
+		}
+	}
+	drain()
+	if want := float64(writers * perWriter); shipped != want || observed != want {
+		t.Fatalf("shipped %v counts and %v observations, want %v of each", shipped, observed, want)
+	}
+	if want := float64(writers*perWriter - 1); top != want {
+		t.Fatalf("largest shipped maximum %v, want %v", top, want)
+	}
+}
+
+// TestSummarySteadyStateAllocatesNothing: once a window has seen its
+// names, recording into it and absorbing a window with the same names
+// allocate nothing.
+func TestSummarySteadyStateAllocatesNothing(t *testing.T) {
+	src := NewSummary()
+	for i := 0; i < 10; i++ {
+		src.AddCounter("b", 1)
+		src.AddCounter("a", 1)
+		src.SetMax("m", float64(i))
+		src.Sketch("lat").Observe(float64(i))
+	}
+	c, m, sks := src.Export()
+	agg := NewSummary()
+	agg.Absorb(c, m, sks)
+	agg.Drain()
+	allocs := testing.AllocsPerRun(100, func() {
+		agg.AddCounter("a", 1)
+		agg.SetMax("m", 3)
+		agg.Absorb(c, m, sks)
+		if _, _, _, ok := agg.Drain(); !ok {
+			t.Fatal("nothing drained")
+		}
+	})
+	// Drain's copies are the only allocations: counters, maxima, the
+	// sketch list and the one sketch's bucket counts.
+	if allocs > 4 {
+		t.Fatalf("record+absorb+drain allocated %v times, want <= 4 (the drained copies)", allocs)
 	}
 }
 
@@ -404,7 +494,7 @@ func TestSummaryExportDeterministic(t *testing.T) {
 		t.Fatalf("sketches not name-sorted: %+v", sk)
 	}
 	s.AddCounter("n", 10)
-	if c["n"] != 1 {
+	if c[0].Value != 1 {
 		t.Error("export aliases live counter map")
 	}
 }

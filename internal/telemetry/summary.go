@@ -1,147 +1,143 @@
 package telemetry
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
 // Summary is one tier's telemetry accumulator for the federated
 // collection plane: counters (deltas over the current flush window),
 // maxima (window-max gauges) and mergeable sketches. A host-side
-// exporter fills one, ships it as a msg.TelemetrySummary every flush
-// window and resets it; aggregators absorb inbound summaries into their
-// own. All merge operations are exact, so the fleet-level aggregate is
-// independent of arrival order. Safe for concurrent use.
+// exporter fills one and drains it into a msg.TelemetrySummary every
+// flush window; aggregators absorb inbound summaries into their own. All
+// merge operations are exact, so the fleet-level aggregate is
+// independent of arrival order. Every list is kept sorted by name, so a
+// lookup is a binary search and a window that sees the same names as
+// the last one allocates nothing. Safe for concurrent use.
 type Summary struct {
 	mu       sync.Mutex
-	counters map[string]float64
-	maxima   map[string]float64
-	sketches map[string]*Sketch
+	counters []NamedValue
+	maxima   []NamedValue
+	sketches []namedSketch
+}
+
+// namedSketch is one registered sketch handle of a Summary.
+type namedSketch struct {
+	name string
+	sk   *Sketch
 }
 
 // NewSummary creates an empty summary.
-func NewSummary() *Summary {
-	return &Summary{
-		counters: make(map[string]float64),
-		maxima:   make(map[string]float64),
-		sketches: make(map[string]*Sketch),
+func NewSummary() *Summary { return &Summary{} }
+
+// valueIndex returns name's index in the name-sorted list, inserting a
+// zero entry when it is absent (added reports the insert).
+func valueIndex(vs *[]NamedValue, name string) (i int, added bool) {
+	i, found := slices.BinarySearchFunc(*vs, name, func(v NamedValue, n string) int {
+		return strings.Compare(v.Name, n)
+	})
+	if !found {
+		*vs = slices.Insert(*vs, i, NamedValue{Name: name})
 	}
+	return i, !found
 }
 
 // AddCounter accumulates a counter delta for the current window.
 func (s *Summary) AddCounter(name string, delta float64) {
-	s.mu.Lock()
-	s.counters[name] += delta
-	s.mu.Unlock()
+	s.Absorb([]NamedValue{{Name: name, Value: delta}}, nil, nil)
 }
 
 // SetMax records a window-max gauge: the largest value observed since
-// the last Reset wins.
+// the last Drain wins.
 func (s *Summary) SetMax(name string, v float64) {
-	s.mu.Lock()
-	if cur, ok := s.maxima[name]; !ok || v > cur {
-		s.maxima[name] = v
-	}
-	s.mu.Unlock()
+	s.Absorb(nil, []NamedValue{{Name: name, Value: v}}, nil)
 }
 
 // Sketch returns (registering on first use) the named sketch. The
-// handle stays valid across Reset, so observers resolve it once.
+// handle stays valid across Drain, so observers resolve it once.
 func (s *Summary) Sketch(name string) *Sketch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sk, ok := s.sketches[name]
-	if !ok {
-		sk = NewSketch()
-		s.sketches[name] = sk
-	}
-	return sk
+	return s.sketchLocked(name)
 }
 
-// Empty reports whether the summary holds nothing worth shipping.
-func (s *Summary) Empty() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.counters) > 0 || len(s.maxima) > 0 {
-		return false
+func (s *Summary) sketchLocked(name string) *Sketch {
+	i, found := slices.BinarySearchFunc(s.sketches, name, func(ns namedSketch, n string) int {
+		return strings.Compare(ns.name, n)
+	})
+	if !found {
+		s.sketches = slices.Insert(s.sketches, i, namedSketch{name: name, sk: NewSketch()})
 	}
-	for _, sk := range s.sketches {
-		if sk.Count() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Reset clears the window: counters and maxima empty, sketches reset in
-// place (handles held by observers stay valid).
-func (s *Summary) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k := range s.counters {
-		delete(s.counters, k)
-	}
-	for k := range s.maxima {
-		delete(s.maxima, k)
-	}
-	for _, sk := range s.sketches {
-		sk.Reset()
-	}
+	return s.sketches[i].sk
 }
 
 // Absorb merges one exported window (counters add, maxima max-merge,
 // sketches merge exactly) into the summary — the aggregation step a
 // domain runs per inbound host summary.
-func (s *Summary) Absorb(counters, maxima map[string]float64, sketches []NamedSketchSnapshot) {
+func (s *Summary) Absorb(counters, maxima []NamedValue, sketches []NamedSketchSnapshot) {
 	s.mu.Lock()
-	for k, v := range counters {
-		s.counters[k] += v
+	defer s.mu.Unlock()
+	for _, c := range counters {
+		i, _ := valueIndex(&s.counters, c.Name)
+		s.counters[i].Value += c.Value
 	}
-	for k, v := range maxima {
-		if cur, ok := s.maxima[k]; !ok || v > cur {
-			s.maxima[k] = v
+	for _, m := range maxima {
+		if i, added := valueIndex(&s.maxima, m.Name); added || m.Value > s.maxima[i].Value {
+			s.maxima[i].Value = m.Value
 		}
 	}
-	s.mu.Unlock()
 	for _, ns := range sketches {
-		s.Sketch(ns.Name).MergeSnapshot(ns.Sketch)
+		s.sketchLocked(ns.Name).MergeSnapshot(ns.Sketch)
 	}
 }
 
-// Export returns deterministic copies of the window's contents: map
-// copies plus name-sorted snapshots of every non-empty sketch. The
-// summary itself is untouched (pair with Reset to close the window).
-func (s *Summary) Export() (counters, maxima map[string]float64, sketches []NamedSketchSnapshot) {
+// Drain closes the window: it returns the window's counters and maxima
+// and a snapshot of every non-empty sketch, all name-sorted, and empties
+// the window, under one lock so that nothing recorded meanwhile is lost.
+// ok is false when the window held nothing worth shipping. The returned
+// slices are the caller's; sketch handles stay valid.
+func (s *Summary) Drain() (counters, maxima []NamedValue, sketches []NamedSketchSnapshot, ok bool) {
 	s.mu.Lock()
-	if len(s.counters) > 0 {
-		counters = make(map[string]float64, len(s.counters))
-		for k, v := range s.counters {
-			counters[k] = v
-		}
-	}
-	if len(s.maxima) > 0 {
-		maxima = make(map[string]float64, len(s.maxima))
-		for k, v := range s.maxima {
-			maxima[k] = v
-		}
-	}
-	names := make([]string, 0, len(s.sketches))
-	for n := range s.sketches {
-		names = append(names, n)
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
-	for _, n := range names {
-		sn := s.Sketch(n).Snapshot()
+	defer s.mu.Unlock()
+	for i, ns := range s.sketches {
+		sn := ns.sk.drain()
 		if sn.Count == 0 {
 			continue
 		}
-		sketches = append(sketches, NamedSketchSnapshot{Name: n, Sketch: sn})
+		if sketches == nil {
+			sketches = make([]NamedSketchSnapshot, 0, len(s.sketches)-i)
+		}
+		sketches = append(sketches, NamedSketchSnapshot{Name: ns.name, Sketch: sn})
 	}
-	return counters, maxima, sketches
+	counters, maxima = cloneValues(s.counters), cloneValues(s.maxima)
+	s.counters, s.maxima = s.counters[:0], s.maxima[:0]
+	return counters, maxima, sketches, counters != nil || maxima != nil || sketches != nil
 }
 
-// NamedValue is one exported scalar of a SummaryView.
+// Export returns copies of the window's contents, as Drain does, but
+// leaves the summary untouched.
+func (s *Summary) Export() (counters, maxima []NamedValue, sketches []NamedSketchSnapshot) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ns := range s.sketches {
+		if sn := ns.sk.Snapshot(); sn.Count > 0 {
+			sketches = append(sketches, NamedSketchSnapshot{Name: ns.name, Sketch: sn})
+		}
+	}
+	return cloneValues(s.counters), cloneValues(s.maxima), sketches
+}
+
+// cloneValues copies a value list to an exact-size slice (nil when empty).
+func cloneValues(vs []NamedValue) []NamedValue {
+	if len(vs) == 0 {
+		return nil
+	}
+	return slices.Clone(vs)
+}
+
+// NamedValue is one named scalar: a Summary counter or maximum, as it
+// travels in a msg.TelemetrySummary and renders in a SummaryView.
 type NamedValue struct {
 	Name  string
 	Value float64
@@ -161,13 +157,7 @@ type SummaryView struct {
 // the aggregator that knows its fan-in fills it.
 func (s *Summary) View() SummaryView {
 	counters, maxima, sketches := s.Export()
-	v := SummaryView{}
-	for _, k := range sortedNames(counters) {
-		v.Counters = append(v.Counters, NamedValue{Name: k, Value: counters[k]})
-	}
-	for _, k := range sortedNames(maxima) {
-		v.Maxima = append(v.Maxima, NamedValue{Name: k, Value: maxima[k]})
-	}
+	v := SummaryView{Counters: counters, Maxima: maxima}
 	for _, ns := range sketches {
 		sk := NewSketch()
 		sk.MergeSnapshot(ns.Sketch)
@@ -178,15 +168,6 @@ func (s *Summary) View() SummaryView {
 		})
 	}
 	return v
-}
-
-func sortedNames(m map[string]float64) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // FederatedView is the fleet-level observability document a terminal
