@@ -613,9 +613,10 @@ func (dm *DomainManager) handleTierQuery(q msg.Query, tc telemetry.TraceContext)
 		f.pending[name] = *dm.hosts.get(name)
 	}
 	dm.FanoutQueries += uint64(f.asked)
+	// Bodies are immutable values: every host gets the one boxed query.
+	sub := msg.Message{From: dm.addr, Trace: tc, Body: msg.Query{From: dm.addr, Keys: q.Keys, Ref: iref}}
 	for _, name := range dm.hosts.order {
-		_ = dm.send(*dm.hosts.get(name), msg.Message{From: dm.addr, Trace: tc,
-			Body: msg.Query{From: dm.addr, Keys: q.Keys, Ref: iref}})
+		_ = dm.send(*dm.hosts.get(name), sub)
 	}
 }
 
@@ -663,9 +664,9 @@ func (dm *DomainManager) completeFanout(iref string, f *fanout) {
 func (dm *DomainManager) retryFanout(iref string, f *fanout) {
 	dm.evlog.EventCtx(f.ctx, eventlog.Info, "domainmanager", "fanout_retry",
 		eventlog.Str("ref", iref), eventlog.Int("pending", len(f.pending)))
+	sub := msg.Message{From: dm.addr, Trace: f.ctx, Body: msg.Query{From: dm.addr, Keys: f.keys, Ref: iref}}
 	for _, name := range sortedKeys(f.pending, nil) {
-		_ = dm.send(f.pending[name], msg.Message{From: dm.addr, Trace: f.ctx,
-			Body: msg.Query{From: dm.addr, Keys: f.keys, Ref: iref}})
+		_ = dm.send(f.pending[name], sub)
 	}
 }
 

@@ -21,12 +21,21 @@ type BusHandler = func(Message)
 // binds an address; Send delivers after the configured latency for the
 // address pair. It models the prototype's message queues (same host) and
 // management sockets (cross host).
+//
+// Messages in flight wait in one FIFO per delay class. Every message of
+// a class is delayed by the same amount, so the class's delivery events
+// fire in send order and each pops its class's head: a send schedules a
+// func bound once in NewBus and captures nothing.
 type Bus struct {
 	sim       *sim.Simulator
 	endpoints map[string]*busEndpoint
 
 	localDelay  time.Duration
 	remoteDelay time.Duration
+	local       busQueue // in flight between addresses on one host
+	remote      busQueue
+
+	deliverLocal, deliverRemote func() // pop local / remote; bound once
 
 	Sent           uint64
 	Delivered      uint64
@@ -44,6 +53,41 @@ type busEndpoint struct {
 	host string     // for latency selection; "" while unbound
 }
 
+// inFlight is one message on its way: the endpoint is the one addressed
+// at send time, its handler the one bound there at delivery.
+type inFlight struct {
+	to *busEndpoint
+	m  Message
+}
+
+// busQueue is a FIFO ring of messages in flight.
+type busQueue struct {
+	ring []inFlight // power-of-two length; n entries from head
+	head int
+	n    int
+}
+
+func (q *busQueue) push(to *busEndpoint, m Message) {
+	if q.n == len(q.ring) {
+		ring := make([]inFlight, max(64, 2*len(q.ring)))
+		k := copy(ring, q.ring[q.head:])
+		copy(ring[k:], q.ring[:q.head])
+		q.ring, q.head = ring, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = inFlight{to, m}
+	q.n++
+}
+
+// pop removes the oldest message, clearing its slot so the ring keeps
+// no delivered message alive.
+func (q *busQueue) pop() inFlight {
+	f := q.ring[q.head]
+	q.ring[q.head] = inFlight{}
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return f
+}
+
 // busMetrics holds the bus transport's pre-resolved metric handles.
 type busMetrics struct {
 	sent      *telemetry.Counter
@@ -57,12 +101,15 @@ type busMetrics struct {
 // NewBus creates a bus with the given IPC latencies: localDelay applies
 // between addresses on the same host, remoteDelay otherwise.
 func NewBus(s *sim.Simulator, localDelay, remoteDelay time.Duration) *Bus {
-	return &Bus{
+	b := &Bus{
 		sim:         s,
 		endpoints:   make(map[string]*busEndpoint),
 		localDelay:  localDelay,
 		remoteDelay: remoteDelay,
 	}
+	b.deliverLocal = func() { b.deliver(&b.local) }
+	b.deliverRemote = func() { b.deliver(&b.remote) }
+	return b
 }
 
 // SetMetrics attaches the bus to a metrics registry: counters for
@@ -133,31 +180,33 @@ func (b *Bus) Send(addr string, m Message) error {
 				c.Inc()
 			}
 		}
-		// Byte accounting encodes without the trace context: tracing is
-		// out-of-band metadata, so traced and untraced runs of one seed
-		// count the same msg.bus.bytes.
-		untraced := m
-		untraced.Trace = telemetry.TraceContext{}
-		b.metrics.bytes.Add(frameLen(untraced))
+		b.metrics.bytes.Add(frameSize(&m, false))
 	}
-	delay := b.remoteDelay
 	if from := b.endpoints[m.From]; from != nil && from.host != "" && from.host == to.host {
-		delay = b.localDelay
+		b.local.push(to, m)
+		b.sim.After(b.localDelay, b.deliverLocal)
+	} else {
+		b.remote.push(to, m)
+		b.sim.After(b.remoteDelay, b.deliverRemote)
 	}
-	b.sim.After(delay, func() {
-		h := to.h
-		if h == nil {
-			b.Dropped++
-			if b.metrics != nil {
-				b.metrics.dropped.Inc()
-			}
-			return
-		}
-		b.Delivered++
-		if b.metrics != nil {
-			b.metrics.delivered.Inc()
-		}
-		h(m)
-	})
 	return nil
+}
+
+// deliver hands the oldest message in flight on q to the handler bound
+// at its address now, or drops it when none is.
+func (b *Bus) deliver(q *busQueue) {
+	f := q.pop()
+	h := f.to.h
+	if h == nil {
+		b.Dropped++
+		if b.metrics != nil {
+			b.metrics.dropped.Inc()
+		}
+		return
+	}
+	b.Delivered++
+	if b.metrics != nil {
+		b.metrics.delivered.Inc()
+	}
+	h(f.m)
 }

@@ -162,14 +162,18 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// frameLen returns the length of m's unrouted wire frame — what the
-// transports charge a message they deliver without a socket — or 0 for
-// a message that cannot be encoded (which Validate has ruled out).
-func frameLen(m Message) uint64 {
-	f := getFrameBuf()
-	frame, _ := f.encode("", m)
-	putFrameBuf(f)
-	return uint64(len(frame))
+// frameSize returns the length of m's unrouted wire frame — what the
+// transports charge a message they deliver without a socket — without
+// encoding it, or 0 for a message that cannot be encoded (which Validate
+// has ruled out). With traced false the trace context is left out:
+// tracing is out-of-band metadata, so the Bus charges traced and
+// untraced runs of one seed the same bytes.
+func frameSize(m *Message, traced bool) uint64 {
+	n := payloadSize(m, traced)
+	if n == 0 { // unknown body
+		return 0
+	}
+	return uint64(2 + uvarintLen(uint64(n)) + n)
 }
 
 // MarshalWire encodes one routed frame. WireBinary is the complete
@@ -444,6 +448,119 @@ func appendBinTelemetrySummary(dst []byte, b *TelemetrySummary) []byte {
 		}
 	}
 	return dst
+}
+
+// ---------------------------------------------------------------------------
+// Size pass: each function below returns the byte count of its appendBin
+// twin's output, field for field, without writing. FuzzUnmarshal,
+// FuzzCodecRoundTrip and TestFrameSizeMatchesEncoding pin the two walks
+// to the same length.
+
+func payloadSize(m *Message, traced bool) int {
+	n := 1 + sizeBinString(m.From) + 1 + 1 // kind, from, the empty to's length, trace flag
+	if traced && m.Trace.Valid() {
+		n += sizeBinString(m.Trace.TraceID) + sizeVarint(int64(m.Trace.Span))
+	}
+	switch b := m.Body.(type) {
+	case Register:
+		return n + sizeBinIdentity(&b.ID) + sizeBinStrings(b.Sensors)
+	case PolicySet:
+		return n + sizeBinIdentity(&b.ID) + sizeBinPolicies(b.Policies)
+	case Violation:
+		return n + sizeBinIdentity(&b.ID) + sizeBinString(b.Policy) + sizeBinMap(b.Readings) + 1
+	case Query:
+		return n + sizeBinString(b.From) + sizeBinStrings(b.Keys) + sizeBinString(b.Ref)
+	case Report:
+		return n + sizeBinString(b.Host) + sizeBinMap(b.Values) + sizeBinString(b.Ref)
+	case Alarm:
+		return n + sizeBinAlarm(&b)
+	case Directive:
+		return n + sizeBinString(b.From) + sizeBinString(b.Action) + sizeBinString(b.Target) + 8
+	case Ack:
+		return n + sizeBinString(b.Ref) + 1 + sizeBinString(b.Err)
+	case Nack:
+		return n + sizeBinIdentity(&b.ID) + sizeBinString(b.Ref) + sizeBinString(b.Reason)
+	case Heartbeat:
+		return n + sizeBinIdentity(&b.ID) + uvarintLen(b.Seq)
+	case AlarmBatch:
+		n += sizeBinString(b.Tier) + uvarintLen(uint64(len(b.Alarms))) + sizeBinMap(b.Summary)
+		for i := range b.Alarms {
+			e := &b.Alarms[i]
+			n += sizeBinAlarm(&e.Alarm) + sizeVarint(int64(e.Count)) + sizeVarint(int64(e.Severity))
+		}
+		return n
+	case TelemetrySummary:
+		n += sizeBinString(b.Tier) + sizeBinString(b.Source) + uvarintLen(b.Seq) + uvarintLen(b.Hosts) +
+			sizeBinValues(b.Counters) + sizeBinValues(b.Maxima) + uvarintLen(uint64(len(b.Sketches)))
+		for i := range b.Sketches {
+			s := &b.Sketches[i].Sketch
+			n += sizeBinString(b.Sketches[i].Name) + uvarintLen(s.Count) + 3*8 + uvarintLen(s.Zero) +
+				sizeVarint(int64(s.Base)) + uvarintLen(uint64(len(s.Counts)))
+			for _, c := range s.Counts {
+				n += uvarintLen(c)
+			}
+		}
+		return n
+	case PolicyDelta:
+		return n + uvarintLen(b.Generation) + uvarintLen(b.Prev) + sizeBinString(b.Executable) +
+			sizeBinString(b.Scope) + sizeBinStrings(b.Hosts) + sizeBinPolicies(b.Policies) + sizeBinString(b.Reason)
+	}
+	return 0
+}
+
+// sizeVarint is the length of binary.AppendVarint's zig-zag encoding.
+func sizeVarint(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+func sizeBinString(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// sizeBinMap needs no sort: the length does not depend on key order.
+func sizeBinMap(m map[string]float64) int {
+	n := uvarintLen(uint64(len(m)))
+	for k := range m {
+		n += sizeBinString(k) + 8
+	}
+	return n
+}
+
+func sizeBinValues(vs []telemetry.NamedValue) int {
+	n := uvarintLen(uint64(len(vs)))
+	for _, v := range vs {
+		n += sizeBinString(v.Name) + 8
+	}
+	return n
+}
+
+func sizeBinStrings(ss []string) int {
+	n := uvarintLen(uint64(len(ss)))
+	for _, s := range ss {
+		n += sizeBinString(s)
+	}
+	return n
+}
+
+func sizeBinIdentity(id *Identity) int {
+	return sizeBinString(id.Host) + sizeVarint(int64(id.PID)) + sizeBinString(id.Executable) +
+		sizeBinString(id.Application) + sizeBinString(id.UserRole)
+}
+
+func sizeBinPolicies(policies []PolicySpec) int {
+	n := uvarintLen(uint64(len(policies)))
+	for i := range policies {
+		p := &policies[i]
+		n += sizeBinString(p.Name) + sizeBinString(p.Connective) +
+			uvarintLen(uint64(len(p.Conditions))) + uvarintLen(uint64(len(p.Actions)))
+		for _, c := range p.Conditions {
+			n += sizeBinString(c.Attribute) + sizeBinString(c.Sensor) + sizeBinString(c.Op) + 8
+		}
+		for _, a := range p.Actions {
+			n += sizeBinString(a.Target) + sizeBinString(a.Op) + sizeBinStrings(a.Args)
+		}
+	}
+	return n
+}
+
+func sizeBinAlarm(b *Alarm) int {
+	return sizeBinIdentity(&b.ID) + sizeBinString(b.Policy) + sizeBinMap(b.Readings) + sizeBinString(b.Suspect)
 }
 
 // ---------------------------------------------------------------------------

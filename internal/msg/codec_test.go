@@ -257,3 +257,46 @@ func TestTelemetrySummaryFramePinned(t *testing.T) {
 	}
 	t.Fatal("corpus lost its host summary")
 }
+
+// checkFrameSize fails unless the size pass counts exactly the bytes of
+// m's unrouted frame, with its trace context and without.
+func checkFrameSize(t testing.TB, m Message) {
+	t.Helper()
+	untraced := m
+	untraced.Trace = telemetry.TraceContext{}
+	for _, tc := range []struct {
+		traced bool
+		enc    Message
+	}{{true, m}, {false, untraced}} {
+		frame, err := MarshalWire(WireBinary, "", tc.enc)
+		if err != nil {
+			t.Fatalf("%T: marshal: %v", m.Body, err)
+		}
+		if got := frameSize(&m, tc.traced); got != uint64(len(frame)) {
+			t.Fatalf("%T (traced %v): frameSize = %d, frame is %d bytes", m.Body, tc.traced, got, len(frame))
+		}
+	}
+}
+
+// TestFrameSizeMatchesEncoding: the size the transports charge equals the
+// frame the encoder writes, for every message type, traced or not.
+func TestFrameSizeMatchesEncoding(t *testing.T) {
+	// Numbers wide enough that every varint takes several bytes.
+	big := Identity{Host: "h", PID: -1 << 40, Executable: "x"}
+	wide := []Message{
+		{From: "/h", Body: Heartbeat{ID: big, Seq: 1 << 63}},
+		{From: "/h", Body: PolicyDelta{Generation: 1 << 50, Prev: 300, Executable: "x"}},
+		{From: "/h", Body: AlarmBatch{Tier: "d", Alarms: []BatchedAlarm{{Alarm: Alarm{ID: big}, Count: 1 << 27, Severity: -70000}}}},
+		{From: "/h", Body: TelemetrySummary{Tier: "host", Source: "/h", Seq: 1 << 35, Hosts: 20000,
+			Sketches: []telemetry.NamedSketchSnapshot{{Name: "s", Sketch: telemetry.SketchSnapshot{
+				Count: 1 << 33, Zero: 1 << 40, Base: -5000, Counts: []uint64{1 << 20, 0, 1 << 62}}}}}},
+	}
+	for _, m := range append(append(codecCorpus(), oneOfEach()...), wide...) {
+		checkFrameSize(t, m)
+		m.Trace = telemetry.TraceContext{TraceID: "t-0123456789", Span: -300}
+		checkFrameSize(t, m)
+	}
+	if frameSize(&Message{Body: 42}, true) != 0 {
+		t.Fatal("frameSize of an unencodable body is not 0")
+	}
+}

@@ -55,10 +55,11 @@ func checkInternedDecode(t *testing.T, tab *internTable, data []byte, wantTo str
 
 // FuzzUnmarshal feeds arbitrary bytes to UnmarshalWire. The invariants
 // are absolute: never panic, input that does not open with the frame
-// magic is ErrNotBinary, whatever decodes re-encodes to a fixpoint, and a
-// connection's interning decoder agrees with the plain one on every
-// input (checkInternedDecode), with a fresh table and with one that has
-// seen every earlier input.
+// magic is ErrNotBinary, whatever decodes re-encodes to a fixpoint and
+// is sized by the size pass to exactly its frame's length
+// (checkFrameSize), and a connection's interning decoder agrees with the
+// plain one on every input (checkInternedDecode), with a fresh table and
+// with one that has seen every earlier input.
 // The seed corpus is every corpus message as a frame and as the JSON
 // debug rendering (what a pre-binary peer would have sent), plus every
 // deterministic malformation the unit tests pin.
@@ -112,6 +113,7 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkFrameSize(t, m)
 		// Decoded successfully: the message must survive a binary
 		// re-encode byte-stably (decode → encode is a fixpoint).
 		re, err := MarshalWire(WireBinary, to, m)
@@ -251,7 +253,7 @@ func FuzzPolicyDelta(f *testing.F) {
 // included — and requires the codec to carry it losslessly (modulo the
 // documented nil/empty map normalization, checked via canonical
 // re-encode), through the plain decoder and through one connection's
-// interning decoder.
+// interning decoder, and the size pass to count its frame exactly.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add("/h/app/x/1", "/mgmt/agent", "frame_rate", 14.5, uint64(3), true, "trace#1")
 	f.Add("", "", "", -0.25, uint64(0), false, "")
@@ -293,6 +295,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				t.Fatalf("message %d: unmarshal: %v", i, err)
 			}
 			checkInternedDecode(t, &conn, want, gotTo, got, nil)
+			checkFrameSize(t, m)
 			if gotTo != to {
 				t.Fatalf("message %d: to = %q, want %q", i, gotTo, to)
 			}

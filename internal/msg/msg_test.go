@@ -3,7 +3,10 @@ package msg
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
+	"strconv"
 	"testing"
 	"time"
 
@@ -211,6 +214,142 @@ func TestBusEndpointLifecycle(t *testing.T) {
 		if d := at.Duration() - sent.Duration(); d != tc.delay {
 			t.Errorf("%s: delivered after %v, want %v", tc.step, d, tc.delay)
 		}
+	}
+}
+
+// TestBusDeliveryOrder drives the bus with local and remote sends at
+// random instants, follow-up sends made from inside handlers, and
+// receivers unbound and rebound while messages are in flight to them.
+// Every message bound at its delivery instant must be delivered, in
+// (send time + delay, send order) order, to the handler bound then; every
+// other one must be dropped.
+func TestBusDeliveryOrder(t *testing.T) {
+	const local, remote = time.Millisecond, 3 * time.Millisecond
+	const ms = sim.Time(time.Millisecond)
+	s := sim.New(1)
+	b := NewBus(s, local, remote)
+	r := rand.New(rand.NewSource(7))
+	host := func(addr string) string { return addr[1:3] }
+	senders := []string{"/h1/s", "/h2/s"}
+	receivers := []string{"/h1/r", "/h2/r", "/h1/q"}
+
+	type sent struct {
+		to string
+		at sim.Time // due
+	}
+	var sends []sent // index: send order
+	var delivered []int
+	send := func(from, to string) bool {
+		d := remote
+		if host(from) == host(to) {
+			d = local
+		}
+		id := len(sends)
+		if b.Send(to, Message{From: from, Body: Ack{Ref: strconv.Itoa(id), OK: true}}) != nil {
+			return false // unbound at send time
+		}
+		sends = append(sends, sent{to, s.Now() + sim.Time(d)})
+		return true
+	}
+	followUps := 0
+	gen := map[string]int{}
+	bind := func(addr string) {
+		gen[addr]++
+		g := gen[addr]
+		b.Bind(addr, host(addr), func(m Message) {
+			id, _ := strconv.Atoi(m.Body.(Ack).Ref)
+			if g != gen[addr] {
+				t.Errorf("message %d reached binding %d of %s, current is %d", id, g, addr, gen[addr])
+			}
+			if sends[id].to != addr || sends[id].at != s.Now() {
+				t.Errorf("message %d for %s due %v reached %s at %v", id, sends[id].to, sends[id].at, addr, s.Now())
+			}
+			delivered = append(delivered, id)
+			if r.Intn(3) == 0 && send(senders[r.Intn(len(senders))], receivers[r.Intn(len(receivers))]) {
+				followUps++
+			}
+		})
+	}
+	for _, a := range senders {
+		b.Bind(a, host(a), func(Message) {})
+	}
+	for _, a := range receivers {
+		bind(a)
+	}
+	// Sends on whole milliseconds, so every delivery is due on one too;
+	// binding changes half-way between, so none ties with a delivery.
+	toggles := map[string][]sim.Time{}
+	for i := 0; i < 300; i++ {
+		s.Schedule(sim.Time(r.Intn(60))*ms, func() {
+			send(senders[r.Intn(len(senders))], receivers[r.Intn(len(receivers))])
+		})
+	}
+	for i := 0; i < 40; i++ {
+		at, a := sim.Time(r.Intn(60))*ms+ms/2, receivers[r.Intn(len(receivers))]
+		toggles[a] = append(toggles[a], at)
+		s.Schedule(at, func() {
+			if b.Bound(a) {
+				b.Unbind(a)
+			} else {
+				bind(a)
+			}
+		})
+	}
+	s.Run()
+
+	boundAt := func(addr string, at sim.Time) bool {
+		bound := true
+		for _, tg := range toggles[addr] {
+			if tg < at {
+				bound = !bound
+			}
+		}
+		return bound
+	}
+	var want []int
+	for id := range sends {
+		if boundAt(sends[id].to, sends[id].at) {
+			want = append(want, id)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return sends[want[i]].at < sends[want[j]].at })
+	if !reflect.DeepEqual(delivered, want) {
+		t.Fatalf("delivered %v\nwant      %v", delivered, want)
+	}
+	if drops := uint64(len(sends) - len(want)); b.Dropped != drops || drops == 0 {
+		t.Fatalf("Dropped %d, want %d (> 0)", b.Dropped, drops)
+	}
+	if followUps == 0 {
+		t.Fatal("no handler sent a follow-up")
+	}
+}
+
+// TestBusSendAllocatesNothing: a local and a remote hop — validation,
+// byte accounting with metrics attached, queueing and delivery — allocate
+// nothing once the queues are at size.
+func TestBusSendAllocatesNothing(t *testing.T) {
+	s := sim.New(1)
+	b := NewBus(s, 100*time.Microsecond, 2*time.Millisecond)
+	b.SetMetrics(telemetry.NewRegistry(nil))
+	for _, a := range []string{"/h1/mgr", "/h1/coord", "/h2/peer"} {
+		b.Bind(a, a[1:3], func(Message) {})
+	}
+	viol := Message{From: "/h1/coord", Trace: telemetry.TraceContext{TraceID: "t1", Span: 2},
+		Body: Violation{ID: Identity{Host: "h1", PID: 7, Executable: "mpeg_play"}, Policy: "P",
+			Readings: map[string]float64{"frame_rate": 14.5, "jitter_rate": 0.42}}}
+	rep := Message{From: "/h2/peer", Body: Report{Host: "/h2/peer", Values: map[string]float64{"cpu_load": 3}, Ref: "r"}}
+	hop := func() {
+		if b.Send("/h1/mgr", viol) != nil || b.Send("/h1/mgr", rep) != nil {
+			t.Fatal("send failed")
+		}
+		s.Step()
+		s.Step()
+	}
+	for i := 0; i < 100; i++ {
+		hop()
+	}
+	if n := testing.AllocsPerRun(1000, hop); n != 0 {
+		t.Fatalf("a local and a remote bus hop allocate %v times, want 0", n)
 	}
 }
 

@@ -422,7 +422,7 @@ func (t *NetTransport) countSent(m Message, local bool) {
 	}
 	if local {
 		// parity with Bus: local deliveries still account wire bytes
-		nm.bytes.Add(frameLen(m))
+		nm.bytes.Add(frameSize(&m, true))
 	}
 }
 

@@ -9,14 +9,20 @@
 // package math/rand globals.
 //
 // The queue is a d-ary min-heap of pointer-free (at, seq, slot) keys, so a
-// sift compares contiguous memory and runs no GC write barrier; callbacks
-// live in a slab of reusable slots, so steady-state scheduling allocates
-// nothing. An EventID names a slot and the generation it was issued for,
-// which makes a handle to a fired event inert even once its slot is reused.
+// sift compares contiguous memory and runs no GC write barrier, plus a few
+// FIFO lanes: events scheduled by After with one repeated delay arrive
+// already sorted by (at, seq), so a lane holds them in constant time per
+// event and the heap keeps only the rest. The next event is the earliest
+// of the heap top and the lane heads, which is the order the heap alone
+// would give. Callbacks live in a slab of reusable slots, so steady-state
+// scheduling allocates nothing. An EventID names a slot and the generation
+// it was issued for, which makes a handle to a fired event inert even once
+// its slot is reused.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -50,10 +56,54 @@ func (e entry) before(o entry) bool {
 }
 
 // arity is the heap's fan-out, chosen by measurement: on
-// BenchmarkSimSchedulePop (50 000 resident events, fleet-like delays) a
+// BenchmarkSimSchedulePop/random (50 000 resident events on the heap) a
 // binary heap is about 5 % faster than a 4-ary and 15 % faster than an
 // 8-ary one, and in the 10k-host fleet's profile 2 and 4 tie.
 const arity = 2
+
+// maxLanes bounds the FIFO lanes. The 10k-host fleet schedules 97 % of
+// its events through After with five recurring delays (the 2 ms bus hop,
+// timer periods of 2, 5, 10 and 15 s); its other delays are one-offs
+// that stay on the heap.
+const maxLanes = 8
+
+// laneMinHeap is the heap size below which no lane opens. A heap that
+// small sifts in a few levels, which is cheaper than scanning lanes on
+// every Step: Figure 3's simulations never queue more than 14 events,
+// while the 10k-host fleet keeps about 40 000.
+const laneMinHeap = 256
+
+// seenBits sizes Simulator.seen, the memory of recent heap-bound delays
+// that decides when a delay has repeated: 1<<seenBits hash buckets of
+// two delays each, so two recurring delays that share a bucket do not
+// evict each other. Its zero value already holds delay 0.
+const seenBits = 4
+
+// lane is a FIFO of the entries After scheduled with delay d. The clock
+// never goes back and seq only grows, so each push is at or after the
+// previous one in (at, seq) order and the ring stays sorted.
+type lane struct {
+	d    time.Duration
+	ring []entry // power-of-two length; n entries from head
+	head int
+	n    int
+}
+
+func (l *lane) push(e entry) {
+	if l.n == len(l.ring) {
+		ring := make([]entry, max(64, 2*len(l.ring)))
+		k := copy(ring, l.ring[l.head:])
+		copy(ring[k:], l.ring[:l.head])
+		l.ring, l.head = ring, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = e
+	l.n++
+}
+
+func (l *lane) pop() {
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+}
 
 // event is one callback slot. gen counts the slot's releases, so an
 // EventID issued for an earlier occupant no longer matches.
@@ -92,6 +142,9 @@ func (id EventID) Pending() bool {
 type Simulator struct {
 	now     Time
 	queue   []entry // arity-ary min-heap on (at, seq)
+	lanes   [maxLanes]lane
+	nlanes  int                          // lanes[:nlanes] have been opened
+	seen    [2 << seenBits]time.Duration // recent heap-bound delays, two per hash; a repeat takes a lane
 	slab    []event
 	free    []int32 // released slab slots
 	seq     uint64
@@ -117,7 +170,13 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events currently queued (including
 // cancelled events not yet reaped).
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int {
+	n := len(s.queue)
+	for i := range s.lanes[:s.nlanes] {
+		n += s.lanes[i].n
+	}
+	return n
+}
 
 // Schedule runs fn at absolute virtual time at. Scheduling in the past
 // (before Now) panics: that is always a logic error in a DES.
@@ -125,6 +184,11 @@ func (s *Simulator) Schedule(at Time, fn func()) EventID {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
 	}
+	return s.enqueue(at, fn, nil)
+}
+
+// enqueue files fn at at in lane l, or in the heap when l is nil.
+func (s *Simulator) enqueue(at Time, fn func(), l *lane) EventID {
 	var slot int32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
@@ -134,7 +198,11 @@ func (s *Simulator) Schedule(at Time, fn func()) EventID {
 		s.slab = append(s.slab, event{})
 	}
 	s.slab[slot].fn = fn
-	s.push(entry{at: at, seq: s.seq, slot: slot})
+	if e := (entry{at: at, seq: s.seq, slot: slot}); l != nil {
+		l.push(e)
+	} else {
+		s.push(e)
+	}
 	s.seq++
 	return EventID{s: s, slot: slot, gen: s.slab[slot].gen}
 }
@@ -144,7 +212,39 @@ func (s *Simulator) After(d time.Duration, fn func()) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return s.Schedule(s.now+Time(d), fn)
+	return s.enqueue(s.now+Time(d), fn, s.laneFor(d))
+}
+
+// laneFor returns the lane for delay d: the one holding d, or, once the
+// heap holds laneMinHeap events, a lane not yet opened or empty
+// (recycled, ring and all) when d repeats a delay the heap took
+// recently. nil sends the event to the heap, so a one-off delay never
+// takes a lane and a queue of distinct delays pays only this lookup.
+func (s *Simulator) laneFor(d time.Duration) *lane {
+	var empty *lane
+	for i := range s.lanes[:s.nlanes] {
+		if l := &s.lanes[i]; l.d == d {
+			return l
+		} else if l.n == 0 && empty == nil {
+			empty = l
+		}
+	}
+	if len(s.queue) < laneMinHeap {
+		return nil
+	}
+	h := uint64(d) * 0x9e3779b97f4a7c15 >> (64 - seenBits) // Fibonacci hashing
+	if seen := s.seen[2*h : 2*h+2]; seen[0] != d && seen[1] != d {
+		seen[0], seen[1] = d, seen[0]
+		return nil
+	}
+	if empty == nil && s.nlanes < maxLanes {
+		empty = &s.lanes[s.nlanes]
+		s.nlanes++
+	}
+	if empty != nil {
+		empty.d = d
+	}
+	return empty
 }
 
 // Every schedules fn to run every interval, starting one interval from now,
@@ -195,9 +295,21 @@ func (s *Simulator) Stop() { s.stopped = true }
 
 // Step executes the single next event, advancing the clock to it. It
 // reports false when no events remain.
-func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		e := s.pop()
+func (s *Simulator) Step() bool { return s.step(math.MaxInt64) }
+
+// step fires the next event if it is due by deadline and reports whether
+// it fired one. Cancelled entries at the front are reaped whatever their
+// time.
+func (s *Simulator) step(deadline Time) bool {
+	for {
+		l, e, ok := s.next()
+		if !ok {
+			return false
+		}
+		if !s.slab[e.slot].dead && e.at > deadline {
+			return false
+		}
+		s.remove(l)
 		fn, dead := s.release(e.slot)
 		if dead {
 			continue
@@ -207,7 +319,6 @@ func (s *Simulator) Step() bool {
 		fn()
 		return true
 	}
-	return false
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -224,12 +335,7 @@ func (s *Simulator) Run() {
 // the clock must not pass them.
 func (s *Simulator) RunUntil(deadline Time) {
 	s.stopped = false
-	for !s.stopped {
-		next, ok := s.peek()
-		if !ok || next > deadline {
-			break
-		}
-		s.Step()
+	for !s.stopped && s.step(deadline) {
 	}
 	if !s.stopped && s.now < deadline {
 		s.now = deadline
@@ -239,16 +345,28 @@ func (s *Simulator) RunUntil(deadline Time) {
 // RunFor advances the simulation by d of virtual time.
 func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now + Time(d)) }
 
-func (s *Simulator) peek() (Time, bool) {
-	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if !s.slab[e.slot].dead {
-			return e.at, true
-		}
-		s.pop()
-		s.release(e.slot)
+// next finds the earliest queued entry, cancelled or not: the heap top
+// or a lane head, whichever is first by (at, seq). l is its lane, nil
+// for the heap; ok is false when nothing is queued.
+func (s *Simulator) next() (l *lane, e entry, ok bool) {
+	if len(s.queue) > 0 {
+		e, ok = s.queue[0], true
 	}
-	return 0, false
+	for i := range s.lanes[:s.nlanes] {
+		if c := &s.lanes[i]; c.n > 0 && (!ok || c.ring[c.head].before(e)) {
+			l, e, ok = c, c.ring[c.head], true
+		}
+	}
+	return l, e, ok
+}
+
+// remove drops the entry next found, from lane l or from the heap.
+func (s *Simulator) remove(l *lane) {
+	if l != nil {
+		l.pop()
+	} else {
+		s.pop()
+	}
 }
 
 // release frees a popped event's slot, bumping its generation so every

@@ -310,16 +310,71 @@ func TestTickerRearmAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestScheduleStepAllocatesNothing pins 0 allocations per event in steady
+// state, with a thousand events resident, on the heap (Schedule), on
+// lanes (After with fleet-like repeated delays) and on both at once.
 func TestScheduleStepAllocatesNothing(t *testing.T) {
-	s := New(1)
 	fn := func() {}
-	s.After(0, fn)
-	s.Step()
-	if n := testing.AllocsPerRun(1000, func() {
-		s.After(time.Millisecond, fn)
-		s.Step()
-	}); n != 0 {
-		t.Fatalf("Schedule+Step of a pre-built callback allocates %v times, want 0", n)
+	fleet := []time.Duration{100 * time.Microsecond, 2 * time.Millisecond, 2 * time.Second, 5 * time.Second}
+	for _, tc := range []struct {
+		name string
+		op   func(s *Simulator, i int)
+	}{
+		{"heap", func(s *Simulator, i int) { s.Schedule(s.Now()+Time(time.Millisecond), fn) }},
+		{"lanes", func(s *Simulator, i int) { s.After(fleet[i%len(fleet)], fn) }},
+		{"mixed", func(s *Simulator, i int) {
+			s.After(fleet[i%len(fleet)], fn)
+			s.Schedule(s.Now()+Time(i%7)*Time(time.Millisecond), fn)
+			s.Step()
+		}},
+	} {
+		s := New(1)
+		i := 0
+		step := func() {
+			tc.op(s, i)
+			s.Step()
+			i++
+		}
+		for ; i < 1000; i++ { // resident events
+			tc.op(s, i)
+		}
+		for j := 0; j < 20000; j++ { // warm-up: slab, free list, heap and rings at size
+			step()
+		}
+		if used := s.nlanes > 0; used != (tc.name != "heap") {
+			t.Fatalf("%s: lanes used = %v", tc.name, used)
+		}
+		if n := testing.AllocsPerRun(1000, step); n != 0 {
+			t.Fatalf("%s: schedule+step of a pre-built callback allocates %v times, want 0", tc.name, n)
+		}
+	}
+}
+
+// TestLaneAndHeapTiesFireInSeqOrder: events due at one instant fire in
+// scheduling order whether they wait on a lane (After) or on the heap
+// (Schedule).
+func TestLaneAndHeapTiesFireInSeqOrder(t *testing.T) {
+	s := New(1)
+	for i := 0; i < laneMinHeap; i++ { // a heap big enough for lanes
+		s.Schedule(At(time.Hour), func() {})
+	}
+	const d = 2 * time.Millisecond
+	s.After(d, func() {})
+	s.After(d, func() {}) // a repeat: opens the lane for d
+	s.RunFor(d)
+	var got []string
+	for i := 0; i < 3; i++ {
+		i := i
+		s.Schedule(s.Now()+Time(d), func() { got = append(got, fmt.Sprint("heap", i)) })
+		s.After(d, func() { got = append(got, fmt.Sprint("lane", i)) })
+	}
+	if s.lanes[0].d != d || s.lanes[0].n != 3 || len(s.queue) != laneMinHeap+3 {
+		t.Fatalf("lane for %v holds %d, heap %d: want 3 events on a lane for %v and 3 more on the heap",
+			s.lanes[0].d, s.lanes[0].n, len(s.queue), d)
+	}
+	s.RunFor(d)
+	if want := "[heap0 lane0 heap1 lane1 heap2 lane2]"; fmt.Sprint(got) != want {
+		t.Fatalf("fired %v, want %s", got, want)
 	}
 }
 
@@ -336,16 +391,20 @@ func TestReapedSlotsAreReused(t *testing.T) {
 	}
 }
 
-// BenchmarkSimSchedulePop times one Schedule plus one Step against a queue
+// BenchmarkSimSchedulePop times one After plus one Step against a queue
 // holding about as many events as the 10k-host fleet keeps resident. The
-// delays mix like the fleet's: half are message deliveries of a few
-// milliseconds, half are heartbeat and flush timers of 1–100 s. The
 // callback is pre-built, so the figure is the queue's cost alone.
+//
+//   - random: 4096 distinct delays mixed like the fleet's (half message
+//     deliveries of a few milliseconds, half heartbeat and flush timers of
+//     1–100 s), so no delay repeats often enough to earn a lane and every
+//     event goes through the heap.
+//   - fixed: the fleet's own recurring delays (bus latencies of 100 µs and
+//     2 ms, timer periods of 2, 5, 10 and 15 s), which all ride lanes.
 func BenchmarkSimSchedulePop(b *testing.B) {
-	const resident = 50000
 	r := rand.New(rand.NewSource(1))
-	delays := make([]time.Duration, 4096)
-	for i := range delays {
+	random := make([]time.Duration, 4096)
+	for i := range random {
 		span := 10 * time.Millisecond
 		switch r.Intn(4) {
 		case 0:
@@ -353,18 +412,29 @@ func BenchmarkSimSchedulePop(b *testing.B) {
 		case 1:
 			span = 100 * time.Second
 		}
-		delays[i] = time.Duration(r.Int63n(int64(span)))
+		random[i] = time.Duration(r.Int63n(int64(span)))
 	}
-	s := New(1)
-	fn := func() {}
-	for i := 0; i < resident; i++ {
-		s.After(delays[i%len(delays)], fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.After(delays[i%len(delays)], fn)
-		s.Step()
+	fixed := []time.Duration{100 * time.Microsecond, 2 * time.Millisecond,
+		2 * time.Second, 5 * time.Second, 10 * time.Second, 15 * time.Second}
+	for _, bc := range []struct {
+		name   string
+		delays []time.Duration
+	}{{"random", random}, {"fixed", fixed}} {
+		b.Run(bc.name, func(b *testing.B) {
+			const resident = 50000
+			delays := bc.delays
+			s := New(1)
+			fn := func() {}
+			for i := 0; i < resident; i++ {
+				s.After(delays[i%len(delays)], fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.After(delays[i%len(delays)], fn)
+				s.Step()
+			}
+		})
 	}
 }
 
@@ -631,8 +701,8 @@ func (w *world) addTicker(interval time.Duration, a action) {
 
 func (w *world) do(a action) {
 	switch a.kind {
-	case actSchedule:
-		w.add(w.d.now()+Time(a.arg)*Time(time.Millisecond), action{}, false)
+	case actSchedule: // even delays through After, odd ones through Schedule
+		w.add(w.d.now()+Time(a.arg)*Time(time.Millisecond), action{}, a.arg%2 == 0)
 	case actCancel:
 		w.log = append(w.log, fmt.Sprintf("cancel %d -> %v", a.arg, w.d.cancel(a.arg)))
 	case actStopTicker:
@@ -660,12 +730,25 @@ func drawAction(r *rand.Rand, handles, tickers int) action {
 	return action{}
 }
 
+// drawDelay returns a delay for After: mostly one of twelve recurring
+// values — more than the Simulator has lanes, so lanes fill, drain and
+// are recycled — and otherwise a one-off that stays on the heap.
+func drawDelay(r *rand.Rand) time.Duration {
+	if r.Intn(5) == 0 {
+		return time.Duration(r.Int63n(int64(6 * time.Millisecond)))
+	}
+	return time.Duration(r.Intn(12)) * 500 * time.Microsecond
+}
+
 // TestQueueMatchesReference drives the Simulator and the container/heap
 // reference through the same seeded random operations — bursts of equal
-// timestamps, After, Every, Ticker.Stop, Cancel on live, fired and stale
-// handles, Step, RunUntil and Stop, many of them from inside callbacks —
-// and requires the same firing sequence and the same observable state
-// after every operation.
+// timestamps, After with recurring and one-off delays, Every with
+// intervals the After delays share, Ticker.Stop, Cancel on live, fired and
+// stale handles, Step, RunUntil and Stop, many of them from inside
+// callbacks — and requires the same firing sequence and the same
+// observable state after every operation. Lane and heap events
+// interleave at equal instants, and RunUntil and Stop land between the
+// entries of a lane.
 func TestQueueMatchesReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
@@ -674,6 +757,16 @@ func TestQueueMatchesReference(t *testing.T) {
 			want := &world{d: &refSide{s: &refSim{}}}
 			both := []*world{got, want}
 			ms := Time(time.Millisecond)
+			// Even seeds keep the heap big enough for lanes to open from
+			// the first repeat: hourly events, outside the handle space,
+			// that a drained queue reaches one at a time. Odd seeds open
+			// lanes only while bursts fill the heap.
+			ballast := seed%2 == 0
+			for i := 1; ballast && i <= 8*laneMinHeap; i++ {
+				at := Time(i) * Time(time.Hour)
+				got.d.(*simSide).s.Schedule(at, func() { got.log = append(got.log, fmt.Sprint("ballast at ", at)) })
+				want.d.(*refSide).s.Schedule(at, func() { want.log = append(want.log, fmt.Sprint("ballast at ", at)) })
+			}
 			for op := 0; op < 3000; op++ {
 				var what string
 				switch k := r.Intn(100); {
@@ -685,11 +778,17 @@ func TestQueueMatchesReference(t *testing.T) {
 						w.add(at, a, false)
 					}
 				case k < 35:
-					at := got.d.now() + Time(r.Intn(6))*ms
-					a := drawAction(r, got.handles, got.tickers)
-					what = fmt.Sprintf("After(%v, %+v)", at, a)
-					for _, w := range both {
-						w.add(at, a, true)
+					at := got.d.now() + Time(drawDelay(r))
+					n := 1
+					if r.Intn(10) == 0 {
+						n = 50 + r.Intn(100) // a burst: a lane's ring wraps and grows
+					}
+					what = fmt.Sprintf("%d x After(%v)", n, at)
+					for ; n > 0; n-- {
+						a := drawAction(r, got.handles, got.tickers)
+						for _, w := range both {
+							w.add(at, a, true)
+						}
 					}
 				case k < 40:
 					interval := time.Duration(1+r.Intn(4)) * time.Millisecond
@@ -741,6 +840,9 @@ func TestQueueMatchesReference(t *testing.T) {
 			}
 			if got.d.fired() < 1000 {
 				t.Fatalf("only %d events fired: the operation mix is too thin", got.d.fired())
+			}
+			if n := got.d.(*simSide).s.nlanes; ballast && n != maxLanes || n == 0 {
+				t.Fatalf("%d of %d lanes opened: the delay mix does not fill them", n, maxLanes)
 			}
 		})
 	}
