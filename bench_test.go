@@ -419,28 +419,6 @@ func BenchmarkScale(b *testing.B) {
 	}
 }
 
-// BenchmarkBackwardChaining measures goal-directed queries over a
-// recursive rule base.
-func BenchmarkBackwardChaining(b *testing.B) {
-	e := rules.NewEngine()
-	if err := e.LoadRules(`
-(defrule reach-base (edge ?a ?b) => (assert (reach ?a ?b)))
-(defrule reach-step (edge ?a ?b) (reach ?b ?c) => (assert (reach ?a ?c)))
-`); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		e.AssertF("edge", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
-	}
-	goal := rules.F("reach", "n0", "n12")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := e.Prove(goal...); !ok {
-			b.Fatal("goal not provable")
-		}
-	}
-}
-
 // BenchmarkLDIFRoundTrip measures repository bulk import/export.
 func BenchmarkLDIFRoundTrip(b *testing.B) {
 	dir := NewDirectory()

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"softqos/internal/faults"
+	"softqos/internal/rules"
 	"softqos/internal/scenario"
 	"softqos/internal/telemetry"
 	"softqos/internal/telemetry/eventlog"
@@ -104,8 +105,20 @@ func main() {
 }
 
 func run(sys *scenario.System, warmup time.Duration) {
+	// -trace keeps the client host manager's last firings in a ring,
+	// chained after the manager's own firing hook.
+	var last [20]rules.Firing
+	fired := 0
 	if *trace {
-		sys.ClientHM.Engine().SetTracing(true)
+		e := sys.ClientHM.Engine()
+		hook := e.OnFiring
+		e.OnFiring = func(f rules.Firing) {
+			if hook != nil {
+				hook(f)
+			}
+			last[fired%len(last)] = f
+			fired++
+		}
 	}
 	res := sys.Run(warmup, *duration)
 	if *timeline {
@@ -134,14 +147,9 @@ func run(sys *scenario.System, warmup time.Duration) {
 			sys.ClientHM.AgentsEvicted, sys.ClientHM.HeartbeatsSeen, sys.DM.EpisodeTimeouts)
 	}
 	if *trace {
-		firings := sys.ClientHM.Engine().Trace()
-		fmt.Printf("\nrule firings (%d total, last 20):\n", len(firings))
-		start := 0
-		if len(firings) > 20 {
-			start = len(firings) - 20
-		}
-		for _, f := range firings[start:] {
-			fmt.Println(" ", f)
+		fmt.Printf("\nrule firings (%d total, last %d):\n", fired, len(last))
+		for i := max(0, fired-len(last)); i < fired; i++ {
+			fmt.Println(" ", last[i%len(last)])
 		}
 	}
 	if *metrics {

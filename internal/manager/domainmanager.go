@@ -73,6 +73,10 @@ const DefaultDomainRules = `
   (call network-fault ?e))
 `
 
+// defaultDomainProgram is DefaultDomainRules compiled once per process:
+// every domain manager loads this one read-only program.
+var defaultDomainProgram = mustCompile("domain-default", DefaultDomainRules)
+
 // Load levels the hierarchy judges host cpu_load by.
 const (
 	// LoadThreshold equals DefaultDomainRules' cpu-load-threshold fact:
@@ -254,9 +258,7 @@ func NewDomainManager(addr string, send Send, cfg DomainConfig) *DomainManager {
 			}
 		}}
 	dm.registerCallbacks()
-	if err := dm.engine.LoadRulesOrigin("domain-default", DefaultDomainRules); err != nil {
-		panic("manager: default domain rules do not parse: " + err.Error())
-	}
+	dm.engine.Load(defaultDomainProgram)
 	return dm
 }
 
@@ -326,12 +328,6 @@ func (dm *DomainManager) Engine() *rules.Engine { return dm.engine }
 
 // LoadRules replaces the rule set at run time.
 func (dm *DomainManager) LoadRules(src string) error { return dm.engine.LoadRules(src) }
-
-// LoadNamedRules replaces the rule set at run time with provenance (see
-// HostManager.LoadNamedRules).
-func (dm *DomainManager) LoadNamedRules(name, src string) error {
-	return dm.engine.LoadRulesOrigin(name, src)
-}
 
 // RegisterAppServer tells the domain manager which host manager and
 // executable serve an application (its configuration knowledge).

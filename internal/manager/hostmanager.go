@@ -67,6 +67,19 @@ const DefaultHostRules = `
   (call boost-cpu ?p 5))
 `
 
+// defaultHostProgram is DefaultHostRules compiled once per process: every
+// host manager loads this one read-only program.
+var defaultHostProgram = mustCompile("host-default", DefaultHostRules)
+
+// mustCompile compiles a built-in rule set, which must compile.
+func mustCompile(origin, src string) *rules.Program {
+	p, err := rules.Compile(origin, src)
+	if err != nil {
+		panic("manager: " + origin + " rules do not parse: " + err.Error())
+	}
+	return p
+}
+
 // OverloadHostRules extends the default rule set with the paper's
 // future-work overload handling (§10 iii): when a violation persists even
 // though the CPU manager has already pushed the process's priority to a
@@ -300,9 +313,7 @@ func NewHostManager(addr string, host runtime.HostControl, send Send, domainAddr
 		},
 		onEvict: hm.evict}
 	hm.registerCallbacks()
-	if err := hm.engine.LoadRulesOrigin("host-default", DefaultHostRules); err != nil {
-		panic("manager: default host rules do not parse: " + err.Error())
-	}
+	hm.engine.Load(defaultHostProgram)
 	return hm
 }
 
@@ -373,13 +384,6 @@ func (hm *HostManager) Memory() *MemoryManager { return hm.mem }
 
 // Engine exposes the inference engine (tests and rule administration).
 func (hm *HostManager) Engine() *rules.Engine { return hm.engine }
-
-// LoadNamedRules replaces the rule set at run time, tagging every rule
-// with the originating rule-set name so trace explanations report which
-// distributed set produced each decision.
-func (hm *HostManager) LoadNamedRules(name, src string) error {
-	return hm.engine.LoadRulesOrigin(name, src)
-}
 
 // LoadRules replaces the rule set at run time (dynamic rule
 // distribution).

@@ -1,12 +1,12 @@
 // Package mgmt implements the management applications of Section 6.2: a
 // policy administration facade that validates policies against the
 // deployment information (the integrity checks the prototype performed),
-// stores them in the repository, and exports/imports LDIF.
+// stores them in the repository, together with manager rule sets. LDIF
+// export and bulk import are repository.WriteLDIF and repository.LoadLDIF.
 package mgmt
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"softqos/internal/policy"
@@ -92,28 +92,10 @@ func (a *Admin) AddRuleSet(name, managerRole, text string) error {
 	return a.svc.StoreRuleSet(name, managerRole, text)
 }
 
-// RulesFor returns the concatenated rule text stored for a manager role,
-// ready to load into a manager's engine. An empty string means no stored
-// rule sets (managers then keep their built-in defaults).
-func (a *Admin) RulesFor(managerRole string) (string, error) {
-	texts, err := a.svc.RuleSetsFor(managerRole)
-	if err != nil {
-		return "", err
-	}
-	return strings.Join(texts, "\n"), nil
-}
-
 // NamedRulesFor returns the stored rule sets for a manager role with
-// their names, for loaders that keep provenance (e.g.
-// HostManager.LoadNamedRules, so trace explanations report which stored
-// set produced each firing).
+// their names, sorted by name. A loader that keeps provenance compiles
+// each under its name (rules.Compile), so trace explanations report which
+// stored set produced each firing.
 func (a *Admin) NamedRulesFor(managerRole string) ([]repository.NamedRuleSet, error) {
 	return a.svc.NamedRuleSetsFor(managerRole)
-}
-
-// ImportLDIF uploads raw LDIF into a directory (bulk administration
-// path). It is a convenience over repository.LoadLDIF for callers holding
-// only an Admin.
-func ImportLDIF(dir *repository.Directory, r io.Reader) (int, error) {
-	return repository.LoadLDIF(dir, r)
 }

@@ -107,14 +107,26 @@ func TestRemovePolicy(t *testing.T) {
 	}
 }
 
+// TestImportLDIF: what one administration stores survives the LDIF
+// export and bulk import of policyctl into a fresh directory.
 func TestImportLDIF(t *testing.T) {
-	dir := repository.NewDirectory(nil)
-	n, err := ImportLDIF(dir, strings.NewReader(`dn: o=qos
-objectClass: organization
-o: qos
-`))
-	if err != nil || n != 1 {
-		t.Fatalf("ImportLDIF: n=%d err=%v", n, err)
+	admin, dir := newAdmin(t)
+	if err := admin.AddRuleSet("base", "host-manager", `(defrule r (violation ?p ?policy) => (call boost-cpu ?p 5))`); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := repository.LocalStore{Dir: dir}.Search(repository.BaseDN, repository.ScopeSub, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := repository.NewDirectory(repository.QoSSchema())
+	n, err := repository.LoadLDIF(copied, strings.NewReader(repository.LDIFString(entries)))
+	if err != nil || n != len(entries) {
+		t.Fatalf("LoadLDIF: n=%d of %d, err=%v", n, len(entries), err)
+	}
+	imported := NewAdmin(repository.NewService(repository.LocalStore{Dir: copied}))
+	want, _ := admin.NamedRulesFor("host-manager")
+	if got, err := imported.NamedRulesFor("host-manager"); err != nil || len(got) != 1 || got[0] != want[0] {
+		t.Errorf("imported rule sets = %+v, %v; stored %+v", got, err, want)
 	}
 }
 
@@ -138,14 +150,14 @@ func TestRuleSetAdministration(t *testing.T) {
 	if err := admin.AddRuleSet("broken", "host-manager", "(defrule oops"); err == nil {
 		t.Fatal("unparseable rule set stored")
 	}
-	text, err := admin.RulesFor("host-manager")
+	named, err := admin.NamedRulesFor("host-manager")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text, "boost-cpu") {
-		t.Errorf("distributed rules = %q", text)
+	if len(named) != 1 || named[0].Name != "base" || !strings.Contains(named[0].Text, "boost-cpu") {
+		t.Errorf("distributed rules = %+v", named)
 	}
-	if text, _ := admin.RulesFor("domain-manager"); text != "" {
-		t.Errorf("unexpected domain rules %q", text)
+	if named, _ := admin.NamedRulesFor("domain-manager"); len(named) != 0 {
+		t.Errorf("unexpected domain rules %+v", named)
 	}
 }

@@ -455,14 +455,14 @@ func TestServiceRuleSets(t *testing.T) {
 	if err := svc.StoreRuleSet("base", "host-manager", "(defrule b (x) => (assert (z)))"); err != nil {
 		t.Fatal(err) // replace
 	}
-	got, err := svc.RuleSetsFor("host-manager")
+	got, err := svc.NamedRuleSetsFor("host-manager")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || !strings.Contains(got[0], "defrule b") {
-		t.Errorf("rule sets = %v", got)
+	if len(got) != 1 || got[0].Name != "base" || !strings.Contains(got[0].Text, "defrule b") {
+		t.Errorf("rule sets = %+v", got)
 	}
-	none, err := svc.RuleSetsFor("domain-manager")
+	none, err := svc.NamedRuleSetsFor("domain-manager")
 	if err != nil {
 		t.Fatal(err)
 	}

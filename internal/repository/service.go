@@ -492,20 +492,6 @@ func (s *Service) NamedRuleSetsFor(managerRole string) ([]NamedRuleSet, error) {
 	return out, nil
 }
 
-// RuleSetsFor returns the rule texts bound to a manager role, sorted by
-// name (the nameless form of NamedRuleSetsFor).
-func (s *Service) RuleSetsFor(managerRole string) ([]string, error) {
-	named, err := s.NamedRuleSetsFor(managerRole)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(named))
-	for _, rs := range named {
-		out = append(out, rs.Text)
-	}
-	return out, nil
-}
-
 // Applications lists defined application names.
 func (s *Service) Applications() ([]string, error) {
 	entries, err := s.store.Search(dnApplications(), ScopeOne, Eq("objectClass", "qosApplication"))

@@ -27,14 +27,23 @@ type conflictSet struct {
 
 func (s *conflictSet) tuple(i, n int) []*Fact { return s.tuples[i*n : (i+1)*n] }
 
-// next brings the conflict set up to date and picks the activation to
+// ruleState is one engine's share of one program rule: its conflict set,
+// and whether a memory under the rule's patterns changed since the set
+// was matched.
+type ruleState struct {
+	dirty bool
+	set   conflictSet
+}
+
+// next brings the conflict sets up to date and picks the activation to
 // fire: highest salience, then most recent fact, then rule definition
-// order, then enumeration order. It returns nil at quiescence.
-func (e *Engine) next() (*prod, int) {
+// order, then enumeration order. It returns the rule's index and the
+// activation's, or r < 0 at quiescence.
+func (e *Engine) next() (r, at int) {
 	if e.stale {
-		for _, p := range e.rs {
-			if p.dirty {
-				e.rematch(p)
+		for i := range e.state {
+			if e.state[i].dirty {
+				e.rematch(i)
 			}
 		}
 		e.stale = false
@@ -42,33 +51,35 @@ func (e *Engine) next() (*prod, int) {
 	if len(e.unlisted) > 0 {
 		e.reclaim()
 	}
-	var best *prod
-	at := 0
-	for _, p := range e.rs {
-		for i := range p.set.acts {
-			a := &p.set.acts[i]
-			if a.live && !a.fired && (best == nil || p.Salience > best.Salience ||
-				p.Salience == best.Salience && a.recency > best.set.acts[at].recency) {
-				best, at = p, i
+	rs, r := e.prog.rules, -1
+	for i, p := range rs {
+		acts := e.state[i].set.acts
+		for j := range acts {
+			a := &acts[j]
+			if a.live && !a.fired && (r < 0 || p.Salience > rs[r].Salience ||
+				p.Salience == rs[r].Salience && a.recency > e.state[r].set.acts[at].recency) {
+				r, at = i, j
 			}
 		}
 	}
-	return best, at
+	return r, at
 }
 
-// rematch recomputes p's conflict set, carrying refraction over from the
-// old one. Both are in enumeration order, so the carry is a merge: found
-// consumes old entries up to each new match as the matcher produces it.
-func (e *Engine) rematch(p *prod) {
-	p.dirty = false
-	e.old, p.set = p.set, conflictSet{e.spare.acts[:0], e.spare.tuples[:0]}
+// rematch recomputes rule r's conflict set, carrying refraction over from
+// the old one. Both are in enumeration order, so the carry is a merge:
+// found consumes old entries up to each new match as the matcher
+// produces it.
+func (e *Engine) rematch(r int) {
+	p, st := e.prog.rules[r], &e.state[r]
+	st.dirty = false
+	e.old, e.fresh = st.set, conflictSet{e.spare.acts[:0], e.spare.tuples[:0]}
 	e.cur = 0
 	e.match(p, 0)
 	for ; e.cur < len(e.old.acts); e.cur++ {
 		e.linger(p, e.cur)
 	}
 	clear(e.old.tuples)
-	e.spare = e.old
+	st.set, e.spare = e.fresh, e.old
 }
 
 // match enumerates the complete matches of p depth-first from condition
@@ -80,14 +91,14 @@ func (e *Engine) match(p *prod, i int) {
 	}
 	switch c := &p.conds[i]; c.kind {
 	case cePattern:
-		for _, f := range c.mem.facts {
+		for _, f := range e.pm[c.mem].facts {
 			if !f.gone && c.unify(f, e.frame) {
 				e.stack[c.pos] = f
 				e.match(p, i+1)
 			}
 		}
 	case ceNegated:
-		for _, f := range c.mem.facts {
+		for _, f := range e.pm[c.mem].facts {
 			if !f.gone && c.unify(f, e.frame) {
 				return // a match exists: negation fails
 			}
@@ -103,7 +114,8 @@ func (e *Engine) match(p *prod, i int) {
 	}
 }
 
-// found records the match on the fact stack as an activation of p.
+// found records the match on the fact stack as an activation of p in the
+// conflict set being built.
 func (e *Engine) found(p *prod) {
 	n := p.npos
 	tuple := e.stack[:n]
@@ -127,8 +139,8 @@ merge:
 		e.cur++
 		break
 	}
-	p.set.acts = append(p.set.acts, a)
-	p.set.tuples = append(p.set.tuples, tuple...)
+	e.fresh.acts = append(e.fresh.acts, a)
+	e.fresh.tuples = append(e.fresh.tuples, tuple...)
 }
 
 // linger keeps old activation i, which matched before and does not now,
@@ -143,6 +155,6 @@ func (e *Engine) linger(p *prod, i int) {
 			return
 		}
 	}
-	p.set.acts = append(p.set.acts, act{recency: e.old.acts[i].recency, fired: true})
-	p.set.tuples = append(p.set.tuples, tuple...)
+	e.fresh.acts = append(e.fresh.acts, act{recency: e.old.acts[i].recency, fired: true})
+	e.fresh.tuples = append(e.fresh.tuples, tuple...)
 }

@@ -6,26 +6,57 @@ import (
 	"strings"
 )
 
-// prod is a Rule compiled for one engine: the immutable match program
-// (conds, actions) plus the rule's share of the conflict set.
+// Program is a rule set compiled once: templates, initial facts and the
+// rules' match programs. It is read-only after Compile, so any number of
+// engines, on any goroutines, may load one program (Engine.Load); each
+// keeps its own working memory and conflict sets.
+type Program struct {
+	rules     []*prod
+	templates map[string]*template
+	facts     [][]Value // deffacts, asserted by every Load
+
+	// keys lists the alpha memories the rules' patterns scan; a cond's
+	// mem indexes it, and index 0 is all of working memory. deps[k]
+	// lists the rules (indices into rules) with a pattern over keys[k].
+	keys []relKey
+	deps [][]int
+
+	frame, stack int // the most variable slots and matched facts any rule needs
+}
+
+// Compile parses src and compiles its rules, tagging each with origin (a
+// repository rule-set name or a built-in set's identifier), which firing
+// records report so operators can tell which distributed rule set
+// produced a decision.
+func Compile(origin, src string) (*Program, error) {
+	rs, facts, templates, err := parseAll(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &Program{templates: templates, facts: facts, keys: []relKey{{}}, deps: [][]int{nil}}
+	for _, r := range rs {
+		p.rules = append(p.rules, p.compile(r, origin))
+	}
+	return p, nil
+}
+
+// prod is a Rule compiled into its match program.
 type prod struct {
 	*Rule
+	origin  string
 	conds   []cond
 	npos    int      // positive patterns: an activation matched one fact for each
 	actions []action // RHS, in order
 	vars    []string // slot -> variable name, for firing records
-
-	dirty bool // a memory under conds changed since set was matched
-	set   conflictSet
 }
 
 // cond is one compiled condition element.
 type cond struct {
 	kind  ceKind
-	pos   int     // cePattern: which of the activation's matched facts this is
-	mem   *memory // facts to scan: the head's alpha memory, or all of working memory
-	terms []term  // one per pattern position
-	test  expr    // ceTest
+	pos   int    // cePattern: which of the activation's matched facts this is
+	mem   int    // facts to scan: Program.keys index of the head's memory, or 0 for all of them
+	terms []term // one per pattern position
+	test  expr   // ceTest
 }
 
 // term is what one pattern position does to a candidate fact's atom.
@@ -65,11 +96,11 @@ func (c *cond) unify(f *Fact, frame []Value) bool {
 	return true
 }
 
-// pattern compiles one pattern under sc — the rule's variables so far, a
-// name's index being its frame slot — which gains the variables the
-// pattern binds, and registers p with the memory the pattern scans.
-func (e *Engine) pattern(p *prod, kind ceKind, pat []Value, sc *bindings) cond {
-	c := cond{kind: kind, mem: &e.all, terms: make([]term, len(pat))}
+// pattern compiles one pattern of rule r under sc — the rule's variables
+// so far, a name's index being its frame slot — which gains the variables
+// the pattern binds, and registers r with the memory the pattern scans.
+func (p *Program) pattern(r int, kind ceKind, pat []Value, sc *bindings) cond {
+	c := cond{kind: kind, terms: make([]term, len(pat))}
 	for i, v := range pat {
 		switch {
 		case !v.IsVariable():
@@ -83,17 +114,29 @@ func (e *Engine) pattern(p *prod, kind ceKind, pat []Value, sc *bindings) cond {
 		}
 	}
 	if pat[0].Kind == SymbolKind && !pat[0].IsVariable() {
-		c.mem, c.terms[0] = e.mem(pat[0].Sym, len(pat)), term{}
+		c.mem, c.terms[0] = p.key(pat[0].Sym, len(pat)), term{}
 	}
-	c.mem.deps = append(c.mem.deps, p)
+	p.deps[c.mem] = append(p.deps[c.mem], r)
 	return c
 }
 
-// compile turns a parsed rule into its match program: variables become
-// frame slots, tests and RHS expressions closures over them, and each
-// pattern is bound to the memory it scans.
-func (e *Engine) compile(r *Rule) *prod {
-	p := &prod{Rule: r, dirty: true}
+// key returns the index of (rel, arity) in the key table, adding it when absent.
+func (p *Program) key(rel string, arity int) int {
+	k := relKey{rel, arity}
+	for i := 1; i < len(p.keys); i++ {
+		if p.keys[i] == k {
+			return i
+		}
+	}
+	p.keys, p.deps = append(p.keys, k), append(p.deps, nil)
+	return len(p.keys) - 1
+}
+
+// compile turns a parsed rule, the next of the program's, into its match
+// program: variables become frame slots, tests and RHS expressions
+// closures over them, and each pattern is bound to the memory it scans.
+func (p *Program) compile(r *Rule, origin string) *prod {
+	pr, ri := &prod{Rule: r, origin: origin}, len(p.rules)
 	sc := &bindings{}
 	factAddr := map[string]int{} // ?f <- (pattern): which matched fact ?f names
 	slots := 0
@@ -101,31 +144,27 @@ func (e *Engine) compile(r *Rule) *prod {
 		switch ce.kind {
 		case cePattern:
 			if ce.bindVar != "" {
-				factAddr[ce.bindVar] = p.npos
+				factAddr[ce.bindVar] = pr.npos
 			}
-			c := e.pattern(p, cePattern, ce.pattern, sc)
-			c.pos = p.npos
-			p.npos++
-			p.conds = append(p.conds, c)
+			c := p.pattern(ri, cePattern, ce.pattern, sc)
+			c.pos = pr.npos
+			pr.npos++
+			pr.conds = append(pr.conds, c)
 		case ceNegated: // variables first seen under not stay local to it
 			local := &bindings{names: append([]string(nil), sc.names...)}
-			p.conds = append(p.conds, e.pattern(p, ceNegated, ce.pattern, local))
+			pr.conds = append(pr.conds, p.pattern(ri, ceNegated, ce.pattern, local))
 			slots = max(slots, len(local.names))
 		case ceTest:
-			p.conds = append(p.conds, cond{kind: ceTest, test: compileExpr(ce.test, sc.slot)})
+			pr.conds = append(pr.conds, cond{kind: ceTest, test: compileExpr(ce.test, sc.slot)})
 		}
 	}
-	p.vars = sc.names
-	if slots = max(slots, len(p.vars)); slots > len(e.frame) {
-		e.frame = make([]Value, slots)
-	}
-	if p.npos > len(e.stack) {
-		e.stack = make([]*Fact, p.npos)
-	}
+	pr.vars = sc.names
+	p.frame = max(p.frame, slots, len(pr.vars))
+	p.stack = max(p.stack, pr.npos)
 	for _, act := range r.actions {
-		p.actions = append(p.actions, e.compileAction(act, sc.slot, factAddr))
+		pr.actions = append(pr.actions, p.compileAction(act, sc.slot, factAddr))
 	}
-	return p
+	return pr
 }
 
 // action is one compiled RHS action; tuple is the firing activation's
@@ -135,7 +174,7 @@ type action func(e *Engine, tuple []*Fact) error
 // compileAction compiles one RHS form. A malformed action compiles to one
 // that fails when it runs, so the rule set still loads and its other rules
 // still fire.
-func (e *Engine) compileAction(act sexpr, slot func(string) int, factAddr map[string]int) action {
+func (p *Program) compileAction(act sexpr, slot func(string) int, factAddr map[string]int) action {
 	fail := func(err error) action { return func(*Engine, []*Fact) error { return err } }
 	exprs := func(forms []sexpr) []expr {
 		out := make([]expr, len(forms))
@@ -151,7 +190,7 @@ func (e *Engine) compileAction(act sexpr, slot func(string) int, factAddr map[st
 		}
 		form := act.list[1]
 		items := exprs(form.list)
-		if t, ok := e.templates[form.head()]; ok && isSlotForm(form) {
+		if t, ok := p.templates[form.head()]; ok && isSlotForm(form) {
 			var err error
 			if items, err = t.compileForm(form, slot); err != nil {
 				return fail(err)

@@ -10,7 +10,8 @@ import (
 // args...). args is only valid during the call: the engine reuses it.
 type Callback func(args []Value) error
 
-// Engine is the fact repository plus inference machinery of one manager.
+// Engine is the fact repository plus inference machinery of one manager:
+// working memory and the match state of the Program it has loaded.
 type Engine struct {
 	facts  map[int]*Fact    // live facts by id
 	byHash map[uint64]*Fact // live facts by tuple hash, colliding ones chained through Fact.next
@@ -19,103 +20,111 @@ type Engine struct {
 
 	// all holds every live fact in assertion order; mems indexes them by
 	// (relation, arity) — the alpha memories of a Rete network, which keep
-	// matching linear in the relevant facts. A compiled pattern with a
-	// constant head points straight at its memory; any other scans all.
+	// matching linear in the relevant facts. pm resolves the program's key
+	// table: a compiled pattern with a constant head scans the memory of
+	// its key; any other scans all (pm[0]).
 	all  memory
 	mems map[relKey]*memory
+	pm   []*memory
 
 	// Retracted facts on their way back to Assert: unlisted holds the ones
 	// no memory lists any more, which a conflict set may still name until
 	// the next re-match (agenda.go) moves them to free.
 	unlisted, free []*Fact
 
-	rs        []*prod
-	templates map[string]*template
-	funcs     map[string]Callback
+	prog  *Program
+	state []ruleState // one per program rule
+	funcs map[string]Callback
 
 	// Match state, reused across episodes (agenda.go): stale — some rule
 	// needs re-matching; frame and stack — variable slots and matched
-	// facts of the match in progress; old/cur — the conflict set a
-	// re-match replaces; spare — the buffers the next re-match fills.
-	stale       bool
-	frame, args []Value
-	stack       []*Fact
-	old, spare  conflictSet
-	cur         int
-	capturing   bool // a Firing record is wanted: execute notes effects in cap
-	cap         capture
-	tracing     bool
-	trace       []Firing
-	origins     map[string]string // rule name -> rule-set provenance (see LoadRulesOrigin)
+	// facts of the match in progress; fresh — the conflict set a re-match
+	// builds; old/cur — the one it replaces; spare — the buffers the next
+	// re-match fills.
+	stale             bool
+	frame, args       []Value
+	stack             []*Fact
+	fresh, old, spare conflictSet
+	cur               int
+	fired             int  // firings so far: the next Firing's Seq less one
+	capturing         bool // a Firing record is wanted: execute notes effects in cap
+	cap               capture
 
 	// Logf, if non-nil, receives (log ...) output and trace messages.
 	Logf func(format string, args ...any)
 
 	// OnFiring, if non-nil, receives every executed activation as a
 	// Firing record including its effects (facts asserted/retracted,
-	// callbacks invoked). Managers use it to attach rule-firing
-	// explanations to the violation trace being diagnosed. It is invoked
-	// after the activation's RHS ran, independent of SetTracing.
+	// callbacks invoked), after the activation's RHS ran. Managers use it
+	// to attach rule-firing explanations to the violation trace being
+	// diagnosed.
 	OnFiring func(Firing)
 }
+
+// noRules is the program of an engine that has loaded none.
+var noRules = new(Program)
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
 	return &Engine{
-		facts:     make(map[int]*Fact),
-		byHash:    make(map[uint64]*Fact),
-		seed:      maphash.MakeSeed(),
-		mems:      make(map[relKey]*memory),
-		templates: make(map[string]*template),
-		funcs:     make(map[string]Callback),
+		facts:  make(map[int]*Fact),
+		byHash: make(map[uint64]*Fact),
+		seed:   maphash.MakeSeed(),
+		mems:   make(map[relKey]*memory),
+		funcs:  make(map[string]Callback),
+		prog:   noRules,
 	}
 }
 
-// LoadRules parses src and replaces the engine's rule set (the paper's
-// dynamic rule distribution: rule sets change at run time without
-// recompilation). Initial facts from deffacts forms are asserted.
-func (e *Engine) LoadRules(src string) error { return e.LoadRulesOrigin("", src) }
-
-// LoadRulesOrigin is LoadRules with provenance: every rule parsed from
-// src is tagged as coming from origin (a repository rule-set name or a
-// built-in set's identifier), which firing records and trace
-// explanations report so operators can tell which distributed rule set
-// produced a decision.
-func (e *Engine) LoadRulesOrigin(origin, src string) error {
-	rs, facts, templates, err := parseAll(src)
-	if err != nil {
-		return err
-	}
-	e.templates = templates
-	e.origins = make(map[string]string)
-	e.rs = nil
-	e.all.deps = nil
+// Load replaces the engine's rule set with p (the paper's dynamic rule
+// distribution: rule sets change at run time without recompilation).
+// Working memory survives; every rule is matched afresh, so no earlier
+// firing refracts a new activation; p's initial facts are asserted.
+func (e *Engine) Load(p *Program) {
+	e.prog = p
 	for _, m := range e.mems {
 		m.deps = nil
 	}
-	for _, r := range rs {
-		if origin != "" {
-			e.origins[r.Name] = origin
-		}
-		e.AddRule(r)
+	e.all.deps = p.deps[0]
+	e.pm = append(e.pm[:0], &e.all)
+	for k, key := range p.keys[1:] {
+		m := e.mem(key.rel, key.arity)
+		m.deps = p.deps[k+1]
+		e.pm = append(e.pm, m)
 	}
-	for _, f := range facts {
+	e.state = make([]ruleState, len(p.rules))
+	for i := range e.state {
+		e.state[i].dirty = true
+	}
+	e.stale = true
+	if p.frame > len(e.frame) {
+		e.frame = make([]Value, p.frame)
+	}
+	if p.stack > len(e.stack) {
+		e.stack = make([]*Fact, p.stack)
+	}
+	for _, f := range p.facts {
 		e.Assert(f...)
 	}
-	return nil
 }
 
-// AddRule compiles and appends a single parsed rule (used by LoadRules,
-// tests and composition). Its conflict set starts empty and unmatched.
-func (e *Engine) AddRule(r *Rule) {
-	e.rs = append(e.rs, e.compile(r))
-	e.stale = true
+// LoadRules compiles src and loads it (see Compile and Load).
+func (e *Engine) LoadRules(src string) error { return e.LoadRulesOrigin("", src) }
+
+// LoadRulesOrigin compiles src with provenance origin and loads it.
+func (e *Engine) LoadRulesOrigin(origin, src string) error {
+	p, err := Compile(origin, src)
+	if err != nil {
+		return err
+	}
+	e.Load(p)
+	return nil
 }
 
 // Rules returns the loaded rule names in definition order.
 func (e *Engine) Rules() []string {
-	out := make([]string, len(e.rs))
-	for i, p := range e.rs {
+	out := make([]string, len(e.prog.rules))
+	for i, p := range e.prog.rules {
 		out[i] = p.Name
 	}
 	return out
@@ -140,7 +149,7 @@ type relKey struct {
 type memory struct {
 	facts []*Fact
 	dead  int
-	deps  []*prod // rules with a condition element over this memory
+	deps  []int // the loaded program's rules with a pattern over this memory
 }
 
 // maxSpareFacts bounds each of the engine's two lists of retracted facts
@@ -149,8 +158,8 @@ const maxSpareFacts = 64
 
 // changed marks every rule matching over m for re-matching.
 func (e *Engine) changed(m *memory) {
-	for _, p := range m.deps {
-		p.dirty = true
+	for _, r := range m.deps {
+		e.state[r].dirty = true
 		e.stale = true
 	}
 }
@@ -389,39 +398,26 @@ func unifies(pattern []Value, f *Fact, b *bindings) bool {
 	return true
 }
 
-// unify is unifies returning the extended environment — a copy of b plus
-// the variables the match binds — for the goal-directed paths.
-func unify(pattern []Value, f *Fact, b *bindings) (*bindings, bool) {
-	if !unifies(pattern, f, b) {
-		return nil, false
-	}
-	nb := b.clone()
-	for i, pv := range pattern {
-		if pv.IsVariable() && pv.Sym != "?" {
-			nb.setVar(pv.Sym, f.items[i])
-		}
-	}
-	return nb, true
-}
-
 // Run forward-chains until quiescence or limit firings (limit <= 0 means
 // no limit). It returns the number of rules fired.
 func (e *Engine) Run(limit int) (int, error) {
 	fired := 0
 	for limit <= 0 || fired < limit {
-		p, i := e.next()
-		if p == nil {
+		r, i := e.next()
+		if r < 0 {
 			break
 		}
-		p.set.acts[i].fired = true
+		p, set := e.prog.rules[r], &e.state[r].set
+		set.acts[i].fired = true
 		fired++
-		tuple := p.set.tuple(i, p.npos)
+		e.fired++
+		tuple := set.tuple(i, p.npos)
 		for j := range p.conds { // re-derive the bindings from the matched facts
 			if c := &p.conds[j]; c.kind == cePattern {
 				c.unify(tuple[c.pos], e.frame)
 			}
 		}
-		e.capturing = e.tracing || e.OnFiring != nil
+		e.capturing = e.OnFiring != nil
 		e.cap.reset()
 		var err error
 		for _, act := range p.actions {
@@ -429,14 +425,8 @@ func (e *Engine) Run(limit int) (int, error) {
 				break
 			}
 		}
-		if e.capturing {
-			rec := e.firing(p, tuple)
-			if e.tracing {
-				e.trace = append(e.trace, rec)
-			}
-			if e.OnFiring != nil {
-				e.OnFiring(rec)
-			}
+		if e.capturing && e.OnFiring != nil {
+			e.OnFiring(e.firing(p, tuple))
 		}
 		if err != nil {
 			return fired, fmt.Errorf("rules: rule %s: %w", p.Name, err)

@@ -21,12 +21,45 @@ import (
 type refEngine struct {
 	rs        []*Rule
 	templates map[string]*template
-	facts     []*Fact // live, assertion order
+	init      [][]Value // deffacts
+	facts     []*Fact   // live, assertion order
 	nextID    int
 	fired     map[string]bool
 	funcs     map[string]Callback
 	trace     []Firing
 }
+
+// The reference engine's by-name environment: bindings grown one
+// variable at a time, and expressions evaluated against them.
+
+func newBindings() *bindings { return &bindings{} }
+
+func (b *bindings) setVar(name string, v Value) {
+	if i := b.slot(name); i >= 0 {
+		b.vals[i] = v
+		return
+	}
+	b.names, b.vals = append(b.names, name), append(b.vals, v)
+}
+
+// unify is unifies returning the extended environment: a copy of b plus
+// the variables the match binds.
+func unify(pattern []Value, f *Fact, b *bindings) (*bindings, bool) {
+	if !unifies(pattern, f, b) {
+		return nil, false
+	}
+	nb := &bindings{names: append([]string(nil), b.names...), vals: append([]Value(nil), b.vals...)}
+	for i, pv := range pattern {
+		if pv.IsVariable() && pv.Sym != "?" {
+			nb.setVar(pv.Sym, f.items[i])
+		}
+	}
+	return nb, true
+}
+
+// eval evaluates an expression under a by-name environment: compile
+// against its names, run over its values.
+func eval(e sexpr, b *bindings) (Value, error) { return compileExpr(e, b.slot)(b.vals) }
 
 func newRefEngine(t *testing.T, src string) *refEngine {
 	t.Helper()
@@ -34,11 +67,18 @@ func newRefEngine(t *testing.T, src string) *refEngine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &refEngine{rs: rs, templates: templates, fired: map[string]bool{}, funcs: map[string]Callback{}}
-	for _, f := range facts {
+	r := &refEngine{rs: rs, templates: templates, init: facts, funcs: map[string]Callback{}}
+	r.reload()
+	return r
+}
+
+// reload is Engine.Load of the same rules: working memory stays, nothing
+// counts as fired any more, and the initial facts are asserted.
+func (r *refEngine) reload() {
+	r.fired = map[string]bool{}
+	for _, f := range r.init {
 		r.assert(f...)
 	}
-	return r
 }
 
 func (r *refEngine) assert(items ...Value) int {
@@ -305,60 +345,84 @@ type equivOp struct {
 	limit int
 }
 
-// checkEquivalent drives the compiled engine and the reference through
-// the same rule set and ops and requires identical observable behaviour
-// at every step: assert ids, retract counts, firing counts and errors,
-// the full firing sequence (rule, bindings, matched facts, effects) and
-// final working memory with ids. Fact ids are assigned identically and
-// working memory holds no duplicate tuples, so equal matched-fact
-// renderings are equal matched fact ids.
-func checkEquivalent(t *testing.T, src string, ops []equivOp) {
+// checkEquivalent drives n engines, all loaded with one compiled program,
+// and the reference through the same rule set and ops in lockstep, and
+// requires each engine's observable behaviour to equal the reference's at
+// every step: assert ids, retract counts, firing counts and errors, the
+// full firing sequence (rule, bindings, matched facts, effects) and final
+// working memory with ids. Fact ids are assigned identically and working
+// memory holds no duplicate tuples, so equal matched-fact renderings are
+// equal matched fact ids. Before op reload (if in range) every engine
+// re-Loads the program and the reference reloads its rules.
+func checkEquivalent(t *testing.T, src string, ops []equivOp, n, reload int) {
 	t.Helper()
-	e, ref := NewEngine(), newRefEngine(t, src)
-	if err := e.LoadRules(src); err != nil {
+	prog, err := Compile("", src)
+	if err != nil {
 		t.Fatalf("%v\n%s", err, src)
 	}
-	e.SetTracing(true)
+	ref := newRefEngine(t, src)
 	note := func([]Value) error { return nil }
-	e.RegisterFunc("note", note)
 	ref.funcs["note"] = note
+	es, firings := make([]*Engine, n), make([][]Firing, n)
+	for i := range es {
+		es[i] = NewEngine()
+		es[i].Load(prog)
+		es[i].RegisterFunc("note", note)
+		es[i].OnFiring = func(f Firing) { firings[i] = append(firings[i], f) }
+	}
 	for step, op := range ops {
-		fail := func(format string, args ...any) {
+		fail := func(i int, format string, args ...any) {
 			t.Helper()
-			t.Fatalf("step %d: %s\nrules:\n%s", step, fmt.Sprintf(format, args...), src)
+			t.Fatalf("step %d, engine %d of %d (reload before step %d): %s\nrules:\n%s", step, i, n, reload, fmt.Sprintf(format, args...), src)
+		}
+		if step == reload {
+			ref.reload()
+			for _, e := range es {
+				e.Load(prog)
+			}
 		}
 		switch op.kind {
 		case 0:
-			if got, want := e.Assert(op.items...), ref.assert(op.items...); got != want {
-				fail("assert %v: id %d, reference %d", op.items, got, want)
+			want := ref.assert(op.items...)
+			for i, e := range es {
+				if got := e.Assert(op.items...); got != want {
+					fail(i, "assert %v: id %d, reference %d", op.items, got, want)
+				}
 			}
 		case 1:
-			if got, want := e.RetractMatching(op.items...), ref.retractMatching(op.items...); got != want {
-				fail("retract %v: %d, reference %d", op.items, got, want)
+			want := ref.retractMatching(op.items...)
+			for i, e := range es {
+				if got := e.RetractMatching(op.items...); got != want {
+					fail(i, "retract %v: %d, reference %d", op.items, got, want)
+				}
 			}
 		case 2:
-			if n := len(ref.facts); n > 0 {
-				id := ref.facts[op.pick%n].id
+			if k := len(ref.facts); k > 0 {
+				id := ref.facts[op.pick%k].id
 				ref.retract(id)
-				if !e.Retract(id) {
-					fail("retract id %d: not live", id)
+				for i, e := range es {
+					if !e.Retract(id) {
+						fail(i, "retract id %d: not live", id)
+					}
 				}
 			}
 		case 3:
-			got, gerr := e.Run(op.limit)
 			want, werr := ref.run(op.limit)
-			if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
-				fail("run(%d): fired %d err %v, reference %d err %v", op.limit, got, gerr, want, werr)
+			for i, e := range es {
+				if got, gerr := e.Run(op.limit); got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					fail(i, "run(%d): fired %d err %v, reference %d err %v", op.limit, got, gerr, want, werr)
+				}
 			}
 		}
-		checkSpareFacts(t, e)
-		gt := e.Trace()
-		if len(gt) != len(ref.trace) {
-			fail("%d firings, reference %d", len(gt), len(ref.trace))
-		}
-		for i := range gt {
-			if !reflect.DeepEqual(gt[i], ref.trace[i]) {
-				fail("firing %d diverged:\ncompiled:  %+v\nreference: %+v", i, gt[i], ref.trace[i])
+		for i, e := range es {
+			checkSpareFacts(t, e)
+			if len(firings[i]) != len(ref.trace) {
+				fail(i, "%d firings, reference %d", len(firings[i]), len(ref.trace))
+			}
+			for j, f := range firings[i] {
+				if !reflect.DeepEqual(f, ref.trace[j]) {
+					fail(i, "firing %d diverged:\ncompiled:  %+v\nreference: %+v", j, f, ref.trace[j])
+				}
 			}
 		}
 	}
@@ -366,13 +430,17 @@ func checkEquivalent(t *testing.T, src string, ops []equivOp) {
 	for _, f := range ref.facts {
 		want = append(want, fmt.Sprintf("%d:%s", f.ID(), f))
 	}
-	if got := factStrings(e); !reflect.DeepEqual(got, want) {
-		t.Fatalf("final working memory diverged:\ncompiled:  %v\nreference: %v\nrules:\n%s", got, want, src)
+	for i, e := range es {
+		if got := factStrings(e); !reflect.DeepEqual(got, want) {
+			t.Fatalf("engine %d: final working memory diverged:\ncompiled:  %v\nreference: %v\nrules:\n%s", i, got, want, src)
+		}
 	}
 }
 
 // TestCompiledEngineEquivalence: random rule sets × random assert /
-// retract / Run sequences, compiled engine against the reference.
+// retract / Run sequences, compiled engine against the reference; then
+// the same workload on two engines sharing one program, and on one
+// engine that re-loads its program midway.
 func TestCompiledEngineEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -396,7 +464,12 @@ func TestCompiledEngineEquivalence(t *testing.T) {
 				ops = append(ops, equivOp{kind: 3, limit: []int{1, 3, 40}[rng.Intn(3)]})
 			}
 		}
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { checkEquivalent(t, src, ops) })
+		reload := rng.Intn(len(ops))
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			checkEquivalent(t, src, ops, 1, -1)
+			checkEquivalent(t, src, ops, 2, -1)
+			checkEquivalent(t, src, ops, 1, reload)
+		})
 	}
 }
 
@@ -466,58 +539,8 @@ func TestIndexedMatcherEquivalence(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			checkEquivalent(t, equivRules, genWorkload(seed, 120))
+			checkEquivalent(t, equivRules, genWorkload(seed, 120), 1, -1)
 		})
-	}
-}
-
-// TestBackwardChainingEquivalence: the backward chainer's ground case
-// walks the alpha memories; Prove/ProveAll must agree with a brute-force
-// scan of working memory (facts) and a brute-force join (the chain rule).
-func TestBackwardChainingEquivalence(t *testing.T) {
-	e := NewEngine()
-	if err := e.LoadRules(equivRules); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 60; i++ {
-		p := fmt.Sprintf("p%d", rng.Intn(6))
-		switch rng.Intn(3) {
-		case 0:
-			e.AssertF("owner", p, fmt.Sprintf("h%d", rng.Intn(3)))
-		case 1:
-			e.AssertF("diagnosis", p, "overload")
-		default:
-			e.AssertF("reading", p, "load", rng.Intn(10))
-		}
-	}
-	e.RetractMatching(F("reading", "p2", "?", "?")...) // leave tombstones behind
-	scan := func(goal []Value) []Solution {
-		var out []Solution
-		for _, f := range e.Facts() {
-			if b, ok := unify(goal, f, newBindings()); ok {
-				sol := Solution{}
-				for i, n := range b.names {
-					sol[n] = b.vals[i]
-				}
-				out = append(out, sol)
-			}
-		}
-		return out
-	}
-	for _, g := range [][]Value{F("owner", "?p", "?h"), F("diagnosis", "?p", "overload"), F("reading", "p1", "load", "?v")} {
-		if got, want := e.ProveAll(0, g...), scan(g); !reflect.DeepEqual(got, want) {
-			t.Errorf("ProveAll(%v) = %v, scan %v", g, got, want)
-		}
-	}
-	var want []Solution // notify ?h ?p :- diagnosis ?p overload, owner ?p ?h
-	for _, d := range scan(F("diagnosis", "?p", "overload")) {
-		for _, o := range scan(F("owner", d["?p"], "?h")) {
-			want = append(want, Solution{"?h": o["?h"], "?p": d["?p"]})
-		}
-	}
-	if got := e.ProveAll(0, F("notify", "?h", "?p")...); !reflect.DeepEqual(got, want) || len(want) == 0 {
-		t.Errorf("ProveAll(notify ?h ?p) = %v, join %v", got, want)
 	}
 }
 

@@ -6,15 +6,13 @@ import (
 )
 
 // bindings is a by-name variable environment: names (with the leading
-// '?') and, for the goal-directed paths (Prove, Explain), their values —
-// a name's index is its slot in the frame compiled code runs over.
-// Environments hold a handful of entries; lookup is a linear scan.
+// '?') and, where a caller has them, their values — a name's index is its
+// slot in the frame compiled code runs over. Environments hold a handful
+// of entries; lookup is a linear scan.
 type bindings struct {
 	names []string
 	vals  []Value
 }
-
-func newBindings() *bindings { return &bindings{} }
 
 // slot returns the frame index of a variable, or -1 when unbound.
 func (b *bindings) slot(name string) int {
@@ -24,28 +22,6 @@ func (b *bindings) slot(name string) int {
 		}
 	}
 	return -1
-}
-
-func (b *bindings) lookup(name string) (Value, bool) {
-	if i := b.slot(name); i >= 0 {
-		return b.vals[i], true
-	}
-	return Value{}, false
-}
-
-func (b *bindings) setVar(name string, v Value) {
-	if i := b.slot(name); i >= 0 {
-		b.vals[i] = v
-		return
-	}
-	b.names, b.vals = append(b.names, name), append(b.vals, v)
-}
-
-func (b *bindings) clone() *bindings {
-	return &bindings{
-		names: append(make([]string, 0, len(b.names)+4), b.names...),
-		vals:  append(make([]Value, 0, len(b.vals)+4), b.vals...),
-	}
 }
 
 // truthy: everything except the symbol FALSE is true (CLIPS convention).
@@ -64,10 +40,6 @@ func boolVal(b bool) Value {
 // frame slots. Evaluating one walks no s-expression, looks up no name
 // and allocates nothing on the success path.
 type expr func(frame []Value) (Value, error)
-
-// eval evaluates an expression under a by-name environment: compile
-// against its names, run over its values.
-func eval(e sexpr, b *bindings) (Value, error) { return compileExpr(e, b.slot)(b.vals) }
 
 func constant(v Value) expr { return func([]Value) (Value, error) { return v, nil } }
 

@@ -155,11 +155,14 @@ func TestPropertyArithmetic(t *testing.T) {
 
 func TestEngineAddRuleAndRules(t *testing.T) {
 	e := NewEngine()
-	rs, _, err := ParseRules(`(defrule a (x) => (assert (y)))`)
+	if got := e.Rules(); len(got) != 0 {
+		t.Errorf("Rules before Load = %v", got)
+	}
+	p, err := Compile("", `(defrule a (x) => (assert (y)))`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.AddRule(rs[0])
+	e.Load(p)
 	if got := e.Rules(); len(got) != 1 || got[0] != "a" {
 		t.Errorf("Rules = %v", got)
 	}
@@ -168,7 +171,7 @@ func TestEngineAddRuleAndRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(e.FactsMatching(Sym("y"))) != 1 {
-		t.Error("added rule did not fire")
+		t.Error("loaded rule did not fire")
 	}
 }
 

@@ -4,9 +4,9 @@ import "testing"
 
 // FuzzParseRules ensures the rule-DSL parser never panics, and that rule
 // text which parses also compiles and runs one episode — facts asserted,
-// forward-chained with every callback present, explained, retracted —
-// without panicking (errors are fine: a malformed action fails at run
-// time by design).
+// forward-chained with every callback present and every firing recorded,
+// retracted — without panicking (errors are fine: a malformed action
+// fails at run time by design).
 func FuzzParseRules(f *testing.F) {
 	f.Add(`(defrule r (a ?x) (test (> ?x 1)) => (assert (b ?x)))`)
 	f.Add(`(deftemplate t (slot a (default 1))) (deffacts d (t (a 2)))`)
@@ -15,27 +15,29 @@ func FuzzParseRules(f *testing.F) {
 	f.Add(`; comment only`)
 	f.Add(`(deftemplate t (slot a) (slot b (default 2))) (defrule r (a ?x ?x) (not (b ?y ?x)) (?h ?y) (test (< ?x ?z)) => (assert (t (a (/ 1 ?x)))) (call f ?y) (retract ?q) (log "x" ?x))`)
 	f.Fuzz(func(t *testing.T, src string) {
-		rs, _, err := ParseRules(src)
-		if err != nil {
+		if _, _, err := ParseRules(src); err != nil {
 			return
 		}
 		e := NewEngine()
 		if err := e.LoadRules(src); err != nil {
 			t.Fatalf("parsed but did not load: %v", err)
 		}
-		e.SetTracing(true)
+		var firings []Firing
+		e.OnFiring = func(f Firing) { firings = append(firings, f) }
 		for _, fn := range []string{"f", "g", "boost-cpu", "note"} {
 			e.RegisterFunc(fn, func([]Value) error { return nil })
 		}
 		ids := []int{e.AssertF("a", 1, 1), e.AssertF("a", 1, 2), e.AssertF("b", 2, 1), e.AssertF("a"), e.AssertF("x", "y")}
 		_, _ = e.Run(20)
-		for _, r := range rs {
-			_ = e.Explain(r.Name)
-		}
 		for _, id := range ids {
 			e.Retract(id)
 		}
 		_, _ = e.Run(20)
+		for i, f := range firings {
+			if f.Seq != i+1 {
+				t.Fatalf("firing %d has Seq %d", i+1, f.Seq)
+			}
+		}
 	})
 }
 

@@ -61,10 +61,10 @@ func checkSpareFacts(t *testing.T, e *Engine) {
 			t.Fatalf("%s ends in a dead fact", name)
 		}
 	}
-	for _, p := range e.rs {
-		for _, f := range p.set.tuples {
-			if free[f] || (!p.dirty && unlisted[f]) {
-				t.Fatalf("rule %s (dirty %v) has an activation over a fact waiting for reuse", p.Name, p.dirty)
+	for r, st := range e.state {
+		for _, f := range st.set.tuples {
+			if free[f] || (!st.dirty && unlisted[f]) {
+				t.Fatalf("rule %s (dirty %v) has an activation over a fact waiting for reuse", e.prog.rules[r].Name, st.dirty)
 			}
 		}
 	}

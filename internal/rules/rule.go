@@ -20,7 +20,7 @@ type condElem struct {
 	test    sexpr   // ceTest
 }
 
-// Rule is one compiled production.
+// Rule is one parsed production.
 type Rule struct {
 	Name     string
 	Salience int
@@ -30,8 +30,8 @@ type Rule struct {
 
 // ParseRules parses rule-DSL source text containing (deftemplate ...),
 // (defrule ...) and (deffacts ...) forms. It returns the rules and the
-// initial facts (templates are resolved during parsing; use
-// Engine.LoadRules to retain them for AssertTemplate).
+// initial facts (templates are resolved during parsing; Compile keeps
+// them, for AssertTemplate).
 func ParseRules(src string) ([]*Rule, [][]Value, error) {
 	rs, facts, _, err := parseAll(src)
 	return rs, facts, err

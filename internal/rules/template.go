@@ -160,7 +160,7 @@ func (t *template) compileForm(form sexpr, slot func(string) int) ([]expr, error
 // AssertTemplate asserts a templated fact from Go: slot name/value pairs;
 // omitted slots use their defaults.
 func (e *Engine) AssertTemplate(name string, slots map[string]Value) (int, error) {
-	t, ok := e.templates[name]
+	t, ok := e.prog.templates[name]
 	if !ok {
 		return 0, fmt.Errorf("rules: unknown template %q", name)
 	}
@@ -185,7 +185,7 @@ func (e *Engine) AssertTemplate(name string, slots map[string]Value) (int, error
 
 // SlotValue extracts a named slot from a templated fact.
 func (e *Engine) SlotValue(f *Fact, slot string) (Value, error) {
-	t, ok := e.templates[f.Relation()]
+	t, ok := e.prog.templates[f.Relation()]
 	if !ok {
 		return Value{}, fmt.Errorf("rules: fact %s is not templated", f)
 	}

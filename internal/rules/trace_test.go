@@ -14,81 +14,34 @@ func TestTraceRecordsFirings(t *testing.T) {
   =>
   (assert (diagnosis ?p local)))
 `)
-	e.SetTracing(true)
+	var tr []Firing
+	e.OnFiring = func(f Firing) { tr = append(tr, f) }
 	e.AssertF("violation", "p1")
 	e.AssertF("reading", "p1", "buffer_size", 12)
 	mustRun(t, e)
-	tr := e.Trace()
 	if len(tr) != 1 {
 		t.Fatalf("trace length = %d", len(tr))
 	}
 	f := tr[0]
-	if f.Rule != "diagnose" || f.Bindings["?p"] != "p1" || f.Bindings["?len"] != "12" {
+	if f.Seq != 1 || f.Rule != "diagnose" || f.Bindings["?p"] != "p1" || f.Bindings["?len"] != "12" {
 		t.Errorf("firing = %+v", f)
 	}
-	if len(f.Matched) != 2 {
-		t.Errorf("matched facts = %v", f.Matched)
+	if len(f.Matched) != 2 || len(f.Asserted) != 1 {
+		t.Errorf("matched facts = %v, asserted %v", f.Matched, f.Asserted)
 	}
 	if !strings.Contains(f.String(), "diagnose") || !strings.Contains(f.String(), "?p=p1") {
 		t.Errorf("rendering = %q", f.String())
 	}
-	e.ClearTrace()
-	if len(e.Trace()) != 0 {
-		t.Error("ClearTrace left entries")
-	}
-	e.SetTracing(false)
+	// Seq counts the engine's firings, also those nobody recorded.
+	e.OnFiring = nil
 	e.AssertF("violation", "p2")
 	e.AssertF("reading", "p2", "buffer_size", 9)
 	mustRun(t, e)
-	if len(e.Trace()) != 0 {
-		t.Error("firings recorded while tracing disabled")
-	}
-}
-
-func TestExplainBlockedRule(t *testing.T) {
-	e := mustLoad(t, `
-(defrule needs-buffer
-  (violation ?p)
-  (reading ?p buffer_size ?len)
-  (test (>= ?len 8))
-  =>
-  (assert (x ?p)))
-`)
-	e.AssertF("violation", "p1")
-	// No buffer reading: CE2 blocks.
-	out := e.Explain("needs-buffer")
-	if !strings.Contains(out, "blocked at CE2") {
-		t.Errorf("explanation:\n%s", out)
-	}
-	// Reading below the threshold: CE3 (the test) blocks.
-	e.AssertF("reading", "p1", "buffer_size", 3)
-	out = e.Explain("needs-buffer")
-	if !strings.Contains(out, "blocked at CE3") {
-		t.Errorf("explanation:\n%s", out)
-	}
-	// Satisfy everything: activatable.
-	e.AssertF("reading", "p1", "buffer_size", 12)
-	out = e.Explain("needs-buffer")
-	if !strings.Contains(out, "activatable: 1") {
-		t.Errorf("explanation:\n%s", out)
-	}
-	if out := e.Explain("ghost"); !strings.Contains(out, "not loaded") {
-		t.Errorf("unknown rule explanation = %q", out)
-	}
-}
-
-func TestExplainNegation(t *testing.T) {
-	e := mustLoad(t, `
-(defrule quiet
-  (proc ?p)
-  (not (noise ?p))
-  =>
-  (assert (ok ?p)))
-`)
-	e.AssertF("proc", "p1")
-	e.AssertF("noise", "p1")
-	out := e.Explain("quiet")
-	if !strings.Contains(out, "blocked at CE2") {
-		t.Errorf("explanation:\n%s", out)
+	e.OnFiring = func(f Firing) { tr = append(tr, f) }
+	e.AssertF("violation", "p3")
+	e.AssertF("reading", "p3", "buffer_size", 10)
+	mustRun(t, e)
+	if len(tr) != 2 || tr[1].Seq != 3 || tr[1].Bindings["?p"] != "p3" {
+		t.Errorf("firings after a silent one = %+v", tr)
 	}
 }

@@ -235,11 +235,11 @@ func TestDynamicRuleDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Distribution: the running manager pulls the stored rules.
-	text, err := sys.Admin.RulesFor("host-manager")
-	if err != nil || text == "" {
-		t.Fatalf("RulesFor: %q, %v", text, err)
+	named, err := sys.Admin.NamedRulesFor("host-manager")
+	if err != nil || len(named) != 1 {
+		t.Fatalf("NamedRulesFor: %+v, %v", named, err)
 	}
-	if err := sys.ClientHM.LoadRules(text); err != nil {
+	if err := sys.ClientHM.LoadRules(named[0].Text); err != nil {
 		t.Fatal(err)
 	}
 	sys.Run(20*time.Second, 30*time.Second)
