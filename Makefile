@@ -63,7 +63,14 @@ lint-log:
 # It also pins the count of exported Set*/Enable* methods outside
 # benchmark/ at API_SETTERS_MAX: a new post-construction setter must
 # replace one, or be configuration at construction instead.
-API_SETTERS_MAX = 69
+#
+# Last, it runs the export census (census_test.go): a type-checked walk
+# of the reference graph from every main, init, var initialiser, the
+# root package's API, the benchmark/ harness's references and the
+# interface-satisfying methods. An unreachable func outside the root
+# package fails it unless testdata/census.txt pins it with a reason, and
+# that list only shrinks.
+API_SETTERS_MAX = 68
 API_DELETED = SetWireFormat|helloFrame|peerBin|NoTracePropagation|SetTracePropagation|SetWallClock|LatencyRecorder|\.Histogram\(|NewHistogram\(|(reg|registry|Metrics)\.WallClock\(\)|Registry\) WallClock\(|SetDropLogger|SetLogf|DropInfo|SetRetention|SetMaxSeries|SetOnDirective|SetCPUTimeFunc|SeverityFor|NoBatching|MaxFastBurn|unbounded-telemetry|msg\.Serve\(|\bProve(All)?\(|\bLoadNamedRules\b|\bSetTracing\b|\bClearTrace\b|Engine\) Explain\(|\b(RuleSets|Rules)For\(|\bImportLDIF\b
 lint-api:
 	@bad=$$(grep -rnE '$(API_DELETED)' --include='*.go' --exclude-dir=benchmark --exclude-dir=.git --exclude-dir=.bench_build . \
@@ -80,6 +87,7 @@ lint-api:
 		exit 1; \
 	fi; \
 	echo "lint-api: ok ($$n exported Set*/Enable* methods, ceiling $(API_SETTERS_MAX))"
+	$(GO) test -count=1 -run '^TestCensus' .
 
 # The resilience gate: seeded chaos soaks — hundreds of violation
 # episodes under a randomized fault schedule on the sim Bus, plus the
@@ -152,12 +160,12 @@ bench-smoke:
 # records the next-numbered BENCH_<n>.json snapshot via cmd/benchfmt,
 # which adds the non-test LOC per package. `make bench-diff` compares
 # the two newest snapshots, fails on a >20% ns/op or allocs/op
-# regression in the gated hot-path benchmarks, and prints gated
+# regression in the gated hot-path benchmarks, and prints the
 # benchmarks that vanished and the LOC delta.
 # One P, like every committed snapshot: on a shared VM a second P times
 # the hypervisor's vCPU wake-ups (TCP round trips double), not the code.
 BENCHTIME ?= 200ms
-TIMED = PolicyEvaluate|InstrumentationPass|InferenceEpisode|InferenceLookupBaseline|RuleEngineAgenda|LiveEscalateEpisode
+TIMED = InstrumentationPass|InferenceEpisode|InferenceLookupBaseline|RuleEngineAgenda|LiveEscalateEpisode
 
 bench: export GOMAXPROCS = 1
 bench:

@@ -27,7 +27,6 @@ import (
 	"softqos/internal/msg"
 	"softqos/internal/netsim"
 	"softqos/internal/policy"
-	"softqos/internal/repository"
 	"softqos/internal/rules"
 	"softqos/internal/scenario"
 	"softqos/internal/sched"
@@ -212,17 +211,6 @@ func BenchmarkPolicyCompile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := policy.Compile(p, sensors); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPolicyEvaluate(b *testing.B) {
-	p := mustParse(Example1Policy)
-	readings := map[string]float64{"frame_rate": 25, "jitter_rate": 0.4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := policy.Evaluate(p.On, readings); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -416,38 +404,6 @@ func BenchmarkScale(b *testing.B) {
 			b.ReportMetric(float64(res.Events)/res.WallTime.Seconds(), "events/s")
 			b.ReportMetric(res.MeanFPS, "fps")
 		})
-	}
-}
-
-// BenchmarkLDIFRoundTrip measures repository bulk import/export.
-func BenchmarkLDIFRoundTrip(b *testing.B) {
-	dir := NewDirectory()
-	svc := NewRepositoryService(dir)
-	if err := svc.DefineApplication("VideoApplication", "mpeg_play"); err != nil {
-		b.Fatal(err)
-	}
-	if err := svc.DefineExecutable("mpeg_play", map[string][]string{
-		"fps_sensor":    {"frame_rate"},
-		"jitter_sensor": {"jitter_rate"},
-		"buffer_sensor": {"buffer_size"},
-	}); err != nil {
-		b.Fatal(err)
-	}
-	if err := NewAdmin(svc).AddPolicy(Example1Policy, PolicyMeta{
-		Application: "VideoApplication", Executable: "mpeg_play"}); err != nil {
-		b.Fatal(err)
-	}
-	entries, err := repository.LocalStore{Dir: dir}.Search(repository.BaseDN, repository.ScopeSub, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ldif := repository.LDIFString(entries)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d2 := repository.NewDirectory(nil)
-		if _, err := repository.LoadLDIF(d2, strings.NewReader(ldif)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

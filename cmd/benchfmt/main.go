@@ -11,8 +11,8 @@
 //
 // Diff mode compares the two newest snapshots and exits non-zero when a
 // gated hot-path benchmark regressed by more than -threshold (default
-// 20%) in ns/op or allocs/op. It also prints every gated benchmark the
-// newer snapshot no longer has, and the LOC delta:
+// 20%) in ns/op or allocs/op. It also prints every benchmark the newer
+// snapshot no longer has, and the LOC delta:
 //
 //	benchfmt -diff -dir .
 //
@@ -99,7 +99,7 @@ func countLOC(root string) (map[string]int, error) {
 // diff: the message codec, the transports, the rule engine's firing
 // path, and the flight recorder. Scenario-level macro benchmarks are
 // informational only — they are too noisy to gate on.
-const defaultGate = `^Benchmark(CodecMarshal|CodecUnmarshal|CodecRoundTrip|BusSend|NetRoundTrip|RuleFiring|AssertRetract|RetractMatching|FactsMatching|TraceAppend|InstrumentationPass|PolicyEvaluate)\b`
+const defaultGate = `^Benchmark(CodecMarshal|CodecUnmarshal|CodecRoundTrip|BusSend|NetRoundTrip|RuleFiring|AssertRetract|RetractMatching|FactsMatching|TraceAppend|InstrumentationPass)\b`
 
 func main() {
 	dir := flag.String("dir", ".", "directory holding BENCH_<n>.json snapshots")
@@ -312,9 +312,10 @@ func runDiff(dir, gate string, threshold float64) int {
 			or.AllocsPerOp, nr.AllocsPerOp, 100*allocDelta)
 	}
 	// What is left in oldBy has no counterpart in the newer snapshot: a
-	// gated benchmark that vanished is no longer watched, so say so.
+	// benchmark that vanished no longer watches its code, so say so —
+	// also when its removal took it out of the gate.
 	for _, or := range oldSnap.Benchmarks {
-		if _, gone := oldBy[or.Name]; gone && gateRE.MatchString(or.Name) {
+		if _, gone := oldBy[or.Name]; gone {
 			fmt.Printf("GONE %-55s ns/op %10.1f -> (not in newer snapshot)\n", or.Name, or.NsPerOp)
 		}
 	}

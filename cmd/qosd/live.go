@@ -217,7 +217,7 @@ func runLive() {
 		fmt.Printf("host manager listening on %s\n", lm.Addr())
 		waitForInterrupt()
 		fmt.Printf("violations handled: %d (overshoots %d, adjustments %d)\n",
-			lm.Violations(), lm.Overshoots(), len(lm.Adjustments()))
+			lm.Violations(), lm.Overshoots(), lm.AdjustmentCount())
 
 	case "workload":
 		if *agentTCP == "" || *mgrTCP == "" {
@@ -355,7 +355,7 @@ func liveWorkload(agentAddr, managerAddr string, lm *softqos.LiveHostManager,
 	}
 	if lm != nil {
 		fmt.Printf("manager: %d violations handled, %d resource adjustments\n",
-			lm.Violations(), len(lm.Adjustments()))
+			lm.Violations(), lm.AdjustmentCount())
 		for _, a := range lm.Adjustments() {
 			fmt.Printf("  pid %d: %s -> %d\n", a.PID, a.What, a.Value)
 		}

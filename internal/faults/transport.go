@@ -122,17 +122,6 @@ func (f *Transport) Counts() map[string]uint64 {
 	return out
 }
 
-// Injected returns the total number of injections across all kinds.
-func (f *Transport) Injected() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var n uint64
-	for _, v := range f.counts {
-		n += v
-	}
-	return n
-}
-
 // String renders the counts sorted by kind, for logs and test output.
 func (f *Transport) String() string {
 	c := f.Counts()

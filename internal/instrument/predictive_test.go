@@ -78,7 +78,8 @@ func TestSlopeEstimate(t *testing.T) {
 		s.Set(float64(2 * i)) // +2 per second
 		fc.advance(time.Second)
 	}
-	if got := s.Slope(); got < 1.8 || got > 2.2 {
+	// The trend the predictive watches extrapolate along.
+	if got := s.predicted(time.Second) - s.Read(); got < 1.8 || got > 2.2 {
 		t.Errorf("slope = %.2f, want ~2", got)
 	}
 }

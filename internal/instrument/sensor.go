@@ -181,9 +181,6 @@ func (b *baseSensor) SetHorizon(condID int, d time.Duration) error {
 	return fmt.Errorf("instrument: sensor %s: no watch %d", b.id, condID)
 }
 
-// Slope returns the estimated rate of change of the attribute per second.
-func (b *baseSensor) Slope() float64 { return b.slope }
-
 // predicted extrapolates the current value d into the future along the
 // trend estimate.
 func (b *baseSensor) predicted(d time.Duration) float64 {

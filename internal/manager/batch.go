@@ -106,16 +106,11 @@ func alarmKey(a msg.Alarm) string {
 	return a.ID.Address() + "|" + a.Policy + "|" + a.Suspect
 }
 
-// Add accepts one alarm with its severity: it is merged into the current
-// window's batch, which flushes when the window timer fires — or
-// immediately, when severity reaches the escalation threshold.
-func (c *AlarmCoalescer) Add(a msg.Alarm, severity int) error {
-	return c.AddCtx(a, severity, telemetry.TraceContext{})
-}
-
-// AddCtx is Add with a trace context, which only the escalation-flush
-// record carries: a batch aggregates many causes, so it travels without
-// one.
+// AddCtx accepts one alarm with its severity: it is merged into the
+// current window's batch, which flushes when the window timer fires — or
+// immediately, when severity reaches the escalation threshold. Only the
+// escalation-flush record carries the trace context: a batch aggregates
+// many causes, so it travels without one.
 func (c *AlarmCoalescer) AddCtx(a msg.Alarm, severity int, tc telemetry.TraceContext) error {
 	c.Added++
 	key := alarmKey(a)

@@ -38,10 +38,10 @@ func TestCoalescerWindowOnInjectedClock(t *testing.T) {
 
 	// Three alarms for the same (subject, policy) inside the window, one
 	// for a different host.
-	s.Schedule(sim.Time(0), func() { _ = c.Add(batchAlarm("h1", 7, 12), 1) })
-	s.Schedule(sim.Time(500*time.Millisecond), func() { _ = c.Add(batchAlarm("h1", 7, 9), 1) })
-	s.Schedule(sim.Time(900*time.Millisecond), func() { _ = c.Add(batchAlarm("h2", 3, 11), 1) })
-	s.Schedule(sim.Time(1800*time.Millisecond), func() { _ = c.Add(batchAlarm("h1", 7, 6), 1) })
+	s.Schedule(sim.Time(0), func() { _ = c.AddCtx(batchAlarm("h1", 7, 12), 1, telemetry.TraceContext{}) })
+	s.Schedule(sim.Time(500*time.Millisecond), func() { _ = c.AddCtx(batchAlarm("h1", 7, 9), 1, telemetry.TraceContext{}) })
+	s.Schedule(sim.Time(900*time.Millisecond), func() { _ = c.AddCtx(batchAlarm("h2", 3, 11), 1, telemetry.TraceContext{}) })
+	s.Schedule(sim.Time(1800*time.Millisecond), func() { _ = c.AddCtx(batchAlarm("h1", 7, 6), 1, telemetry.TraceContext{}) })
 	s.RunFor(10 * time.Second)
 
 	if len(batches) != 1 {
@@ -71,7 +71,7 @@ func TestCoalescerWindowOnInjectedClock(t *testing.T) {
 	}
 
 	// A second window starts with the next alarm; the timer re-arms.
-	s.After(0, func() { _ = c.Add(batchAlarm("h3", 1, 10), 1) })
+	s.After(0, func() { _ = c.AddCtx(batchAlarm("h3", 1, 10), 1, telemetry.TraceContext{}) })
 	s.RunFor(10 * time.Second)
 	if len(batches) != 2 {
 		t.Fatalf("second window flushed %d batches total, want 2", len(batches))
@@ -97,8 +97,8 @@ func TestCoalescerEscalationFlushesImmediately(t *testing.T) {
 	c := NewAlarmCoalescer("domain", "/d", "/region", send, 5*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) })
 	c.SetTelemetry(reg)
 
-	s.Schedule(sim.Time(0), func() { _ = c.Add(batchAlarm("h1", 7, 12), 1) })
-	s.Schedule(sim.Time(time.Second), func() { _ = c.Add(batchAlarm("h2", 3, 2), 2) }) // severe
+	s.Schedule(sim.Time(0), func() { _ = c.AddCtx(batchAlarm("h1", 7, 12), 1, telemetry.TraceContext{}) })
+	s.Schedule(sim.Time(time.Second), func() { _ = c.AddCtx(batchAlarm("h2", 3, 2), 2, telemetry.TraceContext{}) }) // severe
 	s.RunFor(20 * time.Second)
 
 	if len(batches) != 1 {
@@ -131,9 +131,9 @@ func TestCoalescerSeverityMergesToMax(t *testing.T) {
 	c := NewAlarmCoalescer("domain", "/d", "/region",
 		func(string, msg.Message) error { return nil },
 		time.Second, func(d time.Duration, fn func()) { fns = append(fns, fn) })
-	_ = c.Add(batchAlarm("h1", 7, 12), 0)
-	_ = c.Add(batchAlarm("h1", 7, 3), 1)
-	_ = c.Add(batchAlarm("h1", 7, 10), 0)
+	_ = c.AddCtx(batchAlarm("h1", 7, 12), 0, telemetry.TraceContext{})
+	_ = c.AddCtx(batchAlarm("h1", 7, 3), 1, telemetry.TraceContext{})
+	_ = c.AddCtx(batchAlarm("h1", 7, 10), 0, telemetry.TraceContext{})
 	if c.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", c.Pending())
 	}
@@ -163,9 +163,9 @@ func TestCoalescerZeroWindowMeansDefault(t *testing.T) {
 	}
 	c := NewAlarmCoalescer("domain", "/d", "/region", send, 0, func(d time.Duration, fn func()) { s.After(d, fn) })
 	s.Schedule(sim.Time(0), func() {
-		_ = c.Add(batchAlarm("h1", 7, 12), 1)
-		_ = c.Add(batchAlarm("h1", 7, 9), 1)
-		_ = c.Add(batchAlarm("h2", 3, 11), 1)
+		_ = c.AddCtx(batchAlarm("h1", 7, 12), 1, telemetry.TraceContext{})
+		_ = c.AddCtx(batchAlarm("h1", 7, 9), 1, telemetry.TraceContext{})
+		_ = c.AddCtx(batchAlarm("h2", 3, 11), 1, telemetry.TraceContext{})
 	})
 	s.RunFor(10 * time.Second)
 

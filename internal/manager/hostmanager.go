@@ -778,15 +778,6 @@ func (hm *HostManager) handleDirective(replyTo string, d msg.Directive) {
 	_ = hm.send(replyTo, msg.Message{From: hm.addr, Body: ack})
 }
 
-// MemUsage reports the host's memory utilisation fraction.
-func (hm *HostManager) MemUsage() float64 {
-	phys := float64(hm.host.PhysPages())
-	if phys == 0 {
-		return 0
-	}
-	return 1 - float64(hm.host.FreePages())/phys
-}
-
 // ReactionBudget is documentation of the control loop's pacing: the
 // coordinator paces violation reports (default 500 ms) and each report
 // triggers at most one adjustment per rule, so the system applies at most

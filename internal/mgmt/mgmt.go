@@ -2,7 +2,8 @@
 // policy administration facade that validates policies against the
 // deployment information (the integrity checks the prototype performed),
 // stores them in the repository, together with manager rule sets. LDIF
-// export and bulk import are repository.WriteLDIF and repository.LoadLDIF.
+// export is repository.WriteLDIF (policyctl export); there is no bulk
+// import.
 package mgmt
 
 import (
@@ -25,9 +26,6 @@ type Admin struct {
 
 // NewAdmin wraps a repository service.
 func NewAdmin(svc *repository.Service) *Admin { return &Admin{svc: svc} }
-
-// Service returns the underlying repository service.
-func (a *Admin) Service() *repository.Service { return a.svc }
 
 // CheckPolicy runs the integrity checks for a policy against an
 // executable's deployed sensors: the policy's attributes must be

@@ -111,13 +111,9 @@ type NetTransport struct {
 
 	everDialed map[string]struct{} // addrs connected at least once (for reconnect counting)
 
-	sent           atomic.Uint64
-	delivered      atomic.Uint64
-	dropped        atomic.Uint64
-	droppedInvalid atomic.Uint64
-	retries        atomic.Uint64
-	reconnects     atomic.Uint64
-	sendFailed     atomic.Uint64
+	retries    atomic.Uint64
+	reconnects atomic.Uint64
+	sendFailed atomic.Uint64
 
 	evlog   atomic.Pointer[eventlog.Logger]
 	metrics atomic.Pointer[netMetrics]
@@ -171,15 +167,6 @@ func (t *NetTransport) SetMetrics(reg *telemetry.Registry) {
 	t.metrics.Store(newNetMetrics(reg))
 }
 
-// Stats returns messages sent, delivered to local handlers, and dropped.
-func (t *NetTransport) Stats() (sent, delivered, dropped uint64) {
-	return t.sent.Load(), t.delivered.Load(), t.dropped.Load()
-}
-
-// DroppedInvalid returns how many decoded messages failed Validate and
-// were logged and dropped instead of dispatched.
-func (t *NetTransport) DroppedInvalid() uint64 { return t.droppedInvalid.Load() }
-
 // SetEventLog routes the transport's diagnostics (invalid-message drops,
 // unframeable streams, exhausted retries, reconnects) into the structured
 // event log as component "msg" records. Pass nil to detach.
@@ -196,7 +183,6 @@ func (t *NetTransport) SetEventLog(lg *eventlog.Logger) {
 // the node, both endpoints, the envelope kind ("?" when the body type is
 // unknown) and the Validate error.
 func (t *NetTransport) dropInvalid(to string, m Message, err error) {
-	t.droppedInvalid.Add(1)
 	if nm := t.metrics.Load(); nm != nil {
 		nm.invalid.Inc()
 	}
@@ -243,14 +229,10 @@ func (t *NetTransport) Route(mgmtAddr, tcpAddr string) {
 	t.mu.Unlock()
 }
 
-// Do runs fn on the dispatcher goroutine, after any queued deliveries.
-// It is how embedding code touches the (lock-free) managers safely.
-func (t *NetTransport) Do(fn func()) {
-	t.dispatch(delivery{fn: fn})
-}
-
-// Sync runs fn on the dispatcher goroutine and waits for it to finish.
-// It must not be called from inside a handler (it would deadlock).
+// Sync runs fn on the dispatcher goroutine, after any queued deliveries,
+// and waits for it to finish. It is how embedding code touches the
+// (lock-free) managers safely. It must not be called from inside a
+// handler (it would deadlock).
 func (t *NetTransport) Sync(fn func()) {
 	done := make(chan struct{})
 	t.dispatch(delivery{fn: fn, done: done})
@@ -409,7 +391,6 @@ func (t *NetTransport) SeverConns() int {
 }
 
 func (t *NetTransport) countSent(m Message, local bool) {
-	t.sent.Add(1)
 	nm := t.metrics.Load()
 	if nm == nil {
 		return
@@ -468,7 +449,6 @@ func (t *NetTransport) readLoop(c *Conn) {
 			}
 		}
 		if err != nil {
-			t.dropped.Add(1)
 			if nm := t.metrics.Load(); nm != nil {
 				nm.dropped.Inc()
 			}
@@ -494,7 +474,6 @@ func (t *NetTransport) readLoop(c *Conn) {
 		}
 		t.mu.Unlock()
 		if h == nil {
-			t.dropped.Add(1)
 			if nm := t.metrics.Load(); nm != nil {
 				nm.dropped.Inc()
 			}
@@ -549,8 +528,7 @@ func (t *NetTransport) forgetConn(c *Conn) {
 }
 
 // delivery is one inbox entry: a message for the handler it resolved
-// to, or a function from Do/Sync (done, when set, is closed once fn has
-// returned).
+// to, or a function from Sync (done is closed once fn has returned).
 type delivery struct {
 	h    func(Message)
 	m    Message
@@ -612,12 +590,9 @@ func (t *NetTransport) dispatchLoop() {
 		t.dmu.Unlock()
 		if d.fn != nil {
 			d.fn()
-			if d.done != nil {
-				close(d.done)
-			}
+			close(d.done)
 			continue
 		}
-		t.delivered.Add(1)
 		if nm := t.metrics.Load(); nm != nil {
 			nm.delivered.Inc()
 		}

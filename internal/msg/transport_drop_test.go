@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"softqos/internal/telemetry"
 	"softqos/internal/telemetry/eventlog"
 )
 
@@ -18,6 +19,8 @@ func TestDropLoggerStructuredReport(t *testing.T) {
 	defer nt.Close()
 	lg := eventlog.New(nil, 0)
 	nt.SetEventLog(lg)
+	reg := telemetry.NewRegistry(nil)
+	nt.SetMetrics(reg)
 
 	// A directive without an action decodes fine but fails Validate.
 	bad := Message{From: "/h1/coord", Body: Directive{Target: "frame_skip"}}
@@ -39,8 +42,8 @@ func TestDropLoggerStructuredReport(t *testing.T) {
 	if d.FieldString("error") == "" {
 		t.Error("drop record carries no error")
 	}
-	if nt.DroppedInvalid() != 1 {
-		t.Errorf("DroppedInvalid = %d, want 1", nt.DroppedInvalid())
+	if n := reg.Counter("msg.net.dropped_invalid").Value(); n != 1 {
+		t.Errorf("msg.net.dropped_invalid = %d, want 1", n)
 	}
 
 	// A body type the envelope codec does not know reports kind "?".

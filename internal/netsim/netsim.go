@@ -30,14 +30,6 @@ type node struct {
 	handler Handler
 }
 
-// FlowStats are per-source counters at a switch, used by experiments to
-// attribute congestion to traffic sources.
-type FlowStats struct {
-	Arrivals uint64
-	Drops    uint64
-	Bytes    uint64
-}
-
 // Switch is a store-and-forward element with a finite service rate and a
 // drop-tail queue measured in bytes.
 type Switch struct {
@@ -51,13 +43,7 @@ type Switch struct {
 	Arrivals    uint64
 	Drops       uint64
 	BytesServed uint64
-	DelaySum    time.Duration // total queueing+service delay
-
-	flows map[string]*FlowStats // keyed by packet source
 }
-
-// Name returns the switch name.
-func (w *Switch) Name() string { return w.name }
 
 // QueuedBytes returns the backlog awaiting service at virtual time now.
 func (w *Switch) QueuedBytes(now sim.Time) int {
@@ -65,42 +51,6 @@ func (w *Switch) QueuedBytes(now sim.Time) int {
 		return 0
 	}
 	return int(float64((w.busyUntil - now).Duration()) / float64(time.Second) * w.rate)
-}
-
-// Flow returns the per-source statistics for src (zero value if the
-// source never traversed the switch).
-func (w *Switch) Flow(src string) FlowStats {
-	if fs, ok := w.flows[src]; ok {
-		return *fs
-	}
-	return FlowStats{}
-}
-
-// Flows returns the sources that traversed the switch.
-func (w *Switch) Flows() []string {
-	out := make([]string, 0, len(w.flows))
-	for src := range w.flows {
-		out = append(out, src)
-	}
-	return out
-}
-
-// Utilization returns the fraction of service capacity used since the
-// switch began operating, measured at virtual time now.
-func (w *Switch) Utilization(now sim.Time) float64 {
-	if now <= 0 || w.rate <= 0 {
-		return 0
-	}
-	return float64(w.BytesServed) / (w.rate * now.Seconds())
-}
-
-// MeanDelay returns the average per-packet delay through the switch.
-func (w *Switch) MeanDelay() time.Duration {
-	served := w.Arrivals - w.Drops
-	if served == 0 {
-		return 0
-	}
-	return w.DelaySum / time.Duration(served)
 }
 
 // Route is an ordered list of switches between two endpoints plus the total
@@ -181,24 +131,12 @@ func (n *Network) AddSwitch(name string, rate float64, qcap int) *Switch {
 	if _, dup := n.switches[name]; dup {
 		panic("netsim: duplicate switch " + name)
 	}
-	w := &Switch{name: name, rate: rate, qcap: qcap, flows: make(map[string]*FlowStats)}
+	w := &Switch{name: name, rate: rate, qcap: qcap}
 	n.switches[name] = w
 	if n.reg != nil {
 		n.registerSwitchMetrics(w)
 	}
 	return w
-}
-
-// Switch returns a switch by name, or nil.
-func (n *Network) Switch(name string) *Switch { return n.switches[name] }
-
-// Switches returns all switches.
-func (n *Network) Switches() []*Switch {
-	out := make([]*Switch, 0, len(n.switches))
-	for _, w := range n.switches {
-		out = append(out, w)
-	}
-	return out
 }
 
 // SetRoute installs the path used by packets from src to dst. Routes are
@@ -211,11 +149,6 @@ func (n *Network) SetRoute(src, dst string, prop time.Duration, hops ...*Switch)
 		panic("netsim: route to unknown node " + dst)
 	}
 	n.routes[[2]string{src, dst}] = &Route{Hops: hops, Prop: prop}
-}
-
-// RouteBetween returns the installed route, or nil.
-func (n *Network) RouteBetween(src, dst string) *Route {
-	return n.routes[[2]string{src, dst}]
 }
 
 // Send injects a packet from src to dst. It returns an error if no route
@@ -247,19 +180,11 @@ func (n *Network) arriveAtHop(pkt Packet, r *Route, i int, legDelay time.Duratio
 	w := r.Hops[i]
 	now := n.sim.Now()
 	w.Arrivals++
-	fs, ok := w.flows[pkt.Src]
-	if !ok {
-		fs = &FlowStats{}
-		w.flows[pkt.Src] = fs
-	}
-	fs.Arrivals++
 	if w.QueuedBytes(now)+pkt.Size > w.qcap {
 		w.Drops++
-		fs.Drops++
 		n.Lost++
 		return
 	}
-	fs.Bytes += uint64(pkt.Size)
 	service := time.Duration(float64(pkt.Size) / w.rate * float64(time.Second))
 	start := w.busyUntil
 	if start < now {
@@ -268,36 +193,22 @@ func (n *Network) arriveAtHop(pkt Packet, r *Route, i int, legDelay time.Duratio
 	departure := start + sim.Time(service)
 	w.busyUntil = departure
 	w.BytesServed += uint64(pkt.Size)
-	w.DelaySum += (departure - now).Duration()
 	n.sim.Schedule(departure+sim.Time(legDelay), func() {
 		n.arriveAtHop(pkt, r, i+1, legDelay)
 	})
 }
 
-// CrossTraffic is a constant-bit-rate background load through a route,
-// used to congest switches for fault-injection experiments.
-type CrossTraffic struct {
-	net      *Network
-	src, dst string
-	size     int
-	interval time.Duration
-	ticker   *sim.Ticker
-}
-
 // StartCrossTraffic sends a packet of size bytes from src to dst every
-// interval until stopped. src and dst must be registered nodes with a
-// route between them.
-func (n *Network) StartCrossTraffic(src, dst string, size int, interval time.Duration) *CrossTraffic {
+// interval for the rest of the run: constant-bit-rate background load
+// that congests the switches on the route, for fault-injection
+// experiments. src and dst must be registered nodes with a route between
+// them.
+func (n *Network) StartCrossTraffic(src, dst string, size int, interval time.Duration) {
 	if n.routes[[2]string{src, dst}] == nil {
 		panic(fmt.Sprintf("netsim: cross traffic with no route %s -> %s", src, dst))
 	}
-	ct := &CrossTraffic{net: n, src: src, dst: dst, size: size, interval: interval}
-	ct.ticker = n.sim.Every(interval, func() {
+	n.sim.Every(interval, func() {
 		// Route presence was checked at start; Send cannot fail here.
 		_ = n.Send(src, dst, size, nil)
 	})
-	return ct
 }
-
-// Stop halts the background flow.
-func (ct *CrossTraffic) Stop() { ct.ticker.Stop() }

@@ -132,62 +132,3 @@ func (p *Policy) Attributes() ([]string, error) {
 	}
 	return out, nil
 }
-
-// Evaluate computes the truth of an expression under attribute readings.
-// Missing attributes yield an error (sensors must supply every reading).
-func Evaluate(e Expr, readings map[string]float64) (bool, error) {
-	switch x := e.(type) {
-	case Comparison:
-		v, ok := readings[x.Attr]
-		if !ok {
-			return false, fmt.Errorf("no reading for attribute %q", x.Attr)
-		}
-		return evalComparison(x, v), nil
-	case Not:
-		b, err := Evaluate(x.E, readings)
-		return !b, err
-	case And:
-		for _, sub := range x.Exprs {
-			b, err := Evaluate(sub, readings)
-			if err != nil || !b {
-				return false, err
-			}
-		}
-		return true, nil
-	case Or:
-		for _, sub := range x.Exprs {
-			b, err := Evaluate(sub, readings)
-			if err != nil {
-				return false, err
-			}
-			if b {
-				return true, nil
-			}
-		}
-		return false, nil
-	default:
-		return false, fmt.Errorf("unsupported expression %T", e)
-	}
-}
-
-func evalComparison(c Comparison, v float64) bool {
-	if c.HasTol && c.Op == "=" {
-		return v > c.Value-c.TolMinus && v < c.Value+c.TolPlus
-	}
-	switch c.Op {
-	case "=":
-		return v == c.Value
-	case "!=":
-		return v != c.Value
-	case "<":
-		return v < c.Value
-	case "<=":
-		return v <= c.Value
-	case ">":
-		return v > c.Value
-	case ">=":
-		return v >= c.Value
-	default:
-		return false
-	}
-}

@@ -4,6 +4,10 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"softqos/internal/instrument"
+	"softqos/internal/msg"
 )
 
 // example1 is the paper's Example 1 policy, verbatim in spirit.
@@ -216,47 +220,77 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// compiledOutcome runs p the way production does: Compile lowers it to a
+// msg.PolicySpec, a coordinator installs it into value sensors (one per
+// attribute in sensorFor), and each reading is fed to its sensor. An
+// attribute absent from readings is never read. It reports whether the
+// coordinator's evaluation of the compiled spec notified the manager,
+// and whether it classified the notification as an overshoot.
+func compiledOutcome(t *testing.T, p *Policy, sensorFor map[string]string, readings map[string]float64) (notified, overshoot bool) {
+	t.Helper()
+	spec, err := Compile(p, sensorFor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent []msg.Message
+	c := instrument.NewCoordinator(msg.Identity{Host: "h1", PID: 42, Executable: "mpeg_play"},
+		func() time.Duration { return time.Second },
+		func(_ string, m msg.Message) error { sent = append(sent, m); return nil },
+		"/agent", "/h1/QoSHostManager")
+	sensors := map[string]*instrument.ValueSensor{}
+	for attr, id := range sensorFor {
+		sensors[attr] = instrument.NewValueSensor(id, attr, nil)
+		c.AddSensor(sensors[attr])
+	}
+	if err := c.InstallPolicies([]msg.PolicySpec{spec}); err != nil {
+		t.Fatal(err)
+	}
+	for attr, v := range readings {
+		sensors[attr].Set(v)
+	}
+	for _, m := range sent {
+		if v, ok := m.Body.(msg.Violation); ok {
+			return true, v.Overshoot
+		}
+	}
+	return false, false
+}
+
 func TestEvaluateRequirement(t *testing.T) {
 	p := parseExample1(t)
-	req, err := p.Requirement()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
-		fps, jit float64
-		ok       bool
+		fps, jit  float64
+		ok        bool
+		overshoot bool
 	}{
-		{25, 1.0, true},
-		{23.5, 1.0, true},
-		{23, 1.0, false}, // strict: exactly 23 violates (Example 3: > 23)
-		{27, 1.0, false},
-		{26.9, 1.24, true},
-		{25, 1.25, false},
-		{14, 0.5, false},
+		{25, 1.0, true, false},
+		{23.5, 1.0, true, false},
+		{23, 1.0, false, false}, // strict: exactly 23 violates (Example 3: > 23)
+		{27, 1.0, false, true},  // strict upper bound of the band: an overshoot
+		{26.9, 1.24, true, false},
+		{25, 1.25, false, false},
+		{14, 0.5, false, false},
 	}
 	for _, c := range cases {
-		got, err := Evaluate(req, map[string]float64{"frame_rate": c.fps, "jitter_rate": c.jit})
-		if err != nil {
-			t.Fatal(err)
+		notified, overshoot := compiledOutcome(t, p, example1Sensors,
+			map[string]float64{"frame_rate": c.fps, "jitter_rate": c.jit})
+		if notified == c.ok || overshoot != c.overshoot {
+			t.Errorf("fps=%v jitter=%v: notified=%v overshoot=%v, want requirement held=%v overshoot=%v",
+				c.fps, c.jit, notified, overshoot, c.ok, c.overshoot)
 		}
-		if got != c.ok {
-			t.Errorf("Evaluate(fps=%v, jitter=%v) = %v, want %v", c.fps, c.jit, got, c.ok)
-		}
-	}
-	// Violation condition = negation.
-	viol, err := Evaluate(p.On, map[string]float64{"frame_rate": 14, "jitter_rate": 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !viol {
-		t.Error("on-clause false for a clear violation")
 	}
 }
 
+// TestEvaluateMissingReading: a condition whose attribute was never read
+// is assumed satisfied (the optimistic initial allocation), so a missing
+// reading alone never raises a violation, and a present one still does.
 func TestEvaluateMissingReading(t *testing.T) {
 	p := parseExample1(t)
-	if _, err := Evaluate(p.On, map[string]float64{"frame_rate": 25}); err == nil {
-		t.Fatal("Evaluate without jitter reading succeeded")
+	if notified, _ := compiledOutcome(t, p, example1Sensors, map[string]float64{"frame_rate": 25}); notified {
+		t.Error("a missing jitter reading raised a violation")
+	}
+	if notified, _ := compiledOutcome(t, p, example1Sensors, map[string]float64{"frame_rate": 14}); !notified {
+		t.Error("a violating frame rate went unreported while jitter was unread")
 	}
 }
 
@@ -335,17 +369,16 @@ func TestPropertyToleranceExpansion(t *testing.T) {
 	prop := func(center float64, plus, minus uint8, probe float64) bool {
 		c := Comparison{Attr: "x", Op: "=", Value: center, HasTol: true,
 			TolPlus: float64(plus), TolMinus: float64(minus)}
-		prims := expand(c)
-		if len(prims) != 2 {
+		if len(expand(c)) != 2 {
 			return false
 		}
+		p := &Policy{Name: "Band", On: Not{E: c}, Do: []Action{
+			{Target: Path{Segments: []string{"s"}}, Op: "read", Args: []Arg{{Out: true, Name: "x"}}},
+			{Target: Path{Segments: []string{"QoSHostManager"}}, Op: "notify", Args: []Arg{{Name: "x"}}},
+		}}
 		inBand := probe > center-float64(minus) && probe < center+float64(plus)
-		both := true
-		for _, p := range prims {
-			ok := evalComparison(p, probe)
-			both = both && ok
-		}
-		return both == inBand
+		notified, _ := compiledOutcome(t, p, map[string]string{"x": "s"}, map[string]float64{"x": probe})
+		return notified != inBand
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package repository implements the policy repository of Section 6: an
 // LDAP-like directory (DN-addressed entries with multi-valued attributes
-// and object classes), RFC 4515-style search filters, LDIF import/export,
+// and object classes), RFC 4515-style search filters, LDIF export,
 // a schema for the paper's information model (applications, executables,
 // sensors, policies, conditions, actions, user roles), and a repository
 // service reachable in-process or over TCP.

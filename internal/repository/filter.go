@@ -234,11 +234,5 @@ func parseComparisonFilter(body string) (Filter, error) {
 // Eq builds an equality filter programmatically.
 func Eq(attr, val string) Filter { return cmpFilter{attr: strings.ToLower(attr), op: "=", val: val} }
 
-// Present builds a presence filter.
-func Present(attr string) Filter { return cmpFilter{attr: strings.ToLower(attr), op: "present"} }
-
 // All builds a conjunction.
 func All(fs ...Filter) Filter { return andFilter{fs} }
-
-// Any builds a disjunction.
-func Any(fs ...Filter) Filter { return orFilter{fs} }

@@ -1,28 +1,31 @@
 package repository
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// FuzzParseLDIF ensures the LDIF reader never panics and that accepted
-// entries round-trip through the writer.
+// FuzzParseLDIF ensures every entry set the tests' LDIF reader accepts
+// round-trips through WriteLDIF: the export re-parses to the same
+// entries, whatever bytes the values hold.
 func FuzzParseLDIF(f *testing.F) {
 	f.Add(sampleLDIF)
 	f.Add("dn: o=x\na: b\n")
 	f.Add("dn: o=x\na:: aGk=\n")
 	f.Fuzz(func(t *testing.T, src string) {
-		entries, err := ParseLDIF(strings.NewReader(src))
+		entries, err := readLDIF(src)
 		if err != nil {
 			return
 		}
-		out := LDIFString(entries)
-		back, err := ParseLDIF(strings.NewReader(out))
+		out := ldifString(entries)
+		back, err := readLDIF(out)
 		if err != nil {
 			t.Fatalf("written LDIF does not re-parse: %v\n%s", err, out)
 		}
 		if len(back) != len(entries) {
 			t.Fatalf("round trip %d vs %d entries", len(back), len(entries))
+		}
+		for i := range back {
+			if back[i].String() != entries[i].String() {
+				t.Fatalf("entry %d diverged:\n%s\nvs\n%s", i, back[i], entries[i])
+			}
 		}
 	})
 }

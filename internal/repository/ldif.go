@@ -1,109 +1,11 @@
 package repository
 
 import (
-	"bufio"
 	"encoding/base64"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
-
-// ParseLDIF reads entries from LDIF text: records separated by blank
-// lines, "attr: value" lines, "attr:: base64" lines, leading-space
-// continuation lines and '#' comments. This is the upload format the
-// prototype's policy administration tool produced ("This gets translated
-// into an LDIF file which can be easily uploaded into LDAP").
-func ParseLDIF(r io.Reader) ([]*Entry, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-
-	var logical []string // unfolded lines of the current record
-	var entries []*Entry
-	lineno := 0
-
-	flush := func() error {
-		if len(logical) == 0 {
-			return nil
-		}
-		e, err := entryFromLines(logical)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, e)
-		logical = nil
-		return nil
-	}
-
-	for sc.Scan() {
-		lineno++
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "#"):
-			continue
-		case line == "":
-			if err := flush(); err != nil {
-				return nil, fmt.Errorf("ldif: near line %d: %w", lineno, err)
-			}
-		case line[0] == ' ' || line[0] == '\t':
-			if len(logical) == 0 {
-				return nil, fmt.Errorf("ldif: line %d: continuation with no preceding line", lineno)
-			}
-			logical[len(logical)-1] += strings.TrimLeft(line, " \t")
-		default:
-			logical = append(logical, line)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := flush(); err != nil {
-		return nil, fmt.Errorf("ldif: near line %d: %w", lineno, err)
-	}
-	return entries, nil
-}
-
-func entryFromLines(lines []string) (*Entry, error) {
-	var e *Entry
-	for _, line := range lines {
-		attr, val, err := splitLDIFLine(line)
-		if err != nil {
-			return nil, err
-		}
-		if e == nil {
-			if !strings.EqualFold(attr, "dn") {
-				return nil, fmt.Errorf("record must start with dn:, got %q", line)
-			}
-			e = NewEntry(DN(val))
-			continue
-		}
-		if strings.EqualFold(attr, "dn") {
-			return nil, fmt.Errorf("unexpected second dn: in record for %s", e.DN)
-		}
-		e.Add(attr, val)
-	}
-	if e == nil {
-		return nil, fmt.Errorf("empty record")
-	}
-	return e, nil
-}
-
-func splitLDIFLine(line string) (attr, val string, err error) {
-	i := strings.Index(line, ":")
-	if i <= 0 {
-		return "", "", fmt.Errorf("malformed line %q", line)
-	}
-	attr = strings.TrimSpace(line[:i])
-	rest := line[i+1:]
-	if strings.HasPrefix(rest, ":") { // base64
-		raw, err := base64.StdEncoding.DecodeString(strings.TrimSpace(rest[1:]))
-		if err != nil {
-			return "", "", fmt.Errorf("bad base64 in %q: %w", line, err)
-		}
-		return attr, string(raw), nil
-	}
-	return attr, strings.TrimSpace(rest), nil
-}
 
 // needsBase64 reports whether an LDIF value must be base64-encoded.
 func needsBase64(v string) bool {
@@ -121,7 +23,11 @@ func needsBase64(v string) bool {
 	return strings.HasSuffix(v, " ")
 }
 
-// WriteLDIF serializes entries in LDIF form.
+// WriteLDIF serializes entries in LDIF form: records separated by blank
+// lines, "attr: value" lines, and "attr:: base64" for values LDIF cannot
+// carry verbatim. This is the upload format the prototype's policy
+// administration tool produced ("This gets translated into an LDIF file
+// which can be easily uploaded into LDAP"); policyctl exports with it.
 func WriteLDIF(w io.Writer, entries []*Entry) error {
 	for i, e := range entries {
 		if i > 0 {
@@ -147,40 +53,4 @@ func WriteLDIF(w io.Writer, entries []*Entry) error {
 		}
 	}
 	return nil
-}
-
-// LDIFString renders entries as an LDIF string.
-func LDIFString(entries []*Entry) string {
-	var sb strings.Builder
-	_ = WriteLDIF(&sb, entries)
-	return sb.String()
-}
-
-// LoadLDIF parses LDIF text and adds every entry to the directory,
-// creating missing parents. Entries are inserted shallowest-first so an
-// export (which is sorted lexically) reloads cleanly regardless of its
-// ordering. It returns how many entries were added.
-func LoadLDIF(d *Directory, r io.Reader) (int, error) {
-	entries, err := ParseLDIF(r)
-	if err != nil {
-		return 0, err
-	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		return dnDepth(entries[i].DN) < dnDepth(entries[j].DN)
-	})
-	added := 0
-	for _, e := range entries {
-		if err := d.EnsureParents(e.DN); err != nil {
-			return added, err
-		}
-		if err := d.Add(e); err != nil {
-			return added, err
-		}
-		added++
-	}
-	return added, nil
-}
-
-func dnDepth(dn DN) int {
-	return strings.Count(string(dn.Normalize()), ",")
 }

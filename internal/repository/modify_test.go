@@ -102,14 +102,19 @@ func TestModifyAttrsOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// The server's "modattrs" operation, as a remote client sends it.
 	dn := DN("cn=s1,ou=executables,o=qos")
-	if err := c.ModifyAttrs(dn, Mod{Op: ModAdd, Attr: "qosAttribute", Values: []string{"jitter_rate"}}); err != nil {
+	modattrs := func(m wireMod) error {
+		_, err := c.roundTrip(request{Op: "modattrs", DNs: string(dn), Mods: []wireMod{m}})
+		return err
+	}
+	if err := modattrs(wireMod{Op: int(ModAdd), Attr: "qosAttribute", Values: []string{"jitter_rate"}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Get(dn).GetAll("qosAttribute"); len(got) != 2 {
 		t.Errorf("values after remote modify = %v", got)
 	}
-	if err := c.ModifyAttrs(dn, Mod{Op: ModDelete, Attr: "ghost"}); err == nil {
+	if err := modattrs(wireMod{Op: int(ModDelete), Attr: "ghost"}); err == nil {
 		t.Error("remote modify error did not propagate")
 	}
 }

@@ -353,16 +353,6 @@ func (c *Client) Modify(e *Entry) error {
 	return err
 }
 
-// ModifyAttrs applies attribute-level changes remotely.
-func (c *Client) ModifyAttrs(dn DN, mods ...Mod) error {
-	wm := make([]wireMod, len(mods))
-	for i, m := range mods {
-		wm[i] = wireMod{Op: int(m.Op), Attr: m.Attr, Values: m.Values}
-	}
-	_, err := c.roundTrip(request{Op: "modattrs", DNs: string(dn), Mods: wm})
-	return err
-}
-
 // Delete implements Store.
 func (c *Client) Delete(dn DN) error {
 	_, err := c.roundTrip(request{Op: "delete", DNs: string(dn)})

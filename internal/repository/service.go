@@ -492,19 +492,6 @@ func (s *Service) NamedRuleSetsFor(managerRole string) ([]NamedRuleSet, error) {
 	return out, nil
 }
 
-// Applications lists defined application names.
-func (s *Service) Applications() ([]string, error) {
-	entries, err := s.store.Search(dnApplications(), ScopeOne, Eq("objectClass", "qosApplication"))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, e.Get("cn"))
-	}
-	return out, nil
-}
-
 // PolicyBindings lists stored policy binding names (cn values).
 func (s *Service) PolicyBindings() ([]string, error) {
 	entries, err := s.store.Search(dnPolicies(), ScopeOne, Eq("objectClass", "qosPolicy"))

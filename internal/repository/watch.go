@@ -84,31 +84,6 @@ func (h *Hub) Subscribe(addrs ...string) {
 	sort.Strings(h.order)
 }
 
-// Unsubscribe removes an address from the notification list.
-func (h *Hub) Unsubscribe(addr string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.subs[addr] {
-		return
-	}
-	delete(h.subs, addr)
-	for i, a := range h.order {
-		if a == addr {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// Subscribers returns the sorted subscriber addresses.
-func (h *Hub) Subscribers() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, len(h.order))
-	copy(out, h.order)
-	return out
-}
-
 // Generation returns the last generation announced for an executable
 // (0 when none has been).
 func (h *Hub) Generation(exe string) uint64 {

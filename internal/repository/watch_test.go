@@ -25,9 +25,6 @@ func TestHubGenerationChain(t *testing.T) {
 		return nil
 	})
 	hub.Subscribe("/z/sub", "/a/sub", "/a/sub") // duplicate is a no-op
-	if subs := hub.Subscribers(); len(subs) != 2 || subs[0] != "/a/sub" || subs[1] != "/z/sub" {
-		t.Fatalf("subscribers = %v", subs)
-	}
 
 	g1, err := hub.Announce("mpeg_play", "fleet", nil, nil, "r1", telemetry.TraceContext{})
 	if err != nil || g1 != 1 {
@@ -41,7 +38,8 @@ func TestHubGenerationChain(t *testing.T) {
 	if err != nil || g3 != 3 {
 		t.Fatalf("announce 3: gen=%d err=%v", g3, err)
 	}
-	// Generations are hub-wide; Prev chains per executable.
+	// Generations are hub-wide; Prev chains per executable. Two
+	// subscribers, each sent every delta once.
 	if len(sent) != 6 {
 		t.Fatalf("sent %d deltas", len(sent))
 	}
@@ -58,14 +56,6 @@ func TestHubGenerationChain(t *testing.T) {
 	if hub.Generation("mpeg_play") != 3 || hub.Generation("mpeg_serve") != 2 {
 		t.Fatalf("generations: play=%d serve=%d",
 			hub.Generation("mpeg_play"), hub.Generation("mpeg_serve"))
-	}
-
-	hub.Unsubscribe("/z/sub")
-	if _, err := hub.Announce("mpeg_play", "fleet", nil, nil, "r4", telemetry.TraceContext{}); err != nil {
-		t.Fatal(err)
-	}
-	if len(sent) != 7 || sent[6].to != "/a/sub" {
-		t.Fatalf("after unsubscribe: %d deltas, last to %q", len(sent), sent[len(sent)-1].to)
 	}
 }
 
@@ -212,14 +202,9 @@ func TestConcurrentWatchSubscribers(t *testing.T) {
 			}
 		}()
 	}
-	// Subscriber churn.
+	// Subscriptions, new and repeated, while deltas fan out.
 	run(func(i int) error {
-		addr := fmt.Sprintf("/sub/%d", i%4)
-		hub.Subscribe(addr)
-		hub.Subscribers()
-		if i%3 == 0 {
-			hub.Unsubscribe(addr)
-		}
+		hub.Subscribe(fmt.Sprintf("/sub/%d", i%8))
 		return nil
 	})
 	// Delta announcements.

@@ -120,7 +120,7 @@ func TestValueHelpers(t *testing.T) {
 	if !Sym("?x").IsVariable() || Sym("x").IsVariable() || !Sym("?").IsVariable() {
 		t.Error("IsVariable misclassifies")
 	}
-	if Str("a").Equal(Sym("a")) {
+	if a, b := Str("a"), Sym("a"); equal(&a, &b) {
 		t.Error("cross-kind equality")
 	}
 	if Num(1).String() != "1" || Str("s").String() != `"s"` {

@@ -182,16 +182,3 @@ func (e *Engine) AssertTemplate(name string, slots map[string]Value) (int, error
 	}
 	return e.Assert(tuple...), nil
 }
-
-// SlotValue extracts a named slot from a templated fact.
-func (e *Engine) SlotValue(f *Fact, slot string) (Value, error) {
-	t, ok := e.prog.templates[f.Relation()]
-	if !ok {
-		return Value{}, fmt.Errorf("rules: fact %s is not templated", f)
-	}
-	i := t.slotIndex(slot)
-	if i < 0 {
-		return Value{}, fmt.Errorf("rules: template %s has no slot %q", t.name, slot)
-	}
-	return f.At(i + 1), nil
-}

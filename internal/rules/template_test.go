@@ -108,21 +108,25 @@ func TestTemplatedAssertWithComputedSlots(t *testing.T) {
 	}
 }
 
+// TestSlotValue: a rule reads a templated fact's slot by name, whatever
+// the slot's position, and a pattern naming a slot the template lacks
+// does not compile.
 func TestSlotValue(t *testing.T) {
-	e := mustLoad(t, readingTemplate)
+	e := mustLoad(t, readingTemplate+`
+(defrule read-value
+  (reading (value ?v) (proc ?p))
+  =>
+  (assert (value-of ?p ?v)))
+`)
 	_, _ = e.AssertTemplate("reading", map[string]Value{
 		"proc": Sym("p1"), "attr": Sym("fps"), "value": Num(5)})
-	f := e.Facts()[0]
-	v, err := e.SlotValue(f, "value")
-	if err != nil || v.Num != 5 {
-		t.Errorf("SlotValue = %v, %v", v, err)
+	mustRun(t, e)
+	if fs := e.FactsMatching(Sym("value-of"), Sym("p1"), Sym("?v")); len(fs) != 1 || fs[0].At(2).Num != 5 {
+		t.Errorf("value slot read as %v", fs)
 	}
-	if _, err := e.SlotValue(f, "ghost"); err == nil {
-		t.Error("unknown slot read succeeded")
-	}
-	e.AssertF("plain", 1)
-	if _, err := e.SlotValue(e.Facts()[1], "x"); err == nil {
-		t.Error("SlotValue on untemplated fact succeeded")
+	if _, err := Compile("t", readingTemplate+`
+(defrule ghost (reading (ghost ?g)) => (assert (g ?g)))`); err == nil {
+		t.Error("pattern on an unknown slot compiled")
 	}
 }
 

@@ -57,10 +57,8 @@ func Num(f float64) Value { return Value{Kind: NumberKind, Num: f} }
 // Str returns a string value.
 func Str(s string) Value { return Value{Kind: StringKind, Str: s} }
 
-// Equal reports deep equality of two values.
-func (v Value) Equal(o Value) bool { return equal(&v, &o) }
-
-// equal is Equal without copying the operands (the matcher's inner loop).
+// equal reports deep equality of two values without copying them (the
+// matcher's inner loop).
 func equal(v, o *Value) bool {
 	if v.Kind != o.Kind {
 		return false
@@ -145,14 +143,8 @@ func sameTuple(a, b []Value) bool {
 // ID returns the working-memory fact identifier.
 func (f *Fact) ID() int { return f.id }
 
-// Len returns the tuple arity.
-func (f *Fact) Len() int { return len(f.items) }
-
 // At returns the i'th atom.
 func (f *Fact) At(i int) Value { return f.items[i] }
-
-// Items returns a copy of the tuple.
-func (f *Fact) Items() []Value { return append([]Value(nil), f.items...) }
 
 // Relation returns the first symbol, or "" for malformed facts.
 func (f *Fact) Relation() string {

@@ -27,14 +27,13 @@ type Adjustment struct {
 type LiveProc struct {
 	pid int
 
-	mu         sync.Mutex
-	alive      bool
-	boost      int
-	rt         bool
-	prio       int
-	workingSet int
-	resident   int
-	onAdjust   func(Adjustment)
+	mu       sync.Mutex
+	alive    bool
+	boost    int
+	rt       bool
+	prio     int
+	resident int
+	onAdjust func(Adjustment)
 }
 
 // PID returns the OS process identifier.
@@ -103,19 +102,9 @@ func (p *LiveProc) Realtime() bool {
 	return p.rt
 }
 
-// WorkingSet returns the declared desired resident pages.
-func (p *LiveProc) WorkingSet() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.workingSet
-}
-
-// SetWorkingSet declares the process's desired resident pages.
-func (p *LiveProc) SetWorkingSet(pages int) {
-	p.mu.Lock()
-	p.workingSet = pages
-	p.mu.Unlock()
-}
+// WorkingSet returns 0: a live process declares no desired resident
+// pages (the live host observes neither its memory nor its CPU time).
+func (p *LiveProc) WorkingSet() int { return 0 }
 
 // Resident returns the recorded resident-set allotment.
 func (p *LiveProc) Resident() int {

@@ -234,8 +234,6 @@ type System struct {
 	Rerouted int
 	// Restarted counts server-process restarts performed.
 	Restarted int
-
-	noise *netsim.CrossTraffic
 }
 
 // Build assembles a system; nothing has executed yet (call Run* next).
@@ -629,13 +627,12 @@ func mustNil(err error) {
 
 // CongestNetwork starts cross traffic that offers roughly frac of the
 // core switch's service rate. The packets are small (comparable to video
-// frames) so drop-tail losses fall proportionally on both flows. Stop the
-// returned flow to clear the fault.
-func (sys *System) CongestNetwork(frac float64) *netsim.CrossTraffic {
+// frames) so drop-tail losses fall proportionally on both flows. The
+// fault lasts for the rest of the run.
+func (sys *System) CongestNetwork(frac float64) {
 	const interval = 500 * time.Microsecond
 	bytes := int(2 * (1 << 20) * frac * interval.Seconds())
-	sys.noise = sys.Net.StartCrossTraffic("noise-src", "client-host", bytes, interval)
-	return sys.noise
+	sys.Net.StartCrossTraffic("noise-src", "client-host", bytes, interval)
 }
 
 // Sample is one timeline observation.

@@ -116,9 +116,6 @@ func (h *Host) Name() string { return h.name }
 // Sim returns the simulator the host is attached to.
 func (h *Host) Sim() *sim.Simulator { return h.sim }
 
-// CPUs returns the number of CPUs.
-func (h *Host) CPUs() int { return h.ncpu }
-
 // LoadAvg returns the exponentially damped one-minute load average.
 func (h *Host) LoadAvg() float64 { return h.load.avg }
 
@@ -146,15 +143,6 @@ func (h *Host) PhysPages() int { return h.physPages }
 
 // Proc returns the process with the given pid, or nil.
 func (h *Host) Proc(pid int) *Proc { return h.procs[pid] }
-
-// Procs returns a snapshot of all live processes.
-func (h *Host) Procs() []*Proc {
-	out := make([]*Proc, 0, len(h.procs))
-	for _, p := range h.procs {
-		out = append(out, p)
-	}
-	return out
-}
 
 // SpawnOption configures a process at spawn time.
 type SpawnOption func(*Proc)
@@ -316,7 +304,6 @@ func (h *Host) popReady(prio int) *Proc {
 // completion or quantum expiry, whichever comes first).
 func (h *Host) dispatch(p *Proc) {
 	p.state = Running
-	p.dispatches++
 	if h.metrics != nil {
 		h.metrics.dispatches.Inc()
 	}

@@ -85,19 +85,11 @@ type Proc struct {
 
 	// Accounting.
 	cpuTime     time.Duration
-	dispatches  int
 	preemptions int
-	sleeps      int
 }
 
 // PID returns the process identifier, unique within its host.
 func (p *Proc) PID() int { return p.pid }
-
-// Name returns the process name given at spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Host returns the host the process runs on.
-func (p *Proc) Host() *Host { return p.host }
 
 // State returns the current life-cycle state.
 func (p *Proc) State() State { return p.state }
@@ -121,9 +113,6 @@ func (p *Proc) CPUTime() time.Duration {
 	}
 	return t
 }
-
-// Dispatches returns how many times the process has been placed on a CPU.
-func (p *Proc) Dispatches() int { return p.dispatches }
 
 // Preemptions returns how many times the process was preempted.
 func (p *Proc) Preemptions() int { return p.preemptions }
@@ -207,7 +196,6 @@ func (p *Proc) Sleep(d time.Duration, then func()) {
 		return
 	}
 	p.state = Sleeping
-	p.sleeps++
 	p.wakeEv = p.host.sim.After(d, func() {
 		p.applySleepReturn()
 		p.state = Deciding

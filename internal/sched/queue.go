@@ -10,39 +10,23 @@ package sched
 // a QoS fault is local (long buffer: the process cannot drain fast enough)
 // or upstream (short buffer: frames are not arriving).
 type Queue struct {
-	name    string
 	cap     int
 	items   []any
 	waiters []*Proc
-
-	pushed  uint64
 	dropped uint64
-	popped  uint64
 }
 
 // NewQueue creates a queue holding at most capacity items; capacity <= 0
 // means unbounded.
-func NewQueue(name string, capacity int) *Queue {
-	return &Queue{name: name, cap: capacity}
+func NewQueue(capacity int) *Queue {
+	return &Queue{cap: capacity}
 }
-
-// Name returns the queue name.
-func (q *Queue) Name() string { return q.name }
 
 // Len returns the number of queued items.
 func (q *Queue) Len() int { return len(q.items) }
 
-// Cap returns the configured capacity (0 = unbounded).
-func (q *Queue) Cap() int { return q.cap }
-
-// Pushed returns the number of successful pushes.
-func (q *Queue) Pushed() uint64 { return q.pushed }
-
 // Dropped returns the number of values dropped because the queue was full.
 func (q *Queue) Dropped() uint64 { return q.dropped }
-
-// Popped returns the number of values delivered to consumers.
-func (q *Queue) Popped() uint64 { return q.popped }
 
 // Push enqueues v, waking a blocked receiver if any. It reports false if
 // the value was dropped because the queue was full.
@@ -50,8 +34,6 @@ func (q *Queue) Push(v any) bool {
 	if len(q.waiters) > 0 {
 		p := q.waiters[0]
 		q.waiters = q.waiters[1:]
-		q.pushed++
-		q.popped++
 		p.deliver(v)
 		return true
 	}
@@ -60,7 +42,6 @@ func (q *Queue) Push(v any) bool {
 		return false
 	}
 	q.items = append(q.items, v)
-	q.pushed++
 	return true
 }
 
@@ -70,7 +51,6 @@ func (q *Queue) pop() (any, bool) {
 	}
 	v := q.items[0]
 	q.items = q.items[1:]
-	q.popped++
 	return v, true
 }
 

@@ -166,7 +166,7 @@ func TestExitReleasesCPUAndPages(t *testing.T) {
 func TestQueueBlockingRecv(t *testing.T) {
 	s := sim.New(1)
 	h := NewHost(s, "h")
-	q := NewQueue("q", 10)
+	q := NewQueue(10)
 	var got []any
 	h.Spawn("consumer", func(p *Proc) {
 		var loop func(v any)
@@ -182,13 +182,13 @@ func TestQueueBlockingRecv(t *testing.T) {
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("consumer got %v, want [1 2 3]", got)
 	}
-	if q.Popped() != 3 || q.Pushed() != 3 {
-		t.Errorf("counters pushed=%d popped=%d", q.Pushed(), q.Popped())
+	if q.Len() != 0 || q.Dropped() != 0 {
+		t.Errorf("queue left len=%d dropped=%d, want both 0", q.Len(), q.Dropped())
 	}
 }
 
 func TestQueueDropWhenFull(t *testing.T) {
-	q := NewQueue("q", 2)
+	q := NewQueue(2)
 	if !q.Push(1) || !q.Push(2) {
 		t.Fatal("pushes within capacity failed")
 	}
@@ -203,7 +203,7 @@ func TestQueueDropWhenFull(t *testing.T) {
 func TestQueueMultipleWaitersFIFO(t *testing.T) {
 	s := sim.New(1)
 	h := NewHost(s, "h")
-	q := NewQueue("q", 0)
+	q := NewQueue(0)
 	var order []string
 	mk := func(name string) {
 		h.Spawn(name, func(p *Proc) {
@@ -347,7 +347,7 @@ func TestBusyTimeAccounting(t *testing.T) {
 func TestExitWhileBlockedRemovesWaiter(t *testing.T) {
 	s := sim.New(1)
 	h := NewHost(s, "h")
-	q := NewQueue("q", 0)
+	q := NewQueue(0)
 	var blocked *Proc
 	blocked = h.Spawn("blocked", func(p *Proc) {
 		p.Recv(q, func(any) { t.Error("exited waiter received a value"); p.Exit() })

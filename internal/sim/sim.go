@@ -35,9 +35,6 @@ type Time int64
 // Common conversions.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
-// Seconds reports t as floating-point seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
-
 func (t Time) String() string { return time.Duration(t).String() }
 
 // At returns the Time corresponding to a duration from simulation start.

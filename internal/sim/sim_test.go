@@ -243,9 +243,6 @@ func TestPropertyEventOrdering(t *testing.T) {
 }
 
 func TestTimeHelpers(t *testing.T) {
-	if At(1500*time.Millisecond).Seconds() != 1.5 {
-		t.Error("Seconds conversion wrong")
-	}
 	if At(time.Second).Duration() != time.Second {
 		t.Error("Duration conversion wrong")
 	}

@@ -325,16 +325,6 @@ func (lg *Logger) Len() int {
 	return lg.c.n
 }
 
-// Seq returns the last sequence number assigned (0 before any record).
-func (lg *Logger) Seq() uint64 {
-	if lg == nil {
-		return 0
-	}
-	lg.c.mu.Lock()
-	defer lg.c.mu.Unlock()
-	return lg.c.seq
-}
-
 // Evicted returns how many records the ring has evicted.
 func (lg *Logger) Evicted() uint64 {
 	if lg == nil {

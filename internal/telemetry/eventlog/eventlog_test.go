@@ -24,7 +24,7 @@ func TestNilLoggerIsInert(t *testing.T) {
 	if got := lg.WithSink(func(Level, string, string) {}); got != nil {
 		t.Fatalf("WithSink on nil logger = %v, want nil", got)
 	}
-	if lg.Records(Query{}) != nil || lg.Len() != 0 || lg.Evicted() != 0 || lg.Seq() != 0 {
+	if lg.Records(Query{}) != nil || lg.Len() != 0 || lg.Evicted() != 0 {
 		t.Fatal("nil logger should report empty state")
 	}
 	var b bytes.Buffer

@@ -135,31 +135,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	return nil
 }
 
-// WriteCSV renders the snapshot as "kind,name,field,value" rows.
-func (s Snapshot) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "kind,name,field,value\n"); err != nil {
-		return err
-	}
-	for _, c := range s.Counters {
-		fmt.Fprintf(w, "counter,%s,value,%d\n", c.Name, c.Value)
-	}
-	for _, g := range s.Gauges {
-		fmt.Fprintf(w, "gauge,%s,value,%s\n", g.Name, fmtF(g.Value))
-	}
-	for _, h := range s.Histograms {
-		fmt.Fprintf(w, "histogram,%s,count,%d\n", h.Name, h.Count)
-		for _, f := range []struct {
-			field string
-			v     float64
-		}{{"min", h.Min}, {"mean", h.Mean}, {"p50", h.P50}, {"p95", h.P95}, {"p99", h.P99}, {"max", h.Max}} {
-			if _, err := fmt.Fprintf(w, "histogram,%s,%s,%s\n", h.Name, f.field, fmtF(f.v)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // WriteTraceTable renders violation traces as a human-readable table:
 // one header row per trace (start, time-to-recovery or "open", span
 // count) followed by the indented span list.

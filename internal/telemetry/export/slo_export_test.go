@@ -367,9 +367,8 @@ func TestStartSamplerStops(t *testing.T) {
 	if n == 0 {
 		t.Fatal("sampler never sampled")
 	}
-	d, _, _ := miner.Stages()
-	if d.Count != 1 {
-		t.Errorf("miner consumed %d completed episodes, want 1", d.Count)
+	if n := reg.Sketch(telemetry.MetricLoopDetectMs).Count(); n != 1 {
+		t.Errorf("miner consumed %d completed episodes, want 1", n)
 	}
 	time.Sleep(15 * time.Millisecond)
 	if tl.Samples() != n {

@@ -141,8 +141,7 @@ func TestTimelineDumpOmitsRollupsWhenDisabled(t *testing.T) {
 }
 
 // TestTimelineSeriesCap: series beyond MaxTimelineSeries are refused
-// and counted — both on the recorder and in the registry's
-// telemetry.timeline.evicted counter.
+// and counted in the registry's telemetry.timeline.evicted counter.
 func TestTimelineSeriesCap(t *testing.T) {
 	var now time.Duration
 	reg := NewRegistry(func() time.Duration { return now })
@@ -155,9 +154,6 @@ func TestTimelineSeriesCap(t *testing.T) {
 	tl.Sample()
 	if got := len(tl.Series()); got != MaxTimelineSeries {
 		t.Fatalf("tracked %d series, want cap %d", got, MaxTimelineSeries)
-	}
-	if tl.Evicted() == 0 {
-		t.Fatal("series cap refused samples without counting them")
 	}
 	// The eviction counter counts every refusal — but it is itself a
 	// series past the cap, so it must never recurse into the tracked set.

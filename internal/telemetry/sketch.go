@@ -138,17 +138,9 @@ func (s *Sketch) Observe(v float64) {
 // ObserveDuration records a duration in nanoseconds.
 func (s *Sketch) ObserveDuration(d time.Duration) { s.Observe(float64(d)) }
 
-// Merge folds other's observations into s. Exact: bucket counts add, so
-// merge order can never change the resulting quantiles.
-func (s *Sketch) Merge(other *Sketch) {
-	if other == nil || other == s {
-		return
-	}
-	s.MergeSnapshot(other.Snapshot())
-}
-
 // MergeSnapshot folds a serialized sketch (e.g. one received in a
-// msg.TelemetrySummary) into s.
+// msg.TelemetrySummary) into s. Exact: bucket counts add, so merge order
+// can never change the resulting quantiles.
 func (s *Sketch) MergeSnapshot(sn SketchSnapshot) {
 	if sn.Count == 0 {
 		return
@@ -221,13 +213,6 @@ func (s *Sketch) Count() uint64 {
 	return s.count
 }
 
-// Sum returns the exact sum of every observation.
-func (s *Sketch) Sum() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sum
-}
-
 // Mean returns the exact mean (0 when empty).
 func (s *Sketch) Mean() float64 {
 	s.mu.Lock()
@@ -249,14 +234,6 @@ func (s *Sketch) Max() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.max
-}
-
-// Buckets reports how many dense buckets the sketch currently holds —
-// its footprint, which the fleet's per-host heap budget watches.
-func (s *Sketch) Buckets() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.counts)
 }
 
 // Quantile returns the q-quantile (0 < q <= 1) by nearest rank over the

@@ -57,9 +57,9 @@ func TestSketchMergeCommutative(t *testing.T) {
 		vb := randomValues(rng, 1+rng.Intn(400))
 
 		ab := sketchOf(va)
-		ab.Merge(sketchOf(vb))
+		ab.MergeSnapshot(sketchOf(vb).Snapshot())
 		ba := sketchOf(vb)
-		ba.Merge(sketchOf(va))
+		ba.MergeSnapshot(sketchOf(va).Snapshot())
 
 		if !equivalentSnapshots(ab.Snapshot(), ba.Snapshot()) {
 			t.Fatalf("trial %d: a⊕b != b⊕a\n a⊕b=%+v\n b⊕a=%+v",
@@ -78,13 +78,13 @@ func TestSketchMergeAssociative(t *testing.T) {
 		vc := randomValues(rng, 1+rng.Intn(300))
 
 		left := sketchOf(va)
-		left.Merge(sketchOf(vb))
-		left.Merge(sketchOf(vc))
+		left.MergeSnapshot(sketchOf(vb).Snapshot())
+		left.MergeSnapshot(sketchOf(vc).Snapshot())
 
 		bc := sketchOf(vb)
-		bc.Merge(sketchOf(vc))
+		bc.MergeSnapshot(sketchOf(vc).Snapshot())
 		right := sketchOf(va)
-		right.Merge(bc)
+		right.MergeSnapshot(bc.Snapshot())
 
 		if !equivalentSnapshots(left.Snapshot(), right.Snapshot()) {
 			t.Fatalf("trial %d: (a⊕b)⊕c != a⊕(b⊕c)", trial)
@@ -148,8 +148,8 @@ func checkSketchAgainstExact(t *testing.T, label string, vals []float64) {
 	for _, v := range vals {
 		sum += v
 	}
-	if math.Abs(s.Sum()-sum) > math.Abs(sum)*1e-12 {
-		t.Fatalf("%s: sum %v, want %v", label, s.Sum(), sum)
+	if math.Abs(s.Snapshot().Sum-sum) > math.Abs(sum)*1e-12 {
+		t.Fatalf("%s: sum %v, want %v", label, s.Snapshot().Sum, sum)
 	}
 	if s.Count() != uint64(len(vals)) {
 		t.Fatalf("%s: count %d, want %d", label, s.Count(), len(vals))
@@ -302,15 +302,15 @@ func TestSketchEmptyAndReset(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Observe(float64(i))
 	}
-	buckets := s.Buckets()
+	buckets := len(s.counts)
 	want := s.Snapshot()
 	if sn := s.drain(); !reflect.DeepEqual(sn, want) {
 		t.Errorf("drain returned %+v, want %+v", sn, want)
 	}
-	if s.Count() != 0 || s.Sum() != 0 {
+	if s.Count() != 0 || s.Snapshot().Sum != 0 {
 		t.Error("drain left observations behind")
 	}
-	if s.Buckets() != buckets {
+	if len(s.counts) != buckets {
 		t.Error("drain should keep bucket storage for reuse")
 	}
 	if sn := s.Snapshot(); sn.Counts != nil {
@@ -532,7 +532,7 @@ func BenchmarkSketchQuantiles(b *testing.B) {
 func TestSketchObserveDuration(t *testing.T) {
 	s := NewSketch()
 	s.ObserveDuration(5 * time.Millisecond)
-	if s.Sum() != 5e6 {
-		t.Fatalf("sum %v, want 5e6", s.Sum())
+	if s.Snapshot().Sum != 5e6 {
+		t.Fatalf("sum %v, want 5e6", s.Snapshot().Sum)
 	}
 }

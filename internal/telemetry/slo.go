@@ -378,8 +378,3 @@ func (m *LoopMiner) Mine(traces []*Trace) int {
 	m.mined = seen
 	return n
 }
-
-// Stages returns the miner's current latency distributions.
-func (m *LoopMiner) Stages() (detect, locate, adapt StageStats) {
-	return stageStats(m.detect), stageStats(m.locate), stageStats(m.adapt)
-}

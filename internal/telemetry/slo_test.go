@@ -161,7 +161,7 @@ func TestLoopMinerMinesOnce(t *testing.T) {
 	if n := m.Mine(tr.Traces()); n != 0 {
 		t.Fatalf("re-mine consumed %d, want 0", n)
 	}
-	d, l, a := m.Stages()
+	d, l, a := loopStages(reg)
 	if d.Count != 1 || l.Count != 1 || a.Count != 1 {
 		t.Errorf("stage counts = %d/%d/%d, want 1/1/1", d.Count, l.Count, a.Count)
 	}
@@ -219,8 +219,14 @@ func TestLoopMinerMinedSetBounded(t *testing.T) {
 	if tr.Evicted() != (batches-1)*retain {
 		t.Fatalf("tracer evicted %d, want %d", tr.Evicted(), (batches-1)*retain)
 	}
-	d, l, a := m.Stages()
+	d, l, a := loopStages(reg)
 	if want := uint64(batches * retain); total != int(want) || d.Count != want || l.Count != want || a.Count != want {
 		t.Errorf("mined %d, loop.* counts %d/%d/%d, want %d each", total, d.Count, l.Count, a.Count, want)
 	}
+}
+
+// loopStages reads the loop.* histograms a LoopMiner records into.
+func loopStages(reg *Registry) (detect, locate, adapt StageStats) {
+	return stageStats(reg.Sketch(MetricLoopDetectMs)), stageStats(reg.Sketch(MetricLoopLocateMs)),
+		stageStats(reg.Sketch(MetricLoopAdaptMs))
 }

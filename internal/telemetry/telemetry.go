@@ -66,10 +66,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add shifts the gauge by delta (not atomic against concurrent Set; the
-// management plane mutates each gauge from one goroutine).
-func (g *Gauge) Add(delta float64) { g.Set(g.Value() + delta) }
-
 // Value returns the last recorded value (zero before any Set).
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

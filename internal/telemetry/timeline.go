@@ -134,7 +134,6 @@ type Timeline struct {
 	series   map[string]*tlSeries
 	samples  uint64
 	rollups  []*rollupTier
-	evicted  uint64
 	evictedC *Counter // telemetry.timeline.evicted; nil without a registry
 }
 
@@ -162,13 +161,6 @@ func (tl *Timeline) EnableRollup() {
 	}
 }
 
-// Evicted returns how many samples were refused by the series cap.
-func (tl *Timeline) Evicted() uint64 {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	return tl.evicted
-}
-
 // Samples returns how many Sample passes have run.
 func (tl *Timeline) Samples() uint64 {
 	tl.mu.Lock()
@@ -180,7 +172,6 @@ func (tl *Timeline) record(name, kind string, p Point) {
 	s, ok := tl.series[name]
 	if !ok {
 		if len(tl.series) >= MaxTimelineSeries {
-			tl.evicted++
 			tl.evictedC.Inc()
 			return
 		}

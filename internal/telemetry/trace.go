@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Stage names used by the framework's spans. The set is open — Event
+// Stage names used by the framework's spans. The set is open — EventCtx
 // accepts any stage string — but the canonical lifecycle is:
 //
 //	violation  coordinator: policy expression went false
@@ -56,8 +56,8 @@ func (c TraceContext) Valid() bool { return c.TraceID != "" }
 
 // Span is one step of a violation's lifecycle. ID is the span's number
 // within its trace (1 is the opening violation span); Parent is the ID
-// of the causing span (0 when unknown — e.g. events recorded through the
-// context-free Event API). Src names the emitting component
+// of the causing span (0 when unknown — e.g. a span recorded with
+// a zero TraceContext). Src names the emitting component
 // ("coordinator", "hostmanager", "cpu-manager", ...).
 type Span struct {
 	ID     int           `json:"id"`
@@ -325,13 +325,6 @@ func (tr *Tracer) EventCtxTier(ctx TraceContext, subject, policy, src, stage, de
 		parent = ctx.Span
 	}
 	return tr.addSpanTier(t, parent, src, stage, detail, now, tier)
-}
-
-// Event appends a span to the open trace for (subject, policy); it is a
-// no-op when no trace is open. It is EventCtx without causal context:
-// the span records Parent 0.
-func (tr *Tracer) Event(subject, policy, stage, detail string) {
-	tr.EventCtx(TraceContext{}, subject, policy, "", stage, detail)
 }
 
 // Context returns a context referencing the most recent span of the open

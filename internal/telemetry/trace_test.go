@@ -20,8 +20,8 @@ func TestTraceLifecycle(t *testing.T) {
 
 	tr.Begin("/h/app/exe/101", "P", "coordinator", "frame_rate=14")
 	clk.now = 11 * time.Second
-	tr.Event("/h/app/exe/101", "P", StageNotify, "")
-	tr.Event("/h/app/exe/101", "P", StageAdapt, "boost-cpu +10")
+	tr.EventCtx(TraceContext{}, "/h/app/exe/101", "P", "", StageNotify, "")
+	tr.EventCtx(TraceContext{}, "/h/app/exe/101", "P", "", StageAdapt, "boost-cpu +10")
 	clk.now = 12 * time.Second
 	tr.Resolve("/h/app/exe/101", "P")
 
@@ -62,7 +62,7 @@ func TestTraceNeverRecoversStillExports(t *testing.T) {
 	tr := NewTracer(clk.fn())
 	tr.Begin("/h/app/exe/200", "Q", "coordinator", "stuck")
 	clk.now = 6 * time.Second
-	tr.Event("/h/app/exe/200", "Q", StageEscalate, "")
+	tr.EventCtx(TraceContext{}, "/h/app/exe/200", "Q", "", StageEscalate, "")
 
 	traces := tr.Traces()
 	if len(traces) != 1 || traces[0].Recovered {
@@ -87,7 +87,7 @@ func TestTraceNeverRecoversStillExports(t *testing.T) {
 
 func TestTraceEventWithoutOpenTraceIsNoop(t *testing.T) {
 	tr := NewTracer(nil)
-	tr.Event("s", "P", StageAdapt, "stray")
+	tr.EventCtx(TraceContext{}, "s", "P", "", StageAdapt, "stray")
 	tr.Resolve("s", "P")
 	if len(tr.Traces()) != 0 {
 		t.Error("stray event/resolve created a trace")
@@ -138,14 +138,6 @@ func TestRegistrySnapshotSortedAndDeterministic(t *testing.T) {
 	}
 	if h := build().Histograms[0]; math.Abs(h.P50-3) > 3*SketchRelativeError {
 		t.Errorf("p50 = %v, want 3 within %.2f%%", h.P50, 100*SketchRelativeError)
-	}
-
-	var csv bytes.Buffer
-	if err := build().WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(csv.String(), "counter,a.count,value,1") {
-		t.Errorf("csv missing counter row:\n%s", csv.String())
 	}
 }
 
@@ -220,7 +212,7 @@ func TestTraceContextLatestSpan(t *testing.T) {
 		t.Fatalf("context for closed trace = %+v", ctx)
 	}
 	tr.Begin("s", "P", "coordinator", "")
-	tr.Event("s", "P", StageNotify, "")
+	tr.EventCtx(TraceContext{}, "s", "P", "", StageNotify, "")
 	ctx := tr.Context("s", "P")
 	if ctx.TraceID != "s#1" || ctx.Span != 2 {
 		t.Errorf("context = %+v, want s#1 span 2", ctx)

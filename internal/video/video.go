@@ -199,7 +199,7 @@ func (c *Client) Skip() int {
 func StartClient(host *sched.Host, net *netsim.Network, node string, cfg StreamConfig) *Client {
 	cfg = cfg.withDefaults()
 	c := &Client{cfg: cfg}
-	c.Socket = sched.NewQueue(node+"/socket", cfg.BufferFrames)
+	c.Socket = sched.NewQueue(cfg.BufferFrames)
 	net.SetHandler(node, func(pkt netsim.Packet) {
 		if f, ok := pkt.Payload.(Frame); ok {
 			c.Socket.Push(f)

@@ -53,7 +53,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	Proc  *sched.Proc
 	Queue *sched.Queue
-	cfg   Config
 
 	// OnServed is the probe hook invoked after each request completes
 	// with its total latency (queueing + service).
@@ -92,8 +91,8 @@ func (s *Server) SetRate(rate int) {
 // the configured arrival rate.
 func Start(host *sched.Host, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg}
-	s.Queue = sched.NewQueue("accept-queue", cfg.Backlog)
+	s := &Server{}
+	s.Queue = sched.NewQueue(cfg.Backlog)
 	simr := host.Sim()
 
 	s.host = host
@@ -138,6 +137,3 @@ func (s *Server) Backlog() int { return s.Queue.Len() }
 
 // StopLoad halts the request generator (tests).
 func (s *Server) StopLoad() { s.gen.Stop() }
-
-// Config returns the effective configuration.
-func (s *Server) Config() Config { return s.cfg }

@@ -26,11 +26,18 @@ type LiveHostManager struct {
 
 	violations atomic.Uint64
 	overshoots atomic.Uint64
+	adjusted   atomic.Uint64 // every adjustment ever recorded
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// adjustments is a ring of the latest adjustmentHistory adjustments,
+	// written under mu: the oldest sits at adjusted % adjustmentHistory.
 	adjustments []runtime.Adjustment
 	onAdjust    func(runtime.Adjustment)
 }
+
+// adjustmentHistory bounds the adjustment record: a manager that runs
+// for hours adjusts millions of times.
+const adjustmentHistory = 1024
 
 // NewLiveHostManager starts a live host manager on addr with the given
 // rule source ("" loads manager.DefaultHostRules; pass manager-package
@@ -69,7 +76,12 @@ func NewLiveHostManagerDomain(addr, rulesSrc, domainTCP string) (*LiveHostManage
 	}
 	lhost.SetOnAdjust(func(a runtime.Adjustment) {
 		lm.mu.Lock()
-		lm.adjustments = append(lm.adjustments, a)
+		if len(lm.adjustments) < adjustmentHistory {
+			lm.adjustments = append(lm.adjustments, a)
+		} else {
+			lm.adjustments[lm.adjusted.Load()%adjustmentHistory] = a
+		}
+		lm.adjusted.Add(1)
 		hook := lm.onAdjust
 		lm.mu.Unlock()
 		if hook != nil {
@@ -106,12 +118,18 @@ func (lm *LiveHostManager) Violations() uint64 { return lm.violations.Load() }
 // Overshoots returns the number of overshoot reports received.
 func (lm *LiveHostManager) Overshoots() uint64 { return lm.overshoots.Load() }
 
-// Adjustments returns a copy of every resource-manager action taken so
-// far.
+// AdjustmentCount returns the number of resource-manager actions taken
+// so far.
+func (lm *LiveHostManager) AdjustmentCount() uint64 { return lm.adjusted.Load() }
+
+// Adjustments returns a copy of the latest resource-manager actions, at
+// most 1 024, oldest first. AdjustmentCount counts all of them.
 func (lm *LiveHostManager) Adjustments() []runtime.Adjustment {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	return append([]runtime.Adjustment(nil), lm.adjustments...)
+	oldest := int(lm.adjusted.Load() % adjustmentHistory) // len(adjustments) until full
+	out := make([]runtime.Adjustment, 0, len(lm.adjustments))
+	return append(append(out, lm.adjustments[oldest:]...), lm.adjustments[:oldest]...)
 }
 
 // SetOnAdjust installs the embedding daemon's hook: it receives every

@@ -109,3 +109,33 @@ func TestLiveHostManagerBadRules(t *testing.T) {
 		t.Fatal("bad rules accepted")
 	}
 }
+
+// TestLiveHostManagerAdjustmentRing: the adjustment record keeps the
+// latest 1 024 actions, oldest first, and the count covers every one.
+func TestLiveHostManagerAdjustmentRing(t *testing.T) {
+	lm, err := NewLiveHostManager("127.0.0.1:0", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lm.Close()
+	p := lm.Host().StartProc(7)
+	check := func(total int) {
+		t.Helper()
+		adjs := lm.Adjustments()
+		kept := min(total, 1024)
+		if len(adjs) != kept || lm.AdjustmentCount() != uint64(total) {
+			t.Fatalf("after %d: kept %d, count %d; want %d, %d", total, len(adjs), lm.AdjustmentCount(), kept, total)
+		}
+		for i, a := range adjs {
+			if want := total - kept + 1 + i; a.PID != 7 || a.What != "boost" || a.Value != want {
+				t.Fatalf("after %d: adjustment %d = %+v, want boost %d", total, i, a, want)
+			}
+		}
+	}
+	for i := 1; i <= 3000; i++ {
+		p.SetBoost(i) // each call records one adjustment with Value i
+		if i == 10 || i == 1024 || i == 1025 || i == 3000 {
+			check(i)
+		}
+	}
+}
