@@ -89,7 +89,7 @@ func newLiveRig(t testing.TB) *liveRig {
 	r.coord = NewLiveCoordinator(Identity{
 		Host: "live-host", PID: 1234, Executable: "mpeg_play",
 		Application: "VideoApplication", UserRole: "viewer",
-	}, agent.Addr(), coll.Addr())
+	}, agent.Addr(), coll.Addr(), Kit{})
 	clock := r.coord.WallClock()
 	r.fps = NewRateSensor("fps_sensor", "frame_rate", clock, 100*time.Millisecond)
 	r.jit = NewJitterSensor("jitter_sensor", "jitter_rate", clock, 33*time.Millisecond)
@@ -187,7 +187,7 @@ func TestFullLiveStack(t *testing.T) {
 	// Instrumented process.
 	coord := NewLiveCoordinator(Identity{
 		Host: "h", PID: 99, Executable: "mpeg_play", Application: "VideoApplication",
-	}, agent.Addr(), coll.Addr())
+	}, agent.Addr(), coll.Addr(), Kit{})
 	defer coord.Close()
 	clock := coord.WallClock()
 	coord.AddSensor(NewRateSensor("fps_sensor", "frame_rate", clock, time.Second))

@@ -26,6 +26,7 @@ import (
 	"softqos/internal/manager"
 	"softqos/internal/msg"
 	"softqos/internal/netsim"
+	"softqos/internal/obs"
 	"softqos/internal/policy"
 	"softqos/internal/rules"
 	"softqos/internal/scenario"
@@ -96,7 +97,7 @@ func BenchmarkInitOverhead(b *testing.B) {
 		coord := NewLiveCoordinator(Identity{
 			Host: "bench", PID: i, Executable: "mpeg_play",
 			Application: "VideoApplication", UserRole: "viewer",
-		}, agent.Addr(), coll.Addr())
+		}, agent.Addr(), coll.Addr(), Kit{})
 		clock := coord.WallClock()
 		coord.AddSensor(NewRateSensor("fps_sensor", "frame_rate", clock, time.Second))
 		coord.AddSensor(NewJitterSensor("jitter_sensor", "jitter_rate", clock, 33*time.Millisecond))
@@ -269,8 +270,8 @@ oblig Other {
 // the forward-chaining engine (A4).
 func BenchmarkInferenceEpisode(b *testing.B) {
 	s := sim.New(1)
-	host := sched.NewHost(s, "h")
-	hm := manager.NewHostManager("/h/QoSHostManager", host, func(string, msg.Message) error { return nil }, "", manager.Liveness{})
+	host := sched.NewHost(s, "h", obs.Kit{})
+	hm := manager.NewHostManager("/h/QoSHostManager", host, func(string, msg.Message) error { return nil }, "", manager.Liveness{}, obs.Kit{})
 	p := host.Spawn("mpeg_play", func(p *sched.Proc) {
 		p.Sleep(time.Hour, func() { p.Exit() })
 	})
@@ -290,7 +291,7 @@ func BenchmarkInferenceEpisode(b *testing.B) {
 // price of rule-driven flexibility.
 func BenchmarkInferenceLookupBaseline(b *testing.B) {
 	s := sim.New(1)
-	host := sched.NewHost(s, "h")
+	host := sched.NewHost(s, "h", obs.Kit{})
 	cpu := manager.NewCPUManager(host)
 	p := host.Spawn("mpeg_play", func(p *sched.Proc) {
 		p.Sleep(time.Hour, func() { p.Exit() })
@@ -413,7 +414,7 @@ func BenchmarkScale(b *testing.B) {
 func BenchmarkSchedulerDispatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := sim.New(int64(i + 1))
-		h := sched.NewHost(s, "h")
+		h := sched.NewHost(s, "h", obs.Kit{})
 		for j := 0; j < 10; j++ {
 			h.Spawn("p", func(p *sched.Proc) {
 				var loop func()
@@ -429,7 +430,7 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 // two-hop path.
 func BenchmarkNetworkForwarding(b *testing.B) {
 	s := sim.New(1)
-	n := netsim.New(s)
+	n := netsim.New(s, obs.Kit{})
 	n.AddNode("a", nil)
 	delivered := 0
 	n.AddNode("b", func(netsim.Packet) { delivered++ })

@@ -121,7 +121,7 @@ func overhead() {
 	for i := 0; i < initIters; i++ {
 		lc := softqos.NewLiveCoordinator(softqos.Identity{Host: "bench", PID: i + 1,
 			Executable: "mpeg_play", Application: "VideoApplication", UserRole: "viewer"},
-			agent.Addr(), "")
+			agent.Addr(), "", softqos.Kit{})
 		clock := lc.WallClock()
 		lc.AddSensor(softqos.NewRateSensor("fps_sensor", "frame_rate", clock, time.Second))
 		lc.AddSensor(softqos.NewJitterSensor("jitter_sensor", "jitter_rate", clock, 33333*time.Microsecond))

@@ -137,19 +137,18 @@ func liveRepository() (*softqos.RepositoryService, *softqos.Directory) {
 // servePolicy starts the live policy-distribution server when
 // -policy-server is set: the repository TCP endpoint policyctl's
 // push/status/rollback verbs talk to, with accepted generations pushed
-// to the running agent over the watch/notify hub. The caller still
-// wires the rollout gate (GateOn) to whichever tracer observes the
-// canary's violations.
+// to the running agent over the watch/notify hub. It records on kit —
+// rollout decisions on its tracer. The caller still wires the rollout
+// gate (GateOn) to whichever tracer observes the canary's violations.
 func servePolicy(agentAddr string, dir *softqos.Directory, svc *softqos.RepositoryService,
-	reg *telemetry.Registry) *softqos.LivePolicyServer {
+	kit softqos.Kit) *softqos.LivePolicyServer {
 	if *policyTCP == "" {
 		return nil
 	}
-	lps, err := softqos.ServeLivePolicy(*policyTCP, dir, svc, softqos.RolloutConfig{Bake: *bake})
+	lps, err := softqos.ServeLivePolicy(*policyTCP, dir, svc, softqos.RolloutConfig{Bake: *bake, Kit: kit})
 	checkLive(err)
 	lps.Watch(agentAddr)
 	lps.SetHosts("live-host")
-	lps.SetTelemetry(reg)
 	fmt.Printf("policy repository on %s (policyctl push/status/rollback -server %s)\n",
 		lps.Addr(), lps.Addr())
 	return lps
@@ -176,15 +175,16 @@ func runLive() {
 		agent.SetTelemetry(reg)
 		evlog := liveEventLog(now, reg)
 		agent.SetEventLog(evlog)
-		lps := servePolicy(agent.Addr(), dir, svc, reg)
 		var tracer *telemetry.Tracer
+		if *policyTCP != "" {
+			tracer = telemetry.NewTracer(now)
+		}
+		lps := servePolicy(agent.Addr(), dir, svc, softqos.Kit{Metrics: reg, Tracer: tracer, Log: evlog})
 		if lps != nil {
-			lps.SetEventLog(evlog)
 			// The standalone agent process observes no violations itself,
 			// so its bakes judge on an empty compliance feed (promote
 			// unless rolled back by hand); run -role all for SLO gating.
 			// The tracer still records every rollout decision.
-			tracer = telemetry.NewTracer(now)
 			lps.GateOn(tracer, now, nil)
 			defer lps.Close()
 		}
@@ -224,7 +224,10 @@ func runLive() {
 			fmt.Fprintln(os.Stderr, "qosd: -role workload needs -agent-addr and -manager-addr")
 			os.Exit(2)
 		}
-		liveWorkload(*agentTCP, *mgrTCP, nil, nil, nil, nil)
+		start := time.Now()
+		now := func() time.Duration { return time.Since(start) }
+		liveWorkload(*agentTCP, *mgrTCP, nil, nil,
+			softqos.Kit{Tracer: telemetry.NewTracer(now), Log: liveEventLog(now, nil)}, now)
 
 	case "all":
 		svc, dir := liveRepository()
@@ -236,20 +239,23 @@ func runLive() {
 		defer lm.Close()
 		fmt.Printf("policy agent on %s, host manager on %s\n", agent.Addr(), lm.Addr())
 
+		// One session clock for the registry, the tracer and the log.
 		start := time.Now()
-		reg := telemetry.NewRegistry(func() time.Duration { return time.Since(start) })
+		now := func() time.Duration { return time.Since(start) }
+		reg := telemetry.NewRegistry(now)
+		kit := softqos.Kit{Metrics: reg, Tracer: telemetry.NewTracer(now), Log: liveEventLog(now, reg)}
 		agent.SetTelemetry(reg)
-		lm.SetTelemetry(reg, nil)
-		lps := servePolicy(agent.Addr(), dir, svc, reg)
+		agent.SetEventLog(kit.Log)
+		// The host manager records its diagnosis spans and rule
+		// explanations on the tracer the workload's coordinator records
+		// on, so each episode exports as one causal tree.
+		lm.SetTelemetry(reg, kit.Tracer)
+		lm.SetEventLog(kit.Log)
+		lps := servePolicy(agent.Addr(), dir, svc, kit)
 		if lps != nil {
 			defer lps.Close()
 		}
-		evlog := liveEventLog(func() time.Duration { return time.Since(start) }, reg)
-		agent.SetEventLog(evlog)
-		if lps != nil {
-			lps.SetEventLog(evlog)
-		}
-		liveWorkload(agent.Addr(), lm.Addr(), lm, reg, lps, evlog)
+		liveWorkload(agent.Addr(), lm.Addr(), lm, lps, kit, now)
 
 	default:
 		fmt.Fprintf(os.Stderr, "qosd: unknown live role %q\n", *role)
@@ -260,11 +266,11 @@ func runLive() {
 // liveWorkload runs the instrumented player: it registers, decodes at a
 // starved ~10 fps against the 25±2 policy, and lets the managers drive
 // it back into the band — first by CPU boosts, then (at saturation) by a
-// frame_skip adaptation directive its actuator applies. lm, reg, lps
-// and evlog are non-nil only in the single-process session (the
-// standalone workload role builds its own event log on its own clock).
+// frame_skip adaptation directive its actuator applies. lm, lps and
+// kit.Metrics are non-nil only in the single-process session; kit.Tracer
+// is never nil. now is the session clock kit records on.
 func liveWorkload(agentAddr, managerAddr string, lm *softqos.LiveHostManager,
-	reg *telemetry.Registry, lps *softqos.LivePolicyServer, evlog *softqos.EventLogger) {
+	lps *softqos.LivePolicyServer, kit softqos.Kit, now func() time.Duration) {
 	// With -faults, the workload's outbound management traffic crosses
 	// a fault-injection transport: the same plan format as sim mode,
 	// applied to real TCP (severs cut live connections, crash windows
@@ -273,29 +279,17 @@ func liveWorkload(agentAddr, managerAddr string, lm *softqos.LiveHostManager,
 	coord := softqos.NewLiveCoordinatorFaults(softqos.Identity{
 		Host: "live-host", PID: os.Getpid(), Executable: "mpeg_play",
 		Application: "VideoApplication", UserRole: "viewer",
-	}, agentAddr, managerAddr, plan)
+	}, agentAddr, managerAddr, plan, kit)
 	defer coord.Close()
-	tracer := telemetry.NewTracer(coord.WallClock())
-	coord.SetTelemetry(reg, tracer)
-	if evlog == nil {
-		evlog = liveEventLog(coord.WallClock(), reg)
-	}
-	coord.SetEventLog(evlog)
-	if lm != nil {
-		// Single-process session: the host manager records its diagnosis
-		// spans and rule explanations on the same tracer, so each episode
-		// exports as one causal tree.
-		lm.SetTelemetry(reg, tracer)
-		lm.SetEventLog(evlog)
-	}
+	reg, tracer := kit.Metrics, kit.Tracer
 	if lps != nil {
 		// Canary bakes are judged on this process's own violation
 		// episodes: a pushed policy the workload cannot satisfy burns its
 		// error budget here and rolls back automatically.
-		lps.GateOn(tracer, coord.WallClock(), nil)
+		lps.GateOn(tracer, now, nil)
 	}
 	defer serveExport(reg, tracer,
-		append(rolloutOpts(lps), export.WithEventLog(evlog))...)()
+		append(rolloutOpts(lps), export.WithEventLog(kit.Log))...)()
 
 	fps := softqos.NewValueSensor("fps_sensor", "frame_rate", nil)
 	jit := softqos.NewValueSensor("jitter_sensor", "jitter_rate", nil)
@@ -309,7 +303,7 @@ func liveWorkload(agentAddr, managerAddr string, lm *softqos.LiveHostManager,
 	rate := 10.0
 	coord.AddActuator(softqos.NewFuncActuator("frame_skip", func(args ...string) error {
 		fmt.Printf("t=%v actuate frame_skip %s: degrading gracefully\n",
-			coord.WallClock()().Round(time.Millisecond), strings.Join(args, " "))
+			now().Round(time.Millisecond), strings.Join(args, " "))
 		rate = 23.5
 		return nil
 	}))

@@ -74,7 +74,7 @@ func main() {
 		run(scenario.Build(scenario.Config{
 			Seed: *seed, ClientLoad: *load, Managed: *managed,
 			Observe: *reportTo != "", EventLog: *reportTo != "",
-			Faults:  loadFaults()}), 30*time.Second)
+			Faults: loadFaults()}), 30*time.Second)
 	case "server-fault":
 		run(scenario.Build(scenario.Config{
 			Seed: *seed, Managed: *managed, ServerLoad: 4, Faults: loadFaults(),
@@ -85,7 +85,7 @@ func main() {
 		sys := scenario.Build(scenario.Config{
 			Seed: *seed, Managed: *managed, BackupRoute: true, Faults: loadFaults(),
 			Observe: *reportTo != "", EventLog: *reportTo != "",
-			Stream:  video.StreamConfig{DecodeCost: 10 * time.Millisecond}})
+			Stream: video.StreamConfig{DecodeCost: 10 * time.Millisecond}})
 		sys.Sim.RunFor(30 * time.Second)
 		sys.CongestNetwork(6.0)
 		run(sys, 0)

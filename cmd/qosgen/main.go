@@ -201,7 +201,7 @@ func New{{.Struct}}(pid int, userRole, agentAddr, managerAddr string) (*{{.Struc
 		Application: "{{.Application}}",
 		UserRole:    userRole,
 	}
-	coord := softqos.NewLiveCoordinator(id, agentAddr, managerAddr)
+	coord := softqos.NewLiveCoordinator(id, agentAddr, managerAddr, softqos.Kit{})
 	clock := coord.WallClock()
 	_ = clock
 	inst := &{{.Struct}}{Coord: coord}

@@ -42,7 +42,7 @@ func main() {
 	coord := softqos.NewLiveCoordinator(softqos.Identity{
 		Host: "live-host", PID: 4242, Executable: "mpeg_play",
 		Application: "VideoApplication", UserRole: "viewer",
-	}, agent.Addr(), coll.Addr())
+	}, agent.Addr(), coll.Addr(), softqos.Kit{})
 	defer coord.Close()
 	clock := coord.WallClock()
 	fps := softqos.NewRateSensor("fps_sensor", "frame_rate", clock, 250*time.Millisecond)

@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/repository"
 	"softqos/internal/telemetry"
 	"softqos/internal/telemetry/eventlog"
@@ -100,33 +101,45 @@ type PolicyAgent struct {
 }
 
 // New creates a policy agent bound to addr, resolving policies through
-// svc.
-func New(addr string, svc *repository.Service, send Send) *PolicyAgent {
-	return &PolicyAgent{
+// svc and recording on kit (see SetKit). kit is optional — the
+// benchmark harness builds an uninstrumented agent with three arguments —
+// and only the first one counts.
+func New(addr string, svc *repository.Service, send Send, kit ...obs.Kit) *PolicyAgent {
+	a := &PolicyAgent{
 		addr:   addr,
 		svc:    svc,
 		send:   send,
 		roster: make(map[string]msg.Register),
 		cache:  make(map[string]*exeCache),
 	}
+	if len(kit) > 0 {
+		a.SetKit(kit[0])
+	}
+	return a
 }
 
 // Addr returns the agent's management address.
 func (a *PolicyAgent) Addr() string { return a.addr }
 
-// SetTelemetry attaches the agent to a metrics registry: counters
-// "agent.registrations", "agent.failures" (failed repository lookups,
-// i.e. Nacks sent), the policy-cache counters "agent.cache.hits",
-// "agent.cache.misses", "agent.cache.refreshes" (gap-triggered full
-// re-pulls), "agent.cache.refresh_failures" (re-pulls the repository
-// refused), "agent.cache.stale_deltas", and "agent.deltas_applied".
-func (a *PolicyAgent) SetTelemetry(reg *telemetry.Registry) {
+// SetKit wires the agent to kit: counters "agent.registrations",
+// "agent.failures" (failed repository lookups, i.e. Nacks sent), the
+// policy-cache counters "agent.cache.hits", "agent.cache.misses",
+// "agent.cache.refreshes" (gap-triggered full re-pulls),
+// "agent.cache.refresh_failures" (re-pulls the repository refused),
+// "agent.cache.stale_deltas" and "agent.deltas_applied", and cache
+// anomalies on the event log (component "agent"). The tracer is unused.
+// New calls it; a second call replaces both.
+//
+// Frozen-harness shim; goes with ROADMAP item 13.
+func (a *PolicyAgent) SetKit(kit obs.Kit) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.evlog = kit.Log
+	a.mRegistrations, a.mFailures = nil, nil
+	a.mCacheHits, a.mCacheMisses, a.mCacheRefresh, a.mCacheStale, a.mDeltasApplied = nil, nil, nil, nil, nil
+	a.mRefreshFail = nil
+	reg := kit.Metrics
 	if reg == nil {
-		a.mRegistrations, a.mFailures = nil, nil
-		a.mCacheHits, a.mCacheMisses, a.mCacheRefresh, a.mCacheStale, a.mDeltasApplied = nil, nil, nil, nil, nil
-		a.mRefreshFail = nil
 		return
 	}
 	a.mRegistrations = reg.Counter("agent.registrations")
@@ -137,14 +150,6 @@ func (a *PolicyAgent) SetTelemetry(reg *telemetry.Registry) {
 	a.mRefreshFail = reg.Counter("agent.cache.refresh_failures")
 	a.mCacheStale = reg.Counter("agent.cache.stale_deltas")
 	a.mDeltasApplied = reg.Counter("agent.deltas_applied")
-}
-
-// SetEventLog attaches the structured event log cache anomalies are
-// recorded on (component "agent"). Nil detaches.
-func (a *PolicyAgent) SetEventLog(lg *eventlog.Logger) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.evlog = lg
 }
 
 // CacheStats returns the policy-cache counters.

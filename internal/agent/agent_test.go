@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/policy"
 	"softqos/internal/repository"
 	"softqos/internal/telemetry"
@@ -133,13 +134,12 @@ func TestAgentNacksOnLookupFailure(t *testing.T) {
 	svc := repository.NewService(brokenStore{})
 	var sent []msg.Message
 	var to []string
+	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
 	a := New("/agent", svc, func(addr string, m msg.Message) error {
 		to = append(to, addr)
 		sent = append(sent, m)
 		return nil
-	})
-	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
-	a.SetTelemetry(reg)
+	}, obs.Kit{Metrics: reg})
 
 	id := msg.Identity{Host: "h", PID: 7, Executable: "mpeg_play", Application: "VideoApplication"}
 	a.HandleMessage(register(id, "fps_sensor"))
@@ -444,7 +444,7 @@ func TestAgentGapRefreshFailureRetries(t *testing.T) {
 		return toggleStore{Store: s, fail: &fail}
 	})
 	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
-	a.SetTelemetry(reg)
+	a.SetKit(obs.Kit{Metrics: reg})
 	sensors := []string{"fps_sensor", "jitter_sensor", "buffer_sensor"}
 	id := msg.Identity{Host: "h", PID: 1, Executable: "mpeg_play", Application: "VideoApplication"}
 	a.HandleMessage(register(id, sensors...))
@@ -491,7 +491,7 @@ func TestAgentGapRefreshFailureRetries(t *testing.T) {
 func TestAgentCacheCountersInRegistry(t *testing.T) {
 	a, _, _ := newAgent(t)
 	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
-	a.SetTelemetry(reg)
+	a.SetKit(obs.Kit{Metrics: reg})
 	sensors := []string{"fps_sensor", "jitter_sensor", "buffer_sensor"}
 	id := msg.Identity{Host: "h", PID: 1, Executable: "mpeg_play", Application: "VideoApplication"}
 	a.HandleMessage(register(id, sensors...))               // miss

@@ -30,7 +30,7 @@ const (
 )
 
 // kinds is the closed set of fault kinds: what Validate accepts and
-// what Transport.SetMetrics registers a counter for.
+// what New registers a counter for.
 var kinds = []string{KindDrop, KindDelay, KindDuplicate, KindReorder,
 	KindSever, KindCrash, KindPartition}
 

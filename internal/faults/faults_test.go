@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/telemetry"
 )
 
@@ -93,12 +94,11 @@ type faultRig struct {
 func newFaultRig(rules ...Rule) *faultRig {
 	fr := &faultRig{inner: &recorder{}}
 	clock := func() time.Duration { return fr.now }
+	fr.tracer = telemetry.NewTracer(clock)
 	fr.f = New(fr.inner, &Plan{Seed: 1, Rules: rules}, clock, func(d time.Duration, fn func()) {
 		fr.delays = append(fr.delays, d)
 		fr.timers = append(fr.timers, fn)
-	})
-	fr.tracer = telemetry.NewTracer(clock)
-	fr.f.SetTracer(fr.tracer)
+	}, obs.Kit{Tracer: fr.tracer})
 	return fr
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/telemetry"
 	"softqos/internal/telemetry/eventlog"
 )
@@ -47,7 +48,7 @@ type Transport struct {
 	held     *heldSend
 	disabled bool
 
-	counters map[string]*telemetry.Counter // by kind; nil until SetMetrics
+	counters map[string]*telemetry.Counter // by kind; nil without a registry
 	tracer   *telemetry.Tracer
 	evlog    *eventlog.Logger
 }
@@ -61,54 +62,35 @@ var _ msg.Transport = (*Transport)(nil)
 
 // New wraps inner with the plan. clock supplies the time rule windows
 // are evaluated against; after schedules deferred deliveries (nil for
-// wall-clock time.AfterFunc).
-func New(inner msg.Transport, plan *Plan, clock telemetry.Clock, after func(time.Duration, func())) *Transport {
+// wall-clock time.AfterFunc). kit's registry gets the per-kind
+// injection counters "faults.injected.<kind>", one for every fault kind;
+// its tracer a "fault" span whenever an injection hits a message that
+// belongs to an open episode; its event log every injection (component
+// "faults").
+func New(inner msg.Transport, plan *Plan, clock telemetry.Clock, after func(time.Duration, func()), kit obs.Kit) *Transport {
 	if clock == nil {
 		clock = func() time.Duration { return 0 }
 	}
 	if after == nil {
 		after = func(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
 	}
-	return &Transport{
+	f := &Transport{
 		inner:  inner,
 		clock:  clock,
 		after:  after,
 		plan:   plan,
 		rng:    rand.New(rand.NewSource(plan.Seed)),
 		counts: make(map[string]uint64),
+		tracer: kit.Tracer,
+		evlog:  kit.Log,
 	}
-}
-
-// SetMetrics registers the per-kind injection counters
-// "faults.injected.<kind>", one for every fault kind. A nil reg
-// detaches them.
-func (f *Transport) SetMetrics(reg *telemetry.Registry) {
-	var counters map[string]*telemetry.Counter
-	if reg != nil {
-		counters = make(map[string]*telemetry.Counter, len(kinds))
+	if kit.Metrics != nil {
+		f.counters = make(map[string]*telemetry.Counter, len(kinds))
 		for _, k := range kinds {
-			counters[k] = reg.Counter("faults.injected." + k)
+			f.counters[k] = kit.Metrics.Counter("faults.injected." + k)
 		}
 	}
-	f.mu.Lock()
-	f.counters = counters
-	f.mu.Unlock()
-}
-
-// SetTracer annotates violation traces with a "fault" span whenever an
-// injection hits a message that belongs to an open episode.
-func (f *Transport) SetTracer(tr *telemetry.Tracer) {
-	f.mu.Lock()
-	f.tracer = tr
-	f.mu.Unlock()
-}
-
-// SetEventLog attaches the structured event log injections are recorded
-// on (component "faults"). Nil detaches.
-func (f *Transport) SetEventLog(lg *eventlog.Logger) {
-	f.mu.Lock()
-	f.evlog = lg
-	f.mu.Unlock()
+	return f
 }
 
 // Counts returns a copy of the per-kind injection counts.
@@ -163,9 +145,7 @@ func (f *Transport) Bound(addr string) bool { return f.inner.Bound(addr) }
 // count records one injection of kind. Caller holds mu.
 func (f *Transport) count(kind string) {
 	f.counts[kind]++
-	if c := f.counters[kind]; c != nil {
-		c.Inc()
-	}
+	f.counters[kind].Inc()
 }
 
 // annotate records one injection on the observability sinks: a

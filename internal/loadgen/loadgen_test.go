@@ -4,13 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"softqos/internal/obs"
 	"softqos/internal/sched"
 	"softqos/internal/sim"
 )
 
 func TestSpinConsumesFullCPU(t *testing.T) {
 	s := sim.New(1)
-	h := sched.NewHost(s, "h")
+	h := sched.NewHost(s, "h", obs.Kit{})
 	p := Spin(h, "spin")
 	s.RunFor(10 * time.Second)
 	if got := p.CPUTime(); got < 9900*time.Millisecond {
@@ -20,7 +21,7 @@ func TestSpinConsumesFullCPU(t *testing.T) {
 
 func TestDutyConsumesFraction(t *testing.T) {
 	s := sim.New(1)
-	h := sched.NewHost(s, "h")
+	h := sched.NewHost(s, "h", obs.Kit{})
 	p := Duty(h, "duty", 0.3, time.Second)
 	s.RunFor(60 * time.Second)
 	got := p.CPUTime().Seconds() / 60
@@ -31,7 +32,7 @@ func TestDutyConsumesFraction(t *testing.T) {
 
 func TestDutyRejectsBadFractions(t *testing.T) {
 	s := sim.New(1)
-	h := sched.NewHost(s, "h")
+	h := sched.NewHost(s, "h", obs.Kit{})
 	for _, duty := range []float64{0, 1, -0.5, 2} {
 		func() {
 			defer func() {
@@ -46,7 +47,7 @@ func TestDutyRejectsBadFractions(t *testing.T) {
 
 func TestOfferedReachesTargetLoad(t *testing.T) {
 	s := sim.New(1)
-	h := sched.NewHost(s, "h")
+	h := sched.NewHost(s, "h", obs.Kit{})
 	procs := Offered(h, 3.5)
 	if len(procs) != 4 { // 3 spinners + 1 fractional duty
 		t.Fatalf("Offered(3.5) spawned %d processes", len(procs))
@@ -61,7 +62,7 @@ func TestOfferedReachesTargetLoad(t *testing.T) {
 
 func TestOfferedZero(t *testing.T) {
 	s := sim.New(1)
-	h := sched.NewHost(s, "h")
+	h := sched.NewHost(s, "h", obs.Kit{})
 	if procs := Offered(h, 0); len(procs) != 0 {
 		t.Errorf("Offered(0) spawned %d processes", len(procs))
 	}
@@ -75,7 +76,7 @@ func TestOfferedZero(t *testing.T) {
 
 func TestProfilePhases(t *testing.T) {
 	s := sim.New(1)
-	h := sched.NewHost(s, "h")
+	h := sched.NewHost(s, "h", obs.Kit{})
 	Profile(h, []Phase{
 		{Load: 4, For: 30 * time.Second},
 		{Load: 0, For: 30 * time.Second},
@@ -101,7 +102,7 @@ func TestProfilePhases(t *testing.T) {
 
 func TestProfileEmpty(t *testing.T) {
 	s := sim.New(1)
-	h := sched.NewHost(s, "h")
+	h := sched.NewHost(s, "h", obs.Kit{})
 	Profile(h, nil) // must not panic
 	s.RunFor(time.Second)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/telemetry"
 	"softqos/internal/telemetry/eventlog"
 )
@@ -45,7 +46,7 @@ type AlarmCoalescer struct {
 	Added     uint64 // alarms accepted into the coalescer
 	Coalesced uint64 // alarms merged into an existing entry
 
-	// Metric handles; nil until SetTelemetry.
+	// Metric handles; nil without a registry.
 	flushes  *telemetry.Counter
 	batched  *telemetry.Counter
 	escFlush *telemetry.Counter
@@ -64,9 +65,11 @@ const DefaultBatchWindow = 2 * time.Second
 
 // NewAlarmCoalescer creates a coalescer that batches alarms from tier
 // toward parent over the given window (DefaultBatchWindow when <= 0).
-// after schedules the flush timer on the owning runtime's clock.
+// after schedules the flush timer on the owning runtime's clock. kit's
+// registry gets the "batch.<tier>.*" counters and its event log the
+// flush decisions (component "batch"); its tracer is unused.
 func NewAlarmCoalescer(tier, addr, parent string, send Send,
-	window time.Duration, after func(time.Duration, func())) *AlarmCoalescer {
+	window time.Duration, after func(time.Duration, func()), kit obs.Kit) *AlarmCoalescer {
 	if window <= 0 {
 		window = DefaultBatchWindow
 	}
@@ -78,26 +81,16 @@ func NewAlarmCoalescer(tier, addr, parent string, send Send,
 		window:  window,
 		after:   after,
 		entries: make(map[string]*msg.BatchedAlarm),
+		evlog:   kit.Log,
 	}
 	c.onTimer = c.timerFlush
+	if reg := kit.Metrics; reg != nil {
+		c.flushes = reg.Counter("batch." + tier + ".flushes")
+		c.batched = reg.Counter("batch." + tier + ".alarms")
+		c.escFlush = reg.Counter("batch." + tier + ".escalation_flushes")
+	}
 	return c
 }
-
-// SetTelemetry attaches the coalescer to a metrics registry,
-// registering its "batch.<tier>.*" counters. A nil reg detaches it.
-func (c *AlarmCoalescer) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		c.flushes, c.batched, c.escFlush = nil, nil, nil
-		return
-	}
-	c.flushes = reg.Counter("batch." + c.tier + ".flushes")
-	c.batched = reg.Counter("batch." + c.tier + ".alarms")
-	c.escFlush = reg.Counter("batch." + c.tier + ".escalation_flushes")
-}
-
-// SetEventLog attaches the structured event log flush decisions are
-// recorded on (component "batch"). Nil detaches.
-func (c *AlarmCoalescer) SetEventLog(lg *eventlog.Logger) { c.evlog = lg }
 
 // Pending returns how many coalesced entries await the next flush.
 func (c *AlarmCoalescer) Pending() int { return len(c.entries) }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/sim"
 	"softqos/internal/telemetry"
 )
@@ -31,7 +32,7 @@ func TestCoalescerWindowOnInjectedClock(t *testing.T) {
 		batches = append(batches, m.Body.(msg.AlarmBatch))
 		return nil
 	}
-	c := NewAlarmCoalescer("domain", "/d", "/region", send, 2*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) })
+	c := NewAlarmCoalescer("domain", "/d", "/region", send, 2*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) }, obs.Kit{})
 	c.Summarize = func() map[string]float64 {
 		return map[string]float64{"domain_saturation": 0.25}
 	}
@@ -94,8 +95,7 @@ func TestCoalescerEscalationFlushesImmediately(t *testing.T) {
 		return nil
 	}
 	reg := telemetry.NewRegistry(func() time.Duration { return s.Now().Duration() })
-	c := NewAlarmCoalescer("domain", "/d", "/region", send, 5*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) })
-	c.SetTelemetry(reg)
+	c := NewAlarmCoalescer("domain", "/d", "/region", send, 5*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) }, obs.Kit{Metrics: reg})
 
 	s.Schedule(sim.Time(0), func() { _ = c.AddCtx(batchAlarm("h1", 7, 12), 1, telemetry.TraceContext{}) })
 	s.Schedule(sim.Time(time.Second), func() { _ = c.AddCtx(batchAlarm("h2", 3, 2), 2, telemetry.TraceContext{}) }) // severe
@@ -130,7 +130,7 @@ func TestCoalescerSeverityMergesToMax(t *testing.T) {
 	var fns []func()
 	c := NewAlarmCoalescer("domain", "/d", "/region",
 		func(string, msg.Message) error { return nil },
-		time.Second, func(d time.Duration, fn func()) { fns = append(fns, fn) })
+		time.Second, func(d time.Duration, fn func()) { fns = append(fns, fn) }, obs.Kit{})
 	_ = c.AddCtx(batchAlarm("h1", 7, 12), 0, telemetry.TraceContext{})
 	_ = c.AddCtx(batchAlarm("h1", 7, 3), 1, telemetry.TraceContext{})
 	_ = c.AddCtx(batchAlarm("h1", 7, 10), 0, telemetry.TraceContext{})
@@ -161,7 +161,7 @@ func TestCoalescerZeroWindowMeansDefault(t *testing.T) {
 		batches = append(batches, m.Body.(msg.AlarmBatch))
 		return nil
 	}
-	c := NewAlarmCoalescer("domain", "/d", "/region", send, 0, func(d time.Duration, fn func()) { s.After(d, fn) })
+	c := NewAlarmCoalescer("domain", "/d", "/region", send, 0, func(d time.Duration, fn func()) { s.After(d, fn) }, obs.Kit{})
 	s.Schedule(sim.Time(0), func() {
 		_ = c.AddCtx(batchAlarm("h1", 7, 12), 1, telemetry.TraceContext{})
 		_ = c.AddCtx(batchAlarm("h1", 7, 9), 1, telemetry.TraceContext{})
@@ -183,7 +183,7 @@ func TestCoalescerEmptyFlushSendsNothing(t *testing.T) {
 	sent := 0
 	c := NewAlarmCoalescer("domain", "/d", "/region",
 		func(string, msg.Message) error { sent++; return nil },
-		time.Second, func(time.Duration, func()) {})
+		time.Second, func(time.Duration, func()) {}, obs.Kit{})
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}

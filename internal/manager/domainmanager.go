@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/rules"
 	"softqos/internal/telemetry"
 	"softqos/internal/telemetry/eventlog"
@@ -154,6 +155,8 @@ type DomainConfig struct {
 	// relays — the terminal hop of the hub → region → domain → agent
 	// distribution path. Without any, deltas are dropped.
 	PolicyAgents []string
+	// Kit is what the manager records on (see SetKit).
+	Kit obs.Kit
 }
 
 // DomainManager locates sources of problems spanning hosts and issues
@@ -205,7 +208,7 @@ type DomainManager struct {
 	// agents (fan-out included).
 	PolicyDeltasRelayed uint64
 
-	// Telemetry (optional; see SetTelemetry). Nil handles are no-ops.
+	// Telemetry (optional; see SetKit). Nil handles are no-ops.
 	metrics dmMetrics
 	epCur   *episode // episode being diagnosed (explanation attribution)
 	epFacts []int    // ids of the facts asserted for it
@@ -259,20 +262,26 @@ func NewDomainManager(addr string, send Send, cfg DomainConfig) *DomainManager {
 		}}
 	dm.registerCallbacks()
 	dm.engine.Load(defaultDomainProgram)
+	dm.SetKit(cfg.Kit)
 	return dm
 }
 
-// SetTelemetry attaches the domain manager to a metrics registry and
-// (optionally) a violation tracer. Localization outcomes and directives
-// are attributed to the originating client violation's trace through the
-// alarm identity carried by each episode.
-func (dm *DomainManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
-	dm.tracer = tracer
+// SetKit wires the manager to kit: "domain.*" metrics, localization
+// spans and rule explanations on the tracer — attributed to the
+// originating client violation's trace through the alarm identity each
+// episode carries — and silent decisions on the event log (component
+// "domainmanager"). NewDomainManager calls it; a second call replaces
+// all three.
+//
+// Frozen-harness shim; goes with ROADMAP item 13.
+func (dm *DomainManager) SetKit(kit obs.Kit) {
+	dm.tracer, dm.evlog = kit.Tracer, kit.Log
 	dm.engine.OnFiring = nil
-	if tracer != nil {
+	if kit.Tracer != nil {
 		dm.engine.OnFiring = dm.explainFiring
 	}
 	dm.metrics, dm.hosts.metric = dmMetrics{}, nil
+	reg := kit.Metrics
 	if reg == nil {
 		return
 	}
@@ -292,10 +301,6 @@ func (dm *DomainManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry
 	}
 	dm.hosts.metric = reg.Counter("domain.hosts_evicted")
 }
-
-// SetEventLog attaches the structured event log this manager records
-// its silent decisions on (component "domainmanager"). Nil detaches.
-func (dm *DomainManager) SetEventLog(lg *eventlog.Logger) { dm.evlog = lg }
 
 // traceEvent records a span on the trace of the client violation that
 // opened the episode, chained under the episode's current context, which

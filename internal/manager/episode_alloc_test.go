@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/rules"
 	"softqos/internal/runtime"
 	"softqos/internal/telemetry"
@@ -26,8 +27,8 @@ func newLiveRig(domainAddr string) *liveRig {
 	host := runtime.NewLiveHost("live")
 	host.SetLoadFunc(func() float64 { return 0.5 }) // the default reads /proc/loadavg per report
 	r := &liveRig{id: msg.Identity{Host: "live", PID: 4242, Executable: "mpeg_play", Application: "VideoApplication"}}
-	r.hm = NewHostManager("/live/QoSHostManager", host, func(string, msg.Message) error { return nil }, domainAddr, Liveness{})
-	r.hm.SetTelemetry(telemetry.NewRegistry(nil), telemetry.NewTracer(nil))
+	r.hm = NewHostManager("/live/QoSHostManager", host, func(string, msg.Message) error { return nil }, domainAddr, Liveness{},
+		obs.Kit{Metrics: telemetry.NewRegistry(nil), Tracer: telemetry.NewTracer(nil)})
 	r.hm.Track(host.StartProc(r.id.PID), r.id)
 	// One propagated context per episode, as the coordinator's tracer
 	// would mint them; built up front so the guard counts the manager.
@@ -84,8 +85,8 @@ func BenchmarkHostViolationEpisode(b *testing.B) {
 // two spans and explanation, retract — with registry and a foreign-context
 // tracer attached.
 func TestDomainEpisodeAllocationBudget(t *testing.T) {
-	dm := NewDomainManager("/domain/QoSDomainManager", func(string, msg.Message) error { return nil }, DomainConfig{})
-	dm.SetTelemetry(telemetry.NewRegistry(nil), telemetry.NewTracer(nil))
+	dm := NewDomainManager("/domain/QoSDomainManager", func(string, msg.Message) error { return nil },
+		DomainConfig{Kit: obs.Kit{Metrics: telemetry.NewRegistry(nil), Tracer: telemetry.NewTracer(nil)}})
 	dm.RegisterAppServer("VideoApplication", "/server/QoSHostManager", "mpeg_serve")
 	dm.OnNetworkFault = func(msg.Alarm) {}
 	r := newLiveRig("")

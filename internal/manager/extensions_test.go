@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/sched"
 	"softqos/internal/sim"
 )
@@ -95,12 +96,12 @@ func TestMemoryAwareRulesRestoreResidentSet(t *testing.T) {
 
 func TestDifferentiatedRulesCapStudent(t *testing.T) {
 	s := sim.New(1)
-	host := sched.NewHost(s, "h")
+	host := sched.NewHost(s, "h", obs.Kit{})
 	var sent []msg.Message
 	hm := NewHostManager("/h/QoSHostManager", host, func(to string, m msg.Message) error {
 		sent = append(sent, m)
 		return nil
-	}, "", Liveness{})
+	}, "", Liveness{}, obs.Kit{})
 	if err := hm.LoadRules(DifferentiatedHostRules); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/rules"
 	"softqos/internal/runtime"
 	"softqos/internal/telemetry"
@@ -268,7 +269,7 @@ type HostManager struct {
 	HeartbeatsSeen uint64
 	AgentsEvicted  uint64
 
-	// Telemetry (optional; see SetTelemetry). Nil handles are no-ops.
+	// Telemetry (optional; see SetKit). Nil handles are no-ops.
 	metrics hmMetrics
 	// Episode context for trace attribution: rule callbacks fire
 	// synchronously inside handleViolation's engine.Run, so the subject
@@ -295,7 +296,8 @@ type hmMetrics struct {
 // the default rule set. Pass domainAddr="" for hosts without a domain
 // manager (escalations are then dropped and counted). live arms the
 // eviction of processes that stop reporting; its zero value leaves it off.
-func NewHostManager(addr string, host runtime.HostControl, send Send, domainAddr string, live Liveness) *HostManager {
+// kit is what the manager records on (see SetKit).
+func NewHostManager(addr string, host runtime.HostControl, send Send, domainAddr string, live Liveness, kit obs.Kit) *HostManager {
 	hm := &HostManager{
 		node:           node{addr: addr, send: send, component: "hostmanager", live: live},
 		diagnoseDetail: "inference episode on " + addr,
@@ -314,19 +316,25 @@ func NewHostManager(addr string, host runtime.HostControl, send Send, domainAddr
 		onEvict: hm.evict}
 	hm.registerCallbacks()
 	hm.engine.Load(defaultHostProgram)
+	hm.SetKit(kit)
 	return hm
 }
 
-// SetTelemetry attaches the host manager to a metrics registry and
-// (optionally) a violation tracer. Metric names are scoped by host, e.g.
-// "manager.client-host.violations".
-func (hm *HostManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
-	hm.tracer = tracer
+// SetKit wires the manager to kit: metrics scoped by host (e.g.
+// "manager.client-host.violations"), diagnosis spans and rule
+// explanations on the tracer, silent decisions on the event log
+// (component "hostmanager"). NewHostManager calls it; a second call
+// replaces all three.
+//
+// Frozen-harness shim; goes with ROADMAP item 13.
+func (hm *HostManager) SetKit(kit obs.Kit) {
+	hm.tracer, hm.evlog = kit.Tracer, kit.Log
 	hm.engine.OnFiring = nil
-	if tracer != nil {
+	if kit.Tracer != nil {
 		hm.engine.OnFiring = hm.explainFiring
 	}
 	hm.metrics, hm.procs.metric = hmMetrics{}, nil
+	reg := kit.Metrics
 	if reg == nil {
 		return
 	}
@@ -343,10 +351,6 @@ func (hm *HostManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.T
 	}
 	hm.procs.metric = reg.Counter(prefix + "agents_evicted")
 }
-
-// SetEventLog attaches the structured event log this manager records
-// its silent decisions on (component "hostmanager"). Nil detaches.
-func (hm *HostManager) SetEventLog(lg *eventlog.Logger) { hm.evlog = lg }
 
 // traceEvent records a span emitted by src on the trace of the violation
 // currently being diagnosed, parented under the episode's diagnosis span;

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/rules"
 	"softqos/internal/runtime"
 	"softqos/internal/telemetry"
@@ -55,7 +56,7 @@ func TestHostManagerEvictsSilentAgent(t *testing.T) {
 	clk := &manualClock{}
 	r := newRigLive(t, "", Liveness{Clock: clk.read, Timeout: 3 * time.Second})
 	tracer := telemetry.NewTracer(clk.read)
-	r.hm.SetTelemetry(nil, tracer)
+	r.hm.SetKit(obs.Kit{Tracer: tracer})
 
 	// An open violation episode for the soon-to-die agent.
 	tracer.Begin(r.id.Address(), "NotifyQoSViolation", "coordinator", "fps out of band")
@@ -164,14 +165,13 @@ func TestDomainManagerRetriesThenAbandonsEpisode(t *testing.T) {
 	clk := &manualClock{}
 	var sentTo []string
 	var sent []msg.Message
+	tracer := telemetry.NewTracer(clk.read)
 	dm := NewDomainManager("/domain/QoSDomainManager", func(to string, m msg.Message) error {
 		sentTo = append(sentTo, to)
 		sent = append(sent, m)
 		return nil // queries vanish: the server host manager is dead
-	}, DomainConfig{Liveness: Liveness{Clock: clk.read, Timeout: 2 * time.Second}})
+	}, DomainConfig{Liveness: Liveness{Clock: clk.read, Timeout: 2 * time.Second}, Kit: obs.Kit{Tracer: tracer}})
 	dm.RegisterAppServer("VideoApplication", "/server-host/QoSHostManager", "mpeg_serve")
-	tracer := telemetry.NewTracer(clk.read)
-	dm.SetTelemetry(nil, tracer)
 
 	id := msg.Identity{Host: "client-host", PID: 7, Executable: "mpeg_play",
 		Application: "VideoApplication"}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/sched"
 	"softqos/internal/sim"
 )
@@ -30,12 +31,12 @@ func newRig(t *testing.T, domainAddr string) *rig {
 func newRigLive(t *testing.T, domainAddr string, live Liveness) *rig {
 	t.Helper()
 	r := &rig{sim: sim.New(1)}
-	r.host = sched.NewHost(r.sim, "client-host", sched.WithMemory(10000))
+	r.host = sched.NewHost(r.sim, "client-host", obs.Kit{}, sched.WithMemory(10000))
 	r.hm = NewHostManager("/client-host/QoSHostManager", r.host, func(to string, m msg.Message) error {
 		r.to = append(r.to, to)
 		r.sent = append(r.sent, m)
 		return nil
-	}, domainAddr, live)
+	}, domainAddr, live, obs.Kit{})
 	// A CPU-bound process standing in for the video client.
 	r.proc = r.host.Spawn("mpeg_play", func(p *sched.Proc) {
 		var loop func()
@@ -218,7 +219,7 @@ func TestHostManagerRuleSwapAtRuntime(t *testing.T) {
 
 func TestCPUManagerClamping(t *testing.T) {
 	s := sim.New(1)
-	h := sched.NewHost(s, "h")
+	h := sched.NewHost(s, "h", obs.Kit{})
 	p := h.Spawn("x", func(p *sched.Proc) { p.Sleep(time.Hour, func() { p.Exit() }) })
 	cm := NewCPUManager(h)
 	if got := cm.Boost(p, 100); got != maxBoost {
@@ -239,7 +240,7 @@ func TestCPUManagerClamping(t *testing.T) {
 
 func TestMemoryManagerEnsure(t *testing.T) {
 	s := sim.New(1)
-	h := sched.NewHost(s, "h", sched.WithMemory(1000))
+	h := sched.NewHost(s, "h", obs.Kit{}, sched.WithMemory(1000))
 	p := h.Spawn("x", func(p *sched.Proc) { p.Sleep(time.Hour, func() { p.Exit() }) },
 		sched.WithWorkingSet(100))
 	mm := NewMemoryManager(h)
@@ -282,10 +283,10 @@ func newDomainRig(t *testing.T) *domainRig {
 		}
 		return nil
 	}
-	r.clientHost = sched.NewHost(r.sim, "client-host")
-	r.serverHost = sched.NewHost(r.sim, "server-host", sched.WithMemory(10000))
-	r.clientHM = NewHostManager("/client-host/QoSHostManager", r.clientHost, route, "/domain/QoSDomainManager", Liveness{})
-	r.serverHM = NewHostManager("/server-host/QoSHostManager", r.serverHost, route, "", Liveness{})
+	r.clientHost = sched.NewHost(r.sim, "client-host", obs.Kit{})
+	r.serverHost = sched.NewHost(r.sim, "server-host", obs.Kit{}, sched.WithMemory(10000))
+	r.clientHM = NewHostManager("/client-host/QoSHostManager", r.clientHost, route, "/domain/QoSDomainManager", Liveness{}, obs.Kit{})
+	r.serverHM = NewHostManager("/server-host/QoSHostManager", r.serverHost, route, "", Liveness{}, obs.Kit{})
 	r.dm = NewDomainManager("/domain/QoSDomainManager", route, DomainConfig{})
 	r.dm.RegisterAppServer("VideoApplication", "/server-host/QoSHostManager", "mpeg_serve")
 

@@ -137,7 +137,7 @@ type roster[K cmp.Ordered, V any] struct {
 	bind func(k K, v *V, addr string)
 
 	evicted *uint64            // the owning manager's eviction statistic
-	metric  *telemetry.Counter // its registry counter; nil until SetTelemetry
+	metric  *telemetry.Counter // its registry counter; nil without a registry
 	// describe returns the fields of an eviction's event-log record;
 	// onEvict then does the tier's own cleanup.
 	describe func(k K, v *V, silent time.Duration) []eventlog.Field

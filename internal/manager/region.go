@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/telemetry"
 	"softqos/internal/telemetry/eventlog"
 )
@@ -46,6 +47,9 @@ type RegionConfig struct {
 	// SummarySink receives inbound domain telemetry summaries (typically a
 	// terminal SummaryAggregator's Ingest); without one they are dropped.
 	SummarySink func(msg.TelemetrySummary)
+	// Kit is what the manager records on: "region.*" metrics, region-tier
+	// spans on the tracer, evictions on the event log.
+	Kit obs.Kit
 }
 
 // RegionManager is the third tier of the control plane: domain managers
@@ -81,7 +85,7 @@ type RegionManager struct {
 func NewRegionManager(addr string, send Send, cfg RegionConfig) *RegionManager {
 	rm := &RegionManager{
 		node: node{addr: addr, send: send, component: "regionmanager",
-			live: cfg.Liveness, sink: cfg.SummarySink},
+			live: cfg.Liveness, sink: cfg.SummarySink, tracer: cfg.Kit.Tracer, evlog: cfg.Kit.Log},
 		byAddr: make(map[string]string),
 		probes: requests[string]{},
 	}
@@ -94,30 +98,22 @@ func NewRegionManager(addr string, send Send, cfg RegionConfig) *RegionManager {
 			delete(rm.byAddr, ds.addr)
 			rm.metrics.domains.Set(float64(rm.domains.len()))
 		}}
+	if reg := cfg.Kit.Metrics; reg != nil {
+		rm.metrics = rmMetrics{
+			batches:      reg.Counter("region.batches"),
+			alarms:       reg.Counter("region.alarms_batched"),
+			probes:       reg.Counter("region.probes"),
+			rebalances:   reg.Counter("region.rebalances"),
+			policyRelays: reg.Counter("region.policy_deltas_relayed"),
+			domains:      reg.Gauge("region.domains"),
+		}
+		rm.domains.metric = reg.Counter("region.domains_evicted")
+	}
 	return rm
 }
 
 // Domains returns how many domain managers are registered.
 func (rm *RegionManager) Domains() int { return rm.domains.len() }
-
-// SetTelemetry attaches the region manager to a metrics registry and
-// tracer under the "region." prefix.
-func (rm *RegionManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
-	rm.tracer = tracer
-	rm.metrics, rm.domains.metric = rmMetrics{}, nil
-	if reg == nil {
-		return
-	}
-	rm.metrics = rmMetrics{
-		batches:      reg.Counter("region.batches"),
-		alarms:       reg.Counter("region.alarms_batched"),
-		probes:       reg.Counter("region.probes"),
-		rebalances:   reg.Counter("region.rebalances"),
-		policyRelays: reg.Counter("region.policy_deltas_relayed"),
-		domains:      reg.Gauge("region.domains"),
-	}
-	rm.domains.metric = reg.Counter("region.domains_evicted")
-}
 
 // HandleMessage processes one inbound management message.
 func (rm *RegionManager) HandleMessage(m msg.Message) {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/telemetry"
 )
 
@@ -124,7 +125,7 @@ type SummaryAggregator struct {
 	Flushes   uint64            // window flushes shipped upward
 	hostsSeen map[string]uint64 // source -> latest hosts (terminal tally)
 
-	// Metric handles; nil until SetTelemetry.
+	// Metric handles; nil without a registry.
 	cSummaries *telemetry.Counter
 	cFlushes   *telemetry.Counter
 }
@@ -134,9 +135,13 @@ type SummaryAggregator struct {
 // parent "" it is terminal: it only accumulates, keeping one cumulative
 // aggregate per direct child (the region keeps per-domain breakdowns;
 // domains keep nothing per host — that is the point of federation).
-// window defaults to DefaultTelemetryWindow when <= 0.
+// window defaults to DefaultTelemetryWindow when <= 0. kit's registry
+// gets the flow counters telemetry.fed.<tier>.summaries / .flushes;
+// aggregators of the same tier share the names deliberately, so the
+// counters measure the tier's total federation traffic, not one
+// aggregator's.
 func NewSummaryAggregator(tier, addr, parent string, send Send,
-	window time.Duration, after func(time.Duration, func())) *SummaryAggregator {
+	window time.Duration, after func(time.Duration, func()), kit obs.Kit) *SummaryAggregator {
 	if window <= 0 {
 		window = DefaultTelemetryWindow
 	}
@@ -151,16 +156,11 @@ func NewSummaryAggregator(tier, addr, parent string, send Send,
 	if parent == "" {
 		g.children = make(map[string]*childAgg)
 	}
+	if reg := kit.Metrics; reg != nil {
+		g.cSummaries = reg.Counter("telemetry.fed." + tier + ".summaries")
+		g.cFlushes = reg.Counter("telemetry.fed." + tier + ".flushes")
+	}
 	return g
-}
-
-// SetTelemetry attaches aggregate flow counters
-// (telemetry.fed.<tier>.summaries / .flushes). Aggregators of the same
-// tier share the names deliberately: the counters measure the tier's
-// total federation traffic, not one aggregator's.
-func (g *SummaryAggregator) SetTelemetry(reg *telemetry.Registry) {
-	g.cSummaries = reg.Counter("telemetry.fed." + g.tier + ".summaries")
-	g.cFlushes = reg.Counter("telemetry.fed." + g.tier + ".flushes")
 }
 
 // Ingest absorbs one inbound summary. Forwarding aggregators also merge

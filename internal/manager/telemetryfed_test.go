@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/sim"
 	"softqos/internal/telemetry"
 )
@@ -83,7 +84,7 @@ func TestSummaryAggregatorForwardsMergedWindow(t *testing.T) {
 	s := sim.New(1)
 	sums, at, send := fedSink(s)
 	g := NewSummaryAggregator("domain", "/d1", "/parent", send,
-		10*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) })
+		10*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) }, obs.Kit{})
 
 	hostSummary := func(src string, samples float64, load ...float64) msg.TelemetrySummary {
 		sk := telemetry.NewSketch()
@@ -137,7 +138,7 @@ func TestSummaryAggregatorTerminal(t *testing.T) {
 	s := sim.New(1)
 	sums, _, send := fedSink(s)
 	g := NewSummaryAggregator("region", "/r", "", send,
-		10*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) })
+		10*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) }, obs.Kit{})
 
 	domainSummary := func(src string, hosts uint64, samples float64) msg.TelemetrySummary {
 		return msg.TelemetrySummary{
@@ -174,15 +175,14 @@ func TestSummaryAggregatorTerminal(t *testing.T) {
 	}
 }
 
-// TestSummaryAggregatorCountersInRegistry: with SetTelemetry the
+// TestSummaryAggregatorCountersInRegistry: built with a registry, the
 // aggregate flow shows up under telemetry.fed.<tier>.*.
 func TestSummaryAggregatorCountersInRegistry(t *testing.T) {
 	s := sim.New(1)
 	_, _, send := fedSink(s)
 	reg := telemetry.NewRegistry(nil)
 	g := NewSummaryAggregator("domain", "/d", "/parent", send,
-		10*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) })
-	g.SetTelemetry(reg)
+		10*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) }, obs.Kit{Metrics: reg})
 	s.Schedule(sim.Time(0), func() {
 		g.Ingest(msg.TelemetrySummary{Tier: "host", Source: "/h", Seq: 1,
 			Counters: []telemetry.NamedValue{{Name: "c", Value: 1}}})
@@ -232,7 +232,7 @@ func TestSummaryRoundTripThroughCodec(t *testing.T) {
 		t.Fatalf("relayed %d summaries, want 1", len(relayed))
 	}
 	g := NewSummaryAggregator("region", "/r", "", nil,
-		10*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) })
+		10*time.Second, func(d time.Duration, fn func()) { s.After(d, fn) }, obs.Kit{})
 	g.Ingest(relayed[0])
 	merged := g.Total().Sketch("fleet.detect_adapt_ns")
 	if merged.Count() != 100 || merged.Min() != float64(time.Millisecond) ||

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/telemetry"
 )
 
@@ -360,7 +361,7 @@ func TestDomainManagerUplinkBatchesAlarms(t *testing.T) {
 		return nil
 	}
 	co := NewAlarmCoalescer("domain", "/domain/QoSDomainManager",
-		"/region/QoSRegionManager", upSend, 2*time.Second, after)
+		"/region/QoSRegionManager", upSend, 2*time.Second, after, obs.Kit{})
 	dm := NewDomainManager("/domain/QoSDomainManager", func(string, msg.Message) error { return nil },
 		DomainConfig{Uplink: co})
 	dm.RegisterAppServer("VideoApplication", "/server-host/QoSHostManager", "mpeg_serve")
@@ -401,7 +402,7 @@ func TestDomainManagerSevereLoadFlushesUplink(t *testing.T) {
 	var up []msg.AlarmBatch
 	co := NewAlarmCoalescer("domain", "/domain/QoSDomainManager", "/region/QoSRegionManager",
 		func(_ string, m msg.Message) error { up = append(up, m.Body.(msg.AlarmBatch)); return nil },
-		time.Second, func(time.Duration, func()) {})
+		time.Second, func(time.Duration, func()) {}, obs.Kit{})
 	dm := NewDomainManager("/domain/QoSDomainManager", func(string, msg.Message) error { return nil },
 		DomainConfig{Uplink: co})
 	alarm := func(host string, load float64) {
@@ -454,13 +455,12 @@ func TestTierSpansCarryDepth(t *testing.T) {
 func TestPolicyDeltaRelay(t *testing.T) {
 	var regionTo []string
 	var regionSent []msg.Message
+	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
 	rm := NewRegionManager("/region/QoSRegionManager", func(to string, m msg.Message) error {
 		regionTo = append(regionTo, to)
 		regionSent = append(regionSent, m)
 		return nil
-	}, RegionConfig{})
-	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
-	rm.SetTelemetry(reg, nil)
+	}, RegionConfig{Kit: obs.Kit{Metrics: reg}})
 	for _, d := range []string{"d-1", "d-2"} {
 		rm.HandleMessage(msg.Message{From: "/" + d + "/QoSDomainManager",
 			Body: msg.Register{ID: msg.Identity{Host: d}}})

@@ -14,6 +14,7 @@ import (
 
 	"softqos/internal/faults"
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/sim"
 	"softqos/internal/telemetry"
 )
@@ -86,8 +87,7 @@ func TestFaultTransportConformance(t *testing.T) {
 				setMetrics(reg)
 				ft := faults.New(inner, &faults.Plan{Seed: 1, Rules: []faults.Rule{
 					{Name: "kill-violations", Kind: faults.KindDrop, Types: []string{"violation"}},
-				}}, clock, after)
-				ft.SetMetrics(reg)
+				}}, clock, after, obs.Kit{Metrics: reg})
 
 				var got []msg.Message
 				ft.Bind("/conf/sink", "conf", func(m msg.Message) { got = append(got, m) })
@@ -126,7 +126,7 @@ func TestFaultTransportConformance(t *testing.T) {
 				setMetrics(reg)
 				ft := faults.New(inner, &faults.Plan{Seed: 1, Rules: []faults.Rule{
 					{Name: "dup-all", Kind: faults.KindDuplicate},
-				}}, clock, after)
+				}}, clock, after, obs.Kit{})
 
 				var got []msg.Message
 				ft.Bind("/conf/sink", "conf", func(m msg.Message) { got = append(got, m) })
@@ -157,7 +157,7 @@ func TestFaultTransportConformance(t *testing.T) {
 				setMetrics(reg)
 				ft := faults.New(inner, &faults.Plan{Seed: 1, Rules: []faults.Rule{
 					{Name: "lag", Kind: faults.KindDelay, Delay: faults.Duration(5 * time.Millisecond)},
-				}}, clock, after)
+				}}, clock, after, obs.Kit{})
 
 				var got []msg.Message
 				ft.Bind("/conf/sink", "conf", func(m msg.Message) { got = append(got, m) })
@@ -183,7 +183,7 @@ func TestFaultTransportConformance(t *testing.T) {
 				inner, _, clock, after, pump := tc.open(t)
 				ft := faults.New(inner, &faults.Plan{Seed: 1, Rules: []faults.Rule{
 					{Name: "overtake", Kind: faults.KindReorder, Types: []string{"violation"}},
-				}}, clock, after)
+				}}, clock, after, obs.Kit{})
 
 				var got []msg.Message
 				ft.Bind("/conf/sink", "conf", func(m msg.Message) { got = append(got, m) })

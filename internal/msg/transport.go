@@ -170,13 +170,7 @@ func (t *NetTransport) SetMetrics(reg *telemetry.Registry) {
 // SetEventLog routes the transport's diagnostics (invalid-message drops,
 // unframeable streams, exhausted retries, reconnects) into the structured
 // event log as component "msg" records. Pass nil to detach.
-func (t *NetTransport) SetEventLog(lg *eventlog.Logger) {
-	if lg == nil {
-		t.evlog.Store(nil)
-		return
-	}
-	t.evlog.Store(lg)
-}
+func (t *NetTransport) SetEventLog(lg *eventlog.Logger) { t.evlog.Store(lg) }
 
 // dropInvalid reports and counts a message that decoded but failed
 // Validate: a structured "msg"/"invalid_drop" event-log record naming

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"softqos/internal/obs"
 	"softqos/internal/sim"
 	"softqos/internal/telemetry"
 )
@@ -73,22 +74,6 @@ type Network struct {
 	reg *telemetry.Registry
 }
 
-// SetMetrics attaches the network to a metrics registry: pull gauges for
-// delivery/loss totals and, per switch, instantaneous queue depth plus
-// cumulative arrivals/drops/served bytes ("netsim.<switch>.*"). Switches
-// added later register automatically.
-func (n *Network) SetMetrics(reg *telemetry.Registry) {
-	n.reg = reg
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc("netsim.delivered", func() float64 { return float64(n.Delivered) })
-	reg.GaugeFunc("netsim.lost", func() float64 { return float64(n.Lost) })
-	for _, w := range n.switches {
-		n.registerSwitchMetrics(w)
-	}
-}
-
 func (n *Network) registerSwitchMetrics(w *Switch) {
 	prefix := "netsim." + w.name + "."
 	n.reg.GaugeFunc(prefix+"queued_bytes", func() float64 { return float64(w.QueuedBytes(n.sim.Now())) })
@@ -97,14 +82,23 @@ func (n *Network) registerSwitchMetrics(w *Switch) {
 	n.reg.GaugeFunc(prefix+"bytes_served", func() float64 { return float64(w.BytesServed) })
 }
 
-// New creates an empty network on the simulator.
-func New(s *sim.Simulator) *Network {
-	return &Network{
+// New creates an empty network on the simulator. kit's registry gets
+// pull gauges for delivery/loss totals and, per switch as it is added,
+// instantaneous queue depth plus cumulative arrivals/drops/served bytes
+// ("netsim.<switch>.*"); the tracer and event log are unused.
+func New(s *sim.Simulator, kit obs.Kit) *Network {
+	n := &Network{
 		sim:      s,
 		nodes:    make(map[string]*node),
 		switches: make(map[string]*Switch),
 		routes:   make(map[[2]string]*Route),
+		reg:      kit.Metrics,
 	}
+	if n.reg != nil {
+		n.reg.GaugeFunc("netsim.delivered", func() float64 { return float64(n.Delivered) })
+		n.reg.GaugeFunc("netsim.lost", func() float64 { return float64(n.Lost) })
+	}
+	return n
 }
 
 // AddNode registers a delivery endpoint. The handler runs inside a

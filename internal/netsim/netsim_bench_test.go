@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"softqos/internal/obs"
 	"softqos/internal/sim"
 )
 
@@ -12,7 +13,7 @@ import (
 // statistics, driven to completion through the event loop.
 func BenchmarkSwitchForwarding(b *testing.B) {
 	s := sim.New(1)
-	n := New(s)
+	n := New(s, obs.Kit{})
 	delivered := 0
 	n.AddNode("src", nil)
 	n.AddNode("dst", func(Packet) { delivered++ })

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"softqos/internal/obs"
 	"softqos/internal/sim"
 )
 
@@ -11,7 +12,7 @@ import (
 // and queue capacity, returning the network, switch, and a slice that
 // collects packets delivered to "client".
 func testNet(s *sim.Simulator, rate float64, qcap int) (*Network, *Switch, *[]Packet) {
-	n := New(s)
+	n := New(s, obs.Kit{})
 	var got []Packet
 	n.AddNode("client", func(p Packet) { got = append(got, p) })
 	n.AddNode("server", nil)
@@ -49,7 +50,7 @@ func TestNoRouteError(t *testing.T) {
 
 func TestQueueingDelayUnderBurst(t *testing.T) {
 	s := sim.New(1)
-	n := New(s)
+	n := New(s, obs.Kit{})
 	var delivered []sim.Time
 	n.AddNode("client", func(Packet) { delivered = append(delivered, s.Now()) })
 	n.AddNode("server", nil)
@@ -98,7 +99,7 @@ func TestDropTailOverflow(t *testing.T) {
 
 func TestMultiHopAccumulatesDelay(t *testing.T) {
 	s := sim.New(1)
-	n := New(s)
+	n := New(s, obs.Kit{})
 	var at sim.Time
 	n.AddNode("a", nil)
 	n.AddNode("b", func(Packet) { at = s.Now() })
@@ -115,7 +116,7 @@ func TestMultiHopAccumulatesDelay(t *testing.T) {
 
 func TestCrossTrafficCongestsSwitch(t *testing.T) {
 	s := sim.New(1)
-	n := New(s)
+	n := New(s, obs.Kit{})
 	var deliveries []sim.Time
 	n.AddNode("client", func(Packet) { deliveries = append(deliveries, s.Now()) })
 	n.AddNode("server", nil)
@@ -162,7 +163,7 @@ func TestSwitchStatsServeAccounting(t *testing.T) {
 
 func TestDuplicateNodePanics(t *testing.T) {
 	s := sim.New(1)
-	n := New(s)
+	n := New(s, obs.Kit{})
 	n.AddNode("x", nil)
 	defer func() {
 		if recover() == nil {
@@ -196,7 +197,7 @@ func TestQueuedBytesDrainsOverTime(t *testing.T) {
 // switch's totals add up over both flows.
 func TestPerFlowStatistics(t *testing.T) {
 	s := sim.New(1)
-	n := New(s)
+	n := New(s, obs.Kit{})
 	got := map[string]uint64{}
 	n.AddNode("client", func(p Packet) { got[p.Src]++ })
 	n.AddNode("server", nil)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/policy"
 	"softqos/internal/telemetry"
 )
@@ -92,7 +93,7 @@ func BenchmarkHubAnnounce(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hub := NewHub("/repo/hub", func(string, msg.Message) error { return nil })
+	hub := NewHub("/repo/hub", func(string, msg.Message) error { return nil }, obs.Kit{})
 	for i := 0; i < 8; i++ {
 		hub.Subscribe(fmt.Sprintf("/sub/%d", i))
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/policy"
 	"softqos/internal/telemetry"
 	"softqos/internal/telemetry/eventlog"
@@ -38,6 +39,12 @@ type RolloutConfig struct {
 	// ceil(0.2*N) of N hosts, and a fast-window burn above 1.0 at bake
 	// end rolls back.
 	Bake time.Duration
+	// Kit is what the controller records on: every decision as a span
+	// with its rule's explanation on the tracer, the counters
+	// "repo.rollout.promoted", "repo.rollout.rolled_back" and
+	// "repo.rollout.idempotent_pushes", and the decisions on the event
+	// log (component "rollout").
+	Kit obs.Kit
 }
 
 func (c RolloutConfig) withDefaults() RolloutConfig {
@@ -99,9 +106,7 @@ type Controller struct {
 	mPromoted   *telemetry.Counter // repo.rollout.promoted
 	mRolledBack *telemetry.Counter // repo.rollout.rolled_back
 	mIdempotent *telemetry.Counter // repo.rollout.idempotent_pushes
-
-	// evlog, when set, records rollout decisions with their rule
-	// provenance as structured events (component "rollout").
+	// evlog records rollout decisions with their rule provenance.
 	evlog *eventlog.Logger
 }
 
@@ -115,18 +120,26 @@ type activeRollout struct {
 }
 
 // NewController creates a rollout controller pushing through hub and
-// promoting into svc. By default it runs on the wall clock; simulations
-// inject their virtual clock with SetClock. Compliance and host sources
-// must be set before the first Push.
+// promoting into svc, recording on cfg.Kit. By default it runs on the
+// wall clock; simulations inject their virtual clock with SetClock.
+// Compliance and host sources must be set before the first Push.
 func NewController(hub *Hub, svc *Service, cfg RolloutConfig) *Controller {
 	start := time.Now()
-	return &Controller{
-		hub:   hub,
-		svc:   svc,
-		cfg:   cfg.withDefaults(),
-		now:   func() time.Duration { return time.Since(start) },
-		after: func(d time.Duration, fn func()) { time.AfterFunc(d, fn) },
+	c := &Controller{
+		hub:    hub,
+		svc:    svc,
+		cfg:    cfg.withDefaults(),
+		now:    func() time.Duration { return time.Since(start) },
+		after:  func(d time.Duration, fn func()) { time.AfterFunc(d, fn) },
+		tracer: cfg.Kit.Tracer,
+		evlog:  cfg.Kit.Log,
 	}
+	if reg := cfg.Kit.Metrics; reg != nil {
+		c.mPromoted = reg.Counter("repo.rollout.promoted")
+		c.mRolledBack = reg.Counter("repo.rollout.rolled_back")
+		c.mIdempotent = reg.Counter("repo.rollout.idempotent_pushes")
+	}
+	return c
 }
 
 // SetClock injects the time source and timer used for the bake period
@@ -150,35 +163,6 @@ func (c *Controller) SetHosts(fn func() []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.hosts = fn
-}
-
-// SetTracer attaches the tracer rollout decisions are recorded on.
-func (c *Controller) SetTracer(tr *telemetry.Tracer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tracer = tr
-}
-
-// SetTelemetry attaches decision counters: "repo.rollout.promoted",
-// "repo.rollout.rolled_back" and "repo.rollout.idempotent_pushes".
-func (c *Controller) SetTelemetry(reg *telemetry.Registry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if reg == nil {
-		c.mPromoted, c.mRolledBack, c.mIdempotent = nil, nil, nil
-		return
-	}
-	c.mPromoted = reg.Counter("repo.rollout.promoted")
-	c.mRolledBack = reg.Counter("repo.rollout.rolled_back")
-	c.mIdempotent = reg.Counter("repo.rollout.idempotent_pushes")
-}
-
-// SetEventLog attaches the structured event log rollout decisions are
-// recorded on (component "rollout"). Nil detaches.
-func (c *Controller) SetEventLog(lg *eventlog.Logger) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.evlog = lg
 }
 
 const rolloutTracePolicy = "rollout"
@@ -221,9 +205,7 @@ func (c *Controller) Push(text string, meta PolicyMeta) (RolloutStatus, error) {
 	if c.cur != nil && c.cur.status.State == RolloutBaking {
 		if c.cur.text == text && c.cur.meta == meta {
 			// Idempotent re-push of the generation already baking.
-			if c.mIdempotent != nil {
-				c.mIdempotent.Inc()
-			}
+			c.mIdempotent.Inc()
 			c.decision(c.cur, telemetry.StageNotify,
 				fmt.Sprintf("idempotent re-push of generation %d ignored", c.cur.status.Generation),
 				"idempotent-repush")
@@ -415,9 +397,7 @@ func (c *Controller) promoteLocked(reason string) {
 	r.status.FleetGeneration = fgen
 	r.status.DecidedNs = c.now()
 	r.status.Reason = reason
-	if c.mPromoted != nil {
-		c.mPromoted.Inc()
-	}
+	c.mPromoted.Inc()
 	c.decision(r, telemetry.StageAdapt, "promoted fleet-wide: "+reason, "promote-on-compliant-bake")
 	c.evlog.EventCtx(r.ctx, eventlog.Info, "rollout", "promoted",
 		eventlog.Str("policy", r.pol.Name), eventlog.Str("executable", r.meta.Executable),
@@ -444,9 +424,7 @@ func (c *Controller) rollbackLocked(reason, rule string) {
 	r.status.FleetGeneration = fgen
 	r.status.DecidedNs = c.now()
 	r.status.Reason = reason
-	if c.mRolledBack != nil {
-		c.mRolledBack.Inc()
-	}
+	c.mRolledBack.Inc()
 	c.decision(r, telemetry.StageEscalate, "rolled back: "+reason, rule)
 	c.evlog.EventCtx(r.ctx, eventlog.Warn, "rollout", "rolled_back",
 		eventlog.Str("policy", r.pol.Name), eventlog.Str("executable", r.meta.Executable),

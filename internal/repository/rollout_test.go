@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/telemetry"
 )
 
@@ -66,17 +67,16 @@ func newRolloutHarnessStore(t *testing.T, wrap func(Store) Store) *rolloutHarnes
 			h.deltas = append(h.deltas, d)
 		}
 		return nil
-	})
+	}, obs.Kit{})
 	h.hub.Subscribe("/test/sub")
 	clock := func() time.Duration { return h.clock }
 	h.tracer = telemetry.NewTracer(clock)
-	h.ctl = NewController(h.hub, h.svc, RolloutConfig{Bake: 30 * time.Second})
+	h.ctl = NewController(h.hub, h.svc, RolloutConfig{Bake: 30 * time.Second, Kit: obs.Kit{Tracer: h.tracer}})
 	h.ctl.SetClock(clock, func(d time.Duration, fn func()) {
 		h.timers = append(h.timers, timer{h.clock + d, fn})
 	})
 	h.ctl.SetComplianceSource(func() []telemetry.PolicyCompliance { return h.comps })
 	h.ctl.SetHosts(func() []string { return h.hosts })
-	h.ctl.SetTracer(h.tracer)
 	return h
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/telemetry"
 	"softqos/internal/telemetry/eventlog"
 )
@@ -34,39 +35,25 @@ type Hub struct {
 	subs  map[string]bool
 	order []string // subscriber addresses, sorted for deterministic fan-out
 
+	// Fixed at construction, so read outside the lock.
 	mSent   *telemetry.Counter // repo.hub.deltas_sent
 	mFailed *telemetry.Counter // repo.hub.notify_failures
-
-	// evlog, when set, records announcements and notify failures as
-	// structured events (component "repository").
-	evlog *eventlog.Logger
+	evlog   *eventlog.Logger   // announcements and notify failures
 }
 
-// NewHub creates a hub announcing deltas from addr over send.
-func NewHub(addr string, send msg.SendFunc) *Hub {
-	return &Hub{addr: addr, send: send, exeGen: make(map[string]uint64), subs: make(map[string]bool)}
-}
-
-// SetTelemetry attaches counters "repo.hub.deltas_sent" and
-// "repo.hub.notify_failures" (sends the transport rejected).
-func (h *Hub) SetTelemetry(reg *telemetry.Registry) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if reg == nil {
-		h.mSent, h.mFailed = nil, nil
-		return
+// NewHub creates a hub announcing deltas from addr over send. kit's
+// registry gets the counters "repo.hub.deltas_sent" and
+// "repo.hub.notify_failures" (sends the transport rejected), its event
+// log the announcements and notify failures (component "repository");
+// its tracer is unused.
+func NewHub(addr string, send msg.SendFunc, kit obs.Kit) *Hub {
+	h := &Hub{addr: addr, send: send, exeGen: make(map[string]uint64), subs: make(map[string]bool),
+		evlog: kit.Log}
+	if reg := kit.Metrics; reg != nil {
+		h.mSent = reg.Counter("repo.hub.deltas_sent")
+		h.mFailed = reg.Counter("repo.hub.notify_failures")
 	}
-	h.mSent = reg.Counter("repo.hub.deltas_sent")
-	h.mFailed = reg.Counter("repo.hub.notify_failures")
-}
-
-// SetEventLog attaches the structured event log announcements and
-// notify failures are recorded on (component "repository"). Nil
-// detaches.
-func (h *Hub) SetEventLog(lg *eventlog.Logger) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.evlog = lg
+	return h
 }
 
 // Subscribe adds management addresses to the notification list.
@@ -130,11 +117,9 @@ func (h *Hub) Announce(exe, scope string, hosts []string, specs []msg.PolicySpec
 	gen := h.gen
 	subs := make([]string, len(h.order))
 	copy(subs, h.order)
-	mSent, mFailed := h.mSent, h.mFailed // counters are atomic
-	evlog := h.evlog                     // nil-safe outside the lock
 	h.mu.Unlock()
 
-	evlog.EventCtx(trace, eventlog.Info, "repository", "delta_announced",
+	h.evlog.EventCtx(trace, eventlog.Info, "repository", "delta_announced",
 		eventlog.Str("executable", exe), eventlog.Str("scope", scope),
 		eventlog.Str("reason", reason),
 		eventlog.Int("generation", int(gen)), eventlog.Int("subscribers", len(subs)))
@@ -147,17 +132,13 @@ func (h *Hub) Announce(exe, scope string, hosts []string, specs []msg.PolicySpec
 			if firstErr == nil {
 				firstErr = err
 			}
-			if mFailed != nil {
-				mFailed.Inc()
-			}
-			evlog.EventCtx(trace, eventlog.Warn, "repository", "notify_failure",
+			h.mFailed.Inc()
+			h.evlog.EventCtx(trace, eventlog.Warn, "repository", "notify_failure",
 				eventlog.Str("subscriber", sub), eventlog.Str("executable", exe),
 				eventlog.Int("generation", int(gen)), eventlog.Str("error", err.Error()))
 			continue
 		}
-		if mSent != nil {
-			mSent.Inc()
-		}
+		h.mSent.Inc()
 	}
 	if firstErr != nil {
 		return gen, fmt.Errorf("repository: %d of %d delta notifications failed: %w",

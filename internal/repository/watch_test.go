@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/telemetry"
 )
 
@@ -23,7 +24,7 @@ func TestHubGenerationChain(t *testing.T) {
 			d  msg.PolicyDelta
 		}{to, d})
 		return nil
-	})
+	}, obs.Kit{})
 	hub.Subscribe("/z/sub", "/a/sub", "/a/sub") // duplicate is a no-op
 
 	g1, err := hub.Announce("mpeg_play", "fleet", nil, nil, "r1", telemetry.TraceContext{})
@@ -60,7 +61,7 @@ func TestHubGenerationChain(t *testing.T) {
 }
 
 func TestHubRejectsInvalidDelta(t *testing.T) {
-	hub := NewHub("/repo/hub", func(string, msg.Message) error { return nil })
+	hub := NewHub("/repo/hub", func(string, msg.Message) error { return nil }, obs.Kit{})
 	hub.Subscribe("/a/sub")
 	// Canary scope without hosts is invalid on the wire; the hub must
 	// reject it before burning a generation.
@@ -76,15 +77,14 @@ func TestHubRejectsInvalidDelta(t *testing.T) {
 }
 
 func TestHubCountsNotifyFailures(t *testing.T) {
+	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
 	hub := NewHub("/repo/hub", func(to string, m msg.Message) error {
 		if to == "/dead/sub" {
 			return fmt.Errorf("unbound")
 		}
 		return nil
-	})
+	}, obs.Kit{Metrics: reg})
 	hub.Subscribe("/dead/sub", "/live/sub")
-	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
-	hub.SetTelemetry(reg)
 	gen, err := hub.Announce("mpeg_play", "fleet", nil, nil, "r", telemetry.TraceContext{})
 	if err == nil || !strings.Contains(err.Error(), "1 of 2") {
 		t.Fatalf("err = %v", err)
@@ -111,7 +111,7 @@ func TestHubAnnounceSendsOutsideLock(t *testing.T) {
 		close(started)
 		<-block
 		return nil
-	})
+	}, obs.Kit{})
 	hub.Subscribe("/slow/sub")
 	done := make(chan struct{})
 	go func() {
@@ -186,7 +186,7 @@ func TestConcurrentWatchSubscribers(t *testing.T) {
 	dir := NewDirectory(QoSSchema())
 	svc := newTestService(t, LocalStore{dir})
 	storeExample1(t, svc, "")
-	hub := NewHub("/repo/hub", func(string, msg.Message) error { return nil })
+	hub := NewHub("/repo/hub", func(string, msg.Message) error { return nil }, obs.Kit{})
 
 	const iters = 60
 	var wg sync.WaitGroup

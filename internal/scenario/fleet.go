@@ -8,6 +8,7 @@ import (
 	"softqos/internal/agent"
 	"softqos/internal/manager"
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/policy"
 	"softqos/internal/repository"
 	"softqos/internal/sim"
@@ -403,13 +404,13 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 
 	// Tier 3: the region manager.
 	regionCfg := manager.RegionConfig{
-		Liveness: manager.Liveness{Clock: sys.Metrics.Clock(), Timeout: 2 * fleetHeartbeatEvery}}
+		Liveness: manager.Liveness{Clock: sys.Metrics.Clock(), Timeout: 2 * fleetHeartbeatEvery},
+		Kit:      obs.Kit{Metrics: sys.Metrics, Tracer: sys.Tracer}}
 	if cfg.Federate {
 		// The region's terminal aggregator holds the fleet view with
 		// per-domain breakdowns; it never re-ships.
-		sys.RegionAgg = manager.NewSummaryAggregator("region", RegionAddr, "",
-			send, cfg.TelemetryWindow, func(d time.Duration, fn func()) { s.After(d, fn) })
-		sys.RegionAgg.SetTelemetry(sys.Metrics)
+		sys.RegionAgg = manager.NewSummaryAggregator("region", RegionAddr, "", send,
+			cfg.TelemetryWindow, func(d time.Duration, fn func()) { s.After(d, fn) }, obs.Kit{Metrics: sys.Metrics})
 		regionCfg.SummarySink = sys.RegionAgg.Ingest
 		// Flight recorder with downsampling tiers: the raw ring plus
 		// 5m/1h roll-ups, all sampled from the same registry.
@@ -417,7 +418,6 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 		sys.Flight.EnableRollup()
 	}
 	sys.Region = manager.NewRegionManager(RegionAddr, send, regionCfg)
-	sys.Region.SetTelemetry(sys.Metrics, sys.Tracer)
 	sys.Bus.Bind(RegionAddr, "mgmt", func(m msg.Message) { sys.Region.HandleMessage(m) })
 
 	// Tier 2: domain managers with coalescing uplinks.
@@ -425,9 +425,29 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 		name := fmt.Sprintf("domain-%d", j)
 		addr := fmt.Sprintf("/%s/QoSDomainManager", name)
 		fd := &fleetDomain{name: name, addr: addr}
+		if cfg.Federate {
+			// The domain's forwarding aggregator merges its hosts' window
+			// summaries and ships one domain-tier summary per window up —
+			// the region's telemetry fan-in is the domain count.
+			fd.agg = manager.NewSummaryAggregator("domain", addr, RegionAddr, send,
+				cfg.TelemetryWindow, func(d time.Duration, fn func()) { s.After(d, fn) }, obs.Kit{Metrics: sys.Metrics})
+		}
+		if sys.Log != nil {
+			// The domain tier writes through a view of the shared ring; in
+			// federated runs its sink folds per-(component,level) counts
+			// into the domain's own aggregate, which the next window flush
+			// carries to the region — log federation rides telemetry
+			// federation.
+			fd.evlog = sys.Log
+			if cfg.Federate {
+				fd.evlog = sys.Log.WithSink(func(level eventlog.Level, component, _ string) {
+					fd.agg.AddLocal(eventlog.CounterName(level, component), 1)
+				})
+			}
+		}
+		kit := obs.Kit{Metrics: sys.Metrics, Tracer: sys.Tracer, Log: fd.evlog}
 		co := manager.NewAlarmCoalescer("domain", addr, RegionAddr, send,
-			cfg.BatchWindow, func(d time.Duration, fn func()) { s.After(d, fn) })
-		co.SetTelemetry(sys.Metrics)
+			cfg.BatchWindow, func(d time.Duration, fn func()) { s.After(d, fn) }, kit)
 		co.Summarize = func() map[string]float64 {
 			delta := fd.dm.Alarms - fd.flushed
 			fd.flushed = fd.dm.Alarms
@@ -446,37 +466,15 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 			// Hosts beat slowly; their roster tolerates two missed beats.
 			HostTimeout: 2*fleetHeartbeatEvery + time.Second,
 			Uplink:      co,
+			Kit:         kit,
 		}
 		if cfg.Federate {
-			// The domain's forwarding aggregator merges its hosts' window
-			// summaries and ships one domain-tier summary per window up —
-			// the region's telemetry fan-in is the domain count.
-			fd.agg = manager.NewSummaryAggregator("domain", addr, RegionAddr,
-				send, cfg.TelemetryWindow, func(d time.Duration, fn func()) { s.After(d, fn) })
-			fd.agg.SetTelemetry(sys.Metrics)
 			dcfg.SummarySink = fd.agg.Ingest
 		}
 		if cfg.PolicyGens > 0 {
 			dcfg.PolicyAgents = []string{fd.agentAddr()}
 		}
 		fd.dm = manager.NewDomainManager(addr, send, dcfg)
-		fd.dm.SetTelemetry(sys.Metrics, sys.Tracer)
-		if sys.Log != nil {
-			// The domain tier writes through a view of the shared ring; in
-			// federated runs its sink folds per-(component,level) counts
-			// into the domain's own aggregate, which the next window flush
-			// carries to the region — log federation rides telemetry
-			// federation.
-			dlog := sys.Log
-			if cfg.Federate {
-				dlog = sys.Log.WithSink(func(level eventlog.Level, component, _ string) {
-					fd.agg.AddLocal(eventlog.CounterName(level, component), 1)
-				})
-			}
-			fd.evlog = dlog
-			fd.dm.SetEventLog(dlog)
-			fd.uplink.SetEventLog(dlog)
-		}
 		sys.Domains = append(sys.Domains, fd)
 		sys.Bus.Bind(addr, name, func(m msg.Message) { fd.dm.HandleMessage(m) })
 	}
@@ -540,18 +538,10 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 		specs, err := svc.PoliciesFor(msg.Identity{Executable: "mpeg_play"})
 		mustNil(err)
 
-		sys.Hub = repository.NewHub("/repo/hub", send)
-		sys.Hub.SetTelemetry(sys.Metrics)
-		if sys.Log != nil {
-			sys.Hub.SetEventLog(sys.Log)
-		}
+		sys.Hub = repository.NewHub("/repo/hub", send, obs.Kit{Metrics: sys.Metrics, Log: sys.Log})
 		sys.Hub.Subscribe(RegionAddr)
 		for _, fd := range sys.Domains {
-			pa := agent.New(fd.agentAddr(), svc, send)
-			pa.SetTelemetry(sys.Metrics)
-			if fd.evlog != nil {
-				pa.SetEventLog(fd.evlog)
-			}
+			pa := agent.New(fd.agentAddr(), svc, send, obs.Kit{Metrics: sys.Metrics, Log: fd.evlog})
 			sys.Bus.Bind(pa.Addr(), fd.name+"-agent", pa.HandleMessage)
 			sys.policyAgents = append(sys.policyAgents, pa)
 		}

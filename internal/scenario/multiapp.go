@@ -10,6 +10,7 @@ import (
 	"softqos/internal/mgmt"
 	"softqos/internal/msg"
 	"softqos/internal/netsim"
+	"softqos/internal/obs"
 	"softqos/internal/repository"
 	"softqos/internal/sched"
 	"softqos/internal/sim"
@@ -54,9 +55,9 @@ func MultiApp(cfg MultiAppConfig, warmup, measure time.Duration) MultiAppResult 
 	}
 	s := sim.New(cfg.Seed)
 	bus := msg.NewBus(s, 100*time.Microsecond, 2*time.Millisecond)
-	net := netsim.New(s)
-	clientHost := sched.NewHost(s, "client-host")
-	serverHost := sched.NewHost(s, "server-host")
+	net := netsim.New(s, obs.Kit{})
+	clientHost := sched.NewHost(s, "client-host", obs.Kit{})
+	serverHost := sched.NewHost(s, "server-host", obs.Kit{})
 
 	sw := net.AddSwitch("sw", 4<<20, 512<<10)
 	net.AddNode("server-host", nil)
@@ -78,7 +79,7 @@ func MultiApp(cfg MultiAppConfig, warmup, measure time.Duration) MultiAppResult 
 	pa := agent.New(AgentAddr, svc, bus.Send)
 	bus.Bind(AgentAddr, "mgmt", func(m msg.Message) { pa.HandleMessage(m) })
 
-	hm := manager.NewHostManager(ClientHMAddr, clientHost, bus.Send, "", manager.Liveness{})
+	hm := manager.NewHostManager(ClientHMAddr, clientHost, bus.Send, "", manager.Liveness{}, obs.Kit{})
 	if cfg.Differentiated {
 		mustNil(hm.LoadRules(manager.DifferentiatedHostRules))
 	}

@@ -11,6 +11,7 @@ import (
 	"softqos/internal/mgmt"
 	"softqos/internal/msg"
 	"softqos/internal/netsim"
+	"softqos/internal/obs"
 	"softqos/internal/repository"
 	"softqos/internal/sched"
 	"softqos/internal/sim"
@@ -69,7 +70,7 @@ func Scale(cfg ScaleConfig, warmup, measure time.Duration) ScaleResult {
 	start := time.Now()
 	s := sim.New(cfg.Seed)
 	bus := msg.NewBus(s, 100*time.Microsecond, 2*time.Millisecond)
-	net := netsim.New(s)
+	net := netsim.New(s, obs.Kit{})
 
 	// Shared infrastructure: repository, agent, domain manager, one
 	// server host behind one core switch.
@@ -96,12 +97,12 @@ func Scale(cfg ScaleConfig, warmup, measure time.Duration) ScaleResult {
 	totalSessions := cfg.Hosts * cfg.SessionsPerHost
 	demand := float64(totalSessions) * (2.0 / 33.3)
 	serverCPUs := int(demand/0.7) + 1
-	serverHost := sched.NewHost(s, "server-host", sched.WithCPUs(serverCPUs))
+	serverHost := sched.NewHost(s, "server-host", obs.Kit{}, sched.WithCPUs(serverCPUs))
 	net.AddNode("server-host", nil)
 	// A fat core switch: the scale experiment stresses management, not
 	// the network.
 	sw := net.AddSwitch("sw-core", 64<<20, 8<<20)
-	serverHM := manager.NewHostManager(ServerHMAddr, serverHost, bus.Send, "", manager.Liveness{})
+	serverHM := manager.NewHostManager(ServerHMAddr, serverHost, bus.Send, "", manager.Liveness{}, obs.Kit{})
 	bus.Bind(ServerHMAddr, "server-host", func(m msg.Message) { serverHM.HandleMessage(m) })
 	dm.RegisterAppServer("VideoApplication", ServerHMAddr, "mpeg_serve")
 
@@ -117,9 +118,9 @@ func Scale(cfg ScaleConfig, warmup, measure time.Duration) ScaleResult {
 
 	for hIdx := 0; hIdx < cfg.Hosts; hIdx++ {
 		hostName := fmt.Sprintf("client-%02d", hIdx)
-		host := sched.NewHost(s, hostName)
+		host := sched.NewHost(s, hostName, obs.Kit{})
 		hmAddr := "/" + hostName + "/QoSHostManager"
-		hm := manager.NewHostManager(hmAddr, host, bus.Send, DomainAddr, manager.Liveness{})
+		hm := manager.NewHostManager(hmAddr, host, bus.Send, DomainAddr, manager.Liveness{}, obs.Kit{})
 		bus.Bind(hmAddr, hostName, func(m msg.Message) { hm.HandleMessage(m) })
 		hms = append(hms, hm)
 

@@ -19,6 +19,7 @@ import (
 	"softqos/internal/mgmt"
 	"softqos/internal/msg"
 	"softqos/internal/netsim"
+	"softqos/internal/obs"
 	"softqos/internal/repository"
 	"softqos/internal/runtime"
 	"softqos/internal/sched"
@@ -247,19 +248,24 @@ func Build(cfg Config) *System {
 	// wall-cost histograms stay silent and snapshots deterministic.
 	sys.Metrics = telemetry.NewRegistry(func() time.Duration { return s.Now().Duration() })
 	sys.Tracer = telemetry.NewTracer(sys.Metrics.Clock())
+	// The structured event log, fully absent unless requested: disabled,
+	// every record site is a nil-receiver no-op, so log-free runs (and
+	// their determinism goldens) are unchanged.
+	if cfg.EventLog {
+		sys.Log = eventlog.New(sys.Metrics.Clock(), 0)
+		sys.Log.SetMetrics(sys.Metrics)
+	}
+	kit := obs.Kit{Metrics: sys.Metrics, Tracer: sys.Tracer, Log: sys.Log}
 
 	// Transports: management bus (message queues locally, sockets across
 	// hosts) and the data-plane network.
 	sys.Bus = msg.NewBus(s, 100*time.Microsecond, 2*time.Millisecond)
-	sys.Net = netsim.New(s)
+	sys.Net = netsim.New(s, kit)
 	sys.Bus.SetMetrics(sys.Metrics)
-	sys.Net.SetMetrics(sys.Metrics)
 
 	// Hosts: the prototype's workstations.
-	sys.ClientHost = sched.NewHost(s, "client-host", sched.WithMemory(1<<14))
-	sys.ServerHost = sched.NewHost(s, "server-host", sched.WithMemory(1<<14))
-	sys.ClientHost.SetMetrics(sys.Metrics)
-	sys.ServerHost.SetMetrics(sys.Metrics)
+	sys.ClientHost = sched.NewHost(s, "client-host", kit, sched.WithMemory(1<<14))
+	sys.ServerHost = sched.NewHost(s, "server-host", kit, sched.WithMemory(1<<14))
 
 	// Network topology: server -> core switch -> client, plus a noise
 	// source that shares the core switch, and optionally a backup path.
@@ -293,12 +299,16 @@ func Build(cfg Config) *System {
 	send := msg.SendFunc(sys.Bus.Send)
 	if cfg.Faults != nil {
 		sys.Faults = faults.New(sys.Bus, cfg.Faults, sys.Metrics.Clock(),
-			func(d time.Duration, fn func()) { s.After(d, fn) })
-		sys.Faults.SetMetrics(sys.Metrics)
-		sys.Faults.SetTracer(sys.Tracer)
+			func(d time.Duration, fn func()) { s.After(d, fn) }, kit)
 		send = sys.Faults.Send
 	}
-	sys.Agent = agent.New(AgentAddr, sys.Svc, send)
+	// The agent's counters exist only under PolicyChurn, which keeps
+	// them out of the churn-free goldens' metric name set.
+	agentKit := obs.Kit{Log: sys.Log}
+	if cfg.PolicyChurn != nil {
+		agentKit.Metrics = sys.Metrics
+	}
+	sys.Agent = agent.New(AgentAddr, sys.Svc, send, agentKit)
 	sys.Bus.Bind(AgentAddr, "mgmt", func(m msg.Message) { sys.Agent.HandleMessage(m) })
 
 	// Managers. Liveness tracking is armed only under fault injection, so
@@ -311,20 +321,17 @@ func Build(cfg Config) *System {
 	if cfg.Faults != nil {
 		live = manager.Liveness{Clock: sys.Metrics.Clock(), Timeout: livenessTimeout}
 	}
-	dmCfg := manager.DomainConfig{Liveness: live}
+	dmCfg := manager.DomainConfig{Liveness: live, Kit: kit}
 	if cfg.PolicyChurn != nil {
 		dmCfg.PolicyAgents = []string{AgentAddr} // see the hub wiring below
 	}
-	sys.ClientHM = manager.NewHostManager(ClientHMAddr, sys.ClientHost, send, DomainAddr, live)
+	sys.ClientHM = manager.NewHostManager(ClientHMAddr, sys.ClientHost, send, DomainAddr, live, kit)
 	if cfg.HostRules != "" {
 		mustNil(sys.ClientHM.LoadRules(cfg.HostRules))
 	}
-	sys.ServerHM = manager.NewHostManager(ServerHMAddr, sys.ServerHost, send, "", manager.Liveness{})
+	sys.ServerHM = manager.NewHostManager(ServerHMAddr, sys.ServerHost, send, "", manager.Liveness{}, kit)
 	sys.DM = manager.NewDomainManager(DomainAddr, send, dmCfg)
 	sys.DM.RegisterAppServer("VideoApplication", ServerHMAddr, "mpeg_serve")
-	sys.ClientHM.SetTelemetry(sys.Metrics, sys.Tracer)
-	sys.ServerHM.SetTelemetry(sys.Metrics, sys.Tracer)
-	sys.DM.SetTelemetry(sys.Metrics, sys.Tracer)
 	sys.Bus.Bind(ClientHMAddr, "client-host", func(m msg.Message) { sys.ClientHM.HandleMessage(m) })
 	sys.Bus.Bind(ServerHMAddr, "server-host", func(m msg.Message) { sys.ServerHM.HandleMessage(m) })
 	sys.Bus.Bind(DomainAddr, "mgmt", func(m msg.Message) { sys.DM.HandleMessage(m) })
@@ -477,21 +484,17 @@ func Build(cfg Config) *System {
 	// names as before the hub existed.
 	if cfg.PolicyChurn != nil {
 		churn := cfg.PolicyChurn.withDefaults()
-		sys.Hub = repository.NewHub("/repo/hub", send)
-		sys.Hub.SetTelemetry(sys.Metrics)
+		sys.Hub = repository.NewHub("/repo/hub", send, kit)
 		// Deltas travel the management hierarchy: hub -> domain manager
 		// -> policy agent -> registered coordinators.
 		sys.Hub.Subscribe(DomainAddr)
-		sys.Agent.SetTelemetry(sys.Metrics)
-		ctl := repository.NewController(sys.Hub, sys.Svc, repository.RolloutConfig{Bake: churn.Bake})
+		ctl := repository.NewController(sys.Hub, sys.Svc, repository.RolloutConfig{Bake: churn.Bake, Kit: kit})
 		ctl.SetClock(func() time.Duration { return s.Now().Duration() },
 			func(d time.Duration, fn func()) { s.After(d, fn) })
 		ctl.SetComplianceSource(func() []telemetry.PolicyCompliance {
 			return telemetry.ComputeCompliance(sys.Tracer.Traces(), s.Now().Duration(), sys.SLOTargets())
 		})
 		ctl.SetHosts(func() []string { return []string{"client-host", "server-host"} })
-		ctl.SetTracer(sys.Tracer)
-		ctl.SetTelemetry(sys.Metrics)
 		// A cohort host evicted from the domain roster mid-bake makes the
 		// canary unjudgeable: roll back instead of promoting on silence.
 		sys.DM.OnHostEvicted = ctl.HostEvicted
@@ -527,27 +530,6 @@ func Build(cfg Config) *System {
 	}
 	if cfg.ServerLoad > 0 {
 		loadgen.Offered(sys.ServerHost, cfg.ServerLoad)
-	}
-
-	// The structured event log, fully absent unless requested: disabled,
-	// every record site in the components below is a nil-receiver no-op,
-	// so log-free runs (and their determinism goldens) are unchanged.
-	if cfg.EventLog {
-		sys.Log = eventlog.New(sys.Metrics.Clock(), 0)
-		sys.Log.SetMetrics(sys.Metrics)
-		sys.DM.SetEventLog(sys.Log)
-		sys.ClientHM.SetEventLog(sys.Log)
-		sys.ServerHM.SetEventLog(sys.Log)
-		sys.Agent.SetEventLog(sys.Log)
-		if sys.Faults != nil {
-			sys.Faults.SetEventLog(sys.Log)
-		}
-		if sys.Hub != nil {
-			sys.Hub.SetEventLog(sys.Log)
-		}
-		if sys.Rollout != nil {
-			sys.Rollout.SetEventLog(sys.Log)
-		}
 	}
 
 	// Compliance observability, fully absent unless requested so that

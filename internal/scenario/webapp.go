@@ -9,6 +9,7 @@ import (
 	"softqos/internal/manager"
 	"softqos/internal/mgmt"
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/repository"
 	"softqos/internal/sched"
 	"softqos/internal/sim"
@@ -44,7 +45,7 @@ type WebResult struct {
 func WebScenario(seed int64, load float64, managed bool, warmup, measure time.Duration) WebResult {
 	s := sim.New(seed)
 	bus := msg.NewBus(s, 100*time.Microsecond, 2*time.Millisecond)
-	host := sched.NewHost(s, "web-host")
+	host := sched.NewHost(s, "web-host", obs.Kit{})
 
 	dir := repository.NewDirectory(repository.QoSSchema())
 	svc := repository.NewService(repository.LocalStore{Dir: dir})
@@ -60,7 +61,7 @@ func WebScenario(seed int64, load float64, managed bool, warmup, measure time.Du
 
 	pa := agent.New(AgentAddr, svc, bus.Send)
 	bus.Bind(AgentAddr, "mgmt", func(m msg.Message) { pa.HandleMessage(m) })
-	hm := manager.NewHostManager("/web-host/QoSHostManager", host, bus.Send, "", manager.Liveness{})
+	hm := manager.NewHostManager("/web-host/QoSHostManager", host, bus.Send, "", manager.Liveness{}, obs.Kit{})
 	bus.Bind("/web-host/QoSHostManager", "web-host", func(m msg.Message) { hm.HandleMessage(m) })
 
 	srv := webapp.Start(host, webapp.Config{ArrivalRate: 60, ServiceCost: 12 * time.Millisecond})

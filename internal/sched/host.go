@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"softqos/internal/obs"
 	"softqos/internal/sim"
 	"softqos/internal/telemetry"
 )
@@ -72,28 +73,12 @@ type hostSchedMetrics struct {
 	priorityChanges *telemetry.Counter // management-driven SetBoost/SetClass
 }
 
-// SetMetrics attaches the host's scheduler to a metrics registry:
-// counters for context switches, preemptions and management priority
-// changes, plus pull gauges for run-queue length and load average, all
-// under "sched.<host>.*".
-func (h *Host) SetMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		h.metrics = nil
-		return
-	}
-	prefix := "sched." + h.name + "."
-	h.metrics = &hostSchedMetrics{
-		dispatches:      reg.Counter(prefix + "dispatches"),
-		preemptions:     reg.Counter(prefix + "preemptions"),
-		priorityChanges: reg.Counter(prefix + "priority_changes"),
-	}
-	reg.GaugeFunc(prefix+"run_queue", func() float64 { return float64(h.RunQueueLen()) })
-	reg.GaugeFunc(prefix+"load_avg", func() float64 { return h.LoadAvg() })
-}
-
 // NewHost creates a host attached to the simulator. Load-average sampling
-// starts immediately.
-func NewHost(s *sim.Simulator, name string, opts ...Option) *Host {
+// starts immediately. kit's registry gets counters for context switches,
+// preemptions and management priority changes, plus pull gauges for
+// run-queue length and load average, all under "sched.<name>.*"; the
+// tracer and event log are unused.
+func NewHost(s *sim.Simulator, name string, kit obs.Kit, opts ...Option) *Host {
 	h := &Host{
 		sim:       s,
 		name:      name,
@@ -107,6 +92,16 @@ func NewHost(s *sim.Simulator, name string, opts ...Option) *Host {
 	}
 	h.freePages = h.physPages
 	h.load.init(s, h)
+	if reg := kit.Metrics; reg != nil {
+		prefix := "sched." + name + "."
+		h.metrics = &hostSchedMetrics{
+			dispatches:      reg.Counter(prefix + "dispatches"),
+			preemptions:     reg.Counter(prefix + "preemptions"),
+			priorityChanges: reg.Counter(prefix + "priority_changes"),
+		}
+		reg.GaugeFunc(prefix+"run_queue", func() float64 { return float64(h.RunQueueLen()) })
+		reg.GaugeFunc(prefix+"load_avg", func() float64 { return h.LoadAvg() })
+	}
 	return h
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"softqos/internal/obs"
 	"softqos/internal/sim"
 )
 
@@ -17,7 +18,7 @@ func spin(h *Host, name string, burst time.Duration) *Proc {
 
 func TestSingleProcGetsAllCPU(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	p := spin(h, "spin", 10*time.Millisecond)
 	s.RunFor(10 * time.Second)
 	if got := p.CPUTime(); got < 9900*time.Millisecond || got > 10*time.Second {
@@ -30,7 +31,7 @@ func TestSingleProcGetsAllCPU(t *testing.T) {
 
 func TestEqualPrioritySharing(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	a := spin(h, "a", 10*time.Millisecond)
 	b := spin(h, "b", 10*time.Millisecond)
 	s.RunFor(60 * time.Second)
@@ -47,7 +48,7 @@ func TestEqualPrioritySharing(t *testing.T) {
 
 func TestCPUBoundPriorityDecays(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	p := spin(h, "spin", 10*time.Millisecond)
 	s.RunFor(5 * time.Second)
 	if p.Priority() != 0 {
@@ -57,7 +58,7 @@ func TestCPUBoundPriorityDecays(t *testing.T) {
 
 func TestSleeperGetsBoosted(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	var sleeper *Proc
 	var loop func()
 	loop = func() {
@@ -82,7 +83,7 @@ func TestBoostGivesCPUShare(t *testing.T) {
 	// The paper's core lever: raising a process's TS priority must raise
 	// its CPU share under contention.
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	fav := spin(h, "favoured", 10*time.Millisecond)
 	for i := 0; i < 4; i++ {
 		spin(h, "load", 10*time.Millisecond)
@@ -103,7 +104,7 @@ func TestBoostGivesCPUShare(t *testing.T) {
 
 func TestRTClassPreemptsTS(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	spin(h, "ts-hog", 10*time.Millisecond)
 	var rt *Proc
 	var loop func()
@@ -118,7 +119,7 @@ func TestRTClassPreemptsTS(t *testing.T) {
 
 func TestPreemptionOnWake(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	hog := spin(h, "hog", 100*time.Millisecond)
 	var wakeAt, ranAt sim.Time
 	h.Spawn("waker", func(p *Proc) {
@@ -142,7 +143,7 @@ func TestPreemptionOnWake(t *testing.T) {
 
 func TestExitReleasesCPUAndPages(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h", WithMemory(1000))
+	h := NewHost(s, "h", obs.Kit{}, WithMemory(1000))
 	free0 := h.FreePages()
 	var p *Proc
 	p = h.Spawn("tmp", func(q *Proc) {
@@ -165,7 +166,7 @@ func TestExitReleasesCPUAndPages(t *testing.T) {
 
 func TestQueueBlockingRecv(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	q := NewQueue(10)
 	var got []any
 	h.Spawn("consumer", func(p *Proc) {
@@ -202,7 +203,7 @@ func TestQueueDropWhenFull(t *testing.T) {
 
 func TestQueueMultipleWaitersFIFO(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	q := NewQueue(0)
 	var order []string
 	mk := func(name string) {
@@ -224,7 +225,7 @@ func TestQueueMultipleWaitersFIFO(t *testing.T) {
 
 func TestMemoryPressureSlowsProcess(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h", WithMemory(10000))
+	h := NewHost(s, "h", obs.Kit{}, WithMemory(10000))
 	done := 0
 	var p *Proc
 	var loop func()
@@ -255,7 +256,7 @@ func TestMemoryPressureSlowsProcess(t *testing.T) {
 
 func TestSetResidentBoundedByFreePages(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h", WithMemory(100))
+	h := NewHost(s, "h", obs.Kit{}, WithMemory(100))
 	p := spin(h, "p", time.Millisecond)
 	got := h.SetResident(p, 500)
 	if got != 100 {
@@ -272,7 +273,7 @@ func TestSetResidentBoundedByFreePages(t *testing.T) {
 
 func TestLoadAverageTracksSpinners(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	for i := 0; i < 5; i++ {
 		spin(h, "l", 10*time.Millisecond)
 	}
@@ -285,7 +286,7 @@ func TestLoadAverageTracksSpinners(t *testing.T) {
 func TestDeterministicSchedule(t *testing.T) {
 	run := func() (time.Duration, uint64) {
 		s := sim.New(99)
-		h := NewHost(s, "h")
+		h := NewHost(s, "h", obs.Kit{})
 		p := spin(h, "a", 7*time.Millisecond)
 		spin(h, "b", 13*time.Millisecond)
 		var sl *Proc
@@ -304,7 +305,7 @@ func TestDeterministicSchedule(t *testing.T) {
 
 func TestUseZeroDuration(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	ran := false
 	h.Spawn("z", func(p *Proc) {
 		p.Use(0, func() {
@@ -320,7 +321,7 @@ func TestUseZeroDuration(t *testing.T) {
 
 func TestContinuationMustIssueStep(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	h.Spawn("bad", func(p *Proc) {
 		p.Use(time.Millisecond, func() {
 			// deliberately issue no step
@@ -336,7 +337,7 @@ func TestContinuationMustIssueStep(t *testing.T) {
 
 func TestBusyTimeAccounting(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	spin(h, "p", 10*time.Millisecond)
 	s.RunFor(10 * time.Second)
 	if busy := h.BusyTime(); busy < 9900*time.Millisecond || busy > 10*time.Second {
@@ -346,7 +347,7 @@ func TestBusyTimeAccounting(t *testing.T) {
 
 func TestExitWhileBlockedRemovesWaiter(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	q := NewQueue(0)
 	var blocked *Proc
 	blocked = h.Spawn("blocked", func(p *Proc) {
@@ -362,7 +363,7 @@ func TestExitWhileBlockedRemovesWaiter(t *testing.T) {
 
 func TestSetClassMovesBetweenClasses(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h")
+	h := NewHost(s, "h", obs.Kit{})
 	p := spin(h, "p", 10*time.Millisecond)
 	spin(h, "other", 10*time.Millisecond)
 	s.RunFor(time.Second)

@@ -5,12 +5,13 @@ import (
 	"testing/quick"
 	"time"
 
+	"softqos/internal/obs"
 	"softqos/internal/sim"
 )
 
 func TestSMPTwoCPUsRunTwoSpinners(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h", WithCPUs(2))
+	h := NewHost(s, "h", obs.Kit{}, WithCPUs(2))
 	a := spin(h, "a", 10*time.Millisecond)
 	b := spin(h, "b", 10*time.Millisecond)
 	s.RunFor(10 * time.Second)
@@ -27,7 +28,7 @@ func TestSMPTwoCPUsRunTwoSpinners(t *testing.T) {
 
 func TestSMPFairShareAcrossCPUs(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h", WithCPUs(2))
+	h := NewHost(s, "h", obs.Kit{}, WithCPUs(2))
 	procs := make([]*Proc, 6)
 	for i := range procs {
 		procs[i] = spin(h, "p", 10*time.Millisecond)
@@ -44,7 +45,7 @@ func TestSMPFairShareAcrossCPUs(t *testing.T) {
 
 func TestSMPPreemptsLowestPriorityCPU(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h", WithCPUs(2))
+	h := NewHost(s, "h", obs.Kit{}, WithCPUs(2))
 	low := spin(h, "low", 10*time.Millisecond)
 	mid := spin(h, "mid", 10*time.Millisecond)
 	s.RunFor(5 * time.Second) // both decay to 0 and occupy both CPUs
@@ -82,7 +83,7 @@ func TestWithCPUsValidation(t *testing.T) {
 			t.Fatal("WithCPUs(0) did not panic")
 		}
 	}()
-	NewHost(s, "h", WithCPUs(0))
+	NewHost(s, "h", obs.Kit{}, WithCPUs(0))
 }
 
 // Property: the scheduler is work-conserving and never over-delivers.
@@ -93,7 +94,7 @@ func TestPropertyWorkConservation(t *testing.T) {
 		np := int(nproc%6) + 1
 		nc := int(ncpu%4) + 1
 		s := sim.New(int64(np*10 + nc))
-		h := NewHost(s, "h", WithCPUs(nc))
+		h := NewHost(s, "h", obs.Kit{}, WithCPUs(nc))
 		procs := make([]*Proc, np)
 		for i := range procs {
 			procs[i] = spin(h, "p", 7*time.Millisecond)
@@ -127,7 +128,7 @@ func TestPropertyBoostConservation(t *testing.T) {
 			return true
 		}
 		s := sim.New(99)
-		h := NewHost(s, "h")
+		h := NewHost(s, "h", obs.Kit{})
 		procs := make([]*Proc, len(boosts))
 		for i := range procs {
 			procs[i] = spin(h, "p", 10*time.Millisecond)

@@ -12,6 +12,7 @@ import (
 
 	"softqos/internal/manager"
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/telemetry"
 )
 
@@ -21,7 +22,7 @@ import (
 func sampleFleetView(hosts, domains int) telemetry.FederatedView {
 	noSend := func(string, msg.Message) error { return nil }
 	noAfter := func(time.Duration, func()) {}
-	region := manager.NewSummaryAggregator("region", "/r", "", noSend, 0, noAfter)
+	region := manager.NewSummaryAggregator("region", "/r", "", noSend, 0, noAfter, obs.Kit{})
 	rng := rand.New(rand.NewSource(5))
 	for d := 0; d < domains; d++ {
 		win := telemetry.NewSummary()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/repository"
 	"softqos/internal/telemetry"
 )
@@ -42,7 +43,7 @@ func rolloutController(t *testing.T) *repository.Controller {
 			t.Fatal(err)
 		}
 	}
-	hub := repository.NewHub("/repo/hub", func(string, msg.Message) error { return nil })
+	hub := repository.NewHub("/repo/hub", func(string, msg.Message) error { return nil }, obs.Kit{})
 	ctl := repository.NewController(hub, svc, repository.RolloutConfig{Bake: time.Hour})
 	ctl.SetClock(func() time.Duration { return 0 }, func(time.Duration, func()) {})
 	ctl.SetComplianceSource(func() []telemetry.PolicyCompliance { return nil })

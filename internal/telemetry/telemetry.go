@@ -10,9 +10,9 @@
 // seed produce byte-identical snapshots) and the wall clock in live mode.
 //
 // Hot-path discipline: components resolve their Counter/Gauge/Sketch
-// handles once at attach time (SetTelemetry/SetMetrics/constructor) —
-// that call is the complete list of names the component will ever
-// write, each present at zero from then on — and update them with a
+// handles once, in their constructor (or a setter the benchmark harness
+// calls) — that call is the complete list of names the component will
+// ever write, each present at zero from then on — and update them with a
 // single atomic operation (counters, gauges) or a short mutex
 // (sketches). The registry lock is only taken at registration and
 // snapshot time. The one data-keyed family is the event log's

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"softqos/internal/netsim"
+	"softqos/internal/obs"
 	"softqos/internal/sched"
 	"softqos/internal/sim"
 )
@@ -13,9 +14,9 @@ import (
 func rig(t *testing.T, cfg StreamConfig) (*sim.Simulator, *Server, *Client) {
 	t.Helper()
 	s := sim.New(1)
-	serverHost := sched.NewHost(s, "server-host")
-	clientHost := sched.NewHost(s, "client-host")
-	net := netsim.New(s)
+	serverHost := sched.NewHost(s, "server-host", obs.Kit{})
+	clientHost := sched.NewHost(s, "client-host", obs.Kit{})
+	net := netsim.New(s, obs.Kit{})
 	net.AddNode("server-host", nil)
 	net.AddNode("client-host", nil)
 	sw := net.AddSwitch("sw", 2<<20, 256<<10)
@@ -73,9 +74,9 @@ func TestOnDisplayProbeSeesFrames(t *testing.T) {
 
 func TestStarvedServerSlipsBehind(t *testing.T) {
 	s := sim.New(1)
-	serverHost := sched.NewHost(s, "server-host")
-	clientHost := sched.NewHost(s, "client-host")
-	net := netsim.New(s)
+	serverHost := sched.NewHost(s, "server-host", obs.Kit{})
+	clientHost := sched.NewHost(s, "client-host", obs.Kit{})
+	net := netsim.New(s, obs.Kit{})
 	net.AddNode("server-host", nil)
 	net.AddNode("client-host", nil)
 	sw := net.AddSwitch("sw", 2<<20, 256<<10)

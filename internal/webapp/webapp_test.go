@@ -4,13 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"softqos/internal/obs"
 	"softqos/internal/sched"
 	"softqos/internal/sim"
 )
 
 func TestServerKeepsUpUncontended(t *testing.T) {
 	s := sim.New(1)
-	h := sched.NewHost(s, "h")
+	h := sched.NewHost(s, "h", obs.Kit{})
 	srv := Start(h, Config{ArrivalRate: 50, ServiceCost: 8 * time.Millisecond})
 	s.RunFor(30 * time.Second)
 	if srv.Served < 1480 || srv.Served > 1500 {
@@ -26,7 +27,7 @@ func TestServerKeepsUpUncontended(t *testing.T) {
 
 func TestServerLatencyGrowsWithBacklog(t *testing.T) {
 	s := sim.New(1)
-	h := sched.NewHost(s, "h")
+	h := sched.NewHost(s, "h", obs.Kit{})
 	// Demand 1.5 CPUs: the queue must grow and latency with it.
 	srv := Start(h, Config{ArrivalRate: 100, ServiceCost: 15 * time.Millisecond, Backlog: 64})
 	s.RunFor(30 * time.Second)
@@ -43,7 +44,7 @@ func TestServerLatencyGrowsWithBacklog(t *testing.T) {
 
 func TestOnServedProbeAndRateChange(t *testing.T) {
 	s := sim.New(1)
-	h := sched.NewHost(s, "h")
+	h := sched.NewHost(s, "h", obs.Kit{})
 	srv := Start(h, Config{ArrivalRate: 20})
 	var latencies []time.Duration
 	srv.OnServed = func(_ Request, lat time.Duration) { latencies = append(latencies, lat) }

@@ -10,6 +10,7 @@ import (
 	"softqos/internal/faults"
 	"softqos/internal/instrument"
 	"softqos/internal/msg"
+	"softqos/internal/obs"
 	"softqos/internal/repository"
 	"softqos/internal/telemetry"
 	"softqos/internal/telemetry/eventlog"
@@ -19,6 +20,11 @@ import (
 // (re-exported from the telemetry layer). A nil *EventLogger is valid
 // everywhere one is accepted: every record site degrades to a no-op.
 type EventLogger = eventlog.Logger
+
+// Kit is what a component records on — a metrics registry, a violation
+// tracer and an event log — handed to its constructor (re-exported from
+// internal/obs). The zero Kit records nothing; any field may be nil.
+type Kit = obs.Kit
 
 // NewEventLogger creates an event log on the given clock (nil for a
 // zero clock) holding up to capacity records (<= 0 for the default).
@@ -71,8 +77,9 @@ type Violation = msg.Violation
 // NetTransport node. A failed repository lookup is answered with an
 // explicit Nack (and counted), never a silently empty policy set.
 type LiveAgent struct {
-	nt *msg.NetTransport
-	pa *agent.PolicyAgent
+	nt  *msg.NetTransport
+	pa  *agent.PolicyAgent
+	kit Kit // what pa records on; touched only on nt's dispatcher
 }
 
 // ServeLiveAgent starts a policy agent answering Register messages on
@@ -92,17 +99,21 @@ func (a *LiveAgent) Addr() string { return a.nt.Addr() }
 
 // SetTelemetry attaches transport ("msg.net.*") and agent
 // ("agent.registrations", "agent.failures") counters.
+//
+// Frozen-harness shim; goes with ROADMAP item 13.
 func (a *LiveAgent) SetTelemetry(reg *telemetry.Registry) {
 	a.nt.SetMetrics(reg)
-	a.nt.Sync(func() { a.pa.SetTelemetry(reg) })
+	a.nt.Sync(func() { a.kit.Metrics = reg; a.pa.SetKit(a.kit) })
 }
 
 // SetEventLog attaches the structured event log the agent's cache
 // anomalies and the transport's drop/retry/reconnect diagnostics are
 // recorded on. Nil detaches.
+//
+// Frozen-harness shim; goes with ROADMAP item 13.
 func (a *LiveAgent) SetEventLog(lg *EventLogger) {
 	a.nt.SetEventLog(lg)
-	a.nt.Sync(func() { a.pa.SetEventLog(lg) })
+	a.nt.Sync(func() { a.kit.Log = lg; a.pa.SetKit(a.kit) })
 }
 
 // Stats returns successful registrations and failed (Nacked) lookups.
@@ -191,6 +202,11 @@ func (c *LiveCollector) Close() error { return c.nt.Close() }
 // dispatched on the transport's serial dispatcher; use Sync to drive
 // sensors race-free from application goroutines when managers may be
 // sending directives concurrently.
+//
+// Telemetry is given at construction (the Kit argument). The embedded
+// Coordinator's own SetTelemetry stays reachable, but it wires the
+// coordinator alone — no "msg.net.*" counters, no fault counters or
+// spans — so do not call it on a LiveCoordinator.
 type LiveCoordinator struct {
 	*instrument.Coordinator
 
@@ -203,9 +219,10 @@ type LiveCoordinator struct {
 // NewLiveCoordinator creates a live coordinator for the identified
 // process. agentAddr and managerAddr are addresses of a LiveAgent and a
 // LiveHostManager or LiveCollector — TCP "host:port" strings, or
-// management addresses previously mapped with Route.
-func NewLiveCoordinator(id Identity, agentAddr, managerAddr string) *LiveCoordinator {
-	return newLiveCoordinator(id, agentAddr, managerAddr, nil)
+// management addresses previously mapped with Route. The coordinator and
+// its transport node ("msg.net.*" counters) record on kit.
+func NewLiveCoordinator(id Identity, agentAddr, managerAddr string, kit Kit) *LiveCoordinator {
+	return NewLiveCoordinatorFaults(id, agentAddr, managerAddr, nil, kit)
 }
 
 // NewLiveCoordinatorFaults is NewLiveCoordinator with the coordinator's
@@ -213,17 +230,17 @@ func NewLiveCoordinator(id Identity, agentAddr, managerAddr string) *LiveCoordin
 // transport driven by plan. Sever rules cut the node's live TCP
 // connections (exercising reconnect), crash windows surface as typed
 // dial failures (exercising retry), and drop/delay/duplicate/reorder
-// rules perturb the message stream. A nil plan injects nothing.
-func NewLiveCoordinatorFaults(id Identity, agentAddr, managerAddr string, plan *FaultPlan) *LiveCoordinator {
-	return newLiveCoordinator(id, agentAddr, managerAddr, plan)
-}
-
-func newLiveCoordinator(id Identity, agentAddr, managerAddr string, plan *FaultPlan) *LiveCoordinator {
+// rules perturb the message stream. Injected faults register
+// "faults.injected.*" counters on kit and annotate its open violation
+// traces. A nil plan injects nothing.
+func NewLiveCoordinatorFaults(id Identity, agentAddr, managerAddr string, plan *FaultPlan, kit Kit) *LiveCoordinator {
 	nt, err := msg.NewNetTransport(id.Host, "")
 	if err != nil {
 		// A dial-only node opens no listener; creation cannot fail.
 		panic("softqos: " + err.Error())
 	}
+	nt.SetMetrics(kit.Metrics)
+	nt.SetEventLog(kit.Log)
 	lc := &LiveCoordinator{
 		nt:      nt,
 		start:   time.Now(),
@@ -232,37 +249,15 @@ func newLiveCoordinator(id Identity, agentAddr, managerAddr string, plan *FaultP
 	clock := instrument.Clock(func() time.Duration { return time.Since(lc.start) })
 	send := msg.SendFunc(nt.Send)
 	if plan != nil {
-		ft := faults.New(nt, plan, telemetry.Clock(clock), nil)
+		ft := faults.New(nt, plan, telemetry.Clock(clock), nil, kit)
 		ft.OnSever = nt.SeverConns
 		lc.faults = ft
 		send = ft.Send
 	}
 	lc.Coordinator = instrument.NewCoordinator(id, clock, send, agentAddr, managerAddr)
+	lc.Coordinator.SetTelemetry(kit.Metrics, kit.Tracer)
 	nt.Bind(lc.Coordinator.Address(), id.Host, lc.handle)
 	return lc
-}
-
-// SetTelemetry attaches metrics and tracing to the coordinator, its
-// transport node ("msg.net.*" counters) and, when fault injection is
-// enabled, the fault transport — injected faults then register
-// "faults.injected.*" counters and annotate open violation traces.
-func (lc *LiveCoordinator) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
-	lc.Coordinator.SetTelemetry(reg, tracer)
-	lc.nt.SetMetrics(reg)
-	if lc.faults != nil {
-		lc.faults.SetMetrics(reg)
-		lc.faults.SetTracer(tracer)
-	}
-}
-
-// SetEventLog attaches the structured event log the coordinator's
-// transport (and fault injector, when one is armed) records on. Nil
-// detaches.
-func (lc *LiveCoordinator) SetEventLog(lg *EventLogger) {
-	lc.nt.SetEventLog(lg)
-	if lc.faults != nil {
-		lc.faults.SetEventLog(lg)
-	}
 }
 
 // FaultCounts returns per-kind injected fault counts; nil when the

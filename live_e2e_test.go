@@ -57,13 +57,13 @@ func TestLiveEndToEndControlLoop(t *testing.T) {
 
 	// The instrumented process: Example 1 sensors plus the frame_skip
 	// actuator through which the manager requests graceful degradation.
+	start := time.Now()
+	tracer := telemetry.NewTracer(func() time.Duration { return time.Since(start) })
 	coord := NewLiveCoordinator(Identity{
 		Host: "live-host", PID: 4242, Executable: "mpeg_play",
 		Application: "VideoApplication", UserRole: "viewer",
-	}, agent.Addr(), lm.Addr())
+	}, agent.Addr(), lm.Addr(), Kit{Tracer: tracer})
 	defer coord.Close()
-	tracer := telemetry.NewTracer(coord.WallClock())
-	coord.SetTelemetry(nil, tracer)
 
 	fps := NewValueSensor("fps_sensor", "frame_rate", nil)
 	jit := NewValueSensor("jitter_sensor", "jitter_rate", nil)
@@ -167,7 +167,7 @@ func TestLiveRegistrationRefused(t *testing.T) {
 	coord := NewLiveCoordinator(Identity{
 		Host: "live-host", PID: 99, Executable: "mpeg_play",
 		Application: "VideoApplication",
-	}, agent.Addr(), agent.Addr())
+	}, agent.Addr(), agent.Addr(), Kit{})
 	defer coord.Close()
 
 	err = coord.Register()

@@ -55,20 +55,21 @@ func TestLiveObservabilityEndpoints(t *testing.T) {
 	}
 	defer lm.Close()
 
-	coord := NewLiveCoordinator(Identity{
-		Host: "live-host", PID: os.Getpid(), Executable: "mpeg_play",
-		Application: "VideoApplication", UserRole: "viewer",
-	}, agent.Addr(), lm.Addr())
-	defer coord.Close()
-
 	// One registry and one tracer for the whole deployment: every
 	// component's spans and explanations land in one causal tree per
 	// episode, which is what the debug endpoint exports.
-	reg := telemetry.NewRegistry(coord.WallClock())
-	tracer := telemetry.NewTracer(coord.WallClock())
+	start := time.Now()
+	wall := func() time.Duration { return time.Since(start) }
+	reg := telemetry.NewRegistry(wall)
+	tracer := telemetry.NewTracer(wall)
 	agent.SetTelemetry(reg)
 	lm.SetTelemetry(reg, tracer)
-	coord.SetTelemetry(reg, tracer)
+
+	coord := NewLiveCoordinator(Identity{
+		Host: "live-host", PID: os.Getpid(), Executable: "mpeg_play",
+		Application: "VideoApplication", UserRole: "viewer",
+	}, agent.Addr(), lm.Addr(), Kit{Metrics: reg, Tracer: tracer})
+	defer coord.Close()
 
 	srv, err := export.Serve("127.0.0.1:0", reg, tracer)
 	if err != nil {

@@ -82,35 +82,36 @@ func TestLivePolicyRollout(t *testing.T) {
 	}
 	defer lm.Close()
 
+	start := time.Now()
+	wall := func() time.Duration { return time.Since(start) }
+	reg := telemetry.NewRegistry(wall)
+	tracer := telemetry.NewTracer(wall)
+	kit := Kit{Metrics: reg, Tracer: tracer}
+	agent.SetTelemetry(reg)
+	lm.SetTelemetry(reg, tracer)
+
 	coord := NewLiveCoordinator(Identity{
 		Host: "live-host", PID: os.Getpid(), Executable: "mpeg_play",
 		Application: "VideoApplication", UserRole: "viewer",
-	}, agent.Addr(), lm.Addr())
+	}, agent.Addr(), lm.Addr(), kit)
 	defer coord.Close()
-
-	reg := telemetry.NewRegistry(coord.WallClock())
-	tracer := telemetry.NewTracer(coord.WallClock())
-	agent.SetTelemetry(reg)
-	lm.SetTelemetry(reg, tracer)
-	coord.SetTelemetry(reg, tracer)
 
 	// The live policy server: repository TCP endpoint + delta hub +
 	// canary controller. A short bake and a 5s fast window keep the
 	// promote/rollback decisions inside test time; with one host the
 	// canary cohort is that host.
 	lps, err := ServeLivePolicy("127.0.0.1:0", dir, svc, RolloutConfig{
-		Bake: 1500 * time.Millisecond})
+		Bake: 1500 * time.Millisecond, Kit: kit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lps.Close()
 	lps.Watch(agent.Addr())
 	lps.SetHosts("live-host")
-	lps.GateOn(tracer, coord.WallClock(), []telemetry.SLOTarget{
+	lps.GateOn(tracer, wall, []telemetry.SLOTarget{
 		{Policy: "LiveCanaryGood", FastWindow: 5 * time.Second},
 		{Policy: "LiveCanaryBad", FastWindow: 5 * time.Second},
 	})
-	lps.SetTelemetry(reg)
 
 	srv, err := export.Serve("127.0.0.1:0", reg, tracer, export.WithRollout(lps.Rollout()))
 	if err != nil {

@@ -48,17 +48,18 @@ func TestLiveSLOCompliance(t *testing.T) {
 	}
 	defer lm.Close()
 
+	start := time.Now()
+	wall := func() time.Duration { return time.Since(start) }
+	reg := telemetry.NewRegistry(wall)
+	tracer := telemetry.NewTracer(wall)
+	agent.SetTelemetry(reg)
+	lm.SetTelemetry(reg, tracer)
+
 	coord := NewLiveCoordinator(Identity{
 		Host: "live-host", PID: os.Getpid(), Executable: "mpeg_play",
 		Application: "VideoApplication", UserRole: "viewer",
-	}, agent.Addr(), lm.Addr())
+	}, agent.Addr(), lm.Addr(), Kit{Metrics: reg, Tracer: tracer})
 	defer coord.Close()
-
-	reg := telemetry.NewRegistry(coord.WallClock())
-	tracer := telemetry.NewTracer(coord.WallClock())
-	agent.SetTelemetry(reg)
-	lm.SetTelemetry(reg, tracer)
-	coord.SetTelemetry(reg, tracer)
 
 	// The full live surface: flight recorder + miner sampled on the wall
 	// clock, SLO windows short enough for a test to move them.

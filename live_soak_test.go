@@ -7,6 +7,8 @@ import (
 	"softqos/internal/faults"
 	"softqos/internal/instrument"
 	"softqos/internal/manager"
+	"softqos/internal/msg"
+	"softqos/internal/policy"
 	"softqos/internal/telemetry"
 )
 
@@ -63,14 +65,15 @@ func TestLiveSoak(t *testing.T) {
 	}
 	mgrAddr := lm.Addr()
 
+	start := time.Now()
+	wall := func() time.Duration { return time.Since(start) }
+	reg := telemetry.NewRegistry(wall)
+	tracer := telemetry.NewTracer(wall)
 	coord := NewLiveCoordinatorFaults(Identity{
 		Host: "live-host", PID: 4242, Executable: "mpeg_play",
 		Application: "VideoApplication", UserRole: "viewer",
-	}, agent.Addr(), mgrAddr, liveSoakPlan())
+	}, agent.Addr(), mgrAddr, liveSoakPlan(), Kit{Metrics: reg, Tracer: tracer})
 	defer coord.Close()
-	reg := telemetry.NewRegistry(coord.WallClock())
-	tracer := telemetry.NewTracer(coord.WallClock())
-	coord.SetTelemetry(reg, tracer)
 
 	fps := NewValueSensor("fps_sensor", "frame_rate", nil)
 	jit := NewValueSensor("jitter_sensor", "jitter_rate", nil)
@@ -193,4 +196,65 @@ func TestLiveSoak(t *testing.T) {
 		func() bool { return managerHeartbeats(lm2) > 0 })
 	t.Logf("episodes=%d injected=%v retries=%d reconnects=%d sendFailed=%d",
 		tracer.Completed(), counts, retries, reconnects, sendFailed)
+}
+
+// TestLiveCoordinatorKitReachesTransportAndFaults: the kit given to
+// NewLiveCoordinatorFaults reaches the transport node and the fault
+// injector, not only the embedded Coordinator (whose own SetTelemetry
+// would wire the coordinator alone): "msg.net.*" and "faults.injected.*"
+// register in the kit's registry, and a dropped violation report leaves
+// a fault span on the kit's tracer.
+func TestLiveCoordinatorKitReachesTransportAndFaults(t *testing.T) {
+	start := time.Now()
+	wall := func() time.Duration { return time.Since(start) }
+	reg, tracer := telemetry.NewRegistry(wall), telemetry.NewTracer(wall)
+	plan := &FaultPlan{Seed: 1, Rules: []faults.Rule{
+		{Name: "drop-violations", Kind: faults.KindDrop, Types: []string{"violation"}}}}
+	id := Identity{Host: "live-host", PID: 4242, Executable: "mpeg_play", Application: "VideoApplication"}
+	coord := NewLiveCoordinatorFaults(id, LiveAgentAddr, LiveHostManagerAddr, plan,
+		Kit{Metrics: reg, Tracer: tracer})
+	defer coord.Close()
+
+	spec, err := policy.Compile(mustParse(Example1Policy), map[string]string{
+		"frame_rate": "fps_sensor", "jitter_rate": "jitter_sensor", "buffer_size": "buffer_sensor"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps := NewValueSensor("fps_sensor", "frame_rate", nil)
+	jit := NewValueSensor("jitter_sensor", "jitter_rate", nil)
+	buf := NewValueSensor("buffer_sensor", "buffer_size", nil)
+	coord.Sync(func() {
+		coord.AddSensor(fps)
+		coord.AddSensor(jit)
+		coord.AddSensor(buf)
+		coord.SetNotifyInterval(0)
+		if err := coord.InstallPolicies([]msg.PolicySpec{spec}); err != nil {
+			t.Error(err)
+		}
+		jit.Set(0.3)
+		buf.Set(12)
+		fps.Set(10) // out of the 25±2 band: a violation report the plan drops
+	})
+
+	counters := map[string]uint64{}
+	for _, c := range reg.Snapshot().Counters {
+		counters[c.Name] = c.Value
+	}
+	if _, ok := counters["msg.net.sent"]; !ok {
+		t.Error("msg.net.sent not registered: the kit did not reach the transport node")
+	}
+	if counters["faults.injected.drop"] == 0 {
+		t.Errorf("faults.injected.drop = %d, want the dropped violation counted", counters["faults.injected.drop"])
+	}
+	faultSpans := 0
+	for _, tr := range tracer.TracesSnapshot() {
+		for _, sp := range tr.Spans {
+			if sp.Stage == telemetry.StageFault {
+				faultSpans++
+			}
+		}
+	}
+	if faultSpans == 0 {
+		t.Error("no fault span on the kit's tracer")
+	}
 }

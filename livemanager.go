@@ -23,6 +23,7 @@ type LiveHostManager struct {
 	nt   *msg.NetTransport
 	hm   *manager.HostManager
 	host *runtime.LiveHost
+	kit  Kit // what hm records on; touched only on nt's dispatcher
 
 	violations atomic.Uint64
 	overshoots atomic.Uint64
@@ -62,7 +63,7 @@ func NewLiveHostManagerDomain(addr, rulesSrc, domainTCP string) (*LiveHostManage
 	}
 	lhost := runtime.NewLiveHost("live")
 	lm := &LiveHostManager{nt: nt, host: lhost}
-	hm := manager.NewHostManager(LiveHostManagerAddr, lhost, nt.Send, domainAddr, manager.Liveness{})
+	hm := manager.NewHostManager(LiveHostManagerAddr, lhost, nt.Send, domainAddr, manager.Liveness{}, Kit{})
 	if rulesSrc != "" && rulesSrc != manager.DefaultHostRules {
 		if err := hm.LoadRules(rulesSrc); err != nil {
 			_ = nt.Close()
@@ -151,25 +152,30 @@ func (lm *LiveHostManager) Manager() *manager.HostManager { return lm.hm }
 
 // SetTelemetry attaches transport ("msg.net.*") and manager
 // ("manager.live.*") metrics plus an optional violation tracer.
+//
+// Frozen-harness shim; goes with ROADMAP item 13.
 func (lm *LiveHostManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 	lm.nt.SetMetrics(reg)
-	lm.nt.Sync(func() { lm.hm.SetTelemetry(reg, tracer) })
+	lm.nt.Sync(func() { lm.kit.Metrics, lm.kit.Tracer = reg, tracer; lm.hm.SetKit(lm.kit) })
 }
 
 // SetEventLog attaches the structured event log the manager's
 // decisions (eviction, re-adoption, untracked violations) and the
 // transport's diagnostics are recorded on. Nil detaches.
+//
+// Frozen-harness shim; goes with ROADMAP item 13.
 func (lm *LiveHostManager) SetEventLog(lg *EventLogger) {
 	lm.nt.SetEventLog(lg)
-	lm.nt.Sync(func() { lm.hm.SetEventLog(lg) })
+	lm.nt.Sync(func() { lm.kit.Log = lg; lm.hm.SetKit(lm.kit) })
 }
 
 // LiveDomainManager runs the QoS Domain Manager — again the exact
 // internal/manager.DomainManager of the simulator — on a TCP node, for
 // cross-host fault localization between live host managers.
 type LiveDomainManager struct {
-	nt *msg.NetTransport
-	dm *manager.DomainManager
+	nt  *msg.NetTransport
+	dm  *manager.DomainManager
+	kit Kit // what dm records on; touched only on nt's dispatcher
 }
 
 // NewLiveDomainManager starts a live domain manager on addr.
@@ -209,15 +215,19 @@ func (ld *LiveDomainManager) Manager() *manager.DomainManager { return ld.dm }
 
 // SetTelemetry attaches transport and domain-manager metrics plus an
 // optional tracer.
+//
+// Frozen-harness shim; goes with ROADMAP item 13.
 func (ld *LiveDomainManager) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 	ld.nt.SetMetrics(reg)
-	ld.nt.Sync(func() { ld.dm.SetTelemetry(reg, tracer) })
+	ld.nt.Sync(func() { ld.kit.Metrics, ld.kit.Tracer = reg, tracer; ld.dm.SetKit(ld.kit) })
 }
 
 // SetEventLog attaches the structured event log the manager's
 // decisions and the transport's diagnostics are recorded on. Nil
 // detaches.
+//
+// Frozen-harness shim; goes with ROADMAP item 13.
 func (ld *LiveDomainManager) SetEventLog(lg *EventLogger) {
 	ld.nt.SetEventLog(lg)
-	ld.nt.Sync(func() { ld.dm.SetEventLog(lg) })
+	ld.nt.Sync(func() { ld.kit.Log = lg; ld.dm.SetKit(ld.kit) })
 }

@@ -48,7 +48,11 @@ type LivePolicyServer struct {
 // "127.0.0.1:0" for an ephemeral port), serving dir over TCP and
 // rolling pushed policies out through svc. The returned server owns a
 // dial-only transport node for delta pushes; it opens no second
-// listener.
+// listener. cfg.Kit is what it records on: transport ("msg.net.*"), hub
+// ("repo.hub.*") and rollout ("repo.rollout.*") counters, rollout
+// decisions on the tracer, and the hub's announcements, the
+// controller's decisions and the transport's diagnostics on the event
+// log.
 func ServeLivePolicy(addr string, dir *Directory, svc *RepositoryService, cfg RolloutConfig) (*LivePolicyServer, error) {
 	nt, err := msg.NewNetTransport("live-repo", "")
 	if err != nil {
@@ -59,7 +63,9 @@ func ServeLivePolicy(addr string, dir *Directory, svc *RepositoryService, cfg Ro
 		_ = nt.Close()
 		return nil, err
 	}
-	hub := repository.NewHub(LivePolicyHubAddr, nt.Send)
+	nt.SetMetrics(cfg.Kit.Metrics)
+	nt.SetEventLog(cfg.Kit.Log)
+	hub := repository.NewHub(LivePolicyHubAddr, nt.Send, cfg.Kit)
 	ctl := repository.NewController(hub, svc, cfg)
 	srv.SetRollout(ctl)
 	return &LivePolicyServer{nt: nt, srv: srv, hub: hub, ctl: ctl}, nil
@@ -85,29 +91,11 @@ func (s *LivePolicyServer) SetHosts(hosts ...string) {
 // SLO compliance computed from tracer's violation episodes against
 // targets (typically the host manager's tracer — the process that
 // observes the canary's violations), evaluated at now(). Rollout
-// decisions are recorded on the same tracer.
+// decisions are recorded on the tracer of the server's kit.
 func (s *LivePolicyServer) GateOn(tracer *telemetry.Tracer, now func() time.Duration, targets []telemetry.SLOTarget) {
 	s.ctl.SetComplianceSource(func() []telemetry.PolicyCompliance {
 		return telemetry.ComputeCompliance(tracer.TracesSnapshot(), now(), targets)
 	})
-	s.ctl.SetTracer(tracer)
-}
-
-// SetTelemetry attaches transport ("msg.net.*"), hub
-// ("repo.hub.*") and rollout ("repo.rollout.*") counters.
-func (s *LivePolicyServer) SetTelemetry(reg *telemetry.Registry) {
-	s.nt.SetMetrics(reg)
-	s.hub.SetTelemetry(reg)
-	s.ctl.SetTelemetry(reg)
-}
-
-// SetEventLog attaches the structured event log the hub's
-// announcements, the rollout controller's decisions and the delta-push
-// transport's diagnostics are recorded on. Nil detaches.
-func (s *LivePolicyServer) SetEventLog(lg *EventLogger) {
-	s.nt.SetEventLog(lg)
-	s.hub.SetEventLog(lg)
-	s.ctl.SetEventLog(lg)
 }
 
 // Rollout exposes the canary controller (for export.WithRollout, a
