@@ -59,7 +59,9 @@ lint-log:
 # telemetry Tracer's Explain are not matched); and the post-construction
 # telemetry setters whose components now take an obs.Kit at construction,
 # matched on their receivers so the same-named setters the benchmark
-# harness still calls (the Live* wrappers', NetTransport's) stay legal.
+# harness still calls (the Live* wrappers', NetTransport's) stay legal;
+# and scenario.Config.PolicySrc, which no program set (a test swaps the
+# stored policy through System.Admin instead).
 # The one allowed NewHistogram is the shim
 # the frozen benchmark/ sources still call; benchmark/ is excluded
 # (its sources are frozen and mention old names in comments).
@@ -70,6 +72,11 @@ lint-log:
 #
 # It fails when gofmt would reformat any Go file of the repository.
 #
+# It pins one video-application information model: DefineExecutable of
+# mpeg_play may appear in one non-test file outside examples/ (which
+# teach the public API with their own model) and benchmark/ — the body
+# of mgmt.DefineVideoModel, which every other program calls.
+#
 # Last, it runs the export census (census_test.go): a type-checked walk
 # of the reference graph from every main, init, var initialiser, the
 # root package's API, the benchmark/ harness's references and the
@@ -77,7 +84,7 @@ lint-log:
 # package fails it unless testdata/census.txt pins it with a reason, and
 # that list only shrinks.
 API_SETTERS_MAX = 47
-API_DELETED = SetWireFormat|helloFrame|peerBin|NoTracePropagation|SetTracePropagation|SetWallClock|LatencyRecorder|\.Histogram\(|NewHistogram\(|(reg|registry|Metrics)\.WallClock\(\)|Registry\) WallClock\(|SetDropLogger|SetLogf|DropInfo|SetRetention|SetMaxSeries|SetOnDirective|SetCPUTimeFunc|SeverityFor|NoBatching|MaxFastBurn|unbounded-telemetry|msg\.Serve\(|\bProve(All)?\(|\bLoadNamedRules\b|\bSetTracing\b|\bClearTrace\b|Engine\) Explain\(|\b(RuleSets|Rules)For\(|\bImportLDIF\b|$(API_DELETED_SETTERS)
+API_DELETED = SetWireFormat|helloFrame|peerBin|NoTracePropagation|SetTracePropagation|SetWallClock|LatencyRecorder|\.Histogram\(|NewHistogram\(|(reg|registry|Metrics)\.WallClock\(\)|Registry\) WallClock\(|SetDropLogger|SetLogf|DropInfo|SetRetention|SetMaxSeries|SetOnDirective|SetCPUTimeFunc|SeverityFor|NoBatching|MaxFastBurn|unbounded-telemetry|msg\.Serve\(|\bProve(All)?\(|\bLoadNamedRules\b|\bSetTracing\b|\bClearTrace\b|Engine\) Explain\(|\b(RuleSets|Rules)For\(|\bImportLDIF\b|\bPolicySrc\b|$(API_DELETED_SETTERS)
 API_DELETED_SETTERS = \*(LivePolicyServer|LiveCoordinator|Hub|AlarmCoalescer|HostManager|DomainManager|PolicyAgent)\) Set(Telemetry|EventLog)\(|\*Controller\) Set(Tracer|Telemetry|EventLog)\(|\*Transport\) Set(Metrics|Tracer|EventLog)\(|\*(SummaryAggregator|RegionManager)\) SetTelemetry\(|\*(Host|Network)\) SetMetrics\(
 lint-api:
 	@bad=$$(gofmt -l .); \
@@ -91,6 +98,13 @@ lint-api:
 	if [ -n "$$bad" ]; then \
 		echo "lint-api: a deleted switch, hook or fork is back:"; \
 		echo "$$bad"; \
+		exit 1; \
+	fi
+	@models=$$(grep -rlF 'DefineExecutable("mpeg_play"' --include='*.go' --exclude='*_test.go' \
+		--exclude-dir=benchmark --exclude-dir=examples --exclude-dir=.git --exclude-dir=.bench_build .); \
+	if [ $$(echo "$$models" | grep -c .) -gt 1 ]; then \
+		echo "lint-api: the video model is typed out more than once — call mgmt.DefineVideoModel:"; \
+		echo "$$models"; \
 		exit 1; \
 	fi
 	@n=$$(grep -rhE '^func \([^)]*\) (Set|Enable)[A-Z]' --include='*.go' --exclude='*_test.go' \

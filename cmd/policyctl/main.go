@@ -52,7 +52,7 @@ func main() {
 	switch cmd {
 	case "serve":
 		dir := repository.NewDirectory(repository.QoSSchema())
-		seedDemoModel(repository.NewService(repository.LocalStore{Dir: dir}))
+		must(mgmt.DefineVideoModel(repository.NewService(repository.LocalStore{Dir: dir})))
 		srv, err := repository.ServeDirectory(dir, *listen)
 		must(err)
 		fmt.Printf("policyctl: repository serving on %s (ctrl-c to stop)\n", srv.Addr())
@@ -192,26 +192,14 @@ func openAdmin(server string) (*mgmt.Admin, repository.Store) {
 		dir := repository.NewDirectory(repository.QoSSchema())
 		store = repository.LocalStore{Dir: dir}
 		svc := repository.NewService(store)
-		seedDemoModel(svc)
+		// The video-application model, so policies can be validated
+		// against real sensors out of the box.
+		must(mgmt.DefineVideoModel(svc))
 		return mgmt.NewAdmin(svc), store
 	}
 	client, err := repository.DialDirectory(server)
 	must(err)
 	return mgmt.NewAdmin(repository.NewService(client)), client
-}
-
-// seedDemoModel installs the video-application information model so
-// policies can be validated against real sensors out of the box.
-func seedDemoModel(svc *repository.Service) {
-	must(svc.DefineApplication("VideoApplication", "mpeg_play", "mpeg_serve"))
-	must(svc.DefineExecutable("mpeg_play", map[string][]string{
-		"fps_sensor":    {"frame_rate"},
-		"jitter_sensor": {"jitter_rate"},
-		"buffer_sensor": {"buffer_size"},
-	}))
-	must(svc.DefineExecutable("mpeg_serve", map[string][]string{}))
-	must(svc.DefineRole("physician"))
-	must(svc.DefineRole("student"))
 }
 
 func readFile(path string) string {

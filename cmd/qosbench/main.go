@@ -24,6 +24,7 @@ import (
 	"softqos/internal/instrument"
 	"softqos/internal/loadgen"
 	"softqos/internal/manager"
+	"softqos/internal/mgmt"
 	"softqos/internal/msg"
 	"softqos/internal/policy"
 	"softqos/internal/repository"
@@ -101,12 +102,7 @@ func overhead() {
 	// agent, policy lookup, PolicySet back, install into the sensors.
 	dir := repository.NewDirectory(repository.QoSSchema())
 	svc := repository.NewService(repository.LocalStore{Dir: dir})
-	must(svc.DefineApplication("VideoApplication", "mpeg_play"))
-	must(svc.DefineExecutable("mpeg_play", map[string][]string{
-		"fps_sensor":    {"frame_rate"},
-		"jitter_sensor": {"jitter_rate"},
-		"buffer_sensor": {"buffer_size"},
-	}))
+	must(mgmt.DefineVideoModel(svc))
 	p, err := policy.ParseOne(scenario.Example1Policy)
 	must(err)
 	must(svc.StorePolicy(p, repository.PolicyMeta{

@@ -41,6 +41,7 @@ import (
 
 	"softqos"
 	"softqos/internal/manager"
+	"softqos/internal/mgmt"
 	"softqos/internal/runtime"
 	"softqos/internal/telemetry"
 	"softqos/internal/telemetry/export"
@@ -123,12 +124,7 @@ func liveEventLog(now func() time.Duration, reg *telemetry.Registry) *softqos.Ev
 func liveRepository() (*softqos.RepositoryService, *softqos.Directory) {
 	dir := softqos.NewDirectory()
 	svc := softqos.NewRepositoryService(dir)
-	checkLive(svc.DefineApplication("VideoApplication", "mpeg_play"))
-	checkLive(svc.DefineExecutable("mpeg_play", map[string][]string{
-		"fps_sensor":    {"frame_rate"},
-		"jitter_sensor": {"jitter_rate"},
-		"buffer_sensor": {"buffer_size"},
-	}))
+	checkLive(mgmt.DefineVideoModel(svc))
 	checkLive(softqos.NewAdmin(svc).AddPolicy(softqos.Example1Policy, softqos.PolicyMeta{
 		Application: "VideoApplication", Executable: "mpeg_play"}))
 	return svc, dir

@@ -19,6 +19,33 @@ import (
 // in policy do-clauses.
 var ManagerNames = []string{"QoSHostManager", "QoSDomainManager"}
 
+// DefineVideoModel installs the paper's video-application information
+// model in the repository: VideoApplication, made of the instrumented
+// player mpeg_play (its fps, jitter and buffer sensors) and the server
+// mpeg_serve, and the user roles viewer, physician and student. It binds
+// no policy; callers that want Example 1 add it through an Admin.
+func DefineVideoModel(svc *repository.Service) error {
+	if err := svc.DefineApplication("VideoApplication", "mpeg_play", "mpeg_serve"); err != nil {
+		return err
+	}
+	if err := svc.DefineExecutable("mpeg_play", map[string][]string{
+		"fps_sensor":    {"frame_rate"},
+		"jitter_sensor": {"jitter_rate"},
+		"buffer_sensor": {"buffer_size"},
+	}); err != nil {
+		return err
+	}
+	if err := svc.DefineExecutable("mpeg_serve", map[string][]string{}); err != nil {
+		return err
+	}
+	for _, role := range []string{"viewer", "physician", "student"} {
+		if err := svc.DefineRole(role); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Admin is the policy administration application.
 type Admin struct {
 	svc *repository.Service

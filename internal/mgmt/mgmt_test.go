@@ -23,14 +23,7 @@ func newAdmin(t *testing.T) (*Admin, *repository.Directory) {
 	t.Helper()
 	dir := repository.NewDirectory(repository.QoSSchema())
 	svc := repository.NewService(repository.LocalStore{Dir: dir})
-	if err := svc.DefineApplication("VideoApplication", "mpeg_play"); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.DefineExecutable("mpeg_play", map[string][]string{
-		"fps_sensor":    {"frame_rate"},
-		"jitter_sensor": {"jitter_rate"},
-		"buffer_sensor": {"buffer_size"},
-	}); err != nil {
+	if err := DefineVideoModel(svc); err != nil {
 		t.Fatal(err)
 	}
 	return NewAdmin(svc), dir

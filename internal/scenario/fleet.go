@@ -7,9 +7,9 @@ import (
 
 	"softqos/internal/agent"
 	"softqos/internal/manager"
+	"softqos/internal/mgmt"
 	"softqos/internal/msg"
 	"softqos/internal/obs"
-	"softqos/internal/policy"
 	"softqos/internal/repository"
 	"softqos/internal/sim"
 	"softqos/internal/telemetry"
@@ -523,18 +523,9 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 	// domain, each domain to its policy agent, and the agents' generation
 	// caches must converge on the hub counter by run end.
 	if cfg.PolicyGens > 0 {
-		dir := repository.NewDirectory(repository.QoSSchema())
-		svc := repository.NewService(repository.LocalStore{Dir: dir})
-		mustNil(svc.DefineApplication("VideoApplication", "mpeg_play"))
-		mustNil(svc.DefineExecutable("mpeg_play", map[string][]string{
-			"fps_sensor":    {"frame_rate"},
-			"jitter_sensor": {"jitter_rate"},
-			"buffer_sensor": {"buffer_size"},
-		}))
-		pol, err := policy.ParseOne(Example1Policy)
-		mustNil(err)
-		mustNil(svc.StorePolicy(pol, repository.PolicyMeta{
-			Application: "VideoApplication", Executable: "mpeg_play"}))
+		svc := repository.NewService(repository.LocalStore{Dir: repository.NewDirectory(repository.QoSSchema())})
+		mustNil(mgmt.DefineVideoModel(svc))
+		mustNil(mgmt.NewAdmin(svc).AddPolicy(Example1Policy, videoPlayer))
 		specs, err := svc.PoliciesFor(msg.Identity{Executable: "mpeg_play"})
 		mustNil(err)
 
@@ -562,7 +553,6 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 func (sys *FleetSystem) Start() {
 	s := sys.Sim
 	for _, fd := range sys.Domains {
-		fd := fd
 		s.After(time.Millisecond, func() {
 			_ = sys.Bus.Send(RegionAddr, msg.Message{From: fd.addr,
 				Body: msg.Register{ID: msg.Identity{Host: fd.name}}})
@@ -580,7 +570,6 @@ func (sys *FleetSystem) Start() {
 		s.Every(fleetSampleEvery, sys.Flight.Sample)
 	}
 	for _, h := range sys.hosts {
-		h := h
 		// Stagger per-host schedules across their periods.
 		regAt := 2*time.Millisecond + time.Duration(h.index%1000)*time.Millisecond
 		s.After(regAt, func() {

@@ -4,17 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"softqos/internal/agent"
-	"softqos/internal/instrument"
 	"softqos/internal/loadgen"
 	"softqos/internal/manager"
 	"softqos/internal/mgmt"
-	"softqos/internal/msg"
 	"softqos/internal/netsim"
 	"softqos/internal/obs"
-	"softqos/internal/repository"
 	"softqos/internal/sched"
-	"softqos/internal/sim"
 	"softqos/internal/video"
 )
 
@@ -68,28 +63,17 @@ type ScaleResult struct {
 func Scale(cfg ScaleConfig, warmup, measure time.Duration) ScaleResult {
 	cfg = cfg.withDefaults()
 	start := time.Now()
-	s := sim.New(cfg.Seed)
-	bus := msg.NewBus(s, 100*time.Microsecond, 2*time.Millisecond)
+	d := newDomain(cfg.Seed)
+	s := d.s
 	net := netsim.New(s, obs.Kit{})
 
 	// Shared infrastructure: repository, agent, domain manager, one
 	// server host behind one core switch.
-	dir := repository.NewDirectory(repository.QoSSchema())
-	svc := repository.NewService(repository.LocalStore{Dir: dir})
-	admin := mgmt.NewAdmin(svc)
-	mustNil(svc.DefineApplication("VideoApplication", "mpeg_play", "mpeg_serve"))
-	mustNil(svc.DefineExecutable("mpeg_play", map[string][]string{
-		"fps_sensor":    {"frame_rate"},
-		"jitter_sensor": {"jitter_rate"},
-		"buffer_sensor": {"buffer_size"},
-	}))
-	mustNil(admin.AddPolicy(Example1Policy, repository.PolicyMeta{
-		Application: "VideoApplication", Executable: "mpeg_play"}))
-
-	pa := agent.New(AgentAddr, svc, bus.Send)
-	bus.Bind(AgentAddr, "mgmt", func(m msg.Message) { pa.HandleMessage(m) })
-	dm := manager.NewDomainManager(DomainAddr, bus.Send, manager.DomainConfig{})
-	bus.Bind(DomainAddr, "mgmt", func(m msg.Message) { dm.HandleMessage(m) })
+	mustNil(mgmt.DefineVideoModel(d.svc))
+	mustNil(d.admin.AddPolicy(Example1Policy, videoPlayer))
+	d.startAgent(d.bus.Send, obs.Kit{})
+	dm := manager.NewDomainManager(DomainAddr, d.bus.Send, manager.DomainConfig{})
+	d.bus.Bind(DomainAddr, "mgmt", dm.HandleMessage)
 
 	// Size the server host so the send side is not the bottleneck (the
 	// scale experiment stresses the management plane, not the server):
@@ -102,58 +86,22 @@ func Scale(cfg ScaleConfig, warmup, measure time.Duration) ScaleResult {
 	// A fat core switch: the scale experiment stresses management, not
 	// the network.
 	sw := net.AddSwitch("sw-core", 64<<20, 8<<20)
-	serverHM := manager.NewHostManager(ServerHMAddr, serverHost, bus.Send, "", manager.Liveness{}, obs.Kit{})
-	bus.Bind(ServerHMAddr, "server-host", func(m msg.Message) { serverHM.HandleMessage(m) })
+	d.startHostManager(ServerHMAddr, serverHost, d.bus.Send, "", manager.Liveness{}, obs.Kit{})
 	dm.RegisterAppServer("VideoApplication", ServerHMAddr, "mpeg_serve")
 
-	stream := video.StreamConfig{DecodeCost: cfg.DecodeCost}
-	type sess struct {
-		client *video.Client
-		fps    *instrument.RateSensor
-		coord  *instrument.Coordinator
-		mark   int
-	}
-	var sessions []*sess
+	var sessions []*session
 	var hms []*manager.HostManager
-
 	for hIdx := 0; hIdx < cfg.Hosts; hIdx++ {
 		hostName := fmt.Sprintf("client-%02d", hIdx)
 		host := sched.NewHost(s, hostName, obs.Kit{})
 		hmAddr := "/" + hostName + "/QoSHostManager"
-		hm := manager.NewHostManager(hmAddr, host, bus.Send, DomainAddr, manager.Liveness{}, obs.Kit{})
-		bus.Bind(hmAddr, hostName, func(m msg.Message) { hm.HandleMessage(m) })
+		hm := d.startHostManager(hmAddr, host, d.bus.Send, DomainAddr, manager.Liveness{}, obs.Kit{})
 		hms = append(hms, hm)
-
 		for sIdx := 0; sIdx < cfg.SessionsPerHost; sIdx++ {
-			node := fmt.Sprintf("%s/s%d", hostName, sIdx)
-			net.AddNode(node, nil)
-			net.SetRoute("server-host", node, 5*time.Millisecond, sw)
-			video.StartServer(serverHost, net, "server-host", node, stream)
-			cl := video.StartClient(host, net, node, stream)
-			eff := cl.Config()
-			id := msg.Identity{Host: hostName, PID: cl.Proc.PID(),
-				Executable: "mpeg_play", Application: "VideoApplication", UserRole: "viewer"}
-			hm.Track(cl.Proc, id)
-
-			clock := instrument.Clock(func() time.Duration { return s.Now().Duration() })
-			se := &sess{client: cl}
-			se.fps = instrument.NewRateSensor("fps_sensor", "frame_rate", clock, time.Second)
-			jit := instrument.NewJitterSensor("jitter_sensor", "jitter_rate", clock, eff.Interval())
-			buf := instrument.NewValueSensor("buffer_sensor", "buffer_size",
-				func() float64 { return float64(cl.Socket.Len()) })
-			cl.OnDisplay = func(video.Frame) { se.fps.Tick(); jit.Tick() }
-			s.Every(500*time.Millisecond, func() { buf.Sample(); se.fps.Flush() })
-
-			coord := instrument.NewCoordinator(id, clock, bus.Send, AgentAddr, hmAddr)
-			se.coord = coord
-			coord.AddSensor(se.fps)
-			coord.AddSensor(jit)
-			coord.AddSensor(buf)
-			bus.Bind(coord.Address(), hostName, func(m msg.Message) { _ = coord.HandleMessage(m) })
-			s.After(time.Duration(1+len(sessions))*time.Millisecond, func() {
-				mustNil(coord.Register())
-			})
-			sessions = append(sessions, se)
+			sessions = append(sessions, d.startSession(sessionSpec{net: net, sw: sw, send: d.bus.Send,
+				server: serverHost, client: host, node: fmt.Sprintf("%s/s%d", hostName, sIdx),
+				stream: video.StreamConfig{DecodeCost: cfg.DecodeCost}, role: userRole, hm: hm, hmAddr: hmAddr,
+				register: time.Duration(1+len(sessions)) * time.Millisecond}))
 		}
 		if cfg.LoadPerHost > 0 {
 			loadgen.Offered(host, cfg.LoadPerHost)
@@ -170,7 +118,7 @@ func Scale(cfg ScaleConfig, warmup, measure time.Duration) ScaleResult {
 		Events: s.Fired(), WallTime: time.Since(start)}
 	var sum float64
 	for _, se := range sessions {
-		fps := float64(se.client.Displayed-se.mark) / measure.Seconds()
+		fps := se.windowFPS(measure)
 		out.SessionFPS = append(out.SessionFPS, fps)
 		out.Notifies += se.coord.Notifies
 		sum += fps

@@ -81,8 +81,6 @@ type Config struct {
 	// the application runs under normal scheduling, unobserved — the
 	// paper's baseline.
 	Managed bool
-	// PolicySrc overrides the QoS policy (default Example1Policy).
-	PolicySrc string
 	// RTLoad, when positive, runs a real-time-class process consuming
 	// this fraction of the client CPU — load the CPU manager cannot
 	// preempt with time-sharing priorities (overload experiments).
@@ -171,9 +169,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.PolicySrc == "" {
-		c.PolicySrc = Example1Policy
-	}
 	return c
 }
 
@@ -187,7 +182,6 @@ type System struct {
 	ClientHost *sched.Host
 	ServerHost *sched.Host
 
-	Dir   *repository.Directory
 	Svc   *repository.Service
 	Admin *mgmt.Admin
 	Agent *agent.PolicyAgent
@@ -240,9 +234,9 @@ type System struct {
 // Build assembles a system; nothing has executed yet (call Run* next).
 func Build(cfg Config) *System {
 	cfg = cfg.withDefaults()
-	sys := &System{Cfg: cfg}
-	s := sim.New(cfg.Seed)
-	sys.Sim = s
+	d := newDomain(cfg.Seed)
+	s := d.s
+	sys := &System{Cfg: cfg, Sim: s, Bus: d.bus, Svc: d.svc, Admin: d.admin}
 
 	// Telemetry runs on the virtual clock; no wall clock is installed, so
 	// wall-cost histograms stay silent and snapshots deterministic.
@@ -257,9 +251,7 @@ func Build(cfg Config) *System {
 	}
 	kit := obs.Kit{Metrics: sys.Metrics, Tracer: sys.Tracer, Log: sys.Log}
 
-	// Transports: management bus (message queues locally, sockets across
-	// hosts) and the data-plane network.
-	sys.Bus = msg.NewBus(s, 100*time.Microsecond, 2*time.Millisecond)
+	// The data-plane network.
 	sys.Net = netsim.New(s, kit)
 	sys.Bus.SetMetrics(sys.Metrics)
 
@@ -267,39 +259,26 @@ func Build(cfg Config) *System {
 	sys.ClientHost = sched.NewHost(s, "client-host", kit, sched.WithMemory(1<<14))
 	sys.ServerHost = sched.NewHost(s, "server-host", kit, sched.WithMemory(1<<14))
 
-	// Network topology: server -> core switch -> client, plus a noise
-	// source that shares the core switch, and optionally a backup path.
-	sys.Net.AddNode("client-host", nil)
+	// Network topology: server -> core switch -> client (the session
+	// adds the client's node and route), plus a noise source that shares
+	// the core switch, and optionally a backup path.
 	sys.Net.AddNode("server-host", nil)
 	sys.Net.AddNode("noise-src", nil)
 	// Core switch: 2 MB/s, 256 KiB of buffering. An 8 KiB frame takes
 	// ~4 ms of service; 30 fps of video is ~240 KB/s (12% utilisation).
 	sys.CoreSwitch = sys.Net.AddSwitch("sw-core", 2<<20, 256<<10)
-	sys.Net.SetRoute("server-host", "client-host", 5*time.Millisecond, sys.CoreSwitch)
-	sys.Net.SetRoute("noise-src", "client-host", 5*time.Millisecond, sys.CoreSwitch)
 	if cfg.BackupRoute {
 		sys.BackupSwitch = sys.Net.AddSwitch("sw-backup", 2<<20, 256<<10)
 	}
 
-	// Repository, information model, policy, agent.
-	sys.Dir = repository.NewDirectory(repository.QoSSchema())
-	sys.Svc = repository.NewService(repository.LocalStore{Dir: sys.Dir})
-	sys.Admin = mgmt.NewAdmin(sys.Svc)
-	mustNil(sys.Svc.DefineApplication("VideoApplication", "mpeg_play", "mpeg_serve"))
-	mustNil(sys.Svc.DefineExecutable("mpeg_play", map[string][]string{
-		"fps_sensor":    {"frame_rate"},
-		"jitter_sensor": {"jitter_rate"},
-		"buffer_sensor": {"buffer_size"},
-	}))
-	mustNil(sys.Svc.DefineExecutable("mpeg_serve", map[string][]string{}))
-	mustNil(sys.Svc.DefineRole(userRole))
-	mustNil(sys.Admin.AddPolicy(cfg.PolicySrc, repository.PolicyMeta{
-		Application: "VideoApplication", Executable: "mpeg_play"}))
+	// Information model, policy, agent.
+	mustNil(mgmt.DefineVideoModel(sys.Svc))
+	mustNil(sys.Admin.AddPolicy(Example1Policy, videoPlayer))
 
 	send := msg.SendFunc(sys.Bus.Send)
 	if cfg.Faults != nil {
 		sys.Faults = faults.New(sys.Bus, cfg.Faults, sys.Metrics.Clock(),
-			func(d time.Duration, fn func()) { s.After(d, fn) }, kit)
+			func(delay time.Duration, fn func()) { s.After(delay, fn) }, kit)
 		send = sys.Faults.Send
 	}
 	// The agent's counters exist only under PolicyChurn, which keeps
@@ -308,8 +287,7 @@ func Build(cfg Config) *System {
 	if cfg.PolicyChurn != nil {
 		agentKit.Metrics = sys.Metrics
 	}
-	sys.Agent = agent.New(AgentAddr, sys.Svc, send, agentKit)
-	sys.Bus.Bind(AgentAddr, "mgmt", func(m msg.Message) { sys.Agent.HandleMessage(m) })
+	sys.Agent = d.startAgent(send, agentKit)
 
 	// Managers. Liveness tracking is armed only under fault injection, so
 	// fault-free simulations schedule exactly the same events, and only
@@ -325,16 +303,14 @@ func Build(cfg Config) *System {
 	if cfg.PolicyChurn != nil {
 		dmCfg.PolicyAgents = []string{AgentAddr} // see the hub wiring below
 	}
-	sys.ClientHM = manager.NewHostManager(ClientHMAddr, sys.ClientHost, send, DomainAddr, live, kit)
+	sys.ClientHM = d.startHostManager(ClientHMAddr, sys.ClientHost, send, DomainAddr, live, kit)
 	if cfg.HostRules != "" {
 		mustNil(sys.ClientHM.LoadRules(cfg.HostRules))
 	}
-	sys.ServerHM = manager.NewHostManager(ServerHMAddr, sys.ServerHost, send, "", manager.Liveness{}, kit)
+	sys.ServerHM = d.startHostManager(ServerHMAddr, sys.ServerHost, send, "", manager.Liveness{}, kit)
 	sys.DM = manager.NewDomainManager(DomainAddr, send, dmCfg)
 	sys.DM.RegisterAppServer("VideoApplication", ServerHMAddr, "mpeg_serve")
-	sys.Bus.Bind(ClientHMAddr, "client-host", func(m msg.Message) { sys.ClientHM.HandleMessage(m) })
-	sys.Bus.Bind(ServerHMAddr, "server-host", func(m msg.Message) { sys.ServerHM.HandleMessage(m) })
-	sys.Bus.Bind(DomainAddr, "mgmt", func(m msg.Message) { sys.DM.HandleMessage(m) })
+	sys.Bus.Bind(DomainAddr, "mgmt", sys.DM.HandleMessage)
 	if cfg.BackupRoute {
 		sys.DM.OnNetworkFault = func(msg.Alarm) {
 			sys.Net.SetRoute("server-host", "client-host", 5*time.Millisecond, sys.BackupSwitch)
@@ -342,17 +318,19 @@ func Build(cfg Config) *System {
 		}
 	}
 
-	// The managed application.
-	sys.Server = video.StartServer(sys.ServerHost, sys.Net, "server-host", "client-host", cfg.Stream)
-	sys.Client = video.StartClient(sys.ClientHost, sys.Net, "client-host", cfg.Stream)
-	stream := sys.Client.Config()
-
-	serverID := msg.Identity{Host: "server-host", PID: sys.Server.Proc.PID(),
-		Executable: "mpeg_serve", Application: "VideoApplication", UserRole: userRole}
-	clientID := msg.Identity{Host: "client-host", PID: sys.Client.Proc.PID(),
-		Executable: "mpeg_play", Application: "VideoApplication", UserRole: userRole}
-	sys.ServerHM.Track(sys.Server.Proc, serverID)
-	sys.ClientHM.Track(sys.Client.Proc, clientID)
+	// The managed application and its instrumentation. Registration
+	// happens shortly after process start, as in the prototype's
+	// instrumented initialisation.
+	sp := sessionSpec{net: sys.Net, sw: sys.CoreSwitch, send: send, server: sys.ServerHost,
+		client: sys.ClientHost, node: "client-host", stream: cfg.Stream, role: userRole,
+		hm: sys.ClientHM, hmAddr: ClientHMAddr, serverHM: sys.ServerHM}
+	if cfg.Managed && cfg.Faults == nil {
+		sp.register = time.Millisecond
+	}
+	se := d.startSession(sp)
+	sys.Server, sys.Client, sys.Coord = se.server, se.client, se.coord
+	sys.FPS, sys.Jitter, sys.Buffer = se.fps, se.jitter, se.buffer
+	sys.Net.SetRoute("noise-src", "client-host", 5*time.Millisecond, sys.CoreSwitch)
 
 	// Process-failure adaptation: the server host manager can re-spawn a
 	// dead video server on direction from the domain manager.
@@ -362,38 +340,14 @@ func Build(cfg Config) *System {
 		}
 		sys.Server = video.StartServer(sys.ServerHost, sys.Net, "server-host", "client-host", cfg.Stream)
 		sys.Restarted++
-		nid := serverID
-		nid.PID = sys.Server.Proc.PID()
-		return sys.Server.Proc, nid, true
+		return sys.Server.Proc, msg.Identity{Host: "server-host", PID: sys.Server.Proc.PID(),
+			Executable: "mpeg_serve", Application: "VideoApplication", UserRole: userRole}, true
 	}
 
-	// Instrumentation: sensors, probes, coordinator.
-	clock := instrument.Clock(func() time.Duration { return s.Now().Duration() })
-	sys.FPS = instrument.NewRateSensor("fps_sensor", "frame_rate", clock, time.Second)
-	sys.Jitter = instrument.NewJitterSensor("jitter_sensor", "jitter_rate", clock, stream.Interval())
-	sys.Buffer = instrument.NewValueSensor("buffer_sensor", "buffer_size",
-		func() float64 { return float64(sys.Client.Socket.Len()) })
-
-	// The display probe (Example 2): fires after decode+display.
-	sys.Client.OnDisplay = func(video.Frame) {
-		sys.FPS.Tick()
-		sys.Jitter.Tick()
-	}
-	// Periodic sampling: the buffer sensor polls the socket, and the rate
-	// sensor is flushed so a fully stalled stream still reads ~0 fps.
-	s.Every(500*time.Millisecond, func() {
-		sys.Buffer.Sample()
-		sys.FPS.Flush()
-	})
-
-	sys.Coord = instrument.NewCoordinator(clientID, clock, send, AgentAddr, ClientHMAddr)
 	sys.Coord.SetTelemetry(sys.Metrics, sys.Tracer)
 	if cfg.PredictionHorizon > 0 {
 		sys.Coord.SetPredictionHorizon(cfg.PredictionHorizon)
 	}
-	sys.Coord.AddSensor(sys.FPS)
-	sys.Coord.AddSensor(sys.Jitter)
-	sys.Coord.AddSensor(sys.Buffer)
 	// The stream-degradation actuator (overload adaptation): managers may
 	// direct the application to skip frames when resources cannot be
 	// found. Degradation comes with renegotiation, per the paper's
@@ -428,22 +382,14 @@ func Build(cfg Config) *System {
 				}
 			}
 		}
-		sys.Jitter.SetNominal(stream.Interval() * time.Duration(n))
+		sys.Jitter.SetNominal(sys.Client.Config().Interval() * time.Duration(n))
 		return sys.Coord.InstallPolicies(specs)
 	}})
-	sys.Bus.Bind(sys.Coord.Address(), "client-host", func(m msg.Message) {
-		_ = sys.Coord.HandleMessage(m)
-	})
-	if cfg.Managed {
-		// Registration happens shortly after process start, as in the
-		// prototype's instrumented initialisation. Under fault injection
-		// the send may fail or be dropped — the re-registration loop
-		// below recovers it, so the error is tolerated rather than fatal.
-		if cfg.Faults != nil {
-			s.After(time.Millisecond, func() { _ = sys.Coord.Register() })
-		} else {
-			s.After(time.Millisecond, func() { mustNil(sys.Coord.Register()) })
-		}
+	if cfg.Managed && cfg.Faults != nil {
+		// Under fault injection the registration may fail or be dropped —
+		// the re-registration loop below recovers it, so the error is
+		// tolerated rather than fatal.
+		s.After(time.Millisecond, func() { _ = sys.Coord.Register() })
 	}
 
 	// Resilience wiring, armed only under fault injection so fault-free
@@ -452,16 +398,10 @@ func Build(cfg Config) *System {
 		// Self-healing re-adoption: a manager that evicted (or lost) a
 		// process re-tracks it from the next heartbeat or violation.
 		sys.ClientHM.OnUnknownProc = func(id msg.Identity) (runtime.ProcHandle, bool) {
-			if id.PID == sys.Client.Proc.PID() {
-				return sys.Client.Proc, true
-			}
-			return nil, false
+			return sys.Client.Proc, id.PID == sys.Client.Proc.PID()
 		}
 		sys.ServerHM.OnUnknownProc = func(id msg.Identity) (runtime.ProcHandle, bool) {
-			if id.PID == sys.Server.Proc.PID() {
-				return sys.Server.Proc, true
-			}
-			return nil, false
+			return sys.Server.Proc, id.PID == sys.Server.Proc.PID()
 		}
 		s.Every(live.Timeout/2, func() {
 			sys.ClientHM.CheckLiveness()
@@ -490,7 +430,7 @@ func Build(cfg Config) *System {
 		sys.Hub.Subscribe(DomainAddr)
 		ctl := repository.NewController(sys.Hub, sys.Svc, repository.RolloutConfig{Bake: churn.Bake, Kit: kit})
 		ctl.SetClock(func() time.Duration { return s.Now().Duration() },
-			func(d time.Duration, fn func()) { s.After(d, fn) })
+			func(delay time.Duration, fn func()) { s.After(delay, fn) })
 		ctl.SetComplianceSource(func() []telemetry.PolicyCompliance {
 			return telemetry.ComputeCompliance(sys.Tracer.Traces(), s.Now().Duration(), sys.SLOTargets())
 		})
@@ -500,11 +440,9 @@ func Build(cfg Config) *System {
 		sys.DM.OnHostEvicted = ctl.HostEvicted
 		sys.Rollout = ctl
 		for i := 0; i < churn.Generations; i++ {
-			gen := i
 			s.After(churn.Start+time.Duration(i)*churn.Interval, func() {
-				src := churnPolicySrc(gen, churn)
-				if _, err := ctl.Push(src, repository.PolicyMeta{
-					Application: "VideoApplication", Executable: "mpeg_play"}); err != nil {
+				src := churnPolicySrc(i, churn)
+				if _, err := ctl.Push(src, videoPlayer); err != nil {
 					sys.ChurnErrors++
 				}
 			})
@@ -545,27 +483,19 @@ func Build(cfg Config) *System {
 	return sys
 }
 
-// churnPolicySrc renders the policy text for churn push number i. Good
-// generations tune the jitter bound slightly (distinct text per
-// generation, so idempotency never kicks in); bad generations demand an
-// unattainable frame rate under the distinct name ChurnBreaker, keeping
-// their violation history out of the good generations' SLO windows.
+// churnPolicySrc renders the policy text for churn push number i: the
+// Example 1 text under another name and condition. Good generations
+// tune the jitter bound slightly (distinct text per generation, so
+// idempotency never kicks in); bad generations demand an unattainable
+// frame rate under the distinct name ChurnBreaker, keeping their
+// violation history out of the good generations' SLO windows.
 func churnPolicySrc(i int, churn ChurnConfig) string {
 	name, cond := "ChurnGoal", fmt.Sprintf("frame_rate = 25(+2)(-2) and jitter_rate < %.2f", 1.30+0.01*float64(i))
 	if churn.BadEvery > 0 && (i+1)%churn.BadEvery == 0 {
 		name, cond = "ChurnBreaker", "frame_rate = 100(+2)(-2)"
 	}
-	return fmt.Sprintf(`
-oblig %s {
-  subject (...)/VideoApplication/qosl_coordinator
-  target  fps_sensor, jitter_sensor, buffer_sensor, (...)/QoSHostManager
-  on      not (%s)
-  do      fps_sensor->read(out frame_rate);
-          jitter_sensor->read(out jitter_rate);
-          buffer_sensor->read(out buffer_size);
-          (...)/QoSHostManager->notify(frame_rate, jitter_rate, buffer_size);
-}
-`, name, cond)
+	return strings.NewReplacer("NotifyQoSViolation", name,
+		"frame_rate = 25(+2)(-2) and jitter_rate < 1.25", cond).Replace(Example1Policy)
 }
 
 // SLOTargets derives one SLO declaration per installed policy, with the
@@ -728,7 +658,13 @@ func Ramp(cfg Config, stepEvery, measure time.Duration) RampResult {
 		})
 	}
 	res := sys.Run(0, measure)
-	out := RampResult{MeanFPS: res.MeanFPS, Adjustments: res.CPUAdjustments}
+	return rampResult(res, res.CPUAdjustments)
+}
+
+// rampResult counts the seconds of res's timeline at or below the
+// policy band.
+func rampResult(res Result, adjustments int) RampResult {
+	out := RampResult{MeanFPS: res.MeanFPS, Adjustments: adjustments}
 	for _, smp := range res.Timeline {
 		if smp.FPS <= 23 {
 			out.BelowBand++
@@ -759,14 +695,7 @@ func MemorySqueeze(cfg Config, stealEvery time.Duration, stealPages int, measure
 		}
 		sys.ClientHost.SetResident(sys.Client.Proc, res)
 	})
-	res := sys.Run(0, measure)
-	out := RampResult{MeanFPS: res.MeanFPS, Adjustments: sys.ClientHM.Memory().Adjustments}
-	for _, smp := range res.Timeline {
-		if smp.FPS <= 23 {
-			out.BelowBand++
-		}
-	}
-	return out
+	return rampResult(sys.Run(0, measure), sys.ClientHM.Memory().Adjustments)
 }
 
 // Fig3Row is one point of the Figure 3 reproduction.

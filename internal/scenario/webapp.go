@@ -3,16 +3,13 @@ package scenario
 import (
 	"time"
 
-	"softqos/internal/agent"
 	"softqos/internal/instrument"
 	"softqos/internal/loadgen"
 	"softqos/internal/manager"
-	"softqos/internal/mgmt"
 	"softqos/internal/msg"
 	"softqos/internal/obs"
 	"softqos/internal/repository"
 	"softqos/internal/sched"
-	"softqos/internal/sim"
 	"softqos/internal/webapp"
 )
 
@@ -43,26 +40,20 @@ type WebResult struct {
 // WebScenario runs the instrumented web server against background CPU
 // load, managed or not, and reports response-time outcomes.
 func WebScenario(seed int64, load float64, managed bool, warmup, measure time.Duration) WebResult {
-	s := sim.New(seed)
-	bus := msg.NewBus(s, 100*time.Microsecond, 2*time.Millisecond)
+	d := newDomain(seed)
+	s := d.s
 	host := sched.NewHost(s, "web-host", obs.Kit{})
 
-	dir := repository.NewDirectory(repository.QoSSchema())
-	svc := repository.NewService(repository.LocalStore{Dir: dir})
-	admin := mgmt.NewAdmin(svc)
-	mustNil(svc.DefineApplication("WebApplication", "httpd"))
-	mustNil(svc.DefineExecutable("httpd", map[string][]string{
+	mustNil(d.svc.DefineApplication("WebApplication", "httpd"))
+	mustNil(d.svc.DefineExecutable("httpd", map[string][]string{
 		"latency_sensor": {"response_time"},
 		"backlog_sensor": {"request_backlog"},
 		"rate_sensor":    {"request_rate"},
 	}))
-	mustNil(admin.AddPolicy(WebPolicy, repository.PolicyMeta{
-		Application: "WebApplication", Executable: "httpd"}))
+	mustNil(d.admin.AddPolicy(WebPolicy, repository.PolicyMeta{Application: "WebApplication", Executable: "httpd"}))
 
-	pa := agent.New(AgentAddr, svc, bus.Send)
-	bus.Bind(AgentAddr, "mgmt", func(m msg.Message) { pa.HandleMessage(m) })
-	hm := manager.NewHostManager("/web-host/QoSHostManager", host, bus.Send, "", manager.Liveness{}, obs.Kit{})
-	bus.Bind("/web-host/QoSHostManager", "web-host", func(m msg.Message) { hm.HandleMessage(m) })
+	d.startAgent(d.bus.Send, obs.Kit{})
+	hm := d.startHostManager("/web-host/QoSHostManager", host, d.bus.Send, "", manager.Liveness{}, obs.Kit{})
 
 	srv := webapp.Start(host, webapp.Config{ArrivalRate: 60, ServiceCost: 12 * time.Millisecond})
 	id := msg.Identity{Host: "web-host", PID: srv.Proc.PID(),
@@ -74,9 +65,7 @@ func WebScenario(seed int64, load float64, managed bool, warmup, measure time.Du
 	backlog := instrument.NewValueSensor("backlog_sensor", "request_backlog",
 		func() float64 { return float64(srv.Backlog()) })
 	rate := instrument.NewRateSensor("rate_sensor", "request_rate", clock, time.Second)
-	srv.OnServed = func(webapp.Request, time.Duration) {
-		rate.Tick()
-	}
+	srv.OnServed = func(webapp.Request, time.Duration) { rate.Tick() }
 	// The latency probe reports the smoothed value twice a second (the
 	// paper's adjustable reporting interval).
 	s.Every(500*time.Millisecond, func() {
@@ -85,11 +74,11 @@ func WebScenario(seed int64, load float64, managed bool, warmup, measure time.Du
 		rate.Flush()
 	})
 
-	coord := instrument.NewCoordinator(id, clock, bus.Send, AgentAddr, "/web-host/QoSHostManager")
+	coord := instrument.NewCoordinator(id, clock, d.bus.Send, AgentAddr, "/web-host/QoSHostManager")
 	coord.AddSensor(latency)
 	coord.AddSensor(backlog)
 	coord.AddSensor(rate)
-	bus.Bind(coord.Address(), "web-host", func(m msg.Message) { _ = coord.HandleMessage(m) })
+	d.bus.Bind(coord.Address(), "web-host", func(m msg.Message) { _ = coord.HandleMessage(m) })
 	if managed {
 		s.After(time.Millisecond, func() { mustNil(coord.Register()) })
 	}
