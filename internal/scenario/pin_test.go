@@ -20,7 +20,8 @@ func TestPinScale(t *testing.T) {
 			Sessions: 4, MeanFPS: 30, MinFPS: 30, Violations: 0, Adjustments: 80, Escalations: 0, Events: 27817, Notifies: 156,
 			SessionFPS: []float64{30, 30, 30, 30}}},
 		{ScaleConfig{Hosts: 16, SessionsPerHost: 4, LoadPerHost: 2}, ScaleResult{
-			Sessions: 64, MeanFPS: 24.898437500000004, MinFPS: 22.666666666666668, Violations: 1186, Adjustments: 1893, Escalations: 92, Events: 421130, Notifies: 2298,
+			Sessions: 64, MeanFPS: 24.898437500000004, MinFPS: 22.666666666666668, Violations: 1186, Adjustments: 1893, Escalations: 92, Events: 421088, Notifies: 2298,
+			Restarts: 0, ServerFaults: 71, NetworkFaults: 21,
 			SessionFPS: []float64{
 				25.133333333333333, 24.633333333333333, 25.133333333333333, 24.6, 25.133333333333333, 24.633333333333333,
 				25.133333333333333, 24.6, 25.133333333333333, 24.633333333333333, 25.133333333333333, 24.6,

@@ -57,6 +57,10 @@ type ScaleResult struct {
 	SessionFPS []float64
 	// Notifies sums coordinator notifications (violations + overshoots).
 	Notifies uint64
+	// Restarts, ServerFaults and NetworkFaults count the domain manager's
+	// diagnoses of the escalations: a dead server process, a starved
+	// server host, a congested network.
+	Restarts, ServerFaults, NetworkFaults uint64
 }
 
 // Scale builds and runs a domain-sized deployment for warmup+measure.
@@ -86,7 +90,7 @@ func Scale(cfg ScaleConfig, warmup, measure time.Duration) ScaleResult {
 	// A fat core switch: the scale experiment stresses management, not
 	// the network.
 	sw := net.AddSwitch("sw-core", 64<<20, 8<<20)
-	d.startHostManager(ServerHMAddr, serverHost, d.bus.Send, "", manager.Liveness{}, obs.Kit{})
+	serverHM := d.startHostManager(ServerHMAddr, serverHost, d.bus.Send, "", manager.Liveness{}, obs.Kit{})
 	dm.RegisterAppServer("VideoApplication", ServerHMAddr, "mpeg_serve")
 
 	var sessions []*session
@@ -100,7 +104,8 @@ func Scale(cfg ScaleConfig, warmup, measure time.Duration) ScaleResult {
 		for sIdx := 0; sIdx < cfg.SessionsPerHost; sIdx++ {
 			sessions = append(sessions, d.startSession(sessionSpec{net: net, sw: sw, send: d.bus.Send,
 				server: serverHost, client: host, node: fmt.Sprintf("%s/s%d", hostName, sIdx),
-				stream: video.StreamConfig{DecodeCost: cfg.DecodeCost}, role: userRole, hm: hm, hmAddr: hmAddr,
+				stream: video.StreamConfig{DecodeCost: cfg.DecodeCost}, role: userRole,
+				hm: hm, hmAddr: hmAddr, serverHM: serverHM,
 				register: time.Duration(1+len(sessions)) * time.Millisecond}))
 		}
 		if cfg.LoadPerHost > 0 {
@@ -114,8 +119,8 @@ func Scale(cfg ScaleConfig, warmup, measure time.Duration) ScaleResult {
 	}
 	s.RunFor(measure)
 
-	out := ScaleResult{Sessions: len(sessions), MinFPS: 1 << 20,
-		Events: s.Fired(), WallTime: time.Since(start)}
+	out := ScaleResult{Sessions: len(sessions), MinFPS: 1 << 20, Events: s.Fired(), WallTime: time.Since(start),
+		Restarts: dm.Restarts, ServerFaults: dm.ServerFaults, NetworkFaults: dm.NetworkFaults}
 	var sum float64
 	for _, se := range sessions {
 		fps := se.windowFPS(measure)

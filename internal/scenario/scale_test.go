@@ -24,6 +24,24 @@ func TestScaleAllSessionsStayInBand(t *testing.T) {
 	}
 }
 
+func TestScaleDiagnosesWithoutRestarts(t *testing.T) {
+	// Every server is tracked by the server host manager, so the domain
+	// reads each escalation's server-side statistics and never takes a
+	// live server process for a dead one.
+	res := Scale(ScaleConfig{Hosts: 16, SessionsPerHost: 4, LoadPerHost: 2},
+		10*time.Second, 30*time.Second)
+	if res.Escalations == 0 {
+		t.Fatal("no escalations to diagnose")
+	}
+	if res.Restarts != 0 {
+		t.Errorf("domain directed %d server restarts, want 0 (diagnoses: %d server, %d network)",
+			res.Restarts, res.ServerFaults, res.NetworkFaults)
+	}
+	if res.ServerFaults+res.NetworkFaults == 0 {
+		t.Error("no escalation was diagnosed as a server or network fault")
+	}
+}
+
 func TestScaleDeterministic(t *testing.T) {
 	a := Scale(ScaleConfig{Hosts: 3, SessionsPerHost: 2, LoadPerHost: 1, Seed: 5},
 		10*time.Second, 30*time.Second)
