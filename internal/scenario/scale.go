@@ -105,7 +105,7 @@ func Scale(cfg ScaleConfig, warmup, measure time.Duration) ScaleResult {
 			sessions = append(sessions, d.startSession(sessionSpec{net: net, sw: sw, send: d.bus.Send,
 				server: serverHost, client: host, node: fmt.Sprintf("%s/s%d", hostName, sIdx),
 				stream: video.StreamConfig{DecodeCost: cfg.DecodeCost}, role: userRole,
-				hm: hm, hmAddr: hmAddr, serverHM: serverHM,
+				hm: hm, serverHM: serverHM,
 				register: time.Duration(1+len(sessions)) * time.Millisecond}))
 		}
 		if cfg.LoadPerHost > 0 {

@@ -251,7 +251,6 @@ func Build(cfg Config) *System {
 	}
 	kit := obs.Kit{Metrics: sys.Metrics, Tracer: sys.Tracer, Log: sys.Log}
 
-	// The data-plane network.
 	sys.Net = netsim.New(s, kit)
 	sys.Bus.SetMetrics(sys.Metrics)
 
@@ -323,7 +322,7 @@ func Build(cfg Config) *System {
 	// instrumented initialisation.
 	sp := sessionSpec{net: sys.Net, sw: sys.CoreSwitch, send: send, server: sys.ServerHost,
 		client: sys.ClientHost, node: "client-host", stream: cfg.Stream, role: userRole,
-		hm: sys.ClientHM, hmAddr: ClientHMAddr, serverHM: sys.ServerHM}
+		hm: sys.ClientHM, serverHM: sys.ServerHM}
 	if cfg.Managed && cfg.Faults == nil {
 		sp.register = time.Millisecond
 	}

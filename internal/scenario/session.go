@@ -63,8 +63,7 @@ type sessionSpec struct {
 	node           string
 	stream         video.StreamConfig
 	role           string               // the client's user role
-	hm             *manager.HostManager // tracks the client, bound at hmAddr
-	hmAddr         string
+	hm             *manager.HostManager // tracks the client
 	serverHM       *manager.HostManager // tracks the server; nil leaves it untracked
 	// register is how far into the run the coordinator registers with
 	// the policy agent; 0 leaves registration to the caller.
@@ -115,7 +114,7 @@ func (d domain) startSession(sp sessionSpec) *session {
 	cl.OnDisplay = func(video.Frame) { se.fps.Tick(); se.jitter.Tick() }
 	d.s.Every(500*time.Millisecond, func() { se.buffer.Sample(); se.fps.Flush() })
 
-	se.coord = instrument.NewCoordinator(id, clock, sp.send, AgentAddr, sp.hmAddr)
+	se.coord = instrument.NewCoordinator(id, clock, sp.send, AgentAddr, sp.hm.Addr())
 	se.coord.AddSensor(se.fps)
 	se.coord.AddSensor(se.jitter)
 	se.coord.AddSensor(se.buffer)

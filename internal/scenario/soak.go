@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -103,7 +104,7 @@ func Soak(cfg SoakConfig) SoakResult {
 			for _, p := range procs {
 				p.Exit()
 			}
-			live = dropProcs(live, procs)
+			live = slices.DeleteFunc(live, func(p *sched.Proc) bool { return slices.Contains(procs, p) })
 		})
 	})
 
@@ -155,21 +156,4 @@ func Soak(cfg SoakConfig) SoakResult {
 
 func spinName(pulse, i int) string {
 	return "pulse-" + strconv.Itoa(pulse) + "-" + strconv.Itoa(i)
-}
-
-func dropProcs(all, gone []*sched.Proc) []*sched.Proc {
-	out := all[:0]
-	for _, p := range all {
-		dead := false
-		for _, g := range gone {
-			if p == g {
-				dead = true
-				break
-			}
-		}
-		if !dead {
-			out = append(out, p)
-		}
-	}
-	return out
 }

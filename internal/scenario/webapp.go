@@ -50,7 +50,8 @@ func WebScenario(seed int64, load float64, managed bool, warmup, measure time.Du
 		"backlog_sensor": {"request_backlog"},
 		"rate_sensor":    {"request_rate"},
 	}))
-	mustNil(d.admin.AddPolicy(WebPolicy, repository.PolicyMeta{Application: "WebApplication", Executable: "httpd"}))
+	mustNil(d.admin.AddPolicy(WebPolicy, repository.PolicyMeta{
+		Application: "WebApplication", Executable: "httpd"}))
 
 	d.startAgent(d.bus.Send, obs.Kit{})
 	hm := d.startHostManager("/web-host/QoSHostManager", host, d.bus.Send, "", manager.Liveness{}, obs.Kit{})
@@ -65,7 +66,9 @@ func WebScenario(seed int64, load float64, managed bool, warmup, measure time.Du
 	backlog := instrument.NewValueSensor("backlog_sensor", "request_backlog",
 		func() float64 { return float64(srv.Backlog()) })
 	rate := instrument.NewRateSensor("rate_sensor", "request_rate", clock, time.Second)
-	srv.OnServed = func(webapp.Request, time.Duration) { rate.Tick() }
+	srv.OnServed = func(webapp.Request, time.Duration) {
+		rate.Tick()
+	}
 	// The latency probe reports the smoothed value twice a second (the
 	// paper's adjustable reporting interval).
 	s.Every(500*time.Millisecond, func() {
