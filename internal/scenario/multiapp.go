@@ -58,8 +58,7 @@ func MultiApp(cfg MultiAppConfig, warmup, measure time.Duration) MultiAppResult 
 	}
 
 	sp := sessionSpec{net: net, sw: sw, send: d.bus.Send, server: serverHost, client: clientHost,
-		stream: video.StreamConfig{DecodeCost: cfg.DecodeCost}, hm: hm,
-		register: time.Millisecond}
+		stream: video.StreamConfig{DecodeCost: cfg.DecodeCost}, hm: hm, register: time.Millisecond}
 	sp.role, sp.node = "physician", "client-phys"
 	phys := d.startSession(sp)
 	sp.role, sp.node = "student", "client-stud"
